@@ -53,23 +53,6 @@ import (
 	"leaksig/internal/sigserver"
 )
 
-// loadFaults builds the chaos injector from -faults or, when the flag is
-// empty, the LEAKSIG_FAULTS/FAULT_SEED environment.
-func loadFaults(spec string) *faultinject.Injector {
-	if spec != "" {
-		cfg, err := faultinject.Parse(spec)
-		if err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
-		return faultinject.New(cfg)
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		log.Fatalf("LEAKSIG_FAULTS: %v", err)
-	}
-	return inj
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flowproxy: ")
@@ -93,7 +76,10 @@ func main() {
 
 	reg := obs.NewRegistry()
 	reg.Register(obs.BuildInfoCollector())
-	inj := loadFaults(*faults)
+	inj, err := faultinject.FromFlag(*faults)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if inj != nil {
 		log.Printf("chaos: %s", inj)
 		reg.Register(obs.FaultCollector(inj))

@@ -102,23 +102,6 @@ import (
 	"leaksig/internal/sigserver"
 )
 
-// loadFaults builds the chaos injector from -faults or, when the flag is
-// empty, the LEAKSIG_FAULTS/FAULT_SEED environment.
-func loadFaults(spec string) *faultinject.Injector {
-	if spec != "" {
-		cfg, err := faultinject.Parse(spec)
-		if err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
-		return faultinject.New(cfg)
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		log.Fatalf("LEAKSIG_FAULTS: %v", err)
-	}
-	return inj
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("leakstream: ")
@@ -188,7 +171,10 @@ func main() {
 	// first signature set is live.
 	reg := obs.NewRegistry()
 	reg.Register(obs.BuildInfoCollector())
-	inj := loadFaults(*faults)
+	inj, err := faultinject.FromFlag(*faults)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if inj != nil {
 		log.Printf("chaos: %s", inj)
 		reg.Register(obs.FaultCollector(inj))
@@ -301,7 +287,7 @@ func main() {
 			OnPublish: func(set *signature.Set) {
 				log.Printf("learn: published version %d (%d signatures)", set.Version, set.Len())
 				if shipper != nil {
-					shipper.Ship(obs.Event{Type: "publish", Version: set.Version, Trace: firstTrace(set), Detail: fmt.Sprintf("%d signatures", set.Len())})
+					shipper.Ship(obs.Event{Type: "publish", Version: set.Version, Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len())})
 				}
 			},
 		}
@@ -310,7 +296,7 @@ func main() {
 				if name != "" {
 					log.Printf("learn: published set %q version %d (%d signatures)", name, set.Version, set.Len())
 					if shipper != nil {
-						shipper.Ship(obs.Event{Type: "publish", Set: name, Version: set.Version, Trace: firstTrace(set), Detail: fmt.Sprintf("%d signatures", set.Len())})
+						shipper.Ship(obs.Event{Type: "publish", Set: name, Version: set.Version, Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len())})
 					}
 				}
 			}
@@ -323,25 +309,6 @@ func main() {
 		}
 	}
 
-	// Leak verdicts are ops-plane events: ship them (clean traffic is
-	// volume, leaks are signal). The shipper never blocks the verdict
-	// path — a wedged event consumer costs dropped events, not matching
-	// throughput.
-	shipVerdict := func(tenant string, v engine.Verdict) {
-		if shipper == nil || !v.Leak() {
-			return
-		}
-		shipper.Ship(obs.Event{
-			Type:    "verdict",
-			Tenant:  tenant,
-			App:     v.Packet.App,
-			Host:    v.Packet.Host,
-			Matched: v.Matched,
-			Version: v.Version,
-			Trace:   v.Packet.Trace,
-		})
-	}
-
 	// The daemon fronts either one engine or a pool of them; backend
 	// abstracts the difference for ingest, reload, and stats.
 	var be backend
@@ -352,29 +319,23 @@ func main() {
 			MaxTenants:  *maxTenants,
 			IdleAfter:   *idle,
 			ConfigureTenant: func(key string, cfg engine.Config) engine.Config {
-				cfg.OnVerdict = func(v engine.Verdict) {
-					out.emitTenant(key, v)
-					shipVerdict(key, v)
-				}
+				cfg.Sink = out.sink(key, shipper)
 				if svc != nil {
-					cfg.Sink = svc.MissSinkFor(key)
+					cfg.Sink = engine.TeeSink(cfg.Sink, svc.MissSinkFor(key))
 				}
 				return cfg
 			},
 		}, *tenantBy)
 	} else {
-		cfg.OnVerdict = func(v engine.Verdict) {
-			out.emit(v)
-			shipVerdict("", v)
-		}
+		cfg.Sink = out.sink("", shipper)
 		if svc != nil {
+			miss := svc.MissSink()
 			if *learnTenants {
 				// Single-engine learning with tenant labels: tenancy rides
 				// on packet fields, so named sets still form per tenant.
-				cfg.Sink = svc.MissSinkBy(tenantKeyFn(*tenantBy))
-			} else {
-				cfg.Sink = svc.MissSink()
+				miss = svc.MissSinkBy(tenantKeyFn(*tenantBy))
 			}
+			cfg.Sink = engine.TeeSink(cfg.Sink, miss)
 		}
 		be = &engineBackend{eng: engine.New(set, cfg)}
 	}
@@ -474,7 +435,7 @@ func main() {
 					be.reloadTenant(name, set)
 					tracer.Observe(trace.StageReloadApply, time.Since(start))
 					if shipper != nil {
-						shipper.Ship(obs.Event{Type: "reload", Set: name, Version: set.Version, Trace: firstTrace(set)})
+						shipper.Ship(obs.Event{Type: "reload", Set: name, Version: set.Version, Trace: set.FirstTrace()})
 					}
 					log.Printf("tenant %q signatures pinned: version %d, %d entries", name, set.Version, set.Len())
 				})
@@ -614,9 +575,9 @@ type backend interface {
 	// submitter returns the queueing function for one stream. tenant is
 	// the stream-level override ("" means route per packet).
 	submitter(tenant string) func(*httpmodel.Packet) error
-	// match vets one packet synchronously and returns the matched IDs
-	// with the deciding version.
-	match(tenant string, p *httpmodel.Packet) ([]int, int64)
+	// match vets one packet synchronously; the verdict's Matched and
+	// Version come from the same signature generation.
+	match(tenant string, p *httpmodel.Packet) engine.Verdict
 	reload(set *signature.Set)
 	// reloadTenant pins one tenant's named set; a single-engine backend
 	// has no tenants and ignores it.
@@ -634,21 +595,12 @@ type backend interface {
 // counters record it.
 var errRateLimited = errors.New("tenant over intake rate limit")
 
-// firstTrace returns a set's lead provenance trace ID ("" when the set
-// carries none) — the ID reload and publish events attribute to.
-func firstTrace(set *signature.Set) string {
-	if len(set.Traces) > 0 {
-		return set.Traces[0]
-	}
-	return ""
-}
-
 // applyReload rolls one published set into the backend under its trace
 // context: a span adopted from the set's provenance records the apply
 // stage, and the shipped reload event carries the issued-vs-applied
 // ticket accounting that makes reload coalescing visible.
 func applyReload(be backend, set *signature.Set, tracer *trace.Tracer, shipper *obs.Shipper, name string) {
-	sp := tracer.Adopt(firstTrace(set))
+	sp := tracer.Adopt(set.FirstTrace())
 	start := time.Now()
 	be.reload(set)
 	tracer.Observe(trace.StageReloadApply, time.Since(start))
@@ -657,7 +609,7 @@ func applyReload(be backend, set *signature.Set, tracer *trace.Tracer, shipper *
 	if shipper != nil {
 		shipper.Ship(obs.Event{
 			Type: "reload", Set: name, Version: set.Version,
-			Trace: firstTrace(set), Detail: reloadOutcome(be),
+			Trace: set.FirstTrace(), Detail: reloadOutcome(be),
 		})
 	}
 }
@@ -729,8 +681,8 @@ func (b *engineBackend) submitter(string) func(*httpmodel.Packet) error {
 	return b.eng.Submit
 }
 
-func (b *engineBackend) match(_ string, p *httpmodel.Packet) ([]int, int64) {
-	return b.eng.MatchPacket(p), b.eng.Version()
+func (b *engineBackend) match(_ string, p *httpmodel.Packet) engine.Verdict {
+	return b.eng.Vet(p)
 }
 
 // reload is async: the watcher loop must keep long-polling while a large
@@ -781,16 +733,16 @@ func (b *poolBackend) submitter(tenant string) func(*httpmodel.Packet) error {
 	return func(p *httpmodel.Packet) error { return b.pool.Submit(b.keyFn(p), p) }
 }
 
-func (b *poolBackend) match(tenant string, p *httpmodel.Packet) ([]int, int64) {
+func (b *poolBackend) match(tenant string, p *httpmodel.Packet) engine.Verdict {
 	key := tenant
 	if key == "" {
 		key = b.keyFn(p)
 	}
 	eng := b.pool.Tenant(key)
 	if eng == nil {
-		return nil, 0
+		return engine.Verdict{}
 	}
-	return eng.MatchPacket(p), eng.Version()
+	return eng.Vet(p)
 }
 
 func (b *poolBackend) reload(set *signature.Set) { b.pool.Reload(set) }
@@ -865,10 +817,11 @@ type verdictLine struct {
 	Trace     string `json:"trace,omitempty"`
 }
 
-func toLine(v engine.Verdict) verdictLine {
+func toLine(tenant string, v engine.Verdict) verdictLine {
 	return verdictLine{
 		ID:        v.Packet.ID,
 		App:       v.Packet.App,
+		Tenant:    tenant,
 		Host:      v.Packet.Host,
 		Leak:      v.Leak(),
 		Matched:   v.Matched,
@@ -904,18 +857,37 @@ func newVerdictWriter(w io.Writer) *verdictWriter {
 	return vw
 }
 
-func (vw *verdictWriter) emit(v engine.Verdict) {
-	vw.mu.Lock()
-	vw.enc.Encode(toLine(v))
-	vw.mu.Unlock()
-}
-
-func (vw *verdictWriter) emitTenant(tenant string, v engine.Verdict) {
-	line := toLine(v)
-	line.Tenant = tenant
-	vw.mu.Lock()
-	vw.enc.Encode(line)
-	vw.mu.Unlock()
+// sink returns the engine sink of one tenant ("" for the single-engine
+// daemon): each drain's verdicts become NDJSON lines under one lock, and
+// its leaks ship as ops-plane events (clean traffic is volume, leaks are
+// signal). The shipper never blocks the verdict path — a wedged event
+// consumer costs dropped events, not matching throughput — but it keeps
+// events past the call, so a shipped event copies the borrowed Matched.
+func (vw *verdictWriter) sink(tenant string, shipper *obs.Shipper) engine.Sink {
+	return engine.BatchCallbackSink(func(vs []engine.Verdict) {
+		vw.mu.Lock()
+		for _, v := range vs {
+			vw.enc.Encode(toLine(tenant, v))
+		}
+		vw.mu.Unlock()
+		if shipper == nil {
+			return
+		}
+		for _, v := range vs {
+			if !v.Leak() {
+				continue
+			}
+			shipper.Ship(obs.Event{
+				Type:    "verdict",
+				Tenant:  tenant,
+				App:     v.Packet.App,
+				Host:    v.Packet.Host,
+				Matched: append([]int(nil), v.Matched...),
+				Version: v.Version,
+				Trace:   v.Packet.Trace,
+			})
+		}
+	})
 }
 
 func (vw *verdictWriter) flush() {
@@ -961,15 +933,15 @@ func ingestHandler(be backend, ops *opsState) http.Handler {
 				enc.Encode(map[string]string{"error": err.Error()})
 				continue
 			}
-			matched, version := be.match(tenant, p)
+			v := be.match(tenant, p)
 			enc.Encode(verdictLine{
 				ID:      p.ID,
 				App:     p.App,
 				Tenant:  tenant,
 				Host:    p.Host,
-				Leak:    len(matched) > 0,
-				Matched: matched,
-				Version: version,
+				Leak:    v.Leak(),
+				Matched: v.Matched,
+				Version: v.Version,
 			})
 		}
 	})

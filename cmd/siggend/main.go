@@ -79,23 +79,6 @@ import (
 	"leaksig/internal/sigserver"
 )
 
-// loadFaults builds the chaos injector from -faults or, when the flag is
-// empty, the LEAKSIG_FAULTS/FAULT_SEED environment.
-func loadFaults(spec string) *faultinject.Injector {
-	if spec != "" {
-		cfg, err := faultinject.Parse(spec)
-		if err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
-		return faultinject.New(cfg)
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		log.Fatalf("LEAKSIG_FAULTS: %v", err)
-	}
-	return inj
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("siggend: ")
@@ -135,7 +118,10 @@ func main() {
 
 	reg := obs.NewRegistry()
 	reg.Register(obs.BuildInfoCollector())
-	inj := loadFaults(*faults)
+	inj, err := faultinject.FromFlag(*faults)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if inj != nil {
 		log.Printf("chaos: %s", inj)
 		reg.Register(obs.FaultCollector(inj))
@@ -221,7 +207,7 @@ func main() {
 			ready.Store(true)
 			log.Printf("published version %d: %d signatures", set.Version, set.Len())
 			if shipper != nil {
-				shipper.Ship(obs.Event{Type: "publish", Version: set.Version, Trace: firstTrace(set), Detail: fmt.Sprintf("%d signatures", set.Len())})
+				shipper.Ship(obs.Event{Type: "publish", Version: set.Version, Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len())})
 			}
 		},
 		OnRetire: func(n int) {
@@ -240,7 +226,7 @@ func main() {
 			if name != "" {
 				log.Printf("published set %q version %d: %d signatures", name, set.Version, set.Len())
 				if shipper != nil {
-					shipper.Ship(obs.Event{Type: "publish", Set: name, Version: set.Version, Trace: firstTrace(set), Detail: fmt.Sprintf("%d signatures", set.Len())})
+					shipper.Ship(obs.Event{Type: "publish", Set: name, Version: set.Version, Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len())})
 				}
 			}
 		}
@@ -400,14 +386,6 @@ func (f tenantCaptureFlag) Set(v string) error {
 	}
 	f[tenant] = path
 	return nil
-}
-
-// firstTrace is the provenance trace ID a published set carries, if any.
-func firstTrace(set *signature.Set) string {
-	if len(set.Traces) > 0 {
-		return set.Traces[0]
-	}
-	return ""
 }
 
 // handler exposes the learner over HTTP. A non-empty obsToken requires

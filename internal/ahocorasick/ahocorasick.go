@@ -17,15 +17,10 @@
 // 40-byte alphabet costs 41 columns per state instead of 256.
 package ahocorasick
 
-// Match records one occurrence of a pattern in the scanned text.
-type Match struct {
-	Pattern int // index of the pattern as passed to Compile
-	End     int // byte offset just past the end of the occurrence
-}
-
 // Matcher is a compiled Aho–Corasick automaton in dense form. It is
-// immutable after Compile and safe for concurrent use. All scan entry
-// points are allocation-free except where documented.
+// immutable after Compile and safe for concurrent use. Every scan entry
+// point writes into a caller-owned occurrence bitset and allocates
+// nothing.
 type Matcher struct {
 	patterns [][]byte
 
@@ -51,9 +46,6 @@ type Matcher struct {
 func Compile(patterns [][]byte) *Matcher {
 	return newBuilder(patterns).dense()
 }
-
-// NumPatterns returns the number of patterns the matcher was compiled with.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
 
 // BitsetWords returns the length a caller-owned occurrence bitset must
 // have: one bit per pattern, packed into uint64 words.
@@ -112,57 +104,4 @@ func (m *Matcher) OccursSegments(occ []uint64, segs ...[]byte) {
 	for _, seg := range segs {
 		m.ScanBytes(0, seg, occ)
 	}
-}
-
-// FindAll returns every occurrence of every pattern in text, in order of
-// end offset. Overlapping occurrences are all reported.
-func (m *Matcher) FindAll(text []byte) []Match {
-	var out []Match
-	s := 0
-	stride := m.stride
-	for i := 0; i < len(text); i++ {
-		s = int(m.delta[s*stride+int(m.classes[text[i]])])
-		for _, p := range m.outList[m.outStart[s]:m.outStart[s+1]] {
-			out = append(out, Match{Pattern: int(p), End: i + 1})
-		}
-	}
-	return out
-}
-
-// Occurs returns a boolean slice, indexed by pattern, reporting which
-// patterns occur at least once in text. It allocates one slice per call;
-// hot paths should use ScanBytes/OccursSegments with a reused bitset.
-func (m *Matcher) Occurs(text []byte) []bool {
-	seen := make([]bool, len(m.patterns))
-	m.OccursInto(text, seen)
-	return seen
-}
-
-// OccursInto is like Occurs but writes into a caller-provided slice, which
-// must have length NumPatterns(). It does not reset the slice first, so a
-// caller can accumulate occurrences across multiple fields of one packet.
-func (m *Matcher) OccursInto(text []byte, seen []bool) {
-	if len(seen) != len(m.patterns) {
-		panic("ahocorasick: OccursInto slice length mismatch")
-	}
-	s := 0
-	stride := m.stride
-	for i := 0; i < len(text); i++ {
-		s = int(m.delta[s*stride+int(m.classes[text[i]])])
-		for _, p := range m.outList[m.outStart[s]:m.outStart[s+1]] {
-			seen[p] = true
-		}
-	}
-}
-
-// Count returns the total number of pattern occurrences in text.
-func (m *Matcher) Count(text []byte) int {
-	n := 0
-	s := 0
-	stride := m.stride
-	for i := 0; i < len(text); i++ {
-		s = int(m.delta[s*stride+int(m.classes[text[i]])])
-		n += int(m.outStart[s+1] - m.outStart[s])
-	}
-	return n
 }

@@ -1,9 +1,7 @@
 package ahocorasick
 
 import (
-	"bytes"
-	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 )
 
@@ -15,185 +13,66 @@ func pats(ss ...string) [][]byte {
 	return out
 }
 
-// naiveFindAll is the reference implementation using bytes.Index.
-func naiveFindAll(patterns [][]byte, text []byte) []Match {
-	var out []Match
-	for pi, p := range patterns {
-		if len(p) == 0 {
-			continue
-		}
-		for i := 0; i+len(p) <= len(text); i++ {
-			if bytes.Equal(text[i:i+len(p)], p) {
-				out = append(out, Match{Pattern: pi, End: i + len(p)})
-			}
-		}
+// TestOccurrences pins the matching behaviour on hand-picked inputs; the
+// randomized agreement with a naive reference lives in
+// differential_test.go.
+func TestOccurrences(t *testing.T) {
+	cases := []struct {
+		name     string
+		patterns [][]byte
+		text     []byte
+		want     []bool
+	}{
+		{"classic", pats("he", "she", "his", "hers"), []byte("ushers"),
+			[]bool{true, true, false, true}},
+		{"query tokens", pats("udid=", "imei=", "carrier=docomo", "zz"),
+			[]byte("GET /track?udid=abc&carrier=docomo HTTP/1.1"),
+			[]bool{true, false, true, false}},
+		// "" never matches; both "ab" copies and "b" report their own index.
+		{"empty and duplicate patterns", pats("", "ab", "ab", "b"), []byte("ab"),
+			[]bool{false, true, true, true}},
+		{"overlapping and nested", pats("aa", "aaa", "a", "aaaaa"), []byte("aaaa"),
+			[]bool{true, true, true, false}},
+		{"overlap through a shared suffix", pats("an", "ana", "nab"), []byte("banana"),
+			[]bool{true, true, false}},
+		{"case sensitive", pats("IMEI=", "imei="), []byte("x?imei=3569"),
+			[]bool{false, true}},
+		{"binary", [][]byte{{0x00, 0xff}, {0xff, 0x00, 0xff}, {0x02, 0x01}},
+			[]byte{0x01, 0xff, 0x00, 0xff, 0x02},
+			[]bool{true, true, false}},
+		{"empty text", pats("a"), nil, []bool{false}},
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
-		}
-		return out[i].Pattern < out[j].Pattern
-	})
-	return out
-}
-
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].End != ms[j].End {
-			return ms[i].End < ms[j].End
-		}
-		return ms[i].Pattern < ms[j].Pattern
-	})
-}
-
-func TestFindAllClassic(t *testing.T) {
-	m := Compile(pats("he", "she", "his", "hers"))
-	got := m.FindAll([]byte("ushers"))
-	sortMatches(got)
-	want := []Match{{1, 4}, {0, 4}, {3, 6}}
-	sortMatches(want)
-	if len(got) != len(want) {
-		t.Fatalf("FindAll = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("FindAll = %v, want %v", got, want)
+	for _, c := range cases {
+		m := Compile(c.patterns)
+		occ := make([]uint64, m.BitsetWords())
+		m.OccursSegments(occ, c.text)
+		if got := bitsetToBools(occ, len(c.patterns)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: occurs = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-func TestOccurs(t *testing.T) {
-	m := Compile(pats("udid=", "imei=", "carrier=docomo", "zz"))
-	seen := m.Occurs([]byte("GET /track?udid=abc&carrier=docomo HTTP/1.1"))
-	want := []bool{true, false, true, false}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("Occurs[%d] = %v, want %v", i, seen[i], want[i])
-		}
-	}
-}
-
-func TestOccursIntoAccumulates(t *testing.T) {
-	m := Compile(pats("alpha", "beta"))
-	seen := make([]bool, m.NumPatterns())
-	m.OccursInto([]byte("xx alpha xx"), seen)
-	m.OccursInto([]byte("yy beta yy"), seen)
-	if !seen[0] || !seen[1] {
-		t.Errorf("accumulation failed: %v", seen)
-	}
-}
-
-func TestOccursIntoPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Compile(pats("a")).OccursInto([]byte("a"), make([]bool, 3))
-}
-
-func TestEmptyAndDuplicatePatterns(t *testing.T) {
-	m := Compile(pats("", "ab", "ab", "b"))
-	got := m.FindAll([]byte("ab"))
-	sortMatches(got)
-	// "" never matches; both "ab" copies and "b" match.
-	want := []Match{{1, 2}, {2, 2}, {3, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("FindAll = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FindAll = %v, want %v", got, want)
-		}
-	}
-}
-
+// TestNoPatterns: an empty pattern set compiles to a matcher with a
+// zero-word bitset that scans anything and reports nothing.
 func TestNoPatterns(t *testing.T) {
 	m := Compile(nil)
-	if got := m.FindAll([]byte("anything")); len(got) != 0 {
-		t.Errorf("FindAll with no patterns = %v", got)
+	if w := m.BitsetWords(); w != 0 {
+		t.Fatalf("BitsetWords with no patterns = %d, want 0", w)
 	}
-	if m.Count([]byte("anything")) != 0 {
-		t.Error("Count with no patterns != 0")
-	}
-}
-
-func TestOverlappingAndNested(t *testing.T) {
-	m := Compile(pats("aa", "aaa", "a"))
-	got := m.FindAll([]byte("aaaa"))
-	want := naiveFindAll(pats("aa", "aaa", "a"), []byte("aaaa"))
-	sortMatches(got)
-	if len(got) != len(want) {
-		t.Fatalf("got %d matches %v, want %d %v", len(got), got, len(want), want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FindAll = %v, want %v", got, want)
-		}
+	m.OccursSegments(nil, []byte("anything"))
+	if st := m.ScanString(0, "anything", nil); st != 0 {
+		t.Errorf("scan with no patterns left the root: state %d", st)
 	}
 }
 
-func TestCount(t *testing.T) {
-	m := Compile(pats("an", "ana"))
-	if got := m.Count([]byte("banana")); got != 4 { // an@3, ana@4(x via an), an@5, ana@5... verify via naive
-		want := len(naiveFindAll(pats("an", "ana"), []byte("banana")))
-		if got != want {
-			t.Errorf("Count = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestRandomAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	alpha := []byte("abc")
-	randStr := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = alpha[rng.Intn(len(alpha))]
-		}
-		return b
-	}
-	for iter := 0; iter < 200; iter++ {
-		np := 1 + rng.Intn(8)
-		patterns := make([][]byte, np)
-		for i := range patterns {
-			patterns[i] = randStr(1 + rng.Intn(5))
-		}
-		text := randStr(rng.Intn(60))
-		m := Compile(patterns)
-		got := m.FindAll(text)
-		want := naiveFindAll(patterns, text)
-		sortMatches(got)
-		if len(got) != len(want) {
-			t.Fatalf("patterns %q text %q: got %v want %v", patterns, text, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("patterns %q text %q: got %v want %v", patterns, text, got, want)
-			}
-		}
-		// Occurs must agree with FindAll.
-		occ := m.Occurs(text)
-		wantOcc := make([]bool, np)
-		for _, w := range want {
-			wantOcc[w.Pattern] = true
-		}
-		for i := range occ {
-			if occ[i] != wantOcc[i] {
-				t.Fatalf("Occurs[%d] mismatch for patterns %q text %q", i, patterns, text)
-			}
-		}
-	}
-}
-
-func TestBinaryPatterns(t *testing.T) {
-	p := [][]byte{{0x00, 0xff}, {0xff, 0x00, 0xff}}
-	m := Compile(p)
-	text := []byte{0x01, 0xff, 0x00, 0xff, 0x02}
-	got := m.FindAll(text)
-	sortMatches(got)
-	want := naiveFindAll(p, text)
-	if len(got) != len(want) {
-		t.Fatalf("binary: got %v want %v", got, want)
+// TestScanAccumulates: ScanBytes ORs into the bitset without clearing it,
+// so a caller can accumulate occurrences across the fields of one packet.
+func TestScanAccumulates(t *testing.T) {
+	m := Compile(pats("alpha", "beta"))
+	occ := make([]uint64, m.BitsetWords())
+	m.ScanBytes(0, []byte("xx alpha xx"), occ)
+	m.ScanBytes(0, []byte("yy beta yy"), occ)
+	if got := bitsetToBools(occ, 2); !got[0] || !got[1] {
+		t.Errorf("accumulation failed: %v", got)
 	}
 }

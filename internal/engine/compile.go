@@ -2,7 +2,6 @@ package engine
 
 import (
 	"leaksig/internal/detect"
-	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
 )
 
@@ -36,14 +35,4 @@ func compile(set *signature.Set) *compiledSet {
 		version: set.Version,
 		sigs:    set.Len(),
 	}
-}
-
-// match returns the IDs of every signature the packet matches under this
-// generation. It serves the synchronous paths (Engine.MatchPacket);
-// detect.Engine draws scratch from its own per-generation sync.Pool, so
-// the scan and resolution allocate nothing and only a leaking packet
-// copies out its matched IDs. Shard workers bypass this and call
-// MatchInto with their persistent scratch directly.
-func (c *compiledSet) match(p *httpmodel.Packet) []int {
-	return c.eng.MatchPacket(p)
 }

@@ -30,12 +30,11 @@
 //     Config.MaxBatch while its ring stays occupied and halves toward
 //     Config.MinBatch when partial drains empty it, trading latency for
 //     amortization only when the backlog pays for it.
-//   - Results leave through a Sink bound per shard: CallbackSink carries
-//     full verdicts, CountSink aggregates per-shard tallies without
-//     assembling a Verdict at all (the count-only fast path), and
-//     batch-capable sinks (BatchShardSink) receive pooled VerdictBatches
-//     whose Matched slices live in a recycled arena — the zero-allocation
-//     verdict path.
+//   - Results leave one way: each drain's verdicts are handed to the
+//     shard's bound Sink as one borrowed batch, assembled in a
+//     worker-owned arena (no allocation per packet, valid for the call).
+//     CallbackSink, BatchCallbackSink, CountSink and TeeSink are small
+//     adapters over that one method.
 //
 // Pool stacks a multi-tenant layer on top: tenant keys (app package,
 // device cohort, destination host) map to independently configured
@@ -108,16 +107,13 @@ type Config struct {
 	FlushInterval time.Duration
 	// Affinity selects the shard-assignment strategy.
 	Affinity Affinity
-	// OnVerdict, when non-nil, receives every verdict. It is called from
-	// shard worker goroutines concurrently and must be safe for that.
-	// Setting it forces the per-verdict delivery path even for batch-
-	// capable sinks.
+	// OnVerdict, when non-nil, receives every verdict. It is shorthand
+	// for a CallbackSink teed ahead of Sink: called from shard worker
+	// goroutines concurrently (so it must be safe for that), and free to
+	// keep the verdicts it is handed.
 	OnVerdict func(Verdict)
-	// Sink, when non-nil, receives match results through per-shard
-	// consumers (see Sink). A count-only sink with a nil OnVerdict lets
-	// workers skip verdict assembly entirely; a BatchShardSink with a
-	// nil OnVerdict receives pooled verdict batches; when both Sink and
-	// OnVerdict are set, both receive every verdict.
+	// Sink, when non-nil, receives every drain's verdicts through
+	// per-shard consumers (see Sink and ShardSink for the borrow rule).
 	Sink Sink
 	// Flight, when non-nil, is the flight recorder the engine feeds:
 	// TrySubmit drops (with burst detection), blocking-submit stalls,
@@ -196,8 +192,7 @@ type pendingReload struct {
 // Engine is the streaming detector. Construct with New; all methods are
 // safe for concurrent use.
 type Engine struct {
-	cfg       Config
-	onVerdict func(Verdict)
+	cfg Config
 
 	set    atomic.Pointer[compiledSet]
 	shards []*shard
@@ -216,7 +211,7 @@ type Engine struct {
 	lastReloadNs atomic.Int64 // compile+install wall time of the last applied reload
 	reloadCh     chan struct{}
 
-	// Synchronous-vet counters: MatchPacket bypasses the queue, so the
+	// Synchronous-vet counters: Vet bypasses the queue, so the
 	// shard counters never see it; these make inline consumers (the
 	// flowcontrol proxy) share the engine's telemetry.
 	syncVetted  atomic.Uint64
@@ -236,23 +231,22 @@ type Engine struct {
 func New(set *signature.Set, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:       cfg,
-		onVerdict: cfg.OnVerdict,
-		reloadCh:  make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		start:     time.Now(),
+		cfg:      cfg,
+		reloadCh: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		start:    time.Now(),
 	}
 	e.set.Store(compile(set))
+	sink := cfg.Sink
+	if cfg.OnVerdict != nil {
+		sink = TeeSink(CallbackSink(cfg.OnVerdict), sink)
+	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		s := newShard(cfg.QueueDepth, cfg.BatchSize)
 		s.idx = i
-		if cfg.Sink != nil {
-			s.sink = cfg.Sink.Bind(i, cfg.Shards)
-			s.countOnly = e.onVerdict == nil && s.sink.CountOnly()
-			if bs, ok := s.sink.(BatchShardSink); ok && e.onVerdict == nil && !s.countOnly {
-				s.batchSink = bs
-			}
+		if sink != nil {
+			s.sink = sink.Bind(i, cfg.Shards)
 		}
 		e.shards[i] = s
 		e.wg.Add(1)
@@ -349,18 +343,27 @@ func (e *Engine) runCompiler() {
 // Version returns the live signature-set version.
 func (e *Engine) Version() int64 { return e.set.Load().version }
 
-// MatchPacket vets one packet synchronously against the live set,
-// bypassing the queue. This is the flowcontrol backend hook: a proxy gets
-// the engine's hot-reload semantics with inline request latency, and its
-// verdicts land in the SyncVetted/SyncMatched telemetry.
-func (e *Engine) MatchPacket(p *httpmodel.Packet) []int {
-	m := e.set.Load().match(p)
+// Vet vets one packet synchronously against the live set, bypassing the
+// queue, and returns its verdict: the caller owns Matched, Version is the
+// generation that decided it (both read from one load of the live set,
+// so they always agree), Seq and Latency are zero. Vets land in the
+// SyncVetted/SyncMatched telemetry.
+func (e *Engine) Vet(p *httpmodel.Packet) Verdict {
+	cs := e.set.Load()
+	// detect.Engine draws scratch from its own per-generation pool, so
+	// only a leaking packet allocates, for its copied-out IDs.
+	m := cs.eng.MatchPacket(p)
 	e.syncVetted.Add(1)
 	if len(m) > 0 {
 		e.syncMatched.Add(1)
 	}
-	return m
+	return Verdict{Packet: p, Matched: m, Version: cs.version}
 }
+
+// MatchPacket is Vet reduced to the matched signature IDs — the
+// flowcontrol backend hook: a proxy gets the engine's hot-reload
+// semantics with inline request latency.
+func (e *Engine) MatchPacket(p *httpmodel.Packet) []int { return e.Vet(p).Matched }
 
 // isClosed reports whether Close has begun.
 func (e *Engine) isClosed() bool {
@@ -465,8 +468,9 @@ func (e *Engine) submit(p *httpmodel.Packet, block bool) bool {
 // sink: 8 Gosched yields plus ~248 5µs sleeps ≈ 1.25ms on one full ring.
 const sinkStallSpins = 256
 
-// Flush blocks until every packet accepted so far has been matched. After
-// Close it returns immediately (Close already drained the rings).
+// Flush blocks until every packet accepted so far has been matched and
+// its verdict delivered to the sink. After Close it returns immediately
+// (Close already drained the rings).
 func (e *Engine) Flush() {
 	if e.isClosed() {
 		return
@@ -507,25 +511,14 @@ func (e *Engine) Close() {
 // MatchSet streams an entire capture through a fresh engine and returns
 // one verdict per packet in order — detect.MatchSetWith's drop-in
 // streaming equivalent, and the basis of the engine-vs-batch benchmarks.
-// A caller-supplied cfg.OnVerdict still fires for every verdict; with no
-// OnVerdict and no Sink, collection rides the pooled batch path.
+// A caller-supplied cfg.OnVerdict or cfg.Sink still sees every verdict.
 func MatchSet(set *signature.Set, s *capture.Set, cfg Config) []bool {
 	out := make([]bool, s.Len())
-	if cfg.OnVerdict == nil && cfg.Sink == nil {
-		cfg.Sink = BatchCallbackSink(func(vs []Verdict) {
-			for _, v := range vs {
-				out[v.Seq] = v.Leak()
-			}
-		})
-	} else {
-		user := cfg.OnVerdict
-		cfg.OnVerdict = func(v Verdict) {
-			out[v.Seq] = len(v.Matched) > 0
-			if user != nil {
-				user(v)
-			}
+	cfg.Sink = TeeSink(BatchCallbackSink(func(vs []Verdict) {
+		for _, v := range vs {
+			out[v.Seq] = v.Leak()
 		}
-	}
+	}), cfg.Sink)
 	e := New(set, cfg)
 	for _, p := range s.Packets {
 		e.Submit(p) // cannot fail: the engine closes only below

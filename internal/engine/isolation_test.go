@@ -26,9 +26,7 @@ func (g *gateSink) Bind(shard, shards int) ShardSink {
 
 type gateShardSink struct{ g *gateSink }
 
-func (s *gateShardSink) CountOnly() bool { return false }
-func (s *gateShardSink) Count(bool)      {}
-func (s *gateShardSink) Verdict(Verdict) {
+func (s *gateShardSink) Batch([]Verdict) {
 	if s.g.once.CompareAndSwap(false, true) {
 		close(s.g.entered)
 	}
@@ -37,9 +35,7 @@ func (s *gateShardSink) Verdict(Verdict) {
 
 type siblingShardSink struct{ g *gateSink }
 
-func (s *siblingShardSink) CountOnly() bool { return false }
-func (s *siblingShardSink) Count(bool)      {}
-func (s *siblingShardSink) Verdict(Verdict) { s.g.sibling.Add(1) }
+func (s *siblingShardSink) Batch(vs []Verdict) { s.g.sibling.Add(uint64(len(vs))) }
 
 // TestStalledSinkIsolatesToOwnShard pins per-shard isolation: a sink
 // that stalls on shard 0 backs up only shard 0's ring. Packets hashed to

@@ -116,37 +116,41 @@ func TestReloadConcurrentScratchSafety(t *testing.T) {
 	}
 }
 
-// TestVerdictMatchedStableAcrossPackets guards the verdict copy-out: the
-// matched-ID slice handed to sinks must not alias the worker scratch,
-// which is overwritten by the next packet in the batch.
+// TestVerdictMatchedStableAcrossPackets guards the retain-forever
+// contract of the per-verdict consumers: a verdict kept until after Close
+// must still name its own signature, so its Matched may alias neither the
+// worker scratch (overwritten by the next packet) nor the worker's arena
+// (overwritten by the next drain — every four packets here).
 func TestVerdictMatchedStableAcrossPackets(t *testing.T) {
-	set := scratchTestSet(64)
-	var mu sync.Mutex
-	var got []Verdict
-	e := New(set, Config{Shards: 1, OnVerdict: func(v Verdict) {
-		if v.Leak() {
+	const n = 256
+	for _, c := range []struct {
+		name string
+		wire func(Config, func(Verdict)) Config
+	}{
+		{"OnVerdict", func(cfg Config, keep func(Verdict)) Config { cfg.OnVerdict = keep; return cfg }},
+		{"CallbackSink", func(cfg Config, keep func(Verdict)) Config { cfg.Sink = CallbackSink(keep); return cfg }},
+	} {
+		var mu sync.Mutex
+		var got []Verdict
+		e := New(scratchTestSet(64), c.wire(Config{Shards: 1, BatchSize: 4, MinBatch: 4, MaxBatch: 4}, func(v Verdict) {
 			mu.Lock()
 			got = append(got, v)
 			mu.Unlock()
+		}))
+		for i := 0; i < n; i++ {
+			if err := e.Submit(scratchTestPacket(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}})
-	for i := 0; i < 64; i++ {
-		if err := e.Submit(scratchTestPacket(i)); err != nil {
-			t.Fatal(err)
+		e.Close()
+		if len(got) != n {
+			t.Fatalf("%s: got %d verdicts, want %d", c.name, len(got), n)
 		}
-	}
-	e.Close()
-	if len(got) != 64 {
-		t.Fatalf("got %d leak verdicts, want 64", len(got))
-	}
-	seen := make(map[int]bool)
-	for _, v := range got {
-		if len(v.Matched) != 1 {
-			t.Fatalf("verdict matched %v, want exactly 1 ID", v.Matched)
+		for _, v := range got {
+			// scratchTestPacket(i) carries exactly signature i%64's tokens.
+			if want := int(v.Packet.ID) % 64; len(v.Matched) != 1 || v.Matched[0] != want {
+				t.Fatalf("%s: packet %d kept matched %v, want [%d]", c.name, v.Packet.ID, v.Matched, want)
+			}
 		}
-		seen[v.Matched[0]] = true
-	}
-	if len(seen) != 64 {
-		t.Errorf("distinct matched IDs = %d, want 64 (scratch aliasing would collapse them)", len(seen))
 	}
 }

@@ -37,14 +37,9 @@ type shard struct {
 	// drain unlearning the batch size.
 	target atomic.Int32
 
-	// sink is this shard's bound consumer (nil when the engine has no
-	// sink). countOnly caches sink.CountOnly() && no OnVerdict, letting
-	// the worker skip verdict assembly per drain rather than per packet;
-	// batchSink is non-nil when the sink opts into pooled VerdictBatch
-	// delivery and no OnVerdict forces the per-verdict path.
-	sink      ShardSink
-	batchSink BatchShardSink
-	countOnly bool
+	// sink is this shard's bound consumer; nil when the engine has neither
+	// a Sink nor an OnVerdict.
+	sink ShardSink
 
 	// shrinkStreak counts consecutive drains that qualified for halving
 	// the target. Shrinking waits for two in a row: the single partial
@@ -100,22 +95,24 @@ func (s *shard) adapt(n, occupancy int, cfg Config) {
 	}
 }
 
-// run is the worker loop: drain the ring until the engine stops, loading
-// the live signature generation once per drain. Count-only sinks take a
-// dedicated loop with no Verdict assembly at all; batch-capable sinks
-// get one pooled VerdictBatch per drain; the legacy path feeds the
-// OnVerdict callback and/or the sink's per-verdict method with a copied
-// Matched slice (the retain-safe contract).
+// run is the worker loop: drain the ring until the engine stops, match
+// the drain under one load of the live signature generation, and hand
+// the sink the drain's verdicts as one borrowed batch.
 //
-// The worker owns one detect.Scratch for its whole lifetime, so the
-// scan+resolve path allocates nothing in the steady state. MatchInto
-// re-sizes the scratch whenever the loaded generation differs from the
-// one it was last used with, which makes hot reloads safe: a scratch
-// sized for the old pattern count can never index the new automaton.
+// The worker owns one detect.Scratch, one verdict slice and one
+// matched-ID arena for its whole lifetime, so scan, resolve and verdict
+// assembly allocate nothing in the steady state. MatchInto re-sizes the
+// scratch whenever the loaded generation differs from the one it was
+// last used with, which makes hot reloads safe: a scratch sized for the
+// old pattern count can never index the new automaton.
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
 	var sc detect.Scratch
 	buf := make([]item, e.cfg.MaxBatch)
+	verdicts := make([]Verdict, 0, e.cfg.MaxBatch)
+	// ids is the arena behind every Matched slice of the drain in flight,
+	// sized for one ID per packet and grown by append past that.
+	ids := make([]int, 0, e.cfg.MaxBatch)
 	for {
 		limit := int(s.target.Load())
 		if limit > len(buf) {
@@ -133,121 +130,50 @@ func (e *Engine) run(s *shard) {
 			continue
 		}
 		cs := e.set.Load()
-		switch {
-		case s.countOnly:
-			for i := 0; i < n; i++ {
-				it := buf[i]
-				// sp is nil for every unsampled packet, so tracing costs the
-				// count-only path one pointer load and compare.
-				sp := it.p.Span
-				if sp != nil {
-					sp.Stamp(trace.StageDrain)
-				}
-				leak := len(cs.eng.MatchInto(it.p, &sc)) > 0
-				s.processed.Add(1)
-				if leak {
-					s.matched.Add(1)
-				}
-				if it.enq != 0 {
-					s.lat.record(time.Duration(time.Now().UnixNano() - it.enq))
-				}
-				if sp != nil {
-					sp.Stamp(trace.StageMatch)
-				}
-				s.sink.Count(leak)
-				if sp != nil {
-					sp.Stamp(trace.StageSink)
-					sp.Finish()
-				}
+		verdicts, ids = verdicts[:0], ids[:0]
+		var leaks uint64
+		for _, it := range buf[:n] {
+			// sp is nil for every unsampled packet, so tracing costs the
+			// loop one pointer load and compare per stage.
+			sp := it.p.Span
+			if sp != nil {
+				sp.Stamp(trace.StageDrain)
 			}
-		case s.batchSink != nil:
-			vb := vbatchPool.Get().(*VerdictBatch)
-			for i := 0; i < n; i++ {
-				it := buf[i]
-				if sp := it.p.Span; sp != nil {
-					sp.Stamp(trace.StageDrain)
-				}
-				ids := cs.eng.MatchInto(it.p, &sc)
-				s.processed.Add(1)
-				if len(ids) > 0 {
-					s.matched.Add(1)
-				}
-				var lat time.Duration
-				if it.enq != 0 {
-					lat = time.Duration(time.Now().UnixNano() - it.enq)
-					s.lat.record(lat)
-				}
-				if sp := it.p.Span; sp != nil {
-					sp.Stamp(trace.StageMatch)
-				}
-				vb.add(Verdict{
-					Packet:  it.p,
-					Seq:     it.seq,
-					Version: cs.version,
-					Latency: lat,
-				}, ids)
+			v := Verdict{Packet: it.p, Seq: it.seq, Version: cs.version}
+			if m := cs.eng.MatchInto(it.p, &sc); len(m) > 0 {
+				// The scratch-backed slice is reused next packet, so a leak's
+				// IDs move into the arena. When append outgrows the arena,
+				// verdicts already cut from the old array keep it alive and
+				// stay correct. The capacity clamp keeps a consumer's append
+				// from bleeding into its neighbor's IDs.
+				off := len(ids)
+				ids = append(ids, m...)
+				v.Matched = ids[off:len(ids):len(ids)]
+				leaks++
 			}
-			vb.seal()
-			s.batchSink.Batch(vb)
-			// Sink delivery done: stamp and release every sampled span in the
-			// batch. Consumers that retain packets past the callback must use
-			// the Trace ID, not the Span (recycled here).
-			for i := 0; i < n; i++ {
-				if sp := buf[i].p.Span; sp != nil {
-					sp.Stamp(trace.StageSink)
-					sp.Finish()
-				}
+			if it.enq != 0 {
+				v.Latency = time.Duration(time.Now().UnixNano() - it.enq)
+				s.lat.record(v.Latency)
 			}
-			vb.reset()
-			vbatchPool.Put(vb)
-		default:
-			for i := 0; i < n; i++ {
-				it := buf[i]
-				sp := it.p.Span
-				if sp != nil {
-					sp.Stamp(trace.StageDrain)
-				}
-				ids := cs.eng.MatchInto(it.p, &sc)
-				// The scratch-backed slice is reused next packet; verdicts
-				// escape to retaining consumers, so only a leak pays for a
-				// copy.
-				var matched []int
-				if len(ids) > 0 {
-					matched = append(matched, ids...)
-				}
-				s.processed.Add(1)
-				if len(matched) > 0 {
-					s.matched.Add(1)
-				}
-				var lat time.Duration
-				if it.enq != 0 {
-					lat = time.Duration(time.Now().UnixNano() - it.enq)
-					s.lat.record(lat)
-				}
-				if sp != nil {
-					sp.Stamp(trace.StageMatch)
-				}
-				if e.onVerdict != nil || s.sink != nil {
-					v := Verdict{
-						Packet:  it.p,
-						Seq:     it.seq,
-						Matched: matched,
-						Version: cs.version,
-						Latency: lat,
-					}
-					if e.onVerdict != nil {
-						e.onVerdict(v)
-					}
-					if s.sink != nil {
-						// A retaining sink (the learner intake) Holds the span
-						// inside Verdict; the engine's reference ends here.
-						s.sink.Verdict(v)
-					}
-				}
-				if sp != nil {
-					sp.Stamp(trace.StageSink)
-					sp.Finish()
-				}
+			if sp != nil {
+				sp.Stamp(trace.StageMatch)
+			}
+			verdicts = append(verdicts, v)
+		}
+		if s.sink != nil {
+			s.sink.Batch(verdicts)
+		}
+		// Counted after delivery, so Flush returning means every accepted
+		// packet's verdict has reached the sink.
+		s.processed.Add(uint64(n))
+		s.matched.Add(leaks)
+		// Sink delivery done: stamp and release every sampled span in the
+		// drain. A sink that keeps a packet must Hold its span inside Batch
+		// (the learner intake does) or use the Trace ID afterwards.
+		for _, it := range buf[:n] {
+			if sp := it.p.Span; sp != nil {
+				sp.Stamp(trace.StageSink)
+				sp.Finish()
 			}
 		}
 		t0 := s.target.Load()

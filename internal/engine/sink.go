@@ -10,59 +10,77 @@ import (
 // so an implementation can hand every worker private state — aggregation
 // then happens at snapshot time, never on the hot path.
 //
-// Two implementations ship with the package: CallbackSink adapts a
-// per-verdict function (the Config.OnVerdict behavior), and CountSink
-// aggregates counters without ever assembling a Verdict, which is the
-// fastest way to answer "how much of this population leaks" when nobody
-// consumes individual verdicts.
+// The adapters in this file cover the common consumers: CallbackSink and
+// BatchCallbackSink wrap a function, CountSink keeps per-shard tallies,
+// TeeSink fans one delivery out to several sinks.
 type Sink interface {
 	// Bind returns shard i's private consumer (0 <= i < shards). It is
 	// called sequentially during New, once per shard.
 	Bind(shard, shards int) ShardSink
 }
 
-// ShardSink is one shard's verdict consumer. Exactly one of Count or
-// Verdict fires per packet: when CountOnly reports true (sampled once at
-// bind time) the worker skips Verdict assembly entirely and calls Count;
-// otherwise it builds the full Verdict and calls Verdict. Count runs on
-// the shard's worker goroutine only; Verdict may race with other shards'
-// Verdict calls when the implementation shares state across shards.
+// ShardSink is one shard's verdict consumer, and Batch is the only thing
+// a shard worker produces: one call per drain with that drain's verdicts
+// in shard order.
+//
+// The batch is borrowed. vs and every Matched slice in it live in
+// worker-owned memory that the next drain overwrites, so they are valid
+// only for the duration of the call: a consumer copies what it keeps and
+// must not modify vs (a tee hands the same slice to every child). Batch
+// runs on the shard's worker goroutine; an implementation that shares
+// state across shards synchronizes it itself.
 type ShardSink interface {
-	// CountOnly reports whether this shard's worker may take the
-	// count-only fast path. The engine reads it once at construction.
-	CountOnly() bool
-	// Count records one processed packet on the fast path; leak reports
-	// whether it matched at least one signature.
-	Count(leak bool)
-	// Verdict receives one fully assembled verdict on the slow path.
-	Verdict(v Verdict)
+	Batch(vs []Verdict)
 }
 
-// CallbackSink adapts a per-verdict function to the Sink interface —
-// the sink form of Config.OnVerdict. The function is shared by every
-// shard and must be safe for concurrent use.
-func CallbackSink(fn func(Verdict)) Sink { return callbackSink{fn} }
+// BatchCallbackSink adapts a per-batch function to the Sink interface —
+// the borrowed batch as is, with ShardSink's rules: the slice is valid
+// only during the call, and fn runs on shard worker goroutines
+// concurrently, so it must be safe for that and copy anything it keeps.
+func BatchCallbackSink(fn func([]Verdict)) Sink { return batchCallbackSink(fn) }
 
-type callbackSink struct{ fn func(Verdict) }
+type batchCallbackSink func([]Verdict)
+
+func (s batchCallbackSink) Bind(shard, shards int) ShardSink { return s }
+func (s batchCallbackSink) Batch(vs []Verdict)               { s(vs) }
+
+// CallbackSink adapts a per-verdict function to the Sink interface —
+// the sink form of Config.OnVerdict. Every verdict handed to fn owns its
+// Matched slice (a leak costs one copy), so fn may keep verdicts for as
+// long as it likes. The function is shared by every shard and must be
+// safe for concurrent use.
+func CallbackSink(fn func(Verdict)) Sink { return callbackSink(fn) }
+
+type callbackSink func(Verdict)
 
 func (s callbackSink) Bind(shard, shards int) ShardSink { return s }
-func (s callbackSink) CountOnly() bool                  { return false }
-func (s callbackSink) Count(bool)                       {}
-func (s callbackSink) Verdict(v Verdict)                { s.fn(v) }
 
-// TeeSink fans every result out to several sinks — e.g. a CountSink for
-// cheap totals plus a siggen miss sink feeding the online signature
-// generator. The tee takes the count-only fast path only when every
-// child does; otherwise verdicts are assembled once and every child's
-// Verdict sees them.
+func (s callbackSink) Batch(vs []Verdict) {
+	for _, v := range vs {
+		if len(v.Matched) > 0 {
+			v.Matched = append([]int(nil), v.Matched...)
+		}
+		s(v)
+	}
+}
+
+// TeeSink fans every batch out to several sinks in argument order — e.g.
+// a CountSink for cheap totals plus a siggen miss sink feeding the online
+// signature generator. Nil sinks are skipped; a tee of nothing is nil.
 func TeeSink(sinks ...Sink) Sink {
-	switch len(sinks) {
+	var live teeSink
+	for _, s := range sinks {
+		if s != nil {
+			live = append(live, s)
+		}
+	}
+	switch len(live) {
 	case 0:
 		return nil
 	case 1:
-		return sinks[0]
+		return live[0]
 	}
-	return teeSink(sinks)
+	return live
 }
 
 type teeSink []Sink
@@ -77,24 +95,9 @@ func (t teeSink) Bind(shard, shards int) ShardSink {
 
 type teeShardSink []ShardSink
 
-func (t teeShardSink) CountOnly() bool {
+func (t teeShardSink) Batch(vs []Verdict) {
 	for _, s := range t {
-		if !s.CountOnly() {
-			return false
-		}
-	}
-	return true
-}
-
-func (t teeShardSink) Count(leak bool) {
-	for _, s := range t {
-		s.Count(leak)
-	}
-}
-
-func (t teeShardSink) Verdict(v Verdict) {
-	for _, s := range t {
-		s.Verdict(v)
+		s.Batch(vs)
 	}
 }
 
@@ -102,13 +105,12 @@ func (t teeShardSink) Verdict(v Verdict) {
 // their own cache line, so concurrent shards never write-share a line.
 const countShardPad = 64
 
-// CountSink is the count-only aggregation sink: per-shard packet and leak
-// tallies with no verdict assembly, no callback indirection, and no
-// cross-shard contention on the hot path. Construct with NewCountSink,
-// pass as Config.Sink, and read the aggregate with Totals. One CountSink
-// may back several engines (e.g. as a Pool's template sink), in which
-// case Totals spans all of them; same-index shards then share a slot,
-// which stays correct because the counters are atomic.
+// CountSink aggregates per-shard packet and leak tallies with no
+// cross-shard contention: two atomic adds per drain. Construct with
+// NewCountSink, pass as Config.Sink, and read the aggregate with Totals.
+// One CountSink may back several engines (e.g. as a Pool's template
+// sink), in which case Totals spans all of them; same-index shards then
+// share a slot, which stays correct because the counters are atomic.
 type CountSink struct {
 	mu     sync.Mutex // serializes Bind growth
 	shards atomic.Pointer[[]*countShard]
@@ -161,13 +163,13 @@ func (c *CountSink) Totals() (packets, leaks uint64) {
 // interface.
 type countShardSink countShard
 
-func (s *countShardSink) CountOnly() bool { return true }
-
-func (s *countShardSink) Count(leak bool) {
-	s.packets.Add(1)
-	if leak {
-		s.leaks.Add(1)
+func (s *countShardSink) Batch(vs []Verdict) {
+	var leaks uint64
+	for i := range vs {
+		if len(vs[i].Matched) > 0 {
+			leaks++
+		}
 	}
+	s.packets.Add(uint64(len(vs)))
+	s.leaks.Add(leaks)
 }
-
-func (s *countShardSink) Verdict(v Verdict) { s.Count(v.Leak()) }

@@ -156,6 +156,24 @@ func FromEnv() (*Injector, error) {
 	return New(cfg), nil
 }
 
+// FromFlag builds a daemon's Injector from its -faults flag value or,
+// when that is empty, from the environment (see FromEnv). The error
+// names which of the two was malformed.
+func FromFlag(spec string) (*Injector, error) {
+	if spec == "" {
+		inj, err := FromEnv()
+		if err != nil {
+			return nil, fmt.Errorf("LEAKSIG_FAULTS: %w", err)
+		}
+		return inj, nil
+	}
+	cfg, err := Parse(spec)
+	if err != nil {
+		return nil, fmt.Errorf("-faults: %w", err)
+	}
+	return New(cfg), nil
+}
+
 // Stats counts injected faults by kind.
 type Stats struct {
 	Requests   uint64 `json:"requests"`

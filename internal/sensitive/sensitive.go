@@ -132,11 +132,12 @@ func (o *Oracle) Device() *android.Device { return o.device }
 // ScanBytes reports the distinct kinds of sensitive information occurring
 // in raw content, in Kind order.
 func (o *Oracle) ScanBytes(content []byte) []Kind {
-	occ := o.matcher.Occurs(content)
+	occ := make([]uint64, o.matcher.BitsetWords())
+	o.matcher.OccursSegments(occ, content)
 	var present [numKinds]bool
-	for i, hit := range occ {
-		if hit {
-			present[o.kinds[i]] = true
+	for i, k := range o.kinds {
+		if occ[i>>6]&(1<<(i&63)) != 0 {
+			present[k] = true
 		}
 	}
 	var out []Kind

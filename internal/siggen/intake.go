@@ -47,18 +47,20 @@ func (s *Service) MissSinkBy(keyFn func(*httpmodel.Packet) string) engine.Sink {
 }
 
 func (m missSink) Bind(shard, shards int) engine.ShardSink { return m }
-func (m missSink) CountOnly() bool                         { return false }
-func (m missSink) Count(bool)                              {}
 
-func (m missSink) Verdict(v engine.Verdict) {
-	if v.Leak() {
-		return // already explained by a signature; nothing to learn
+// Batch keeps only packets, never the borrowed verdicts or their Matched
+// slices, so the engine's valid-for-the-call rule costs it no copy.
+func (m missSink) Batch(vs []engine.Verdict) {
+	for _, v := range vs {
+		if v.Leak() {
+			continue // already explained by a signature; nothing to learn
+		}
+		tenant := m.tenant
+		if m.keyFn != nil {
+			tenant = m.keyFn(v.Packet)
+		}
+		m.svc.Observe(tenant, v.Packet)
 	}
-	tenant := m.tenant
-	if m.keyFn != nil {
-		tenant = m.keyFn(v.Packet)
-	}
-	m.svc.Observe(tenant, v.Packet)
 }
 
 // Observe offers one unmatched/suspect flow to the learner directly —

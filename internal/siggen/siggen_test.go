@@ -133,11 +133,10 @@ func TestMissSinkFeedsOnlyMisses(t *testing.T) {
 	svc := NewService(Config{IntakeDepth: 64})
 	defer svc.Close()
 	sink := svc.MissSink().Bind(0, 1)
-	if sink.CountOnly() {
-		t.Fatal("miss sink must see verdicts, not counts")
-	}
-	sink.Verdict(engine.Verdict{Packet: leakPacket("a", 1), Matched: []int{0}}) // a hit: ignored
-	sink.Verdict(engine.Verdict{Packet: leakPacket("a", 2)})                    // a miss: learned
+	sink.Batch([]engine.Verdict{
+		{Packet: leakPacket("a", 1), Matched: []int{0}}, // a hit: ignored
+		{Packet: leakPacket("a", 2)},                    // a miss: learned
+	})
 	deadline := time.Now().Add(time.Second)
 	for svc.Stats().Observed == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -106,11 +106,12 @@ func GenerateBayes(clusters [][]*httpmodel.Packet, benign []*httpmodel.Packet, o
 	// Occurrence counts in both corpora.
 	suspCount := make([]float64, len(vocab))
 	benignCount := make([]float64, len(vocab))
+	occ := make([]uint64, sig.matcher.BitsetWords()) // reused by every scan below
 	countInto := func(ps []*httpmodel.Packet, counts []float64) {
 		for _, p := range ps {
-			occ := sig.matcher.Occurs(p.Content())
-			for i, hit := range occ {
-				if hit {
+			sig.matcher.OccursSegments(occ, p.Content())
+			for i := range counts {
+				if occ[i>>6]&(1<<(i&63)) != 0 {
 					counts[i]++
 				}
 			}
@@ -137,7 +138,7 @@ func GenerateBayes(clusters [][]*httpmodel.Packet, benign []*httpmodel.Packet, o
 	}
 	scores := make([]float64, len(benign))
 	for i, p := range benign {
-		scores[i] = sig.ScoreContent(p.Content())
+		scores[i] = sig.score(p.Content(), occ)
 	}
 	sort.Float64s(scores)
 	idx := int(float64(len(scores)) * (1 - o.TargetTrainFP))
@@ -177,11 +178,17 @@ func (b *BayesSignature) ScoreContent(content []byte) float64 {
 	if b.matcher == nil {
 		b.compile()
 	}
-	occ := b.matcher.Occurs(content)
+	return b.score(content, make([]uint64, b.matcher.BitsetWords()))
+}
+
+// score is ScoreContent over a caller-owned occurrence bitset of
+// matcher.BitsetWords() length, which it overwrites.
+func (b *BayesSignature) score(content []byte, occ []uint64) float64 {
+	b.matcher.OccursSegments(occ, content)
 	s := 0.0
-	for i, hit := range occ {
-		if hit {
-			s += b.Scores[i]
+	for i, sc := range b.Scores {
+		if occ[i>>6]&(1<<(i&63)) != 0 {
+			s += sc
 		}
 	}
 	return s

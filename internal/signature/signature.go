@@ -102,6 +102,15 @@ type Set struct {
 // Len returns the number of signatures.
 func (s *Set) Len() int { return len(s.Signatures) }
 
+// FirstTrace returns the set's lead provenance trace ID ("" when it
+// carries none) — the ID reload and publish events attribute to.
+func (s *Set) FirstTrace() string {
+	if len(s.Traces) > 0 {
+		return s.Traces[0]
+	}
+	return ""
+}
+
 // WriteJSON serializes the set.
 func (s *Set) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

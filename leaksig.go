@@ -119,8 +119,9 @@ type StreamConfig = engine.Config
 type StreamVerdict = engine.Verdict
 
 // NewStreamEngine starts a streaming detection engine over the signature
-// set. Packets enter through Submit, verdicts leave through the
-// StreamConfig.OnVerdict callback, and Reload hot-swaps the signature set
+// set. Packets enter through Submit, each worker drain's verdicts leave
+// as one borrowed batch through StreamConfig.Sink (OnVerdict is
+// shorthand for a CallbackSink), and Reload hot-swaps the signature set
 // mid-stream without dropping a packet (ReloadAsync moves even the
 // compile off the caller, coalescing publish bursts).
 func NewStreamEngine(set *SignatureSet, cfg StreamConfig) *StreamEngine {
@@ -160,28 +161,25 @@ func NewPool(set *SignatureSet, cfg PoolConfig) *Pool {
 // ShardSink is one shard's bound consumer.
 type Sink = engine.Sink
 
-// ShardSink is one shard's private verdict consumer (see engine.Sink).
+// ShardSink is one shard's private verdict consumer: one Batch call per
+// worker drain, the slice borrowed for the call (see engine.ShardSink).
 type ShardSink = engine.ShardSink
 
-// CountSink aggregates packet and leak tallies without assembling
-// verdicts — the fastest streaming posture when only totals matter.
+// CountSink aggregates per-shard packet and leak tallies — the cheapest
+// streaming posture when only totals matter.
 type CountSink = engine.CountSink
 
-// NewCountSink returns an empty count-only aggregation sink; pass it as
+// NewCountSink returns an empty aggregation sink; pass it as
 // StreamConfig.Sink and read totals with CountSink.Totals.
 func NewCountSink() *CountSink { return engine.NewCountSink() }
 
-// CallbackSink adapts a per-verdict function to the Sink interface.
+// CallbackSink adapts a per-verdict function to the Sink interface. Each
+// verdict owns its matched-ID slice, so fn may keep what it is handed.
 func CallbackSink(fn func(StreamVerdict)) Sink { return engine.CallbackSink(fn) }
 
-// VerdictBatch is one drain's worth of verdicts delivered to a
-// batch-capable sink; its contents are pooled and valid only inside the
-// sink call (see engine.VerdictBatch).
-type VerdictBatch = engine.VerdictBatch
-
 // BatchCallbackSink adapts a per-batch function to the Sink interface —
-// the zero-allocation verdict path: the batch, its verdicts, and their
-// matched-ID slices are recycled after the callback returns, so
+// the engine's delivery as is: the verdicts and their matched-ID slices
+// are overwritten by the next drain once the callback returns, so
 // consumers that retain verdicts must copy them.
 func BatchCallbackSink(fn func([]StreamVerdict)) Sink { return engine.BatchCallbackSink(fn) }
 
