@@ -920,7 +920,11 @@ func ingestHandler(be backend, ops *opsState) http.Handler {
 		tenant := tenantOf(r)
 		enc := json.NewEncoder(w)
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		// Same 1 MiB line cap as /ingest, but grown on demand: the usual
+		// /match body is one packet, and a megabyte allocated and zeroed
+		// per request was most of this daemon's garbage under a vet or
+		// probe load.
+		sc.Buffer(nil, 1<<20)
 		for sc.Scan() {
 			if len(sc.Bytes()) == 0 {
 				continue

@@ -6,15 +6,17 @@
 // pass over the packet reports which tokens occur, after which conjunction
 // signatures are checked with per-signature token bitsets.
 //
-// Compilation happens in two stages. A map-based trie (the construction
-// intermediate, see builder) assigns failure links by BFS; Compile then
-// flattens it into a dense delta table — one contiguous []int32 row per
-// state, indexed by byte class — with every failure link resolved into the
-// table at compile time. The scan loop is therefore a single bounds-checked
-// array load per input byte: no map lookups, no failure chasing, no
-// allocation. Byte-class compression keeps the rows small: all bytes that
-// never appear in any pattern share one column, so a token set over a
-// 40-byte alphabet costs 41 columns per state instead of 256.
+// Compile builds the automaton directly in its final dense form: one
+// contiguous []int32 row per state, indexed by byte class. The trie grows
+// inside that table (a zero entry means "no goto edge", since no edge leads
+// back to the root), then one breadth-first pass assigns failure links and
+// fills every remaining column from the state's already complete failure
+// row — no per-state map, no intermediate trie, a handful of allocations
+// whatever the state count. The scan loop is therefore a single
+// bounds-checked array load per input byte: no map lookups, no failure
+// chasing, no allocation. Byte-class compression keeps the rows small: all
+// bytes that never appear in any pattern share one column, so a token set
+// over a 40-byte alphabet costs 41 columns per state instead of 256.
 package ahocorasick
 
 // Matcher is a compiled Aho–Corasick automaton in dense form. It is
@@ -44,7 +46,140 @@ type Matcher struct {
 // Compile builds a matcher over the given patterns. Empty patterns are
 // permitted but never match. Duplicate patterns each report their own index.
 func Compile(patterns [][]byte) *Matcher {
-	return newBuilder(patterns).dense()
+	m := &Matcher{patterns: patterns}
+
+	// Byte classes: every byte occurring in some pattern gets its own
+	// column; all others share one dead column (unless the alphabet is
+	// already full).
+	var present [256]bool
+	total := 0
+	for _, p := range patterns {
+		total += len(p)
+		for _, c := range p {
+			present[c] = true
+		}
+	}
+	n := 0
+	for c := 0; c < 256; c++ {
+		if present[c] {
+			m.classes[c] = uint8(n)
+			n++
+		}
+	}
+	stride := n
+	if n < 256 {
+		for c := 0; c < 256; c++ {
+			if !present[c] {
+				m.classes[c] = uint8(n)
+			}
+		}
+		stride = n + 1
+	}
+	m.stride = stride
+
+	// Grow the trie inside the delta table: a new state is the next
+	// zeroed row, a goto edge is the child's number in its parent's row.
+	// 1+total rows is the size when no two patterns share a prefix; the
+	// reservation is cut down to the rows used when sharing left more
+	// than a quarter of it idle. States are numbered in insertion order.
+	delta := make([]int32, stride, (1+total)*stride)
+	end := make([]int32, len(patterns)) // state each pattern ends in
+	for i, p := range patterns {
+		s := 0
+		for _, c := range p {
+			at := s*stride + int(m.classes[c])
+			if delta[at] == 0 {
+				delta[at] = int32(len(delta) / stride)
+				delta = delta[:len(delta)+stride]
+			}
+			s = int(delta[at])
+		}
+		end[i] = int32(s)
+	}
+	if cap(delta)-len(delta) > len(delta)/4 {
+		delta = append([]int32(nil), delta...)
+	}
+	m.delta = delta
+	ns := len(delta) / stride
+
+	// One BFS over the rows. When a state is visited its failure state is
+	// shallower, so that row is already complete: each goto edge's child
+	// takes its failure link from it, then the whole row is copied from it
+	// and the goto edges (the children just queued, in column order) are
+	// put back. The root's row is complete from the start — its missing
+	// edges self-loop at 0 — and its children fail to it, which the
+	// zeroed fail slice already says.
+	fail := make([]int32, ns)
+	order := make([]int32, 0, ns)
+	for _, v := range delta[:stride] {
+		if v != 0 {
+			order = append(order, v)
+		}
+	}
+	var cols [256]int // columns of the visited row's goto edges
+	for qi := 0; qi < len(order); qi++ {
+		u, f := int(order[qi]), int(fail[order[qi]])
+		row, frow := delta[u*stride:(u+1)*stride], delta[f*stride:(f+1)*stride]
+		nk := 0
+		for c, v := range row {
+			if v != 0 {
+				fail[v] = frow[c]
+				order = append(order, v)
+				cols[nk] = c
+				nk++
+			}
+		}
+		kids := order[len(order)-nk:]
+		copy(row, frow)
+		for k, c := range cols[:nk] {
+			row[c] = kids[k]
+		}
+	}
+
+	// Own outputs as chains through two flat slices: head[s] is the first
+	// pattern ending at state s, next[p] the one after p (-1 ends a
+	// chain). Linking back to front keeps each chain in pattern order;
+	// next reuses end, whose entry is read just before it is overwritten.
+	head := make([]int32, ns)
+	for s := range head {
+		head[s] = -1
+	}
+	next := end
+	for i := len(patterns) - 1; i >= 0; i-- {
+		if len(patterns[i]) == 0 {
+			continue // ends at the root, which emits nothing
+		}
+		s := end[i]
+		next[i] = head[s]
+		head[s] = int32(i)
+	}
+
+	// Flatten: a state emits its own chain, then everything its failure
+	// state emits. Sizes first (outStart[s+1] holds state s's count until
+	// the prefix sum), then the lists, both in BFS order so the failure
+	// state's entry is final before it is read.
+	m.outStart = make([]int32, ns+1)
+	for _, s := range order {
+		cnt := m.outStart[fail[s]+1]
+		for p := head[s]; p >= 0; p = next[p] {
+			cnt++
+		}
+		m.outStart[s+1] = cnt
+	}
+	for s := 0; s < ns; s++ {
+		m.outStart[s+1] += m.outStart[s]
+	}
+	m.outList = make([]int32, m.outStart[ns])
+	for _, s := range order {
+		at := m.outStart[s]
+		for p := head[s]; p >= 0; p = next[p] {
+			m.outList[at] = p
+			at++
+		}
+		f := fail[s]
+		copy(m.outList[at:], m.outList[m.outStart[f]:m.outStart[f+1]])
+	}
+	return m
 }
 
 // BitsetWords returns the length a caller-owned occurrence bitset must

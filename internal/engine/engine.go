@@ -42,8 +42,11 @@
 // evicted when idle, each optionally pinned to a tenant-private
 // signature set — one service instance isolating many traffic
 // populations the way the paper's per-module signatures isolate ad
-// libraries (§IV-A). When budget frees, degraded tenants are upgraded
-// back to multi-shard grants by weighted rebalancing.
+// libraries (§IV-A). The pool compiles its default set once per
+// Pool.Reload and every unpinned tenant points at that one immutable
+// generation; only pinned tenants compile for themselves. When budget
+// frees, degraded tenants are upgraded back to multi-shard grants by
+// weighted rebalancing.
 //
 // Metrics (packets/s, match rate, ring depth, batch target, reloads,
 // reload latency, p50/p99 latency) are exposed through Metrics, reusing
@@ -200,7 +203,8 @@ type Engine struct {
 	seq      atomic.Uint64 // next acceptance sequence number
 	ingested atomic.Uint64
 	dropped  atomic.Uint64
-	reloads  atomic.Int64
+	reloads  atomic.Int64 // generations installed
+	compiles atomic.Int64 // signature sets this engine compiled itself
 
 	// Reload machinery: gen tickets order every Reload/ReloadAsync call;
 	// install applies compiled generations strictly monotonically, so a
@@ -229,6 +233,14 @@ type Engine struct {
 // New starts an engine over the signature set (nil for empty) and begins
 // accepting packets immediately.
 func New(set *signature.Set, cfg Config) *Engine {
+	e := newEngine(compile(set), cfg)
+	e.compiles.Add(1)
+	return e
+}
+
+// newEngine starts an engine on an already compiled generation, which may
+// be shared with other engines (a Pool's tenants on its default set).
+func newEngine(cs *compiledSet, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:      cfg,
@@ -236,7 +248,7 @@ func New(set *signature.Set, cfg Config) *Engine {
 		stop:     make(chan struct{}),
 		start:    time.Now(),
 	}
-	e.set.Store(compile(set))
+	e.set.Store(cs)
 	sink := cfg.Sink
 	if cfg.OnVerdict != nil {
 		sink = TeeSink(CallbackSink(cfg.OnVerdict), sink)
@@ -257,17 +269,30 @@ func New(set *signature.Set, cfg Config) *Engine {
 	return e
 }
 
+// issue hands out the next reload ticket and records it.
+func (e *Engine) issue(detail string) uint64 {
+	gen := e.reloadGen.Add(1)
+	e.cfg.Flight.Record(trace.FlightEvent{Kind: trace.KindReloadIssue, Shard: -1, Value: int64(gen), Detail: detail})
+	return gen
+}
+
 // install makes cs the live generation iff it is newer than the current
 // one. Sync and async reloads race through here, and the monotonic gen
 // check guarantees a stale compile is discarded rather than applied.
+// started is when the work that produced cs began — before its compile,
+// whoever ran it — so LastReload reads compile + install.
 func (e *Engine) install(cs *compiledSet, started time.Time) bool {
 	for {
 		cur := e.set.Load()
-		if cur != nil && cur.gen >= cs.gen {
+		if cur.gen >= cs.gen {
 			return false
 		}
 		if e.set.CompareAndSwap(cur, cs) {
 			e.reloads.Add(1)
+			// Idle workers let go of the replaced generation (see run).
+			for _, s := range e.shards {
+				s.ring.nudge()
+			}
 			e.lastReloadNs.Store(time.Since(started).Nanoseconds())
 			e.cfg.Flight.Record(trace.FlightEvent{
 				Kind: trace.KindReloadApply, Shard: -1,
@@ -278,6 +303,17 @@ func (e *Engine) install(cs *compiledSet, started time.Time) bool {
 	}
 }
 
+// adopt makes a generation compiled elsewhere (by the Pool, once for all
+// its unpinned tenants) live here under a fresh ticket, ordered against
+// this engine's own Reload and ReloadAsync calls like any other reload.
+// shared is not modified — it is other engines' generation too — the
+// ticket goes on this engine's own copy of the small wrapper.
+func (e *Engine) adopt(shared *compiledSet, started time.Time) {
+	cs := *shared
+	cs.gen = e.issue("shared")
+	e.install(&cs, started)
+}
+
 // Reload compiles the new signature set and atomically swaps it in,
 // returning only after the new generation is live: packets submitted
 // after Reload returns are judged under it. The compile happens on the
@@ -286,11 +322,11 @@ func (e *Engine) install(cs *compiledSet, started time.Time) bool {
 // already queued are never dropped — they are simply matched under
 // whichever generation is live when their drain runs.
 func (e *Engine) Reload(set *signature.Set) {
-	gen := e.reloadGen.Add(1)
-	e.cfg.Flight.Record(trace.FlightEvent{Kind: trace.KindReloadIssue, Shard: -1, Value: int64(gen)})
+	gen := e.issue("")
 	started := time.Now()
 	cs := compile(set)
 	cs.gen = gen
+	e.compiles.Add(1)
 	e.install(cs, started)
 }
 
@@ -303,11 +339,7 @@ func (e *Engine) Reload(set *signature.Set) {
 // never stalls. Generations still apply strictly monotonically; the
 // final state always reflects the latest requested set.
 func (e *Engine) ReloadAsync(set *signature.Set) {
-	gen := e.reloadGen.Add(1)
-	e.cfg.Flight.Record(trace.FlightEvent{
-		Kind: trace.KindReloadIssue, Shard: -1, Value: int64(gen), Detail: "async",
-	})
-	e.pending.Store(&pendingReload{set: set, gen: gen})
+	e.pending.Store(&pendingReload{set: set, gen: e.issue("async")})
 	select {
 	case e.reloadCh <- struct{}{}:
 	default:
@@ -333,6 +365,7 @@ func (e *Engine) runCompiler() {
 				started := time.Now()
 				cs := compile(pr.set)
 				cs.gen = pr.gen
+				e.compiles.Add(1)
 				e.install(cs, started)
 				e.compiling.Store(false)
 			}

@@ -58,7 +58,15 @@ type Snapshot struct {
 	Shards     int   // worker count
 	Version    int64 // signature-set version currently live
 	Signatures int   // signatures in the live set
-	Reloads    int64 // hot reloads applied since construction
+	Reloads    int64 // hot reloads applied (generations installed) since construction
+
+	// Compiles counts the signature sets compiled: by this engine itself
+	// (at construction, in Reload, in ReloadAsync's background compiler),
+	// or, in a PoolSnapshot's Aggregate, by the pool and all its tenants.
+	// A pool tenant following the pool default installs generations the
+	// pool compiled, so its Reloads rises while its Compiles does not:
+	// one Pool.Reload over N unpinned tenants is N reloads, one compile.
+	Compiles int64
 
 	// ReloadGen is the generation ticket of the live set: it increases
 	// with every applied reload and, because ReloadAsync coalesces
@@ -71,7 +79,9 @@ type Snapshot struct {
 	// PendingReload reports an async reload compile queued or in flight.
 	PendingReload bool
 	// LastReload is the compile+install wall time of the last applied
-	// reload — the churn-cost signal for the reload-latency metric.
+	// reload — the churn-cost signal for the reload-latency metric. For a
+	// generation the pool compiled it is measured from the start of that
+	// one compile to this engine's install.
 	LastReload time.Duration
 
 	Ingested  uint64 // packets accepted by Submit/TrySubmit
@@ -91,6 +101,19 @@ type Snapshot struct {
 
 	P50 time.Duration // median queue-to-verdict latency (sampled)
 	P99 time.Duration // tail queue-to-verdict latency (sampled)
+}
+
+// addCounters adds m's lifetime counters to s — how a pool sums its live
+// and evicted tenants into one aggregate.
+func (s *Snapshot) addCounters(m Snapshot) {
+	s.Ingested += m.Ingested
+	s.Processed += m.Processed
+	s.Matched += m.Matched
+	s.Dropped += m.Dropped
+	s.SyncVetted += m.SyncVetted
+	s.SyncMatched += m.SyncMatched
+	s.Reloads += m.Reloads
+	s.Compiles += m.Compiles
 }
 
 // String renders the snapshot as one log-friendly line.
@@ -138,6 +161,7 @@ func (e *Engine) Metrics() Snapshot {
 		Version:       cs.version,
 		Signatures:    cs.sigs,
 		Reloads:       e.reloads.Load(),
+		Compiles:      e.compiles.Load(),
 		ReloadGen:     cs.gen,
 		ReloadIssued:  e.reloadGen.Load(),
 		PendingReload: e.pending.Load() != nil || e.compiling.Load(),

@@ -80,12 +80,13 @@ type tenant struct {
 	charged    int          // shards charged against the pool budget (0 for degraded grants)
 	lastActive atomic.Int64 // unix nanos of the most recent use
 
-	// reloadMu orders signature swaps on this tenant: pinning and
-	// pool-wide reloads both take it, so a concurrent Pool.Reload can
-	// never overwrite a just-pinned set. pinned is only read or written
-	// under it.
+	// reloadMu orders signature swaps on this tenant: pinning, pool-wide
+	// reloads and the catch-up after creation all take it, so a
+	// concurrent Pool.Reload can never overwrite a just-pinned set.
+	// pinned and set are only read or written under it.
 	reloadMu sync.Mutex
-	pinned   bool // ReloadTenant set a tenant-specific set; pool-wide Reload skips it
+	pinned   bool           // ReloadTenant set a tenant-specific set; pool-wide Reload skips it
+	set      *signature.Set // the pin or pool default this tenant was last put on
 }
 
 func (t *tenant) touch() { t.lastActive.Store(time.Now().UnixNano()) }
@@ -101,9 +102,19 @@ func (t *tenant) touch() { t.lastActive.Store(time.Now().UnixNano()) }
 type Pool struct {
 	cfg PoolConfig
 
-	mu          sync.RWMutex
-	tenants     map[string]*tenant
-	set         *signature.Set // default set for new and unpinned tenants
+	// reloadMu serialises Reload end to end — compile, default swap, and
+	// the install on every tenant — so concurrent Reloads cannot leave
+	// some tenants on one set and the default on another. It is taken
+	// before any other lock and never while holding one.
+	reloadMu sync.Mutex
+
+	mu      sync.RWMutex
+	tenants map[string]*tenant
+	set     *signature.Set // default set for new and unpinned tenants
+	// def is set, compiled once: every unpinned tenant's live generation
+	// points at its detect.Engine, and new tenants start on it without
+	// compiling. set and def only change together, under mu.
+	def         *compiledSet
 	pins        map[string]*signature.Set
 	shardsInUse int
 	degraded    int // live tenants running on an uncharged 1-shard grant
@@ -112,12 +123,11 @@ type Pool struct {
 	created   atomic.Uint64
 	evictions atomic.Uint64
 	upgrades  atomic.Uint64
+	compiles  atomic.Int64 // default sets compiled (NewPool, Reload)
 
-	// Counters folded in from evicted tenants, so the aggregate never
-	// loses history.
-	retIngested, retProcessed, retMatched, retDropped uint64
-	retSyncVetted, retSyncMatched                     uint64
-	retReloads                                        int64
+	// retired sums the counters of evicted tenants, so the aggregate
+	// never loses history.
+	retired Snapshot
 
 	stopJanitor chan struct{}
 	janitorDone chan struct{}
@@ -132,11 +142,13 @@ func NewPool(set *signature.Set, cfg PoolConfig) *Pool {
 		cfg:         cfg,
 		tenants:     make(map[string]*tenant),
 		set:         set,
+		def:         compile(set),
 		pins:        make(map[string]*signature.Set),
 		stopJanitor: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 		start:       time.Now(),
 	}
+	p.compiles.Add(1)
 	if cfg.IdleAfter > 0 {
 		go p.runJanitor()
 	} else {
@@ -170,11 +182,7 @@ func (p *Pool) Tenant(key string) *Engine {
 
 // create makes (or returns the raced-in) tenant for key, charging the
 // shard budget and evicting the least-recently-active tenant when
-// MaxTenants overflows. A set pinned earlier via ReloadTenant (the pin
-// table survives eviction) becomes the new engine's signature set, so
-// recreation after idle/LRU eviction never silently falls back to the
-// pool default — per-tenant isolation holds across pool churn. It
-// returns nil only when the pool is closed.
+// MaxTenants overflows. It returns nil only when the pool is closed.
 func (p *Pool) create(key string) *tenant {
 	for {
 		p.mu.Lock()
@@ -202,10 +210,8 @@ func (p *Pool) create(key string) *tenant {
 			continue
 		}
 
-		// Reserve shards from the budget under the lock, then build the
-		// engine outside it: compiling a signature set and running the
-		// user's ConfigureTenant hook must not stall every other
-		// tenant's Submit (and the hook may itself inspect the pool).
+		// Reserve shards from the budget under the lock; admit builds
+		// the engine outside it.
 		grant := p.cfg.Engine.Shards
 		if grant <= 0 {
 			grant = runtime.GOMAXPROCS(0)
@@ -225,58 +231,74 @@ func (p *Pool) create(key string) *tenant {
 		if !degraded {
 			p.shardsInUse += grant
 		}
-		set := p.set
-		pin, pinned := p.pins[key]
-		if pinned {
-			set = pin
-		}
 		p.mu.Unlock()
 
-		cfg := p.cfg.Engine
-		cfg.Shards = grant
-		if p.cfg.ConfigureTenant != nil {
-			cfg = p.cfg.ConfigureTenant(key, cfg)
-			if cfg.Shards <= 0 || cfg.Shards > grant {
-				cfg.Shards = grant
-			}
+		if t := p.admit(key, grant, degraded); t != nil {
+			p.created.Add(1)
+			return t
 		}
-		charged := cfg.Shards
-		if degraded {
-			charged = 0
+		if p.isClosed() {
+			return nil
 		}
-		t := &tenant{key: key, eng: New(set, cfg), shards: cfg.Shards, charged: charged, pinned: pinned}
-		t.touch()
-
-		p.mu.Lock()
-		if refund := grant - t.shards; refund > 0 && !degraded {
-			p.shardsInUse -= refund // ConfigureTenant took fewer shards
-		}
-		if p.closed || p.tenants[key] != nil {
-			// Lost the race (or the pool closed): roll back and defer to
-			// the winner.
-			p.shardsInUse -= t.charged
-			p.mu.Unlock()
-			t.eng.Close()
-			if p.isClosed() {
-				return nil
-			}
-			continue
-		}
-		p.tenants[key] = t
-		if degraded {
-			p.degraded++
-		}
-		// A ReloadTenant racing the build may have pinned a newer set
-		// while the lock was dropped; it only saw the pin table (the
-		// tenant was not in the map yet), so land its set now.
-		latest, stillPinned := p.pins[key]
-		p.mu.Unlock()
-		if stillPinned && latest != set {
-			p.applyPin(t)
-		}
-		p.created.Add(1)
-		return t
 	}
+}
+
+// admit builds key's engine on grant shards already reserved from the
+// budget (uncharged when degraded) and makes it the live tenant. The
+// engine starts on the set the tables name when admit begins: the
+// tenant's pin — the pin table survives eviction, so a recreated tenant
+// never silently falls back to the pool default — or else the pool's
+// already compiled default generation, which costs no compile. Running
+// the user's ConfigureTenant hook and compiling a pinned set happen
+// outside the pool lock, so they never stall another tenant's Submit
+// (and the hook may itself use the pool); a Reload or ReloadTenant that
+// lands meanwhile sees only the tables, not this tenant, so after
+// inserting it converge re-reads them. admit returns nil, with the
+// reservation rolled back, when the pool closed or another goroutine's
+// tenant for key got in first.
+func (p *Pool) admit(key string, grant int, degraded bool) *tenant {
+	p.mu.RLock()
+	set, def := p.set, p.def
+	pin, pinned := p.pins[key]
+	p.mu.RUnlock()
+
+	cfg := p.cfg.Engine
+	cfg.Shards = grant
+	if p.cfg.ConfigureTenant != nil {
+		cfg = p.cfg.ConfigureTenant(key, cfg)
+		if cfg.Shards <= 0 || cfg.Shards > grant {
+			cfg.Shards = grant
+		}
+	}
+	t := &tenant{key: key, shards: cfg.Shards, charged: cfg.Shards, pinned: pinned, set: set}
+	if degraded {
+		t.charged = 0
+	}
+	if pinned {
+		t.set = pin
+		t.eng = New(pin, cfg)
+	} else {
+		t.eng = newEngine(def, cfg)
+	}
+	t.touch()
+
+	p.mu.Lock()
+	if !degraded {
+		p.shardsInUse -= grant - t.shards // ConfigureTenant took fewer shards
+	}
+	if p.closed || p.tenants[key] != nil {
+		p.shardsInUse -= t.charged
+		p.mu.Unlock()
+		t.eng.Close()
+		return nil
+	}
+	p.tenants[key] = t
+	if degraded {
+		p.degraded++
+	}
+	p.mu.Unlock()
+	p.converge(t)
+	return t
 }
 
 // isClosed reports whether Close has begun.
@@ -286,22 +308,27 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// applyPin lands the pin table's current set on a live tenant, ordered
-// against pool-wide reloads by reloadMu. Re-reading the table under the
-// reload lock makes pin application convergent: however ReloadTenant
-// races tenant creation, the LAST application always installs the
-// latest pinned set.
-func (p *Pool) applyPin(t *tenant) {
+// converge puts a live tenant on the set the tables name now: its pin if
+// it has one, else the pool default. ReloadTenant ends here, and so does
+// admit once the tenant is in the map. Re-reading the tables under the
+// tenant's reload lock makes the outcome independent of how those calls
+// and Pool.Reload interleave: the last one through always installs the
+// latest answer. A tenant already on that set is left alone.
+func (p *Pool) converge(t *tenant) {
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
 	p.mu.RLock()
-	set, ok := p.pins[t.key]
+	set, def := p.set, p.def
+	pin, pinned := p.pins[t.key]
 	p.mu.RUnlock()
-	if !ok {
-		return
+	switch {
+	case pinned && (!t.pinned || t.set != pin):
+		t.pinned, t.set = true, pin
+		t.eng.Reload(pin)
+	case !pinned && t.set != set:
+		t.set = set
+		t.eng.adopt(def, time.Now())
 	}
-	t.pinned = true
-	t.eng.Reload(set)
 }
 
 // Submit queues one packet for the tenant, creating the tenant on first
@@ -360,14 +387,22 @@ func (p *Pool) MatchPacket(key string, pkt *httpmodel.Packet) []int {
 	return e.MatchPacket(pkt)
 }
 
-// Reload installs the signature set as the pool-wide default: every
-// unpinned live tenant hot-reloads it, and future tenants start on it.
-// Tenants pinned by ReloadTenant keep their private sets — the pin check
-// and the swap are ordered by each tenant's reload lock, so a concurrent
-// ReloadTenant can never be overwritten by the default set.
+// Reload installs the signature set as the pool-wide default: it is
+// compiled once, every unpinned live tenant hot-swaps to that one
+// compiled generation (each under its own reload ticket), and future
+// tenants start on it. Tenants pinned by ReloadTenant keep their private
+// sets — the pin check and the swap are ordered by each tenant's reload
+// lock, so a concurrent ReloadTenant can never be overwritten by the
+// default set. Concurrent Reloads run one after the other, so all
+// unpinned tenants end on the set new tenants will start on.
 func (p *Pool) Reload(set *signature.Set) {
+	p.reloadMu.Lock()
+	defer p.reloadMu.Unlock()
+	started := time.Now()
+	def := compile(set) // before taking mu: no Submit waits on a compile
+	p.compiles.Add(1)
 	p.mu.Lock()
-	p.set = set
+	p.set, p.def = set, def
 	targets := make([]*tenant, 0, len(p.tenants))
 	for _, t := range p.tenants {
 		targets = append(targets, t)
@@ -376,7 +411,8 @@ func (p *Pool) Reload(set *signature.Set) {
 	for _, t := range targets {
 		t.reloadMu.Lock()
 		if !t.pinned {
-			t.eng.Reload(set)
+			t.set = set
+			t.eng.adopt(def, started)
 		}
 		t.reloadMu.Unlock()
 	}
@@ -401,7 +437,7 @@ func (p *Pool) ReloadTenant(key string, set *signature.Set) {
 	t := p.tenants[key]
 	p.mu.Unlock()
 	if t != nil {
-		p.applyPin(t)
+		p.converge(t)
 		t.touch()
 	}
 }
@@ -426,15 +462,7 @@ func (p *Pool) Evict(key string) bool {
 
 	t.eng.Close() // drains every accepted packet
 	final := t.eng.Metrics()
-	p.mu.Lock()
-	p.retIngested += final.Ingested
-	p.retProcessed += final.Processed
-	p.retMatched += final.Matched
-	p.retDropped += final.Dropped
-	p.retSyncVetted += final.SyncVetted
-	p.retSyncMatched += final.SyncMatched
-	p.retReloads += final.Reloads
-	p.mu.Unlock()
+	p.retire(final)
 	p.evictions.Add(1)
 	if p.cfg.OnEvict != nil {
 		p.cfg.OnEvict(key, final)
@@ -499,60 +527,28 @@ func (p *Pool) upgradeDegraded() {
 		delete(p.tenants, victim.key)
 		p.degraded--
 		p.shardsInUse += grant // reserve before dropping the lock
-		set := p.set
-		pin, pinned := p.pins[victim.key]
-		if pinned {
-			set = pin
-		}
 		p.mu.Unlock()
 
 		victim.eng.Close() // drains every accepted packet before the swap
-		final := victim.eng.Metrics()
-
-		cfg := p.cfg.Engine
-		cfg.Shards = grant
-		if p.cfg.ConfigureTenant != nil {
-			cfg = p.cfg.ConfigureTenant(victim.key, cfg)
-			if cfg.Shards <= 0 || cfg.Shards > grant {
-				cfg.Shards = grant
-			}
-		}
-		nt := &tenant{key: victim.key, eng: New(set, cfg), shards: cfg.Shards, charged: cfg.Shards, pinned: pinned}
-		nt.touch()
-
-		p.mu.Lock()
-		if refund := grant - nt.shards; refund > 0 {
-			p.shardsInUse -= refund // ConfigureTenant took fewer shards
-		}
 		// The drained engine's history must survive the swap, exactly as
 		// it survives an eviction.
-		p.retIngested += final.Ingested
-		p.retProcessed += final.Processed
-		p.retMatched += final.Matched
-		p.retDropped += final.Dropped
-		p.retSyncVetted += final.SyncVetted
-		p.retSyncMatched += final.SyncMatched
-		p.retReloads += final.Reloads
-		if p.closed || p.tenants[victim.key] != nil {
-			// The pool closed, or a producer recreated the tenant while
-			// the old engine drained; the recreation already charged the
-			// post-eviction budget, so defer to it and roll back ours.
-			p.shardsInUse -= nt.charged
-			p.mu.Unlock()
-			nt.eng.Close()
-			if p.isClosed() {
-				return
-			}
-			continue
+		p.retire(victim.eng.Metrics())
+		// admit fails when the pool closed, or a producer recreated the
+		// tenant while the old engine drained; the recreation already
+		// charged the post-eviction budget, so defer to it.
+		if p.admit(victim.key, grant, false) != nil {
+			p.upgrades.Add(1)
+		} else if p.isClosed() {
+			return
 		}
-		p.tenants[victim.key] = nt
-		latest, stillPinned := p.pins[victim.key]
-		p.mu.Unlock()
-		if stillPinned && latest != set {
-			p.applyPin(nt)
-		}
-		p.upgrades.Add(1)
 	}
+}
+
+// retire folds a drained engine's final counters into the aggregate.
+func (p *Pool) retire(final Snapshot) {
+	p.mu.Lock()
+	p.retired.addCounters(final)
+	p.mu.Unlock()
 }
 
 // runJanitor periodically evicts tenants idle longer than IdleAfter.
@@ -639,16 +635,7 @@ func (p *Pool) Close() {
 	<-p.janitorDone
 	for _, t := range tenants {
 		t.eng.Close()
-		final := t.eng.Metrics()
-		p.mu.Lock()
-		p.retIngested += final.Ingested
-		p.retProcessed += final.Processed
-		p.retMatched += final.Matched
-		p.retDropped += final.Dropped
-		p.retSyncVetted += final.SyncVetted
-		p.retSyncMatched += final.SyncMatched
-		p.retReloads += final.Reloads
-		p.mu.Unlock()
+		p.retire(t.eng.Metrics())
 	}
 }
 
@@ -693,29 +680,16 @@ func (p *Pool) Metrics() PoolSnapshot {
 		ShardsInUse:     p.shardsInUse,
 		DegradedTenants: p.degraded,
 		PerTenant:       make(map[string]Snapshot, len(tenants)),
-		Aggregate: Snapshot{
-			Ingested:    p.retIngested,
-			Processed:   p.retProcessed,
-			Matched:     p.retMatched,
-			Dropped:     p.retDropped,
-			SyncVetted:  p.retSyncVetted,
-			SyncMatched: p.retSyncMatched,
-			Reloads:     p.retReloads,
-			Uptime:      time.Since(p.start),
-		},
+		Aggregate:       p.retired,
 	}
 	p.mu.RUnlock()
+	snap.Aggregate.Compiles += p.compiles.Load()
+	snap.Aggregate.Uptime = time.Since(p.start)
 	for k, t := range tenants {
 		m := t.eng.Metrics()
 		snap.PerTenant[k] = m
+		snap.Aggregate.addCounters(m)
 		snap.Aggregate.Shards += m.Shards
-		snap.Aggregate.Ingested += m.Ingested
-		snap.Aggregate.Processed += m.Processed
-		snap.Aggregate.Matched += m.Matched
-		snap.Aggregate.Dropped += m.Dropped
-		snap.Aggregate.SyncVetted += m.SyncVetted
-		snap.Aggregate.SyncMatched += m.SyncMatched
-		snap.Aggregate.Reloads += m.Reloads
 		snap.Aggregate.QueueDepth += m.QueueDepth
 	}
 	if secs := snap.Aggregate.Uptime.Seconds(); secs > 0 {

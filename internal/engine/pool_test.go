@@ -564,3 +564,53 @@ func TestPoolPinSurvivesEviction(t *testing.T) {
 		t.Fatal("pool-wide reload overwrote a recreated tenant's pin")
 	}
 }
+
+// TestPoolTenantBornDuringReload is the regression for a tenant stranded
+// on the previous default: its engine is built outside the pool lock, and
+// a Pool.Reload landing in that window has already listed its targets.
+// ConfigureTenant runs exactly inside the window, so the hook publishes
+// set B while the tenant is being built from set A; the tenant must come
+// out on B.
+func TestPoolTenantBornDuringReload(t *testing.T) {
+	b := tokenSet(2, "b-token")
+	var p *Pool
+	var once sync.Once
+	p = NewPool(tokenSet(1, "a-token"), PoolConfig{
+		Engine: Config{Shards: 1},
+		ConfigureTenant: func(key string, cfg Config) Config {
+			once.Do(func() { p.Reload(b) })
+			return cfg
+		},
+	})
+	defer p.Close()
+	v := p.Tenant("late").Vet(pkt(0, "h.example.com", "b-token"))
+	if v.Version != 2 || !v.Leak() {
+		t.Fatalf("tenant created during Reload(B) answers version %d leak=%v, want B's: version 2, leak", v.Version, v.Leak())
+	}
+}
+
+// TestPoolConcurrentReloadsConverge races two pool-wide reloads: whichever
+// wins, every unpinned tenant must end on the set a tenant created
+// afterwards starts on — per-tenant reload tickets alone order the two
+// calls tenant by tenant, not across the pool.
+func TestPoolConcurrentReloadsConverge(t *testing.T) {
+	keys := []string{"t0", "t1", "t2", "t3", "t4", "t5"}
+	for i := 0; i < 50; i++ {
+		p := NewPool(tokenSet(1, "default-token"), PoolConfig{Engine: Config{Shards: 1}})
+		for _, k := range keys {
+			p.Tenant(k)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); p.Reload(tokenSet(2, "a-token")) }()
+		go func() { defer wg.Done(); p.Reload(tokenSet(3, "b-token")) }()
+		wg.Wait()
+		want := p.Tenant("born-after").Version()
+		for _, k := range keys {
+			if got := p.Tenant(k).Version(); got != want {
+				t.Fatalf("iteration %d: tenant %s is on version %d, new tenants start on %d", i, k, got, want)
+			}
+		}
+		p.Close()
+	}
+}

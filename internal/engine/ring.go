@@ -73,12 +73,7 @@ func (r *ring) push(it item) bool {
 			if r.tail.CompareAndSwap(pos, pos+1) {
 				s.it = it
 				s.seq.Store(pos + 1)
-				if r.parked.Load() == 1 {
-					select {
-					case r.wake <- struct{}{}:
-					default:
-					}
-				}
+				r.nudge()
 				return true
 			}
 		case d < 0:
@@ -126,15 +121,31 @@ func (r *ring) len() int {
 	return len(r.slots)
 }
 
-// park blocks the consumer until an item is published or stop closes.
-// Callers must re-check the ring after park returns; stale wakeups are
-// possible and benign.
-func (r *ring) park(stop <-chan struct{}) {
+// nudge wakes the consumer if it is parked. A producer calls it after
+// publishing; a reload calls it after swapping the live generation, with
+// nothing published, so an idle worker runs its idle hook again.
+func (r *ring) nudge() {
+	if r.parked.Load() == 1 {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// park blocks the consumer until an item is published, nudge is called or
+// stop closes. idle runs once the parked flag is up and the ring has been
+// found empty, just before blocking: whatever a nudging caller stored
+// before it loaded the flag, idle sees — the same pairing that rules out a
+// lost wakeup. Callers must re-check the ring after park returns; stale
+// wakeups are possible and benign.
+func (r *ring) park(stop <-chan struct{}, idle func()) {
 	r.parked.Store(1)
 	if !r.empty() {
 		r.parked.Store(0)
 		return
 	}
+	idle()
 	select {
 	case <-r.wake:
 	case <-stop:

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"leaksig/internal/detect"
 	"leaksig/internal/httpmodel"
@@ -152,5 +155,49 @@ func TestVerdictMatchedStableAcrossPackets(t *testing.T) {
 				t.Fatalf("%s: packet %d kept matched %v, want [%d]", c.name, v.Packet.ID, v.Matched, want)
 			}
 		}
+	}
+}
+
+// TestIdleWorkerReleasesReplacedGeneration: a worker's scratch points at
+// the generation it was last used with, so a tenant that goes quiet would
+// keep a replaced generation's automaton alive until its next packet —
+// and with a pool sharing one generation per publish, eight quiet tenants
+// each kept a different one. After a reload, with no further packet, every
+// replaced generation must become collectable.
+func TestIdleWorkerReleasesReplacedGeneration(t *testing.T) {
+	e := New(scratchTestSet(8), Config{Shards: 2, QueueDepth: 64, BatchSize: 4})
+	defer e.Close()
+
+	var replaced []weak.Pointer[detect.Engine]
+	for round := 0; round < 3; round++ {
+		// Both workers match under the live generation, then go idle.
+		for i := 0; i < 32; i++ {
+			p := scratchTestPacket(i)
+			p.Host = fmt.Sprintf("h%d.example", i)
+			if err := e.Submit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+		replaced = append(replaced, weak.Make(e.set.Load().eng))
+		e.Reload(scratchTestSet(16 + round))
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		kept := 0
+		for _, w := range replaced {
+			if w.Value() != nil {
+				kept++
+			}
+		}
+		if kept == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d replaced generations still reachable with every worker idle", kept, len(replaced))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -58,7 +58,8 @@ func writeEngineSnapshot(m *MetricWriter, s engine.Snapshot, labels []Label) {
 	m.Counter("leaksig_engine_dropped_total", "Packets rejected by TrySubmit under backpressure.", float64(s.Dropped), labels...)
 	m.Counter("leaksig_engine_sync_vetted_total", "Packets vetted inline via MatchPacket (proxy path).", float64(s.SyncVetted), labels...)
 	m.Counter("leaksig_engine_sync_matched_total", "Inline vets that matched at least one signature.", float64(s.SyncMatched), labels...)
-	m.Counter("leaksig_engine_reloads_total", "Signature hot reloads applied since construction.", float64(s.Reloads), labels...)
+	m.Counter("leaksig_engine_reloads_total", "Signature hot reloads applied (generations installed) since construction.", float64(s.Reloads), labels...)
+	m.Counter("leaksig_engine_compiles_total", "Signature sets compiled; a pool compiles its default once for all unpinned tenants, so they add reloads here but no compiles.", float64(s.Compiles), labels...)
 	m.Gauge("leaksig_engine_reload_generation", "Generation ticket of the live signature set (monotonic; coalesced tickets skip).", float64(s.ReloadGen), labels...)
 	m.Gauge("leaksig_engine_reload_pending", "1 while an async reload compile is queued or in flight.", boolGauge(s.PendingReload), labels...)
 	m.Gauge("leaksig_engine_reload_last_seconds", "Compile+install wall time of the last applied reload.", s.LastReload.Seconds(), labels...)

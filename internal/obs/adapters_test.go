@@ -87,6 +87,43 @@ func TestPoolCollectorExposesUpgradedAndTenants(t *testing.T) {
 	}
 }
 
+// TestPoolCollectorCompilesVersusReloads drives a real pool through one
+// pool-wide reload and one pin and reads the two counters back from the
+// exposition: the reload installs a generation on each unpinned tenant
+// but compiles once, at the pool, so the unlabeled aggregate carries the
+// compile and the tenants' own series do not; a pinned tenant compiles
+// for itself.
+func TestPoolCollectorCompilesVersusReloads(t *testing.T) {
+	set := func(v int64) *signature.Set {
+		return &signature.Set{Version: v, Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid="}, ClusterSize: 2}}}
+	}
+	pool := engine.NewPool(set(1), engine.PoolConfig{Engine: engine.Config{Shards: 1}})
+	defer pool.Close()
+	pool.Tenant("app.a")
+	pool.Tenant("app.b")
+	pool.Reload(set(2))
+	pool.ReloadTenant("app.pinned", set(3))
+	pool.Tenant("app.pinned")
+
+	out := expose(PoolCollector(pool.Metrics))
+	for _, want := range []string{
+		"leaksig_engine_compiles_total 3", // NewPool, Reload, the pinned tenant's own
+		"leaksig_engine_reloads_total 2",
+		`leaksig_engine_compiles_total{tenant="app.a"} 0`,
+		`leaksig_engine_reloads_total{tenant="app.a"} 1`,
+		`leaksig_engine_compiles_total{tenant="app.b"} 0`,
+		`leaksig_engine_compiles_total{tenant="app.pinned"} 1`,
+		`leaksig_engine_reloads_total{tenant="app.pinned"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q; got:\n%s", want, out)
+		}
+	}
+	if last := pool.Metrics().PerTenant["app.a"].LastReload; last <= 0 {
+		t.Errorf("tenant on a pool-compiled generation reports LastReload %v, want the compile+install time", last)
+	}
+}
+
 func TestTracerCollectorStageFamilies(t *testing.T) {
 	tr := trace.NewTracer(1)
 	sp := tr.Start()
