@@ -38,14 +38,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading capture: %v", err)
 	}
-	sf, err := os.Open(*sigsIn)
+	sigs, err := signature.ReadFile(*sigsIn)
 	if err != nil {
-		log.Fatalf("opening signatures: %v", err)
-	}
-	sigs, err := signature.ReadJSON(sf)
-	sf.Close()
-	if err != nil {
-		log.Fatalf("reading signatures: %v", err)
+		log.Fatal(err)
 	}
 	eng := detect.NewEngine(sigs)
 

@@ -40,149 +40,23 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"leaksig/internal/durable"
-	"leaksig/internal/obs"
-	"leaksig/internal/signature"
-	"leaksig/internal/sigserver"
+	"leaksig/internal/daemon"
 )
 
-// replayCount is Replayed on a possibly-nil journal.
-func replayCount(j *durable.ServerJournal) (restored, skipped int) {
-	if j == nil {
-		return 0, 0
-	}
-	return j.Replayed()
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sigserver: ")
-	var (
-		addr   = flag.String("addr", ":8700", "listen address")
-		sigsIn = flag.String("sigs", "", "signature set to publish at startup (empty: start empty at version 0)")
-		token  = flag.String("token", "", "bearer token required on POST /publish (empty: unauthenticated)")
+	var c daemon.Sigserver
+	flag.StringVar(&c.Addr, "addr", ":8700", "listen address")
+	flag.StringVar(&c.Sigs, "sigs", "", "signature set to publish at startup (empty: start empty at version 0)")
+	flag.StringVar(&c.Token, "token", "", "bearer token required on POST /publish (empty: unauthenticated)")
 
-		journalPath  = flag.String("journal", "", "durable publish journal: replay on start, append every accepted publish (empty: publishes live in memory only)")
-		journalFsync = flag.String("journal-fsync", "always", "journal fsync policy: always | interval | never")
+	flag.StringVar(&c.Journal, "journal", "", "durable publish journal: replay on start, append every accepted publish (empty: publishes live in memory only)")
+	flag.StringVar(&c.JournalFsync, "journal-fsync", "always", "journal fsync policy: always | interval | never")
 
-		eventsURL   = flag.String("events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
-		eventsToken = flag.String("events-token", "", "bearer token for -events-url uploads")
-		debugAddr   = flag.String("debug-addr", "", "private ops listener: /metrics, /healthz, /debug/pprof")
-	)
+	flag.StringVar(&c.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
+	flag.StringVar(&c.EventsToken, "events-token", "", "bearer token for -events-url uploads")
+	flag.StringVar(&c.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /healthz, /debug/pprof")
 	flag.Parse()
-
-	reg := obs.NewRegistry()
-	reg.Register(obs.BuildInfoCollector())
-	var shipper *obs.Shipper
-	if *eventsURL != "" {
-		shipper = obs.NewShipper(obs.ShipperConfig{URL: *eventsURL, Token: *eventsToken, Node: "sigserver"})
-		defer shipper.Close()
-		reg.Register(shipper)
-	}
-
-	srv := sigserver.New()
-	reg.Register(obs.SigserverCollector(srv.Stats))
-
-	// Attach the journal BEFORE the log/ship hook: replayed publishes
-	// restore state silently, and only live publishes reach the ops
-	// plane as events.
-	var journal *durable.ServerJournal
-	if *journalPath != "" {
-		policy, err := durable.ParseFsyncPolicy(*journalFsync)
-		if err != nil {
-			log.Fatalf("-journal-fsync: %v", err)
-		}
-		journal, err = durable.AttachServerJournal(srv, *journalPath, durable.JournalConfig{Fsync: policy})
-		if err != nil {
-			log.Fatalf("opening journal: %v", err)
-		}
-		defer journal.Close()
-		reg.Register(obs.JournalCollector(journal.Stats))
-		if restored, skipped := journal.Replayed(); restored > 0 || skipped > 0 {
-			_, v := srv.Current()
-			log.Printf("journal %s: replayed %d sets, skipped %d records (default set at version %d)",
-				*journalPath, restored, skipped, v)
-		}
-	}
-
-	srv.OnPublishNamed(func(name string, v int64) {
-		if name == "" {
-			log.Printf("published version %d", v)
-		} else {
-			log.Printf("published set %q version %d", name, v)
-		}
-		if shipper != nil {
-			shipper.Ship(obs.Event{Type: "publish", Set: name, Version: v})
-		}
-	})
-
-	if *sigsIn != "" {
-		f, err := os.Open(*sigsIn)
-		if err != nil {
-			log.Fatalf("opening signatures: %v", err)
-		}
-		set, err := signature.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("reading signatures: %v", err)
-		}
-		version := srv.Publish(set)
-		fmt.Printf("published %d signatures as version %d\n", set.Len(), version)
-	} else if restored, _ := replayCount(journal); restored > 0 {
-		_, v := srv.Current()
-		fmt.Printf("resuming from journal at version %d\n", v)
-	} else {
-		fmt.Println("starting empty at version 0 (publish to fill)")
-	}
-
-	if *debugAddr != "" {
-		go func() {
-			log.Printf("debug listener on %s (/metrics, /debug/pprof)", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, obs.DebugHandler(reg, nil)); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.HandlerWithPublish(*token))
-	mux.Handle("GET /metrics", reg.Handler())
-	hs := &http.Server{Addr: *addr, Handler: mux}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("serving on %s (GET /signatures, /version, /wait, /stats, /metrics, /healthz, /readyz; POST /publish)\n", *addr)
-
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	log.Printf("shutting down: draining requests")
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("shutdown: %v", err)
-	}
-	cancel()
-	if journal != nil {
-		if err := journal.Sync(); err != nil {
-			log.Printf("journal sync: %v", err)
-		}
-	}
-	// Deferred journal.Close and shipper.Close run now: final fsync and
-	// a last event flush before exit.
+	daemon.Main("sigserver", c.Run)
 }

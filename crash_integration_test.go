@@ -7,53 +7,54 @@ package leaksig
 // The server runs as a re-exec of this test binary (TestHelperSigserver)
 // so the kill is a real SIGKILL of a real process, not a simulated one.
 //
-// The second test is the degraded-boot path in-process: an engine boots
-// from a last-known-good signature cache while the server is down, keeps
-// matching, and converges back to the live set (updating the cache) the
-// moment the server answers.
+// The second test is the degraded-boot path in-process: the leakstream
+// daemon boots from a last-known-good signature cache while the server
+// is down, keeps matching, and converges back to the live set (updating
+// the cache) the moment the server answers.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"leaksig/internal/daemon"
 	"leaksig/internal/durable"
-	"leaksig/internal/engine"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
 	"leaksig/internal/sigserver"
 )
 
 // TestHelperSigserver is not a test: it is the child process of
-// TestKillRestartPublishBurst — a journal-backed sigserver that serves
-// until killed. Gated on an env var so a plain `go test` skips it.
+// TestKillRestartPublishBurst — the sigserver daemon itself, journal
+// attached, serving until killed. Gated on an env var so a plain
+// `go test` skips it.
 func TestHelperSigserver(t *testing.T) {
 	if os.Getenv("LEAKSIG_CRASH_HELPER") != "1" {
 		t.Skip("helper process for TestKillRestartPublishBurst")
 	}
-	srv := sigserver.New()
-	if _, err := durable.AttachServerJournal(srv, os.Getenv("LEAKSIG_CRASH_JOURNAL"), durable.JournalConfig{}); err != nil {
-		fmt.Fprintf(os.Stderr, "helper: journal: %v\n", err)
-		os.Exit(1)
-	}
-	l, err := net.Listen("tcp", os.Getenv("LEAKSIG_CRASH_ADDR"))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "helper: listen: %v\n", err)
-		os.Exit(1)
-	}
 	// The parent polls /version to know the helper is up.
-	http.Serve(l, srv.HandlerWithPublish(""))
+	err := daemon.Sigserver{
+		Addr:         os.Getenv("LEAKSIG_CRASH_ADDR"),
+		Journal:      os.Getenv("LEAKSIG_CRASH_JOURNAL"),
+		JournalFsync: "always",
+	}.Run(context.Background(), nil, io.Discard)
+	fmt.Fprintf(os.Stderr, "helper: %v\n", err)
+	os.Exit(1)
 }
 
 // crashTestSet builds a small distinguishable set for one publish.
@@ -241,13 +242,12 @@ func ackSnapshot(acked []atomic.Int64) []int64 {
 	return out
 }
 
-// TestDegradedBootFromSignatureCache is the leakstream fallback path in
-// process form: with the server down, a boot from the last-known-good
-// cache still matches traffic; when the server comes back, the watch
-// delivery replaces the cached set and rewrites the cache.
+// TestDegradedBootFromSignatureCache boots the leakstream daemon against
+// a dead server with a last-known-good cache on disk: it must serve the
+// cached set at once, say so on /readyz, and — when the server comes
+// back — take the live set, leave degraded mode and rewrite the cache.
 func TestDegradedBootFromSignatureCache(t *testing.T) {
-	dir := t.TempDir()
-	cachePath := filepath.Join(dir, "sigs.cache")
+	cachePath := filepath.Join(t.TempDir(), "sigs.cache")
 
 	// A previous healthy run persisted version 3.
 	prev, _, err := durable.OpenSetCache(cachePath)
@@ -265,28 +265,87 @@ func TestDegradedBootFromSignatureCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Boot" with the server down: the cache loads and the engine serves
-	// its set.
-	cache, loaded, err := durable.OpenSetCache(cachePath)
-	if err != nil {
-		t.Fatal(err)
+	// Two free ports: the daemon's, and one nothing listens on yet — the
+	// dead server.
+	var addrs [2]string
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+		l.Close()
 	}
-	if !loaded || cache.Len() != 1 {
-		t.Fatalf("cache reload: loaded=%v len=%d, want a 1-set cache", loaded, cache.Len())
+	listen, serverAddr := addrs[0], addrs[1]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- daemon.Leakstream{
+			Server: "http://" + serverAddr, SigCache: cachePath, Listen: listen,
+			Shards: 1, Poll: 50 * time.Millisecond,
+			Affinity: "host", TenantBy: "app", RatePolicy: "drop",
+		}.Run(ctx, strings.NewReader(""), io.Discard)
+	}()
+	var stopOnce sync.Once
+	stop := func() {
+		stopOnce.Do(func() {
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("leakstream Run: %v", err)
+			}
+		})
 	}
-	set, ok := cache.Get("")
-	if !ok || set.Version != 3 {
-		t.Fatalf("cached default set: ok=%v version=%d, want version 3", ok, set.Version)
+	defer stop()
+	get := func(path string) (int, string) {
+		resp, err := http.Get("http://" + listen + path)
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
 	}
-	eng := engine.New(set, engine.Config{Shards: 1})
-	defer eng.Close()
-	leak := httpmodel.Get("x.ads.example", "/a").Query("imei", "3579").Build()
-	if matched := eng.MatchPacket(leak); len(matched) == 0 {
-		t.Fatal("degraded engine did not match against the cached set")
+	await := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %s", what)
+			}
+		}
+	}
+	await("/readyz answer ready-degraded", func() bool {
+		code, body := get("/readyz")
+		return code == 200 && body == "ready-degraded"
+	})
+
+	// Degraded is not blank: the cached set vets traffic.
+	vet := func(p *httpmodel.Packet) (leak bool, version int64) {
+		t.Helper()
+		line, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+listen+"/match", "application/x-ndjson", bytes.NewReader(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v struct {
+			Leak    bool  `json:"leak"`
+			Version int64 `json:"version"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v.Leak, v.Version
+	}
+	if leak, v := vet(httpmodel.Get("x.ads.example", "/a").Query("imei", "3579").Build()); !leak || v != 3 {
+		t.Fatalf("degraded daemon answered leak=%v version=%d against the cached set, want a leak at version 3", leak, v)
 	}
 
-	// The server comes back with version 4; the watch path applies it
-	// and persists it, exactly as leakstream's liveDelivery does.
+	// The server comes back, on the address the daemon has been polling,
+	// with version 4.
 	srv := sigserver.New()
 	live := &signature.Set{
 		Version: 4,
@@ -298,34 +357,25 @@ func TestDegradedBootFromSignatureCache(t *testing.T) {
 	if _, err := srv.PublishVersioned(live); err != nil {
 		t.Fatal(err)
 	}
-	backend := httptest.NewServer(srv.Handler())
+	l, err := net.Listen("tcp", serverAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := httptest.NewUnstartedServer(srv.Handler())
+	backend.Listener.Close()
+	backend.Listener = l
+	backend.Start()
 	defer backend.Close()
+	defer stop() // first: Close waits out the daemon's long poll otherwise
 
-	client := sigserver.NewClient(backend.URL, backend.Client())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	delivered := make(chan *signature.Set, 1)
-	go client.Watch(ctx, time.Second, func(s *signature.Set) {
-		if err := cache.Put("", s); err != nil {
-			t.Errorf("cache put: %v", err)
-		}
-		eng.Reload(s)
-		select {
-		case delivered <- s:
-		default:
-		}
+	await("/readyz answer ready after recovery", func() bool {
+		code, body := get("/readyz")
+		return code == 200 && body == "ready"
 	})
-	select {
-	case s := <-delivered:
-		if s.Version != 4 {
-			t.Fatalf("watch delivered version %d, want 4", s.Version)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch never delivered the live set")
-	}
-	if eng.Version() != 4 {
-		t.Fatalf("engine version %d after recovery, want 4", eng.Version())
-	}
+	await("the live set on /match", func() bool {
+		leak, v := vet(httpmodel.Get("x.ads.example", "/a").Query("android_id", "a1b2").Build())
+		return leak && v == 4
+	})
 
 	// The cache on disk now holds the live set: the next degraded boot
 	// starts from version 4, not 3.

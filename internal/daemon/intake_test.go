@@ -1,0 +1,177 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"log"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"leaksig/internal/android"
+	"leaksig/internal/engine"
+	"leaksig/internal/httpmodel"
+	"leaksig/internal/obs"
+	"leaksig/internal/sensitive"
+	"leaksig/internal/signature"
+)
+
+// lockedBuffer is a log destination a test may read while daemon
+// goroutines still write to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// captureLog redirects the daemon log into a buffer for one test.
+func captureLog(t *testing.T) *lockedBuffer {
+	t.Helper()
+	buf := &lockedBuffer{}
+	log.SetOutput(buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return buf
+}
+
+// newTestStream is a single-engine leakstream with an empty signature
+// set and no intake limit, as its HTTP handler sees it.
+func newTestStream(t *testing.T) *stream {
+	t.Helper()
+	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(&signature.Set{}, engine.Config{Shards: 1})
+	t.Cleanup(eng.Close)
+	return &stream{
+		ops:     ops,
+		be:      &engineBackend{eng: eng},
+		limiter: obs.NewRateLimiter(obs.RateLimiterConfig{}),
+		keyFn:   tenantKeyFn("app"),
+	}
+}
+
+// hostileBody is an NDJSON body whose rejected lines each carry one of
+// the device's identifiers where an error message is tempted to quote it:
+// as the method, in the query of a path with no leading slash, and in a
+// line cut off mid-value. Lines 1, 3 and 7 are good packets; 2, 4 and 5
+// must be rejected; 6 is blank.
+func hostileBody(t *testing.T) (body string, oracle *sensitive.Oracle) {
+	t.Helper()
+	dev := android.NewDevice(rand.New(rand.NewSource(7)), android.Carriers()[0])
+	line := func(p *httpmodel.Packet) string {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	good := func(id int64) string {
+		return line(httpmodel.Get("ads.example", "/t?x=1").ID(id).App("com.a").Build())
+	}
+	badMethod := httpmodel.Get("ads.example", "/t").ID(2).Build()
+	badMethod.Method = dev.IMSI
+	badPath := httpmodel.Get("ads.example", "/t").ID(4).Build()
+	badPath.Path = "track?imei=" + dev.IMEI
+	whole := line(httpmodel.Get("ads.example", "/t?aid="+dev.AndroidID).ID(5).Build())
+	truncated := whole[:strings.Index(whole, dev.AndroidID)+len(dev.AndroidID)]
+	return strings.Join([]string{
+		good(1), line(badMethod), good(3), line(badPath), truncated, "", good(7),
+	}, "\n") + "\n", sensitive.NewOracle(dev)
+}
+
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
+
+// lineNumbers extracts the N of every "line N" in s, in order.
+func lineNumbers(s string) []int {
+	var out []int
+	for _, m := range regexp.MustCompile(`line (\d+)`).FindAllStringSubmatch(s, -1) {
+		n, _ := strconv.Atoi(m[1])
+		out = append(out, n)
+	}
+	return out
+}
+
+// TestIngestAndMatchRejectTheSameLines posts one body of good, invalid,
+// malformed and blank lines to both intake endpoints: they go through
+// one intake, so they must agree on which lines are packets.
+func TestIngestAndMatchRejectTheSameLines(t *testing.T) {
+	logged := captureLog(t)
+	h := newTestStream(t).handler()
+	body, _ := hostileBody(t)
+	wantRejected := []int{2, 4, 5}
+
+	ingest := post(h, "/ingest", body)
+	if got, want := ingest.Body.String(), `{"accepted":3,"rejected":3}`+"\n"; got != want {
+		t.Fatalf("/ingest answered %q, want %q", got, want)
+	}
+	if got := lineNumbers(logged.String()); !reflect.DeepEqual(got, wantRejected) {
+		t.Fatalf("/ingest logged rejections of lines %v, want %v\n%s", got, wantRejected, logged)
+	}
+
+	var verdictIDs []int64
+	var errorLines []int
+	for _, l := range strings.Split(strings.TrimSpace(post(h, "/match", body).Body.String()), "\n") {
+		var answer struct {
+			ID    int64  `json:"id"`
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(l), &answer); err != nil {
+			t.Fatalf("/match line %q: %v", l, err)
+		}
+		if answer.Error != "" {
+			errorLines = append(errorLines, lineNumbers(answer.Error)...)
+		} else {
+			verdictIDs = append(verdictIDs, answer.ID)
+		}
+	}
+	if !reflect.DeepEqual(errorLines, wantRejected) {
+		t.Fatalf("/match answered in-band errors for lines %v, want %v", errorLines, wantRejected)
+	}
+	if want := []int64{1, 3, 7}; !reflect.DeepEqual(verdictIDs, want) {
+		t.Fatalf("/match answered verdicts for ids %v, want %v", verdictIDs, want)
+	}
+}
+
+// TestIntakeNeverRepeatsPacketValues is the telemetry-hygiene guard: a
+// leak detector must not write the identifiers it hunts into its own
+// log or its error answers, and a rejected line is exactly where an
+// error message is tempted to quote them.
+func TestIntakeNeverRepeatsPacketValues(t *testing.T) {
+	logged := captureLog(t)
+	h := newTestStream(t).handler()
+	body, oracle := hostileBody(t)
+	if len(oracle.ScanBytes([]byte(body))) == 0 {
+		t.Fatal("the hostile body carries no sensitive value; the test would pass vacuously")
+	}
+	said := fmt.Sprint(post(h, "/ingest", body).Body, post(h, "/match", body).Body, logged)
+	if kinds := oracle.ScanBytes([]byte(said)); len(kinds) > 0 {
+		t.Fatalf("the intake repeated sensitive values %v in its log or answers:\n%s", kinds, said)
+	}
+	if !strings.Contains(said, "unsupported method") || !strings.Contains(said, "bad path") || !strings.Contains(said, "malformed JSON") {
+		t.Fatalf("rejections should still say which check failed:\n%s", said)
+	}
+}

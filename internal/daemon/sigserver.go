@@ -1,0 +1,105 @@
+package daemon
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"log"
+	"net/http"
+
+	"leaksig/internal/durable"
+	"leaksig/internal/obs"
+	"leaksig/internal/signature"
+	"leaksig/internal/sigserver"
+)
+
+// Sigserver configures the signature distribution server; each field is
+// the cmd/sigserver flag its comment names, where the defaults and the
+// help text live.
+type Sigserver struct {
+	Addr  string // -addr
+	Sigs  string // -sigs
+	Token string // -token
+
+	Journal      string // -journal
+	JournalFsync string // -journal-fsync
+
+	EventsURL   string // -events-url
+	EventsToken string // -events-token
+	DebugAddr   string // -debug-addr
+}
+
+// Run is the server: it replays the journal, publishes the seed set, and
+// serves on Addr until ctx is cancelled, then drains in-flight requests
+// and syncs the journal.
+func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error {
+	ops, err := newOps(opsConfig{
+		node: "sigserver", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
+	})
+	if err != nil {
+		return err
+	}
+	defer ops.close()
+
+	srv := sigserver.New()
+	ops.reg.Register(obs.SigserverCollector(srv.Stats))
+
+	// Attach the journal BEFORE the log/ship hook: replayed publishes
+	// restore state silently, and only live publishes reach the ops
+	// plane as events.
+	restored := 0
+	if c.Journal != "" {
+		policy, err := durable.ParseFsyncPolicy(c.JournalFsync)
+		if err != nil {
+			return fmt.Errorf("-journal-fsync: %v", err)
+		}
+		journal, err := durable.AttachServerJournal(srv, c.Journal, durable.JournalConfig{Fsync: policy})
+		if err != nil {
+			return fmt.Errorf("opening journal: %v", err)
+		}
+		// Runs once the listener has drained: the final fsync.
+		defer func() {
+			if err := journal.Sync(); err != nil {
+				log.Printf("journal sync: %v", err)
+			}
+			journal.Close()
+		}()
+		ops.reg.Register(obs.JournalCollector(journal.Stats))
+		var skipped int
+		if restored, skipped = journal.Replayed(); restored > 0 || skipped > 0 {
+			_, v := srv.Current()
+			log.Printf("journal %s: replayed %d sets, skipped %d records (default set at version %d)",
+				c.Journal, restored, skipped, v)
+		}
+	}
+
+	srv.OnPublishNamed(func(name string, v int64) {
+		if name == "" {
+			log.Printf("published version %d", v)
+		} else {
+			log.Printf("published set %q version %d", name, v)
+		}
+		ops.ship(obs.Event{Type: "publish", Set: name, Version: v})
+	})
+
+	switch {
+	case c.Sigs != "":
+		set, err := signature.ReadFile(c.Sigs)
+		if err != nil {
+			return err
+		}
+		version := srv.Publish(set)
+		fmt.Fprintf(stdout, "published %d signatures as version %d\n", set.Len(), version)
+	case restored > 0:
+		_, v := srv.Current()
+		fmt.Fprintf(stdout, "resuming from journal at version %d\n", v)
+	default:
+		fmt.Fprintln(stdout, "starting empty at version 0 (publish to fill)")
+	}
+
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.HandlerWithPublish(c.Token))
+	mux.Handle("GET /metrics", ops.reg.Handler())
+	fmt.Fprintf(stdout, "serving on %s (GET /signatures, /version, /wait, /stats, /metrics, /healthz, /readyz; POST /publish)\n", c.Addr)
+	return ops.serve(ctx, "draining requests", &http.Server{Addr: c.Addr, Handler: mux}, nil)
+}

@@ -103,11 +103,6 @@ type Config struct {
 	// BatchSize pins the drain size.
 	MinBatch int
 	MaxBatch int
-	// FlushInterval is retained for configuration compatibility and is
-	// no longer used: ring-queued packets are visible to the worker
-	// immediately, so no background flusher is needed to bound the
-	// latency of lone packets.
-	FlushInterval time.Duration
 	// Affinity selects the shard-assignment strategy.
 	Affinity Affinity
 	// OnVerdict, when non-nil, receives every verdict. It is shorthand
@@ -164,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize > c.MaxBatch {
 		c.BatchSize = c.MaxBatch
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = time.Millisecond
 	}
 	return c
 }

@@ -148,7 +148,7 @@ func TestPoolIdleEviction(t *testing.T) {
 // packet — evicted tenants drain, and racing Submits recreate them.
 func TestPoolEvictionRacesIngest(t *testing.T) {
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:        Config{Shards: 1, BatchSize: 2, FlushInterval: 100 * time.Microsecond},
+		Engine:        Config{Shards: 1, BatchSize: 2},
 		IdleAfter:     time.Millisecond,
 		SweepInterval: time.Millisecond,
 	})

@@ -241,18 +241,21 @@ func (p *Packet) EndTrace() {
 
 // Validate checks structural invariants: method is GET or POST, path is
 // non-empty and starts with '/', protocol is HTTP/1.x, host is non-empty,
-// and GET requests carry no body.
+// and GET requests carry no body. The error says which check failed and
+// how long the field was, never the field itself: a rejected packet's
+// path or method is attacker-chosen and may carry the very identifiers
+// the detector exists to catch, and this error is logged.
 func (p *Packet) Validate() error {
 	switch p.Method {
 	case "GET", "POST":
 	default:
-		return fmt.Errorf("httpmodel: packet %d: unsupported method %q", p.ID, p.Method)
+		return fmt.Errorf("httpmodel: packet %d: unsupported method (%d bytes)", p.ID, len(p.Method))
 	}
 	if p.Path == "" || p.Path[0] != '/' {
-		return fmt.Errorf("httpmodel: packet %d: bad path %q", p.ID, p.Path)
+		return fmt.Errorf("httpmodel: packet %d: bad path (%d bytes)", p.ID, len(p.Path))
 	}
 	if p.Proto != "HTTP/1.0" && p.Proto != "HTTP/1.1" {
-		return fmt.Errorf("httpmodel: packet %d: bad protocol %q", p.ID, p.Proto)
+		return fmt.Errorf("httpmodel: packet %d: bad protocol (%d bytes)", p.ID, len(p.Proto))
 	}
 	if p.Host == "" {
 		return fmt.Errorf("httpmodel: packet %d: missing host", p.ID)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -125,6 +126,21 @@ func ReadJSON(r io.Reader) (*Set, error) {
 		return nil, fmt.Errorf("signature: decoding set: %w", err)
 	}
 	return &s, nil
+}
+
+// ReadFile reads the set stored at path — what a daemon's or tool's
+// -sigs flag names.
+func ReadFile(path string) (*Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("opening signatures: %w", err)
+	}
+	defer f.Close()
+	set, err := ReadJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading signatures: %w", err)
+	}
+	return set, nil
 }
 
 // DefaultStoplist contains HTTP boilerplate that must never count toward a
