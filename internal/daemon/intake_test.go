@@ -70,11 +70,14 @@ func newTestStream(t *testing.T) *stream {
 	}
 }
 
-// hostileBody is an NDJSON body whose rejected lines each carry one of
-// the device's identifiers where an error message is tempted to quote it:
-// as the method, in the query of a path with no leading slash, and in a
-// line cut off mid-value. Lines 1, 3 and 7 are good packets; 2, 4 and 5
-// must be rejected; 6 is blank.
+// hostileBody is an NDJSON body whose lines each carry one of the
+// device's identifiers where an error message is tempted to quote it:
+// as the method, in the query of a path with no leading slash, in a line
+// cut off mid-value, as the destination address of an otherwise
+// well-formed line (ipaddr's parse error quotes its input), and under a
+// key the schema does not know (a line only encoding/json decodes).
+// Lines 1, 3, 7 and 9 are good packets; 2, 4, 5 and 8 must be rejected;
+// 6 is blank.
 func hostileBody(t *testing.T) (body string, oracle *sensitive.Oracle) {
 	t.Helper()
 	dev := android.NewDevice(rand.New(rand.NewSource(7)), android.Carriers()[0])
@@ -94,8 +97,13 @@ func hostileBody(t *testing.T) (body string, oracle *sensitive.Oracle) {
 	badPath.Path = "track?imei=" + dev.IMEI
 	whole := line(httpmodel.Get("ads.example", "/t?aid="+dev.AndroidID).ID(5).Build())
 	truncated := whole[:strings.Index(whole, dev.AndroidID)+len(dev.AndroidID)]
+	imeiAddr := strings.Replace(good(8), `"dst_ip":"0.0.0.0"`, `"dst_ip":"`+dev.IMEI+`"`, 1)
+	unknownKey := strings.TrimSuffix(good(9), "}") + `,"android_id":"` + dev.AndroidID + `"}`
+	if imeiAddr == good(8) || !strings.Contains(unknownKey, dev.AndroidID) {
+		t.Fatal("hostileBody: the packet JSON changed shape; the hostile lines carry no identifier")
+	}
 	return strings.Join([]string{
-		good(1), line(badMethod), good(3), line(badPath), truncated, "", good(7),
+		good(1), line(badMethod), good(3), line(badPath), truncated, "", good(7), imeiAddr, unknownKey,
 	}, "\n") + "\n", sensitive.NewOracle(dev)
 }
 
@@ -122,10 +130,10 @@ func TestIngestAndMatchRejectTheSameLines(t *testing.T) {
 	logged := captureLog(t)
 	h := newTestStream(t).handler()
 	body, _ := hostileBody(t)
-	wantRejected := []int{2, 4, 5}
+	wantRejected := []int{2, 4, 5, 8}
 
 	ingest := post(h, "/ingest", body)
-	if got, want := ingest.Body.String(), `{"accepted":3,"rejected":3}`+"\n"; got != want {
+	if got, want := ingest.Body.String(), `{"accepted":4,"rejected":4}`+"\n"; got != want {
 		t.Fatalf("/ingest answered %q, want %q", got, want)
 	}
 	if got := lineNumbers(logged.String()); !reflect.DeepEqual(got, wantRejected) {
@@ -151,7 +159,7 @@ func TestIngestAndMatchRejectTheSameLines(t *testing.T) {
 	if !reflect.DeepEqual(errorLines, wantRejected) {
 		t.Fatalf("/match answered in-band errors for lines %v, want %v", errorLines, wantRejected)
 	}
-	if want := []int64{1, 3, 7}; !reflect.DeepEqual(verdictIDs, want) {
+	if want := []int64{1, 3, 7, 9}; !reflect.DeepEqual(verdictIDs, want) {
 		t.Fatalf("/match answered verdicts for ids %v, want %v", verdictIDs, want)
 	}
 }
@@ -159,7 +167,8 @@ func TestIngestAndMatchRejectTheSameLines(t *testing.T) {
 // TestIntakeNeverRepeatsPacketValues is the telemetry-hygiene guard: a
 // leak detector must not write the identifiers it hunts into its own
 // log or its error answers, and a rejected line is exactly where an
-// error message is tempted to quote them.
+// error message is tempted to quote them — on the schema decoder's fast
+// path and on its encoding/json fallback alike.
 func TestIntakeNeverRepeatsPacketValues(t *testing.T) {
 	logged := captureLog(t)
 	h := newTestStream(t).handler()

@@ -3,14 +3,15 @@ package daemon
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"leaksig/internal/capture"
 	"leaksig/internal/durable"
@@ -553,6 +554,96 @@ type verdictLine struct {
 	Trace     string `json:"trace,omitempty"`
 }
 
+// appendVerdict appends v's NDJSON line to dst, byte for byte what
+// json.Encoder.Encode(v) writes, without reflection or allocation.
+func appendVerdict(dst []byte, v *verdictLine) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, v.ID, 10)
+	if v.App != "" {
+		dst = appendJSONString(append(dst, `,"app":`...), v.App)
+	}
+	if v.Tenant != "" {
+		dst = appendJSONString(append(dst, `,"tenant":`...), v.Tenant)
+	}
+	dst = appendJSONString(append(dst, `,"host":`...), v.Host)
+	dst = strconv.AppendBool(append(dst, `,"leak":`...), v.Leak)
+	if len(v.Matched) > 0 {
+		dst = append(dst, `,"matched":[`...)
+		for i, id := range v.Matched {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(id), 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendInt(append(dst, `,"version":`...), v.Version, 10)
+	if v.LatencyUS != 0 {
+		dst = strconv.AppendInt(append(dst, `,"latency_us":`...), v.LatencyUS, 10)
+	}
+	if v.Trace != "" {
+		dst = appendJSONString(append(dst, `,"trace":`...), v.Trace)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendError appends /match's in-band rejection line, as
+// json.Encoder.Encode(map[string]string{"error": msg}) writes it.
+func appendError(dst []byte, msg string) []byte {
+	return append(appendJSONString(append(dst, `{"error":`...), msg), "}\n"...)
+}
+
+// appendJSONString appends s as encoding/json quotes it by default:
+// HTML-safe (<, > and & escaped), U+2028 and U+2029 escaped, and each
+// byte of invalid UTF-8 replaced by U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
 func toLine(tenant string, v engine.Verdict) verdictLine {
 	return verdictLine{
 		ID:        v.Packet.ID,
@@ -578,26 +669,30 @@ const verdictFlushInterval = 25 * time.Millisecond
 type verdictWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte // one drain's lines, reused under mu
 }
 
 func newVerdictWriter(w io.Writer) *verdictWriter {
-	bw := bufio.NewWriter(w)
-	return &verdictWriter{bw: bw, enc: json.NewEncoder(bw)}
+	return &verdictWriter{bw: bufio.NewWriter(w)}
 }
 
 // sink returns the engine sink of one tenant ("" for the single-engine
-// daemon): each drain's verdicts become NDJSON lines under one lock, and
-// its leaks ship as ops-plane events (clean traffic is volume, leaks are
-// signal). The shipper never blocks the verdict path — a wedged event
-// consumer costs dropped events, not matching throughput — but it keeps
-// events past the call, so a shipped event copies the borrowed Matched.
+// daemon): each drain's verdicts become NDJSON lines and one write under
+// one lock, and its leaks ship as ops-plane events (clean traffic is
+// volume, leaks are signal). The shipper never blocks the verdict path —
+// a wedged event consumer costs dropped events, not matching throughput
+// — but it keeps events past the call, so a shipped event copies the
+// borrowed Matched.
 func (vw *verdictWriter) sink(tenant string, shipper *obs.Shipper) engine.Sink {
 	return engine.BatchCallbackSink(func(vs []engine.Verdict) {
 		vw.mu.Lock()
+		buf := vw.buf[:0]
 		for _, v := range vs {
-			vw.enc.Encode(toLine(tenant, v))
+			line := toLine(tenant, v)
+			buf = appendVerdict(buf, &line)
 		}
+		vw.bw.Write(buf)
+		vw.buf = buf
 		vw.mu.Unlock()
 		if shipper == nil {
 			return
@@ -647,16 +742,16 @@ func (s *stream) handler() http.Handler {
 	mux.HandleFunc("POST /match", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		tenant := tenantOf(r)
-		enc := json.NewEncoder(w)
 		// The same intake as /ingest, but its buffer grows on demand: the
 		// usual /match body is one packet, and a megabyte allocated and
 		// zeroed per request was most of this daemon's garbage under a vet
-		// or probe load. The status line is already committed, so a
-		// rejected line becomes an in-band NDJSON error and the stream
-		// goes on — same skip semantics as /ingest.
+		// or probe load. A rejected line becomes an in-band NDJSON error
+		// and the stream goes on — same skip semantics as /ingest — and
+		// the answer is written once, after the body is read.
+		var out []byte
 		_, _, err := httpmodel.ReadNDJSON(r.Body, nil, func(p *httpmodel.Packet) error {
 			v := s.be.match(tenant, p)
-			enc.Encode(verdictLine{
+			out = appendVerdict(out, &verdictLine{
 				ID:      p.ID,
 				App:     p.App,
 				Tenant:  tenant,
@@ -667,11 +762,12 @@ func (s *stream) handler() http.Handler {
 			})
 			return nil
 		}, func(line int, err error) {
-			enc.Encode(map[string]string{"error": fmt.Sprintf("line %d: %v", line, err)})
+			out = appendError(out, fmt.Sprintf("line %d: %v", line, err))
 		})
 		if err != nil {
 			log.Printf("reading packets: %v", err)
 		}
+		w.Write(out)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		snap, ok := s.be.stats(r.URL.Query().Get("tenant"))

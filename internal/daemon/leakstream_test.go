@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,5 +143,76 @@ func TestMatchVerdictNeverMixesGenerations(t *testing.T) {
 			done.Store(true)
 			wg.Wait()
 		})
+	}
+}
+
+// TestAppendVerdictMatchesEncoder is the verdict encoder's differential:
+// appendVerdict and appendError write exactly the bytes json.Encoder
+// wrote for the same line — HTML escapes, U+2028/U+2029, invalid UTF-8,
+// control bytes, omitted empty fields, negative ids.
+func TestAppendVerdictMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"a", "com.", "<", ">", "&", "\"", "\\", "\x00", "\x1f", "\n", "\r", "\t", "\b", "\f",
+		"\u2028", "\u2029", "\u007f", "é", "日本", "😀", "\xff", "\xe2\x82", " "}
+	str := func() string {
+		var b strings.Builder
+		for n := rng.Intn(5); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	int64s := func() int64 { return []int64{0, 1, -1, rng.Int63(), -rng.Int63(), -1 << 63}[rng.Intn(6)] }
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for i := 0; i < 5000; i++ {
+		v := verdictLine{
+			ID: int64s(), App: str(), Tenant: str(), Host: str(), Leak: rng.Intn(2) == 0,
+			Version: int64s(), LatencyUS: int64s(), Trace: str(),
+		}
+		switch rng.Intn(3) {
+		case 0:
+			v.Matched = []int{}
+		case 1:
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				v.Matched = append(v.Matched, int(int64s()))
+			}
+		}
+		want.Reset()
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendVerdict(nil, &v); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendVerdict(%#v)\n got %s\nwant %s", v, got, want.Bytes())
+		}
+		msg := str()
+		want.Reset()
+		if err := enc.Encode(map[string]string{"error": msg}); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendError(nil, msg); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendError(%q)\n got %s\nwant %s", msg, got, want.Bytes())
+		}
+	}
+}
+
+// TestVerdictDrainAllocatesNothing pins the verdict sink's steady state:
+// once its line buffer has held a drain, encoding and writing the next
+// drain allocates nothing, so a later change cannot quietly go back to
+// reflection.
+func TestVerdictDrainAllocatesNothing(t *testing.T) {
+	vw := newVerdictWriter(io.Discard)
+	sink := vw.sink("tenant-a", nil).Bind(0, 1)
+	vs := make([]engine.Verdict, 64)
+	for i := range vs {
+		vs[i] = engine.Verdict{
+			Packet:  &httpmodel.Packet{ID: int64(i), App: "com.a", Host: "ads.example", Trace: "t-1"},
+			Version: 3,
+		}
+		if i%4 == 0 {
+			vs[i].Matched = []int{i, i + 1}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink.Batch(vs) }); allocs != 0 {
+		t.Fatalf("one drain of %d verdicts allocated %.1f times; want 0", len(vs), allocs)
 	}
 }

@@ -78,6 +78,7 @@ func TestSoakReloadChurnFullTrace(t *testing.T) {
 	// Republisher: a new version of the 10k set every 50ms.
 	stopPublish := make(chan struct{})
 	publishDone := make(chan struct{})
+	firstIssued := make(chan struct{})
 	var issued atomic.Uint64
 	go func() {
 		defer close(publishDone)
@@ -89,12 +90,21 @@ func TestSoakReloadChurnFullTrace(t *testing.T) {
 				return
 			case <-tick.C:
 				eng.ReloadAsync(&signature.Set{Version: v, Signatures: base.Signatures})
-				issued.Add(1)
+				if issued.Add(1) == 1 {
+					close(firstIssued)
+				}
 			}
 		}
 	}()
 
-	for _, p := range e.Dataset.Capture.Packets {
+	// A fast host streams the whole trace inside one 50ms tick; holding
+	// the second half until the first republish keeps a reload in flight
+	// while packets stream.
+	ps := e.Dataset.Capture.Packets
+	for i, p := range ps {
+		if i == len(ps)/2 {
+			<-firstIssued
+		}
 		if err := eng.Submit(p); err != nil {
 			t.Fatal(err)
 		}
