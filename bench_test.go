@@ -630,23 +630,29 @@ func BenchmarkSiggenIntake(b *testing.B) {
 }
 
 // BenchmarkIncrementalCluster measures the rolling clusterer's Observe
-// path — one packet assigned against every live medoid — at the cluster
-// table sizes a learner actually runs with, plus the periodic Compact.
+// path — one packet's destination bound against every live medoid, and
+// a full distance only against the medoids the bound cannot rule out —
+// at the cluster table sizes a learner actually runs with, plus the
+// periodic Compact. distances/op and pruned/op split the live medoids
+// per arrival into the two.
 func BenchmarkIncrementalCluster(b *testing.B) {
 	ps := benchPackets(2048)
 	for _, maxClusters := range []int{8, 32, 64} {
 		b.Run(fmt.Sprintf("observe/maxClusters=%d", maxClusters), func(b *testing.B) {
 			c := siggen.NewClusterer(siggen.ClusterConfig{MaxClusters: maxClusters}, 1)
-			// Warm the table so every observed packet pays the full scan.
+			// Warm the table so every observed packet meets a full one.
 			for _, p := range ps[:256] {
 				c.Observe(p)
 			}
+			distances, pruned := c.Distances(), c.Pruned()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Observe(ps[i%len(ps)])
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(c.Len()), "clusters")
+			b.ReportMetric(float64(c.Distances()-distances)/float64(b.N), "distances/op")
+			b.ReportMetric(float64(c.Pruned()-pruned)/float64(b.N), "pruned/op")
 		})
 	}
 	b.Run("compact/maxClusters=32", func(b *testing.B) {

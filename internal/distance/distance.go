@@ -53,6 +53,8 @@ func (m Mode) String() string {
 
 // Config parameterizes the metric. The zero value gives the repository
 // defaults: normalized mode, DEFLATE-backed cached NCD, unit weights.
+// The cache never evicts; a long-running caller should pass an uncached
+// compressor and compare Profiles instead.
 type Config struct {
 	Mode Mode
 
@@ -83,6 +85,10 @@ type Metric struct {
 	wDst    float64
 	wHeader float64
 	orgRes  func(a, b ipaddr.Addr) (same, known bool)
+
+	// emptyLen is C("") under comp, computed once: most packets carry no
+	// cookie and no body, and compressing "" per profile is not free.
+	emptyLen func() int
 }
 
 // New builds a Metric from cfg.
@@ -102,7 +108,10 @@ func New(cfg Config) *Metric {
 	if wh == 0 {
 		wh = 1
 	}
-	return &Metric{mode: cfg.Mode, comp: comp, wDst: wd, wHeader: wh, orgRes: cfg.OrgResolver}
+	return &Metric{
+		mode: cfg.Mode, comp: comp, wDst: wd, wHeader: wh, orgRes: cfg.OrgResolver,
+		emptyLen: sync.OnceValue(func() int { return comp.CompressedLen(nil) }),
+	}
 }
 
 // Default returns the metric with repository-default configuration.
@@ -178,6 +187,66 @@ func (m *Metric) Packet(px, py *httpmodel.Packet) float64 {
 	return d
 }
 
+// LowerBound returns w_dst·ddst(px, py), the first term Packet adds up,
+// computed exactly as Packet computes it. Every content term is an NCD
+// clamped at 0 and a content weight only counts when positive, so
+// LowerBound(px, py) ≤ Packet(px, py) holds in floating point too, and
+// it costs no compression.
+func (m *Metric) LowerBound(px, py *httpmodel.Packet) float64 {
+	d := 0.0
+	if m.wDst > 0 {
+		d += m.wDst * m.Destination(px, py)
+	}
+	return d
+}
+
+// Profile is one packet prepared for repeated comparison: its three
+// content fields and their compressed lengths, so an NCD term against
+// another profile costs one compression (of the concatenation) instead
+// of three. A profile is immutable, safe for concurrent use, and valid
+// only with the Metric that built it. It holds no shared cache: its
+// memory goes when the profile does.
+type Profile struct {
+	p      *httpmodel.Packet
+	fields [3][]byte
+	lens   [3]int // C(fields[i])
+}
+
+// Profile builds p's profile: one compression per non-empty content
+// field.
+func (m *Metric) Profile(p *httpmodel.Packet) *Profile {
+	pr := &Profile{p: p, fields: p.ContentFields()}
+	for i, f := range pr.fields {
+		if len(f) == 0 {
+			pr.lens[i] = m.emptyLen()
+		} else {
+			pr.lens[i] = m.comp.CompressedLen(f)
+		}
+	}
+	return pr
+}
+
+// PacketFrom returns Packet over the two profiles' packets bit for bit,
+// given their LowerBound as bound: only the content terms are left to
+// pay.
+func (m *Metric) PacketFrom(bound float64, x, y *Profile) float64 {
+	d := bound
+	if m.wHeader > 0 {
+		c := 0.0
+		for i := range x.fields {
+			c += ncd.DistanceLens(m.comp, x.fields[i], y.fields[i], x.lens[i], y.lens[i])
+		}
+		d += m.wHeader * c
+	}
+	return d
+}
+
+// ProfilePacket returns Packet over the two profiles' packets bit for
+// bit.
+func (m *Metric) ProfilePacket(x, y *Profile) float64 {
+	return m.PacketFrom(m.LowerBound(x.p, y.p), x, y)
+}
+
 // MaxValue returns an upper bound of dpkt under this configuration, used to
 // normalize dendrogram cut thresholds. Each of the six component terms lies
 // in [0, 1] (NCD can marginally exceed 1; the bound is adequate for
@@ -196,13 +265,23 @@ type Matrix struct {
 // NewMatrix computes all pairwise distances among packets using the metric,
 // fanning work out over min(GOMAXPROCS, pairs) goroutines.
 func NewMatrix(m *Metric, packets []*httpmodel.Packet) *Matrix {
-	n := len(packets)
+	return fill(len(packets), func(i, j int) float64 { return m.Packet(packets[i], packets[j]) })
+}
+
+// NewProfileMatrix is NewMatrix over profiles: the same distances, each
+// pair paying only its concatenations' compressions.
+func NewProfileMatrix(m *Metric, profs []*Profile) *Matrix {
+	return fill(len(profs), func(i, j int) float64 { return m.ProfilePacket(profs[i], profs[j]) })
+}
+
+// fill computes dist over every pair i < j of n items, fanning work out
+// over min(GOMAXPROCS, pairs) goroutines.
+func fill(n int, dist func(i, j int) float64) *Matrix {
 	mx := &Matrix{n: n, vals: make([]float64, n*(n-1)/2)}
 	if n < 2 {
 		return mx
 	}
-	// Pre-warm the NCD cache sequentially-by-row in parallel chunks: each
-	// worker takes whole rows so cache contention stays low.
+	// Workers take whole rows: one channel handoff per row, not per pair.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n-1 {
 		workers = n - 1
@@ -215,7 +294,7 @@ func NewMatrix(m *Metric, packets []*httpmodel.Packet) *Matrix {
 			defer wg.Done()
 			for i := range rows {
 				for j := i + 1; j < n; j++ {
-					mx.vals[condensedIndex(n, i, j)] = m.Packet(packets[i], packets[j])
+					mx.vals[condensedIndex(n, i, j)] = dist(i, j)
 				}
 			}
 		}()

@@ -12,8 +12,9 @@
 //
 // The package exposes a Compressor interface, a DEFLATE implementation
 // backed by compress/flate (the only stdlib general-purpose compressor),
-// and a memoizing wrapper that caches C(x) for repeated pairwise work such
-// as distance-matrix construction.
+// a memoizing wrapper that caches C(x) for repeated pairwise work such as
+// distance-matrix construction, and DistanceLens for callers that keep
+// C(x) next to x themselves.
 package ncd
 
 import (
@@ -107,8 +108,17 @@ func Distance(c Compressor, x, y []byte) float64 {
 	if len(x) == 0 && len(y) == 0 {
 		return 0
 	}
-	cx := c.CompressedLen(x)
-	cy := c.CompressedLen(y)
+	return DistanceLens(c, x, y, c.CompressedLen(x), c.CompressedLen(y))
+}
+
+// DistanceLens is Distance with the single-string compressed lengths
+// cx = C(x) and cy = C(y) supplied by the caller, so a caller that keeps
+// them per string pays one compression (of the concatenation) per pair.
+// Given the true lengths it returns exactly what Distance returns.
+func DistanceLens(c Compressor, x, y []byte, cx, cy int) float64 {
+	if len(x) == 0 && len(y) == 0 {
+		return 0
+	}
 	cxy := c.CompressedLen2(x, y)
 	mn, mx := cx, cy
 	if mn > mx {

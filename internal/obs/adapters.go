@@ -117,6 +117,8 @@ func SiggenCollector(snap func() siggen.Stats) Collector {
 		m.Gauge("leaksig_siggen_clusters", "Rolling clusters.", float64(s.Clusters))
 		m.Gauge("leaksig_siggen_cluster_members", "Members across rolling clusters.", float64(s.ClusterMembers))
 		m.Counter("leaksig_siggen_cluster_rejected_total", "Arrivals dropped by the clusterer (table full, nothing close).", float64(s.ClusterRejected))
+		m.Counter("leaksig_siggen_cluster_distances_total", "Full packet distances arrivals paid against medoids.", float64(s.ClusterDistances))
+		m.Counter("leaksig_siggen_cluster_pruned_total", "Medoids arrivals skipped on the destination lower bound alone.", float64(s.ClusterPruned))
 		m.Gauge("leaksig_siggen_silhouette", "Last compaction's medoid silhouette.", s.Silhouette)
 		m.Counter("leaksig_siggen_epochs_total", "Generation epochs run.", float64(s.Epochs))
 		m.Gauge("leaksig_siggen_candidates", "Candidate signatures in the last distillation.", float64(s.Candidates))

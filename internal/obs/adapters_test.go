@@ -11,6 +11,7 @@ import (
 	"leaksig/internal/engine"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs/trace"
+	"leaksig/internal/siggen"
 	"leaksig/internal/signature"
 )
 
@@ -121,6 +122,23 @@ func TestPoolCollectorCompilesVersusReloads(t *testing.T) {
 	}
 	if last := pool.Metrics().PerTenant["app.a"].LastReload; last <= 0 {
 		t.Errorf("tenant on a pool-compiled generation reports LastReload %v, want the compile+install time", last)
+	}
+}
+
+// TestSiggenCollectorClusterCounters pins the learner's assignment
+// counters, whose ratio is the clusterer's prune rate.
+func TestSiggenCollectorClusterCounters(t *testing.T) {
+	out := expose(SiggenCollector(func() siggen.Stats {
+		return siggen.Stats{ClusterRejected: 2, ClusterDistances: 20, ClusterPruned: 127}
+	}))
+	for _, want := range []string{
+		"leaksig_siggen_cluster_rejected_total 2",
+		"leaksig_siggen_cluster_distances_total 20",
+		"leaksig_siggen_cluster_pruned_total 127",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q; got:\n%s", want, out)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (s *Service) saveCheckpointLocked(path string) error {
 		}
 		state.Clusters = append(state.Clusters, ckptCluster{
 			ID: cl.id, Members: members, Next: cl.next,
-			Medoid: cl.medoid, LastEpoch: cl.lastEpoch,
+			Medoid: cl.medoid.p, LastEpoch: cl.lastEpoch,
 		})
 	}
 	if len(s.catalog) > 0 {
@@ -186,12 +186,12 @@ func (s *Service) RestoreCheckpoint(path string) (bool, error) {
 		if len(ck.Members) == 0 || ck.Medoid == nil {
 			continue
 		}
-		members := make([]member, len(ck.Members))
+		members := make([]*member, len(ck.Members))
 		for i, m := range ck.Members {
 			if m.Packet == nil {
 				m.Packet = &httpmodel.Packet{}
 			}
-			members[i] = member{p: m.Packet, tenant: m.Tenant}
+			members[i] = &member{p: m.Packet, tenant: m.Tenant}
 		}
 		next := ck.Next
 		if next < 0 || next >= len(members) {
@@ -202,7 +202,7 @@ func (s *Service) RestoreCheckpoint(path string) (bool, error) {
 		}
 		c.clusters = append(c.clusters, &rolling{
 			id: ck.ID, members: members, next: next,
-			medoid: ck.Medoid, lastEpoch: ck.LastEpoch,
+			medoid: &member{p: ck.Medoid}, lastEpoch: ck.LastEpoch,
 		})
 	}
 

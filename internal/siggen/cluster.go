@@ -1,11 +1,14 @@
 package siggen
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"leaksig/internal/cluster"
 	"leaksig/internal/distance"
 	"leaksig/internal/httpmodel"
+	"leaksig/internal/ncd"
 )
 
 // ClusterConfig tunes the incremental clusterer. The zero value selects
@@ -68,20 +71,21 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type member struct {
 	p      *httpmodel.Packet
 	tenant string
+	prof   *distance.Profile // nil until the member is first compared
 }
 
 // rolling is one live cluster: a bounded member window around an elected
 // medoid, with a stable identity that signature provenance hangs off.
 type rolling struct {
 	id        uint64 // stable identity; survives compaction, retired on prune
-	members   []member
-	next      int // ring cursor once members is full
-	medoid    *httpmodel.Packet
-	lastEpoch int // compaction epoch of the most recent arrival
+	members   []*member
+	next      int     // ring cursor once members is full
+	medoid    *member // may have left the ring since its election
+	lastEpoch int     // compaction epoch of the most recent arrival
 }
 
 // add appends the member, overwriting the oldest once the window is full.
-func (r *rolling) add(m member, maxMembers int) {
+func (r *rolling) add(m *member, maxMembers int) {
 	if len(r.members) < maxMembers {
 		r.members = append(r.members, m)
 		return
@@ -117,15 +121,32 @@ type Clusterer struct {
 	epoch    int
 	nextID   uint64
 
-	observed uint64
-	rejected uint64 // arrivals dropped: table full and nothing close enough
+	order []near // ObserveTenant's candidate buffer, reused across arrivals
+
+	observed  uint64
+	rejected  uint64 // arrivals dropped: table full and nothing close enough
+	distances uint64 // full dpkt evaluations against medoids on arrival
+	pruned    uint64 // medoids an arrival skipped on the destination bound
+}
+
+// near is one live medoid an arrival may join: the cluster index and
+// the destination lower bound on the arrival's distance to its medoid.
+type near struct {
+	bound float64
+	i     int
 }
 
 // NewClusterer builds an empty clusterer. seed fixes the medoid-election
 // sampling so runs are reproducible.
 func NewClusterer(cfg ClusterConfig, seed int64) *Clusterer {
 	cfg = cfg.withDefaults()
-	m := distance.New(cfg.Distance)
+	dc := cfg.Distance
+	if dc.Compressor == nil {
+		// Members carry their own compressed lengths (profiles), so a memo
+		// would only keep every request line the learner ever saw.
+		dc.Compressor = ncd.Default()
+	}
+	m := distance.New(dc)
 	return &Clusterer{
 		cfg:    cfg,
 		metric: m,
@@ -148,27 +169,69 @@ func (c *Clusterer) Observe(p *httpmodel.Packet) bool {
 // full) drop. It reports whether the packet was retained. The tenant
 // label rides on the member so every cluster knows the tenant mix of its
 // current window — the provenance per-tenant signature sets distill from.
+//
+// The choice is the nearest medoid, the lowest cluster index among equal
+// distances, as a scan of every medoid would make it; but only medoids
+// the destination term cannot rule out are compared in full. The term
+// w_dst·ddst costs no compression and lower-bounds dpkt
+// (distance.Metric.LowerBound), so a medoid whose bound exceeds the join
+// threshold can never be joined, and one whose bound exceeds the best
+// distance found so far (or equals it from a higher index) can never be
+// chosen. Survivors are visited in ascending bound order, so the best
+// distance tightens early. Ad traffic clusters by destination, which is
+// what makes the bound rule out nearly every foreign medoid.
 func (c *Clusterer) ObserveTenant(p *httpmodel.Packet, tenant string) bool {
 	c.observed++
-	best, bestD := -1, 0.0
+	order := c.order[:0]
 	for i, cl := range c.clusters {
-		d := c.metric.Packet(p, cl.medoid)
-		if best == -1 || d < bestD {
-			best, bestD = i, d
+		if b := c.metric.LowerBound(p, cl.medoid.p); b <= c.joinAt {
+			order = append(order, near{bound: b, i: i})
 		}
 	}
+	slices.SortFunc(order, func(a, b near) int {
+		if o := cmp.Compare(a.bound, b.bound); o != 0 {
+			return o
+		}
+		return a.i - b.i
+	})
+	c.order = order
+
+	var prof *distance.Profile // the arrival's, built on its first comparison
+	best, bestD, evaluated := -1, 0.0, 0
+	for _, o := range order {
+		if best >= 0 {
+			if o.bound > bestD {
+				break // every later bound is at least as large
+			}
+			if o.bound == bestD && o.i > best {
+				continue
+			}
+		}
+		if prof == nil {
+			prof = c.metric.Profile(p)
+		}
+		d := c.metric.PacketFrom(o.bound, prof, c.profile(c.clusters[o.i].medoid))
+		evaluated++
+		if best == -1 || d < bestD || (d == bestD && o.i < best) {
+			best, bestD = o.i, d
+		}
+	}
+	c.distances += uint64(evaluated)
+	c.pruned += uint64(len(c.clusters) - evaluated)
+
 	if best >= 0 && bestD <= c.joinAt {
 		cl := c.clusters[best]
-		cl.add(member{p: p, tenant: tenant}, c.cfg.MaxMembers)
+		cl.add(&member{p: p, tenant: tenant, prof: prof}, c.cfg.MaxMembers)
 		cl.lastEpoch = c.epoch
 		return true
 	}
 	if len(c.clusters) < c.cfg.MaxClusters {
 		c.nextID++
+		m := &member{p: p, tenant: tenant, prof: prof}
 		c.clusters = append(c.clusters, &rolling{
 			id:        c.nextID,
-			members:   []member{{p: p, tenant: tenant}},
-			medoid:    p,
+			members:   []*member{m},
+			medoid:    m,
 			lastEpoch: c.epoch,
 		})
 		return true
@@ -177,12 +240,22 @@ func (c *Clusterer) ObserveTenant(p *httpmodel.Packet, tenant string) bool {
 	return false
 }
 
+// profile returns m's profile, building it on first use. Nothing else
+// memoizes compressed lengths, so the learner's compression memory is
+// bounded by the members it holds: O(MaxClusters × MaxMembers).
+func (c *Clusterer) profile(m *member) *distance.Profile {
+	if m.prof == nil {
+		m.prof = c.metric.Profile(m.p)
+	}
+	return m.prof
+}
+
 // electMedoid picks the member minimizing summed distance to a sampled
 // reference set, over a sampled candidate set.
 func (c *Clusterer) electMedoid(r *rolling) {
 	n := len(r.members)
 	if n <= 2 {
-		r.medoid = r.members[0].p
+		r.medoid = r.members[0]
 		return
 	}
 	candidates := c.sampleMembers(r, c.cfg.ElectSample)
@@ -191,8 +264,10 @@ func (c *Clusterer) electMedoid(r *rolling) {
 	for _, cand := range candidates {
 		sum := 0.0
 		for _, ref := range refs {
-			if ref != cand {
-				sum += c.metric.Packet(cand, ref)
+			// A packet observed twice is two members; neither counts
+			// against the other.
+			if ref.p != cand.p {
+				sum += c.metric.ProfilePacket(c.profile(cand), c.profile(ref))
 			}
 		}
 		if bestSum < 0 || sum < bestSum {
@@ -202,21 +277,17 @@ func (c *Clusterer) electMedoid(r *rolling) {
 	r.medoid = best
 }
 
-// sampleMembers returns up to k distinct member packets, all of them when
-// the cluster is small.
-func (c *Clusterer) sampleMembers(r *rolling, k int) []*httpmodel.Packet {
+// sampleMembers returns up to k distinct members, all of them (the
+// window itself, not a copy) when the cluster is small.
+func (c *Clusterer) sampleMembers(r *rolling, k int) []*member {
 	n := len(r.members)
 	if n <= k {
-		out := make([]*httpmodel.Packet, n)
-		for i, m := range r.members {
-			out[i] = m.p
-		}
-		return out
+		return r.members
 	}
 	idx := c.rng.Perm(n)[:k]
-	out := make([]*httpmodel.Packet, k)
+	out := make([]*member, k)
 	for i, j := range idx {
-		out[i] = r.members[j].p
+		out[i] = r.members[j]
 	}
 	return out
 }
@@ -267,11 +338,13 @@ func (c *Clusterer) Compact() CompactStats {
 	// threshold arrivals join under, so two clusters the online
 	// assignment split (arrival order artifacts) re-fuse here.
 	if len(c.clusters) >= 2 {
-		medoids := make([]*httpmodel.Packet, len(c.clusters))
+		// Profiles are built here, before the matrix fans out over
+		// goroutines that only read them.
+		medoids := make([]*distance.Profile, len(c.clusters))
 		for i, cl := range c.clusters {
-			medoids[i] = cl.medoid
+			medoids[i] = c.profile(cl.medoid)
 		}
-		mx := distance.NewMatrix(c.metric, medoids)
+		mx := distance.NewProfileMatrix(c.metric, medoids)
 		dend := cluster.Agglomerate(mx, cluster.GroupAverage)
 		groups := dend.CutDistance(c.joinAt)
 		merged := make([]*rolling, 0, len(groups))
@@ -364,3 +437,12 @@ func (c *Clusterer) Members() int {
 // Rejected returns how many arrivals were dropped because the cluster
 // table was full and no medoid was within the join threshold.
 func (c *Clusterer) Rejected() uint64 { return c.rejected }
+
+// Distances returns how many full dpkt evaluations arrivals paid against
+// medoids.
+func (c *Clusterer) Distances() uint64 { return c.distances }
+
+// Pruned returns how many medoids arrivals skipped on the destination
+// bound alone. Distances + Pruned sums live clusters over arrivals, so
+// Pruned / (Distances + Pruned) is the assignment's prune rate.
+func (c *Clusterer) Pruned() uint64 { return c.pruned }

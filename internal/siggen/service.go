@@ -249,6 +249,7 @@ type Service struct {
 	reservoirs  map[string]*reservoir
 	overflow    *reservoir
 	clusterer   *Clusterer
+	stage       clusterStage // what an epoch clusters with: clusterer, outside tests
 	rng         *rand.Rand
 	newSamples  int                      // samples admitted since the last epoch
 	catalog     map[string]*publishedSig // published signatures by key
@@ -279,6 +280,15 @@ type Service struct {
 	closed   atomic.Bool
 }
 
+// clusterStage is the clusterer surface an epoch drives. Tests substitute
+// the exhaustive reference clusterer to check that both publish the same
+// sets.
+type clusterStage interface {
+	ObserveTenant(p *httpmodel.Packet, tenant string) bool
+	Compact() CompactStats
+	TaggedGroups(minSize int) []Group
+}
+
 // NewService starts the learner: the intake goroutine begins draining
 // immediately, and — when GenerateInterval is set — the epoch loop
 // begins generating.
@@ -296,6 +306,7 @@ func NewService(cfg Config) *Service {
 		stop:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
+	s.stage = s.clusterer
 	s.benignTrain, s.benignHold = splitBenign(cfg.Benign)
 	if cfg.CheckpointPath != "" {
 		// Restore before the loops start: failure to restore (missing or
@@ -408,16 +419,16 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 			// clusterer retains across epochs carry only the trace ID.
 			smp.p.Span.Stamp(trace.StageCluster)
 			smp.p.EndTrace()
-			s.clusterer.ObserveTenant(smp.p, smp.tenant)
+			s.stage.ObserveTenant(smp.p, smp.tenant)
 		}
 		delete(s.reservoirs, key)
 	}
 	for _, smp := range s.overflow.take() {
 		smp.p.Span.Stamp(trace.StageCluster)
 		smp.p.EndTrace()
-		s.clusterer.ObserveTenant(smp.p, smp.tenant)
+		s.stage.ObserveTenant(smp.p, smp.tenant)
 	}
-	s.lastCompact = s.clusterer.Compact()
+	s.lastCompact = s.stage.Compact()
 
 	// Drift retirement: follow this compaction's merge renames, drop its
 	// retired clusters, and retire every catalog signature that lost its
@@ -425,7 +436,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	s.retireLocked(s.lastCompact)
 
 	// Stage 3: distill, gate, and fold survivors into the catalog.
-	groups := s.clusterer.TaggedGroups(s.cfg.MinClusterSize)
+	groups := s.stage.TaggedGroups(s.cfg.MinClusterSize)
 	opts := s.cfg.Signature
 	opts.MinClusterSize = s.cfg.MinClusterSize
 	distillStart := time.Now()
@@ -793,10 +804,12 @@ type Stats struct {
 	PendingSamples  int    `json:"pending_samples"`  // packets currently held in reservoirs
 	Tenants         int    `json:"tenants"`          // tenants with a private reservoir this epoch
 
-	Clusters        int     `json:"clusters"`
-	ClusterMembers  int     `json:"cluster_members"`
-	ClusterRejected uint64  `json:"cluster_rejected"` // arrivals dropped: table full, nothing close
-	Silhouette      float64 `json:"silhouette"`       // last compaction's medoid silhouette
+	Clusters         int     `json:"clusters"`
+	ClusterMembers   int     `json:"cluster_members"`
+	ClusterRejected  uint64  `json:"cluster_rejected"`  // arrivals dropped: table full, nothing close
+	ClusterDistances uint64  `json:"cluster_distances"` // full dpkt evaluations against medoids on arrival
+	ClusterPruned    uint64  `json:"cluster_pruned"`    // medoids arrivals skipped on the destination bound
+	Silhouette       float64 `json:"silhouette"`        // last compaction's medoid silhouette
 
 	Epochs        uint64 `json:"epochs"`
 	Candidates    int    `json:"candidates"`     // last distillation
@@ -847,6 +860,8 @@ func (s *Service) Stats() Stats {
 	st.Clusters = s.clusterer.Len()
 	st.ClusterMembers = s.clusterer.Members()
 	st.ClusterRejected = s.clusterer.Rejected()
+	st.ClusterDistances = s.clusterer.Distances()
+	st.ClusterPruned = s.clusterer.Pruned()
 	st.Silhouette = s.lastCompact.Silhouette
 	st.Candidates = s.lastDistill.Candidates
 	st.RejectedBayes = s.lastDistill.RejectedBayes
