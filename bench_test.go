@@ -263,7 +263,7 @@ func benchPackets(n int) []*httpmodel.Packet {
 // BenchmarkPacketDistance measures one dpkt evaluation (§IV-B/C).
 func BenchmarkPacketDistance(b *testing.B) {
 	ps := benchPackets(2)
-	m := distance.New(distance.Config{Compressor: ncd.NewCache(ncd.Default())})
+	m := distance.Default()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

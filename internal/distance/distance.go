@@ -52,14 +52,12 @@ func (m Mode) String() string {
 }
 
 // Config parameterizes the metric. The zero value gives the repository
-// defaults: normalized mode, DEFLATE-backed cached NCD, unit weights.
-// The cache never evicts; a long-running caller should pass an uncached
-// compressor and compare Profiles instead.
+// defaults: normalized mode, DEFLATE NCD, unit weights.
 type Config struct {
 	Mode Mode
 
-	// Compressor used for the NCD content terms. Nil selects a fresh
-	// memoizing DEFLATE compressor.
+	// Compressor used for the NCD content terms. Nil selects
+	// ncd.Default().
 	Compressor ncd.Compressor
 
 	// DestinationWeight and ContentWeight scale ddst and dheader in dpkt.
@@ -95,7 +93,7 @@ type Metric struct {
 func New(cfg Config) *Metric {
 	comp := cfg.Compressor
 	if comp == nil {
-		comp = ncd.NewCache(ncd.Default())
+		comp = ncd.Default()
 	}
 	wd := cfg.DestinationWeight
 	switch {
@@ -262,14 +260,19 @@ type Matrix struct {
 	vals []float64 // len n*(n-1)/2
 }
 
-// NewMatrix computes all pairwise distances among packets using the metric,
-// fanning work out over min(GOMAXPROCS, pairs) goroutines.
+// NewMatrix computes all pairwise distances among packets using the
+// metric, fanning work out over min(GOMAXPROCS, pairs) goroutines. Each
+// packet is profiled once, so a pair pays only its concatenations'
+// compressions; every entry is Packet's value bit for bit.
 func NewMatrix(m *Metric, packets []*httpmodel.Packet) *Matrix {
-	return fill(len(packets), func(i, j int) float64 { return m.Packet(packets[i], packets[j]) })
+	profs := make([]*Profile, len(packets))
+	for i, p := range packets {
+		profs[i] = m.Profile(p)
+	}
+	return NewProfileMatrix(m, profs)
 }
 
-// NewProfileMatrix is NewMatrix over profiles: the same distances, each
-// pair paying only its concatenations' compressions.
+// NewProfileMatrix is NewMatrix over profiles already built.
 func NewProfileMatrix(m *Metric, profs []*Profile) *Matrix {
 	return fill(len(profs), func(i, j int) float64 { return m.ProfilePacket(profs[i], profs[j]) })
 }

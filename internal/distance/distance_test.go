@@ -175,8 +175,7 @@ func TestMatrix(t *testing.T) {
 				t.Errorf("asymmetric At(%d,%d)", i, j)
 			}
 			if i != j {
-				want := m.Packet(ps[i], ps[j])
-				if math.Abs(mx.At(i, j)-want) > 1e-9 {
+				if want := m.Packet(ps[i], ps[j]); mx.At(i, j) != want {
 					t.Errorf("At(%d,%d) = %v, want %v", i, j, mx.At(i, j), want)
 				}
 			}

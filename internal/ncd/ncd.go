@@ -10,17 +10,14 @@
 // (Cilibrasi [15]): similar strings compress well together, so the
 // concatenation adds little beyond the larger of the two parts.
 //
-// The package exposes a Compressor interface, a DEFLATE implementation
-// backed by compress/flate (the only stdlib general-purpose compressor),
-// a memoizing wrapper that caches C(x) for repeated pairwise work such as
-// distance-matrix construction, and DistanceLens for callers that keep
-// C(x) next to x themselves.
+// The package exposes a Compressor interface, Flate — C(s) as the length
+// of DEFLATE at BestCompression, counted by a length-only port of
+// compress/flate (deflate.go) that returns exactly compress/flate's
+// length — and DistanceLens for callers that keep C(x) next to x
+// themselves.
 package ncd
 
-import (
-	"compress/flate"
-	"sync"
-)
+import "sync"
 
 // Compressor measures the compressed length of a byte string. Implementations
 // must be safe for concurrent use.
@@ -32,51 +29,18 @@ type Compressor interface {
 	CompressedLen2(p, q []byte) int
 }
 
-// countingWriter counts bytes written and discards them.
-type countingWriter int
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
-}
-
-// Flate is a Compressor backed by compress/flate. The zero value is not
-// usable; construct with NewFlate.
+// Flate is the DEFLATE Compressor: CompressedLen2(p, q) is the length
+// of what compress/flate's NewWriter at BestCompression, Write(p),
+// Write(q) and Close emit. The paper does not name its compressor;
+// DEFLATE at BestCompression is the conventional NCD choice. Flate is
+// safe for concurrent use and makes no allocation per call once its
+// pool is warm.
 type Flate struct {
-	level int
-	pool  sync.Pool // of *flateState
+	pool sync.Pool // of *deflater
 }
 
-type flateState struct {
-	w *flate.Writer
-	n countingWriter
-}
-
-// NewFlate returns a DEFLATE compressor at the given level
-// (flate.BestSpeed .. flate.BestCompression). The paper does not name its
-// compressor; DEFLATE at BestCompression is the conventional NCD choice and
-// the repository default.
-func NewFlate(level int) *Flate {
-	f := &Flate{level: level}
-	f.pool.New = func() any {
-		st := &flateState{}
-		w, err := flate.NewWriter(&st.n, level)
-		if err != nil {
-			// Only possible for an invalid level; validated below.
-			panic(err)
-		}
-		st.w = w
-		return st
-	}
-	// Validate the level eagerly so NewFlate panics instead of first use.
-	st := f.pool.Get().(*flateState)
-	f.pool.Put(st)
-	return f
-}
-
-// Default returns the repository's default compressor: DEFLATE at
-// BestCompression.
-func Default() *Flate { return NewFlate(flate.BestCompression) }
+// Default returns the repository's compressor.
+func Default() *Flate { return &Flate{} }
 
 // CompressedLen implements Compressor.
 func (f *Flate) CompressedLen(p []byte) int {
@@ -85,18 +49,12 @@ func (f *Flate) CompressedLen(p []byte) int {
 
 // CompressedLen2 implements Compressor.
 func (f *Flate) CompressedLen2(p, q []byte) int {
-	st := f.pool.Get().(*flateState)
-	st.n = 0
-	st.w.Reset(&st.n)
-	if len(p) > 0 {
-		st.w.Write(p) // flate writes to countingWriter cannot fail
+	d, _ := f.pool.Get().(*deflater)
+	if d == nil {
+		d = new(deflater)
 	}
-	if len(q) > 0 {
-		st.w.Write(q)
-	}
-	st.w.Close()
-	n := int(st.n)
-	f.pool.Put(st)
+	n := d.compressedLen(p, q)
+	f.pool.Put(d)
 	return n
 }
 
@@ -132,48 +90,4 @@ func DistanceLens(c Compressor, x, y []byte, cx, cy int) float64 {
 		d = 0
 	}
 	return d
-}
-
-// Cache memoizes single-string compressed lengths in front of an underlying
-// compressor. Concatenation lengths are not cached (each pair is visited
-// once during matrix construction), but the two single-string terms of every
-// NCD evaluation hit the cache after first use. Cache is safe for
-// concurrent use.
-type Cache struct {
-	c  Compressor
-	mu sync.RWMutex
-	m  map[string]int
-}
-
-// NewCache wraps c with a memoizing layer.
-func NewCache(c Compressor) *Cache {
-	return &Cache{c: c, m: make(map[string]int)}
-}
-
-// CompressedLen implements Compressor with memoization.
-func (k *Cache) CompressedLen(p []byte) int {
-	key := string(p)
-	k.mu.RLock()
-	n, ok := k.m[key]
-	k.mu.RUnlock()
-	if ok {
-		return n
-	}
-	n = k.c.CompressedLen(p)
-	k.mu.Lock()
-	k.m[key] = n
-	k.mu.Unlock()
-	return n
-}
-
-// CompressedLen2 implements Compressor; concatenations are not memoized.
-func (k *Cache) CompressedLen2(p, q []byte) int {
-	return k.c.CompressedLen2(p, q)
-}
-
-// Len reports the number of memoized entries.
-func (k *Cache) Len() int {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return len(k.m)
 }

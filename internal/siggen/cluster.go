@@ -8,7 +8,6 @@ import (
 	"leaksig/internal/cluster"
 	"leaksig/internal/distance"
 	"leaksig/internal/httpmodel"
-	"leaksig/internal/ncd"
 )
 
 // ClusterConfig tunes the incremental clusterer. The zero value selects
@@ -140,13 +139,7 @@ type near struct {
 // sampling so runs are reproducible.
 func NewClusterer(cfg ClusterConfig, seed int64) *Clusterer {
 	cfg = cfg.withDefaults()
-	dc := cfg.Distance
-	if dc.Compressor == nil {
-		// Members carry their own compressed lengths (profiles), so a memo
-		// would only keep every request line the learner ever saw.
-		dc.Compressor = ncd.Default()
-	}
-	m := distance.New(dc)
+	m := distance.New(cfg.Distance)
 	return &Clusterer{
 		cfg:    cfg,
 		metric: m,

@@ -28,8 +28,8 @@ func (r *refRolling) add(m member, maxMembers int) {
 
 // exhaustiveClusterer is the rolling clusterer without pruning or
 // profiles: every arrival pays a full metric.Packet against every live
-// medoid, elections and the medoid matrix go through metric.Packet, and
-// the metric memoizes C(x) in the default ncd.Cache. Clusterer used to
+// medoid, and elections and the medoid matrix go through metric.Packet,
+// which compresses both fields of every pair afresh. Clusterer used to
 // be exactly this; it now exists only as the differential reference the
 // pruned one is tested against. It draws the election rng exactly as
 // Clusterer does, so equal seeds sample equal members.

@@ -335,6 +335,7 @@ func TestServiceMatchesExhaustive(t *testing.T) {
 					t.Fatal("intake dropped a miss")
 				}
 			}
+			admitInOrder(svc)
 			if _, err := svc.RunEpoch(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -362,12 +363,12 @@ func TestServiceMatchesExhaustive(t *testing.T) {
 // table bounds, and requires the live heap to stay flat between the 10⁴
 // mark and the end: the learner keeps compressed lengths on the members
 // it holds, not in a memo keyed by every line it has seen. The memo the
-// clusterer used before (ncd.Cache behind the default metric) grew by
+// clusterer once used (a C(x) cache behind the default metric) grew by
 // 4.9 MB over the same stretch of this stream, one entry per miss; this
 // learner grows by about 1 KB.
 func TestLearnerMemoryBounded(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("streams 5×10⁴ misses through compress/flate on one goroutine")
+		t.Skip("streams 5×10⁴ misses through the compressor on one goroutine")
 	}
 	const (
 		total     = 50_000
@@ -379,7 +380,7 @@ func TestLearnerMemoryBounded(t *testing.T) {
 	c := NewClusterer(ClusterConfig{ElectSample: 4, StaleEpochs: 2}, 1)
 	heap := func() uint64 {
 		// Twice: the first collection only moves the compressor pool's
-		// ~1 MB flate writers to its victim cache.
+		// 700 KB compression states to its victim cache.
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats

@@ -6,8 +6,8 @@
 //	dhost(px, py) = ed(hostx, hosty) / max(len(hostx), len(hosty))
 //
 // where ed is the (unit-cost Levenshtein) edit distance. The package provides
-// a two-row dynamic-programming implementation, an early-exit bounded
-// variant, and the normalized form.
+// the edit distance — bit-parallel when the shorter string fits a machine
+// word, a two-row dynamic program otherwise — and the normalized form.
 package strdist
 
 // Levenshtein returns the unit-cost edit distance (insertions, deletions,
@@ -23,6 +23,9 @@ func Levenshtein(a, b string) int {
 	}
 	if len(b) == 0 {
 		return len(a)
+	}
+	if len(b) <= 64 {
+		return bitParallel(a, b)
 	}
 	row := make([]int, len(b)+1)
 	for j := range row {
@@ -52,85 +55,38 @@ func Levenshtein(a, b string) int {
 	return row[len(b)]
 }
 
-// LevenshteinBounded returns the edit distance between a and b if it is at
-// most maxDist; otherwise it returns maxDist+1. It prunes DP cells outside
-// the diagonal band of width 2*maxDist+1, which makes near-duplicate host
-// comparisons fast.
-func LevenshteinBounded(a, b string, maxDist int) int {
-	if maxDist < 0 {
-		return 0
+// bitParallel is Levenshtein for 1 ≤ len(b) ≤ 64, by Hyyrö's form of
+// Myers' bit-parallel algorithm: bit i of each word holds the vertical
+// delta D[i+1][j] − D[i][j] of the dynamic program's column j over b as
+// positive (pv) or negative (mv), one column per byte of a, and score
+// follows the last row. A column costs a dozen word operations instead
+// of len(b) cells, and the result is the dynamic program's exactly.
+func bitParallel(a, b string) int {
+	var peq [256]uint64 // peq[c]: bit i set where b[i] == c
+	for i := 0; i < len(b); i++ {
+		peq[b[i]] |= 1 << i
 	}
-	if a == b {
-		return 0
-	}
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(a)-len(b) > maxDist {
-		return maxDist + 1
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	const inf = int(^uint(0) >> 2)
-	row := make([]int, len(b)+1)
-	for j := range row {
-		if j <= maxDist {
-			row[j] = j
-		} else {
-			row[j] = inf
+	last := uint64(1) << (len(b) - 1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(b)
+	for i := 0; i < len(a); i++ {
+		eq := peq[a[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
 		}
+		// Row 0 is D[0][j] = j: every horizontal delta into it is +1.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
 	}
-	for i := 1; i <= len(a); i++ {
-		lo := i - maxDist
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + maxDist
-		if hi > len(b) {
-			hi = len(b)
-		}
-		prev := row[lo-1] // diagonal cell
-		if lo == 1 {
-			if i <= maxDist {
-				row[0] = i
-			} else {
-				row[0] = inf
-			}
-		}
-		if lo > 1 {
-			// Cell left of the band is unreachable.
-			row[lo-1] = inf
-		}
-		best := inf
-		ca := a[i-1]
-		for j := lo; j <= hi; j++ {
-			cur := row[j]
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			m := prev + cost
-			if v := cur + 1; v < m {
-				m = v
-			}
-			if v := row[j-1] + 1; v < m {
-				m = v
-			}
-			row[j] = m
-			if m < best {
-				best = m
-			}
-			prev = cur
-		}
-		if best > maxDist {
-			return maxDist + 1
-		}
-	}
-	if row[len(b)] > maxDist {
-		return maxDist + 1
-	}
-	return row[len(b)]
+	return score
 }
 
 // Normalized returns the paper's dhost term: Levenshtein(a, b) divided by

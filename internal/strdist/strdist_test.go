@@ -90,44 +90,75 @@ func TestLevenshteinBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestLevenshteinBoundedAgreesWhenWithinBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	randStr := func(n int) string {
+// dpLevenshtein is the reference: the full O(nm) dynamic program.
+func dpLevenshtein(a, b string) int {
+	d := make([][]int, len(a)+1)
+	for i := range d {
+		d[i] = make([]int, len(b)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i][j] = min(d[i-1][j-1]+cost, d[i-1][j]+1, d[i][j-1]+1)
+		}
+	}
+	return d[len(a)][len(b)]
+}
+
+// TestLevenshteinMatchesDP checks both paths (the bit-parallel one up to
+// 64 bytes, the two-row program past it) against the full dynamic
+// program on random strings of 0–80 bytes over small and full alphabets.
+func TestLevenshteinMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randStr := func(n, alphabet int) string {
 		b := make([]byte, n)
 		for i := range b {
-			b[i] = byte('a' + rng.Intn(6))
+			b[i] = byte('a' + rng.Intn(alphabet))
 		}
 		return string(b)
 	}
-	for i := 0; i < 300; i++ {
-		a := randStr(rng.Intn(30))
-		b := randStr(rng.Intn(30))
-		exact := Levenshtein(a, b)
-		for _, k := range []int{0, 1, 2, 5, 10, 40} {
-			got := LevenshteinBounded(a, b, k)
-			if exact <= k {
-				if got != exact {
-					t.Fatalf("LevenshteinBounded(%q,%q,%d) = %d, want exact %d", a, b, k, got, exact)
-				}
-			} else if got != k+1 {
-				t.Fatalf("LevenshteinBounded(%q,%q,%d) = %d, want %d (over bound)", a, b, k, got, k+1)
-			}
+	for i := 0; i < 20000; i++ {
+		alphabet := []int{1, 2, 4, 26, 156}[i%5]
+		a := randStr(rng.Intn(81), alphabet)
+		b := randStr(rng.Intn(81), alphabet)
+		if i%3 == 0 && len(a) > 0 {
+			// A near copy: the distances hosts of one ad network have.
+			c := []byte(a)
+			c[rng.Intn(len(c))] = byte('a' + rng.Intn(alphabet))
+			b = string(c[:rng.Intn(len(c)+1)]) + randStr(rng.Intn(4), alphabet)
+		}
+		if got, want := Levenshtein(a, b), dpLevenshtein(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %d, dynamic program %d", a, b, got, want)
+		}
+	}
+	// Exactly at the word boundary, both ways.
+	for _, n := range []int{63, 64, 65} {
+		a, b := randStr(n, 3), randStr(n+rng.Intn(20), 3)
+		if got, want := Levenshtein(a, b), dpLevenshtein(a, b); got != want {
+			t.Fatalf("len %d, %d: Levenshtein = %d, dynamic program %d", len(a), len(b), got, want)
 		}
 	}
 }
 
-func TestLevenshteinBoundedEdgeCases(t *testing.T) {
-	if got := LevenshteinBounded("abc", "abc", 0); got != 0 {
-		t.Errorf("identical strings bound 0: got %d", got)
+func TestLevenshteinWordPathAllocatesNothing(t *testing.T) {
+	a, b := "n017.q8xk2mfa.example.net", "n018.q8xk2mfa.example.net.cdn"
+	if n := testing.AllocsPerRun(100, func() { Levenshtein(a, b) }); n != 0 {
+		t.Fatalf("Levenshtein on hosts allocates %v times per call", n)
 	}
-	if got := LevenshteinBounded("abc", "abd", 0); got != 1 {
-		t.Errorf("bound 0 exceeded should report 1: got %d", got)
-	}
-	if got := LevenshteinBounded("", "abcdef", 3); got != 4 {
-		t.Errorf("length-gap prune: got %d, want 4", got)
-	}
-	if got := LevenshteinBounded("x", "y", -1); got != 0 {
-		t.Errorf("negative bound: got %d, want 0", got)
+}
+
+func BenchmarkLevenshteinHosts(b *testing.B) {
+	x, y := "ads.q8xk2mfa-net017.example.net", "trk.q8xk2mfa-net018.example.net"
+	b.ReportAllocs()
+	for b.Loop() {
+		Levenshtein(x, y)
 	}
 }
 
