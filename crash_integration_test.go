@@ -86,7 +86,7 @@ func startHelper(t *testing.T, addr, journal string) *exec.Cmd {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-		_, err := c.Version(ctx)
+		_, err := c.Version(ctx, "")
 		cancel()
 		if err == nil {
 			return cmd
@@ -138,13 +138,7 @@ func TestKillRestartPublishBurst(t *testing.T) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				var got int64
-				var err error
-				if name == "" {
-					got, err = c.Publish(ctx, crashTestSet("default", v))
-				} else {
-					got, err = c.PublishNamed(ctx, name, crashTestSet(name, v))
-				}
+				got, err := c.Publish(ctx, name, crashTestSet(name, v))
 				cancel()
 				if err != nil {
 					// Post-kill connection errors: keep spinning until the
@@ -192,44 +186,41 @@ func TestKillRestartPublishBurst(t *testing.T) {
 	}()
 	c := sigserver.NewClient(base, nil)
 	ctx := context.Background()
-	for i, name := range names {
-		var v int64
-		var err error
-		if name == "" {
-			v, err = c.Version(ctx)
-		} else {
-			v, err = c.VersionNamed(ctx, name)
+	// The set contents must have survived, not just the counters: one
+	// catalog pass delivers every set.
+	restored := map[string]*signature.Set{}
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	c.WatchSets(wctx, time.Second, func(name string, set *signature.Set) {
+		restored[name] = set
+		if len(restored) == len(names) {
+			wcancel()
 		}
+	})
+	wcancel()
+	for i, name := range names {
+		v, err := c.Version(ctx, name)
 		if err != nil {
 			t.Fatalf("version of %q after restart: %v", name, err)
 		}
 		if v < ackedAtKill[i] {
 			t.Fatalf("set %q rolled back: acked version %d before kill, serving %d after restart", name, ackedAtKill[i], v)
 		}
-		// The set content must have survived, not just the counter.
-		var set *signature.Set
-		var ok bool
-		if name == "" {
-			set, ok, err = c.Fetch(ctx)
-		} else {
-			set, ok, err = c.FetchNamed(ctx, name)
-		}
-		if err != nil || !ok || set.Len() == 0 {
-			t.Fatalf("set %q after restart: ok=%v len-err=%v", name, ok, err)
+		if set := restored[name]; set == nil || set.Len() == 0 {
+			t.Fatalf("set %q after restart: %+v", name, set)
 		}
 	}
 
 	// And the sequences keep going: a publish one past the restored
 	// version is accepted, a stale one is rejected — the monotonic guard
 	// survived the crash too.
-	v, err := c.VersionNamed(ctx, "tenant-a")
+	v, err := c.Version(ctx, "tenant-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PublishNamed(ctx, "tenant-a", crashTestSet("tenant-a", v)); !errors.Is(err, sigserver.ErrStaleVersion) {
+	if _, err := c.Publish(ctx, "tenant-a", crashTestSet("tenant-a", v)); !errors.Is(err, sigserver.ErrStaleVersion) {
 		t.Fatalf("stale publish after restart: err=%v, want ErrStaleVersion", err)
 	}
-	if got, err := c.PublishNamed(ctx, "tenant-a", crashTestSet("tenant-a", v+1)); err != nil || got != v+1 {
+	if got, err := c.Publish(ctx, "tenant-a", crashTestSet("tenant-a", v+1)); err != nil || got != v+1 {
 		t.Fatalf("next publish after restart: got v%d, err=%v, want v%d", got, err, v+1)
 	}
 }
@@ -354,7 +345,7 @@ func TestDegradedBootFromSignatureCache(t *testing.T) {
 			Tokens: []string{"android_id=", "a1b2"},
 		}},
 	}
-	if _, err := srv.PublishVersioned(live); err != nil {
+	if _, err := srv.Publish("", live); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", serverAddr)

@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("[server] %d signatures learned from %d sampled packets\n", sigs.Len(), sample.Len())
 
 	srv := sigserver.New()
-	srv.Publish(sigs)
+	srv.Publish("", sigs)
 	sigHTTP := httptest.NewServer(srv.Handler())
 	defer sigHTTP.Close()
 	fmt.Printf("[server] signature server at %s\n", sigHTTP.URL)

@@ -70,7 +70,10 @@ func main() {
 	defer pool.Close()
 
 	for _, pop := range []*population{alpha, beta} {
-		version := srv.Publish(pop.sigs)
+		version, err := srv.Publish("", pop.sigs)
+		if err != nil {
+			log.Fatalf("publishing signatures: %v", err)
+		}
 		set, _, err := client.Fetch(context.Background())
 		if err != nil {
 			log.Fatalf("fetching signatures: %v", err)

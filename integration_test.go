@@ -174,7 +174,7 @@ func TestStreamingPipeline(t *testing.T) {
 	srv := sigserver.New()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	srv.Publish(sigs) // version 1
+	srv.Publish("", sigs) // version 1
 
 	// Streaming engine fed by a sigserver watch.
 	var mu sync.Mutex
@@ -232,7 +232,7 @@ func TestStreamingPipeline(t *testing.T) {
 
 	// Phase 2: publish an empty set mid-stream; after the rollover the
 	// same traffic must produce zero leaks, all without restarting.
-	srv.Publish(&signature.Set{})
+	srv.Publish("", &signature.Set{})
 	waitForVersion(2)
 	for _, p := range ds.Capture.Packets {
 		if err := eng.Submit(p); err != nil {
@@ -384,7 +384,7 @@ func TestClosedLoopOnlineGeneration(t *testing.T) {
 	// Stale-publish guard: replaying the published version must bounce
 	// without disturbing the server.
 	stale := &signature.Set{Version: published.Version}
-	if _, err := srv.PublishVersioned(stale); err == nil {
+	if _, err := srv.Publish("", stale); err == nil {
 		t.Fatal("stale publish was accepted")
 	}
 	if st := srv.Stats(); st.PublishesRejected == 0 {

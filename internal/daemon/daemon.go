@@ -152,6 +152,14 @@ func (p *opsPlane) ship(ev obs.Event) {
 	}
 }
 
+// setLabel names a signature set in a log line.
+func setLabel(name string) string {
+	if name == "" {
+		return "default set"
+	}
+	return fmt.Sprintf("set %q", name)
+}
+
 // shipPublish is the event for one set the embedded learner published.
 func (p *opsPlane) shipPublish(name string, set *signature.Set) {
 	p.ship(obs.Event{

@@ -150,18 +150,10 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 			GenerateInterval: c.LearnInterval,
 			TenantSets:       c.LearnTenants,
 			Tracer:           ops.tracer,
-			OnPublish: func(set *signature.Set) {
-				log.Printf("learn: published version %d (%d signatures)", set.Version, set.Len())
-				ops.shipPublish("", set)
+			OnPublish: func(name string, set *signature.Set) {
+				log.Printf("learn: published %s version %d (%d signatures)", setLabel(name), set.Version, set.Len())
+				ops.shipPublish(name, set)
 			},
-		}
-		if c.LearnTenants {
-			lcfg.OnPublishNamed = func(name string, set *signature.Set) {
-				if name != "" {
-					log.Printf("learn: published set %q version %d (%d signatures)", name, set.Version, set.Len())
-					ops.shipPublish(name, set)
-				}
-			}
 		}
 		svc = siggen.NewService(lcfg)
 		defer svc.Close()
@@ -259,13 +251,8 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 				log.Printf("sigserver reachable again: leaving degraded mode")
 				ops.ship(obs.Event{Type: "degraded", Version: set.Version, Set: name, Detail: "recovered: live set delivered"})
 			}
-			if name == "" {
-				ops.applyReload(set, be.reload)
-				log.Printf("signatures reloaded: version %d, %d entries", set.Version, set.Len())
-			} else {
-				ops.applyReload(set, func(set *signature.Set) { be.reloadTenant(name, set) })
-				log.Printf("tenant %q signatures pinned: version %d, %d entries", name, set.Version, set.Len())
-			}
+			ops.applyReload(set, func(set *signature.Set) { be.install(name, set) })
+			log.Printf("%s installed: version %d, %d entries", setLabel(name), set.Version, set.Len())
 			ops.ship(obs.Event{
 				Type: "reload", Set: name, Version: set.Version,
 				Trace: set.FirstTrace(), Detail: reloadOutcome(be),
@@ -352,11 +339,7 @@ func (s *stream) bootFromCache(cache *durable.SetCache, path string) {
 		if !ok {
 			continue
 		}
-		if name == "" {
-			s.be.reload(cached)
-		} else {
-			s.be.reloadTenant(name, cached)
-		}
+		s.be.install(name, cached)
 		applied++
 	}
 	if applied == 0 {
@@ -381,10 +364,10 @@ type backend interface {
 	// match vets one packet synchronously; the verdict's Matched and
 	// Version come from the same signature generation.
 	match(tenant string, p *httpmodel.Packet) engine.Verdict
-	reload(set *signature.Set)
-	// reloadTenant pins one tenant's named set; a single-engine backend
-	// has no tenants and ignores it.
-	reloadTenant(name string, set *signature.Set)
+	// install rolls in the set delivered under name: the default set ""
+	// is what every unpinned tenant runs, a named set pins its tenant (a
+	// single-engine backend has no tenants and ignores named sets).
+	install(name string, set *signature.Set)
 	statsLine() string
 	// stats returns the JSON-ready snapshot; tenant selects one tenant's
 	// view in pool mode ("" means everything). It reports whether the
@@ -456,13 +439,17 @@ func (b *engineBackend) match(_ string, p *httpmodel.Packet) engine.Verdict {
 	return b.eng.Vet(p)
 }
 
-// reload is async: the watcher loop must keep long-polling while a large
-// set compiles on the engine's background compiler, and a publish burst
-// coalesces into the newest set rather than queueing stale compiles.
-func (b *engineBackend) reload(set *signature.Set)           { b.eng.ReloadAsync(set) }
-func (b *engineBackend) reloadTenant(string, *signature.Set) {}
-func (b *engineBackend) statsLine() string                   { return b.eng.Metrics().String() }
-func (b *engineBackend) close()                              { b.eng.Close() }
+// install is async: the watcher loop must keep long-polling while a
+// large set compiles on the engine's background compiler, and a publish
+// burst coalesces into the newest set rather than queueing stale
+// compiles.
+func (b *engineBackend) install(name string, set *signature.Set) {
+	if name == "" {
+		b.eng.ReloadAsync(set)
+	}
+}
+func (b *engineBackend) statsLine() string { return b.eng.Metrics().String() }
+func (b *engineBackend) close()            { b.eng.Close() }
 
 func (b *engineBackend) stats(tenant string) (any, bool) {
 	if tenant != "" {
@@ -516,8 +503,11 @@ func (b *poolBackend) match(tenant string, p *httpmodel.Packet) engine.Verdict {
 	return eng.Vet(p)
 }
 
-func (b *poolBackend) reload(set *signature.Set) { b.pool.Reload(set) }
-func (b *poolBackend) reloadTenant(name string, set *signature.Set) {
+func (b *poolBackend) install(name string, set *signature.Set) {
+	if name == "" {
+		b.pool.Reload(set)
+		return
+	}
 	b.pool.ReloadTenant(name, set)
 }
 func (b *poolBackend) close() { b.pool.Close() }

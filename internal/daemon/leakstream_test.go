@@ -137,7 +137,7 @@ func TestMatchVerdictNeverMixesGenerations(t *testing.T) {
 				}()
 			}
 			for version := int64(1); version <= 400 && !t.Failed(); version++ {
-				be.reload(setFor(version))
+				be.install("", setFor(version))
 				runtime.Gosched()
 			}
 			done.Store(true)

@@ -65,7 +65,7 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 	dir := t.TempDir()
 
 	srv := sigserver.New()
-	srv.Publish(&signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}})
+	srv.Publish("", &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}})
 	server := httptest.NewServer(srv.HandlerWithPublish(""))
 	defer server.Close()
 

@@ -123,24 +123,15 @@ func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) err
 		CheckpointPath:      c.Checkpoint,
 		// Not ready until something has published: before that the
 		// learner has produced nothing the fleet can enforce.
-		OnPublish: func(set *signature.Set) {
+		OnPublish: func(name string, set *signature.Set) {
 			ops.ready.Store(true)
-			log.Printf("published version %d: %d signatures", set.Version, set.Len())
-			ops.shipPublish("", set)
+			log.Printf("published %s version %d: %d signatures", setLabel(name), set.Version, set.Len())
+			ops.shipPublish(name, set)
 		},
 		OnRetire: func(n int) {
 			log.Printf("retired %d signatures (source clusters went stale)", n)
 			ops.ship(obs.Event{Type: "retire", Detail: fmt.Sprintf("%d signatures", n)})
 		},
-	}
-	if c.TenantSets {
-		cfg.OnPublishNamed = func(name string, set *signature.Set) {
-			ops.ready.Store(true)
-			if name != "" {
-				log.Printf("published set %q version %d: %d signatures", name, set.Version, set.Len())
-				ops.shipPublish(name, set)
-			}
-		}
 	}
 	if c.Server != "" {
 		cfg.Publisher = ops.publisher(c.Server, c.Token)

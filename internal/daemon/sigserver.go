@@ -73,12 +73,8 @@ func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		}
 	}
 
-	srv.OnPublishNamed(func(name string, v int64) {
-		if name == "" {
-			log.Printf("published version %d", v)
-		} else {
-			log.Printf("published set %q version %d", name, v)
-		}
+	srv.OnPublish(func(name string, v int64) {
+		log.Printf("published %s version %d", setLabel(name), v)
 		ops.ship(obs.Event{Type: "publish", Set: name, Version: v})
 	})
 
@@ -88,7 +84,11 @@ func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		if err != nil {
 			return err
 		}
-		version := srv.Publish(set)
+		set.Version = 0 // the seed file always takes the next version
+		version, err := srv.Publish("", set)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(stdout, "published %d signatures as version %d\n", set.Len(), version)
 	case restored > 0:
 		_, v := srv.Current()
@@ -100,6 +100,6 @@ func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.HandlerWithPublish(c.Token))
 	mux.Handle("GET /metrics", ops.reg.Handler())
-	fmt.Fprintf(stdout, "serving on %s (GET /signatures, /version, /wait, /stats, /metrics, /healthz, /readyz; POST /publish)\n", c.Addr)
+	fmt.Fprintf(stdout, "serving on %s (GET /signatures, /version, /wait, /sets, /stats, /metrics, /healthz, /readyz; POST /publish)\n", c.Addr)
 	return ops.serve(ctx, "draining requests", &http.Server{Addr: c.Addr, Handler: mux}, nil)
 }

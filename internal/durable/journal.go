@@ -82,6 +82,7 @@ type JournalConfig struct {
 // JournalStats is a point-in-time view of a journal's accounting.
 type JournalStats struct {
 	Appends        uint64 `json:"appends"`
+	AppendErrors   uint64 `json:"append_errors"` // appends refused or failed: the record is not in the journal
 	FsyncErrors    uint64 `json:"fsync_errors"`
 	Recovered      uint64 `json:"recovered_records"`
 	TruncatedBytes int64  `json:"truncated_bytes"`
@@ -102,11 +103,12 @@ type Journal struct {
 	lastSync time.Time
 	closed   bool
 
-	appends     uint64
-	fsyncErrors uint64
-	recovered   uint64
-	truncated   int64
-	compactions uint64
+	appends      uint64
+	appendErrors uint64
+	fsyncErrors  uint64
+	recovered    uint64
+	truncated    int64
+	compactions  uint64
 }
 
 func (c JournalConfig) withDefaults() JournalConfig {
@@ -217,8 +219,19 @@ func (j *Journal) recover() error {
 
 // Append frames payload and writes it to the journal, syncing per the
 // fsync policy. The payload is copied into the file; the caller keeps
-// ownership of the slice.
+// ownership of the slice. Every failed append is counted in
+// JournalStats.AppendErrors.
 func (j *Journal) Append(payload []byte) error {
+	err := j.append(payload)
+	if err != nil {
+		j.mu.Lock()
+		j.appendErrors++
+		j.mu.Unlock()
+	}
+	return err
+}
+
+func (j *Journal) append(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("durable: empty record")
 	}
@@ -394,6 +407,7 @@ func (j *Journal) Stats() JournalStats {
 	defer j.mu.Unlock()
 	return JournalStats{
 		Appends:        j.appends,
+		AppendErrors:   j.appendErrors,
 		FsyncErrors:    j.fsyncErrors,
 		Recovered:      j.recovered,
 		TruncatedBytes: j.truncated,

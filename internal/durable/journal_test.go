@@ -217,14 +217,14 @@ func TestServerJournalReplayPreservesVersions(t *testing.T) {
 	// A publish burst across the default and two named sets, with
 	// several generations each.
 	for v := int64(1); v <= 5; v++ {
-		if _, err := srv.PublishVersioned(makeSet(v, "d")); err != nil {
+		if _, err := srv.Publish("", makeSet(v, "d")); err != nil {
 			t.Fatalf("publish default v%d: %v", v, err)
 		}
-		if _, err := srv.PublishNamedVersioned("tenant-a", makeSet(v, "a")); err != nil {
+		if _, err := srv.Publish("tenant-a", makeSet(v, "a")); err != nil {
 			t.Fatalf("publish a v%d: %v", v, err)
 		}
 	}
-	if _, err := srv.PublishNamedVersioned("tenant-b", makeSet(3, "b")); err != nil {
+	if _, err := srv.Publish("tenant-b", makeSet(3, "b")); err != nil {
 		t.Fatalf("publish b: %v", err)
 	}
 	if err := sj.Close(); err != nil {
@@ -255,10 +255,10 @@ func TestServerJournalReplayPreservesVersions(t *testing.T) {
 
 	// Strict increase survives the restart: replaying the old version
 	// must be rejected, the next version accepted.
-	if _, err := srv2.PublishNamedVersioned("tenant-a", makeSet(5, "a")); err == nil {
+	if _, err := srv2.Publish("tenant-a", makeSet(5, "a")); err == nil {
 		t.Fatal("stale republish accepted after replay")
 	}
-	if _, err := srv2.PublishNamedVersioned("tenant-a", makeSet(6, "a")); err != nil {
+	if _, err := srv2.Publish("tenant-a", makeSet(6, "a")); err != nil {
 		t.Fatalf("next version rejected after replay: %v", err)
 	}
 	restored, _ := sj2.Replayed()
@@ -275,7 +275,7 @@ func TestServerJournalSurvivesTornTail(t *testing.T) {
 		t.Fatalf("attach: %v", err)
 	}
 	for v := int64(1); v <= 3; v++ {
-		srv.PublishNamedVersioned("tenant-a", makeSet(v, "a"))
+		srv.Publish("tenant-a", makeSet(v, "a"))
 	}
 	sj.Close()
 
@@ -294,7 +294,7 @@ func TestServerJournalSurvivesTornTail(t *testing.T) {
 		t.Fatalf("recovered version = %d, want 2 (last intact record)", v)
 	}
 	// The loop continues from the recovered version.
-	if _, err := srv2.PublishNamedVersioned("tenant-a", makeSet(3, "a")); err != nil {
+	if _, err := srv2.Publish("tenant-a", makeSet(3, "a")); err != nil {
 		t.Fatalf("publish after recovery: %v", err)
 	}
 }

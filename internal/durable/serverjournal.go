@@ -11,7 +11,7 @@ import (
 )
 
 // publishRecord is one journaled publish: which set, at what version,
-// with what contents. The default set journals under name "".
+// with what contents. The default set journals under its name, "".
 type publishRecord struct {
 	Name    string         `json:"name"`
 	Version int64          `json:"version"`
@@ -39,10 +39,10 @@ type ServerJournal struct {
 }
 
 // AttachServerJournal opens the journal at path, replays every intact
-// record into srv via the versioned publish path (so versions are
-// preserved, stay strictly increasing, and stale duplicates left behind
-// by compaction races are skipped, not fatal), and then registers an
-// OnPublishNamed hook that journals all future publishes. Call before
+// record into srv through Publish at the record's version (so versions
+// are preserved, stay strictly increasing, and stale duplicates left
+// behind by compaction races are skipped, not fatal), and then registers
+// an OnPublish hook that journals all future publishes. Call before
 // srv serves traffic or other publish hooks are registered — replayed
 // sets do not fire hooks added later, so log/ship hooks added after
 // Attach see only live publishes.
@@ -64,12 +64,7 @@ func AttachServerJournal(srv *sigserver.Server, path string, cfg JournalConfig) 
 			return nil
 		}
 		rec.Set.Version = rec.Version
-		var err error
-		if rec.Name == "" {
-			_, err = srv.PublishVersioned(rec.Set)
-		} else {
-			_, err = srv.PublishNamedVersioned(rec.Name, rec.Set)
-		}
+		_, err := srv.Publish(rec.Name, rec.Set)
 		switch {
 		case err == nil:
 			sj.replayedSets++
@@ -85,7 +80,7 @@ func AttachServerJournal(srv *sigserver.Server, path string, cfg JournalConfig) 
 		return nil, err
 	}
 	sj.j = j
-	srv.OnPublishNamed(sj.onPublish)
+	srv.OnPublish(sj.onPublish)
 	return sj, nil
 }
 
@@ -102,8 +97,8 @@ func (sj *ServerJournal) onPublish(name string, version int64) {
 	if err != nil {
 		return
 	}
-	if err := sj.j.Append(payload); err != nil {
-		return
+	if sj.j.Append(payload) != nil {
+		return // counted in JournalStats.AppendErrors
 	}
 	if sj.since.Add(1) >= compactEvery {
 		sj.since.Store(0)
@@ -111,10 +106,9 @@ func (sj *ServerJournal) onPublish(name string, version int64) {
 	}
 }
 
-// compact rewrites the journal as one latest-version record per name
-// (default set included).
+// compact rewrites the journal as one latest-version record per name.
 func (sj *ServerJournal) compact() {
-	names := append([]string{""}, sj.srv.SetNames()...)
+	names := sj.srv.SetNames()
 	records := make([][]byte, 0, len(names))
 	for _, name := range names {
 		set, v, ok := sj.srv.CurrentNamed(name)
@@ -142,7 +136,7 @@ func (sj *ServerJournal) Stats() JournalStats { return sj.j.Stats() }
 // Sync forces buffered appends to disk (shutdown path).
 func (sj *ServerJournal) Sync() error { return sj.j.Sync() }
 
-// Close syncs and closes the journal. The publish hook stays registered
-// but appends to a closed journal fail silently; close only at process
-// shutdown after the server stops accepting publishes.
+// Close syncs and closes the journal. The publish hook stays registered,
+// but appends to a closed journal fail (counted in AppendErrors); close
+// only at process shutdown after the server stops accepting publishes.
 func (sj *ServerJournal) Close() error { return sj.j.Close() }

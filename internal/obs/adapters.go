@@ -222,13 +222,14 @@ func ProxyCollector(stats func() (allowed, blocked int64)) Collector {
 }
 
 // JournalCollector projects a durable journal's accounting into
-// leaksig_journal_* families — append volume, fsync errors (the "your
-// durability is a lie" signal worth alerting on), recovery salvage, and
-// on-disk size.
+// leaksig_journal_* families — append volume, append and fsync errors
+// (the "your durability is a lie" signals worth alerting on), recovery
+// salvage, and on-disk size.
 func JournalCollector(snap func() durable.JournalStats) Collector {
 	return CollectorFunc(func(m *MetricWriter) {
 		s := snap()
 		m.Counter("leaksig_journal_appends_total", "Records appended to the publish journal.", float64(s.Appends))
+		m.Counter("leaksig_journal_append_errors_total", "Journal appends that failed (oversized record, closed journal, write error); that publish is not durable.", float64(s.AppendErrors))
 		m.Counter("leaksig_journal_fsync_errors_total", "Journal fsync failures (appends kept, durability degraded).", float64(s.FsyncErrors))
 		m.Counter("leaksig_journal_recovered_records_total", "Records replayed from the journal at the last open.", float64(s.Recovered))
 		m.Counter("leaksig_journal_truncated_bytes_total", "Bytes discarded as a torn or corrupt tail at the last open.", float64(s.TruncatedBytes))

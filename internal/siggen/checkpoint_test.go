@@ -164,9 +164,9 @@ func TestCheckpointCorruptStartsFresh(t *testing.T) {
 // failingPublisher rejects every publish, simulating a dead sigserver.
 type failingPublisher struct{}
 
-func (failingPublisher) Publish(context.Context, *signature.Set) (int64, error) {
+func (failingPublisher) Publish(context.Context, string, *signature.Set) (int64, error) {
 	return 0, fmt.Errorf("injected: server down")
 }
-func (failingPublisher) CurrentVersion(context.Context) (int64, error) {
+func (failingPublisher) CurrentVersion(context.Context, string) (int64, error) {
 	return 0, fmt.Errorf("injected: server down")
 }

@@ -36,7 +36,7 @@ func TestPublishedFingerprintsGolden(t *testing.T) {
 			// arrival order (see TestServiceMatchesExhaustive).
 			MaxTenantReservoirs: 1,
 			Benign:              env.Normal.Packets[:400],
-			OnPublishNamed: func(name string, set *signature.Set) {
+			OnPublish: func(name string, set *signature.Set) {
 				if name == "" {
 					name = "(global)"
 				}

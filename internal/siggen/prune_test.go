@@ -318,7 +318,7 @@ func TestServiceMatchesExhaustive(t *testing.T) {
 			// then cluster in arrival order, which iterating a map of
 			// per-tenant reservoirs would not guarantee.
 			MaxTenantReservoirs: 1,
-			OnPublishNamed: func(name string, set *signature.Set) {
+			OnPublish: func(name string, set *signature.Set) {
 				published = append(published, name+"="+setFingerprint(set))
 			},
 		})

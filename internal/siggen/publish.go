@@ -8,60 +8,34 @@ import (
 	"leaksig/internal/sigserver"
 )
 
-// Publisher is where accepted signature sets go. The service stamps each
-// set with a version strictly greater than the last one it saw, so a
-// conforming publisher (sigserver's versioned publish path) rejects
-// stale or looping writers instead of ping-ponging the fleet between
-// generations.
+// Publisher is where accepted signature sets go, each under its set name
+// ("" is the global set, a tenant key names that tenant's set). The
+// service stamps each set with a version strictly greater than the last
+// one it saw under that name, so a conforming publisher (sigserver's
+// strict-increase guard) rejects stale or looping writers instead of
+// ping-ponging the fleet between generations.
 type Publisher interface {
-	// CurrentVersion returns the live published version, used to seed
-	// and re-sync the service's version counter.
-	CurrentVersion(ctx context.Context) (int64, error)
-	// Publish submits the set (Version pre-stamped by the service) and
-	// returns the version the server accepted it as.
-	Publish(ctx context.Context, set *signature.Set) (int64, error)
-}
-
-// NamedPublisher is the per-tenant extension of Publisher: a publisher
-// that can route sets by name (sigserver's /sets/{name} endpoints).
-// When Config.TenantSets is on and the configured Publisher implements
-// NamedPublisher, each tenant's distilled set publishes under the tenant
-// key with its own version sequence; a plain Publisher receives only the
-// global set, and tenant sets reach OnPublishNamed alone.
-type NamedPublisher interface {
-	Publisher
-	// CurrentNamedVersion returns the named set's live version.
-	CurrentNamedVersion(ctx context.Context, name string) (int64, error)
-	// PublishNamed submits the set under name and returns the accepted
-	// version.
-	PublishNamed(ctx context.Context, name string, set *signature.Set) (int64, error)
+	// CurrentVersion returns name's live published version, used to seed
+	// and re-sync the service's version counter for that name.
+	CurrentVersion(ctx context.Context, name string) (int64, error)
+	// Publish submits the set (Version pre-stamped by the service) under
+	// name and returns the version the server accepted it as.
+	Publish(ctx context.Context, name string, set *signature.Set) (int64, error)
 }
 
 // ServerPublisher publishes into an in-process sigserver.Server — the
 // embedded deployment (leakstream -learn against its own server, tests).
-// It implements NamedPublisher, so per-tenant sets land as named sets.
 type ServerPublisher struct{ Server *sigserver.Server }
 
 // CurrentVersion implements Publisher.
-func (p ServerPublisher) CurrentVersion(context.Context) (int64, error) {
-	_, v := p.Server.Current()
-	return v, nil
-}
-
-// Publish implements Publisher.
-func (p ServerPublisher) Publish(_ context.Context, set *signature.Set) (int64, error) {
-	return p.Server.PublishVersioned(set)
-}
-
-// CurrentNamedVersion implements NamedPublisher.
-func (p ServerPublisher) CurrentNamedVersion(_ context.Context, name string) (int64, error) {
+func (p ServerPublisher) CurrentVersion(_ context.Context, name string) (int64, error) {
 	_, v, _ := p.Server.CurrentNamed(name)
 	return v, nil
 }
 
-// PublishNamed implements NamedPublisher.
-func (p ServerPublisher) PublishNamed(_ context.Context, name string, set *signature.Set) (int64, error) {
-	return p.Server.PublishNamedVersioned(name, set)
+// Publish implements Publisher.
+func (p ServerPublisher) Publish(_ context.Context, name string, set *signature.Set) (int64, error) {
+	return p.Server.Publish(name, set)
 }
 
 // httpPublisher publishes over sigserver's HTTP API — the cmd/siggend
@@ -70,8 +44,8 @@ type httpPublisher struct{ client *sigserver.Client }
 
 // NewHTTPPublisher returns a publisher POSTing to the sigserver at base
 // (e.g. "http://127.0.0.1:8700"); token, when non-empty, is sent as the
-// publish bearer token. The returned publisher implements NamedPublisher:
-// per-tenant sets POST to /sets/{tenant}/publish.
+// publish bearer token. The global set POSTs to /publish, a tenant's set
+// to /sets/{tenant}/publish.
 func NewHTTPPublisher(base, token string) Publisher {
 	c := sigserver.NewClient(base, nil)
 	c.SetToken(token)
@@ -86,26 +60,16 @@ func NewHTTPPublisherFrom(c *sigserver.Client) Publisher {
 }
 
 // CurrentVersion implements Publisher.
-func (p httpPublisher) CurrentVersion(ctx context.Context) (int64, error) {
-	return p.client.Version(ctx)
+func (p httpPublisher) CurrentVersion(ctx context.Context, name string) (int64, error) {
+	return p.client.Version(ctx, name)
 }
 
 // Publish implements Publisher.
-func (p httpPublisher) Publish(ctx context.Context, set *signature.Set) (int64, error) {
-	return p.client.Publish(ctx, set)
+func (p httpPublisher) Publish(ctx context.Context, name string, set *signature.Set) (int64, error) {
+	return p.client.Publish(ctx, name, set)
 }
 
-// CurrentNamedVersion implements NamedPublisher.
-func (p httpPublisher) CurrentNamedVersion(ctx context.Context, name string) (int64, error) {
-	return p.client.VersionNamed(ctx, name)
-}
-
-// PublishNamed implements NamedPublisher.
-func (p httpPublisher) PublishNamed(ctx context.Context, name string, set *signature.Set) (int64, error) {
-	return p.client.PublishNamed(ctx, name, set)
-}
-
-// PoolReloader returns a Config.OnPublishNamed hook that lands published
+// PoolReloader returns a Config.OnPublish hook that lands published
 // per-tenant sets in an engine.Pool without a server round trip — the
 // in-process closed loop. Each tenant set pins its tenant via
 // Pool.ReloadTenant, so tenant A's learned signatures fire only on
@@ -113,7 +77,7 @@ func (p httpPublisher) PublishNamed(ctx context.Context, name string, set *signa
 // as the pool default: it is the union across tenants, and making it the
 // default would let one tenant's learned signatures fire on every
 // unpinned tenant — the exact cross-tenant leakage per-tenant sets
-// exist to prevent. Wire Config.OnPublish to Pool.Reload yourself if
+// exist to prevent. Wrap the hook to send "" to Pool.Reload yourself if
 // unpinned tenants should follow the union.
 func PoolReloader(p *engine.Pool) func(name string, set *signature.Set) {
 	return func(name string, set *signature.Set) {

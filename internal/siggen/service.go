@@ -59,7 +59,7 @@ import (
 // Config parameterizes the service. The zero value selects the defaults
 // noted on each field; only Publisher is required for auto-publishing
 // (without it epochs still cluster and distill, returning sets to the
-// RunEpoch caller and feeding OnPublishNamed).
+// RunEpoch caller and feeding OnPublish).
 type Config struct {
 	// Cluster tunes the incremental clusterer (distance metric, join
 	// threshold, table bounds, staleness).
@@ -122,10 +122,9 @@ type Config struct {
 
 	// TenantSets, when true, distills one named signature set per tenant
 	// alongside the global set: a signature lands in tenant T's set when
-	// T's traffic is part of its source clusters' member mix. Named sets
-	// publish through the Publisher's NamedPublisher side (when
-	// implemented) and through OnPublishNamed, each tenant under its own
-	// strictly increasing version.
+	// T's traffic is part of its source clusters' member mix. Each tenant
+	// set publishes through the Publisher and OnPublish under the tenant
+	// key, with its own strictly increasing version.
 	TenantSets bool
 
 	// GenerateInterval is the epoch cadence of the background loop; 0
@@ -138,22 +137,16 @@ type Config struct {
 	MinNewSamples int
 
 	// Publisher receives accepted sets; nil disables remote publishing
-	// (sets still reach OnPublish/OnPublishNamed with locally stamped
-	// versions). A Publisher that also implements NamedPublisher
-	// receives per-tenant sets under their names.
+	// (sets still reach OnPublish with locally stamped versions).
 	Publisher Publisher
 
-	// OnPublish, when non-nil, observes every successful global-set
-	// publish with the accepted set (Version already assigned). It runs
-	// on the epoch goroutine with the service lock held; it must not
-	// call back into the service.
-	OnPublish func(set *signature.Set)
-
-	// OnPublishNamed, when non-nil, observes every successful publish —
-	// the global set as "", each tenant set under its tenant key. This
-	// is the in-process route for landing per-tenant sets in an
-	// engine.Pool (see PoolReloader). Same execution rules as OnPublish.
-	OnPublishNamed func(name string, set *signature.Set)
+	// OnPublish, when non-nil, observes every successful publish with
+	// the accepted set (Version already assigned): the global set as "",
+	// each tenant set under its tenant key. This is the in-process route
+	// for landing per-tenant sets in an engine.Pool (see PoolReloader).
+	// It runs on the epoch goroutine with the service lock held; it must
+	// not call back into the service.
+	OnPublish func(name string, set *signature.Set)
 
 	// OnRetire, when non-nil, observes drift retirement: n catalog
 	// signatures lost their last source cluster this epoch and will be
@@ -357,7 +350,7 @@ func (s *Service) run() {
 // reservoir samples, compact, retire, distill, publish what changed —
 // and returns the global set it published (nil when nothing was
 // generated or nothing changed; per-tenant publishes surface through
-// OnPublishNamed). The error reports the first publish failure;
+// OnPublish). The error reports the first publish failure;
 // generation itself cannot fail.
 func (s *Service) RunEpoch(ctx context.Context) (*signature.Set, error) {
 	// Every sample observed before this call must make the epoch. One
@@ -601,16 +594,16 @@ func (s *Service) assembleLocked(keep func(*publishedSig) bool) *signature.Set {
 }
 
 // catalogTenantsLocked lists every tenant named in the catalog's
-// provenance. Excluded: the unattributed "" label (its flows back only
-// the global set) and tenant keys that cannot name a distributable set
-// (sigserver.ValidSetName — tenant keys ride on traffic fields, and a
+// provenance. sigserver.ValidSetName screens out the unattributed ""
+// label (its flows back only the global set) and tenant keys that cannot
+// name a distributable set — tenant keys ride on traffic fields, and a
 // crafted key like ".." must not wedge the publisher in a permanent
-// retry loop). Callers hold s.mu.
+// retry loop. Callers hold s.mu.
 func (s *Service) catalogTenantsLocked() []string {
 	seen := make(map[string]struct{})
 	for _, ps := range s.catalog {
 		for tenant, n := range ps.tenants {
-			if tenant != "" && n > 0 && sigserver.ValidSetName(tenant) {
+			if n > 0 && sigserver.ValidSetName(tenant) {
 				seen[tenant] = struct{}{}
 			}
 		}
@@ -700,26 +693,11 @@ func (s *Service) publishOneLocked(ctx context.Context, item namedPublish) (*sig
 	name, set, fp := item.name, item.set, item.fp
 	pub := s.pub(name)
 
-	// Resolve the remote route: the Publisher for the global set, its
-	// NamedPublisher side for tenant sets. Without one, the set is
-	// stamped locally and delivered to the in-process hooks only.
-	var publish func(ctx context.Context, set *signature.Set) (int64, error)
-	var current func(ctx context.Context) (int64, error)
-	if name == "" {
-		if p := s.cfg.Publisher; p != nil {
-			publish, current = p.Publish, p.CurrentVersion
-		}
-	} else if np, ok := s.cfg.Publisher.(NamedPublisher); ok {
-		publish = func(ctx context.Context, set *signature.Set) (int64, error) {
-			return np.PublishNamed(ctx, name, set)
-		}
-		current = func(ctx context.Context) (int64, error) {
-			return np.CurrentNamedVersion(ctx, name)
-		}
-	}
-
+	// Without a Publisher the set is stamped locally and delivered to the
+	// in-process hook only.
+	p := s.cfg.Publisher
 	version := pub.lastVersion + 1
-	if publish == nil {
+	if p == nil {
 		set.Version = version
 		pub.lastVersion = version
 		pub.lastFingerprint = fp
@@ -735,20 +713,20 @@ func (s *Service) publishOneLocked(ctx context.Context, item namedPublish) (*sig
 		// First publish under this name: seed the stamp from the server
 		// so we continue its sequence instead of starting a losing race
 		// at 1.
-		if v, err := current(pubCtx); err == nil && v >= version {
+		if v, err := p.CurrentVersion(pubCtx, name); err == nil && v >= version {
 			version = v + 1
 		}
 	}
 	set.Version = version
 	pubStart := time.Now()
-	v, err := publish(pubCtx, set)
+	v, err := p.Publish(pubCtx, name, set)
 	s.cfg.Tracer.Observe(trace.StagePublish, time.Since(pubStart))
 	var cur int64
 	var curErr error
 	if err != nil {
 		// Another writer may have advanced the server; learn its version
 		// so the retry stamps past it.
-		cur, curErr = current(pubCtx)
+		cur, curErr = p.CurrentVersion(pubCtx, name)
 	}
 	cancel()
 
@@ -773,24 +751,21 @@ func (s *Service) publishOneLocked(ctx context.Context, item namedPublish) (*sig
 }
 
 // deliveredLocked counts one successful publish and runs the observer
-// hooks. A tenant set that published empty (its signatures all retired)
+// hook. A tenant set that published empty (its signatures all retired)
 // drops its delivery state: the server re-seeds the version sequence if
 // the tenant ever returns, so the learner's books stay bounded by live
 // tenants rather than tenants ever seen. Callers hold s.mu.
 func (s *Service) deliveredLocked(name string, set *signature.Set) {
 	if name == "" {
 		s.publishes.Add(1)
-		if s.cfg.OnPublish != nil {
-			s.cfg.OnPublish(set)
-		}
 	} else {
 		s.namedPublishes.Add(1)
 		if set.Len() == 0 {
 			delete(s.pubs, name)
 		}
 	}
-	if s.cfg.OnPublishNamed != nil {
-		s.cfg.OnPublishNamed(name, set)
+	if s.cfg.OnPublish != nil {
+		s.cfg.OnPublish(name, set)
 	}
 }
 

@@ -301,7 +301,7 @@ func TestServiceEpochPublishesAndDeduplicates(t *testing.T) {
 	svc := NewService(Config{
 		Publisher:      ServerPublisher{Server: srv},
 		MinClusterSize: 2,
-		OnPublish:      func(set *signature.Set) { published = append(published, set.Version) },
+		OnPublish:      func(_ string, set *signature.Set) { published = append(published, set.Version) },
 	})
 	defer svc.Close()
 
@@ -349,7 +349,7 @@ func TestServicePublishLosesRaceAndResyncs(t *testing.T) {
 	// A competing writer advances the server past anything the service
 	// has seen, so the service's stamped version is stale.
 	other := &signature.Set{Version: 7}
-	if _, err := srv.PublishVersioned(other); err != nil {
+	if _, err := srv.Publish("", other); err != nil {
 		t.Fatal(err)
 	}
 
@@ -367,7 +367,7 @@ func TestServicePublishLosesRaceAndResyncs(t *testing.T) {
 	}
 
 	// Now lose a race: the competitor jumps ahead between epochs.
-	if _, err := srv.PublishVersioned(&signature.Set{Version: 20}); err != nil {
+	if _, err := srv.Publish("", &signature.Set{Version: 20}); err != nil {
 		t.Fatal(err)
 	}
 	// Change the traffic so the fingerprint differs and a publish is
@@ -430,17 +430,17 @@ type flakyPublisher struct {
 	calls    int
 }
 
-func (p *flakyPublisher) CurrentVersion(context.Context) (int64, error) {
-	_, v := p.srv.Current()
+func (p *flakyPublisher) CurrentVersion(_ context.Context, name string) (int64, error) {
+	_, v, _ := p.srv.CurrentNamed(name)
 	return v, nil
 }
 
-func (p *flakyPublisher) Publish(_ context.Context, set *signature.Set) (int64, error) {
+func (p *flakyPublisher) Publish(_ context.Context, name string, set *signature.Set) (int64, error) {
 	p.calls++
 	if p.calls <= p.failures {
 		return 0, fmt.Errorf("simulated outage %d", p.calls)
 	}
-	return p.srv.PublishVersioned(set)
+	return p.srv.Publish(name, set)
 }
 
 // TestFailedPublishRetriesWithoutNewSamples pins the outage contract:
@@ -555,7 +555,7 @@ func TestTenantSetsPublishAndIsolate(t *testing.T) {
 		Publisher:      ServerPublisher{Server: srv},
 		TenantSets:     true,
 		MinClusterSize: 2,
-		OnPublishNamed: func(name string, set *signature.Set) { published[name] = set.Version },
+		OnPublish:      func(name string, set *signature.Set) { published[name] = set.Version },
 	})
 	defer svc.Close()
 
@@ -572,7 +572,7 @@ func TestTenantSetsPublishAndIsolate(t *testing.T) {
 		t.Fatalf("global set should carry both populations: %+v", global)
 	}
 	if published[""] == 0 || published["tenant-a"] == 0 || published["tenant-b"] == 0 {
-		t.Fatalf("OnPublishNamed deliveries = %v, want global + both tenants", published)
+		t.Fatalf("OnPublish deliveries = %v, want global + both tenants", published)
 	}
 
 	setA, vA, okA := srv.CurrentNamed("tenant-a")
@@ -677,7 +677,7 @@ func TestDriftRetirementDropsStaleSignatures(t *testing.T) {
 }
 
 // TestPoolReloaderLandsTenantSets closes the in-process loop: learner →
-// OnPublishNamed → Pool.ReloadTenant, with the pool default left alone so
+// OnPublish → Pool.ReloadTenant, with the pool default left alone so
 // one tenant's learned signatures can never fire on another tenant.
 func TestPoolReloaderLandsTenantSets(t *testing.T) {
 	pool := engine.NewPool(nil, engine.PoolConfig{Engine: engine.Config{Shards: 1}})
@@ -685,7 +685,7 @@ func TestPoolReloaderLandsTenantSets(t *testing.T) {
 	svc := NewService(Config{
 		TenantSets:     true,
 		MinClusterSize: 2,
-		OnPublishNamed: PoolReloader(pool),
+		OnPublish:      PoolReloader(pool),
 	})
 	defer svc.Close()
 

@@ -55,9 +55,13 @@ func ValidViewName(v string) bool {
 
 // Validate checks that every signature carries a compilable kind and
 // known view names, so a typo'd kind is rejected at the publish boundary
-// instead of silently never matching in the fleet.
+// instead of silently never matching in the fleet. A null entry (JSON
+// `null` in the signatures array) is rejected too.
 func (s *Set) Validate() error {
-	for _, sig := range s.Signatures {
+	for i, sig := range s.Signatures {
+		if sig == nil {
+			return fmt.Errorf("signature: entry %d is null", i)
+		}
 		if !ValidKind(sig.Kind) {
 			return fmt.Errorf("signature: sig %d: unknown kind %q", sig.ID, sig.Kind)
 		}

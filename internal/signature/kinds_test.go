@@ -78,6 +78,9 @@ func TestEffectiveKindAndValidate(t *testing.T) {
 	if err := badView.Validate(); err == nil || !strings.Contains(err.Error(), "view") {
 		t.Errorf("unknown view accepted: %v", err)
 	}
+	if err := (&Set{Signatures: []*Signature{nil}}).Validate(); err == nil || !strings.Contains(err.Error(), "null") {
+		t.Errorf("null signature accepted: %v", err)
+	}
 	for _, v := range KnownViews() {
 		if !ValidViewName(v) {
 			t.Errorf("KnownViews lists invalid view %q", v)

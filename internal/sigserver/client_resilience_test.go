@@ -111,7 +111,7 @@ func TestClientPublishBreaker(t *testing.T) {
 	ctx := context.Background()
 	set := &signature.Set{Version: 7}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Publish(ctx, set); err == nil {
+		if _, err := c.Publish(ctx, "", set); err == nil {
 			t.Fatalf("publish %d against a 500ing server succeeded", i)
 		}
 	}
@@ -120,7 +120,7 @@ func TestClientPublishBreaker(t *testing.T) {
 	}
 
 	before := hits.Load()
-	if _, err := c.Publish(ctx, set); !errors.Is(err, resilience.ErrOpen) {
+	if _, err := c.Publish(ctx, "", set); !errors.Is(err, resilience.ErrOpen) {
 		t.Fatalf("publish while open: err = %v, want ErrOpen", err)
 	}
 	if hits.Load() != before {
@@ -130,7 +130,7 @@ func TestClientPublishBreaker(t *testing.T) {
 	// Window elapses, server recovers: the half-open probe closes it.
 	healthy.Store(true)
 	clk = clk.Add(time.Minute)
-	if _, err := c.Publish(ctx, set); err != nil {
+	if _, err := c.Publish(ctx, "", set); err != nil {
 		t.Fatalf("probe publish after recovery: %v", err)
 	}
 	if got := br.State(); got != resilience.Closed {
@@ -142,7 +142,7 @@ func TestClientPublishBreaker(t *testing.T) {
 // up and enforcing its guard; it must not push the breaker toward open.
 func TestClientBreakerTreatsStaleVersionAsAlive(t *testing.T) {
 	srv := New()
-	srv.Publish(&signature.Set{}) // version 1
+	srv.Publish("", &signature.Set{}) // version 1
 	backend := httptest.NewServer(srv.HandlerWithPublish(""))
 	defer backend.Close()
 
@@ -151,7 +151,7 @@ func TestClientBreakerTreatsStaleVersionAsAlive(t *testing.T) {
 	c.SetBreaker(br)
 
 	for i := 0; i < 5; i++ {
-		_, err := c.Publish(context.Background(), &signature.Set{Version: 1}) // stale on purpose
+		_, err := c.Publish(context.Background(), "", &signature.Set{Version: 1}) // stale on purpose
 		if !errors.Is(err, ErrStaleVersion) {
 			t.Fatalf("publish %d: err = %v, want ErrStaleVersion", i, err)
 		}

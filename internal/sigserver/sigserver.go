@@ -6,18 +6,20 @@
 //
 // Server publishes versioned signature sets over HTTP; Client fetches them
 // with conditional requests so an unchanged set costs one cheap round trip.
-// Publishes are observable three ways: in-process via OnPublish callbacks
-// or the Changed broadcast channel, and over HTTP via the long-polling
-// /wait endpoint, which Client.Watch uses so a streaming consumer learns
-// of a new version within one round trip instead of a poll interval.
+// Publishes are observable in-process via OnPublish callbacks and over
+// HTTP via the long-polling /wait endpoints, which Client.Watch uses so a
+// streaming consumer learns of a new version within one round trip
+// instead of a poll interval.
 //
-// Beyond the default set, a server distributes any number of named sets —
-// one per traffic population, the way the paper's per-module signatures
-// isolate ad libraries — under /sets/{name}/..., each with its own version
-// sequence, strict-increase publish guard, and long-poll wait. A global
-// catalog sequence (bumped by every publish to any set) backs GET /sets and
-// GET /sets/wait, which Client.WatchSets uses to follow every population
-// with one long poll instead of one per set.
+// Every set lives in one name-keyed table — one set per traffic
+// population, the way the paper's per-module signatures isolate ad
+// libraries — each with its own version sequence, strict-increase publish
+// guard, and long-poll wait under /sets/{name}/.... The name "" is
+// reserved for the default set: it always exists, and the root
+// /signatures, /version, /wait and /publish paths are its aliases. A
+// global catalog sequence (bumped by every publish to any set) backs
+// GET /sets and GET /sets/wait, which Client.WatchSets uses to follow
+// every population with one long poll instead of one per set.
 package sigserver
 
 import (
@@ -50,10 +52,15 @@ const waitTimeoutMax = 30 * time.Second
 // so the table must not grow without limit.
 const maxNamedSets = 4096
 
-// ErrStaleVersion is returned by PublishVersioned (and surfaced over
-// HTTP as 409 Conflict) when a publish carries a version at or below the
-// server's current one — the guard that stops stale or looping
-// auto-publishers from rolling the fleet backwards.
+// MaxPublishBytes bounds a publish request body; a larger one is refused
+// with 413. It equals the publish journal's record bound
+// (durable.MaxRecord), so a set too large to journal is never acked.
+const MaxPublishBytes = 16 << 20
+
+// ErrStaleVersion is returned by Publish (and surfaced over HTTP as 409
+// Conflict) when a publish carries a version at or below the set's
+// current one — the guard that stops stale or looping auto-publishers
+// from rolling the fleet backwards.
 var ErrStaleVersion = errors.New("sigserver: publish version not greater than current")
 
 // ErrBadSetName rejects set names that cannot round-trip a URL path
@@ -65,14 +72,15 @@ var ErrBadSetName = errors.New("sigserver: invalid set name")
 // the server's table bound.
 var ErrTooManySets = errors.New("sigserver: named set limit reached")
 
-// ValidSetName reports whether name can be a named set: it must
-// round-trip a URL path segment. "." and ".." are rejected because
-// ServeMux path cleaning folds them away before routing (a POST to
-// /sets/../publish redirects to /publish and the redirected request
-// loses its body) — and set names ultimately come from traffic fields,
-// so a crafted Host of ".." must not wedge a publisher in a permanent
-// retry loop. Publishers with attacker-influenced tenant keys should
-// screen names with this before queueing a publish.
+// ValidSetName reports whether a publish may create a set called name:
+// it must round-trip a URL path segment. "" is the reserved default set,
+// which always exists and is never created. "." and ".." are rejected
+// because ServeMux path cleaning folds them away before routing (a POST
+// to /sets/../publish redirects to /publish and the redirected request
+// loses its body) — and set names ultimately come from traffic fields, so
+// a crafted Host of ".." must not wedge a publisher in a permanent retry
+// loop. Publishers with attacker-influenced tenant keys should screen
+// names with this before queueing a publish.
 func ValidSetName(name string) bool {
 	if name == "" || len(name) > 200 || name == "." || name == ".." {
 		return false
@@ -85,12 +93,9 @@ func ValidSetName(name string) bool {
 	return true
 }
 
-// setState is one distributable signature set: the default set or one
-// named (per-population) set, each with its own version sequence and
-// change broadcast.
+// setState is one distributable signature set with its own version
+// sequence and change broadcast.
 type setState struct {
-	name string
-
 	mu      sync.RWMutex
 	set     *signature.Set
 	version int64
@@ -100,8 +105,8 @@ type setState struct {
 	publishesRejected atomic.Uint64
 }
 
-func newSetState(name string) *setState {
-	return &setState{name: name, set: &signature.Set{}, changed: make(chan struct{})}
+func newSetState() *setState {
+	return &setState{set: &signature.Set{}, changed: make(chan struct{})}
 }
 
 // current returns the state's set and version.
@@ -119,17 +124,14 @@ func (st *setState) read() (int64, <-chan struct{}) {
 	return st.version, st.changed
 }
 
-// Server holds the currently published signature sets: the default set
-// plus any number of named per-population sets. It is safe for concurrent
-// use; the zero value is not usable, construct with New.
+// Server holds the currently published signature sets, keyed by name. It
+// is safe for concurrent use; the zero value is not usable, construct
+// with New.
 type Server struct {
-	def *setState
-
-	// mu guards the named-set table and the callback lists.
-	mu             sync.RWMutex
-	named          map[string]*setState
-	onPublish      []func(int64)
-	onPublishNamed []func(name string, version int64)
+	// mu guards the set table and the callback list.
+	mu        sync.RWMutex
+	sets      map[string]*setState // "" (the default set) is present from New on
+	onPublish []func(name string, version int64)
 
 	// seq counts publishes to any set; /sets/wait long-polls it so one
 	// watcher can follow every population with a single connection.
@@ -138,48 +140,74 @@ type Server struct {
 	seqChanged chan struct{}
 }
 
-// New returns a server with an empty default signature set at version 0
-// and no named sets.
+// New returns a server holding only the default set "", empty at
+// version 0.
 func New() *Server {
 	return &Server{
-		def:        newSetState(""),
-		named:      make(map[string]*setState),
+		sets:       map[string]*setState{"": newSetState()},
 		seqChanged: make(chan struct{}),
 	}
 }
 
-// state resolves a set name to its state. "" is the default set. With
-// create, a missing named set is added (subject to the name and table
-// bounds); without it, a missing name returns (nil, nil).
-func (s *Server) state(name string, create bool) (*setState, error) {
-	if name == "" {
-		return s.def, nil
+// lookup returns name's state, or nil for a name never published.
+func (s *Server) lookup(name string) *setState {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.sets[name]
+}
+
+// create returns name's state, adding it on first publish subject to the
+// name and table bounds.
+func (s *Server) create(name string) (*setState, error) {
+	if st := s.lookup(name); st != nil {
+		return st, nil
 	}
 	if !ValidSetName(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadSetName, name)
 	}
-	s.mu.RLock()
-	st := s.named[name]
-	s.mu.RUnlock()
-	if st != nil || !create {
-		return st, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st := s.named[name]; st != nil {
+	if st := s.sets[name]; st != nil {
 		return st, nil
 	}
-	if len(s.named) >= maxNamedSets {
+	if len(s.sets) > maxNamedSets { // the default set does not count
 		return nil, ErrTooManySets
 	}
-	st = newSetState(name)
-	s.named[name] = st
+	st := newSetState()
+	s.sets[name] = st
 	return st, nil
 }
 
-// installLocked installs set at version on st. It is entered holding
-// st.mu and releases it before the broadcasts and callbacks run.
-func (s *Server) installLocked(st *setState, set *signature.Set, version int64) (int64, error) {
+// catalog returns the catalog sequence plus the channel closed at the
+// next publish to any set.
+func (s *Server) catalog() (int64, <-chan struct{}) {
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	return s.seq, s.seqChanged
+}
+
+// Publish installs set as name's current set, creating the name on its
+// first publish. A zero set.Version auto-bumps the name's version; any
+// other must strictly exceed it, or the publish is rejected with
+// ErrStaleVersion (and counted) — writers stamp last-seen + 1, so two
+// loops feeding one server cannot ping-pong the fleet between their
+// generations. The set's Version field is overwritten with the accepted
+// version, and every OnPublish callback runs before Publish returns.
+func (s *Server) Publish(name string, set *signature.Set) (int64, error) {
+	st, err := s.create(name)
+	if err != nil {
+		return 0, err
+	}
+	st.mu.Lock()
+	version := set.Version
+	if version == 0 {
+		version = st.version + 1
+	} else if version <= st.version {
+		cur := st.version
+		st.mu.Unlock()
+		st.publishesRejected.Add(1)
+		return cur, fmt.Errorf("%w: got %d, current %d", ErrStaleVersion, version, cur)
+	}
 	st.version = version
 	set.Version = version
 	st.set = set
@@ -197,115 +225,28 @@ func (s *Server) installLocked(st *setState, set *signature.Set, version int64) 
 	close(seqNotify)
 
 	s.mu.RLock()
-	var cbs []func(int64)
-	if st == s.def {
-		cbs = append(cbs, s.onPublish...)
-	}
-	named := append([]func(name string, version int64){}, s.onPublishNamed...)
+	cbs := s.onPublish
 	s.mu.RUnlock()
 	for _, fn := range cbs {
-		fn(version)
-	}
-	for _, fn := range named {
-		fn(st.name, version)
+		fn(name, version)
 	}
 	return version, nil
 }
 
-// publishTo replaces st's set, auto-bumping the version.
-func (s *Server) publishTo(st *setState, set *signature.Set) int64 {
-	st.mu.Lock()
-	v, _ := s.installLocked(st, set, st.version+1)
-	return v
-}
+// PublishSet is Publish to the default set "".
+func (s *Server) PublishSet(set *signature.Set) (int64, error) { return s.Publish("", set) }
 
-// publishVersionedTo installs the set under its own Version field, which
-// must strictly exceed st's current version.
-func (s *Server) publishVersionedTo(st *setState, set *signature.Set) (int64, error) {
-	st.mu.Lock()
-	if set.Version <= st.version {
-		cur := st.version
-		st.mu.Unlock()
-		st.publishesRejected.Add(1)
-		return cur, fmt.Errorf("%w: got %d, current %d", ErrStaleVersion, set.Version, cur)
-	}
-	return s.installLocked(st, set, set.Version)
-}
-
-// Publish replaces the current default signature set and bumps the
-// version. The set's Version field is overwritten with the server's new
-// version. Every OnPublish callback runs synchronously before Publish
-// returns, and the Changed broadcast fires.
-func (s *Server) Publish(set *signature.Set) int64 {
-	return s.publishTo(s.def, set)
-}
-
-// PublishVersioned installs the set under its own Version field, which
-// must be strictly greater than the server's current version; stale
-// versions are rejected with ErrStaleVersion (and counted). This is the
-// auto-publish path: writers stamp last-seen + 1, so two loops feeding
-// one server cannot ping-pong the fleet between their generations.
-func (s *Server) PublishVersioned(set *signature.Set) (int64, error) {
-	return s.publishVersionedTo(s.def, set)
-}
-
-// PublishSet routes a publish by its version stamp: 0 means "assign me
-// the next version" (Publish), anything else is checked against the
-// strict-increase guard (PublishVersioned). It is the behavior of the
-// HTTP publish endpoint.
-func (s *Server) PublishSet(set *signature.Set) (int64, error) {
-	if set.Version == 0 {
-		return s.Publish(set), nil
-	}
-	return s.PublishVersioned(set)
-}
-
-// PublishNamed replaces the named set, auto-bumping its version and
-// creating the set on first publish. "" routes to the default set.
-func (s *Server) PublishNamed(name string, set *signature.Set) (int64, error) {
-	st, err := s.state(name, true)
-	if err != nil {
-		return 0, err
-	}
-	return s.publishTo(st, set), nil
-}
-
-// PublishNamedVersioned installs the named set under its own Version
-// field with the same strict-increase guard as PublishVersioned — each
-// name carries its own independent version sequence.
-func (s *Server) PublishNamedVersioned(name string, set *signature.Set) (int64, error) {
-	st, err := s.state(name, true)
-	if err != nil {
-		return 0, err
-	}
-	return s.publishVersionedTo(st, set)
-}
-
-// PublishNamedSet routes a named publish by its version stamp, the
-// behavior of POST /sets/{name}/publish.
-func (s *Server) PublishNamedSet(name string, set *signature.Set) (int64, error) {
-	if set.Version == 0 {
-		return s.PublishNamed(name, set)
-	}
-	return s.PublishNamedVersioned(name, set)
-}
-
-// Current returns the published default set and version.
+// Current returns the default set "" and its version.
 func (s *Server) Current() (*signature.Set, int64) {
-	return s.def.current()
+	set, v, _ := s.CurrentNamed("")
+	return set, v
 }
 
-// CurrentNamed returns the named set, its version, and whether the name
-// has ever been published. An unpublished name reads as an empty set at
-// version 0 — the same zero state the default set starts in.
+// CurrentNamed returns name's set, its version, and whether the name
+// exists ("" always does). A name never published reads as an empty set
+// at version 0 — the zero state every set starts in.
 func (s *Server) CurrentNamed(name string) (*signature.Set, int64, bool) {
-	if name == "" {
-		set, v := s.def.current()
-		return set, v, true
-	}
-	s.mu.RLock()
-	st := s.named[name]
-	s.mu.RUnlock()
+	st := s.lookup(name)
 	if st == nil {
 		return &signature.Set{}, 0, false
 	}
@@ -313,11 +254,12 @@ func (s *Server) CurrentNamed(name string) (*signature.Set, int64, bool) {
 	return set, v, true
 }
 
-// SetNames returns the published named-set names, sorted.
+// SetNames returns every set's name, sorted; "" (the default set) is
+// always first.
 func (s *Server) SetNames() []string {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.named))
-	for name := range s.named {
+	names := make([]string, 0, len(s.sets))
+	for name := range s.sets {
 		names = append(names, name)
 	}
 	s.mu.RUnlock()
@@ -325,56 +267,31 @@ func (s *Server) SetNames() []string {
 	return names
 }
 
-// Seq returns the catalog sequence: the count of publishes to any set.
-func (s *Server) Seq() int64 {
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	return s.seq
-}
-
-// setsSnapshot returns the catalog sequence plus every set's version
-// (the default set included as ""). The sequence is read FIRST: a publish
-// racing the snapshot then shows up in the versions (harmless early
-// delivery) rather than only in the sequence (a watcher sleeping past it).
+// setsSnapshot returns the catalog sequence plus every set's version. The
+// sequence is read FIRST: a publish racing the snapshot then shows up in
+// the versions (harmless early delivery) rather than only in the
+// sequence (a watcher sleeping past it).
 func (s *Server) setsSnapshot() (int64, map[string]int64) {
-	seq := s.Seq()
+	seq, _ := s.catalog()
 	s.mu.RLock()
-	versions := make(map[string]int64, len(s.named)+1)
-	for name, st := range s.named {
+	defer s.mu.RUnlock()
+	versions := make(map[string]int64, len(s.sets))
+	for name, st := range s.sets {
 		_, versions[name] = st.current()
 	}
-	s.mu.RUnlock()
-	_, versions[""] = s.def.current()
 	return seq, versions
 }
 
-// OnPublish registers a callback invoked with the new version after every
-// default-set Publish. Callbacks run synchronously on the publishing
-// goroutine and must not call Publish themselves.
-func (s *Server) OnPublish(fn func(version int64)) {
+// OnPublish registers a callback invoked with the set name and new
+// version after every publish to any set. Callbacks run synchronously on
+// the publishing goroutine and must not publish themselves.
+func (s *Server) OnPublish(fn func(name string, version int64)) {
 	s.mu.Lock()
 	s.onPublish = append(s.onPublish, fn)
 	s.mu.Unlock()
 }
 
-// OnPublishNamed registers a callback invoked with the set name and new
-// version after every publish to any set (the default set reports as "").
-// Callbacks run synchronously on the publishing goroutine.
-func (s *Server) OnPublishNamed(fn func(name string, version int64)) {
-	s.mu.Lock()
-	s.onPublishNamed = append(s.onPublishNamed, fn)
-	s.mu.Unlock()
-}
-
-// Changed returns a channel that is closed at the next default-set
-// Publish. Receive from it to block until the set changes, then call
-// Current (and Changed again to re-arm).
-func (s *Server) Changed() <-chan struct{} {
-	_, ch := s.def.read()
-	return ch
-}
-
-// NamedSetStats are one named set's version and publish counters.
+// NamedSetStats are one set's version and publish counters.
 type NamedSetStats struct {
 	Version           int64  `json:"version"`
 	Signatures        int    `json:"signatures"`
@@ -382,9 +299,9 @@ type NamedSetStats struct {
 	PublishesRejected uint64 `json:"publishes_rejected"`
 }
 
-// ServerStats are the server's lifetime publish counters and live state.
-// The top-level fields describe the default set; Sets breaks out every
-// named set, and Seq is the catalog sequence across all of them.
+// ServerStats are the server's lifetime publish counters and live state:
+// the default set's at the top level, every other set under Sets, and
+// Seq, the catalog sequence across all of them.
 type ServerStats struct {
 	Version           int64                    `json:"version"`
 	Signatures        int                      `json:"signatures"`
@@ -406,48 +323,52 @@ func statsOf(st *setState) NamedSetStats {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() ServerStats {
-	def := statsOf(s.def)
-	out := ServerStats{
-		Version:           def.Version,
-		Signatures:        def.Signatures,
-		Publishes:         def.Publishes,
-		PublishesRejected: def.PublishesRejected,
-		Seq:               s.Seq(),
-	}
+	var out ServerStats
+	out.Seq, _ = s.catalog()
 	s.mu.RLock()
-	if len(s.named) > 0 {
-		out.Sets = make(map[string]NamedSetStats, len(s.named))
-		for name, st := range s.named {
-			out.Sets[name] = statsOf(st)
+	defer s.mu.RUnlock()
+	for name, st := range s.sets {
+		if name == "" {
+			def := statsOf(st)
+			out.Version, out.Signatures = def.Version, def.Signatures
+			out.Publishes, out.PublishesRejected = def.Publishes, def.PublishesRejected
+			continue
 		}
+		if out.Sets == nil {
+			out.Sets = make(map[string]NamedSetStats, len(s.sets))
+		}
+		out.Sets[name] = statsOf(st)
 	}
-	s.mu.RUnlock()
 	return out
 }
 
+// setRoutes are the path prefixes every per-set endpoint is mounted
+// under: the root aliases of the default set, and /sets/{name}. On the
+// root routes r.PathValue("name") reads "", which names the default set.
+var setRoutes = []string{"", "/sets/{name}"}
+
 // Handler returns the HTTP API:
 //
-//	GET /signatures            — the default set as JSON, ETag = version;
-//	                             supports If-None-Match → 304
-//	GET /version               — the default set's version as text
-//	GET /wait                  — long-poll: ?v=N blocks until version > N
-//	                             (or a timeout), then answers the current
-//	                             version as text
-//	GET /sets                  — catalog: {"seq":N,"sets":{name:version}}
-//	                             with the default set listed as ""
-//	GET /sets/wait             — long-poll: ?s=N blocks until the catalog
-//	                             sequence exceeds N (any set published)
-//	GET /sets/{name}/signatures, /version, /wait
-//	                           — the named-set forms; an unpublished name
-//	                             reads as an empty set at version 0
-//	GET /stats                 — publish counters as JSON, named sets
-//	                             broken out under "sets"
-//	GET /healthz               — liveness
-//	GET /readyz                — readiness: 503 until any set holds a
-//	                             published (or seeded) version
+//	GET /sets/{name}/signatures — the set as JSON, ETag = version;
+//	                              supports If-None-Match → 304
+//	GET /sets/{name}/version    — the set's version as text
+//	GET /sets/{name}/wait       — long-poll: ?v=N blocks until the version
+//	                              exceeds N (or a timeout), then answers the
+//	                              current version as text
+//	GET /signatures, /version, /wait
+//	                            — the same for the default set ""
+//	GET /sets                   — catalog: {"seq":N,"sets":{name:version}},
+//	                              the default set listed as ""
+//	GET /sets/wait              — long-poll: ?s=N blocks until the catalog
+//	                              sequence exceeds N (any set published)
+//	GET /stats                  — publish counters as JSON, every set but
+//	                              the default broken out under "sets"
+//	GET /healthz                — liveness
+//	GET /readyz                 — readiness: 503 until any set holds a
+//	                              published (or replayed) version
 //
-// Handler is strictly read-only; mount PublishHandler (or use
-// HandlerWithPublish) to accept publishes.
+// A name never published reads as an empty set at version 0. Handler is
+// strictly read-only; use HandlerWithPublish to accept publishes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -455,17 +376,30 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Cache-Control", "no-store")
 		json.NewEncoder(w).Encode(s.Stats())
 	})
-	mux.HandleFunc("GET /signatures", func(w http.ResponseWriter, r *http.Request) {
-		set, version := s.Current()
-		writeSetJSON(w, r, set, version)
-	})
-	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
-		_, version := s.Current()
-		fmt.Fprintf(w, "%d", version)
-	})
-	mux.HandleFunc("GET /wait", func(w http.ResponseWriter, r *http.Request) {
-		s.serveWait(w, r, "v", s.def.read)
-	})
+	for _, prefix := range setRoutes {
+		mux.HandleFunc("GET "+prefix+"/signatures", func(w http.ResponseWriter, r *http.Request) {
+			set, version, _ := s.CurrentNamed(r.PathValue("name"))
+			writeSetJSON(w, r, set, version)
+		})
+		mux.HandleFunc("GET "+prefix+"/version", func(w http.ResponseWriter, r *http.Request) {
+			_, version, _ := s.CurrentNamed(r.PathValue("name"))
+			fmt.Fprintf(w, "%d", version)
+		})
+		mux.HandleFunc("GET "+prefix+"/wait", func(w http.ResponseWriter, r *http.Request) {
+			name := r.PathValue("name")
+			// A name never published waits on the catalog broadcast: its
+			// first publish bumps the sequence, re-arming the check — so
+			// watching a set that does not exist yet neither errors nor
+			// allocates state.
+			s.serveWait(w, r, "v", func() (int64, <-chan struct{}) {
+				if st := s.lookup(name); st != nil {
+					return st.read()
+				}
+				_, ch := s.catalog()
+				return 0, ch
+			})
+		})
+	}
 	mux.HandleFunc("GET /sets", func(w http.ResponseWriter, r *http.Request) {
 		seq, versions := s.setsSnapshot()
 		w.Header().Set("Content-Type", "application/json")
@@ -475,46 +409,16 @@ func (s *Server) Handler() http.Handler {
 		}{Seq: seq, Sets: versions})
 	})
 	mux.HandleFunc("GET /sets/wait", func(w http.ResponseWriter, r *http.Request) {
-		s.serveWait(w, r, "s", func() (int64, <-chan struct{}) {
-			s.seqMu.Lock()
-			defer s.seqMu.Unlock()
-			return s.seq, s.seqChanged
-		})
-	})
-	mux.HandleFunc("GET /sets/{name}/signatures", func(w http.ResponseWriter, r *http.Request) {
-		set, version, _ := s.CurrentNamed(r.PathValue("name"))
-		writeSetJSON(w, r, set, version)
-	})
-	mux.HandleFunc("GET /sets/{name}/version", func(w http.ResponseWriter, r *http.Request) {
-		_, version, _ := s.CurrentNamed(r.PathValue("name"))
-		fmt.Fprintf(w, "%d", version)
-	})
-	mux.HandleFunc("GET /sets/{name}/wait", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		// An unpublished name waits on the catalog broadcast: its first
-		// publish bumps the sequence, re-arming the check — so watching a
-		// set that does not exist yet neither errors nor allocates state.
-		s.serveWait(w, r, "v", func() (int64, <-chan struct{}) {
-			s.mu.RLock()
-			st := s.named[name]
-			s.mu.RUnlock()
-			if st == nil {
-				s.seqMu.Lock()
-				defer s.seqMu.Unlock()
-				return 0, s.seqChanged
-			}
-			return st.read()
-		})
+		s.serveWait(w, r, "s", s.catalog)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// A distributor with nothing to distribute should not take
-		// watcher traffic: cold nodes answer 503 until a seed load or
-		// first publish lands a version in some set.
-		_, version := s.Current()
-		if version == 0 && s.Seq() == 0 {
+		// watcher traffic: cold nodes answer 503 until a seed load,
+		// journal replay or first publish lands a version in some set.
+		if seq, _ := s.catalog(); seq == 0 {
 			http.Error(w, "no signature set yet", http.StatusServiceUnavailable)
 			return
 		}
@@ -530,7 +434,7 @@ func (s *Server) Handler() http.Handler {
 const TraceHeader = "X-Leaksig-Trace"
 
 // writeSetJSON serves one signature set with the ETag/If-None-Match
-// conditional-request contract shared by the default and named endpoints.
+// conditional-request contract.
 func writeSetJSON(w http.ResponseWriter, r *http.Request, set *signature.Set, version int64) {
 	etag := fmt.Sprintf("%q", strconv.FormatInt(version, 10))
 	if len(set.Traces) > 0 {
@@ -550,9 +454,9 @@ func writeSetJSON(w http.ResponseWriter, r *http.Request, set *signature.Set, ve
 	w.Write(buf.Bytes())
 }
 
-// serveWait is the long-poll shared by /wait, /sets/wait, and the named
-// waits: block until read() exceeds the ?{param}= value (or a timeout),
-// then answer the current value as text.
+// serveWait is the long-poll shared by the per-set waits and /sets/wait:
+// block until read() exceeds the ?{param}= value (or a timeout), then
+// answer the current value as text.
 func (s *Server) serveWait(w http.ResponseWriter, r *http.Request, param string, read func() (int64, <-chan struct{})) {
 	after := int64(0)
 	if v := r.URL.Query().Get(param); v != "" {
@@ -594,41 +498,47 @@ func (s *Server) serveWait(w http.ResponseWriter, r *http.Request, param string,
 	}
 }
 
-// PublishHandler returns the write endpoints:
+// HandlerWithPublish mounts Handler plus the write endpoints:
 //
-//	POST /publish              — replace the default set
 //	POST /sets/{name}/publish  — replace (or create) the named set
+//	POST /publish              — the same for the default set ""
 //
 // Both route by the body's Version field: 0 auto-bumps, a non-zero
 // Version must exceed the set's current one or the publish is rejected
-// with 409 Conflict; the accepted version is answered as text.
+// with 409 Conflict; the accepted version is answered as text. A body
+// over MaxPublishBytes is refused with 413.
 //
 // A non-empty token requires `Authorization: Bearer <token>` (compared
 // in constant time); an empty token leaves the endpoints open, which is
 // only safe behind loopback or an authenticating front. The endpoints are
 // deliberately not part of Handler, so mounting the read-only API never
 // exposes a write path by accident.
-func (s *Server) PublishHandler(token string) http.Handler {
+func (s *Server) HandlerWithPublish(token string) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /publish", func(w http.ResponseWriter, r *http.Request) {
-		s.servePublish(w, r, "", token)
-	})
-	mux.HandleFunc("POST /sets/{name}/publish", func(w http.ResponseWriter, r *http.Request) {
-		s.servePublish(w, r, r.PathValue("name"), token)
-	})
+	mux.Handle("/", s.Handler())
+	for _, prefix := range setRoutes {
+		mux.HandleFunc("POST "+prefix+"/publish", func(w http.ResponseWriter, r *http.Request) {
+			s.servePublish(w, r, token)
+		})
+	}
 	return mux
 }
 
-func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, name, token string) {
+func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, token string) {
 	if token != "" {
 		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), []byte("Bearer "+token)) != 1 {
 			http.Error(w, "missing or wrong bearer token", http.StatusUnauthorized)
 			return
 		}
 	}
-	set, err := signature.ReadJSON(r.Body)
+	set, err := signature.ReadJSON(http.MaxBytesReader(w, r.Body, MaxPublishBytes))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad signature set: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad signature set: %v", err), status)
 		return
 	}
 	// Reject unknown kinds and views here, at the wire boundary: a
@@ -643,7 +553,7 @@ func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, name, toke
 	if id := r.Header.Get(TraceHeader); id != "" && len(set.Traces) == 0 {
 		set.Traces = []string{id}
 	}
-	v, err := s.PublishNamedSet(name, set)
+	v, err := s.Publish(r.PathValue("name"), set)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrStaleVersion) {
@@ -655,25 +565,14 @@ func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, name, toke
 	fmt.Fprintf(w, "%d", v)
 }
 
-// HandlerWithPublish mounts the read-only API plus the publish endpoints
-// guarded by token ("" leaves them open; see PublishHandler).
-func (s *Server) HandlerWithPublish(token string) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", s.Handler())
-	mux.Handle("POST /publish", s.PublishHandler(token))
-	mux.Handle("POST /sets/{name}/publish", s.PublishHandler(token))
-	return mux
-}
-
 // setCache is one set's conditional-fetch state inside a Client.
 type setCache struct {
 	etag   string
 	cached *signature.Set
 }
 
-// Client fetches signature sets from a Server's HTTP API — the default
-// set and any named sets, each cached independently for conditional
-// requests.
+// Client fetches signature sets from a Server's HTTP API, each set cached
+// independently for conditional requests.
 type Client struct {
 	base    string
 	hc      *http.Client
@@ -687,7 +586,7 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 
 	mu     sync.Mutex
-	caches map[string]*setCache // keyed by set name; "" = default
+	caches map[string]*setCache // keyed by set name
 }
 
 // NewClient builds a client for the server at base (e.g.
@@ -711,10 +610,10 @@ func NewClient(base string, httpClient *http.Client) *Client {
 func (c *Client) SetToken(token string) { c.token = token }
 
 // SetBreaker gates the publish path behind a circuit breaker: while it
-// is open, Publish and PublishNamed fail immediately with an error
-// wrapping resilience.ErrOpen instead of dialing a dead server. Fetch
-// and watch paths are NOT gated — serving stale signatures beats
-// serving none, so reads keep probing. Call before concurrent use.
+// is open, Publish fails immediately with an error wrapping
+// resilience.ErrOpen instead of dialing a dead server. Fetch and watch
+// paths are NOT gated — serving stale signatures beats serving none, so
+// reads keep probing. Call before concurrent use.
 func (c *Client) SetBreaker(br *resilience.Breaker) { c.breaker = br }
 
 // SetRetrySeed fixes the watch-retry jitter stream — for tests and
@@ -726,22 +625,28 @@ func (c *Client) SetRetrySeed(seed int64) {
 	c.jmu.Unlock()
 }
 
-// retrySleep parks a watch loop for a jittered interval drawn uniformly
-// from [d/2, d]. The jitter is the point: thousands of watchers that
-// all lost the same restarted server would otherwise retry in lockstep
-// forever, re-flooding it at exactly the fallback cadence.
-func (c *Client) retrySleep(ctx context.Context, d time.Duration) error {
-	if d > 1 {
-		c.jmu.Lock()
-		f := c.jrng.Float64()
-		c.jmu.Unlock()
-		d -= time.Duration(f * 0.5 * float64(d))
+// backoff parks a watch loop after a failed round trip for a jittered
+// interval drawn uniformly from [d/2, d] (d <= 0 means 10s), and returns
+// ctx's error once the watch should end. The jitter is the point:
+// thousands of watchers that all lost the same restarted server would
+// otherwise retry in lockstep forever, re-flooding it at exactly the
+// fallback cadence.
+func (c *Client) backoff(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	if d <= 0 {
+		d = 10 * time.Second
+	}
+	c.jmu.Lock()
+	f := c.jrng.Float64()
+	c.jmu.Unlock()
+	d -= time.Duration(f * 0.5 * float64(d))
 	return c.sleep(ctx, d)
 }
 
-// pathPrefix maps a set name to its URL prefix: "" (default set) stays at
-// the root, named sets live under /sets/{name}.
+// pathPrefix maps a set name to its URL prefix: the default set "" is
+// served at the root aliases, every other set under /sets/{name}.
 func pathPrefix(name string) string {
 	if name == "" {
 		return ""
@@ -749,37 +654,26 @@ func pathPrefix(name string) string {
 	return "/sets/" + url.PathEscape(name)
 }
 
-// Publish POSTs the set to the server's default publish endpoint and
-// returns the version the server accepted it as. A non-zero set.Version
-// engages the server's strict-increase guard; a 409 response surfaces as
-// an error wrapping ErrStaleVersion.
-func (c *Client) Publish(ctx context.Context, set *signature.Set) (int64, error) {
-	return c.publishPath(ctx, "", set)
-}
-
-// PublishNamed is Publish against one named set's independent version
-// sequence.
-func (c *Client) PublishNamed(ctx context.Context, name string, set *signature.Set) (int64, error) {
-	return c.publishPath(ctx, name, set)
-}
-
-func (c *Client) publishPath(ctx context.Context, name string, set *signature.Set) (int64, error) {
-	if c.breaker != nil {
-		if !c.breaker.Allow() {
-			return 0, fmt.Errorf("sigserver: publish %q: %w", name, resilience.ErrOpen)
-		}
-		v, err := c.publishOnce(ctx, name, set)
-		// A stale-version conflict proves the server is alive and
-		// deciding; only transport and server-side failures count
-		// against the breaker.
-		if errors.Is(err, ErrStaleVersion) {
-			c.breaker.Record(nil)
-		} else {
-			c.breaker.Record(err)
-		}
-		return v, err
+// Publish POSTs the set to name's publish endpoint ("" is the default
+// set) and returns the version the server accepted it as. A non-zero
+// set.Version engages the server's strict-increase guard; a 409 response
+// surfaces as an error wrapping ErrStaleVersion.
+func (c *Client) Publish(ctx context.Context, name string, set *signature.Set) (int64, error) {
+	if c.breaker == nil {
+		return c.publishOnce(ctx, name, set)
 	}
-	return c.publishOnce(ctx, name, set)
+	if !c.breaker.Allow() {
+		return 0, fmt.Errorf("sigserver: publish %q: %w", name, resilience.ErrOpen)
+	}
+	v, err := c.publishOnce(ctx, name, set)
+	// A stale-version conflict proves the server is alive and deciding;
+	// only transport and server-side failures count against the breaker.
+	if errors.Is(err, ErrStaleVersion) {
+		c.breaker.Record(nil)
+	} else {
+		c.breaker.Record(err)
+	}
+	return v, err
 }
 
 func (c *Client) publishOnce(ctx context.Context, name string, set *signature.Set) (int64, error) {
@@ -818,17 +712,11 @@ func (c *Client) publishOnce(ctx context.Context, name string, set *signature.Se
 	return v, nil
 }
 
-// Fetch retrieves the current default signature set, reusing the cached
-// copy when the server reports it unchanged. The second result reports
-// whether the set changed since the previous Fetch.
+// Fetch retrieves the current default set "", reusing the cached copy
+// when the server reports it unchanged. The second result reports
+// whether the set changed since the previous fetch.
 func (c *Client) Fetch(ctx context.Context) (*signature.Set, bool, error) {
-	return c.fetchPath(ctx, "")
-}
-
-// FetchNamed is Fetch against one named set, with its own conditional
-// cache. An unpublished name yields an empty set at version 0.
-func (c *Client) FetchNamed(ctx context.Context, name string) (*signature.Set, bool, error) {
-	return c.fetchPath(ctx, name)
+	return c.fetch(ctx, "")
 }
 
 func (c *Client) cache(name string) *setCache {
@@ -840,7 +728,9 @@ func (c *Client) cache(name string) *setCache {
 	return sc
 }
 
-func (c *Client) fetchPath(ctx context.Context, name string) (*signature.Set, bool, error) {
+// fetch is Fetch for any set name, each with its own conditional cache.
+// A name never published yields an empty set at version 0.
+func (c *Client) fetch(ctx context.Context, name string) (*signature.Set, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+pathPrefix(name)+"/signatures", nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("sigserver: building request: %w", err)
@@ -880,13 +770,9 @@ func (c *Client) fetchPath(ctx context.Context, name string) (*signature.Set, bo
 	}
 }
 
-// Version asks the server for the default set's current version.
-func (c *Client) Version(ctx context.Context) (int64, error) {
-	return c.intGet(ctx, pathPrefix("")+"/version")
-}
-
-// VersionNamed asks the server for one named set's current version.
-func (c *Client) VersionNamed(ctx context.Context, name string) (int64, error) {
+// Version asks the server for name's current version ("" is the default
+// set).
+func (c *Client) Version(ctx context.Context, name string) (int64, error) {
 	return c.intGet(ctx, pathPrefix(name)+"/version")
 }
 
@@ -901,12 +787,8 @@ func (c *Client) intGet(ctx context.Context, path string) (int64, error) {
 		return 0, fmt.Errorf("sigserver: fetching %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return 0, fmt.Errorf("sigserver: server has no %s endpoint: %w", path, ErrNoWait)
-	default:
-		return 0, fmt.Errorf("sigserver: unexpected status %s", resp.Status)
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("sigserver: %s: unexpected status %s", path, resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64))
 	if err != nil {
@@ -919,18 +801,16 @@ func (c *Client) intGet(ctx context.Context, path string) (int64, error) {
 	return v, nil
 }
 
-// WaitVersion long-polls the server's /wait endpoint until the default
-// set's version exceeds after, returning the version it saw. A
-// server-side timeout returns the unchanged version; callers loop.
-// Servers predating /wait yield an error wrapping ErrNoWait, which Watch
-// treats as a signal to fall back to interval polling.
+// WaitVersion long-polls /wait until the default set's version exceeds
+// after, returning the version it saw. A server-side timeout returns the
+// unchanged version; callers loop.
 func (c *Client) WaitVersion(ctx context.Context, after int64) (int64, error) {
-	return c.intGet(ctx, fmt.Sprintf("%s/wait?v=%d", pathPrefix(""), after))
+	return c.waitVersion(ctx, "", after)
 }
 
-// WaitVersionNamed is WaitVersion against one named set. Waiting on a
-// name that has not been published yet blocks until its first publish.
-func (c *Client) WaitVersionNamed(ctx context.Context, name string, after int64) (int64, error) {
+// waitVersion is WaitVersion for any set name. Waiting on a name never
+// published blocks until its first publish.
+func (c *Client) waitVersion(ctx context.Context, name string, after int64) (int64, error) {
 	return c.intGet(ctx, fmt.Sprintf("%s/wait?v=%d", pathPrefix(name), after))
 }
 
@@ -946,12 +826,8 @@ func (c *Client) Sets(ctx context.Context) (int64, map[string]int64, error) {
 		return 0, nil, fmt.Errorf("sigserver: fetching sets: %w", err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return 0, nil, fmt.Errorf("sigserver: server has no /sets endpoint: %w", ErrNoWait)
-	default:
-		return 0, nil, fmt.Errorf("sigserver: unexpected status %s", resp.Status)
+	if resp.StatusCode != http.StatusOK {
+		return 0, nil, fmt.Errorf("sigserver: /sets: unexpected status %s", resp.Status)
 	}
 	var out struct {
 		Seq  int64            `json:"seq"`
@@ -967,123 +843,65 @@ func (c *Client) Sets(ctx context.Context) (int64, map[string]int64, error) {
 }
 
 // WaitSets long-polls /sets/wait until the catalog sequence exceeds
-// after — i.e. until any set (default or named) is published.
+// after — i.e. until any set is published.
 func (c *Client) WaitSets(ctx context.Context, after int64) (int64, error) {
 	return c.intGet(ctx, fmt.Sprintf("/sets/wait?s=%d", after))
 }
-
-// ErrNoWait marks a server without the /wait long-poll endpoint.
-var ErrNoWait = errors.New("wait endpoint unsupported")
 
 // fetchTimeout bounds one Watch fetch attempt so a hung server cannot
 // stall the refresh loop forever.
 const fetchTimeout = 30 * time.Second
 
-// Watch delivers the current default signature set, then every subsequent
-// publish, to fn until ctx is cancelled. Between deliveries it blocks on
-// the server's /wait long-poll, so a new version arrives within one round
-// trip; against servers without /wait (or across transient errors) it
-// degrades to polling every fallback (which also bounds the retry delay;
-// 0 means 10s). Every round trip carries its own deadline, so a
-// half-open connection costs one retry, never a wedged watch. fn runs on
-// the watching goroutine.
+// Watch delivers the current default set "", then every subsequent
+// publish to it, to fn until ctx is cancelled. Between deliveries it
+// blocks on the server's /wait long-poll, so a new version arrives within
+// one round trip; across errors (a server without /wait included) it
+// re-fetches every fallback, jittered (0 means 10s). Every round trip
+// carries its own deadline, so a half-open connection costs one retry,
+// never a wedged watch. fn runs on the watching goroutine.
 func (c *Client) Watch(ctx context.Context, fallback time.Duration, fn func(*signature.Set)) error {
-	return c.watchSet(ctx, "", fallback, fn)
+	return c.watch(ctx, "", fallback, fn)
 }
 
-// WatchNamed is Watch against one named set.
-func (c *Client) WatchNamed(ctx context.Context, name string, fallback time.Duration, fn func(*signature.Set)) error {
-	return c.watchSet(ctx, name, fallback, fn)
-}
-
-func (c *Client) watchSet(ctx context.Context, name string, fallback time.Duration, fn func(*signature.Set)) error {
-	if fallback <= 0 {
-		fallback = 10 * time.Second
-	}
-	longPoll := true
+// watch is Watch for any set name.
+func (c *Client) watch(ctx context.Context, name string, fallback time.Duration, fn func(*signature.Set)) error {
+	wait := func(ctx context.Context, after int64) (int64, error) { return c.waitVersion(ctx, name, after) }
 	first := true
 	for {
 		set, changed, err := c.fetchTimed(ctx, name)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if err := c.retrySleep(ctx, fallback); err != nil {
+		if err != nil {
+			if err := c.backoff(ctx, fallback); err != nil {
 				return err
 			}
 			continue
-		case changed || first:
+		}
+		if changed || first {
 			fn(set)
 			first = false
 		}
-		last := set.Version
-
-		if !longPoll {
-			if err := c.retrySleep(ctx, fallback); err != nil {
-				return err
-			}
-			continue
-		}
-		// Re-arm the long poll until the version actually advances: a
-		// server-side timeout answers with the unchanged version, and
-		// re-fetching /signatures on it would learn nothing — at fleet
-		// fan-out that doubles idle request volume. Only an advanced
-		// version (or an error, which is cheap to resync after) breaks
-		// out to the fetch.
-		for {
-			v, err := c.waitVersionTimed(ctx, name, last)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if errors.Is(err, ErrNoWait) {
-					longPoll = false
-				}
-				if err := c.retrySleep(ctx, fallback); err != nil {
-					return err
-				}
-				break
-			}
-			if v > last {
-				break
-			}
+		if err := c.awaitAdvance(ctx, fallback, set.Version, wait); err != nil {
+			return err
 		}
 	}
 }
 
-// WatchSets follows every set the server distributes: it delivers the
-// default set immediately, every named set already published, and then
-// each set's subsequent publishes — all through one /sets/wait long poll
-// instead of one connection per set. fn receives the set name ("" for
-// the default) and runs on the watching goroutine. Against servers
-// without /sets it degrades to polling every fallback.
+// WatchSets follows every set the server distributes: it delivers every
+// set in the catalog immediately (the default set as ""), and then each
+// set's subsequent publishes — all through one /sets/wait long poll
+// instead of one connection per set. fn receives the set name and runs
+// on the watching goroutine. Errors are retried as in Watch.
 func (c *Client) WatchSets(ctx context.Context, fallback time.Duration, fn func(name string, set *signature.Set)) error {
-	if fallback <= 0 {
-		fallback = 10 * time.Second
-	}
-	longPoll := true
 	first := true
 	known := make(map[string]int64)
 	for {
-		seq, versions, err := c.setsTimed(ctx)
+		sctx, cancel := context.WithTimeout(ctx, fetchTimeout)
+		seq, versions, err := c.Sets(sctx)
+		cancel()
 		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, ErrNoWait) {
-				// Server predates /sets: the named catalog cannot be
-				// followed at all, so degrade to watching the default set —
-				// the only set such a server distributes.
-				return c.watchSet(ctx, "", fallback, func(set *signature.Set) { fn("", set) })
-			}
-			if err := c.retrySleep(ctx, fallback); err != nil {
+			if err := c.backoff(ctx, fallback); err != nil {
 				return err
 			}
 			continue
-		}
-		if _, ok := versions[""]; !ok {
-			versions[""] = 0 // the default set is always watched
 		}
 		fetchFailed := false
 		for name, v := range versions {
@@ -1105,75 +923,44 @@ func (c *Client) WatchSets(ctx context.Context, fallback time.Duration, fn func(
 			// the sequence only advances on another publish, which may
 			// never come, and the undelivered set would be lost until it
 			// did.
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if err := c.retrySleep(ctx, fallback); err != nil {
+			if err := c.backoff(ctx, fallback); err != nil {
 				return err
 			}
 			continue
 		}
-
-		if !longPoll {
-			if err := c.retrySleep(ctx, fallback); err != nil {
-				return err
-			}
-			continue
-		}
-		// Same re-arm rule as watchSet: only an advanced catalog sequence
-		// warrants re-listing the sets.
-		for {
-			v, err := c.waitSetsTimed(ctx, seq)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if errors.Is(err, ErrNoWait) {
-					longPoll = false
-				}
-				if err := c.retrySleep(ctx, fallback); err != nil {
-					return err
-				}
-				break
-			}
-			if v > seq {
-				break
-			}
+		if err := c.awaitAdvance(ctx, fallback, seq, c.WaitSets); err != nil {
+			return err
 		}
 	}
 }
 
-// fetchTimed is fetchPath with a per-attempt deadline.
+// awaitAdvance re-arms the long poll wait until the counter it answers
+// exceeds last. A server-side timeout answers the unchanged counter, and
+// re-fetching on it would learn nothing — at fleet fan-out that doubles
+// idle request volume. Each wait carries a deadline comfortably above
+// the server's own long-poll cap, so only a hung connection — not a
+// patient server — trips it. After an error awaitAdvance backs off and
+// returns nil so the caller re-fetches; it returns an error only when
+// ctx ends the watch.
+func (c *Client) awaitAdvance(ctx context.Context, fallback time.Duration, last int64, wait func(context.Context, int64) (int64, error)) error {
+	for {
+		wctx, cancel := context.WithTimeout(ctx, waitTimeoutMax+fetchTimeout)
+		v, err := wait(wctx, last)
+		cancel()
+		if err != nil {
+			return c.backoff(ctx, fallback)
+		}
+		if v > last {
+			return nil
+		}
+	}
+}
+
+// fetchTimed is fetch with a per-attempt deadline.
 func (c *Client) fetchTimed(ctx context.Context, name string) (*signature.Set, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
-	return c.fetchPath(ctx, name)
-}
-
-// setsTimed is Sets with a per-attempt deadline.
-func (c *Client) setsTimed(ctx context.Context) (int64, map[string]int64, error) {
-	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-	defer cancel()
-	return c.Sets(ctx)
-}
-
-// waitVersionTimed is WaitVersion(Named) with a deadline comfortably
-// above the server's own long-poll cap, so only a hung connection — not a
-// patient server — trips it.
-func (c *Client) waitVersionTimed(ctx context.Context, name string, after int64) (int64, error) {
-	ctx, cancel := context.WithTimeout(ctx, waitTimeoutMax+fetchTimeout)
-	defer cancel()
-	if name == "" {
-		return c.WaitVersion(ctx, after)
-	}
-	return c.WaitVersionNamed(ctx, name, after)
-}
-
-// waitSetsTimed is WaitSets with the same generous deadline.
-func (c *Client) waitSetsTimed(ctx context.Context, after int64) (int64, error) {
-	ctx, cancel := context.WithTimeout(ctx, waitTimeoutMax+fetchTimeout)
-	defer cancel()
-	return c.WaitSets(ctx, after)
+	return c.fetch(ctx, name)
 }
 
 // sleepCtx sleeps for d or until the context ends.

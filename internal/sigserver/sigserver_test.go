@@ -27,8 +27,8 @@ func TestPublishBumpsVersion(t *testing.T) {
 	if _, v := s.Current(); v != 0 {
 		t.Fatalf("initial version = %d", v)
 	}
-	v1 := s.Publish(testSet("tok-one"))
-	v2 := s.Publish(testSet("tok-two"))
+	v1, _ := s.Publish("", testSet("tok-one"))
+	v2, _ := s.Publish("", testSet("tok-two"))
 	if v1 != 1 || v2 != 2 {
 		t.Errorf("versions = %d, %d", v1, v2)
 	}
@@ -40,7 +40,7 @@ func TestPublishBumpsVersion(t *testing.T) {
 
 func TestFetchRoundTrip(t *testing.T) {
 	s := New()
-	s.Publish(testSet("udid=f3a9c1d2"))
+	s.Publish("", testSet("udid=f3a9c1d2"))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -69,7 +69,7 @@ func TestFetchRoundTrip(t *testing.T) {
 	}
 
 	// Publish a new set: fetch must see it.
-	s.Publish(testSet("imei=3539"))
+	s.Publish("", testSet("imei=3539"))
 	set3, changed, err := c.Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +84,12 @@ func TestVersionEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
-	v, err := c.Version(context.Background())
+	v, err := c.Version(context.Background(), "")
 	if err != nil || v != 0 {
 		t.Fatalf("version = %d, %v", v, err)
 	}
-	s.Publish(testSet("x-token"))
-	v, err = c.Version(context.Background())
+	s.Publish("", testSet("x-token"))
+	v, err = c.Version(context.Background(), "")
 	if err != nil || v != 1 {
 		t.Fatalf("version after publish = %d, %v", v, err)
 	}
@@ -129,7 +129,7 @@ func TestReadyz(t *testing.T) {
 	if code := get(); code != http.StatusServiceUnavailable {
 		t.Fatalf("empty server readyz = %d, want 503", code)
 	}
-	s.Publish(testSet("x-token"))
+	s.Publish("", testSet("x-token"))
 	if code := get(); code != http.StatusOK {
 		t.Fatalf("readyz after publish = %d, want 200", code)
 	}
@@ -142,7 +142,7 @@ func TestReadyzNamedSetOnly(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if _, err := s.PublishNamed("app.alpha", testSet("alpha-token")); err != nil {
+	if _, err := s.Publish("app.alpha", testSet("alpha-token")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -193,7 +193,7 @@ func TestClientErrorPaths(t *testing.T) {
 	if _, _, err := c.Fetch(context.Background()); err == nil {
 		t.Error("fetch from unreachable server succeeded")
 	}
-	if _, err := c.Version(context.Background()); err == nil {
+	if _, err := c.Version(context.Background(), ""); err == nil {
 		t.Error("version from unreachable server succeeded")
 	}
 	// Garbage version body.
@@ -201,7 +201,7 @@ func TestClientErrorPaths(t *testing.T) {
 		w.Write([]byte("not-a-number"))
 	}))
 	defer garbage.Close()
-	if _, err := NewClient(garbage.URL, nil).Version(context.Background()); err == nil {
+	if _, err := NewClient(garbage.URL, nil).Version(context.Background(), ""); err == nil {
 		t.Error("garbage version parsed")
 	}
 }
@@ -219,41 +219,22 @@ func TestFetchContextCancelled(t *testing.T) {
 
 func TestOnPublishCallback(t *testing.T) {
 	s := New()
-	var got []int64
-	s.OnPublish(func(v int64) { got = append(got, v) })
-	s.Publish(testSet("tok-one"))
-	s.Publish(testSet("tok-two"))
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("callback versions = %v", got)
-	}
-}
-
-func TestChangedBroadcast(t *testing.T) {
-	s := New()
-	ch := s.Changed()
-	select {
-	case <-ch:
-		t.Fatal("Changed fired before any publish")
-	default:
-	}
-	s.Publish(testSet("tok-one"))
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("Changed did not fire on publish")
-	}
-	// Re-arm: the next channel waits for the next publish.
-	ch2 := s.Changed()
-	select {
-	case <-ch2:
-		t.Fatal("re-armed channel already closed")
-	default:
+	var got []string
+	s.OnPublish(func(name string, v int64) { got = append(got, fmt.Sprintf("%q@%d", name, v)) })
+	s.Publish("", testSet("tok-one"))
+	s.Publish("", testSet("tok-two"))
+	s.Publish("pop", testSet("tok-three"))
+	stale := testSet("tok-four")
+	stale.Version = 1
+	s.Publish("pop", stale) // rejected: no callback
+	if want := `[""@1 ""@2 "pop"@1]`; fmt.Sprint(got) != want {
+		t.Fatalf("callbacks = %v, want %s", got, want)
 	}
 }
 
 func TestWaitLongPoll(t *testing.T) {
 	s := New()
-	s.Publish(testSet("tok-one")) // version 1
+	s.Publish("", testSet("tok-one")) // version 1
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
@@ -267,7 +248,7 @@ func TestWaitLongPoll(t *testing.T) {
 	// Blocks until a publish from another goroutine.
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		s.Publish(testSet("tok-two"))
+		s.Publish("", testSet("tok-two"))
 	}()
 	start := time.Now()
 	v, err = c.WaitVersion(context.Background(), 1)
@@ -302,21 +283,49 @@ func TestWaitLongPoll(t *testing.T) {
 	}
 }
 
+// TestWaitVersionNoEndpoint: against a server whose /wait answers 404,
+// the long poll is just a failing round trip, and Watch still delivers
+// every publish by re-fetching every (jittered) fallback.
 func TestWaitVersionNoEndpoint(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
-	}))
-	defer legacy.Close()
-	c := NewClient(legacy.URL, nil)
-	_, err := c.WaitVersion(context.Background(), 0)
-	if !errors.Is(err, ErrNoWait) {
-		t.Fatalf("err = %v, want ErrNoWait", err)
+	s := New()
+	s.Publish("", testSet("tok-one"))
+	mux := http.NewServeMux()
+	mux.Handle("GET /signatures", s.Handler())
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c := NewClient(ts.URL, nil)
+	if _, err := c.WaitVersion(context.Background(), 0); err == nil {
+		t.Fatal("WaitVersion against a server without /wait succeeded")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	defer func() {
+		cancel()
+		<-done
+	}()
+	got := make(chan int64, 8) // one per delivery; the test reads two
+	go func() {
+		defer close(done)
+		c.Watch(ctx, 20*time.Millisecond, func(set *signature.Set) { got <- set.Version })
+	}()
+	if v := <-got; v != 1 {
+		t.Fatalf("initial delivery at version %d, want 1", v)
+	}
+	s.Publish("", testSet("tok-two"))
+	select {
+	case v := <-got:
+		if v != 2 {
+			t.Fatalf("update delivered at version %d, want 2", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Watch never re-fetched without /wait")
 	}
 }
 
 func TestWatchDeliversUpdates(t *testing.T) {
 	s := New()
-	s.Publish(testSet("tok-one"))
+	s.Publish("", testSet("tok-one"))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -333,7 +342,7 @@ func TestWatchDeliversUpdates(t *testing.T) {
 	if first.Version != 1 || first.Signatures[0].Tokens[0] != "tok-one" {
 		t.Fatalf("initial delivery = %+v", first)
 	}
-	s.Publish(testSet("tok-two"))
+	s.Publish("", testSet("tok-two"))
 	select {
 	case next := <-sets:
 		if next.Version != 2 || next.Signatures[0].Tokens[0] != "tok-two" {
@@ -348,23 +357,23 @@ func TestWatchDeliversUpdates(t *testing.T) {
 	}
 }
 
-func TestPublishVersionedRejectsStale(t *testing.T) {
+func TestPublishRejectsStaleVersion(t *testing.T) {
 	s := New()
 	set := testSet("tok-one")
 	set.Version = 5
-	if v, err := s.PublishVersioned(set); err != nil || v != 5 {
+	if v, err := s.Publish("", set); err != nil || v != 5 {
 		t.Fatalf("versioned publish: v=%d err=%v", v, err)
 	}
 	// Same version again: rejected, server unchanged.
 	stale := testSet("tok-two")
 	stale.Version = 5
-	if _, err := s.PublishVersioned(stale); !errors.Is(err, ErrStaleVersion) {
+	if _, err := s.Publish("", stale); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("stale publish err = %v, want ErrStaleVersion", err)
 	}
 	// Lower version: rejected too.
 	lower := testSet("tok-three")
 	lower.Version = 2
-	if _, err := s.PublishVersioned(lower); !errors.Is(err, ErrStaleVersion) {
+	if _, err := s.Publish("", lower); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("lower publish err = %v, want ErrStaleVersion", err)
 	}
 	cur, v := s.Current()
@@ -376,7 +385,7 @@ func TestPublishVersionedRejectsStale(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 publish and 2 rejections", st)
 	}
 	// Auto-bump continues from the explicit version.
-	if v := s.Publish(testSet("tok-four")); v != 6 {
+	if v, _ := s.Publish("", testSet("tok-four")); v != 6 {
 		t.Fatalf("auto publish after versioned = %d, want 6", v)
 	}
 }
@@ -408,11 +417,11 @@ func TestHTTPPublishAndStats(t *testing.T) {
 	set := testSet("udid=f3a9c1d2")
 	set.Version = 3
 	// Without the token the guarded endpoint refuses.
-	if _, err := c.Publish(ctx, set); err == nil {
+	if _, err := c.Publish(ctx, "", set); err == nil {
 		t.Fatal("tokenless publish accepted")
 	}
 	c.SetToken("sekret")
-	v, err := c.Publish(ctx, set)
+	v, err := c.Publish(ctx, "", set)
 	if err != nil || v != 3 {
 		t.Fatalf("client publish: v=%d err=%v", v, err)
 	}
@@ -424,7 +433,7 @@ func TestHTTPPublishAndStats(t *testing.T) {
 	// Stale over HTTP: 409 surfaced as ErrStaleVersion.
 	stale := testSet("tok-two")
 	stale.Version = 2
-	if _, err := c.Publish(ctx, stale); !errors.Is(err, ErrStaleVersion) {
+	if _, err := c.Publish(ctx, "", stale); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("stale HTTP publish err = %v", err)
 	}
 	// Stats endpoint carries the rejection counter.
@@ -461,7 +470,7 @@ func TestVersionedPublishWakesWatchers(t *testing.T) {
 	}
 	set := testSet("x")
 	set.Version = 9
-	if _, err := s.PublishVersioned(set); err != nil {
+	if _, err := s.Publish("", set); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -478,24 +487,24 @@ func TestVersionedPublishWakesWatchers(t *testing.T) {
 
 func TestNamedSetsIndependentVersions(t *testing.T) {
 	s := New()
-	if v, err := s.PublishNamed("tenant-a", testSet("a-token")); err != nil || v != 1 {
+	if v, err := s.Publish("tenant-a", testSet("a-token")); err != nil || v != 1 {
 		t.Fatalf("first named publish: v=%d err=%v", v, err)
 	}
-	if v, err := s.PublishNamed("tenant-b", testSet("b-token")); err != nil || v != 1 {
+	if v, err := s.Publish("tenant-b", testSet("b-token")); err != nil || v != 1 {
 		t.Fatalf("second name starts its own sequence: v=%d err=%v", v, err)
 	}
-	if v := s.Publish(testSet("default-token")); v != 1 {
+	if v, _ := s.Publish("", testSet("default-token")); v != 1 {
 		t.Fatalf("default set sequence entangled with named: v=%d", v)
 	}
 	// Strict-increase guard is per name.
 	stale := testSet("a-two")
 	stale.Version = 1
-	if _, err := s.PublishNamedVersioned("tenant-a", stale); !errors.Is(err, ErrStaleVersion) {
+	if _, err := s.Publish("tenant-a", stale); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("stale named publish err = %v", err)
 	}
 	fresh := testSet("b-two")
 	fresh.Version = 5
-	if v, err := s.PublishNamedVersioned("tenant-b", fresh); err != nil || v != 5 {
+	if v, err := s.Publish("tenant-b", fresh); err != nil || v != 5 {
 		t.Fatalf("versioned named publish: v=%d err=%v", v, err)
 	}
 	set, v, ok := s.CurrentNamed("tenant-a")
@@ -507,7 +516,7 @@ func TestNamedSetsIndependentVersions(t *testing.T) {
 		t.Fatalf("unknown name: v=%d ok=%v", v, ok)
 	}
 	names := s.SetNames()
-	if len(names) != 2 || names[0] != "tenant-a" || names[1] != "tenant-b" {
+	if len(names) != 3 || names[0] != "" || names[1] != "tenant-a" || names[2] != "tenant-b" {
 		t.Fatalf("SetNames = %v", names)
 	}
 	st := s.Stats()
@@ -525,9 +534,9 @@ func TestNamedSetNameValidation(t *testing.T) {
 	// before routing, so a publish to them could never be fetched back.
 	for _, bad := range []string{"", "a/b", "x\ny", ".", "..", string(make([]byte, 201))} {
 		if bad == "" {
-			continue // "" routes to the default set, which is valid
+			continue // "" is the default set, which always exists
 		}
-		if _, err := s.PublishNamed(bad, testSet("t")); !errors.Is(err, ErrBadSetName) {
+		if _, err := s.Publish(bad, testSet("t")); !errors.Is(err, ErrBadSetName) {
 			t.Fatalf("name %q accepted (err=%v)", bad, err)
 		}
 	}
@@ -541,26 +550,26 @@ func TestNamedSetsHTTPRoundTrip(t *testing.T) {
 	c.SetToken("sekret")
 	ctx := context.Background()
 
-	if _, err := c.PublishNamed(ctx, "com.app one", testSet("app-token")); err != nil {
+	if _, err := c.Publish(ctx, "com.app one", testSet("app-token")); err != nil {
 		t.Fatalf("named HTTP publish: %v", err)
 	}
-	set, changed, err := c.FetchNamed(ctx, "com.app one")
+	set, changed, err := c.fetch(ctx, "com.app one")
 	if err != nil || !changed || set.Version != 1 || set.Signatures[0].Tokens[0] != "app-token" {
 		t.Fatalf("named fetch: %+v changed=%v err=%v", set, changed, err)
 	}
 	// Conditional refetch is per name.
-	if _, changed, err := c.FetchNamed(ctx, "com.app one"); err != nil || changed {
+	if _, changed, err := c.fetch(ctx, "com.app one"); err != nil || changed {
 		t.Fatalf("named refetch: changed=%v err=%v", changed, err)
 	}
-	if v, err := c.VersionNamed(ctx, "com.app one"); err != nil || v != 1 {
+	if v, err := c.Version(ctx, "com.app one"); err != nil || v != 1 {
 		t.Fatalf("named version: v=%d err=%v", v, err)
 	}
 	// The default set is untouched by named publishes.
-	if v, err := c.Version(ctx); err != nil || v != 0 {
+	if v, err := c.Version(ctx, ""); err != nil || v != 0 {
 		t.Fatalf("default version after named publish: v=%d err=%v", v, err)
 	}
 	// Unpublished names fetch as the empty zero state.
-	ghost, _, err := c.FetchNamed(ctx, "ghost")
+	ghost, _, err := c.fetch(ctx, "ghost")
 	if err != nil || ghost.Version != 0 || ghost.Len() != 0 {
 		t.Fatalf("ghost fetch: %+v err=%v", ghost, err)
 	}
@@ -572,7 +581,7 @@ func TestNamedSetsHTTPRoundTrip(t *testing.T) {
 	// Stale named publish over HTTP surfaces as ErrStaleVersion.
 	stale := testSet("two")
 	stale.Version = 1
-	if _, err := c.PublishNamed(ctx, "com.app one", stale); !errors.Is(err, ErrStaleVersion) {
+	if _, err := c.Publish(ctx, "com.app one", stale); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("stale named HTTP publish err = %v", err)
 	}
 }
@@ -587,20 +596,20 @@ func TestNamedWaitBeforeFirstPublish(t *testing.T) {
 	// publish (and creates no server state while blocked).
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		if len(s.SetNames()) != 0 {
+		if len(s.SetNames()) != 1 {
 			t.Error("waiting on an unpublished name allocated server state")
 		}
-		s.PublishNamed("late", testSet("late-token"))
+		s.Publish("late", testSet("late-token"))
 	}()
-	v, err := c.WaitVersionNamed(context.Background(), "late", 0)
+	v, err := c.waitVersion(context.Background(), "late", 0)
 	if err != nil || v != 1 {
 		t.Fatalf("named wait: v=%d err=%v", v, err)
 	}
 }
 
-func TestWatchNamedDeliversUpdates(t *testing.T) {
+func TestWatchDeliversNamedSetUpdates(t *testing.T) {
 	s := New()
-	s.PublishNamed("pop", testSet("one"))
+	s.Publish("pop", testSet("one"))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -608,26 +617,26 @@ func TestWatchNamedDeliversUpdates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sets := make(chan *signature.Set, 8)
-	go c.WatchNamed(ctx, "pop", time.Second, func(set *signature.Set) { sets <- set })
+	go c.watch(ctx, "pop", time.Second, func(set *signature.Set) { sets <- set })
 
 	if first := <-sets; first.Version != 1 {
 		t.Fatalf("initial named delivery = %+v", first)
 	}
-	s.PublishNamed("pop", testSet("two"))
+	s.Publish("pop", testSet("two"))
 	select {
 	case next := <-sets:
 		if next.Version != 2 || next.Signatures[0].Tokens[0] != "two" {
 			t.Fatalf("named update = %+v", next)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WatchNamed never delivered the update")
+		t.Fatal("watch never delivered the named-set update")
 	}
 }
 
 func TestWatchSetsFollowsEveryPopulation(t *testing.T) {
 	s := New()
-	s.Publish(testSet("default-one"))
-	s.PublishNamed("tenant-a", testSet("a-one"))
+	s.Publish("", testSet("default-one"))
+	s.Publish("tenant-a", testSet("a-one"))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -658,7 +667,7 @@ func TestWatchSetsFollowsEveryPopulation(t *testing.T) {
 	}
 
 	// A publish to a brand-new name wakes the single catalog watch.
-	s.PublishNamed("tenant-b", testSet("b-one"))
+	s.Publish("tenant-b", testSet("b-one"))
 	select {
 	case d := <-got:
 		if d.name != "tenant-b" || d.set.Version != 1 {
@@ -669,7 +678,7 @@ func TestWatchSetsFollowsEveryPopulation(t *testing.T) {
 	}
 
 	// An update to an existing name is delivered with that name.
-	s.PublishNamed("tenant-a", testSet("a-two"))
+	s.Publish("tenant-a", testSet("a-two"))
 	select {
 	case d := <-got:
 		if d.name != "tenant-a" || d.set.Version != 2 {

@@ -212,15 +212,10 @@ type LearnerStats = siggen.Stats
 // LearnerClusterConfig tunes the Learner's incremental clusterer.
 type LearnerClusterConfig = siggen.ClusterConfig
 
-// SetPublisher is where a Learner sends accepted signature sets; see
-// siggen.ServerPublisher and NewHTTPPublisher.
+// SetPublisher is where a Learner sends accepted signature sets, each
+// under its set name ("" for the global set, a tenant key for that
+// tenant's set); see siggen.ServerPublisher and NewHTTPPublisher.
 type SetPublisher = siggen.Publisher
-
-// NamedSetPublisher is the per-tenant extension of SetPublisher: a
-// publisher that routes sets by name (sigserver's /sets/{name}
-// endpoints), which a Learner with TenantSets uses to publish each
-// tenant's set under its own version sequence.
-type NamedSetPublisher = siggen.NamedPublisher
 
 // NewLearner starts an online signature-generation service. Wire its
 // MissSink into a StreamConfig.Sink (or a TeeSink), or feed it directly
@@ -228,12 +223,11 @@ type NamedSetPublisher = siggen.NamedPublisher
 func NewLearner(cfg LearnerConfig) *Learner { return siggen.NewService(cfg) }
 
 // NewHTTPPublisher returns a SetPublisher that POSTs accepted sets to
-// the sigserver at base, authenticating with token when non-empty. The
-// returned publisher also implements NamedSetPublisher, so per-tenant
-// sets publish under /sets/{tenant}/.
+// the sigserver at base, authenticating with token when non-empty;
+// per-tenant sets publish under /sets/{tenant}/.
 func NewHTTPPublisher(base, token string) SetPublisher { return siggen.NewHTTPPublisher(base, token) }
 
-// PoolReloader returns a LearnerConfig.OnPublishNamed hook that pins
+// PoolReloader returns a LearnerConfig.OnPublish hook that pins
 // each published tenant set into the Pool via ReloadTenant — the
 // in-process route for per-tenant learned signatures. The global set is
 // deliberately not installed as the pool default (it is the union across
