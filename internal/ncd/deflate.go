@@ -11,13 +11,23 @@
 // counts the bits flate would emit. The license is in LICENSE next to
 // this file.
 //
-// It departs from flate in three ways, none of which changes a token
+// It departs from flate in five ways, none of which changes a token
 // or a code length:
 //
 //   - reset does not clear the 640 KB of hash tables (see reset);
 //   - a block keeps its literal/length and offset histograms instead of
 //     its token list, which is all flate reads the tokens for;
-//   - matchLen compares eight bytes at a time.
+//   - matchLen compares eight bytes at a time;
+//   - the symbols are sorted by (frequency, symbol) with a counting
+//     sort, or with slices.Sort on packed keys when a frequency is
+//     large, instead of sort.Sort: flate's order is a total order on
+//     unique keys, so every correct sort yields it (see sortByFreq);
+//   - the code lengths come from a plain two-queue Huffman tree, and
+//     flate's package-merge (bitCounts) runs only when that tree is
+//     deeper than the limit. Lengths follow from the sorted order and
+//     the count of leaves per depth; with ties broken as bitCounts
+//     breaks them, the two-queue counts equal bitCounts' whenever the
+//     tree fits (see huffmanBitCounts).
 
 package ncd
 
@@ -25,7 +35,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 const (
@@ -527,9 +537,7 @@ type codeLens [maxNumLit]uint8
 func (l *codeLens) bitLength(freq []int32) int {
 	var total int
 	for i, f := range freq {
-		if f != 0 {
-			total += int(f) * int(l[i])
-		}
+		total += int(f) * int(l[i])
 	}
 	return total
 }
@@ -559,11 +567,26 @@ var fixedLiteralLens, fixedOffsetLens = func() (lit, off codeLens) {
 // tie-break (by symbol), so it is kept exactly; the codes themselves
 // do not change a length and are not built.
 type huffmanEncoder struct {
-	lens      codeLens
-	freqcache [maxNumLit + 1]literalNode
-	bitCount  [17]int32
-	lfs       byFreq // stored to avoid repeated allocation in generate
+	lens     codeLens
+	nodes    [maxNumLit + 1]literalNode // used symbols by (freq, literal), and bitCounts' sentinel
+	bitCount [17]int32
+
+	// Scratch for generate, kept so that a call allocates nothing.
+	syms   [maxNumLit]uint16    // the used symbols, in symbol order
+	bucket [countSortCap]uint16 // counting sort's start index per frequency
+	keys   [maxNumLit]uint64    // freq<<16 | literal, for slices.Sort
+	weight [maxNumLit]int32     // internal node weights, then depths
+	parent [2 * maxNumLit]int16 // each node's parent, an internal node index
+
+	// packageMerges counts the generate calls whose Huffman tree was
+	// deeper than maxBits, so that bitCounts had to limit it.
+	packageMerges int
 }
+
+// countSortCap bounds the frequencies sortByFreq sorts by counting. A
+// counting sort pays one bucket per frequency up to the largest; above
+// the cap, sorting the packed keys costs less.
+const countSortCap = 256
 
 type literalNode struct {
 	literal uint16
@@ -712,33 +735,35 @@ func (h *huffmanEncoder) bitCounts(list []literalNode, maxBits int32) []int32 {
 // generate sets lens to the minimum code lengths for freq, where
 // freq[i] is the frequency of symbol i, using at most maxBits bits.
 func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
-	list := h.freqcache[:len(freq)+1]
-	// Number of non-zero literals
+	clear(h.lens[:len(freq)])
+	// Gather the used symbols without a branch per symbol: each symbol is
+	// written to the next free slot, which only a non-zero frequency keeps.
 	count := 0
-	// Set list to be the set of all non-zero literals and their frequencies
+	var maxFreq int32
 	for i, f := range freq {
-		if f != 0 {
-			list[count] = literalNode{uint16(i), f}
-			count++
-		} else {
-			h.lens[i] = 0
-		}
+		h.syms[count] = uint16(i)
+		count += int(uint32(-f) >> 31) // frequencies are never negative
+		maxFreq = max(maxFreq, f)
 	}
-
-	list = list[:count]
+	syms := h.syms[:count]
 	if count <= 2 {
 		// Handle the small cases here, because they are awkward for the general case code. With
 		// two or fewer literals, everything has bit length 1.
-		for _, node := range list {
-			h.lens[node.literal] = 1
+		for _, sym := range syms {
+			h.lens[sym] = 1
 		}
 		return
 	}
-	h.lfs.sort(list)
+	list := h.sortByFreq(freq, syms, maxFreq)
 
+	bitCount, ok := h.huffmanBitCounts(list, maxBits)
+	if !ok {
+		h.packageMerges++
+		bitCount = h.bitCounts(list, maxBits)
+	}
 	// Assign the bit counts from the most frequent literals down: the
 	// last bitCount[n] literals of list get n bits.
-	for n, bits := range h.bitCounts(list, maxBits) {
+	for n, bits := range bitCount {
 		if n == 0 || bits == 0 {
 			continue
 		}
@@ -749,23 +774,94 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 	}
 }
 
-type byFreq []literalNode
-
-func (s *byFreq) sort(a []literalNode) {
-	*s = byFreq(a)
-	sort.Sort(s)
-}
-
-func (s byFreq) Len() int { return len(s) }
-
-func (s byFreq) Less(i, j int) bool {
-	if s[i].freq == s[j].freq {
-		return s[i].literal < s[j].literal
+// sortByFreq returns the used symbols syms, given in symbol order, with
+// their frequencies, ordered by frequency and then by symbol as flate's
+// sort orders them. The largest frequency is maxFreq.
+func (h *huffmanEncoder) sortByFreq(freq []int32, syms []uint16, maxFreq int32) []literalNode {
+	list := h.nodes[:len(syms)]
+	if maxFreq < countSortCap {
+		// A counting sort is stable, so equal frequencies stay in symbol
+		// order.
+		bucket := h.bucket[:maxFreq+1]
+		clear(bucket)
+		for _, sym := range syms {
+			bucket[freq[sym]]++
+		}
+		var start uint16
+		for f, n := range bucket {
+			bucket[f], start = start, start+n
+		}
+		for _, sym := range syms {
+			f := freq[sym]
+			list[bucket[f]] = literalNode{sym, f}
+			bucket[f]++
+		}
+		return list
 	}
-	return s[i].freq < s[j].freq
+	// The keys are unique, so any correct sort puts them in flate's order.
+	keys := h.keys[:len(syms)]
+	for j, sym := range syms {
+		keys[j] = uint64(freq[sym])<<16 | uint64(sym)
+	}
+	slices.Sort(keys)
+	for j, k := range keys {
+		list[j] = literalNode{uint16(k), int32(k >> 16)}
+	}
+	return list
 }
 
-func (s byFreq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+// huffmanBitCounts builds the Huffman tree of list, which holds at
+// least three nodes sorted as sortByFreq sorts them, with no depth
+// limit, by the two-queue method: leaves wait in list order, internal
+// nodes in the order they are made, and each step joins the two
+// lightest nodes at the queues' heads. A tie goes to the internal node,
+// as bitCounts takes a pair unless the leaf is strictly lighter. It
+// returns how many leaves sit at each depth, in bitCounts' form, or
+// false when a leaf is deeper than maxBits.
+//
+// When the tree fits, that histogram is the one bitCounts returns for
+// the same list. This is checked against bitCounts, ties and all, by
+// TestHuffmanLengthsMatchPackageMerge and FuzzHuffmanLengths, not
+// proven.
+func (h *huffmanEncoder) huffmanBitCounts(list []literalNode, maxBits int32) ([]int32, bool) {
+	n := len(list)
+	// Leaf i is node i; internal node k is node n+k and weighs weight[k].
+	weight, parent := h.weight[:n-1], h.parent[:2*n-1]
+	leaf, next := 0, 0 // the heads of the two queues
+	for k := range weight {
+		var w int32
+		for range 2 {
+			if leaf < n && (next == k || list[leaf].freq < weight[next]) {
+				w += list[leaf].freq
+				parent[leaf] = int16(k)
+				leaf++
+			} else {
+				w += weight[next]
+				parent[n+next] = int16(k)
+				next++
+			}
+		}
+		weight[k] = w
+	}
+
+	// Every parent is made after its children, so one pass from the root
+	// (node n+(n-2), at depth 0) down overwrites each weight with a depth.
+	depth := weight
+	depth[n-2] = 0
+	for k := n - 3; k >= 0; k-- {
+		depth[k] = depth[parent[n+k]] + 1
+	}
+	bitCount := h.bitCount[:maxBits+1]
+	clear(bitCount)
+	for _, p := range parent[:n] {
+		d := depth[p] + 1
+		if d > maxBits {
+			return nil, false
+		}
+		bitCount[d]++
+	}
+	return bitCount, true
+}
 
 // The number of extra bits needed by length code X - LENGTH_CODES_START.
 var lengthExtraBits = []int8{

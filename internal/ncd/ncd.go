@@ -71,13 +71,21 @@ func Distance(c Compressor, x, y []byte) float64 {
 
 // DistanceLens is Distance with the single-string compressed lengths
 // cx = C(x) and cy = C(y) supplied by the caller, so a caller that keeps
-// them per string pays one compression (of the concatenation) per pair.
-// Given the true lengths it returns exactly what Distance returns.
+// them per string pays one compression (of the concatenation) per pair,
+// and none when one side is empty. Given the true lengths it returns
+// exactly what Distance returns.
 func DistanceLens(c Compressor, x, y []byte, cx, cy int) float64 {
-	if len(x) == 0 && len(y) == 0 {
+	var cxy int
+	switch {
+	case len(x) == 0 && len(y) == 0:
 		return 0
+	case len(x) == 0: // x·y is y
+		cxy = cy
+	case len(y) == 0: // x·y is x
+		cxy = cx
+	default:
+		cxy = c.CompressedLen2(x, y)
 	}
-	cxy := c.CompressedLen2(x, y)
 	mn, mx := cx, cy
 	if mn > mx {
 		mn, mx = mx, mn

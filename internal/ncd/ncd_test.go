@@ -68,6 +68,36 @@ func randomInput(rng *rand.Rand, n, alphabet int) []byte {
 	return b
 }
 
+// skewedOffsetInput returns about 29 KB whose matches' offset codes
+// have Fibonacci-skewed counts: offset code 16 once, 15 once, 14 twice
+// and so on up to code 0, 987 times. Each match copies 8 bytes from the
+// start of fresh random bytes placed just before it, at the distance
+// planned for it (lazy matching moves some). The offset code lengths then
+// take most values from 1 to 15, and the code-length code built over
+// them outgrows its 7 bits, so generate falls back to bitCounts.
+func skewedOffsetInput() []byte {
+	rng := rand.New(rand.NewSource(1))
+	var shortest [offsetCodeCount]int // the shortest distance per offset code
+	for dist := windowSize; dist >= 1; dist-- {
+		shortest[offsetCode(uint32(dist-1))] = dist
+	}
+	var plan []int
+	for c, n, next := 16, 1, 1; c >= 0; c, n, next = c-1, next, n+next {
+		for range n {
+			plan = append(plan, shortest[c])
+		}
+	}
+	rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+	var in []byte
+	for _, dist := range plan {
+		in = append(in, randomInput(rng, dist, 256)...)
+		for range 8 {
+			in = append(in, in[len(in)-dist])
+		}
+	}
+	return in
+}
+
 func TestFlateCompressedLenMatchesManual(t *testing.T) {
 	f := Default()
 	data := bytes.Repeat([]byte("abcabc"), 50)
@@ -123,6 +153,18 @@ func TestCompressedLenMatchesFlateOnLongInputs(t *testing.T) {
 	}
 	checkLen(t, d, "text", text, nil)
 	checkLen(t, d, "text halves", text[:len(text)/2], text[len(text)/2:])
+}
+
+// TestCompressedLenThroughPackageMerge checks blocks whose unlimited
+// Huffman tree is too deep against compress/flate, whole and split.
+func TestCompressedLenThroughPackageMerge(t *testing.T) {
+	in := skewedOffsetInput()
+	d := new(deflater)
+	checkLen(t, d, "skewed offsets", in, nil)
+	checkLen(t, d, "skewed offsets, split", in[:len(in)/3], in[len(in)/3:])
+	if d.lit.packageMerges+d.off.packageMerges+d.cg.packageMerges == 0 {
+		t.Fatal("no block took the package-merge fallback")
+	}
 }
 
 // TestResetWithoutClearing runs small inputs on a state a large one left
@@ -215,6 +257,11 @@ func TestCompressedLen2AllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { f.CompressedLen2(x, y) }); n != 0 {
 		t.Fatalf("CompressedLen2 allocates %v times per call", n)
 	}
+	// Blocks that take the package-merge fallback allocate nothing either.
+	skewed := skewedOffsetInput()
+	if n := testing.AllocsPerRun(20, func() { f.CompressedLen2(skewed[:100], skewed[100:]) }); n != 0 {
+		t.Fatalf("CompressedLen2 on skewed offsets allocates %v times per call", n)
+	}
 }
 
 func TestDistanceIdenticalIsSmall(t *testing.T) {
@@ -280,6 +327,51 @@ func TestDistanceEmptyInputs(t *testing.T) {
 	d := Distance(f, nil, bytes.Repeat([]byte("abcdefgh"), 32))
 	if d <= 0.5 {
 		t.Errorf("NCD(empty, x) = %v, want > 0.5", d)
+	}
+}
+
+// countingCompressor counts the compressions of concatenations.
+type countingCompressor struct {
+	Compressor
+	pairs int
+}
+
+func (c *countingCompressor) CompressedLen2(p, q []byte) int {
+	c.pairs++
+	return c.Compressor.CompressedLen2(p, q)
+}
+
+// TestDistanceLensEmptySide pins the shortcut for one empty side:
+// C(·y) = C(y·) = C(y) as compress/flate counts it, so DistanceLens
+// returns the distance it would compute from C(x·y) without compressing.
+func TestDistanceLensEmptySide(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	c := &countingCompressor{Compressor: Default()}
+	empty := c.CompressedLen(nil)
+	for _, y := range [][]byte{
+		{'a'},
+		[]byte("Cookie: sid=0123456789abcdef; uid=42"),
+		randomInput(rng, 5000, 256),
+		randomInput(rng, 100_000, 3),
+	} {
+		cy := c.CompressedLen(y)
+		if want := flateLen(y, nil); cy != want {
+			t.Fatalf("%d bytes: CompressedLen %d, compress/flate %d", len(y), cy, want)
+		}
+		if a, b := c.CompressedLen2(nil, y), c.CompressedLen2(y, nil); a != cy || b != cy {
+			t.Fatalf("%d bytes: CompressedLen2(nil, y) %d, CompressedLen2(y, nil) %d, CompressedLen(y) %d", len(y), a, b, cy)
+		}
+		want := float64(cy-min(empty, cy)) / float64(max(empty, cy))
+		c.pairs = 0
+		if d := DistanceLens(c, nil, y, empty, cy); d != want {
+			t.Errorf("%d bytes: DistanceLens(nil, y) = %v, want %v", len(y), d, want)
+		}
+		if d := DistanceLens(c, y, nil, cy, empty); d != want {
+			t.Errorf("%d bytes: DistanceLens(y, nil) = %v, want %v", len(y), d, want)
+		}
+		if c.pairs != 0 {
+			t.Errorf("%d bytes: DistanceLens compressed %d concatenations with an empty side", len(y), c.pairs)
+		}
 	}
 }
 
