@@ -1,9 +1,6 @@
 package siggen
 
 import (
-	"errors"
-	"os"
-
 	"leaksig/internal/durable"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
@@ -67,18 +64,10 @@ type ckptState struct {
 	Pubs    map[string]ckptPub          `json:"pubs,omitempty"`
 }
 
-// SaveCheckpoint atomically writes the learner's state to path. Safe to
-// call concurrently with streaming; it holds the service lock for the
-// snapshot and the (synced) file write, so it belongs on epoch cadence,
-// not per packet.
-func (s *Service) SaveCheckpoint(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveCheckpointLocked(path)
-}
-
-// saveCheckpointLocked snapshots and writes. Callers hold s.mu.
-func (s *Service) saveCheckpointLocked(path string) error {
+// saveCheckpointLocked atomically writes the learner's state to path:
+// the snapshot and the (synced) file write both hold s.mu, so it runs on
+// epoch cadence and at Close, never per packet. Callers hold s.mu.
+func (s *Service) saveCheckpointLocked(path string) {
 	state := ckptState{
 		Format:        ckptFormat,
 		ClusterEpoch:  s.clusterer.epoch,
@@ -122,10 +111,9 @@ func (s *Service) saveCheckpointLocked(path string) error {
 	}
 	if err := durable.SaveJSON(path, state); err != nil {
 		s.ckptErrors.Add(1)
-		return err
+		return
 	}
 	s.ckptSaves.Add(1)
-	return nil
 }
 
 func samplesOut(buf []sample) []ckptSample {
@@ -139,26 +127,15 @@ func samplesOut(buf []sample) []ckptSample {
 	return out
 }
 
-// RestoreCheckpoint loads learner state from path, replacing the
-// service's (presumed empty) state. It reports whether a checkpoint was
-// actually restored: a missing, corrupt, or format-skewed file restores
-// nothing and returns (false, nil) — re-learning beats refusing to
-// boot. Call it right after NewService, before traffic flows.
-func (s *Service) RestoreCheckpoint(path string) (bool, error) {
+// restoreCheckpoint loads learner state from path into a new service,
+// before NewService starts the owner goroutine. A missing, unreadable,
+// corrupt, or format-skewed file restores nothing: re-learning beats
+// refusing to boot. Stats reports whether a checkpoint was restored.
+func (s *Service) restoreCheckpoint(path string) {
 	var state ckptState
-	err := durable.LoadJSON(path, &state)
-	switch {
-	case errors.Is(err, os.ErrNotExist), errors.Is(err, durable.ErrCorrupt):
-		return false, nil
-	case err != nil:
-		return false, err
+	if err := durable.LoadJSON(path, &state); err != nil || state.Format != ckptFormat {
+		return
 	}
-	if state.Format != ckptFormat {
-		return false, nil
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 
 	restored := 0
 	for tenant, samples := range state.Reservoirs {
@@ -223,7 +200,6 @@ func (s *Service) RestoreCheckpoint(path string) (bool, error) {
 		}
 	}
 	s.ckptRestored.Store(true)
-	return true, nil
 }
 
 func samplesIn(in []ckptSample, capacity int) []sample {

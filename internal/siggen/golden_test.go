@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"leaksig/internal/eval"
 	"leaksig/internal/signature"
@@ -53,7 +52,6 @@ func TestPublishedFingerprintsGolden(t *testing.T) {
 					t.Fatal("intake dropped a miss")
 				}
 			}
-			admitInOrder(svc)
 			if _, err := svc.RunEpoch(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -67,15 +65,5 @@ func TestPublishedFingerprintsGolden(t *testing.T) {
 	}
 	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
 		t.Fatalf("published sets differ from %s\n got:\n%s\nwant:\n%s", path, g, want)
-	}
-}
-
-// admitInOrder waits until the intake goroutine has admitted every miss
-// observed so far. RunEpoch drains the queue itself, and a miss the
-// goroutine has dequeued but not yet admitted would then land after
-// later ones, reordering the epoch's arrivals.
-func admitInOrder(svc *Service) {
-	for svc.admitted.Load() < svc.observed.Load() {
-		time.Sleep(50 * time.Microsecond)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // sample is one suspect flow in flight from an engine shard to the
-// intake goroutine.
+// owner goroutine.
 type sample struct {
 	tenant string
 	p      *httpmodel.Packet
@@ -66,9 +66,9 @@ func (m missSink) Batch(vs []engine.Verdict) {
 // Observe offers one unmatched/suspect flow to the learner directly —
 // the hook for consumers outside the engine sink path (the flowcontrol
 // proxy's miss forwarding, cmd/siggend's HTTP intake). It applies the
-// suspect filter, then hands the packet to the intake goroutine without
+// suspect filter, then queues the packet for the owner goroutine without
 // blocking; it reports false when the packet was filtered out or the
-// intake queue was full.
+// queue was full.
 func (s *Service) Observe(tenant string, p *httpmodel.Packet) bool {
 	if s.cfg.SuspectFilter != nil && !s.cfg.SuspectFilter(p) {
 		return false
@@ -79,7 +79,7 @@ func (s *Service) Observe(tenant string, p *httpmodel.Packet) bool {
 	// alive until the learner's side of the trace ends.
 	p.Span.Hold()
 	select {
-	case s.intake <- sample{tenant: tenant, p: p}:
+	case s.queue <- item{smp: sample{tenant: tenant, p: p}}:
 		s.observed.Add(1)
 		return true
 	default:
@@ -89,10 +89,10 @@ func (s *Service) Observe(tenant string, p *httpmodel.Packet) bool {
 	}
 }
 
-// admit routes one intake sample into its tenant's reservoir. Tenants
+// admit routes one queued sample into its tenant's reservoir. Tenants
 // past the reservoir-table cap share one overflow reservoir, so tenant
 // cardinality (attacker-influenced in an exposed deployment) can never
-// grow memory without bound. Callers hold s.mu.
+// grow memory without bound. The owner calls it with s.mu held.
 func (s *Service) admit(smp sample) {
 	r := s.reservoirs[smp.tenant]
 	if r == nil {

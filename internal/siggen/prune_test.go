@@ -335,7 +335,6 @@ func TestServiceMatchesExhaustive(t *testing.T) {
 					t.Fatal("intake dropped a miss")
 				}
 			}
-			admitInOrder(svc)
 			if _, err := svc.RunEpoch(context.Background()); err != nil {
 				t.Fatal(err)
 			}

@@ -9,9 +9,11 @@
 // Bayes filtering — as a streaming service with three stages:
 //
 //	intake:   engine shards push unmatched ("miss") flows through a
-//	          MissSink into per-tenant bounded reservoirs (algorithm R),
-//	          so burst load can never grow learner memory and the sampled
-//	          corpus stays uniform over each epoch's traffic;
+//	          MissSink onto one bounded queue, and the service's owner
+//	          goroutine admits them, in arrival order, into per-tenant
+//	          bounded reservoirs (algorithm R), so burst load can never
+//	          grow learner memory and the sampled corpus stays uniform
+//	          over each epoch's traffic;
 //	cluster:  a rolling medoid clusterer assigns each sampled flow on
 //	          arrival (no from-scratch re-clustering), tagging every
 //	          cluster with the tenant mix of its members, with epoch
@@ -26,6 +28,11 @@
 //	          publishes the global set plus (with TenantSets) one named
 //	          set per tenant, each under its own strictly increasing
 //	          version, which every watching engine hot-reloads.
+//
+// One goroutine owns the learner. Misses and calls (RunEpoch, Close's
+// final checkpoint) share its queue, and it handles them in queue order,
+// so the sets an epoch publishes depend only on the misses observed
+// before it and the order they arrived in, never on goroutine timing.
 //
 // The catalog is also where drift retirement lives: when staleness
 // pruning retires every cluster that sourced a published signature, the
@@ -144,14 +151,15 @@ type Config struct {
 	// the accepted set (Version already assigned): the global set as "",
 	// each tenant set under its tenant key. This is the in-process route
 	// for landing per-tenant sets in an engine.Pool (see PoolReloader).
-	// It runs on the epoch goroutine with the service lock held; it must
-	// not call back into the service.
+	// It runs on the owner goroutine, in the middle of an epoch, with the
+	// service lock held: calling RunEpoch or Close from it deadlocks (the
+	// owner would wait on itself), and so does Stats.
 	OnPublish func(name string, set *signature.Set)
 
 	// OnRetire, when non-nil, observes drift retirement: n catalog
 	// signatures lost their last source cluster this epoch and will be
-	// absent from the next published versions. Same execution rules as
-	// OnPublish.
+	// absent from the next published versions. It runs where OnPublish
+	// does, under the same rules.
 	OnRetire func(n int)
 
 	// Seed fixes the reservoir and medoid-election randomness; default 1.
@@ -234,10 +242,10 @@ type namedPublish struct {
 type Service struct {
 	cfg Config
 
-	intake chan sample
+	queue chan item // misses and calls, handled in order by run
 
-	// mu guards the learner state: reservoirs, clusterer, catalog,
-	// publish states, and the epoch path itself.
+	// Only the owner goroutine (run) writes the learner state below; mu
+	// lets Stats read it meanwhile.
 	mu          sync.Mutex
 	reservoirs  map[string]*reservoir
 	overflow    *reservoir
@@ -247,7 +255,6 @@ type Service struct {
 	newSamples  int                      // samples admitted since the last epoch
 	catalog     map[string]*publishedSig // published signatures by key
 	pubs        map[string]*pubState     // per published-name delivery state; "" = global
-	publishing  bool                     // a publisher round trip is in flight (s.mu released)
 	lastCompact CompactStats
 	lastDistill DistillStats
 
@@ -268,9 +275,8 @@ type Service struct {
 	benignTrain []*httpmodel.Packet
 	benignHold  []*httpmodel.Packet
 
-	stop     chan struct{}
-	loopDone chan struct{}
-	closed   atomic.Bool
+	stopped  bool          // set by Close's call; read and written by run only
+	loopDone chan struct{} // closed when run returns
 }
 
 // clusterStage is the clusterer surface an epoch drives. Tests substitute
@@ -282,36 +288,43 @@ type clusterStage interface {
 	TaggedGroups(minSize int) []Group
 }
 
-// NewService starts the learner: the intake goroutine begins draining
-// immediately, and — when GenerateInterval is set — the epoch loop
-// begins generating.
+// NewService starts the learner: the owner goroutine begins admitting
+// misses immediately, and — when GenerateInterval is set — generating on
+// its timer.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:        cfg,
-		intake:     make(chan sample, cfg.IntakeDepth),
+		queue:      make(chan item, cfg.IntakeDepth),
 		reservoirs: make(map[string]*reservoir),
 		overflow:   newReservoir(cfg.ReservoirSize),
 		clusterer:  NewClusterer(cfg.Cluster, cfg.Seed),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		catalog:    make(map[string]*publishedSig),
 		pubs:       make(map[string]*pubState),
-		stop:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
 	s.stage = s.clusterer
 	s.benignTrain, s.benignHold = splitBenign(cfg.Benign)
 	if cfg.CheckpointPath != "" {
-		// Restore before the loops start: failure to restore (missing or
-		// corrupt checkpoint) is a fresh start, never a refusal to boot.
-		s.RestoreCheckpoint(cfg.CheckpointPath)
+		s.restoreCheckpoint(cfg.CheckpointPath)
 	}
 	go s.run()
 	return s
 }
 
-// run drains the intake queue into the reservoirs and fires timed
-// epochs.
+// item is one entry of the owner's queue: a miss to admit, or, when do
+// is set, a call to run.
+type item struct {
+	smp sample
+	do  func()
+}
+
+// errClosed is what RunEpoch returns once Close has stopped the owner.
+var errClosed = errors.New("siggen: service closed")
+
+// run is the owner goroutine: it admits misses and runs calls in queue
+// order, and fires timed epochs, until Close's call stops it.
 func (s *Service) run() {
 	defer close(s.loopDone)
 	var tick <-chan time.Time
@@ -320,11 +333,15 @@ func (s *Service) run() {
 		defer t.Stop()
 		tick = t.C
 	}
-	for {
+	for !s.stopped {
 		select {
-		case smp := <-s.intake:
+		case it := <-s.queue:
+			if it.do != nil {
+				it.do()
+				continue
+			}
 			s.mu.Lock()
-			s.admit(smp)
+			s.admit(it.smp)
 			s.mu.Unlock()
 		case <-tick:
 			s.mu.Lock()
@@ -340,51 +357,50 @@ func (s *Service) run() {
 				s.publishLocked(context.Background(), s.pendingBatchLocked())
 			}
 			s.mu.Unlock()
-		case <-s.stop:
-			return
 		}
 	}
 }
 
-// RunEpoch drains any queued intake, runs one full epoch — cluster the
+// call runs fn on the owner goroutine, after everything queued before
+// it, and waits until it has run. Unlike a miss, a call waits for room
+// in a full queue rather than being dropped. It returns errClosed,
+// without running fn, when Close stopped the owner first.
+func (s *Service) call(fn func()) error {
+	done := make(chan struct{})
+	select {
+	case s.queue <- item{do: func() { fn(); close(done) }}:
+	case <-s.loopDone:
+		return errClosed
+	}
+	select {
+	case <-done:
+	case <-s.loopDone:
+	}
+	// The owner closes done before it can stop, so done is final here.
+	select {
+	case <-done:
+		return nil
+	default:
+		return errClosed
+	}
+}
+
+// RunEpoch runs one full epoch on the owner goroutine — cluster the
 // reservoir samples, compact, retire, distill, publish what changed —
-// and returns the global set it published (nil when nothing was
+// after admitting every miss whose Observe returned before the call, in
+// order. It returns the global set it published (nil when nothing was
 // generated or nothing changed; per-tenant publishes surface through
-// OnPublish). The error reports the first publish failure;
-// generation itself cannot fail.
-func (s *Service) RunEpoch(ctx context.Context) (*signature.Set, error) {
-	// Every sample observed before this call must make the epoch. One
-	// may sit in the run() goroutine's hands — dequeued from the channel
-	// but not yet admitted — so wait until admissions catch up with the
-	// entry snapshot before generating (bounded: with producers quiesced
-	// this converges in one handoff; with live producers the snapshot
-	// keeps the wait finite).
-	target := s.observed.Load()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for deadline := time.Now().Add(time.Second); ; {
-		s.drainLocked()
-		if s.admitted.Load() >= target || time.Now().After(deadline) {
-			break
-		}
-		s.mu.Unlock()
-		time.Sleep(100 * time.Microsecond)
+// OnPublish). The error reports the first publish failure, or that the
+// service is closed; generation itself cannot fail.
+func (s *Service) RunEpoch(ctx context.Context) (set *signature.Set, err error) {
+	if cerr := s.call(func() {
 		s.mu.Lock()
+		set, err = s.epochLocked(ctx)
+		s.mu.Unlock()
+	}); cerr != nil {
+		return nil, cerr
 	}
-	return s.epochLocked(ctx)
-}
-
-// drainLocked empties the intake queue into the reservoirs without
-// blocking. Callers hold s.mu.
-func (s *Service) drainLocked() {
-	for {
-		select {
-		case smp := <-s.intake:
-			s.admit(smp)
-		default:
-			return
-		}
-	}
+	return set, err
 }
 
 // errStalePublish marks an epoch that lost a publish race; the service
@@ -654,24 +670,10 @@ func (s *Service) pub(name string) *pubState {
 // publishLocked ships one epoch's batch, each set with a strictly
 // increasing version stamp under its own name. Callers hold s.mu; the
 // publisher round trips run with the mutex RELEASED (re-acquired for
-// bookkeeping) under a hard deadline, so a slow or hung server neither
-// wedges Stats/Close nor stalls intake admissions driven by RunEpoch. A
-// `publishing` guard keeps concurrent epochs from racing the version
-// stamps: the loser parks its sets as pending and the next tick retries.
-// It returns the published global set (nil when the batch had none) and
-// the first error.
+// bookkeeping) under a hard deadline, so a slow or hung server never
+// wedges Stats. It returns the published global set (nil when the batch
+// had none) and the first error.
 func (s *Service) publishLocked(ctx context.Context, batch []namedPublish) (*signature.Set, error) {
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	if s.publishing {
-		for _, item := range batch {
-			pub := s.pub(item.name)
-			pub.pending, pub.pendingFP = item.set, item.fp
-		}
-		return nil, nil
-	}
-	s.publishing = true
 	var globalSet *signature.Set
 	var firstErr error
 	for _, item := range batch {
@@ -683,12 +685,11 @@ func (s *Service) publishLocked(ctx context.Context, batch []namedPublish) (*sig
 			firstErr = err
 		}
 	}
-	s.publishing = false
 	return globalSet, firstErr
 }
 
 // publishOneLocked ships one named set. Callers hold s.mu (released
-// around the round trip) and have set s.publishing.
+// around the round trip).
 func (s *Service) publishOneLocked(ctx context.Context, item namedPublish) (*signature.Set, error) {
 	name, set, fp := item.name, item.set, item.fp
 	pub := s.pub(name)
@@ -857,19 +858,21 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Close stops the intake and epoch loops and, with CheckpointPath set,
-// writes a final checkpoint (capturing samples that arrived after the
-// last epoch). It does not run a final epoch; callers that want one
-// (pipe-mode daemons) call RunEpoch first. Close is idempotent.
+// Close is the owner's last call: after admitting every miss observed
+// before it, it writes a final checkpoint when CheckpointPath is set
+// (capturing samples that arrived after the last epoch) and stops the
+// owner. It does not run a final epoch; callers that want one
+// (pipe-mode daemons) call RunEpoch first. Close is idempotent, and
+// RunEpoch after it returns an error.
 func (s *Service) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.stop)
-		<-s.loopDone
+	// errClosed only means an earlier Close already stopped the owner.
+	_ = s.call(func() {
 		if s.cfg.CheckpointPath != "" {
 			s.mu.Lock()
-			s.drainLocked()
 			s.saveCheckpointLocked(s.cfg.CheckpointPath)
 			s.mu.Unlock()
 		}
-	}
+		s.stopped = true
+	})
+	<-s.loopDone
 }

@@ -74,6 +74,15 @@ func TestReservoirBoundsUnderBurst(t *testing.T) {
 	}
 }
 
+// admitQueued returns once the owner goroutine has admitted every miss
+// observed so far: a no-op call runs only after them.
+func admitQueued(t *testing.T, svc *Service) {
+	t.Helper()
+	if err := svc.call(func() {}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServiceIntakeBoundsUnderBurstAcrossTenants(t *testing.T) {
 	const (
 		resSize    = 16
@@ -101,15 +110,7 @@ func TestServiceIntakeBoundsUnderBurstAcrossTenants(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Wait for the intake goroutine to drain what it accepted.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := svc.Stats()
-		if st.Admitted == st.Observed || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	admitQueued(t, svc)
 	st := svc.Stats()
 	if st.Admitted != st.Observed {
 		t.Fatalf("intake never drained: %+v", st)
@@ -137,10 +138,6 @@ func TestMissSinkFeedsOnlyMisses(t *testing.T) {
 		{Packet: leakPacket("a", 1), Matched: []int{0}}, // a hit: ignored
 		{Packet: leakPacket("a", 2)},                    // a miss: learned
 	})
-	deadline := time.Now().Add(time.Second)
-	for svc.Stats().Observed == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if got := svc.Stats().Observed; got != 1 {
 		t.Fatalf("observed %d, want 1 (misses only)", got)
 	}
@@ -515,10 +512,7 @@ func TestReservoirSlotsRecycleAcrossEpochs(t *testing.T) {
 			key := fmt.Sprintf("%s-t%d", prefix, i)
 			svc.Observe(key, leakPacket(key, i))
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for svc.Stats().Admitted != svc.Stats().Observed && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		admitQueued(t, svc)
 	}
 
 	// Epoch 1: 100 transient tenants — 64 private slots plus overflow.
