@@ -450,9 +450,8 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 	// The pool: empty default set, per-tenant miss sinks into the learner.
 	pool := engine.NewPool(nil, engine.PoolConfig{
 		Engine: engine.Config{Shards: 1, BatchSize: 4},
-		ConfigureTenant: func(key string, cfg engine.Config) engine.Config {
-			cfg.Sink = learner.MissSinkFor(key)
-			return cfg
+		TenantSink: func(key string) engine.Sink {
+			return learner.MissSinkFor(key)
 		},
 	})
 	defer pool.Close()

@@ -172,12 +172,12 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 			ShardBudget: c.ShardBudget,
 			MaxTenants:  c.MaxTenants,
 			IdleAfter:   c.Idle,
-			ConfigureTenant: func(key string, cfg engine.Config) engine.Config {
-				cfg.Sink = out.sink(key, ops.shipper)
+			TenantSink: func(key string) engine.Sink {
+				sink := out.sink(key, ops.shipper)
 				if svc != nil {
-					cfg.Sink = engine.TeeSink(cfg.Sink, svc.MissSinkFor(key))
+					sink = engine.TeeSink(sink, svc.MissSinkFor(key))
 				}
-				return cfg
+				return sink
 			},
 		}, c.TenantBy)
 		ops.reg.Register(obs.PoolCollector(pb.pool.Metrics))
@@ -238,10 +238,12 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 	if c.Server != "" {
 		// deliver is the watch callback: persist the set, leave degraded
 		// mode if this is the first server contact since boot, and roll
-		// the set in. The shipped reload event carries the issued-vs-applied
-		// ticket accounting that makes reload coalescing visible.
+		// the set in. install returns once the set is live, so readiness,
+		// the log line and the shipped reload event (with its
+		// issued-vs-applied ticket accounting) all describe a live set.
+		// Publishes that land meanwhile coalesce: the watcher fetches
+		// only the newest set once deliver returns.
 		deliver := func(name string, set *signature.Set) {
-			ops.ready.Store(true)
 			if cache != nil {
 				if err := cache.Put(name, set); err != nil {
 					log.Printf("sig-cache write: %v", err)
@@ -252,6 +254,7 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 				ops.ship(obs.Event{Type: "degraded", Version: set.Version, Set: name, Detail: "recovered: live set delivered"})
 			}
 			ops.applyReload(set, func(set *signature.Set) { be.install(name, set) })
+			ops.ready.Store(true)
 			log.Printf("%s installed: version %d, %d entries", setLabel(name), set.Version, set.Len())
 			ops.ship(obs.Event{
 				Type: "reload", Set: name, Version: set.Version,
@@ -391,9 +394,9 @@ func aggregate(be backend) engine.Snapshot {
 	return m
 }
 
-// reloadOutcome summarizes the backend's reload-coalescing books: tickets
-// issued versus generations actually applied (the gap is publishes
-// coalesced away or still compiling).
+// reloadOutcome summarizes the backend's reload books: tickets issued
+// versus the generation actually applied (a gap is a concurrent reload
+// still compiling, or one discarded because a newer set won).
 func reloadOutcome(be backend) string {
 	m := aggregate(be)
 	return fmt.Sprintf("issued=%d applied=%d", m.ReloadIssued, m.ReloadGen)
@@ -439,13 +442,13 @@ func (b *engineBackend) match(_ string, p *httpmodel.Packet) engine.Verdict {
 	return b.eng.Vet(p)
 }
 
-// install is async: the watcher loop must keep long-polling while a
-// large set compiles on the engine's background compiler, and a publish
-// burst coalesces into the newest set rather than queueing stale
-// compiles.
+// install returns once the set is live, so the stage timing, /readyz
+// and the reload log line describe the set matching traffic. It runs on
+// the watcher goroutine; a publish burst during the compile coalesces,
+// because the watcher fetches only the newest set once install returns.
 func (b *engineBackend) install(name string, set *signature.Set) {
 	if name == "" {
-		b.eng.ReloadAsync(set)
+		b.eng.Reload(set)
 	}
 }
 func (b *engineBackend) statsLine() string { return b.eng.Metrics().String() }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -143,6 +144,25 @@ func TestMatchVerdictNeverMixesGenerations(t *testing.T) {
 			done.Store(true)
 			wg.Wait()
 		})
+	}
+}
+
+// TestEngineInstallIsLiveOnReturn pins what the single-engine daemon's
+// install promises its callers — the reload_apply stage timing, /readyz,
+// the "installed" log line and the shipped reload event: when install
+// returns, the set it was handed is the one matching traffic, even a
+// 10,000-signature set whose compile takes a while.
+func TestEngineInstallIsLiveOnReturn(t *testing.T) {
+	sigs := make([]*signature.Signature, 10000)
+	for i := range sigs {
+		sigs[i] = &signature.Signature{ID: i, Tokens: []string{fmt.Sprintf("install-%05d=", i), "v="}}
+	}
+	set := &signature.Set{Version: 7, Signatures: sigs}
+	be := &engineBackend{eng: engine.New(nil, engine.Config{Shards: 1})}
+	defer be.close()
+	be.install("", set)
+	if got := be.eng.Version(); got != set.Version {
+		t.Fatalf("install returned with version %d live, want %d", got, set.Version)
 	}
 }
 

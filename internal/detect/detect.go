@@ -24,7 +24,6 @@ package detect
 
 import (
 	"math/bits"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -273,37 +272,10 @@ func (e *Engine) Matches(p *httpmodel.Packet) bool {
 // boolean per packet in order. Each worker amortizes one scratch across
 // its whole range.
 func (e *Engine) MatchSet(s *capture.Set) []bool {
-	n := len(s.Packets)
-	out := make([]bool, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sc := e.NewScratch()
-			for i := lo; i < hi; i++ {
-				out[i] = len(e.MatchInto(s.Packets[i], sc)) > 0
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+	return matchChunked(s, func() func(*httpmodel.Packet) bool {
+		sc := e.NewScratch()
+		return func(p *httpmodel.Packet) bool { return len(e.MatchInto(p, sc)) > 0 }
+	})
 }
 
 // Result holds the counts and rates of one detection run.
@@ -327,22 +299,28 @@ type Result struct {
 // ds.Packets[i]; n is the paper's N (size of the training sample drawn from
 // the suspicious group).
 func Evaluate(e *Engine, ds *capture.Set, sensitive []bool, n int) Result {
-	if len(sensitive) != len(ds.Packets) {
+	return score(e.MatchSet(ds), sensitive, n)
+}
+
+// score counts per-packet verdicts against the ground-truth labels and
+// derives the paper's rates; n is the training sample size, excluded
+// from the denominators. It panics unless there is one label per verdict.
+func score(matched, sensitive []bool, n int) Result {
+	if len(sensitive) != len(matched) {
 		panic("detect: sensitivity label length mismatch")
 	}
-	matched := e.MatchSet(ds)
 	r := Result{N: n}
-	for i := range ds.Packets {
+	for i, m := range matched {
 		if sensitive[i] {
 			r.SensitiveTotal++
-			if matched[i] {
+			if m {
 				r.DetectedSensitive++
 			} else {
 				r.UndetectedSensitive++
 			}
 		} else {
 			r.NormalTotal++
-			if matched[i] {
+			if m {
 				r.DetectedNormal++
 			}
 		}

@@ -18,31 +18,30 @@ type Matcher interface {
 // MatchSetWith evaluates every packet of the set against an arbitrary
 // Matcher in parallel, returning one verdict per packet in order.
 func MatchSetWith(m Matcher, s *capture.Set) []bool {
+	return matchChunked(s, func() func(*httpmodel.Packet) bool { return m.Matches })
+}
+
+// matchChunked splits the set into one contiguous range per worker
+// (GOMAXPROCS of them, at most one per packet) and records each packet's
+// verdict in order. Each worker calls newMatch once, so per-worker state
+// such as a Scratch is built once for its whole range.
+func matchChunked(s *capture.Set, newMatch func() func(*httpmodel.Packet) bool) []bool {
 	n := len(s.Packets)
 	out := make([]bool, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers < 1 {
 		return out
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			match := newMatch()
 			for i := lo; i < hi; i++ {
-				out[i] = m.Matches(s.Packets[i])
+				out[i] = match(s.Packets[i])
 			}
 		}(lo, hi)
 	}
@@ -53,32 +52,5 @@ func MatchSetWith(m Matcher, s *capture.Set) []bool {
 // EvaluateMatcher scores an arbitrary Matcher with the paper's equations,
 // mirroring Evaluate for non-conjunction signature types.
 func EvaluateMatcher(m Matcher, ds *capture.Set, sensitive []bool, n int) Result {
-	if len(sensitive) != len(ds.Packets) {
-		panic("detect: sensitivity label length mismatch")
-	}
-	matched := MatchSetWith(m, ds)
-	r := Result{N: n}
-	for i := range ds.Packets {
-		if sensitive[i] {
-			r.SensitiveTotal++
-			if matched[i] {
-				r.DetectedSensitive++
-			} else {
-				r.UndetectedSensitive++
-			}
-		} else {
-			r.NormalTotal++
-			if matched[i] {
-				r.DetectedNormal++
-			}
-		}
-	}
-	if denom := r.SensitiveTotal - n; denom > 0 {
-		r.TruePositiveRate = float64(r.DetectedSensitive-n) / float64(denom)
-		r.FalseNegativeRate = float64(r.UndetectedSensitive) / float64(denom)
-	}
-	if denom := r.NormalTotal - n; denom > 0 {
-		r.FalsePositiveRate = float64(r.DetectedNormal) / float64(denom)
-	}
-	return r
+	return score(MatchSetWith(m, ds), sensitive, n)
 }

@@ -22,8 +22,8 @@ type compiledSet struct {
 
 	// gen is the reload ticket this generation was compiled under.
 	// install applies generations strictly monotonically by gen, so a
-	// slow background compile can never clobber a newer set (the
-	// double-buffered ReloadAsync invariant).
+	// slow compile can never clobber a newer set that a concurrent
+	// reload installed first.
 	gen uint64
 }
 

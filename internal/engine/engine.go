@@ -18,11 +18,10 @@
 //     channel hop, no batch-slice allocation. Workers drain runs of
 //     published items and load the compiled-set pointer once per drain,
 //     amortizing the atomic load across the adaptive batch.
-//   - Reload compiles the new set off the hot path and swaps it in with
-//     a single atomic pointer store; ReloadAsync moves even the compile
-//     off the caller onto a background compiler with a double-buffered
-//     pending slot, coalescing bursts of publishes so signature churn
-//     never stalls intake. Generations apply strictly monotonically.
+//   - Reload compiles the new set on the caller's goroutine, off the hot
+//     path, and swaps it in with a single atomic pointer store; it returns
+//     once the new generation is live. Generations apply strictly
+//     monotonically, so concurrent reloads cannot regress the live set.
 //   - Submit blocks while a shard's ring is full (bounded backpressure);
 //     TrySubmit drops instead and counts the drop. A stalled sink slows
 //     only its own shard's ring — sibling shards keep flowing.
@@ -36,17 +35,15 @@
 //     CallbackSink, BatchCallbackSink, CountSink and TeeSink are small
 //     adapters over that one method.
 //
-// Pool stacks a multi-tenant layer on top: tenant keys (app package,
-// device cohort, destination host) map to independently configured
-// engines sharing a global shard budget, created lazily on first packet,
-// evicted when idle, each optionally pinned to a tenant-private
-// signature set — one service instance isolating many traffic
-// populations the way the paper's per-module signatures isolate ad
-// libraries (§IV-A). The pool compiles its default set once per
-// Pool.Reload and every unpinned tenant points at that one immutable
-// generation; only pinned tenants compile for themselves. When budget
-// frees, degraded tenants are upgraded back to multi-shard grants by
-// weighted rebalancing.
+// Pool stacks a multi-tenant layer on top: a tenant is one engine plus
+// its sink, keyed by app package, device cohort or destination host,
+// sized from a global shard budget, created lazily on first packet,
+// evicted when idle, and optionally pinned to a tenant-private signature
+// set — one service instance isolating many traffic populations the way
+// the paper's per-module signatures isolate ad libraries (§IV-A). The
+// pool compiles its default set once per Pool.Reload and every unpinned
+// tenant points at that one immutable generation; only pinned tenants
+// compile for themselves.
 //
 // Metrics (packets/s, match rate, ring depth, batch target, reloads,
 // reload latency, p50/p99 latency) are exposed through Metrics, reusing
@@ -175,15 +172,6 @@ type Verdict struct {
 // Leak reports whether the packet matched any signature.
 func (v Verdict) Leak() bool { return len(v.Matched) > 0 }
 
-// pendingReload is the double-buffer slot between ReloadAsync and the
-// background compiler: the latest requested set plus its generation
-// ticket. Rapid republishes overwrite the slot, so at most one compile
-// runs while one more waits — intervening sets are coalesced away.
-type pendingReload struct {
-	set *signature.Set
-	gen uint64
-}
-
 // Engine is the streaming detector. Construct with New; all methods are
 // safe for concurrent use.
 type Engine struct {
@@ -198,14 +186,11 @@ type Engine struct {
 	reloads  atomic.Int64 // generations installed
 	compiles atomic.Int64 // signature sets this engine compiled itself
 
-	// Reload machinery: gen tickets order every Reload/ReloadAsync call;
-	// install applies compiled generations strictly monotonically, so a
-	// slow background compile can never overwrite a newer set.
+	// Reload machinery: gen tickets order every Reload and adopt call;
+	// install applies generations strictly monotonically, so a slow
+	// compile can never overwrite a newer set.
 	reloadGen    atomic.Uint64
-	pending      atomic.Pointer[pendingReload]
-	compiling    atomic.Bool
 	lastReloadNs atomic.Int64 // compile+install wall time of the last applied reload
-	reloadCh     chan struct{}
 
 	// Synchronous-vet counters: Vet bypasses the queue, so the
 	// shard counters never see it; these make inline consumers (the
@@ -216,7 +201,7 @@ type Engine struct {
 	submitMu sync.RWMutex // closed check vs Close
 	closed   bool
 
-	stop    chan struct{} // closed by Close: wakes parked workers and the compiler
+	stop    chan struct{} // closed by Close: wakes parked workers
 	stopped atomic.Bool   // set before stop closes; workers exit on empty ring
 	wg      sync.WaitGroup
 	start   time.Time
@@ -235,10 +220,9 @@ func New(set *signature.Set, cfg Config) *Engine {
 func newEngine(cs *compiledSet, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:      cfg,
-		reloadCh: make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		start:    time.Now(),
+		cfg:   cfg,
+		stop:  make(chan struct{}),
+		start: time.Now(),
 	}
 	e.set.Store(cs)
 	sink := cfg.Sink
@@ -256,8 +240,6 @@ func newEngine(cs *compiledSet, cfg Config) *Engine {
 		e.wg.Add(1)
 		go e.run(s)
 	}
-	e.wg.Add(1)
-	go e.runCompiler()
 	return e
 }
 
@@ -269,8 +251,9 @@ func (e *Engine) issue(detail string) uint64 {
 }
 
 // install makes cs the live generation iff it is newer than the current
-// one. Sync and async reloads race through here, and the monotonic gen
-// check guarantees a stale compile is discarded rather than applied.
+// one. Concurrent reloads — a caller's Reload against a Pool's adopt —
+// race through here, and the monotonic gen check guarantees a stale
+// compile is discarded rather than applied.
 // started is when the work that produced cs began — before its compile,
 // whoever ran it — so LastReload reads compile + install.
 func (e *Engine) install(cs *compiledSet, started time.Time) bool {
@@ -297,7 +280,7 @@ func (e *Engine) install(cs *compiledSet, started time.Time) bool {
 
 // adopt makes a generation compiled elsewhere (by the Pool, once for all
 // its unpinned tenants) live here under a fresh ticket, ordered against
-// this engine's own Reload and ReloadAsync calls like any other reload.
+// this engine's own Reload calls like any other reload.
 // shared is not modified — it is other engines' generation too — the
 // ticket goes on this engine's own copy of the small wrapper.
 func (e *Engine) adopt(shared *compiledSet, started time.Time) {
@@ -309,10 +292,11 @@ func (e *Engine) adopt(shared *compiledSet, started time.Time) {
 // Reload compiles the new signature set and atomically swaps it in,
 // returning only after the new generation is live: packets submitted
 // after Reload returns are judged under it. The compile happens on the
-// caller's goroutine — intake is never blocked, but a caller reloading
-// large sets at high frequency should prefer ReloadAsync. Packets
-// already queued are never dropped — they are simply matched under
-// whichever generation is live when their drain runs.
+// caller's goroutine, so intake is never blocked; a caller following a
+// stream of publishes coalesces bursts by fetching the newest set once
+// Reload returns rather than queueing stale ones. Packets already queued
+// are never dropped — they are simply matched under whichever generation
+// is live when their drain runs.
 func (e *Engine) Reload(set *signature.Set) {
 	gen := e.issue("")
 	started := time.Now()
@@ -320,49 +304,6 @@ func (e *Engine) Reload(set *signature.Set) {
 	cs.gen = gen
 	e.compiles.Add(1)
 	e.install(cs, started)
-}
-
-// ReloadAsync requests a reload and returns immediately: the dense
-// compile runs on the engine's background compiler goroutine and the
-// result is swapped in atomically when ready. Bursts coalesce — a
-// republish that lands while a compile is in flight overwrites the
-// single pending slot, so a 10k-signature tenant republishing every
-// epoch costs at most one in-flight compile plus one queued, and intake
-// never stalls. Generations still apply strictly monotonically; the
-// final state always reflects the latest requested set.
-func (e *Engine) ReloadAsync(set *signature.Set) {
-	e.pending.Store(&pendingReload{set: set, gen: e.issue("async")})
-	select {
-	case e.reloadCh <- struct{}{}:
-	default:
-	}
-}
-
-// runCompiler is the background reload compiler: it drains the pending
-// slot, compiling and installing the latest requested generation until
-// none is left, then sleeps until the next ReloadAsync.
-func (e *Engine) runCompiler() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-e.reloadCh:
-			for {
-				pr := e.pending.Swap(nil)
-				if pr == nil {
-					break
-				}
-				e.compiling.Store(true)
-				started := time.Now()
-				cs := compile(pr.set)
-				cs.gen = pr.gen
-				e.compiles.Add(1)
-				e.install(cs, started)
-				e.compiling.Store(false)
-			}
-		}
-	}
 }
 
 // Version returns the live signature-set version.

@@ -61,7 +61,7 @@ type Snapshot struct {
 	Reloads    int64 // hot reloads applied (generations installed) since construction
 
 	// Compiles counts the signature sets compiled: by this engine itself
-	// (at construction, in Reload, in ReloadAsync's background compiler),
+	// (at construction and in Reload),
 	// or, in a PoolSnapshot's Aggregate, by the pool and all its tenants.
 	// A pool tenant following the pool default installs generations the
 	// pool compiled, so its Reloads rises while its Compiles does not:
@@ -69,15 +69,13 @@ type Snapshot struct {
 	Compiles int64
 
 	// ReloadGen is the generation ticket of the live set: it increases
-	// with every applied reload and, because ReloadAsync coalesces
-	// bursts, may skip tickets that were superseded before compiling.
+	// with every applied reload and may skip the ticket of a concurrent
+	// reload that a newer one overtook.
 	ReloadGen uint64
-	// ReloadIssued is the highest ticket ever handed out. The gap to
-	// ReloadGen is the coalescing outcome: issued − applied reloads were
-	// superseded (or are still pending) rather than compiled.
+	// ReloadIssued is the highest ticket ever handed out. A gap to
+	// ReloadGen is a reload still compiling, or one discarded because a
+	// newer generation was installed first.
 	ReloadIssued uint64
-	// PendingReload reports an async reload compile queued or in flight.
-	PendingReload bool
 	// LastReload is the compile+install wall time of the last applied
 	// reload — the churn-cost signal for the reload-latency metric. For a
 	// generation the pool compiled it is measured from the start of that
@@ -157,20 +155,19 @@ func (e *Engine) ShardStats() []ShardStat {
 func (e *Engine) Metrics() Snapshot {
 	cs := e.set.Load()
 	snap := Snapshot{
-		Shards:        len(e.shards),
-		Version:       cs.version,
-		Signatures:    cs.sigs,
-		Reloads:       e.reloads.Load(),
-		Compiles:      e.compiles.Load(),
-		ReloadGen:     cs.gen,
-		ReloadIssued:  e.reloadGen.Load(),
-		PendingReload: e.pending.Load() != nil || e.compiling.Load(),
-		LastReload:    time.Duration(e.lastReloadNs.Load()),
-		Ingested:      e.ingested.Load(),
-		Dropped:       e.dropped.Load(),
-		SyncVetted:    e.syncVetted.Load(),
-		SyncMatched:   e.syncMatched.Load(),
-		Uptime:        time.Since(e.start),
+		Shards:       len(e.shards),
+		Version:      cs.version,
+		Signatures:   cs.sigs,
+		Reloads:      e.reloads.Load(),
+		Compiles:     e.compiles.Load(),
+		ReloadGen:    cs.gen,
+		ReloadIssued: e.reloadGen.Load(),
+		LastReload:   time.Duration(e.lastReloadNs.Load()),
+		Ingested:     e.ingested.Load(),
+		Dropped:      e.dropped.Load(),
+		SyncVetted:   e.syncVetted.Load(),
+		SyncMatched:  e.syncMatched.Load(),
+		Uptime:       time.Since(e.start),
 	}
 	var lat []int
 	var targets int

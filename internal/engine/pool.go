@@ -15,21 +15,18 @@ import (
 // eviction.
 type PoolConfig struct {
 	// Engine is the per-tenant engine template. Its Shards field is a
-	// per-tenant ceiling; the pool may grant fewer when the shard budget
-	// runs low. Sink and OnVerdict apply to every tenant unless
-	// ConfigureTenant overrides them.
+	// per-tenant ceiling; the pool grants fewer when the shard budget
+	// runs low. Sink and OnVerdict apply to every tenant.
 	Engine Config
 
-	// ShardBudget caps the total worker goroutines across all live
-	// tenants; 0 means runtime.GOMAXPROCS(0). Tenants created after the
-	// budget is exhausted still run, degraded to one shard each, so
-	// admission never fails — the budget shapes parallelism, not
-	// availability. Degraded grants are not charged against the budget
-	// (ShardsInUse never exceeds ShardBudget); they are counted in
-	// PoolSnapshot.DegradedTenants instead, so budget pressure stays
-	// visible. Evicting a tenant returns its charged shards to the
-	// budget, and freed budget flows back: degraded tenants are upgraded
-	// to charged multi-shard grants, busiest first.
+	// ShardBudget sizes tenants' worker goroutines; 0 means
+	// runtime.GOMAXPROCS(0). A new tenant is granted the template's shard
+	// count, or what is left of the budget if that is less, but never
+	// fewer than one shard: admission never fails, the budget shapes
+	// parallelism, not availability. Every grant is charged, so a tenant
+	// admitted after the budget is spent keeps its single shard until it
+	// is evicted and recreated, and ShardsInUse above ShardBudget is the
+	// budget-pressure signal. Evicting a tenant returns its shards.
 	ShardBudget int
 
 	// MaxTenants caps concurrently live tenants; 0 means unlimited.
@@ -39,45 +36,36 @@ type PoolConfig struct {
 
 	// IdleAfter evicts tenants that have not seen a Submit, TrySubmit,
 	// MatchPacket, or ReloadTenant for this long; 0 disables idle
-	// eviction. Evicted tenants drain fully and fold their counters into
-	// the pool aggregate; a later packet for the same key transparently
-	// recreates the tenant.
+	// eviction. The janitor sweeps every IdleAfter/4 (floor 1ms).
+	// Evicted tenants drain fully and fold their counters into the pool
+	// aggregate; a later packet for the same key transparently recreates
+	// the tenant.
 	IdleAfter time.Duration
 
-	// SweepInterval is how often the eviction janitor scans; 0 means
-	// IdleAfter/4 (floor 100ms). Ignored when IdleAfter is 0.
-	SweepInterval time.Duration
-
-	// ConfigureTenant, when non-nil, finalizes each new tenant's engine
-	// config: it receives the tenant key and the template (with the
-	// budget-granted shard count already applied) and returns the config
-	// to use. The returned Shards value is clamped to the grant.
-	ConfigureTenant func(key string, cfg Config) Config
-
-	// OnEvict, when non-nil, observes every eviction with the tenant's
-	// final drained snapshot. It runs on the evicting goroutine.
-	OnEvict func(key string, final Snapshot)
+	// TenantSink, when non-nil, returns the sink a new tenant's engine
+	// feeds, teed after the template's: per-tenant verdict streams and
+	// the learner's per-tenant miss sinks. It runs outside the pool lock,
+	// so it may itself use the pool, and it may return nil.
+	TenantSink func(key string) Sink
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ShardBudget <= 0 {
 		c.ShardBudget = runtime.GOMAXPROCS(0)
 	}
-	if c.IdleAfter > 0 && c.SweepInterval <= 0 {
-		c.SweepInterval = c.IdleAfter / 4
-		if c.SweepInterval < 100*time.Millisecond {
-			c.SweepInterval = 100 * time.Millisecond
-		}
-	}
 	return c
+}
+
+// sweepInterval is how often the janitor scans for idle tenants.
+func (c PoolConfig) sweepInterval() time.Duration {
+	return max(c.IdleAfter/4, time.Millisecond)
 }
 
 // tenant pairs one engine with its activity clock and signature pinning.
 type tenant struct {
 	key        string
 	eng        *Engine
-	shards     int          // shards granted to the engine
-	charged    int          // shards charged against the pool budget (0 for degraded grants)
+	shards     int          // shards granted to the engine, charged against the budget
 	lastActive atomic.Int64 // unix nanos of the most recent use
 
 	// reloadMu orders signature swaps on this tenant: pinning, pool-wide
@@ -92,7 +80,7 @@ type tenant struct {
 func (t *tenant) touch() { t.lastActive.Store(time.Now().UnixNano()) }
 
 // Pool maps tenant keys — app package names, device cohorts, proxy hosts —
-// to independently configured engines sharing a global shard budget, so
+// to engines, each with its own sink, sized from a global shard budget, so
 // one signature service can isolate per-population traffic the way the
 // paper's per-module signatures isolate ad libraries. Tenants are created
 // lazily on first use, evicted when idle (or least-recently-active when
@@ -116,13 +104,11 @@ type Pool struct {
 	// compiling. set and def only change together, under mu.
 	def         *compiledSet
 	pins        map[string]*signature.Set
-	shardsInUse int
-	degraded    int // live tenants running on an uncharged 1-shard grant
+	shardsInUse int // shards granted to live tenants
 	closed      bool
 
 	created   atomic.Uint64
 	evictions atomic.Uint64
-	upgrades  atomic.Uint64
 	compiles  atomic.Int64 // default sets compiled (NewPool, Reload)
 
 	// retired sums the counters of evicted tenants, so the aggregate
@@ -210,30 +196,13 @@ func (p *Pool) create(key string) *tenant {
 			continue
 		}
 
-		// Reserve shards from the budget under the lock; admit builds
-		// the engine outside it.
-		grant := p.cfg.Engine.Shards
-		if grant <= 0 {
-			grant = runtime.GOMAXPROCS(0)
-		}
-		degraded := false
-		if free := p.cfg.ShardBudget - p.shardsInUse; grant > free {
-			if free >= 1 {
-				grant = free
-			} else {
-				// Budget exhausted: degrade to one shard, never refuse —
-				// but charge nothing, or ShardsInUse would exceed the
-				// budget and the books could never reconcile.
-				grant = 1
-				degraded = true
-			}
-		}
-		if !degraded {
-			p.shardsInUse += grant
-		}
+		// Charge the grant under the lock; admit builds the engine
+		// outside it.
+		grant := min(p.cfg.Engine.ShardCount(), max(p.cfg.ShardBudget-p.shardsInUse, 1))
+		p.shardsInUse += grant
 		p.mu.Unlock()
 
-		if t := p.admit(key, grant, degraded); t != nil {
+		if t := p.admit(key, grant); t != nil {
 			p.created.Add(1)
 			return t
 		}
@@ -243,20 +212,18 @@ func (p *Pool) create(key string) *tenant {
 	}
 }
 
-// admit builds key's engine on grant shards already reserved from the
-// budget (uncharged when degraded) and makes it the live tenant. The
-// engine starts on the set the tables name when admit begins: the
-// tenant's pin — the pin table survives eviction, so a recreated tenant
-// never silently falls back to the pool default — or else the pool's
-// already compiled default generation, which costs no compile. Running
-// the user's ConfigureTenant hook and compiling a pinned set happen
-// outside the pool lock, so they never stall another tenant's Submit
-// (and the hook may itself use the pool); a Reload or ReloadTenant that
-// lands meanwhile sees only the tables, not this tenant, so after
-// inserting it converge re-reads them. admit returns nil, with the
-// reservation rolled back, when the pool closed or another goroutine's
-// tenant for key got in first.
-func (p *Pool) admit(key string, grant int, degraded bool) *tenant {
+// admit builds key's engine on grant shards already charged to the
+// budget and makes it the live tenant. The engine starts on the set the
+// tables name when admit begins: the tenant's pin — the pin table
+// survives eviction, so a recreated tenant never silently falls back to
+// the pool default — or else the pool's already compiled default
+// generation, which costs no compile. Calling TenantSink and compiling a
+// pinned set happen outside the pool lock, so they never stall another
+// tenant's Submit; a Reload or ReloadTenant that lands meanwhile sees
+// only the tables, not this tenant, so after inserting it converge
+// re-reads them. admit returns nil, with the grant refunded, when the
+// pool closed or another goroutine's tenant for key got in first.
+func (p *Pool) admit(key string, grant int) *tenant {
 	p.mu.RLock()
 	set, def := p.set, p.def
 	pin, pinned := p.pins[key]
@@ -264,16 +231,10 @@ func (p *Pool) admit(key string, grant int, degraded bool) *tenant {
 
 	cfg := p.cfg.Engine
 	cfg.Shards = grant
-	if p.cfg.ConfigureTenant != nil {
-		cfg = p.cfg.ConfigureTenant(key, cfg)
-		if cfg.Shards <= 0 || cfg.Shards > grant {
-			cfg.Shards = grant
-		}
+	if p.cfg.TenantSink != nil {
+		cfg.Sink = TeeSink(cfg.Sink, p.cfg.TenantSink(key))
 	}
-	t := &tenant{key: key, shards: cfg.Shards, charged: cfg.Shards, pinned: pinned, set: set}
-	if degraded {
-		t.charged = 0
-	}
+	t := &tenant{key: key, shards: grant, pinned: pinned, set: set}
 	if pinned {
 		t.set = pin
 		t.eng = New(pin, cfg)
@@ -283,19 +244,15 @@ func (p *Pool) admit(key string, grant int, degraded bool) *tenant {
 	t.touch()
 
 	p.mu.Lock()
-	if !degraded {
-		p.shardsInUse -= grant - t.shards // ConfigureTenant took fewer shards
-	}
 	if p.closed || p.tenants[key] != nil {
-		p.shardsInUse -= t.charged
+		if !p.closed { // Close already zeroed the books
+			p.shardsInUse -= grant
+		}
 		p.mu.Unlock()
 		t.eng.Close()
 		return nil
 	}
 	p.tenants[key] = t
-	if degraded {
-		p.degraded++
-	}
 	p.mu.Unlock()
 	p.converge(t)
 	return t
@@ -454,94 +411,13 @@ func (p *Pool) Evict(key string) bool {
 		return false
 	}
 	delete(p.tenants, key)
-	p.shardsInUse -= t.charged
-	if t.charged == 0 {
-		p.degraded--
-	}
+	p.shardsInUse -= t.shards
 	p.mu.Unlock()
 
 	t.eng.Close() // drains every accepted packet
-	final := t.eng.Metrics()
-	p.retire(final)
+	p.retire(t.eng.Metrics())
 	p.evictions.Add(1)
-	if p.cfg.OnEvict != nil {
-		p.cfg.OnEvict(key, final)
-	}
-	p.upgradeDegraded()
 	return true
-}
-
-// upgradeDegraded resizes degraded tenants back up after an eviction
-// frees budget, so a tenant admitted during budget exhaustion is not
-// stuck on one uncharged shard for its whole life. Each round picks the
-// degraded tenant with the most ingested packets — the busiest starved
-// tenant — and regrants it a weighted share of the free budget (its
-// ingested fraction across all degraded tenants, clamped to the template
-// ceiling, floor 2). The upgrade is a drain-and-swap: the old engine
-// drains fully, its counters fold into the retained aggregate, and a new
-// charged engine takes over the key, landing any pinned set.
-func (p *Pool) upgradeDegraded() {
-	for {
-		p.mu.Lock()
-		if p.closed || p.degraded == 0 {
-			p.mu.Unlock()
-			return
-		}
-		ceiling := p.cfg.Engine.Shards
-		if ceiling <= 0 {
-			ceiling = runtime.GOMAXPROCS(0)
-		}
-		free := p.cfg.ShardBudget - p.shardsInUse
-		if ceiling < 2 || free < 2 {
-			// A 1-shard template cannot be upgraded; under 2 free shards
-			// a regrant would not beat the uncharged shard it replaces.
-			p.mu.Unlock()
-			return
-		}
-		var (
-			victim *tenant
-			weight uint64
-			total  uint64
-		)
-		for _, t := range p.tenants {
-			if t.charged != 0 {
-				continue
-			}
-			w := t.eng.ingested.Load() + 1 // +1 so idle tenants still weigh in
-			total += w
-			if victim == nil || w > weight {
-				victim, weight = t, w
-			}
-		}
-		if victim == nil {
-			p.mu.Unlock()
-			return
-		}
-		grant := int(uint64(free) * weight / total)
-		if grant > ceiling {
-			grant = ceiling
-		}
-		if grant < 2 {
-			grant = 2
-		}
-		delete(p.tenants, victim.key)
-		p.degraded--
-		p.shardsInUse += grant // reserve before dropping the lock
-		p.mu.Unlock()
-
-		victim.eng.Close() // drains every accepted packet before the swap
-		// The drained engine's history must survive the swap, exactly as
-		// it survives an eviction.
-		p.retire(victim.eng.Metrics())
-		// admit fails when the pool closed, or a producer recreated the
-		// tenant while the old engine drained; the recreation already
-		// charged the post-eviction budget, so defer to it.
-		if p.admit(victim.key, grant, false) != nil {
-			p.upgrades.Add(1)
-		} else if p.isClosed() {
-			return
-		}
-	}
 }
 
 // retire folds a drained engine's final counters into the aggregate.
@@ -554,7 +430,7 @@ func (p *Pool) retire(final Snapshot) {
 // runJanitor periodically evicts tenants idle longer than IdleAfter.
 func (p *Pool) runJanitor() {
 	defer close(p.janitorDone)
-	tick := time.NewTicker(p.cfg.SweepInterval)
+	tick := time.NewTicker(p.cfg.sweepInterval())
 	defer tick.Stop()
 	for {
 		select {
@@ -628,7 +504,6 @@ func (p *Pool) Close() {
 	}
 	p.tenants = make(map[string]*tenant)
 	p.shardsInUse = 0
-	p.degraded = 0
 	p.mu.Unlock()
 
 	close(p.stopJanitor)
@@ -645,16 +520,13 @@ type PoolSnapshot struct {
 	Tenants     int    // live tenants
 	Created     uint64 // tenants ever created
 	Evicted     uint64 // tenants evicted (idle, LRU, or explicit)
-	Upgraded    uint64 // degraded tenants regranted charged shards after budget freed
 	ShardBudget int    // configured global shard budget
-	ShardsInUse int    // shards charged by live tenants (never exceeds ShardBudget)
 
-	// DegradedTenants counts live tenants created after the budget was
-	// exhausted: they run on a single uncharged shard until an eviction
-	// frees budget and the pool upgrades them back to charged grants, so
-	// a non-zero value is the operator's signal of sustained budget
-	// pressure.
-	DegradedTenants int
+	// ShardsInUse is the worker count running across live tenants. It
+	// exceeds ShardBudget when tenants were admitted after the budget was
+	// spent — each still runs one shard — so a value above the budget is
+	// the operator's signal of budget pressure.
+	ShardsInUse int
 
 	// Aggregate sums counters across live and evicted tenants. Its
 	// latency quantiles are zero — per-tenant quantiles cannot be merged
@@ -672,15 +544,13 @@ func (p *Pool) Metrics() PoolSnapshot {
 		tenants[k] = t
 	}
 	snap := PoolSnapshot{
-		Tenants:         len(tenants),
-		Created:         p.created.Load(),
-		Evicted:         p.evictions.Load(),
-		Upgraded:        p.upgrades.Load(),
-		ShardBudget:     p.cfg.ShardBudget,
-		ShardsInUse:     p.shardsInUse,
-		DegradedTenants: p.degraded,
-		PerTenant:       make(map[string]Snapshot, len(tenants)),
-		Aggregate:       p.retired,
+		Tenants:     len(tenants),
+		Created:     p.created.Load(),
+		Evicted:     p.evictions.Load(),
+		ShardBudget: p.cfg.ShardBudget,
+		ShardsInUse: p.shardsInUse,
+		PerTenant:   make(map[string]Snapshot, len(tenants)),
+		Aggregate:   p.retired,
 	}
 	p.mu.RUnlock()
 	snap.Aggregate.Compiles += p.compiles.Load()

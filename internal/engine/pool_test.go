@@ -100,16 +100,9 @@ func TestPoolShardBudget(t *testing.T) {
 }
 
 func TestPoolIdleEviction(t *testing.T) {
-	var evicted atomic.Uint64
-	var finalProcessed atomic.Uint64
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:        Config{Shards: 1, BatchSize: 4},
-		IdleAfter:     50 * time.Millisecond,
-		SweepInterval: 10 * time.Millisecond,
-		OnEvict: func(key string, final Snapshot) {
-			evicted.Add(1)
-			finalProcessed.Add(final.Processed)
-		},
+		Engine:    Config{Shards: 1, BatchSize: 4},
+		IdleAfter: 50 * time.Millisecond,
 	})
 	defer p.Close()
 	const n = 100
@@ -118,20 +111,17 @@ func TestPoolIdleEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait on the eviction callback, not the tenant map: the map entry
+	// Wait on the eviction counter, not the tenant map: the map entry
 	// disappears before the drain completes, so map emptiness races the
-	// final counters.
+	// final counters. Evict counts the eviction only after folding the
+	// drained tenant into the aggregate.
 	deadline := time.After(5 * time.Second)
-	for evicted.Load() == 0 {
+	for p.Metrics().Evicted == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("idle tenant never evicted")
 		case <-time.After(5 * time.Millisecond):
 		}
-	}
-	if evicted.Load() != 1 || finalProcessed.Load() != n {
-		t.Fatalf("eviction callback: count=%d processed=%d, want 1 and %d",
-			evicted.Load(), finalProcessed.Load(), n)
 	}
 	// The retired tenant's history survives in the aggregate.
 	snap := p.Metrics()
@@ -148,9 +138,8 @@ func TestPoolIdleEviction(t *testing.T) {
 // packet — evicted tenants drain, and racing Submits recreate them.
 func TestPoolEvictionRacesIngest(t *testing.T) {
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:        Config{Shards: 1, BatchSize: 2},
-		IdleAfter:     time.Millisecond,
-		SweepInterval: time.Millisecond,
+		Engine:    Config{Shards: 1, BatchSize: 2},
+		IdleAfter: time.Millisecond,
 	})
 	const (
 		producers  = 4
@@ -271,21 +260,20 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
-// TestPoolConfigureTenant checks the per-tenant config hook sees the
-// budget-granted shard count and can attach per-tenant sinks.
-func TestPoolConfigureTenant(t *testing.T) {
+// TestPoolTenantSink checks the per-tenant sink hook attaches one sink
+// to each tenant, seeing only that tenant's verdicts.
+func TestPoolTenantSink(t *testing.T) {
 	sinks := map[string]*CountSink{}
 	var mu sync.Mutex
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
 		Engine:      Config{Shards: 1, BatchSize: 4},
 		ShardBudget: 8,
-		ConfigureTenant: func(key string, cfg Config) Config {
+		TenantSink: func(key string) Sink {
 			sink := NewCountSink()
 			mu.Lock()
 			sinks[key] = sink
 			mu.Unlock()
-			cfg.Sink = sink
-			return cfg
+			return sink
 		},
 	})
 	defer p.Close()
@@ -407,128 +395,60 @@ func TestPoolEvictRacesSinkFlush(t *testing.T) {
 	}
 }
 
-// TestPoolBudgetNeverOverCommits is the regression for the shard-budget
-// over-commit: create() granted a degraded single shard when the budget
-// was exhausted but still charged it, so ShardsInUse could exceed
-// ShardBudget and the books never reconciled. Degraded grants must be
-// uncharged and visible through DegradedTenants.
-func TestPoolBudgetNeverOverCommits(t *testing.T) {
+// TestPoolShardsInUseCountsWorkers pins the books: every grant is
+// charged, the one-shard grants of tenants admitted after the budget is
+// spent included, so ShardsInUse is always the worker count the live
+// tenants run — through exhaustion, eviction and recycling.
+func TestPoolShardsInUseCountsWorkers(t *testing.T) {
 	p := NewPool(nil, PoolConfig{
 		Engine:      Config{Shards: 2, BatchSize: 4},
 		ShardBudget: 4,
 	})
 	defer p.Close()
+	check := func(stage string, want int) {
+		t.Helper()
+		snap := p.Metrics()
+		sum := 0
+		for _, m := range snap.PerTenant {
+			sum += m.Shards
+		}
+		if snap.ShardsInUse != sum || sum != want {
+			t.Fatalf("%s: ShardsInUse=%d, tenants run %d shards, want %d", stage, snap.ShardsInUse, sum, want)
+		}
+	}
 
-	// Exhaust the budget, then keep creating: t1+t2 spend the 4 shards,
-	// t3..t5 run degraded on uncharged single shards.
+	// t1+t2 spend the 4 shards; t3..t5 still run, one shard each, and
+	// the books show the pressure: 7 shards in use against a budget of 4.
 	for _, key := range []string{"t1", "t2", "t3", "t4", "t5"} {
 		p.Tenant(key)
 	}
-	snap := p.Metrics()
-	if snap.ShardsInUse > snap.ShardBudget {
-		t.Fatalf("books over-committed: %d shards in use, budget %d", snap.ShardsInUse, snap.ShardBudget)
-	}
-	if snap.ShardsInUse != 4 || snap.DegradedTenants != 3 {
-		t.Fatalf("at exhaustion: in-use=%d degraded=%d, want 4 and 3", snap.ShardsInUse, snap.DegradedTenants)
-	}
+	check("at exhaustion", 7)
 	for _, key := range []string{"t3", "t4", "t5"} {
-		if snap.PerTenant[key].Shards != 1 {
-			t.Fatalf("degraded tenant %s got %d shards, want 1", key, snap.PerTenant[key].Shards)
+		if got := p.Metrics().PerTenant[key].Shards; got != 1 {
+			t.Fatalf("over-budget tenant %s got %d shards, want 1", key, got)
 		}
 	}
 
-	// Evicting a charged tenant frees real shards — and the freed budget
-	// flows straight back: one of the degraded tenants is upgraded to a
-	// charged 2-shard grant, re-spending the budget without ever
-	// over-committing it.
+	// Evicting returns exactly the evicted tenant's shards; tenants that
+	// kept one shard are not resized.
 	p.Evict("t1")
-	snap = p.Metrics()
-	if snap.ShardsInUse != 4 || snap.DegradedTenants != 2 || snap.Upgraded != 1 {
-		t.Fatalf("after eviction: in-use=%d degraded=%d upgraded=%d, want 4, 2, 1",
-			snap.ShardsInUse, snap.DegradedTenants, snap.Upgraded)
-	}
-	if snap.ShardsInUse > snap.ShardBudget {
-		t.Fatalf("books over-committed after upgrade: %d > %d", snap.ShardsInUse, snap.ShardBudget)
-	}
+	check("after evicting a 2-shard tenant", 5)
+	p.Evict("t3")
+	check("after evicting a 1-shard tenant", 4)
 
-	// Evicting a still-degraded tenant frees no charged shards; with the
-	// budget spent again, a new tenant degrades rather than over-commits.
-	var stillDegraded string
-	for key, m := range snap.PerTenant {
-		if key != "t1" && key != "t2" && m.Shards == 1 {
-			stillDegraded = key
-			break
-		}
-	}
-	if stillDegraded == "" {
-		t.Fatal("no degraded tenant left to evict")
-	}
-	p.Evict(stillDegraded)
+	// Recycling: the budget is still spent (4 of 4), so a new tenant runs
+	// one shard; once evictions bring use under budget, it gets what is left.
 	p.Tenant("t6")
-	snap = p.Metrics()
-	if snap.PerTenant["t6"].Shards != 1 || snap.ShardsInUse != 4 || snap.DegradedTenants != 2 {
-		t.Fatalf("post-eviction creation: shards=%d in-use=%d degraded=%d, want 1, 4, 2",
-			snap.PerTenant["t6"].Shards, snap.ShardsInUse, snap.DegradedTenants)
+	check("recycled under pressure", 5)
+	p.Evict("t2")
+	p.Evict("t4")
+	p.Evict("t5")
+	check("after draining to one tenant", 1)
+	p.Tenant("t7")
+	if got := p.Metrics().PerTenant["t7"].Shards; got != 2 {
+		t.Fatalf("tenant created with 3 shards free got %d, want the 2-shard template", got)
 	}
-	if snap.ShardsInUse > snap.ShardBudget {
-		t.Fatalf("books over-committed after recycle: %d > %d", snap.ShardsInUse, snap.ShardBudget)
-	}
-}
-
-// TestPoolUpgradeAfterBudgetFrees pins the degraded-tenant upgrade: a
-// tenant admitted during budget exhaustion runs on one uncharged shard,
-// and when the hog that spent the budget is evicted, the pool resizes
-// the degraded tenant back up to the template grant — charged, books
-// reconciled, pressure signal cleared — without losing a packet or its
-// pinned signature set.
-func TestPoolUpgradeAfterBudgetFrees(t *testing.T) {
-	var seen atomic.Uint64
-	p := NewPool(tokenSet(1, "default-token"), PoolConfig{
-		Engine:      Config{Shards: 4, BatchSize: 4, OnVerdict: func(Verdict) { seen.Add(1) }},
-		ShardBudget: 4,
-	})
-	defer p.Close()
-
-	p.Tenant("big") // spends the whole budget
-	p.ReloadTenant("late", tokenSet(7, "late-token"))
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := p.Submit("late", pkt(int64(i), "h.example.com", "late-token")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := p.Metrics()
-	if snap.PerTenant["late"].Shards != 1 || snap.DegradedTenants != 1 {
-		t.Fatalf("before upgrade: shards=%d degraded=%d, want 1 and 1",
-			snap.PerTenant["late"].Shards, snap.DegradedTenants)
-	}
-
-	p.Evict("big")
-	snap = p.Metrics()
-	if snap.PerTenant["late"].Shards != 4 {
-		t.Fatalf("degraded tenant not resized: %d shards, want 4", snap.PerTenant["late"].Shards)
-	}
-	if snap.DegradedTenants != 0 || snap.Upgraded != 1 {
-		t.Fatalf("after upgrade: degraded=%d upgraded=%d, want 0 and 1", snap.DegradedTenants, snap.Upgraded)
-	}
-	if snap.ShardsInUse != 4 || snap.ShardsInUse > snap.ShardBudget {
-		t.Fatalf("books after upgrade: in-use=%d budget=%d, want exactly 4", snap.ShardsInUse, snap.ShardBudget)
-	}
-	// The swap drained, not dropped: every pre-upgrade verdict is in the
-	// books (the old engine's counters folded into the aggregate).
-	if got := seen.Load(); got < n {
-		t.Fatalf("upgrade lost packets: sink saw %d of %d", got, n)
-	}
-	if agg := snap.Aggregate.Processed; agg < n {
-		t.Fatalf("aggregate lost upgrade history: processed=%d, want >= %d", agg, n)
-	}
-	// The pin rode along onto the upgraded engine.
-	if m := p.MatchPacket("late", pkt(0, "h.example.com", "late-token")); len(m) == 0 {
-		t.Fatal("upgraded tenant lost its pinned set")
-	}
-	if m := p.MatchPacket("late", pkt(0, "h.example.com", "default-token")); len(m) != 0 {
-		t.Fatal("upgraded tenant fell back to the pool default set")
-	}
+	check("after recovery", 3)
 }
 
 // TestPoolPinSurvivesEviction pins the durability contract ReloadTenant
@@ -568,18 +488,18 @@ func TestPoolPinSurvivesEviction(t *testing.T) {
 // TestPoolTenantBornDuringReload is the regression for a tenant stranded
 // on the previous default: its engine is built outside the pool lock, and
 // a Pool.Reload landing in that window has already listed its targets.
-// ConfigureTenant runs exactly inside the window, so the hook publishes
-// set B while the tenant is being built from set A; the tenant must come
-// out on B.
+// TenantSink runs exactly inside the window, so the hook publishes set B
+// while the tenant is being built from set A; the tenant must come out
+// on B.
 func TestPoolTenantBornDuringReload(t *testing.T) {
 	b := tokenSet(2, "b-token")
 	var p *Pool
 	var once sync.Once
 	p = NewPool(tokenSet(1, "a-token"), PoolConfig{
 		Engine: Config{Shards: 1},
-		ConfigureTenant: func(key string, cfg Config) Config {
+		TenantSink: func(key string) Sink {
 			once.Do(func() { p.Reload(b) })
-			return cfg
+			return nil
 		},
 	})
 	defer p.Close()

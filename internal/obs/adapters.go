@@ -22,13 +22,6 @@ import (
 // can point one at whatever backend posture it runs (single engine,
 // pool, embedded learner) and the subsystems never import obs.
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // EngineCollector projects one engine's snapshot (and, when shards is
 // non-nil, its per-shard breakdown) into the leaksig_engine_* families.
 func EngineCollector(snap func() engine.Snapshot, shards func() []engine.ShardStat) Collector {
@@ -60,8 +53,7 @@ func writeEngineSnapshot(m *MetricWriter, s engine.Snapshot, labels []Label) {
 	m.Counter("leaksig_engine_sync_matched_total", "Inline vets that matched at least one signature.", float64(s.SyncMatched), labels...)
 	m.Counter("leaksig_engine_reloads_total", "Signature hot reloads applied (generations installed) since construction.", float64(s.Reloads), labels...)
 	m.Counter("leaksig_engine_compiles_total", "Signature sets compiled; a pool compiles its default once for all unpinned tenants, so they add reloads here but no compiles.", float64(s.Compiles), labels...)
-	m.Gauge("leaksig_engine_reload_generation", "Generation ticket of the live signature set (monotonic; coalesced tickets skip).", float64(s.ReloadGen), labels...)
-	m.Gauge("leaksig_engine_reload_pending", "1 while an async reload compile is queued or in flight.", boolGauge(s.PendingReload), labels...)
+	m.Gauge("leaksig_engine_reload_generation", "Generation ticket of the live signature set (monotonic; a reload overtaken by a newer one skips).", float64(s.ReloadGen), labels...)
 	m.Gauge("leaksig_engine_reload_last_seconds", "Compile+install wall time of the last applied reload.", s.LastReload.Seconds(), labels...)
 	m.Gauge("leaksig_engine_queue_depth", "Packets accepted but not yet processed.", float64(s.QueueDepth), labels...)
 	m.Gauge("leaksig_engine_shards", "Worker shard count.", float64(s.Shards), labels...)
@@ -84,10 +76,8 @@ func PoolCollector(snap func() engine.PoolSnapshot) Collector {
 		m.Gauge("leaksig_pool_tenants", "Live tenants.", float64(s.Tenants))
 		m.Counter("leaksig_pool_created_total", "Tenants ever created.", float64(s.Created))
 		m.Counter("leaksig_pool_evicted_total", "Tenants evicted (idle, LRU, or explicit).", float64(s.Evicted))
-		m.Counter("leaksig_pool_upgraded_total", "Degraded tenants regranted charged shards after budget freed.", float64(s.Upgraded))
 		m.Gauge("leaksig_pool_shard_budget", "Configured global shard budget.", float64(s.ShardBudget))
-		m.Gauge("leaksig_pool_shards_in_use", "Shards charged by live tenants.", float64(s.ShardsInUse))
-		m.Gauge("leaksig_pool_degraded_tenants", "Live tenants running on an uncharged single-shard grant (budget pressure).", float64(s.DegradedTenants))
+		m.Gauge("leaksig_pool_shards_in_use", "Worker shards running across live tenants; above the shard budget under budget pressure.", float64(s.ShardsInUse))
 		writeEngineSnapshot(m, s.Aggregate, nil)
 		tenants := make([]string, 0, len(s.PerTenant))
 		for k := range s.PerTenant {

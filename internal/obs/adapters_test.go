@@ -59,13 +59,14 @@ func TestEngineCollectorPerShardFamilies(t *testing.T) {
 	}
 }
 
-func TestPoolCollectorExposesUpgradedAndTenants(t *testing.T) {
+func TestPoolCollectorExposesShardsAndTenants(t *testing.T) {
 	snap := func() engine.PoolSnapshot {
 		return engine.PoolSnapshot{
-			Tenants:  2,
-			Created:  5,
-			Evicted:  3,
-			Upgraded: 4,
+			Tenants:     2,
+			Created:     5,
+			Evicted:     3,
+			ShardBudget: 4,
+			ShardsInUse: 6,
 			PerTenant: map[string]engine.Snapshot{
 				"app.b": {Processed: 7},
 				"app.a": {Processed: 9},
@@ -74,7 +75,8 @@ func TestPoolCollectorExposesUpgradedAndTenants(t *testing.T) {
 	}
 	out := expose(PoolCollector(snap))
 	for _, want := range []string{
-		"leaksig_pool_upgraded_total 4",
+		"leaksig_pool_shard_budget 4",
+		"leaksig_pool_shards_in_use 6",
 		`leaksig_engine_processed_total{tenant="app.a"} 9`,
 		`leaksig_engine_processed_total{tenant="app.b"} 7`,
 	} {

@@ -32,8 +32,8 @@ type missSink struct {
 // engines and tenants.
 func (s *Service) MissSink() engine.Sink { return missSink{svc: s} }
 
-// MissSinkFor is MissSink with a tenant label — the pool form, installed
-// per tenant from PoolConfig.ConfigureTenant.
+// MissSinkFor is MissSink with a tenant label — the pool form, returned
+// per tenant from PoolConfig.TenantSink.
 func (s *Service) MissSinkFor(tenant string) engine.Sink {
 	return missSink{svc: s, tenant: tenant}
 }

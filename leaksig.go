@@ -122,8 +122,8 @@ type StreamVerdict = engine.Verdict
 // set. Packets enter through Submit, each worker drain's verdicts leave
 // as one borrowed batch through StreamConfig.Sink (OnVerdict is
 // shorthand for a CallbackSink), and Reload hot-swaps the signature set
-// mid-stream without dropping a packet (ReloadAsync moves even the
-// compile off the caller, coalescing publish bursts).
+// mid-stream without dropping a packet, returning once the new set is
+// live.
 func NewStreamEngine(set *SignatureSet, cfg StreamConfig) *StreamEngine {
 	return engine.New(set, cfg)
 }
