@@ -458,7 +458,7 @@ func BenchmarkEngineStreaming(b *testing.B) {
 					b.SetBytes(contentBytes)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						engine.MatchSet(set, e.Dataset.Capture, engine.Config{
+						streamSet(set, e.Dataset.Capture, engine.Config{
 							Shards:   shards,
 							Affinity: aff.a,
 						})
@@ -492,7 +492,7 @@ func BenchmarkEngineVsBatch(b *testing.B) {
 	b.Run("engine-streaming", func(b *testing.B) {
 		b.SetBytes(contentBytes)
 		for i := 0; i < b.N; i++ {
-			engine.MatchSet(set, e.Dataset.Capture, engine.Config{})
+			streamSet(set, e.Dataset.Capture, engine.Config{})
 		}
 	})
 }
@@ -541,12 +541,12 @@ func BenchmarkCountOnlySink(b *testing.B) {
 		// The minimal aggregating consumer expressible as a callback:
 		// engine-wide packet and leak counters shared by every shard.
 		var packets, leaks atomic.Uint64
-		stream(b, engine.Config{Sink: engine.CallbackSink(func(v engine.Verdict) {
+		stream(b, engine.Config{OnVerdict: func(v engine.Verdict) {
 			packets.Add(1)
 			if v.Leak() {
 				leaks.Add(1)
 			}
-		})})
+		}})
 	})
 	b.Run("count-only", func(b *testing.B) {
 		stream(b, engine.Config{Sink: engine.NewCountSink()})

@@ -18,7 +18,6 @@ import (
 
 	"leaksig/internal/android"
 	"leaksig/internal/capture"
-	"leaksig/internal/collector"
 	"leaksig/internal/core"
 	"leaksig/internal/detect"
 	"leaksig/internal/engine"
@@ -103,47 +102,6 @@ func TestFileBasedPipeline(t *testing.T) {
 	}
 	if res.FalsePositiveRate > 0.1 {
 		t.Errorf("end-to-end FP = %.3f, implausibly high", res.FalsePositiveRate)
-	}
-}
-
-func TestCollectorFeedsPipeline(t *testing.T) {
-	// Devices upload raw wire requests; the collected capture must be
-	// directly usable for signature generation (Figure 3a end to end).
-	ds := trafficgen.Generate(trafficgen.Config{Seed: 31, NumApps: 60, TotalPackets: 4000})
-	oracle := sensitive.NewOracle(ds.Device)
-	rec := collector.New(nil)
-	uploaded := 0
-	for _, p := range ds.Capture.Packets {
-		if !oracle.IsSensitive(p) {
-			continue
-		}
-		if _, err := rec.RecordWire(p.App, p.WireBytes(), p.DstIP, p.DstPort); err != nil {
-			t.Fatalf("upload failed: %v", err)
-		}
-		uploaded++
-		if uploaded >= 150 {
-			break
-		}
-	}
-	collected := rec.Snapshot()
-	if collected.Len() != uploaded {
-		t.Fatalf("collected %d of %d uploads", collected.Len(), uploaded)
-	}
-	sigs := core.NewPipeline(core.Config{}).GenerateSignatures(collected.Packets)
-	if sigs.Len() == 0 {
-		t.Fatal("no signatures from collected traffic")
-	}
-	// Signatures learned from wire-round-tripped packets must still detect
-	// the original in-memory packets.
-	eng := detect.NewEngine(sigs)
-	hits := 0
-	for _, p := range ds.Capture.Packets {
-		if oracle.IsSensitive(p) && eng.Matches(p) {
-			hits++
-		}
-	}
-	if hits < uploaded/2 {
-		t.Errorf("wire-trained signatures detected only %d packets", hits)
 	}
 }
 
@@ -282,7 +240,7 @@ func TestClosedLoopOnlineGeneration(t *testing.T) {
 
 	// The learner, publishing through the HTTP API like cmd/siggend.
 	learner := siggen.NewService(siggen.Config{
-		Publisher:      siggen.NewHTTPPublisher(ts.URL, ""),
+		Publisher:      siggen.NewHTTPPublisherFrom(sigserver.NewClient(ts.URL, nil)),
 		Benign:         benignCorpus,
 		MinClusterSize: 2,
 		MaxHoldoutFP:   0.02,
@@ -439,7 +397,7 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 		benignCorpus[i] = benignPkt(9000 + i)
 	}
 	learner := siggen.NewService(siggen.Config{
-		Publisher:      siggen.NewHTTPPublisher(ts.URL, ""),
+		Publisher:      siggen.NewHTTPPublisherFrom(sigserver.NewClient(ts.URL, nil)),
 		TenantSets:     true,
 		MinClusterSize: 2,
 		Benign:         benignCorpus,
@@ -522,13 +480,13 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 	// that traffic, so A's learned signatures must not fire on it.
 	aHits := 0
 	for i := 0; i < 40; i++ {
-		if len(pool.MatchPacket("tenant-a", leakPkt(1000+i))) > 0 {
+		if len(pool.Tenant("tenant-a").MatchPacket(leakPkt(1000+i))) > 0 {
 			aHits++
 		}
-		if got := pool.MatchPacket("tenant-b", leakPkt(1000+i)); len(got) != 0 {
+		if got := pool.Tenant("tenant-b").MatchPacket(leakPkt(1000 + i)); len(got) != 0 {
 			t.Fatalf("tenant-a's learned signatures fired on tenant-b (matched %v)", got)
 		}
-		if got := pool.MatchPacket("tenant-b", benignPkt(1000+i)); len(got) != 0 {
+		if got := pool.Tenant("tenant-b").MatchPacket(benignPkt(1000 + i)); len(got) != 0 {
 			t.Fatalf("tenant-b's own traffic flagged (matched %v)", got)
 		}
 	}
@@ -560,7 +518,7 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 	}
 	waitTenantVersion("tenant-a", vA2)
 	for i := 0; i < 40; i++ {
-		if got := pool.MatchPacket("tenant-a", leakPkt(2000+i)); len(got) != 0 {
+		if got := pool.Tenant("tenant-a").MatchPacket(leakPkt(2000 + i)); len(got) != 0 {
 			t.Fatalf("retired signatures still fire on tenant-a (matched %v)", got)
 		}
 	}

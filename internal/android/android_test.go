@@ -1,7 +1,6 @@
 package android
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -206,42 +205,6 @@ func TestComboString(t *testing.T) {
 	}
 	if !strings.Contains(Combo(99).String(), "99") {
 		t.Error("unknown combo String")
-	}
-}
-
-func TestReferenceMonitor(t *testing.T) {
-	rm := NewReferenceMonitor()
-	m := &Manifest{Package: "com.example", Permissions: NewSet(PermInternet, PermAccessFineLocation)}
-	if err := rm.Check(m, ResourceNetwork); err != nil {
-		t.Errorf("network access denied: %v", err)
-	}
-	if err := rm.Check(m, ResourceLocation); err != nil {
-		t.Errorf("location access denied: %v", err)
-	}
-	err := rm.Check(m, ResourcePhoneState)
-	if err == nil {
-		t.Fatal("phone state access granted without permission")
-	}
-	var denied *AccessDenied
-	if !errors.As(err, &denied) {
-		t.Fatalf("error type = %T", err)
-	}
-	if denied.Resource != ResourcePhoneState || denied.Package != "com.example" {
-		t.Errorf("denial = %+v", denied)
-	}
-	if got := len(rm.Log()); got != 3 {
-		t.Errorf("log entries = %d, want 3", got)
-	}
-	if got := len(rm.Denials()); got != 1 {
-		t.Errorf("denials = %d, want 1", got)
-	}
-}
-
-func TestReferenceMonitorUnknownResource(t *testing.T) {
-	rm := NewReferenceMonitor()
-	m := &Manifest{Package: "p", Permissions: NewSet(PermInternet)}
-	if err := rm.Check(m, Resource("bogus")); err == nil {
-		t.Error("unknown resource granted")
 	}
 }
 

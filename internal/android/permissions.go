@@ -1,7 +1,6 @@
 // Package android simulates the slice of the Android platform the paper
-// depends on: the permission framework (§II-B), a Binder-like reference
-// monitor guarding sensitive resources, and the device identity module that
-// ad libraries read UDIDs from (§III-B).
+// depends on: the permission framework (§II-B) and the device identity
+// module that ad libraries read UDIDs from (§III-B).
 //
 // The paper's experiments ran on a Galaxy Nexus S with Android 2.3.x
 // (API level ~10; the paper cites the API level 15 permission list). We

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -21,18 +20,4 @@ func (d *Dendrogram) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dendrogramJSON{NumLeaves: d.NumLeaves, Merges: d.Merges})
-}
-
-// ReadJSON deserializes a dendrogram written by WriteJSON and validates
-// its structural invariants before returning it.
-func ReadJSON(r io.Reader) (*Dendrogram, error) {
-	var dj dendrogramJSON
-	if err := json.NewDecoder(r).Decode(&dj); err != nil {
-		return nil, fmt.Errorf("cluster: decoding dendrogram: %w", err)
-	}
-	d := &Dendrogram{NumLeaves: dj.NumLeaves, Merges: dj.Merges}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

@@ -238,12 +238,6 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 	return sc.matched
 }
 
-// MatchesWith reports whether any signature matches, using caller-owned
-// scratch. Allocation-free in the steady state.
-func (e *Engine) MatchesWith(p *httpmodel.Packet, sc *Scratch) bool {
-	return len(e.MatchInto(p, sc)) > 0
-}
-
 // MatchPacket returns the IDs of every signature the packet matches. It
 // draws scratch from the engine's pool, so the scan and resolution
 // allocate nothing; only a non-empty result copies out (nil is returned

@@ -32,8 +32,8 @@
 //   - Results leave one way: each drain's verdicts are handed to the
 //     shard's bound Sink as one borrowed batch, assembled in a
 //     worker-owned arena (no allocation per packet, valid for the call).
-//     CallbackSink, BatchCallbackSink, CountSink and TeeSink are small
-//     adapters over that one method.
+//     BatchCallbackSink, CountSink, TeeSink and the per-verdict adapter
+//     behind Config.OnVerdict are small adapters over that one method.
 //
 // Pool stacks a multi-tenant layer on top: a tenant is one engine plus
 // its sink, keyed by app package, device cohort or destination host,
@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leaksig/internal/capture"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs/trace"
 	"leaksig/internal/signature"
@@ -102,10 +101,10 @@ type Config struct {
 	MaxBatch int
 	// Affinity selects the shard-assignment strategy.
 	Affinity Affinity
-	// OnVerdict, when non-nil, receives every verdict. It is shorthand
-	// for a CallbackSink teed ahead of Sink: called from shard worker
-	// goroutines concurrently (so it must be safe for that), and free to
-	// keep the verdicts it is handed.
+	// OnVerdict, when non-nil, receives every verdict, ahead of Sink: it
+	// is called from shard worker goroutines concurrently (so it must be
+	// safe for that), and it may keep the verdicts it is handed, since
+	// each owns its Matched slice.
 	OnVerdict func(Verdict)
 	// Sink, when non-nil, receives every drain's verdicts through
 	// per-shard consumers (see Sink and ShardSink for the borrow rule).
@@ -227,7 +226,7 @@ func newEngine(cs *compiledSet, cfg Config) *Engine {
 	e.set.Store(cs)
 	sink := cfg.Sink
 	if cfg.OnVerdict != nil {
-		sink = TeeSink(CallbackSink(cfg.OnVerdict), sink)
+		sink = TeeSink(callbackSink(cfg.OnVerdict), sink)
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -472,23 +471,4 @@ func (e *Engine) Close() {
 	e.stopped.Store(true)
 	close(e.stop)
 	e.wg.Wait()
-}
-
-// MatchSet streams an entire capture through a fresh engine and returns
-// one verdict per packet in order — detect.MatchSetWith's drop-in
-// streaming equivalent, and the basis of the engine-vs-batch benchmarks.
-// A caller-supplied cfg.OnVerdict or cfg.Sink still sees every verdict.
-func MatchSet(set *signature.Set, s *capture.Set, cfg Config) []bool {
-	out := make([]bool, s.Len())
-	cfg.Sink = TeeSink(BatchCallbackSink(func(vs []Verdict) {
-		for _, v := range vs {
-			out[v.Seq] = v.Leak()
-		}
-	}), cfg.Sink)
-	e := New(set, cfg)
-	for _, p := range s.Packets {
-		e.Submit(p) // cannot fail: the engine closes only below
-	}
-	e.Close()
-	return out
 }

@@ -47,7 +47,7 @@ func TestMatchSetParityWithBatch(t *testing.T) {
 	cap := capture.New(packets)
 	want := detect.MatchSetWith(detect.NewEngine(set), cap)
 	for _, shards := range []int{1, 4} {
-		got := MatchSet(set, cap, Config{Shards: shards, BatchSize: 8})
+		got := matchSet(set, cap, Config{Shards: shards, BatchSize: 8})
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: %d verdicts, want %d", shards, len(got), len(want))
 		}
@@ -267,4 +267,22 @@ func TestLonePacketGetsVerdict(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("lone packet never got a verdict")
 	}
+}
+
+// matchSet streams an entire capture through a fresh engine and returns
+// one verdict per packet in order — detect.MatchSetWith's streaming
+// equivalent.
+func matchSet(set *signature.Set, s *capture.Set, cfg Config) []bool {
+	out := make([]bool, s.Len())
+	cfg.Sink = BatchCallbackSink(func(vs []Verdict) {
+		for _, v := range vs {
+			out[v.Seq] = v.Leak()
+		}
+	})
+	e := New(set, cfg)
+	for _, p := range s.Packets {
+		e.Submit(p) // cannot fail: the engine closes only below
+	}
+	e.Close()
+	return out
 }

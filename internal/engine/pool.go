@@ -35,7 +35,7 @@ type PoolConfig struct {
 	MaxTenants int
 
 	// IdleAfter evicts tenants that have not seen a Submit, TrySubmit,
-	// MatchPacket, or ReloadTenant for this long; 0 disables idle
+	// Tenant, or ReloadTenant for this long; 0 disables idle
 	// eviction. The janitor sweeps every IdleAfter/4 (floor 1ms).
 	// Evicted tenants drain fully and fold their counters into the pool
 	// aggregate; a later packet for the same key transparently recreates
@@ -331,17 +331,6 @@ func (p *Pool) TrySubmit(key string, pkt *httpmodel.Packet) bool {
 			return false
 		}
 	}
-}
-
-// MatchPacket vets one packet synchronously against the tenant's live
-// signature set, creating the tenant on first use — the per-tenant form
-// of Engine.MatchPacket, and the flowcontrol pool-backend hook.
-func (p *Pool) MatchPacket(key string, pkt *httpmodel.Packet) []int {
-	e := p.Tenant(key)
-	if e == nil {
-		return nil
-	}
-	return e.MatchPacket(pkt)
 }
 
 // Reload installs the signature set as the pool-wide default: it is

@@ -43,7 +43,7 @@ func TestPoolLazyCreationAndDefaultReload(t *testing.T) {
 	if got := len(p.Tenants()); got != 0 {
 		t.Fatalf("fresh pool has %d tenants", got)
 	}
-	if m := p.MatchPacket("cohort-7", pkt(0, "a.example.com", "v1-token")); len(m) == 0 {
+	if m := p.Tenant("cohort-7").MatchPacket(pkt(0, "a.example.com", "v1-token")); len(m) == 0 {
 		t.Fatal("lazily created tenant did not start on the pool's default set")
 	}
 	if got := len(p.Tenants()); got != 1 {
@@ -53,13 +53,13 @@ func TestPoolLazyCreationAndDefaultReload(t *testing.T) {
 	// A pinned tenant survives pool-wide reloads; unpinned ones follow.
 	p.ReloadTenant("pinned", tokenSet(1, "pinned-token"))
 	p.Reload(tokenSet(2, "v2-token"))
-	if m := p.MatchPacket("cohort-7", pkt(0, "a.example.com", "v2-token")); len(m) == 0 {
+	if m := p.Tenant("cohort-7").MatchPacket(pkt(0, "a.example.com", "v2-token")); len(m) == 0 {
 		t.Fatal("unpinned tenant did not follow the pool-wide reload")
 	}
-	if m := p.MatchPacket("pinned", pkt(0, "a.example.com", "pinned-token")); len(m) == 0 {
+	if m := p.Tenant("pinned").MatchPacket(pkt(0, "a.example.com", "pinned-token")); len(m) == 0 {
 		t.Fatal("pinned tenant lost its private set on pool-wide reload")
 	}
-	if m := p.MatchPacket("fresh", pkt(0, "a.example.com", "v2-token")); len(m) == 0 {
+	if m := p.Tenant("fresh").MatchPacket(pkt(0, "a.example.com", "v2-token")); len(m) == 0 {
 		t.Fatal("tenant created after Reload did not start on the new default")
 	}
 }
@@ -310,7 +310,7 @@ func TestPoolReloadPinnedRace(t *testing.T) {
 		go func() { defer wg.Done(); p.Reload(tokenSet(2, "default-token")) }()
 		go func() { defer wg.Done(); p.ReloadTenant("t", tokenSet(9, "pinned-token")) }()
 		wg.Wait()
-		if m := p.MatchPacket("t", pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
+		if m := p.Tenant("t").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
 			t.Fatalf("iteration %d: pinned set lost to a concurrent pool-wide reload", i)
 		}
 		p.Close()
@@ -464,23 +464,23 @@ func TestPoolPinSurvivesEviction(t *testing.T) {
 	if got := len(p.Tenants()); got != 0 {
 		t.Fatalf("ReloadTenant eagerly created %d engines", got)
 	}
-	if m := p.MatchPacket("pinned", pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
+	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
 		t.Fatal("lazily created tenant did not start on its pinned set")
 	}
 
 	if !p.Evict("pinned") {
 		t.Fatal("tenant missing")
 	}
-	if m := p.MatchPacket("pinned", pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
+	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
 		t.Fatal("eviction lost the pin: recreated tenant misses its pinned set")
 	}
-	if m := p.MatchPacket("pinned", pkt(0, "h.example.com", "default-token")); len(m) != 0 {
+	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "default-token")); len(m) != 0 {
 		t.Fatal("recreated tenant fell back to the pool default set")
 	}
 
 	// Pool-wide reloads still skip the recreated pinned tenant.
 	p.Reload(tokenSet(9, "default-token"))
-	if m := p.MatchPacket("pinned", pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
+	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
 		t.Fatal("pool-wide reload overwrote a recreated tenant's pin")
 	}
 }

@@ -10,9 +10,10 @@ import (
 // so an implementation can hand every worker private state — aggregation
 // then happens at snapshot time, never on the hot path.
 //
-// The adapters in this file cover the common consumers: CallbackSink and
-// BatchCallbackSink wrap a function, CountSink keeps per-shard tallies,
-// TeeSink fans one delivery out to several sinks.
+// The adapters in this file cover the common consumers: BatchCallbackSink
+// wraps a function (and callbackSink, Config.OnVerdict's form, a
+// per-verdict one), CountSink keeps per-shard tallies, TeeSink fans one
+// delivery out to several sinks.
 type Sink interface {
 	// Bind returns shard i's private consumer (0 <= i < shards). It is
 	// called sequentially during New, once per shard.
@@ -44,13 +45,11 @@ type batchCallbackSink func([]Verdict)
 func (s batchCallbackSink) Bind(shard, shards int) ShardSink { return s }
 func (s batchCallbackSink) Batch(vs []Verdict)               { s(vs) }
 
-// CallbackSink adapts a per-verdict function to the Sink interface —
+// callbackSink adapts a per-verdict function to the Sink interface —
 // the sink form of Config.OnVerdict. Every verdict handed to fn owns its
 // Matched slice (a leak costs one copy), so fn may keep verdicts for as
 // long as it likes. The function is shared by every shard and must be
 // safe for concurrent use.
-func CallbackSink(fn func(Verdict)) Sink { return callbackSink(fn) }
-
 type callbackSink func(Verdict)
 
 func (s callbackSink) Bind(shard, shards int) ShardSink { return s }

@@ -1,52 +1,6 @@
 package flowcontrol
 
-import (
-	"leaksig/internal/engine"
-	"leaksig/internal/httpmodel"
-)
-
-// TenantKeyFunc derives a tenant key from a packet — the routing function
-// for pool-backed vetting. The destination host is the natural key for a
-// proxy (each ad network's hosts form one population); the App field
-// isolates per-application cohorts instead.
-type TenantKeyFunc func(p *httpmodel.Packet) string
-
-// ByHost keys tenants on the packet's destination host.
-func ByHost(p *httpmodel.Packet) string { return p.Host }
-
-// ByApp keys tenants on the capturing application's package name, falling
-// back to the host when the packet carries no app identity.
-func ByApp(p *httpmodel.Packet) string {
-	if p.App != "" {
-		return p.App
-	}
-	return p.Host
-}
-
-// poolBackend routes each packet to a per-tenant engine inside a
-// multi-tenant pool.
-type poolBackend struct {
-	pool *engine.Pool
-	key  TenantKeyFunc
-}
-
-// NewPoolBackend adapts a multi-tenant engine pool to the Backend
-// interface: every vetted packet is matched against the signature set of
-// the tenant key derives (nil means ByHost), so one proxy enforces
-// per-population signature sets — per-host ad-network isolation, per-app
-// cohorts, or canary sets on a slice of traffic — with tenants created
-// lazily and evicted per the pool's policy.
-func NewPoolBackend(pool *engine.Pool, key TenantKeyFunc) Backend {
-	if key == nil {
-		key = ByHost
-	}
-	return &poolBackend{pool: pool, key: key}
-}
-
-// MatchPacket implements Backend.
-func (b *poolBackend) MatchPacket(p *httpmodel.Packet) []int {
-	return b.pool.MatchPacket(b.key(p), p)
-}
+import "leaksig/internal/httpmodel"
 
 // observedBackend forwards unmatched packets to an observer.
 type observedBackend struct {

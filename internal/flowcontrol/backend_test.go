@@ -14,69 +14,6 @@ func hostSet(id int, token string) *signature.Set {
 	}}
 }
 
-// TestPoolBackendPerHostTenancy gives two destination hosts two different
-// signature sets through one pool-backed proxy: each host's traffic is
-// vetted only against its own population's signatures.
-func TestPoolBackendPerHostTenancy(t *testing.T) {
-	pool := engine.NewPool(nil, engine.PoolConfig{Engine: engine.Config{Shards: 1}})
-	defer pool.Close()
-	pool.ReloadTenant("ads.alpha.com", hostSet(10, "udid=f3a9c1d2"))
-	pool.ReloadTenant("cdn.beta.net", hostSet(20, "imei=353918051234563"))
-
-	backend := NewPoolBackend(pool, nil) // nil key: ByHost
-	mk := func(host, payload string) *httpmodel.Packet {
-		return &httpmodel.Packet{
-			Method: "GET", Proto: "HTTP/1.1",
-			Host: host, Path: "/track?" + payload,
-		}
-	}
-	if m := backend.MatchPacket(mk("ads.alpha.com", "udid=f3a9c1d2")); len(m) != 1 || m[0] != 10 {
-		t.Fatalf("alpha host against alpha set = %v, want [10]", m)
-	}
-	// The same payload on the other host is invisible: beta's signatures
-	// do not know alpha's identifier.
-	if m := backend.MatchPacket(mk("cdn.beta.net", "udid=f3a9c1d2")); len(m) != 0 {
-		t.Fatalf("alpha payload leaked into beta tenant: %v", m)
-	}
-	if m := backend.MatchPacket(mk("cdn.beta.net", "imei=353918051234563")); len(m) != 1 || m[0] != 20 {
-		t.Fatalf("beta host against beta set = %v, want [20]", m)
-	}
-	// An unknown host lazily creates a tenant on the pool default (empty).
-	if m := backend.MatchPacket(mk("other.gamma.org", "udid=f3a9c1d2")); len(m) != 0 {
-		t.Fatalf("unknown host matched %v against the empty default set", m)
-	}
-	if got := len(pool.Tenants()); got != 3 {
-		t.Fatalf("pool has %d tenants, want 3", got)
-	}
-}
-
-// TestPoolBackendInProxy wires the pool backend through the full proxy
-// vetting path.
-func TestPoolBackendInProxy(t *testing.T) {
-	pool := engine.NewPool(nil, engine.PoolConfig{Engine: engine.Config{Shards: 1}})
-	defer pool.Close()
-	pool.ReloadTenant("ads.alpha.com", hostSet(1, "dev=8a6b1c9f33d200e7"))
-
-	proxy := NewProxyWith(NewPoolBackend(pool, ByHost), BlockMatched(), nil)
-	resp := proxyThrough(t, proxy, "GET", "http://ads.alpha.com/t?dev=8a6b1c9f33d200e7", "")
-	if resp.StatusCode != 451 {
-		t.Fatalf("leak to signed host = %s, want 451", resp.Status)
-	}
-}
-
-func TestTenantKeyFuncs(t *testing.T) {
-	p := &httpmodel.Packet{Host: "h.example.com", App: "com.example.game"}
-	if ByHost(p) != "h.example.com" {
-		t.Error("ByHost")
-	}
-	if ByApp(p) != "com.example.game" {
-		t.Error("ByApp with app identity")
-	}
-	if ByApp(&httpmodel.Packet{Host: "h.example.com"}) != "h.example.com" {
-		t.Error("ByApp fallback to host")
-	}
-}
-
 // TestObservedBackendForwardsMisses pins the suspect-flow forwarding
 // contract: exactly the packets that match nothing reach the observer —
 // the proxy-side feed of the online signature generator.

@@ -65,12 +65,10 @@ type ShipperConfig struct {
 	// RetryMin and RetryMax bound the jittered exponential backoff
 	// between failed delivery attempts; defaults 500ms and 30s.
 	// MaxAttempts bounds attempts per batch before the batch is
-	// abandoned and counted as delivery drops; default 5. RetrySeed
-	// fixes the jitter stream (0 seeds from the clock).
+	// abandoned and counted as delivery drops; default 5.
 	RetryMin    time.Duration
 	RetryMax    time.Duration
 	MaxAttempts int
-	RetrySeed   int64
 
 	// UploadTimeout bounds one delivery attempt; default 10s.
 	UploadTimeout time.Duration
@@ -79,12 +77,6 @@ type ShipperConfig struct {
 	// — the slot chaos harnesses use to inject faults into the upload
 	// path. Ignored when Sink is set.
 	HTTPClient *http.Client
-
-	// Breaker, when non-nil, gates delivery attempts: while open, an
-	// attempt is counted as failed without dialing the sink, so a dead
-	// consumer costs the flush goroutine nothing but bookkeeping. Nil
-	// (the default) preserves plain retry behavior.
-	Breaker *resilience.Breaker
 }
 
 func (c ShipperConfig) withDefaults() ShipperConfig {
@@ -167,7 +159,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 		buf:      make([]Event, 0, cfg.BufferEvents),
 		wake:     make(chan struct{}, 1),
 		flushSec: NewHistogram(ExpBuckets(0.001, 4, 8)), // 1ms .. ~16s
-		retry:    resilience.NewBackoff(cfg.RetryMin, cfg.RetryMax, cfg.RetrySeed),
+		retry:    resilience.NewBackoff(cfg.RetryMin, cfg.RetryMax, 0),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -289,21 +281,11 @@ func (s *Shipper) deliver(batch []Event, attempts int) {
 		enc.Encode(&batch[i])
 	}
 	for attempt := 1; ; attempt++ {
-		var err error
-		if br := s.cfg.Breaker; br != nil && !br.Allow() {
-			// Shed without dialing: the consumer is known-dead and the
-			// attempt is accounted like any other failure.
-			err = resilience.ErrOpen
-		} else {
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.UploadTimeout)
-			begin := time.Now()
-			err = s.cfg.Sink(ctx, buf.Bytes())
-			s.flushSec.Observe(time.Since(begin).Seconds())
-			cancel()
-			if br := s.cfg.Breaker; br != nil {
-				br.Record(err)
-			}
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.UploadTimeout)
+		begin := time.Now()
+		err := s.cfg.Sink(ctx, buf.Bytes())
+		s.flushSec.Observe(time.Since(begin).Seconds())
+		cancel()
 		if err == nil {
 			s.shipped.Add(uint64(len(batch)))
 			s.batches.Inc()

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"leaksig/internal/resilience"
 )
 
 // collectSink records delivered batches.
@@ -217,59 +215,6 @@ func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
 	}
 	if st.Shipped != 0 || st.Buffered != 0 {
 		t.Fatalf("stats after failed final flush = %+v, want nothing shipped or buffered", st)
-	}
-}
-
-// TestShipperBreakerShedsAfterConsecutiveFailures: with a breaker
-// configured, a consistently failing sink opens it and later batches are
-// shed (counted dropped) without dialing.
-func TestShipperBreakerShedsAfterConsecutiveFailures(t *testing.T) {
-	var mu sync.Mutex
-	dials := 0
-	clk := time.Unix(1000, 0)
-	br := resilience.NewBreaker(resilience.BreakerConfig{
-		FailureThreshold: 2,
-		OpenFor:          time.Hour,
-		Clock:            func() time.Time { return clk },
-	})
-	s := NewShipper(ShipperConfig{
-		Sink: func(context.Context, []byte) error {
-			mu.Lock()
-			dials++
-			mu.Unlock()
-			return context.DeadlineExceeded
-		},
-		Breaker:       br,
-		FlushEvents:   1,
-		FlushInterval: time.Millisecond,
-		RetryMin:      time.Millisecond,
-		RetryMax:      time.Millisecond,
-		MaxAttempts:   1,
-	})
-	for i := 0; i < 10; i++ {
-		s.Ship(Event{Type: "verdict", Version: int64(i)})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := s.Stats(); st.DroppedUpload >= 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batches not drained: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	if got := br.State(); got != resilience.Open {
-		t.Fatalf("breaker state = %v, want open", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if dials > 2 {
-		t.Fatalf("sink dialed %d times with threshold 2; open breaker must shed", dials)
-	}
-	if st := s.Stats(); st.UploadFailures < 10 {
-		t.Fatalf("shed attempts not accounted as failures: %+v", st)
 	}
 }
 

@@ -136,10 +136,6 @@ type BreakerConfig struct {
 	// Clock supplies the current time; nil means time.Now. Tests inject
 	// a fake clock here so open windows elapse without sleeping.
 	Clock func() time.Time
-
-	// OnStateChange, when non-nil, observes every transition. It runs
-	// under the breaker's lock and must not call back into the breaker.
-	OnStateChange func(from, to State)
 }
 
 // BreakerStats is a point-in-time view of a breaker's accounting.
@@ -200,7 +196,7 @@ func (b *Breaker) Allow() bool {
 			b.shed++
 			return false
 		}
-		b.transition(HalfOpen)
+		b.state = HalfOpen
 		b.probing = true
 		return true
 	default: // HalfOpen
@@ -223,9 +219,7 @@ func (b *Breaker) Record(err error) {
 	if err == nil {
 		b.successes++
 		b.consec = 0
-		if b.state != Closed {
-			b.transition(Closed)
-		}
+		b.state = Closed
 		return
 	}
 	b.failures++
@@ -233,16 +227,7 @@ func (b *Breaker) Record(err error) {
 	if b.state == HalfOpen || (b.state == Closed && b.consec >= b.cfg.FailureThreshold) {
 		b.openedAt = b.cfg.Clock()
 		b.opens++
-		b.transition(Open)
-	}
-}
-
-// transition moves to next, running the observer. Callers hold b.mu.
-func (b *Breaker) transition(next State) {
-	prev := b.state
-	b.state = next
-	if b.cfg.OnStateChange != nil && prev != next {
-		b.cfg.OnStateChange(prev, next)
+		b.state = Open
 	}
 }
 
@@ -263,7 +248,7 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == Open && b.cfg.Clock().Sub(b.openedAt) >= b.cfg.OpenFor {
-		b.transition(HalfOpen)
+		b.state = HalfOpen
 	}
 	return b.state
 }

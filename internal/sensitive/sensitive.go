@@ -58,15 +58,6 @@ func (k Kind) String() string {
 	return "UNKNOWN"
 }
 
-// Kinds returns all kinds in Table III order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // NumKinds is the number of sensitive-information kinds.
 const NumKinds = int(numKinds)
 

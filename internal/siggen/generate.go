@@ -229,7 +229,7 @@ func applyGates(cands []candidate, bayes *signature.BayesSignature,
 // everything when theirs is empty.
 func distill(groups []Group, benignTrain, benignHold []*httpmodel.Packet,
 	tenantHold map[string][]*httpmodel.Packet,
-	opts signature.Options, bayesOpts signature.BayesOptions, maxHoldFP float64) ([]candidate, DistillStats) {
+	opts signature.Options, maxHoldFP float64) ([]candidate, DistillStats) {
 
 	st := DistillStats{Groups: len(groups)}
 	var cands []candidate
@@ -252,7 +252,7 @@ func distill(groups []Group, benignTrain, benignHold []*httpmodel.Packet,
 		for i, g := range groups {
 			packetGroups[i] = g.Packets
 		}
-		bayes = signature.GenerateBayes(packetGroups, benignTrain, bayesOpts)
+		bayes = signature.GenerateBayes(packetGroups, benignTrain, signature.BayesOptions{})
 	}
 	cands = applyGates(cands, bayes, benignHold, tenantHold, maxHoldFP, &st)
 

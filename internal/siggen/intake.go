@@ -65,14 +65,10 @@ func (m missSink) Batch(vs []engine.Verdict) {
 
 // Observe offers one unmatched/suspect flow to the learner directly —
 // the hook for consumers outside the engine sink path (the flowcontrol
-// proxy's miss forwarding, cmd/siggend's HTTP intake). It applies the
-// suspect filter, then queues the packet for the owner goroutine without
-// blocking; it reports false when the packet was filtered out or the
-// queue was full.
+// proxy's miss forwarding, cmd/siggend's HTTP intake). It queues the
+// packet for the owner goroutine without blocking; it reports false when
+// the queue was full.
 func (s *Service) Observe(tenant string, p *httpmodel.Packet) bool {
-	if s.cfg.SuspectFilter != nil && !s.cfg.SuspectFilter(p) {
-		return false
-	}
 	// Hold the packet's span before handing it off: Observe runs on the
 	// producer's goroutine (often an engine shard, which finishes its own
 	// reference right after sink delivery), and the hold keeps the span

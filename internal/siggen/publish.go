@@ -3,7 +3,6 @@ package siggen
 import (
 	"context"
 
-	"leaksig/internal/engine"
 	"leaksig/internal/signature"
 	"leaksig/internal/sigserver"
 )
@@ -42,16 +41,6 @@ func (p ServerPublisher) Publish(_ context.Context, name string, set *signature.
 // deployment against a remote distribution server.
 type httpPublisher struct{ client *sigserver.Client }
 
-// NewHTTPPublisher returns a publisher POSTing to the sigserver at base
-// (e.g. "http://127.0.0.1:8700"); token, when non-empty, is sent as the
-// publish bearer token. The global set POSTs to /publish, a tenant's set
-// to /sets/{tenant}/publish.
-func NewHTTPPublisher(base, token string) Publisher {
-	c := sigserver.NewClient(base, nil)
-	c.SetToken(token)
-	return httpPublisher{client: c}
-}
-
 // NewHTTPPublisherFrom wraps a caller-built sigserver.Client — the hook
 // daemons use to publish through a client that already carries a fault
 // injector, circuit breaker, or custom transport.
@@ -67,23 +56,4 @@ func (p httpPublisher) CurrentVersion(ctx context.Context, name string) (int64, 
 // Publish implements Publisher.
 func (p httpPublisher) Publish(ctx context.Context, name string, set *signature.Set) (int64, error) {
 	return p.client.Publish(ctx, name, set)
-}
-
-// PoolReloader returns a Config.OnPublish hook that lands published
-// per-tenant sets in an engine.Pool without a server round trip — the
-// in-process closed loop. Each tenant set pins its tenant via
-// Pool.ReloadTenant, so tenant A's learned signatures fire only on
-// tenant A's traffic. The global set ("") is deliberately NOT installed
-// as the pool default: it is the union across tenants, and making it the
-// default would let one tenant's learned signatures fire on every
-// unpinned tenant — the exact cross-tenant leakage per-tenant sets
-// exist to prevent. Wrap the hook to send "" to Pool.Reload yourself if
-// unpinned tenants should follow the union.
-func PoolReloader(p *engine.Pool) func(name string, set *signature.Set) {
-	return func(name string, set *signature.Set) {
-		if name == "" {
-			return
-		}
-		p.ReloadTenant(name, set)
-	}
 }

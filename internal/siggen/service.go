@@ -87,21 +87,14 @@ type Config struct {
 	// Default 4096.
 	IntakeDepth int
 
-	// SuspectFilter, when non-nil, pre-screens misses before they enter
-	// the intake queue — e.g. a sensitive-payload oracle, or "has a
-	// query string or body". It runs on engine shard goroutines and must
-	// be cheap and concurrency-safe. Nil admits every miss.
-	SuspectFilter func(*httpmodel.Packet) bool
-
 	// MinClusterSize is how many members a cluster needs before it may
 	// emit a signature; default 3 (stricter than the offline default —
 	// an online learner sees volatile singletons constantly).
 	MinClusterSize int
 
-	// Signature configures token extraction and filtering; Bayes the
-	// gate model. Zero values select the package defaults.
+	// Signature configures token extraction and filtering; the zero
+	// value selects the package defaults.
 	Signature signature.Options
-	Bayes     signature.BayesOptions
 
 	// Benign is the benign corpus, split internally: even indices train
 	// the token-frequency filter and the Bayes gate, odd indices form
@@ -119,13 +112,6 @@ type Config struct {
 	// MaxHoldoutFP is the held-out benign fraction a candidate signature
 	// may match before it is dropped; default 0.01.
 	MaxHoldoutFP float64
-
-	// MinSilhouette, when positive, skips publishing fresh content for
-	// epochs whose medoid-clustering silhouette falls below it — a low
-	// score means the clusters are not separable enough to trust their
-	// signatures. Cached sets from failed publishes still retry. 0
-	// disables the gate.
-	MinSilhouette float64
 
 	// TenantSets, when true, distills one named signature set per tenant
 	// alongside the global set: a signature lands in tenant T's set when
@@ -150,7 +136,7 @@ type Config struct {
 	// OnPublish, when non-nil, observes every successful publish with
 	// the accepted set (Version already assigned): the global set as "",
 	// each tenant set under its tenant key. This is the in-process route
-	// for landing per-tenant sets in an engine.Pool (see PoolReloader).
+	// for landing per-tenant sets in an engine.Pool (Pool.ReloadTenant).
 	// It runs on the owner goroutine, in the middle of an epoch, with the
 	// service lock held: calling RunEpoch or Close from it deadlocks (the
 	// owner would wait on itself), and so does Stats.
@@ -449,7 +435,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	opts := s.cfg.Signature
 	opts.MinClusterSize = s.cfg.MinClusterSize
 	distillStart := time.Now()
-	cands, dst := distill(groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign, opts, s.cfg.Bayes, s.cfg.MaxHoldoutFP)
+	cands, dst := distill(groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign, opts, s.cfg.MaxHoldoutFP)
 	s.cfg.Tracer.Observe(trace.StageDistill, time.Since(distillStart))
 	s.lastDistill = dst
 	for _, c := range cands {
@@ -461,11 +447,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 		s.catalog[key] = &publishedSig{sig: c.sig, sources: c.sources, tenants: c.tenants, traces: traces}
 	}
 
-	// Publish whatever changed. A silhouette below the quality gate
-	// holds back fresh content but still lets cached failed publishes
-	// retry — their content already cleared the gate once.
-	skipFresh := s.cfg.MinSilhouette > 0 && s.lastCompact.Silhouette < s.cfg.MinSilhouette
-	set, err := s.publishLocked(ctx, s.buildBatchLocked(skipFresh))
+	set, err := s.publishLocked(ctx, s.buildBatchLocked())
 
 	// Checkpoint after the publish bookkeeping settles, so the stored
 	// pubState versions and pending sets reflect this epoch's outcome —
@@ -517,7 +499,7 @@ func (s *Service) retireLocked(cs CompactStats) {
 // set per tenant) from the catalog and returns the publishes this epoch
 // owes: every name whose content fingerprint moved, plus cached sets
 // still awaiting their first successful delivery. Callers hold s.mu.
-func (s *Service) buildBatchLocked(skipFresh bool) []namedPublish {
+func (s *Service) buildBatchLocked() []namedPublish {
 	assembled := map[string]*signature.Set{"": s.assembleLocked(func(*publishedSig) bool { return true })}
 	if s.cfg.TenantSets {
 		for _, tenant := range s.catalogTenantsLocked() {
@@ -553,15 +535,6 @@ func (s *Service) buildBatchLocked(skipFresh bool) []namedPublish {
 				// Current content equals the published content; any older
 				// failed generation is obsolete.
 				pub.pending, pub.pendingFP = nil, ""
-			}
-			continue
-		}
-		if skipFresh {
-			// The silhouette gate holds back this epoch's fresh content,
-			// but a cached failed publish already cleared the gate once —
-			// keep retrying it rather than dropping the name entirely.
-			if pub != nil && pub.pending != nil {
-				batch = append(batch, namedPublish{name: name, set: pub.pending, fp: pub.pendingFP})
 			}
 			continue
 		}

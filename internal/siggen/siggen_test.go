@@ -143,19 +143,6 @@ func TestMissSinkFeedsOnlyMisses(t *testing.T) {
 	}
 }
 
-func TestSuspectFilterScreensIntake(t *testing.T) {
-	svc := NewService(Config{
-		SuspectFilter: func(p *httpmodel.Packet) bool { return p.App != "" },
-	})
-	defer svc.Close()
-	if svc.Observe("", benignPacket(1)) {
-		t.Fatal("filter should have rejected the app-less packet")
-	}
-	if !svc.Observe("", leakPacket("com.app", 1)) {
-		t.Fatal("filter rejected a packet it should admit")
-	}
-}
-
 func TestClustererGroupsSimilarPackets(t *testing.T) {
 	c := NewClusterer(ClusterConfig{MaxClusters: 8, MaxMembers: 16}, 1)
 	for i := 0; i < 10; i++ {
@@ -240,7 +227,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 
 	// Bayes gate alone (no held-out corpus): token material as common in
 	// benign as in suspect traffic scores below the threshold.
-	_, st := distill(groups, train, nil, nil, opts, signature.BayesOptions{}, 0.01)
+	_, st := distill(groups, train, nil, nil, opts, 0.01)
 	if st.Candidates < 2 {
 		t.Fatalf("expected candidates from both clusters, got %d", st.Candidates)
 	}
@@ -250,7 +237,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 
 	// FP gate alone (no training corpus, so no Bayes model): the
 	// benign-shaped signature matches the held-out corpus and dies.
-	_, st = distill(groups, nil, hold, nil, opts, signature.BayesOptions{}, 0.01)
+	_, st = distill(groups, nil, hold, nil, opts, 0.01)
 	if st.RejectedFP == 0 {
 		t.Fatalf("the benign-shaped signature slipped past the held-out FP gate: %+v", st)
 	}
@@ -258,7 +245,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 	// Both gates plus the default token-frequency filter: the leak
 	// signature survives, carries its provenance, and still detects the
 	// leaking packets.
-	cands, st := distill(groups, train, hold, nil, signature.Options{MinClusterSize: 2}, signature.BayesOptions{}, 0.01)
+	cands, st := distill(groups, train, hold, nil, signature.Options{MinClusterSize: 2}, 0.01)
 	if len(cands) == 0 {
 		t.Fatalf("the leak signature was over-filtered: %+v", st)
 	}
@@ -679,7 +666,11 @@ func TestPoolReloaderLandsTenantSets(t *testing.T) {
 	svc := NewService(Config{
 		TenantSets:     true,
 		MinClusterSize: 2,
-		OnPublish:      PoolReloader(pool),
+		OnPublish: func(name string, set *signature.Set) {
+			if name != "" {
+				pool.ReloadTenant(name, set)
+			}
+		},
 	})
 	defer svc.Close()
 
@@ -689,12 +680,12 @@ func TestPoolReloaderLandsTenantSets(t *testing.T) {
 	if _, err := svc.RunEpoch(context.Background()); err != nil {
 		t.Fatalf("epoch: %v", err)
 	}
-	if m := pool.MatchPacket("tenant-a", leakPacket("com.a", 99)); len(m) == 0 {
+	if m := pool.Tenant("tenant-a").MatchPacket(leakPacket("com.a", 99)); len(m) == 0 {
 		t.Fatal("tenant-a never received its learned set")
 	}
 	// The same traffic through another tenant stays clean: the global
 	// union was not installed as the pool default.
-	if m := pool.MatchPacket("tenant-b", leakPacket("com.a", 99)); len(m) != 0 {
+	if m := pool.Tenant("tenant-b").MatchPacket(leakPacket("com.a", 99)); len(m) != 0 {
 		t.Fatal("tenant-a's learned signatures fire on tenant-b")
 	}
 }

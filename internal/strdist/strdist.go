@@ -102,32 +102,3 @@ func Normalized(a, b string) float64 {
 	}
 	return float64(Levenshtein(a, b)) / float64(n)
 }
-
-// CommonPrefixLen returns the length of the longest common prefix of a and b.
-func CommonPrefixLen(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// CommonSuffixLen returns the length of the longest common suffix of a and b.
-// It is used to compare registrable domain tails such as ".example.co.jp".
-func CommonSuffixLen(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[len(a)-1-i] != b[len(b)-1-i] {
-			return i
-		}
-	}
-	return n
-}

@@ -196,18 +196,3 @@ func TestNormalizedRange(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCommonPrefixSuffix(t *testing.T) {
-	if got := CommonPrefixLen("ads.example.com", "ads.example.org"); got != 12 {
-		t.Errorf("CommonPrefixLen = %d, want 12", got)
-	}
-	if got := CommonSuffixLen("a.adlantis.jp", "b.adlantis.jp"); got != 12 {
-		t.Errorf("CommonSuffixLen = %d, want 12", got)
-	}
-	if got := CommonPrefixLen("", "x"); got != 0 {
-		t.Errorf("CommonPrefixLen empty = %d", got)
-	}
-	if got := CommonSuffixLen("same", "same"); got != 4 {
-		t.Errorf("CommonSuffixLen identical = %d", got)
-	}
-}

@@ -183,8 +183,3 @@ func LongestCommonSubstring(ss [][]byte) []byte {
 	start := bestEnd - bestLen + 1
 	return a.src[start : bestEnd+1]
 }
-
-// LongestCommonSubstring2 is a convenience wrapper for exactly two strings.
-func LongestCommonSubstring2(a, b []byte) []byte {
-	return LongestCommonSubstring([][]byte{a, b})
-}

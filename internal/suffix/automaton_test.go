@@ -79,7 +79,7 @@ func TestLCS2Known(t *testing.T) {
 		{"banana", "ananas", "anana"},
 	}
 	for _, c := range cases {
-		got := LongestCommonSubstring2([]byte(c.a), []byte(c.b))
+		got := LongestCommonSubstring([][]byte{[]byte(c.a), []byte(c.b)})
 		if string(got) != c.want {
 			t.Errorf("LCS(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
 		}
@@ -140,7 +140,7 @@ func TestLCS2MatchesNaiveRandom(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := randStr(rng.Intn(30))
 		b := randStr(rng.Intn(30))
-		got := LongestCommonSubstring2(a, b)
+		got := LongestCommonSubstring([][]byte{a, b})
 		want := naiveLCS([][]byte{a, b})
 		if len(got) != len(want) {
 			t.Fatalf("LCS(%q, %q) = %q (len %d), naive %q (len %d)",
@@ -189,7 +189,7 @@ func TestLCSPropertyCommonAndMaximalLength(t *testing.T) {
 		if len(b) > 32 {
 			b = b[:32]
 		}
-		got := LongestCommonSubstring2([]byte(a), []byte(b))
+		got := LongestCommonSubstring([][]byte{[]byte(a), []byte(b)})
 		if !strings.Contains(a, string(got)) || !strings.Contains(b, string(got)) {
 			return false
 		}

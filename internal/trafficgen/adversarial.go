@@ -39,22 +39,6 @@ func Encodings() []Encoding {
 	return []Encoding{EncodingClear, EncodingBase64, EncodingHex, EncodingURL, EncodingGzip}
 }
 
-// ViewName returns the decode view that makes the encoding scannable
-// ("" for cleartext, which the raw scan already covers).
-func (e Encoding) ViewName() string {
-	switch e {
-	case EncodingBase64:
-		return "base64"
-	case EncodingHex:
-		return "hex"
-	case EncodingURL:
-		return "url"
-	case EncodingGzip:
-		return "gzip"
-	}
-	return ""
-}
-
 // AdversarialConfig configures GenerateAdversarial. Zero values select
 // the noted defaults.
 type AdversarialConfig struct {

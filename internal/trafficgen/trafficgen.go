@@ -63,16 +63,6 @@ type Dataset struct {
 	Capture  *capture.Set
 }
 
-// appByPackage returns the app with the given package name, or nil.
-func (d *Dataset) AppByPackage(pkg string) *App {
-	for _, a := range d.Apps {
-		if a.Manifest.Package == pkg {
-			return a
-		}
-	}
-	return nil
-}
-
 // Generate builds the dataset.
 func Generate(cfg Config) *Dataset {
 	cfg = cfg.withDefaults()

@@ -102,7 +102,7 @@ func TestClosedLoopPublishesSubsequenceKind(t *testing.T) {
 	defer ts.Close()
 
 	learner := siggen.NewService(siggen.Config{
-		Publisher:      siggen.NewHTTPPublisher(ts.URL, ""),
+		Publisher:      siggen.NewHTTPPublisherFrom(sigserver.NewClient(ts.URL, nil)),
 		Benign:         benign,
 		MinClusterSize: 2,
 		MaxHoldoutFP:   0.02,

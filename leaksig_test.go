@@ -2,7 +2,12 @@ package leaksig
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
+
+	"leaksig/internal/capture"
+	"leaksig/internal/engine"
+	"leaksig/internal/httpmodel"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -55,11 +60,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeBuilders(t *testing.T) {
-	p := Get("admob.com", "/mads/gma").Query("udid", "f3a9").Build()
+	p := httpmodel.Get("admob.com", "/mads/gma").Query("udid", "f3a9").Build()
 	if p.RequestLine() != "GET /mads/gma?udid=f3a9 HTTP/1.1" {
 		t.Errorf("builder produced %q", p.RequestLine())
 	}
-	q := Post("flurry.com", "/aap.do").Form("uid", "x").Build()
+	q := httpmodel.Post("flurry.com", "/aap.do").Form("uid", "x").Build()
 	if q.Method != "POST" || string(q.Body) != "uid=x" {
 		t.Errorf("post builder produced %+v", q)
 	}
@@ -81,7 +86,7 @@ func TestSyntheticDatasetDeterminism(t *testing.T) {
 	}
 }
 
-// TestDetectStreamParity: the streaming facade must agree verdict-for-
+// TestDetectStreamParity: the streaming engine must agree verdict-for-
 // verdict with the offline facade.
 func TestDetectStreamParity(t *testing.T) {
 	ds := SyntheticDataset(11, 50, 3000)
@@ -90,7 +95,7 @@ func TestDetectStreamParity(t *testing.T) {
 		t.Fatal("no signatures")
 	}
 	batch := Detect(sigs, ds.Packets)
-	stream := DetectStream(sigs, ds.Packets, StreamConfig{Shards: 2})
+	stream := streamSet(sigs, capture.New(ds.Packets), StreamConfig{Shards: 2})
 	if len(stream) != len(batch) {
 		t.Fatalf("stream returned %d verdicts, batch %d", len(stream), len(batch))
 	}
@@ -101,9 +106,28 @@ func TestDetectStreamParity(t *testing.T) {
 	}
 }
 
-// TestFacadePoolAndSink smoke-tests the multi-tenant and count-only
+// streamSet streams an entire capture through a fresh engine and returns
+// one verdict per packet in order — Detect's streaming equivalent, and
+// the basis of the engine-vs-batch benchmarks.
+func streamSet(set *SignatureSet, s *capture.Set, cfg StreamConfig) []bool {
+	out := make([]bool, s.Len())
+	cfg.Sink = engine.BatchCallbackSink(func(vs []StreamVerdict) {
+		for _, v := range vs {
+			out[v.Seq] = v.Leak()
+		}
+	})
+	e := engine.New(set, cfg)
+	for _, p := range s.Packets {
+		e.Submit(p) // cannot fail: the engine closes only below
+	}
+	e.Close()
+	return out
+}
+
+// TestFacadePoolAndSink smoke-tests the multi-tenant and streaming
 // facade surface: two tenants with private signature sets stay isolated,
-// and a count sink agrees with the callback path.
+// and the verdicts a StreamConfig.OnVerdict func receives agree with the
+// signed tenant's tally.
 func TestFacadePoolAndSink(t *testing.T) {
 	ds := SyntheticDataset(5, 50, 3000)
 	sigs := GenerateSignatures(ds.SuspiciousPackets()[:80], Config{})
@@ -115,11 +139,7 @@ func TestFacadePoolAndSink(t *testing.T) {
 	defer pool.Close()
 	pool.ReloadTenant("signed", sigs)
 	// Tenant "unsigned" stays on the pool default (empty set).
-	var want int
-	for i, p := range ds.Packets {
-		if ds.Sensitive[i] {
-			want++
-		}
+	for _, p := range ds.Packets {
 		if err := pool.Submit("signed", p); err != nil {
 			t.Fatal(err)
 		}
@@ -137,19 +157,29 @@ func TestFacadePoolAndSink(t *testing.T) {
 		t.Fatalf("unsigned tenant matched %d packets, want 0 (live=%v)", unsigned.Matched, ok)
 	}
 
-	sink := NewCountSink()
-	eng := NewStreamEngine(sigs, StreamConfig{Shards: 2, Sink: sink})
+	var mu sync.Mutex
+	var packets, leaks uint64
+	onVerdict := func(v StreamVerdict) {
+		mu.Lock()
+		defer mu.Unlock()
+		packets++
+		if v.Leak() {
+			leaks++
+		}
+	}
+	eng := NewStreamEngine(sigs, StreamConfig{Shards: 2, OnVerdict: onVerdict})
 	for _, p := range ds.Packets {
 		if err := eng.Submit(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.Close()
-	packets, leaks := sink.Totals()
+	mu.Lock()
+	defer mu.Unlock()
 	if packets != uint64(len(ds.Packets)) {
-		t.Fatalf("count sink saw %d packets, want %d", packets, len(ds.Packets))
+		t.Fatalf("OnVerdict saw %d packets, want %d", packets, len(ds.Packets))
 	}
 	if leaks != signed.Matched {
-		t.Fatalf("count sink saw %d leaks, signed tenant matched %d", leaks, signed.Matched)
+		t.Fatalf("OnVerdict saw %d leaks, signed tenant matched %d", leaks, signed.Matched)
 	}
 }

@@ -43,7 +43,7 @@ func TestTraceIDSpansClosedLoop(t *testing.T) {
 
 	tracer := obstrace.NewTracer(1) // sample everything: determinism over realism
 	learner := siggen.NewService(siggen.Config{
-		Publisher:      siggen.NewHTTPPublisher(ts.URL, ""),
+		Publisher:      siggen.NewHTTPPublisherFrom(sigserver.NewClient(ts.URL, nil)),
 		MinClusterSize: 2,
 		Cluster:        siggen.ClusterConfig{MaxClusters: 32},
 		Tracer:         tracer,
