@@ -11,8 +11,8 @@
 // counts the bits flate would emit. The license is in LICENSE next to
 // this file.
 //
-// It departs from flate in five ways, none of which changes a token
-// or a code length:
+// It departs from flate in six ways, none of which changes a token,
+// a code length or a block's size:
 //
 //   - reset does not clear the 640 KB of hash tables (see reset);
 //   - a block keeps its literal/length and offset histograms instead of
@@ -27,7 +27,10 @@
 //     deeper than the limit. Lengths follow from the sorted order and
 //     the count of leaves per depth; with ties broken as bitCounts
 //     breaks them, the two-queue counts equal bitCounts' whenever the
-//     tree fits (see huffmanBitCounts).
+//     tree fits (see huffmanBitCounts);
+//   - a block is sized over the symbols it uses, not over the whole
+//     alphabet, and the zero runs of the code-length encoding are
+//     counted by arithmetic (see blockSizes).
 
 package ncd
 
@@ -100,7 +103,6 @@ type deflater struct {
 	offFreq [offsetCodeCount]int32
 
 	lit, off, cg huffmanEncoder
-	codegen      [maxNumLit + offsetCodeCount + 1]uint8
 	codegenFreq  [codegenCodeCount]int32
 
 	nbits int // bits emitted so far
@@ -408,42 +410,10 @@ func (d *deflater) storedHeader() {
 // sizes it compares are flate's, including its one overcount: a block
 // without matches gets a placeholder offset count that is never written.
 func (d *deflater) emitBlock(input []byte) {
-	d.litFreq[endBlockMarker]++
-	numLiterals := maxNumLit
-	for d.litFreq[numLiterals-1] == 0 {
-		numLiterals--
-	}
-	numOffsets := offsetCodeCount
-	for numOffsets > 0 && d.offFreq[numOffsets-1] == 0 {
-		numOffsets--
-	}
-	placeholder := numOffsets == 0
-	if placeholder {
-		d.offFreq[0] = 1
-		numOffsets = 1
-	}
-	d.lit.generate(d.litFreq[:], 15)
-	d.off.generate(d.offFreq[:], 15)
-
-	// flate adds the extra bits to every candidate size only when the
-	// block could be stored; they shift the fixed and dynamic sizes
-	// alike, so counting them always picks the same encoding.
-	var extraBits int
-	for lengthCode := lengthCodesStart + 8; lengthCode < numLiterals; lengthCode++ {
-		extraBits += int(d.litFreq[lengthCode]) * int(lengthExtraBits[lengthCode-lengthCodesStart])
-	}
-	for offsetCode := 4; offsetCode < numOffsets; offsetCode++ {
-		extraBits += int(d.offFreq[offsetCode]) * int(offsetExtraBits[offsetCode])
-	}
-
-	size := 3 + fixedLiteralLens.bitLength(d.litFreq[:]) + fixedOffsetLens.bitLength(d.offFreq[:]) + extraBits
-	placeholderBits := int(fixedOffsetLens[0])
-
-	d.generateCodegen(numLiterals, numOffsets)
-	d.cg.generate(d.codegenFreq[:], 7)
-	if dyn := d.dynamicSize(extraBits); dyn < size {
-		size = dyn
-		placeholderBits = int(d.off.lens[0])
+	fixed, dynamic, placeholder := d.blockSizes()
+	size, placeholderBits := fixed, int(fixedOffsetLens[0])
+	if dynamic < size {
+		size, placeholderBits = dynamic, int(d.off.lens[0])
 	}
 
 	if input != nil && len(input) <= maxStoreBlockSize && (len(input)+5)*8 < size {
@@ -457,60 +427,107 @@ func (d *deflater) emitBlock(input []byte) {
 	d.nbits += size
 }
 
-// generateCodegen counts the RFC 1951 3.2.7 run-length encoding of the
-// concatenated literal and offset code lengths into codegenFreq.
-func (d *deflater) generateCodegen(numLiterals, numOffsets int) {
-	clear(d.codegenFreq[:])
-	codegen := d.codegen[:]
-	copy(codegen, d.lit.lens[:numLiterals])
-	copy(codegen[numLiterals:], d.off.lens[:numOffsets])
-	codegen[numLiterals+numOffsets] = badCode
-
-	size := codegen[0]
-	count := 1
-	for inIndex := 1; size != badCode; inIndex++ {
-		// INVARIANT: We have seen "count" copies of size that have not yet
-		// had output generated for them.
-		nextSize := codegen[inIndex]
-		if nextSize == size {
-			count++
-			continue
-		}
-		// We need to generate codegen indicating "count" of size.
-		if size != 0 {
-			d.codegenFreq[size]++
-			count--
-			for count >= 3 {
-				n := 6
-				if n > count {
-					n = count
-				}
-				d.codegenFreq[16]++
-				count -= n
-			}
-		} else {
-			for count >= 11 {
-				n := 138
-				if n > count {
-					n = count
-				}
-				d.codegenFreq[18]++
-				count -= n
-			}
-			if count >= 3 {
-				// count >= 3 && count <= 10
-				d.codegenFreq[17]++
-				count = 0
-			}
-		}
-		count--
-		for ; count >= 0; count-- {
-			d.codegenFreq[size]++
-		}
-		// Set up invariant for next time through the loop.
-		size = nextSize
-		count = 1
+// blockSizes counts the end-of-block marker, adds the placeholder offset
+// when the block has no matches (and reports that it did), builds the
+// block's codes and returns its fixed- and dynamic-Huffman sizes in
+// bits.
+//
+// flate sizes a block by walking every literal/length and offset
+// symbol. Here every sum runs over the symbols generate found in use;
+// the unused ones add nothing to any sum and only lengthen the zero
+// runs, which generateCodegen counts by arithmetic. flate's full-width
+// walks are kept in blocksize_test.go as the reference.
+func (d *deflater) blockSizes() (fixed, dynamic int, placeholder bool) {
+	d.litFreq[endBlockMarker]++
+	if placeholder = d.offFreq == [offsetCodeCount]int32{}; placeholder {
+		d.offFreq[0] = 1
 	}
+	d.lit.generate(d.litFreq[:], 15)
+	d.off.generate(d.offFreq[:], 15)
+
+	// flate adds the extra bits to every candidate size only when the
+	// block could be stored; they shift the fixed and dynamic sizes
+	// alike, so counting them always picks the same encoding.
+	var extraBits int
+	for _, sym := range d.lit.used {
+		if sym >= lengthCodesStart+8 {
+			extraBits += int(d.litFreq[sym]) * int(lengthExtraBits[sym-lengthCodesStart])
+		}
+	}
+	for _, sym := range d.off.used {
+		extraBits += int(d.offFreq[sym]) * int(offsetExtraBits[sym])
+	}
+
+	fixed = 3 + d.lit.bitLength(&fixedLiteralLens, d.litFreq[:]) + d.off.bitLength(&fixedOffsetLens, d.offFreq[:]) + extraBits
+	d.generateCodegen()
+	d.cg.generate(d.codegenFreq[:], 7)
+	return fixed, d.dynamicSize(extraBits), placeholder
+}
+
+// generateCodegen counts the RFC 1951 3.2.7 run-length encoding of the
+// concatenated literal and offset code lengths into codegenFreq. The
+// concatenation runs to the last used literal and then to the last used
+// offset, and a symbol's length is non-zero exactly when it is used, so
+// the used symbols mark every non-zero entry and the gaps between them
+// are the zero runs.
+func (d *deflater) generateCodegen() {
+	clear(d.codegenFreq[:])
+	numLiterals := int(d.lit.used[len(d.lit.used)-1]) + 1
+	var size uint8      // the current run's code length
+	count, next := 0, 0 // the run's length, and the position after it
+	for part, h := range [2]*huffmanEncoder{&d.lit, &d.off} {
+		base := part * numLiterals
+		for _, sym := range h.used {
+			pos, l := base+int(sym), h.lens[sym]
+			if pos == next && l == size {
+				count++
+			} else {
+				d.countRun(size, count)
+				d.countZeros(pos - next)
+				size, count = l, 1
+			}
+			next = pos + 1
+		}
+	}
+	d.countRun(size, count)
+}
+
+// countRun counts the codes flate emits for count repeats of the
+// non-zero code length size: the length once, then repeat codes 16 of
+// 3–6 each, and what is left as single lengths. A count of 0 counts
+// nothing.
+func (d *deflater) countRun(size uint8, count int) {
+	if count < 4 {
+		d.codegenFreq[size] += int32(count)
+		return
+	}
+	rest := uint(count - 1)
+	repeats, singles := rest/6, rest%6
+	if singles >= 3 {
+		repeats, singles = repeats+1, 0
+	}
+	d.codegenFreq[16] += int32(repeats)
+	d.codegenFreq[size] += int32(1 + singles)
+}
+
+// countZeros counts the codes flate emits for a run of count zero code
+// lengths: codes 18 of 11–138 each, then one 17 of 3–10 or what is left
+// as single zeros.
+func (d *deflater) countZeros(count int) {
+	if count < 3 {
+		d.codegenFreq[0] += int32(count)
+		return
+	}
+	repeats, rest := uint(count)/138, uint(count)%138
+	switch {
+	case rest >= 11:
+		repeats++
+	case rest >= 3:
+		d.codegenFreq[17]++
+	default:
+		d.codegenFreq[0] += int32(rest)
+	}
+	d.codegenFreq[18] += int32(repeats)
 }
 
 // dynamicSize returns the size of the dynamically encoded block in bits.
@@ -520,13 +537,13 @@ func (d *deflater) dynamicSize(extraBits int) int {
 		numCodegens--
 	}
 	header := 3 + 5 + 5 + 4 + (3 * numCodegens) +
-		d.cg.lens.bitLength(d.codegenFreq[:]) +
+		d.cg.bitLength(&d.cg.lens, d.codegenFreq[:]) +
 		int(d.codegenFreq[16])*2 +
 		int(d.codegenFreq[17])*3 +
 		int(d.codegenFreq[18])*7
 	return header +
-		d.lit.lens.bitLength(d.litFreq[:]) +
-		d.off.lens.bitLength(d.offFreq[:]) +
+		d.lit.bitLength(&d.lit.lens, d.litFreq[:]) +
+		d.off.bitLength(&d.off.lens, d.offFreq[:]) +
 		extraBits
 }
 
@@ -534,10 +551,13 @@ func (d *deflater) dynamicSize(extraBits int) int {
 // unused symbol.
 type codeLens [maxNumLit]uint8
 
-func (l *codeLens) bitLength(freq []int32) int {
+// bitLength returns the bits freq costs under the code lengths lens,
+// summed over the symbols the last generate found in use: the symbols
+// with a non-zero count in freq, when generate was given freq.
+func (h *huffmanEncoder) bitLength(lens *codeLens, freq []int32) int {
 	var total int
-	for i, f := range freq {
-		total += int(f) * int(l[i])
+	for _, sym := range h.used {
+		total += int(freq[sym]) * int(lens[sym])
 	}
 	return total
 }
@@ -570,6 +590,10 @@ type huffmanEncoder struct {
 	lens     codeLens
 	nodes    [maxNumLit + 1]literalNode // used symbols by (freq, literal), and bitCounts' sentinel
 	bitCount [17]int32
+
+	// used lists the symbols the last generate was given a non-zero
+	// frequency for, in symbol order; it aliases syms.
+	used []uint16
 
 	// Scratch for generate, kept so that a call allocates nothing.
 	syms   [maxNumLit]uint16    // the used symbols, in symbol order
@@ -746,6 +770,7 @@ func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
 		maxFreq = max(maxFreq, f)
 	}
 	syms := h.syms[:count]
+	h.used = syms
 	if count <= 2 {
 		// Handle the small cases here, because they are awkward for the general case code. With
 		// two or fewer literals, everything has bit length 1.

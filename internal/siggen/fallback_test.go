@@ -64,7 +64,7 @@ func TestSubsequenceFallback(t *testing.T) {
 	}
 	opts := signature.Options{MinClusterSize: 2}
 
-	cands, st := distill(groups, nil, hold, nil, opts, 0.01)
+	cands, st := distill(new(tokenMemo), groups, nil, hold, nil, opts, 0.01)
 	if st.Candidates != 1 || st.RejectedFP < 1 {
 		t.Fatalf("conjunction candidate should exist and die at the FP gate: %+v", st)
 	}
@@ -116,7 +116,7 @@ func TestPerTenantFPGate(t *testing.T) {
 	opts := signature.Options{MinClusterSize: 2}
 
 	// No tenant corpora: the conjunction clears the shared gate.
-	cands, st := distill(groups, nil, sharedHold, nil, opts, 0.01)
+	cands, st := distill(new(tokenMemo), groups, nil, sharedHold, nil, opts, 0.01)
 	if len(cands) != 1 || cands[0].sig.Kind != "" {
 		t.Fatalf("baseline conjunction should survive the shared gate: %+v", st)
 	}
@@ -125,7 +125,7 @@ func TestPerTenantFPGate(t *testing.T) {
 	// the conjunction dies there even though the shared gate passed, and
 	// the ordered fallback — which that corpus cannot fire — replaces it.
 	tenantHold := map[string][]*httpmodel.Packet{"com.app": reversed}
-	cands, st = distill(groups, nil, sharedHold, tenantHold, opts, 0.01)
+	cands, st = distill(new(tokenMemo), groups, nil, sharedHold, tenantHold, opts, 0.01)
 	if st.RejectedFP < 1 {
 		t.Fatalf("tenant corpus did not reject the conjunction: %+v", st)
 	}
@@ -135,7 +135,7 @@ func TestPerTenantFPGate(t *testing.T) {
 
 	// A NON-contributing tenant's corpus must not gate the candidate.
 	tenantHold = map[string][]*httpmodel.Packet{"com.unrelated": reversed}
-	cands, st = distill(groups, nil, sharedHold, tenantHold, opts, 0.01)
+	cands, st = distill(new(tokenMemo), groups, nil, sharedHold, tenantHold, opts, 0.01)
 	if len(cands) != 1 || cands[0].sig.Kind != "" {
 		t.Fatalf("non-contributing tenant corpus rejected the conjunction: %+v", st)
 	}

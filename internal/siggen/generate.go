@@ -1,6 +1,7 @@
 package siggen
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -227,32 +228,37 @@ func applyGates(cands []candidate, bayes *signature.BayesSignature,
 //
 // Gates 2 and 3 need benign corpora to calibrate against and pass
 // everything when theirs is empty.
-func distill(groups []Group, benignTrain, benignHold []*httpmodel.Packet,
+//
+// Every generator takes its tokens from memo, so a group's member window
+// is extracted once, not once per generator, and not again in a later
+// epoch that finds the window unchanged.
+func distill(memo *tokenMemo, groups []Group, benignTrain, benignHold []*httpmodel.Packet,
 	tenantHold map[string][]*httpmodel.Packet,
 	opts signature.Options, maxHoldFP float64) ([]candidate, DistillStats) {
 
+	memo.begin()
+	defer memo.end()
 	st := DistillStats{Groups: len(groups)}
+	packetGroups := make([][]*httpmodel.Packet, len(groups))
+	for i, g := range groups {
+		packetGroups[i] = g.Packets
+	}
+	tokens := func(i, minLen, maxTokens int) []string { return memo.tokens(&groups[i], minLen, maxTokens) }
+
 	var cands []candidate
 	byKey := make(map[string]int) // signature key → index in cands
-	for gi := range groups {
-		g := &groups[gi]
-		gopts := opts
-		gopts.BenignSample = benignTrain
-		set := signature.Generate([][]*httpmodel.Packet{g.Packets}, gopts)
-		gtraces := groupTraces(g)
-		for _, sig := range set.Signatures {
-			cands = foldCandidate(cands, byKey, sig, g, gtraces)
+	gopts := opts
+	gopts.BenignSample = benignTrain
+	for gi, sig := range signature.GenerateFromTokens(signature.KindConjunction, packetGroups, tokens, gopts) {
+		if sig != nil {
+			cands = foldCandidate(cands, byKey, sig, &groups[gi], groupTraces(&groups[gi]))
 		}
 	}
 	st.Candidates = len(cands)
 
 	var bayes *signature.BayesSignature
 	if len(benignTrain) > 0 && len(groups) > 0 {
-		packetGroups := make([][]*httpmodel.Packet, len(groups))
-		for i, g := range groups {
-			packetGroups[i] = g.Packets
-		}
-		bayes = signature.GenerateBayes(packetGroups, benignTrain, signature.BayesOptions{})
+		bayes = signature.GenerateBayesFromTokens(packetGroups, tokens, benignTrain, signature.BayesOptions{})
 	}
 	cands = applyGates(cands, bayes, benignHold, tenantHold, maxHoldFP, &st)
 
@@ -263,17 +269,20 @@ func distill(groups []Group, benignTrain, benignHold []*httpmodel.Packet,
 			surviving[src] = true
 		}
 	}
+	var uncovered []*Group
+	var uncoveredPackets [][]*httpmodel.Packet
+	for gi := range groups {
+		if g := &groups[gi]; !surviving[g.ID] {
+			uncovered = append(uncovered, g)
+			uncoveredPackets = append(uncoveredPackets, g.Packets)
+		}
+	}
+	uncoveredTokens := func(i, minLen, maxTokens int) []string { return memo.tokens(uncovered[i], minLen, maxTokens) }
 	var fallback []candidate
 	fbKey := make(map[string]int)
-	for gi := range groups {
-		g := &groups[gi]
-		if surviving[g.ID] {
-			continue
-		}
-		sset := signature.GenerateSubsequence([][]*httpmodel.Packet{g.Packets}, opts)
-		gtraces := groupTraces(g)
-		for _, ssig := range sset.Signatures {
-			fallback = foldCandidate(fallback, fbKey, ssig.AsKinded(), g, gtraces)
+	for i, sig := range signature.GenerateFromTokens(signature.KindSubsequence, uncoveredPackets, uncoveredTokens, opts) {
+		if sig != nil {
+			fallback = foldCandidate(fallback, fbKey, sig, uncovered[i], groupTraces(uncovered[i]))
 		}
 	}
 	st.SubseqCandidates = len(fallback)
@@ -283,6 +292,60 @@ func distill(groups []Group, benignTrain, benignHold []*httpmodel.Packet,
 
 	st.Accepted = len(cands)
 	return cands, st
+}
+
+// tokenMemo keeps each group's extracted tokens from one distill to the
+// next. An extraction is keyed by the group's ID and the token bounds,
+// and it is reused only while the group's member window is the one it
+// was extracted from: the same packets, pointer for pointer, in the same
+// order. Packets are immutable once observed, so an unchanged window
+// yields the same tokens. Each distill keeps only the extractions it
+// asked for, so the memo holds at most one entry per live group and
+// token bounds. It is not checkpointed. The owner goroutine owns it.
+type tokenMemo struct {
+	last, cur map[extractKey]extraction
+	extracted int // windows extracted rather than reused, ever
+}
+
+// extractKey names one extraction: a group and the token bounds.
+type extractKey struct {
+	id                uint64
+	minLen, maxTokens int
+}
+
+// extraction is one window's tokens.
+type extraction struct {
+	window []*httpmodel.Packet
+	tokens []string
+}
+
+// begin starts a distill: the last distill's extractions stay reusable
+// until end.
+func (m *tokenMemo) begin() {
+	m.last, m.cur = m.cur, make(map[extractKey]extraction)
+}
+
+// end drops the extractions this distill did not reuse.
+func (m *tokenMemo) end() { m.last = nil }
+
+// tokens returns a copy of g's tokens at the bounds, extracted now
+// unless this distill or the last one extracted the same window.
+func (m *tokenMemo) tokens(g *Group, minLen, maxTokens int) []string {
+	key := extractKey{g.ID, minLen, maxTokens}
+	e, ok := m.cur[key]
+	if !ok {
+		e, ok = m.last[key]
+		if !ok || !slices.Equal(e.window, g.Packets) {
+			contents := make([][]byte, len(g.Packets))
+			for i, p := range g.Packets {
+				contents[i] = p.Content()
+			}
+			e = extraction{g.Packets, signature.ExtractTokens(contents, minLen, maxTokens)}
+			m.extracted++
+		}
+		m.cur[key] = e
+	}
+	return slices.Clone(e.tokens)
 }
 
 // assemble builds a publishable set from signatures, in canonical

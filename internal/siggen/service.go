@@ -243,6 +243,7 @@ type Service struct {
 	pubs        map[string]*pubState     // per published-name delivery state; "" = global
 	lastCompact CompactStats
 	lastDistill DistillStats
+	tokens      tokenMemo // each live group's extracted tokens, for distill
 
 	observed        atomic.Uint64
 	sinkDropped     atomic.Uint64
@@ -435,7 +436,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	opts := s.cfg.Signature
 	opts.MinClusterSize = s.cfg.MinClusterSize
 	distillStart := time.Now()
-	cands, dst := distill(groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign, opts, s.cfg.MaxHoldoutFP)
+	cands, dst := distill(&s.tokens, groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign, opts, s.cfg.MaxHoldoutFP)
 	s.cfg.Tracer.Observe(trace.StageDistill, time.Since(distillStart))
 	s.lastDistill = dst
 	for _, c := range cands {

@@ -227,7 +227,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 
 	// Bayes gate alone (no held-out corpus): token material as common in
 	// benign as in suspect traffic scores below the threshold.
-	_, st := distill(groups, train, nil, nil, opts, 0.01)
+	_, st := distill(new(tokenMemo), groups, train, nil, nil, opts, 0.01)
 	if st.Candidates < 2 {
 		t.Fatalf("expected candidates from both clusters, got %d", st.Candidates)
 	}
@@ -237,7 +237,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 
 	// FP gate alone (no training corpus, so no Bayes model): the
 	// benign-shaped signature matches the held-out corpus and dies.
-	_, st = distill(groups, nil, hold, nil, opts, 0.01)
+	_, st = distill(new(tokenMemo), groups, nil, hold, nil, opts, 0.01)
 	if st.RejectedFP == 0 {
 		t.Fatalf("the benign-shaped signature slipped past the held-out FP gate: %+v", st)
 	}
@@ -245,7 +245,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 	// Both gates plus the default token-frequency filter: the leak
 	// signature survives, carries its provenance, and still detects the
 	// leaking packets.
-	cands, st := distill(groups, train, hold, nil, signature.Options{MinClusterSize: 2}, 0.01)
+	cands, st := distill(new(tokenMemo), groups, train, hold, nil, signature.Options{MinClusterSize: 2}, 0.01)
 	if len(cands) == 0 {
 		t.Fatalf("the leak signature was over-filtered: %+v", st)
 	}

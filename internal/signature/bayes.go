@@ -74,19 +74,25 @@ type BayesSignature struct {
 // threshold is the smallest value whose benign false-match rate does not
 // exceed TargetTrainFP.
 func GenerateBayes(clusters [][]*httpmodel.Packet, benign []*httpmodel.Packet, opts BayesOptions) *BayesSignature {
+	return GenerateBayesFromTokens(clusters, extractEach(clusters), benign, opts)
+}
+
+// GenerateBayesFromTokens is GenerateBayes over tokens the caller
+// supplies: tokens(i, minLen, maxTokens) must return ExtractTokens of
+// clusters[i]'s contents at those bounds. It only reads the slices.
+func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
+	tokens func(cluster, minLen, maxTokens int) []string,
+	benign []*httpmodel.Packet, opts BayesOptions) *BayesSignature {
+
 	o := opts.withDefaults()
 
 	// Candidate vocabulary: union of every cluster's invariant tokens.
 	seen := make(map[string]bool)
 	var vocab []string
 	var suspicious []*httpmodel.Packet
-	for _, cl := range clusters {
+	for i, cl := range clusters {
 		suspicious = append(suspicious, cl...)
-		contents := make([][]byte, len(cl))
-		for i, p := range cl {
-			contents[i] = p.Content()
-		}
-		for _, tok := range ExtractTokens(contents, o.MinTokenLen, o.MaxTokensPerCluster) {
+		for _, tok := range tokens(i, o.MinTokenLen, o.MaxTokensPerCluster) {
 			if seen[tok] || InformativeLen(tok, o.Stoplist) < o.MinTokenLen {
 				continue
 			}

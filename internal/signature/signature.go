@@ -16,6 +16,7 @@
 package signature
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -209,31 +210,11 @@ func (o Options) withDefaults() Options {
 // packets. Clusters yielding no tokens after filtering produce no
 // signature; duplicate signatures are emitted once (largest cluster wins).
 func Generate(clusters [][]*httpmodel.Packet, opts Options) *Set {
-	o := opts.withDefaults()
 	set := &Set{}
 	seen := make(map[string]*Signature)
-	total := 0
-	for _, cl := range clusters {
-		total += len(cl)
-		if len(cl) < o.MinClusterSize {
+	for _, sig := range GenerateFromTokens(KindConjunction, clusters, extractEach(clusters), opts) {
+		if sig == nil {
 			continue
-		}
-		contents := make([][]byte, len(cl))
-		for i, p := range cl {
-			contents[i] = p.Content()
-		}
-		tokens := ExtractTokens(contents, o.MinTokenLen, o.MaxTokensPerSignature)
-		tokens = filterTokens(tokens, o)
-		if len(tokens) == 0 {
-			continue
-		}
-		sig := &Signature{Tokens: tokens, ClusterSize: len(cl)}
-		if o.HostConstraint {
-			hosts := make([]string, len(cl))
-			for i, p := range cl {
-				hosts[i] = p.Host
-			}
-			sig.HostSuffix = CommonHostSuffix(hosts)
 		}
 		key := sig.Key()
 		if prev, ok := seen[key]; ok {
@@ -246,8 +227,79 @@ func Generate(clusters [][]*httpmodel.Packet, opts Options) *Set {
 		seen[key] = sig
 		set.Signatures = append(set.Signatures, sig)
 	}
-	set.TrainingSize = total
+	for _, cl := range clusters {
+		set.TrainingSize += len(cl)
+	}
 	return set
+}
+
+// GenerateFromTokens builds one signature of the given kind,
+// KindConjunction or KindSubsequence, per cluster, from tokens the
+// caller supplies: tokens(i, minLen, maxTokens) must return
+// ExtractTokens of clusters[i]'s contents at those bounds, in a slice
+// the filters may overwrite. With GenerateBayesFromTokens, it lets a
+// caller extract each cluster once for every generator.
+//
+// A KindConjunction signature keeps each informative token once and
+// drops those the benign-frequency filter finds common; it carries the
+// empty (conjunction) Kind. A KindSubsequence signature keeps every
+// informative token in order. Entry i of the result is nil when
+// clusters[i] is below MinClusterSize, in which case tokens is not
+// called for it, or keeps no token. Signatures are not deduplicated and
+// carry ID 0.
+func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
+	tokens func(cluster, minLen, maxTokens int) []string, opts Options) []*Signature {
+
+	o := opts.withDefaults()
+	var benign [][]byte
+	if kind == KindConjunction && len(o.BenignSample) > 0 {
+		benign = contents(o.BenignSample)
+	}
+	sigs := make([]*Signature, len(clusters))
+	for i, cl := range clusters {
+		if len(cl) < o.MinClusterSize {
+			continue
+		}
+		kept := tokens(i, o.MinTokenLen, o.MaxTokensPerSignature)
+		if kind == KindSubsequence {
+			kept = informativeTokens(kept, o)
+		} else {
+			kept = filterTokens(kept, benign, o)
+		}
+		if len(kept) == 0 {
+			continue
+		}
+		sig := &Signature{Tokens: kept, ClusterSize: len(cl)}
+		if kind == KindSubsequence {
+			sig.Kind = KindSubsequence
+		}
+		if o.HostConstraint {
+			hosts := make([]string, len(cl))
+			for i, p := range cl {
+				hosts[i] = p.Host
+			}
+			sig.HostSuffix = CommonHostSuffix(hosts)
+		}
+		sigs[i] = sig
+	}
+	return sigs
+}
+
+// extractEach is the token source of Generate, GenerateSubsequence and
+// GenerateBayes: a fresh extraction of the asked cluster.
+func extractEach(clusters [][]*httpmodel.Packet) func(cluster, minLen, maxTokens int) []string {
+	return func(i, minLen, maxTokens int) []string {
+		return ExtractTokens(contents(clusters[i]), minLen, maxTokens)
+	}
+}
+
+// contents returns the packets' Content.
+func contents(ps []*httpmodel.Packet) [][]byte {
+	out := make([][]byte, len(ps))
+	for i, p := range ps {
+		out[i] = p.Content()
+	}
+	return out
 }
 
 // ExtractTokens returns the ordered invariant tokens of the contents: the
@@ -313,7 +365,7 @@ func extractRec(contents [][]byte, minLen, maxTokens int, out *[]string) {
 	lefts := make([][]byte, len(contents))
 	rights := make([][]byte, len(contents))
 	for i, c := range contents {
-		pos := indexBytes(c, tok)
+		pos := bytes.Index(c, tok)
 		lefts[i] = c[:pos]
 		rights[i] = c[pos+len(tok):]
 	}
@@ -324,21 +376,10 @@ func extractRec(contents [][]byte, minLen, maxTokens int, out *[]string) {
 	extractRec(rights, minLen, maxTokens, out)
 }
 
-func indexBytes(haystack, needle []byte) int {
-	// strings.Index on conversions avoids an import cycle with bytes’
-	// identical semantics; needle is guaranteed present.
-	return strings.Index(string(haystack), string(needle))
-}
-
-// filterTokens applies the stoplist and benign-frequency filters.
-func filterTokens(tokens []string, o Options) []string {
-	var benignContents [][]byte
-	if len(o.BenignSample) > 0 {
-		benignContents = make([][]byte, len(o.BenignSample))
-		for i, p := range o.BenignSample {
-			benignContents[i] = p.Content()
-		}
-	}
+// filterTokens applies the stoplist and, when benign holds the benign
+// sample's contents, the benign-frequency filter, keeping each token
+// once. It filters tokens in place.
+func filterTokens(tokens []string, benign [][]byte, o Options) []string {
 	out := tokens[:0]
 	seen := make(map[string]bool)
 	for _, t := range tokens {
@@ -349,10 +390,22 @@ func filterTokens(tokens []string, o Options) []string {
 		if InformativeLen(t, o.Stoplist) < o.MinTokenLen {
 			continue
 		}
-		if benignContents != nil && benignFraction(t, benignContents) > o.MaxBenignFraction {
+		if benign != nil && benignFraction(t, benign) > o.MaxBenignFraction {
 			continue
 		}
 		out = append(out, t)
+	}
+	return out
+}
+
+// informativeTokens applies the stoplist alone, keeping order and
+// repeats. It filters tokens in place.
+func informativeTokens(tokens []string, o Options) []string {
+	out := tokens[:0]
+	for _, t := range tokens {
+		if InformativeLen(t, o.Stoplist) >= o.MinTokenLen {
+			out = append(out, t)
+		}
 	}
 	return out
 }
@@ -394,9 +447,9 @@ func benignFraction(token string, benign [][]byte) float64 {
 	if len(benign) == 0 {
 		return 0
 	}
-	hits := 0
+	hits, tok := 0, []byte(token)
 	for _, b := range benign {
-		if strings.Contains(string(b), token) {
+		if bytes.Contains(b, tok) {
 			hits++
 		}
 	}

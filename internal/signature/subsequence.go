@@ -81,47 +81,23 @@ func (s *SubsequenceSet) Matches(p *httpmodel.Packet) bool {
 // ExtractTokens already emits tokens in left-to-right content order, which
 // is exactly the subsequence the cluster members share.
 func GenerateSubsequence(clusters [][]*httpmodel.Packet, opts Options) *SubsequenceSet {
-	o := opts.withDefaults()
 	set := &SubsequenceSet{}
 	seen := make(map[string]bool)
-	total := 0
-	for _, cl := range clusters {
-		total += len(cl)
-		if len(cl) < o.MinClusterSize {
+	for _, sig := range GenerateFromTokens(KindSubsequence, clusters, extractEach(clusters), opts) {
+		if sig == nil {
 			continue
 		}
-		contents := make([][]byte, len(cl))
-		for i, p := range cl {
-			contents[i] = p.Content()
-		}
-		tokens := ExtractTokens(contents, o.MinTokenLen, o.MaxTokensPerSignature)
-		// Order-preserving filtering: the conjunction generator may reorder
-		// on dedup; here order is the point, so filter in place.
-		kept := tokens[:0]
-		for _, t := range tokens {
-			if InformativeLen(t, o.Stoplist) >= o.MinTokenLen {
-				kept = append(kept, t)
-			}
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		sig := &SubsequenceSignature{Tokens: kept, ClusterSize: len(cl)}
-		if o.HostConstraint {
-			hosts := make([]string, len(cl))
-			for i, p := range cl {
-				hosts[i] = p.Host
-			}
-			sig.HostSuffix = CommonHostSuffix(hosts)
-		}
-		key := sig.Key()
+		ss := &SubsequenceSignature{Tokens: sig.Tokens, HostSuffix: sig.HostSuffix, ClusterSize: sig.ClusterSize}
+		key := ss.Key()
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		sig.ID = len(set.Signatures)
-		set.Signatures = append(set.Signatures, sig)
+		ss.ID = len(set.Signatures)
+		set.Signatures = append(set.Signatures, ss)
 	}
-	set.TrainingSize = total
+	for _, cl := range clusters {
+		set.TrainingSize += len(cl)
+	}
 	return set
 }

@@ -17,6 +17,7 @@ type Automaton struct {
 	link     []int32          // suffix links; link[0] == -1
 	length   []int32          // longest substring length recognized at the state
 	firstPos []int32          // end position (inclusive) of first occurrence
+	byLength []int32          // state indices by increasing length
 	last     int32
 	src      []byte
 }
@@ -36,6 +37,7 @@ func New(s []byte) *Automaton {
 	for i, c := range s {
 		a.extend(c, int32(i))
 	}
+	a.byLength = a.statesByLength()
 	return a
 }
 

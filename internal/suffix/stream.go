@@ -78,7 +78,7 @@ func (s *Stream) BestLen() int { return int(s.best) }
 // The returned slice is the stream's own; Reset clears it.
 func (s *Stream) Finish() []int32 {
 	a := s.a
-	order := a.statesByLength()
+	order := a.byLength
 	for i := len(order) - 1; i >= 0; i-- {
 		st := order[i]
 		p := a.link[st]
