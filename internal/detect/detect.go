@@ -66,14 +66,19 @@ type Engine struct {
 	emptyBucket int32
 	numBuckets  int
 
-	// Per-kind programs beyond the fast conjunction path (kinds.go).
+	// Kinded programs beyond the fast conjunction path (kinds.go).
 	// viewMask is the union of every signature's decode views; when it
-	// is zero the scan never touches the view machinery, and when both
-	// program lists are empty matchExtInto is never called — a legacy
-	// conjunction-only set compiles to exactly the PR 5 engine.
-	viewMask httpmodel.ViewMask
-	extConj  []extProgram
-	subseq   []subseqProgram
+	// is zero the scan never touches the view machinery. kindStart and
+	// kindList are their token index: kindList[kindStart[tok]:
+	// kindStart[tok+1]] lists the programs (indices into kinded) that
+	// need token tok, and kindBits marks the tokens with a non-empty
+	// list. When kinded is empty matchExtInto is never called, so a
+	// conjunction-only set compiles to just the postings engine.
+	viewMask  httpmodel.ViewMask
+	kinded    []kindProgram
+	kindStart []int32
+	kindList  []int32
+	kindBits  []uint64
 
 	// scratchPool feeds the compatibility entry points (MatchPacket,
 	// Matches); the pool lives on the engine, so a pooled scratch can
@@ -130,7 +135,7 @@ func NewEngine(set *signature.Set) *Engine {
 		}
 		e.sigBucket[si] = bucket
 	}
-	e.compileKinds(set, perSig)
+	e.compileKinds(set, perSig, len(patterns))
 	e.postings = make([][]int32, len(patterns))
 	for si, ids := range perSig {
 		if e.needed[si] == 0 {
@@ -221,7 +226,7 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 			}
 		}
 	}
-	if len(e.extConj) > 0 || len(e.subseq) > 0 {
+	if len(e.kinded) > 0 {
 		e.matchExtInto(p, sc)
 	}
 	// Candidates surface in token-discovery order; restore signature-set

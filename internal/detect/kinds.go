@@ -3,39 +3,39 @@ package detect
 // Per-kind match programs beyond the fast conjunction path. The compiler
 // partitions the set three ways:
 //
-//   - view-less conjunctions stay on the PR 5 postings path, untouched;
-//   - conjunctions with decode views become extended programs: a token
+//   - view-less conjunctions stay on the postings path, untouched;
+//   - conjunctions with decode views become kinded programs: a token
 //     counts as present when its bit is set in the raw occurrence bitset
 //     or in any opted view's bitset;
-//   - subsequence signatures get a two-stage program: a bitset prefilter
-//     (every token present somewhere in one stream — raw or one opted
-//     view) followed by an ordered verify over that stream's materialized
-//     content, which reproduces signature.MatchesOrdered exactly.
+//   - subsequence signatures become kinded programs with two stages: a
+//     bitset prefilter (every token present somewhere in one stream —
+//     raw or one opted view) followed by an ordered verify over that
+//     stream's materialized content, which reproduces
+//     signature.MatchesOrdered exactly.
 //
-// All kinds share one automaton pass per stream; the extra programs run
-// only when the compiled set actually contains them, so a legacy
-// conjunction-only set pays nothing.
+// Kinded programs are resolved through their own token index, the way
+// the postings path resolves plain conjunctions: per packet, only the
+// programs whose tokens all occurred in some stream run their exact
+// predicate, so the cost scales with the tokens that occur rather than
+// the number of programs. All kinds share one automaton pass per stream;
+// the index runs only when the compiled set contains kinded programs, so
+// a legacy conjunction-only set pays nothing.
 
 import (
 	"bytes"
+	"math/bits"
 
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
 )
 
-// extProgram is one conjunction signature with decode views.
-type extProgram struct {
+// kindProgram is one kinded signature: a conjunction with decode views,
+// or a subsequence signature, which also keeps its token bytes in
+// signature order for the verify walk.
+type kindProgram struct {
 	si     int32
-	tokens []int32 // distinct token IDs
-	views  httpmodel.ViewMask
-}
-
-// subseqProgram is one subsequence signature: distinct token IDs for the
-// bitset prefilter plus the ordered token bytes for the verify walk.
-type subseqProgram struct {
-	si     int32
-	tokens []int32  // distinct token IDs (prefilter)
-	toks   [][]byte // tokens in signature order (verify)
+	tokens []int32  // distinct token IDs
+	toks   [][]byte // subsequence only: tokens in signature order (verify)
 	views  httpmodel.ViewMask
 }
 
@@ -54,17 +54,58 @@ func allBits(occ []uint64, tokens []int32) bool {
 	return true
 }
 
-// matchExtInto resolves the extended-conjunction and subsequence
-// programs into sc.cand. The fast postings loop has already run; ext
-// signatures are absent from every postings list, so no candidate can
-// duplicate.
+// matchExtInto resolves the kinded programs into sc.cand through their
+// token index. It walks the bits of the raw occurrence bitset ORed with
+// every compiled view's bitset — restricted to tokens some kinded
+// program needs — and counts each program's distinct tokens down on the
+// gen/rem stamps. A program whose every token occurred in some stream,
+// and whose host bucket is live, runs its exact predicate; that
+// condition is necessary for the predicate, so the index only skips
+// programs that cannot match. Kinded signatures are absent from the
+// fast postings lists (needed[si] = 0), so the two countdowns never
+// share a slot and no candidate can duplicate.
 func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
-	for i := range e.extConj {
-		pr := &e.extConj[i]
-		if sc.bucketGen[e.sigBucket[pr.si]] != sc.cur {
+	for w, mask := range e.kindBits {
+		if mask == 0 {
 			continue
 		}
-		ok := true
+		word := sc.occ[w]
+		for _, ov := range sc.occView {
+			if ov != nil {
+				word |= ov[w]
+			}
+		}
+		word &= mask
+		base := w << 6
+		for word != 0 {
+			tok := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			for _, k := range e.kindList[e.kindStart[tok]:e.kindStart[tok+1]] {
+				pr := &e.kinded[k]
+				si := pr.si
+				if sc.bucketGen[e.sigBucket[si]] != sc.cur {
+					continue
+				}
+				if sc.gen[si] != sc.cur {
+					sc.gen[si] = sc.cur
+					sc.rem[si] = int32(len(pr.tokens))
+				}
+				sc.rem[si]--
+				if sc.rem[si] == 0 && e.kindMatches(p, pr, sc) {
+					sc.cand = append(sc.cand, si)
+				}
+			}
+		}
+	}
+}
+
+// kindMatches is one kinded program's exact predicate. A conjunction
+// token counts as present when its bit is set in the raw occurrence
+// bitset or in any opted view's bitset. A subsequence needs every token
+// in one stream — raw or a single opted view — and then the ordered
+// walk over that stream.
+func (e *Engine) kindMatches(p *httpmodel.Packet, pr *kindProgram, sc *Scratch) bool {
+	if pr.toks == nil {
 		for _, t := range pr.tokens {
 			if bitSet(sc.occ, t) {
 				continue
@@ -77,31 +118,21 @@ func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
 				}
 			}
 			if !found {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			sc.cand = append(sc.cand, pr.si)
+		return true
+	}
+	if allBits(sc.occ, pr.tokens) && e.verifyOrdered(p, pr, rawStream, sc) {
+		return true
+	}
+	for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
+		if pr.views.Has(v) && allBits(sc.occView[v], pr.tokens) &&
+			e.verifyOrdered(p, pr, v, sc) {
+			return true
 		}
 	}
-	for i := range e.subseq {
-		pr := &e.subseq[i]
-		if sc.bucketGen[e.sigBucket[pr.si]] != sc.cur {
-			continue
-		}
-		if allBits(sc.occ, pr.tokens) && e.verifyOrdered(p, pr, rawStream, sc) {
-			sc.cand = append(sc.cand, pr.si)
-			continue
-		}
-		for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
-			if pr.views.Has(v) && allBits(sc.occView[v], pr.tokens) &&
-				e.verifyOrdered(p, pr, v, sc) {
-				sc.cand = append(sc.cand, pr.si)
-				break
-			}
-		}
-	}
+	return false
 }
 
 // rawStream selects the undecoded content stream in verifyOrdered.
@@ -112,7 +143,7 @@ const rawStream = httpmodel.NumViews
 // spans '\n'-joined — into scratch and runs the ordered token walk over
 // it. It only runs after the prefilter saw every token in the stream, so
 // it is the rare path.
-func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *subseqProgram, stream httpmodel.View, sc *Scratch) bool {
+func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *kindProgram, stream httpmodel.View, sc *Scratch) bool {
 	buf := sc.content[:0]
 	if stream == rawStream {
 		buf = append(buf, p.Method...)
@@ -121,7 +152,7 @@ func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *subseqProgram, stream ht
 		buf = append(buf, ' ')
 		buf = append(buf, p.Proto...)
 		buf = append(buf, '\n')
-		buf = appendCookie(buf, p)
+		buf = p.AppendCookie(buf)
 		buf = append(buf, '\n')
 		buf = append(buf, p.Body...)
 	} else {
@@ -135,7 +166,7 @@ func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *subseqProgram, stream ht
 		sc.fieldBuf = append(sc.fieldBuf, ' ')
 		sc.fieldBuf = append(sc.fieldBuf, p.Proto...)
 		buf = appendDecodedSpans(buf, stream, sc.fieldBuf, &sc.views)
-		sc.fieldBuf = appendCookie(sc.fieldBuf[:0], p)
+		sc.fieldBuf = p.AppendCookie(sc.fieldBuf[:0])
 		buf = appendDecodedSpans(buf, stream, sc.fieldBuf, &sc.views)
 		buf = appendDecodedSpans(buf, stream, p.Body, &sc.views)
 	}
@@ -151,39 +182,6 @@ func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *subseqProgram, stream ht
 	return true
 }
 
-func appendCookie(buf []byte, p *httpmodel.Packet) []byte {
-	first := true
-	for i := range p.Headers {
-		if equalFoldCookie(p.Headers[i].Name) {
-			if !first {
-				buf = append(buf, "; "...)
-			}
-			buf = append(buf, p.Headers[i].Value...)
-			first = false
-		}
-	}
-	return buf
-}
-
-// equalFoldCookie is strings.EqualFold(name, "Cookie") without the
-// generic fold machinery.
-func equalFoldCookie(name string) bool {
-	if len(name) != 6 {
-		return false
-	}
-	const lower = "cookie"
-	for i := 0; i < 6; i++ {
-		c := name[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // appendDecodedSpans appends every decoded span of field under view,
 // each terminated by '\n'.
 func appendDecodedSpans(buf []byte, view httpmodel.View, field []byte, vs *httpmodel.ViewScratch) []byte {
@@ -195,10 +193,11 @@ func appendDecodedSpans(buf []byte, view httpmodel.View, field []byte, vs *httpm
 }
 
 // compileKinds partitions the set into per-kind programs. perSig holds
-// each signature's distinct token IDs. Fast conjunctions keep their
-// postings; extended and subsequence signatures are pulled out of the
-// postings index (needed[si] = 0) and resolved by matchExtInto.
-func (e *Engine) compileKinds(set *signature.Set, perSig [][]int32) {
+// each signature's distinct token IDs, all below numTokens. Fast
+// conjunctions keep their postings; kinded signatures are pulled out of
+// the postings index (needed[si] = 0), compiled into e.kinded, and
+// indexed by token for matchExtInto.
+func (e *Engine) compileKinds(set *signature.Set, perSig [][]int32, numTokens int) {
 	for si, sig := range set.Signatures {
 		if !signature.ValidKind(sig.Kind) {
 			// Unknown kind: never matches (and never reaches postings).
@@ -215,19 +214,37 @@ func (e *Engine) compileKinds(set *signature.Set, perSig [][]int32) {
 			continue // token-less signatures never match
 		}
 		e.viewMask |= vm
-		switch kind {
-		case signature.KindConjunction:
-			e.extConj = append(e.extConj, extProgram{
-				si: int32(si), tokens: perSig[si], views: vm,
-			})
-		case signature.KindSubsequence:
-			toks := make([][]byte, len(sig.Tokens))
+		pr := kindProgram{si: int32(si), tokens: perSig[si], views: vm}
+		if kind == signature.KindSubsequence {
+			pr.toks = make([][]byte, len(sig.Tokens))
 			for i, t := range sig.Tokens {
-				toks[i] = []byte(t)
+				pr.toks[i] = []byte(t)
 			}
-			e.subseq = append(e.subseq, subseqProgram{
-				si: int32(si), tokens: perSig[si], toks: toks, views: vm,
-			})
+		}
+		e.kinded = append(e.kinded, pr)
+	}
+	if len(e.kinded) == 0 {
+		return
+	}
+	// Count each token's programs, turn the counts into range ends, then
+	// fill every range back to front, so two allocations hold the whole
+	// index and each list is in program order.
+	e.kindStart = make([]int32, numTokens+1)
+	e.kindBits = make([]uint64, (numTokens+63)/64)
+	for _, pr := range e.kinded {
+		for _, t := range pr.tokens {
+			e.kindStart[t]++
+			e.kindBits[t>>6] |= 1 << (t & 63)
+		}
+	}
+	for t := 1; t <= numTokens; t++ {
+		e.kindStart[t] += e.kindStart[t-1]
+	}
+	e.kindList = make([]int32, e.kindStart[numTokens])
+	for k := len(e.kinded) - 1; k >= 0; k-- {
+		for _, t := range e.kinded[k].tokens {
+			e.kindStart[t]--
+			e.kindList[e.kindStart[t]] = int32(k)
 		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/url"
+	"sort"
 	"testing"
 
 	"leaksig/internal/httpmodel"
@@ -324,5 +326,268 @@ func TestKindedZeroAllocFastPath(t *testing.T) {
 	}
 	if got := e.MatchInto(pkts[1], sc); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("reversed packet should match the conjunction only: %v", got)
+	}
+}
+
+// matchExtLinear is the linear scan the token index replaced, kept as
+// the reference for it: every kinded program whose host bucket is live
+// runs its predicate, written out here independently of kindMatches. It
+// reads the scan state MatchInto left in sc, so call it right after
+// MatchInto on the same packet; it returns the matching signature
+// indices in program order.
+func (e *Engine) matchExtLinear(p *httpmodel.Packet, sc *Scratch) []int32 {
+	var out []int32
+	for i := range e.kinded {
+		pr := &e.kinded[i]
+		if sc.bucketGen[e.sigBucket[pr.si]] != sc.cur {
+			continue
+		}
+		if pr.toks == nil {
+			ok := true
+			for _, t := range pr.tokens {
+				if bitSet(sc.occ, t) {
+					continue
+				}
+				found := false
+				for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
+					if pr.views.Has(v) && bitSet(sc.occView[v], t) {
+						found = true
+						break
+					}
+				}
+				if !found {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				out = append(out, pr.si)
+			}
+			continue
+		}
+		if allBits(sc.occ, pr.tokens) && e.verifyOrdered(p, pr, rawStream, sc) {
+			out = append(out, pr.si)
+			continue
+		}
+		for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
+			if pr.views.Has(v) && allBits(sc.occView[v], pr.tokens) &&
+				e.verifyOrdered(p, pr, v, sc) {
+				out = append(out, pr.si)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestDifferentialKindedIndexVsScan holds the token-indexed kinded path
+// to the linear scan it replaced and to the per-kind reference, on sets
+// of up to 120 signatures over a 160-token vocabulary (occurrence
+// bitsets three words wide). Sets mix fast conjunctions, view
+// conjunctions and subsequences that share tokens; signatures repeat
+// tokens, packets carry tokens only inside encoded bodies, and host
+// suffixes miss.
+func TestDifferentialKindedIndexVsScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	vocab := make([]string, 160)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("k%03d=%04x", i, rng.Intn(1<<16))
+	}
+	hosts := []string{"a.ads.example", "track.example", "cdn.other"}
+	suffixes := []string{"", "", "ads.example", "example", "absent.example"}
+	cookieNames := []string{"Cookie", "cookie", "COOKIE", "CooKie"}
+	allViews := signature.KnownViews()
+
+	encode := func(clear []byte) []byte {
+		switch rng.Intn(5) {
+		case 0:
+			return []byte(base64.StdEncoding.EncodeToString(clear))
+		case 1:
+			return []byte(hex.EncodeToString(clear))
+		case 2:
+			return []byte(url.QueryEscape(string(clear)))
+		case 3:
+			var b bytes.Buffer
+			zw := gzip.NewWriter(&b)
+			zw.Write(clear)
+			zw.Close()
+			return b.Bytes()
+		}
+		return clear
+	}
+	// randPacket plants its tokens in the path, a cookie and the body;
+	// the body is often encoded, so its tokens occur only in a view.
+	randPacket := func() (*httpmodel.Packet, []string) {
+		toks := make([]string, 2+rng.Intn(6))
+		for i := range toks {
+			toks[i] = vocab[rng.Intn(len(vocab))]
+		}
+		path := "/c?" + toks[0]
+		var body []byte
+		for _, tok := range toks[2:] {
+			body = append(body, tok...)
+			body = append(body, '&')
+		}
+		b := httpmodel.Post(hosts[rng.Intn(len(hosts))], path).
+			Dest(ipaddr.MustParse("203.0.113.9"), 80).
+			Body(encode(body))
+		if rng.Intn(2) == 0 {
+			b = b.Header(cookieNames[rng.Intn(len(cookieNames))], toks[1])
+		}
+		return b.Build(), toks
+	}
+	// randSig draws most tokens from one packet's tokens, in order or
+	// not, so a fair share of signatures match something.
+	randSig := func(id int, from []string) *signature.Signature {
+		nTok := 1 + rng.Intn(3)
+		toks := make([]string, 0, nTok+1)
+		for i := 0; i < nTok; i++ {
+			tok := from[rng.Intn(len(from))]
+			if rng.Intn(6) == 0 {
+				tok = vocab[rng.Intn(len(vocab))]
+			}
+			toks = append(toks, tok)
+		}
+		if rng.Intn(4) == 0 {
+			toks = append(toks, toks[rng.Intn(len(toks))]) // duplicate token
+		}
+		sig := &signature.Signature{
+			ID:         id,
+			Tokens:     toks,
+			HostSuffix: suffixes[rng.Intn(len(suffixes))],
+		}
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			return sig // fast conjunction
+		case 4, 5, 6:
+			sig.Kind = signature.KindSubsequence
+		}
+		for _, v := range allViews {
+			if rng.Intn(2) == 0 {
+				sig.Views = append(sig.Views, v)
+			}
+		}
+		if sig.Kind == "" && len(sig.Views) == 0 {
+			sig.Views = []string{"base64"}
+		}
+		return sig
+	}
+
+	var kindedHits, matched int
+	for iter := 0; iter < 60; iter++ {
+		pkts := make([]*httpmodel.Packet, 16)
+		pktToks := make([][]string, len(pkts))
+		for i := range pkts {
+			pkts[i], pktToks[i] = randPacket()
+		}
+		sigs := make([]*signature.Signature, 1+rng.Intn(120))
+		for i := range sigs {
+			sigs[i] = randSig(i, pktToks[rng.Intn(len(pkts))])
+		}
+		if iter%2 == 0 {
+			// A conjunction of the whole vocabulary never matches; as
+			// signature 0 it numbers the tokens in vocabulary order, so
+			// kinded tokens land in every word of the bitset.
+			sigs[0] = &signature.Signature{Tokens: vocab}
+		}
+		set := &signature.Set{Signatures: sigs}
+		eng := NewEngine(set)
+		if words := eng.matcher.BitsetWords(); iter%2 == 0 && words < 3 {
+			t.Fatalf("iter %d: bitset is %d words, want at least 3", iter, words)
+		}
+		sc := eng.NewScratch()
+		for _, p := range pkts {
+			want := refKindMatch(set, p)
+			got := eng.MatchInto(p, sc)
+			if !equalIDs(got, want) {
+				t.Fatalf("iter %d: MatchInto=%v ref=%v\nsigs=%s\npacket host=%s path=%q headers=%q body=%q",
+					iter, got, want, sigDump(sigs), p.Host, p.Path, p.Headers, p.Body)
+			}
+			var indexed []int
+			for _, id := range got {
+				if eng.needed[id] == 0 {
+					indexed = append(indexed, id)
+				}
+			}
+			var scan []int
+			for _, si := range eng.matchExtLinear(p, sc) {
+				scan = append(scan, int(si))
+			}
+			sort.Ints(scan)
+			if !equalIDs(indexed, scan) {
+				t.Fatalf("iter %d: indexed kinded=%v linear scan=%v\nsigs=%s", iter, indexed, scan, sigDump(sigs))
+			}
+			kindedHits += len(scan)
+			matched += len(want)
+		}
+	}
+	if kindedHits < 100 {
+		t.Fatalf("only %d kinded matches across the run (%d total); the sets exercise too little", kindedHits, matched)
+	}
+}
+
+// TestCookieNameFoldsASCIIOnly pins one rule for which headers form the
+// cookie field: a name equal to "Cookie" under ASCII case folding. A
+// header named with the Kelvin sign (U+212A), which Unicode folds to
+// 'k', is not a cookie for the prefilter scan, the ordered verify or
+// Packet.Content alike, so the engine and the reference agree.
+func TestCookieNameFoldsASCIIOnly(t *testing.T) {
+	set := sigSet(&signature.Signature{Kind: signature.KindSubsequence,
+		Tokens: []string{"imei=3569", "aid=9774"}})
+	eng := NewEngine(set)
+	for _, tc := range []struct {
+		name string
+		want int
+	}{{"CooKie", 1}, {"cOOKIE", 1}, {"CooKie", 0}} {
+		p := httpmodel.Get("x.example", "/a").Dest(1, 80).
+			Header(tc.name, "imei=3569&aid=9774").Build()
+		got, ref := eng.MatchPacket(p), refKindMatch(set, p)
+		if !equalIDs(got, ref) {
+			t.Fatalf("header %q: engine=%v reference=%v", tc.name, got, ref)
+		}
+		if len(got) != tc.want {
+			t.Fatalf("header %q: matched %v, want %d matches", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestKindedZeroAllocWithViews pins the indexed kinded path at zero
+// allocations per packet with decode views compiled: view conjunctions
+// and a subsequence opted into base64, over packets that match through
+// a view, through raw content, and not at all.
+func TestKindedZeroAllocWithViews(t *testing.T) {
+	set := sigSet(
+		&signature.Signature{Tokens: []string{"imei=3569", "aid=9774"}, Views: []string{"base64", "url"}},
+		&signature.Signature{Tokens: []string{"udid=f3a9"}, Views: []string{"hex"}},
+		&signature.Signature{Kind: signature.KindSubsequence,
+			Tokens: []string{"imei=3569", "aid=9774"}, Views: []string{"base64"}},
+	)
+	e := NewEngine(set)
+	sc := e.NewScratch()
+	post := func(body string) *httpmodel.Packet {
+		return httpmodel.Post("x.example", "/c").Dest(ipaddr.MustParse("203.0.113.9"), 80).
+			BodyString(body).Build()
+	}
+	pkts := []struct {
+		p    *httpmodel.Packet
+		want int
+	}{
+		{post("p=" + base64.StdEncoding.EncodeToString([]byte("imei=3569&aid=9774"))), 2}, // through base64
+		{post("p=" + hex.EncodeToString([]byte("udid=f3a9&x=1"))), 1},                     // through hex
+		{post("imei=3569&aid=9774"), 2},                                                   // raw content
+		{post("aid=9774&imei=3569"), 1},                                                   // raw, out of order
+		{post("nothing=here"), 0},
+	}
+	for i, tc := range pkts {
+		if got := e.MatchInto(tc.p, sc); len(got) != tc.want {
+			t.Fatalf("packet %d: matched %v, want %d matches", i, got, tc.want)
+		}
+	}
+	for i, tc := range pkts {
+		p := tc.p
+		allocs := testing.AllocsPerRun(200, func() { e.MatchInto(p, sc) })
+		if allocs != 0 {
+			t.Errorf("packet %d: MatchInto allocated %v per run, want 0", i, allocs)
+		}
 	}
 }

@@ -34,7 +34,9 @@ type Scratch struct {
 
 	// Per-signature countdown of tokens still missing, lazily reset via
 	// the generation stamp: a signature whose gen is stale is implicitly
-	// at its full needed count. cur==0 is never a valid generation.
+	// at its full count of distinct tokens. The postings path and the
+	// kinded index count down disjoint signatures in the same slices.
+	// cur==0 is never a valid generation.
 	rem []int32
 	gen []uint32
 

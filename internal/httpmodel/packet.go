@@ -62,13 +62,44 @@ func (p *Packet) RequestLine() string {
 // Cookie returns the concatenation of all Cookie header values, joined by
 // "; " in header order. It returns "" when the request carries no cookie.
 func (p *Packet) Cookie() string {
-	var parts []string
-	for _, h := range p.Headers {
-		if strings.EqualFold(h.Name, "Cookie") {
-			parts = append(parts, h.Value)
+	return string(p.AppendCookie(nil))
+}
+
+// AppendCookie appends the cookie field — exactly what Cookie returns —
+// to buf and returns the extended buffer.
+func (p *Packet) AppendCookie(buf []byte) []byte {
+	first := true
+	for i := range p.Headers {
+		if isCookieName(p.Headers[i].Name) {
+			if !first {
+				buf = append(buf, "; "...)
+			}
+			buf = append(buf, p.Headers[i].Value...)
+			first = false
 		}
 	}
-	return strings.Join(parts, "; ")
+	return buf
+}
+
+// isCookieName reports whether a header name is "Cookie", compared ASCII
+// case-insensitively: HTTP field names are ASCII tokens, so a name that
+// only folds to "cookie" under Unicode rules (the Kelvin sign U+212A for
+// 'k') is not a Cookie header. Every path that builds the cookie field
+// decides through this one function.
+func isCookieName(name string) bool {
+	if len(name) != len("cookie") {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != "cookie"[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // HeaderValue returns the first value of the named header (case-insensitive)
@@ -99,7 +130,7 @@ func (p *Packet) SetHeader(name, value string) {
 // from spanning two fields.
 func (p *Packet) Content() []byte {
 	rl := p.RequestLine()
-	ck := p.Cookie()
+	ck := p.AppendCookie(nil)
 	n := len(rl) + 1 + len(ck) + 1 + len(p.Body)
 	buf := make([]byte, 0, n)
 	buf = append(buf, rl...)
@@ -153,7 +184,7 @@ func (p *Packet) VisitContent(v ContentVisitor) {
 	v.Field()
 	first := true
 	for i := range p.Headers {
-		if strings.EqualFold(p.Headers[i].Name, "Cookie") {
+		if isCookieName(p.Headers[i].Name) {
 			if !first {
 				v.Text("; ")
 			}

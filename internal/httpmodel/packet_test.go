@@ -43,6 +43,57 @@ func TestCookieConcatenation(t *testing.T) {
 	}
 }
 
+// TestCookieNameIsASCIIOnly pins the one rule for which headers form the
+// cookie field: names equal to "Cookie" under ASCII case folding. The
+// Kelvin sign (U+212A) folds to 'k' under Unicode rules, but a header
+// named with it is not a cookie — for Cookie, AppendCookie, Content,
+// VisitContent and VisitContentViews alike.
+func TestCookieNameIsASCIIOnly(t *testing.T) {
+	p := Get("x.example", "/").Dest(1, 80).
+		Header("COOKIE", "a=1").Header("Coo\u212Aie", "k=2").Header("cookie", "b=3").Build()
+	const want = "a=1; b=3"
+	if got := p.Cookie(); got != want {
+		t.Errorf("Cookie = %q, want %q", got, want)
+	}
+	if got := string(p.AppendCookie([]byte("x:"))); got != "x:"+want {
+		t.Errorf("AppendCookie = %q, want %q", got, "x:"+want)
+	}
+	if got := string(p.Content()); got != "GET / HTTP/1.1\n"+want+"\n" {
+		t.Errorf("Content = %q", got)
+	}
+	var rec fieldRecorder
+	p.VisitContent(&rec)
+	if rec.fields[1] != want {
+		t.Errorf("VisitContent cookie field = %q, want %q", rec.fields[1], want)
+	}
+	raw := rawRecorder{}
+	var vs ViewScratch
+	p.VisitContentViews(&raw, ViewURL.Mask(), &vs)
+	if raw.fields[1] != want {
+		t.Errorf("VisitContentViews cookie field = %q, want %q", raw.fields[1], want)
+	}
+}
+
+// rawRecorder is a fieldRecorder for VisitContentViews that drops the
+// decoded spans, keeping only the raw fields.
+type rawRecorder struct {
+	fieldRecorder
+	inView bool
+}
+
+func (r *rawRecorder) Field()         { r.inView = false; r.fieldRecorder.Field() }
+func (r *rawRecorder) ViewField(View) { r.inView = true }
+func (r *rawRecorder) Text(s string) {
+	if !r.inView {
+		r.fieldRecorder.Text(s)
+	}
+}
+func (r *rawRecorder) Bytes(b []byte) {
+	if !r.inView {
+		r.fieldRecorder.Bytes(b)
+	}
+}
+
 func TestHeaderAccessors(t *testing.T) {
 	p := samplePacket()
 	if v, ok := p.HeaderValue("user-agent"); !ok || !strings.HasPrefix(v, "Dalvik") {

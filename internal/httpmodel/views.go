@@ -15,7 +15,6 @@ import (
 	"compress/gzip"
 	"encoding/base64"
 	"encoding/hex"
-	"strings"
 )
 
 // View identifies one content transformation.
@@ -145,19 +144,8 @@ func (p *Packet) VisitContentViews(v ViewVisitor, mask ViewMask, vs *ViewScratch
 	visitFieldViews(v, mask, vs.field, vs)
 
 	v.Field()
-	vs.field = vs.field[:0]
-	first := true
-	for i := range p.Headers {
-		if strings.EqualFold(p.Headers[i].Name, "Cookie") {
-			if !first {
-				v.Text("; ")
-				vs.field = append(vs.field, "; "...)
-			}
-			v.Text(p.Headers[i].Value)
-			vs.field = append(vs.field, p.Headers[i].Value...)
-			first = false
-		}
-	}
+	vs.field = p.AppendCookie(vs.field[:0])
+	v.Bytes(vs.field)
 	visitFieldViews(v, mask, vs.field, vs)
 
 	v.Field()
