@@ -1,52 +1,15 @@
 package detect
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/ipaddr"
+	"leaksig/internal/reference"
 	"leaksig/internal/signature"
 )
-
-// refMatch is the naive reference matcher: a token occurs iff
-// bytes.Contains finds it inside a single content field; a signature
-// matches iff every token occurs and the host suffix constraint holds.
-// This is also what the pre-dense engine computed for every token free of
-// '\n' (the Content() field separator), so agreement here is agreement
-// with the old matcher on all tokens signature generation can emit.
-func refMatch(set *signature.Set, p *httpmodel.Packet) []int {
-	fields := p.ContentFields()
-	var out []int
-	for _, sig := range set.Signatures {
-		if len(sig.Tokens) == 0 {
-			continue
-		}
-		if !signature.HostMatchesSuffix(p.Host, sig.HostSuffix) {
-			continue
-		}
-		all := true
-		for _, tok := range sig.Tokens {
-			found := false
-			for _, f := range fields {
-				if bytes.Contains(f, []byte(tok)) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, sig.ID)
-		}
-	}
-	return out
-}
 
 func equalIDs(a, b []int) bool {
 	if len(a) != len(b) {
@@ -62,9 +25,9 @@ func equalIDs(a, b []int) bool {
 
 // TestDifferentialEngineVsReference fuzzes random signature sets against
 // random packets and asserts MatchPacket, MatchInto and Matches all agree
-// with the naive per-field reference — including host constraints, shared
-// tokens, duplicate tokens, and tokens planted to span field boundaries
-// (which must NOT match).
+// with reference.Match — including host constraints, shared tokens,
+// duplicate tokens, subsequence signatures, and conjunction tokens
+// planted to span field boundaries (which must NOT match).
 func TestDifferentialEngineVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	vocab := []string{
@@ -106,10 +69,16 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 		for i := range sigs {
 			nTok := 1 + rng.Intn(3)
 			toks := make([]string, 0, nTok)
+			spans := false
 			for j := 0; j < nTok; j++ {
 				tok := vocab[rng.Intn(len(vocab))]
-				if rng.Intn(8) == 0 {
-					tok = tok + "\n" + vocab[rng.Intn(len(vocab))] // spans fields: only the body may contain it
+				switch rng.Intn(16) {
+				case 0:
+					tok = tok + "\n" + vocab[rng.Intn(len(vocab))] // only the body may contain it
+					spans = true
+				case 1:
+					tok = "HTTP/1.1\n" + tok // spans the request line into a cookie starting with tok
+					spans = true
 				}
 				toks = append(toks, tok)
 				if rng.Intn(6) == 0 {
@@ -121,13 +90,19 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 				Tokens:     toks,
 				HostSuffix: suffixes[rng.Intn(len(suffixes))],
 			}
+			// Subsequence tokens stay '\n'-free, as generated ones are:
+			// the ordered walk runs over Packet.Content, where a token
+			// holding '\n' could straddle two fields.
+			if !spans && rng.Intn(4) == 0 {
+				sigs[i].Kind = signature.KindSubsequence
+			}
 		}
 		set := &signature.Set{Signatures: sigs}
 		eng := NewEngine(set)
 		sc := eng.NewScratch()
 		for k := 0; k < 10; k++ {
 			p := randPacket()
-			want := refMatch(set, p)
+			want := reference.Match(set, p)
 			if got := eng.MatchPacket(p); !equalIDs(got, want) {
 				t.Fatalf("iter %d: MatchPacket=%v ref=%v\nsigs=%+v\npacket=%s cookie=%q body=%q",
 					iter, got, want, sigDump(sigs), p, p.Cookie(), p.Body)
@@ -145,7 +120,7 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 func sigDump(sigs []*signature.Signature) string {
 	out := ""
 	for _, s := range sigs {
-		out += fmt.Sprintf("{id=%d host=%q toks=%q} ", s.ID, s.HostSuffix, s.Tokens)
+		out += fmt.Sprintf("{id=%d kind=%q host=%q views=%q toks=%q} ", s.ID, s.Kind, s.HostSuffix, s.Views, s.Tokens)
 	}
 	return out
 }

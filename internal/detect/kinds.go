@@ -10,8 +10,8 @@ package detect
 //   - subsequence signatures become kinded programs with two stages: a
 //     bitset prefilter (every token present somewhere in one stream —
 //     raw or one opted view) followed by an ordered verify over that
-//     stream's materialized content, which reproduces
-//     signature.MatchesOrdered exactly.
+//     stream's materialized content: the greedy walk reference.Match
+//     states.
 //
 // Kinded programs are resolved through their own token index, the way
 // the postings path resolves plain conjunctions: per packet, only the

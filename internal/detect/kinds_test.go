@@ -10,93 +10,128 @@ import (
 	"math/rand"
 	"net/url"
 	"sort"
+	"sync"
 	"testing"
 
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/ipaddr"
+	"leaksig/internal/reference"
 	"leaksig/internal/signature"
 )
 
-// viewJoined materializes one view's content stream for a packet the way
-// verifyOrdered does: each field's decoded spans, '\n'-terminated, in
-// field order.
-func viewJoined(p *httpmodel.Packet, v httpmodel.View) []byte {
-	var vs httpmodel.ViewScratch
-	var buf []byte
-	reqline := []byte(p.Method + " " + p.Path + " " + p.Proto)
-	cookie := []byte(p.Cookie())
-	for _, field := range [][]byte{reqline, cookie, p.Body} {
-		httpmodel.VisitDecodedView(v, field, &vs, func(dec []byte) {
-			buf = append(buf, dec...)
-			buf = append(buf, '\n')
-		})
-	}
-	return buf
+// kindedRows are fixed one-signature cases of the per-kind rules: each
+// row's packet must match (or not) under detect.Engine and
+// reference.Match alike.
+var kindedRows = []struct {
+	name                     string
+	sig                      signature.Signature
+	host, path, cookie, body string
+	want                     bool
+}{
+	{name: "subsequence in order",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"alpha-", "beta-", "gamma-"}},
+		body: "alpha-xxbeta-yygamma-zz", want: true},
+	{name: "subsequence reversed",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"alpha-", "beta-", "gamma-"}},
+		body: "gamma-beta-alpha-"},
+	{name: "subsequence with its tail out of order",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"alpha-", "beta-", "gamma-"}},
+		body: "xxalpha-xx gamma- beta-"},
+	{name: "subsequence missing a token",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"alpha-", "beta-", "gamma-"}},
+		body: "alpha-gamma-"},
+	{name: "subsequence in order across fields",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"aid=456", "imei=123"}},
+		path: "/a?aid=456", cookie: "imei=123", want: true},
+	{name: "one occurrence cannot fill two tokens",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"abab", "abab"}},
+		body: "abab"},
+	{name: "two occurrences fill two tokens",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"abab", "abab"}},
+		body: "abababab", want: true},
+	{name: "subsequence with no tokens",
+		sig:  signature.Signature{Kind: signature.KindSubsequence},
+		body: "anything"},
+	{name: "conjunction with no tokens",
+		sig:  signature.Signature{Views: []string{"base64"}},
+		body: "anything"},
+	{name: "subsequence on its host suffix",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"udid="}, HostSuffix: "ads.example"},
+		host: "r.ads.example", path: "/x?udid=1", want: true},
+	{name: "subsequence off its host suffix",
+		sig:  signature.Signature{Kind: signature.KindSubsequence, Tokens: []string{"udid="}, HostSuffix: "ads.example"},
+		host: "other.jp", path: "/x?udid=1"},
+	{name: "conjunction ignores order",
+		sig:  signature.Signature{Tokens: []string{"imei=123", "aid=456"}, Views: []string{"hex"}},
+		body: "x aid=456 y imei=123 z", want: true},
+	{name: "conjunction token across a field boundary",
+		sig:  signature.Signature{Tokens: []string{"HTTP/1.1\nc1d2"}},
+		path: "/p?x=f3a9", cookie: "c1d2=v"},
+	{name: "view conjunction token across a field boundary",
+		sig:  signature.Signature{Tokens: []string{"HTTP/1.1\nc1d2"}, Views: []string{"url"}},
+		path: "/p?x=f3a9", cookie: "c1d2=v"},
+	{name: "subsequence in order through base64",
+		sig: signature.Signature{Kind: signature.KindSubsequence,
+			Tokens: []string{"imei=3569", "aid=9774"}, Views: []string{"base64"}},
+		body: "p=" + base64.StdEncoding.EncodeToString([]byte("imei=3569&aid=9774")), want: true},
+	{name: "subsequence reversed through base64",
+		sig: signature.Signature{Kind: signature.KindSubsequence,
+			Tokens: []string{"imei=3569", "aid=9774"}, Views: []string{"base64"}},
+		body: "p=" + base64.StdEncoding.EncodeToString([]byte("aid=9774&imei=3569"))},
 }
 
-// refKindMatch is the per-kind reference for '\n'-free tokens: a
-// conjunction token counts as present when it occurs in the raw content
-// or in any opted view's joined stream; a subsequence matches when the
-// ordered walk succeeds over the raw content or over any single opted
-// view's joined stream.
-func refKindMatch(set *signature.Set, p *httpmodel.Packet) []int {
-	raw := p.Content()
-	streams := map[httpmodel.View][]byte{}
-	stream := func(v httpmodel.View) []byte {
-		s, ok := streams[v]
-		if !ok {
-			s = viewJoined(p, v)
-			streams[v] = s
-		}
-		return s
-	}
-	var out []int
-	for _, sig := range set.Signatures {
-		if len(sig.Tokens) == 0 || !signature.ValidKind(sig.Kind) {
-			continue
-		}
-		if !signature.HostMatchesSuffix(p.Host, sig.HostSuffix) {
-			continue
-		}
-		mask := httpmodel.ViewMaskOf(sig.Views)
-		matched := false
-		if sig.EffectiveKind() == signature.KindSubsequence {
-			matched = signature.MatchesOrdered(sig.Tokens, raw)
-			for v := httpmodel.View(0); v < httpmodel.NumViews && !matched; v++ {
-				if mask.Has(v) {
-					matched = signature.MatchesOrdered(sig.Tokens, stream(v))
-				}
-			}
-		} else {
-			matched = true
-			for _, tok := range sig.Tokens {
-				present := bytes.Contains(raw, []byte(tok))
-				for v := httpmodel.View(0); v < httpmodel.NumViews && !present; v++ {
-					if mask.Has(v) {
-						present = bytes.Contains(stream(v), []byte(tok))
-					}
-				}
-				if !present {
-					matched = false
-					break
-				}
-			}
-		}
-		if matched {
-			out = append(out, sig.ID)
-		}
-	}
-	return out
-}
-
-// TestDifferentialKindedEngineVsReference fuzzes mixed-kind sets —
-// conjunctions with and without views, subsequence signatures — against
-// packets whose bodies carry vocab tokens in the clear or base64-, hex-,
-// URL- or gzip-encoded, and asserts the compiled engine agrees with the
-// per-kind reference semantics. Tokens are '\n'-free so per-field and
+// TestDifferentialKindedEngineVsReference holds the compiled engine to
+// reference.Match on mixed-kind sets. It first checks kindedRows, from
+// eight goroutines sharing each row's engine, since matching must be
+// safe for concurrent use. Then it fuzzes mixed-kind sets — conjunctions
+// with and without views, subsequence signatures — against packets
+// whose bodies carry vocab tokens in the clear or base64-, hex-, URL- or
+// gzip-encoded. Fuzzed tokens are '\n'-free so per-field and
 // whole-content containment coincide (the raw field-boundary cases are
 // TestDifferentialEngineVsReference's job).
 func TestDifferentialKindedEngineVsReference(t *testing.T) {
+	engines := make([]*Engine, len(kindedRows))
+	packets := make([]*httpmodel.Packet, len(kindedRows))
+	for i, row := range kindedRows {
+		sig := row.sig
+		engines[i] = NewEngine(sigSet(&sig))
+		host, path := row.host, row.path
+		if host == "" {
+			host = "x.example"
+		}
+		if path == "" {
+			path = "/c"
+		}
+		b := httpmodel.Post(host, path).Dest(ipaddr.MustParse("203.0.113.9"), 80).BodyString(row.body)
+		if row.cookie != "" {
+			b = b.Cookie(row.cookie)
+		}
+		packets[i] = b.Build()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := &Scratch{}
+			for iter := 0; iter < 50; iter++ {
+				for i, row := range kindedRows {
+					eng, p := engines[i], packets[i]
+					want := []int(nil)
+					if row.want {
+						want = []int{0}
+					}
+					ref, got, into := reference.Match(eng.Set(), p), eng.MatchPacket(p), eng.MatchInto(p, sc)
+					if !equalIDs(ref, want) || !equalIDs(got, want) || !equalIDs(into, want) {
+						t.Errorf("%s: reference=%v MatchPacket=%v MatchInto=%v, want %v", row.name, ref, got, into, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
 	rng := rand.New(rand.NewSource(23))
 	vocab := []string{
 		"imei=356938035", "aid=9774d56d68", "sessAAAA", "zone=42&b",
@@ -175,7 +210,7 @@ func TestDifferentialKindedEngineVsReference(t *testing.T) {
 		sc := eng.NewScratch()
 		for k := 0; k < 8; k++ {
 			p := randPacket()
-			want := refKindMatch(set, p)
+			want := reference.Match(set, p)
 			if got := eng.MatchInto(p, sc); !equalIDs(got, want) {
 				t.Fatalf("iter %d: MatchInto=%v ref=%v\nsigs=%s\npacket host=%s path=%q body=%q",
 					iter, got, want, sigDump(sigs), p.Host, p.Path, p.Body)
@@ -497,7 +532,7 @@ func TestDifferentialKindedIndexVsScan(t *testing.T) {
 		}
 		sc := eng.NewScratch()
 		for _, p := range pkts {
-			want := refKindMatch(set, p)
+			want := reference.Match(set, p)
 			got := eng.MatchInto(p, sc)
 			if !equalIDs(got, want) {
 				t.Fatalf("iter %d: MatchInto=%v ref=%v\nsigs=%s\npacket host=%s path=%q headers=%q body=%q",
@@ -541,7 +576,7 @@ func TestCookieNameFoldsASCIIOnly(t *testing.T) {
 	}{{"CooKie", 1}, {"cOOKIE", 1}, {"CooKie", 0}} {
 		p := httpmodel.Get("x.example", "/a").Dest(1, 80).
 			Header(tc.name, "imei=3569&aid=9774").Build()
-		got, ref := eng.MatchPacket(p), refKindMatch(set, p)
+		got, ref := eng.MatchPacket(p), reference.Match(set, p)
 		if !equalIDs(got, ref) {
 			t.Fatalf("header %q: engine=%v reference=%v", tc.name, got, ref)
 		}

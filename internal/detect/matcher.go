@@ -8,9 +8,8 @@ import (
 	"leaksig/internal/httpmodel"
 )
 
-// Matcher is any packet-level detector: the conjunction Engine, a Bayes
-// signature, or a token-subsequence set. Implementations must be safe for
-// concurrent use.
+// Matcher is any packet-level detector: the compiled Engine or a Bayes
+// signature. Implementations must be safe for concurrent use.
 type Matcher interface {
 	Matches(p *httpmodel.Packet) bool
 }

@@ -77,4 +77,3 @@ func TestEvaluateMatcherPanicsOnMismatch(t *testing.T) {
 
 var _ Matcher = (*Engine)(nil)
 var _ Matcher = (*signature.BayesSignature)(nil)
-var _ Matcher = (*signature.SubsequenceSet)(nil)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,36 +8,9 @@ import (
 
 	"leaksig/internal/detect"
 	"leaksig/internal/httpmodel"
+	"leaksig/internal/reference"
 	"leaksig/internal/signature"
 )
-
-// refVet is the naive per-signature reference the sharing schedule checks
-// every tenant against: a conjunction matches when every token occurs in
-// the packet's content, a subsequence when its tokens occur in order, and
-// either only when the host-suffix constraint holds. It reports IDs in set
-// order, as the matcher does. Tokens here never contain '\n', so whole
-// content and per-field containment coincide.
-func refVet(set *signature.Set, p *httpmodel.Packet) []int {
-	var out []int
-	content := p.Content()
-	for _, sig := range set.Signatures {
-		if !signature.HostMatchesSuffix(p.Host, sig.HostSuffix) {
-			continue
-		}
-		ok := true
-		if sig.EffectiveKind() == signature.KindSubsequence {
-			ok = signature.MatchesOrdered(sig.Tokens, content)
-		} else {
-			for _, tok := range sig.Tokens {
-				ok = ok && bytes.Contains(content, []byte(tok))
-			}
-		}
-		if ok {
-			out = append(out, sig.ID)
-		}
-	}
-	return out
-}
 
 // TestPoolSharedGenerationSchedule is the guard on compile sharing: one
 // compiled generation now serves every unpinned tenant, which is a new
@@ -48,8 +20,9 @@ func refVet(set *signature.Set, p *httpmodel.Packet) []int {
 // text (tokens that are prefixes and infixes of each other), mix
 // conjunction and subsequence signatures, and number similar signatures
 // differently, so a verdict from the wrong set shows as a wrong ID even
-// when the same packets leak. After every step every tenant must answer
-// each probe exactly as the naive reference does on the set that tenant
+// when the same packets leak; every set also holds a conjunction token
+// that spans a field boundary of two cookie probes. After every step every tenant must answer
+// each probe exactly as reference.Match does on the set that tenant
 // is supposed to be on, at that set's version.
 func TestPoolSharedGenerationSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -72,6 +45,11 @@ func TestPoolSharedGenerationSchedule(t *testing.T) {
 			}
 			set.Signatures = append(set.Signatures, sig)
 		}
+		// A conjunction token spanning the request line into the
+		// cookie, which the cookie probes below start with: it must
+		// never match.
+		set.Signatures = append(set.Signatures, &signature.Signature{
+			ID: ids[len(set.Signatures)], ClusterSize: 2, Tokens: []string{"HTTP/1.1\nsess"}})
 		return set
 	}
 	var probes []*httpmodel.Packet
@@ -81,6 +59,11 @@ func TestPoolSharedGenerationSchedule(t *testing.T) {
 			payload += vocab[rng.Intn(len(vocab))] + "&"
 		}
 		probes = append(probes, pkt(int64(i), hosts[rng.Intn(len(hosts))], payload))
+	}
+	for i, cookie := range []string{"sess=1", "sess=2; udid=f3a9c1d2"} {
+		pk := pkt(int64(len(probes)), hosts[i], "zone=1&")
+		pk.Headers = []httpmodel.Header{{Name: "Cookie", Value: cookie}}
+		probes = append(probes, pk)
 	}
 
 	unpinned := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
@@ -110,7 +93,7 @@ func TestPoolSharedGenerationSchedule(t *testing.T) {
 			}
 			for _, pk := range probes {
 				v := p.Tenant(key).Vet(pk)
-				if ref := refVet(want, pk); v.Version != want.Version || !slices.Equal(v.Matched, ref) {
+				if ref := reference.Match(want, pk); v.Version != want.Version || !slices.Equal(v.Matched, ref) {
 					t.Fatalf("step %d (%s): tenant %s answers %v at version %d for %q on %s; its set (version %d) says %v",
 						step, op, key, v.Matched, v.Version, pk.Path, pk.Host, want.Version, ref)
 				}

@@ -289,14 +289,10 @@ type SignatureTypeRow struct {
 
 // CompareSignatureTypes runs the detection experiment at one N for all
 // three signature classes over the same sample and benign calibration set.
+// The conjunction and token-subsequence rows are scored through
+// detect.Engine, the matcher that ships.
 func (e *Env) CompareSignatureTypes(n int, sampleSeed int64, pcfg core.Config) []SignatureTypeRow {
-	rng := rand.New(rand.NewSource(sampleSeed))
-	sample := e.Suspicious.Sample(rng, n)
-	benign := e.Normal.Sample(rng, 500)
-
-	pl := core.NewPipeline(pcfg)
-	_, clusters := pl.Cluster(sample.Packets)
-
+	sample, conj, subseq, bayes := e.signatureClasses(n, sampleSeed, pcfg)
 	rows := make([]SignatureTypeRow, 0, 3)
 	score := func(name string, m detect.Matcher, count int) {
 		res := detect.EvaluateMatcher(m, e.Dataset.Capture, e.Sensitive, sample.Len())
@@ -308,17 +304,26 @@ func (e *Env) CompareSignatureTypes(n int, sampleSeed int64, pcfg core.Config) [
 			FP:         res.FalsePositiveRate * 100,
 		})
 	}
-
-	conj := signature.Generate(clusters, signature.Options{MinClusterSize: 2})
 	score("conjunction", detect.NewEngine(conj), conj.Len())
-
-	subseq := signature.GenerateSubsequence(clusters, signature.Options{MinClusterSize: 2})
-	score("token-subsequence", subseq, subseq.Len())
-
-	bayes := signature.GenerateBayes(clusters, benign.Packets, signature.BayesOptions{})
+	score("token-subsequence", detect.NewEngine(subseq), subseq.Len())
 	score("bayes", bayes, bayes.NumTokens())
-
 	return rows
+}
+
+// signatureClasses draws the comparison's sample and benign calibration
+// set, clusters the sample, and generates each class from the clusters.
+func (e *Env) signatureClasses(n int, sampleSeed int64, pcfg core.Config) (sample *capture.Set, conj, subseq *signature.Set, bayes *signature.BayesSignature) {
+	rng := rand.New(rand.NewSource(sampleSeed))
+	sample = e.Suspicious.Sample(rng, n)
+	benign := e.Normal.Sample(rng, 500)
+
+	pl := core.NewPipeline(pcfg)
+	_, clusters := pl.Cluster(sample.Packets)
+
+	conj = signature.Generate(clusters, signature.Options{MinClusterSize: 2})
+	subseq = signature.GenerateSubsequence(clusters, signature.Options{MinClusterSize: 2})
+	bayes = signature.GenerateBayes(clusters, benign.Packets, signature.BayesOptions{})
+	return sample, conj, subseq, bayes
 }
 
 // SampleSuspicious draws n suspicious packets with the given seed — the

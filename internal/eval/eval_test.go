@@ -6,7 +6,9 @@ import (
 
 	"leaksig/internal/android"
 	"leaksig/internal/core"
+	"leaksig/internal/detect"
 	"leaksig/internal/distance"
+	"leaksig/internal/reference"
 	"leaksig/internal/sensitive"
 	"leaksig/internal/trafficgen"
 )
@@ -278,6 +280,18 @@ func TestCompareSignatureTypes(t *testing.T) {
 	for _, r := range rows {
 		if r.TP < 30 {
 			t.Errorf("%s TP = %.1f%%, implausibly low", r.Type, r.TP)
+		}
+	}
+	// The token-subsequence row is scored through detect.Engine, the
+	// matcher that ships; on every packet its verdict must be the naive
+	// reference's.
+	for _, seed := range []int64{3, 11} {
+		_, _, subseq, _ := smallEnv.signatureClasses(100, seed, core.Config{})
+		verdicts := detect.MatchSetWith(detect.NewEngine(subseq), smallEnv.Dataset.Capture)
+		for i, p := range smallEnv.Dataset.Capture.Packets {
+			if ref := reference.Match(subseq, p); verdicts[i] != (len(ref) > 0) {
+				t.Fatalf("seed %d, packet %d: engine verdict %v, reference matches %v", seed, i, verdicts[i], ref)
+			}
 		}
 	}
 }

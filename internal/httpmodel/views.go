@@ -38,32 +38,28 @@ func (v View) Mask() ViewMask { return 1 << v }
 // Has reports whether the mask includes v.
 func (m ViewMask) Has(v View) bool { return m&v.Mask() != 0 }
 
+// viewNames holds each view's canonical wire name, indexed by View.
+var viewNames = [NumViews]string{
+	ViewBase64: "base64",
+	ViewHex:    "hex",
+	ViewURL:    "url",
+	ViewGzip:   "gzip",
+}
+
 // String returns the canonical wire name of the view.
 func (v View) String() string {
-	switch v {
-	case ViewBase64:
-		return "base64"
-	case ViewHex:
-		return "hex"
-	case ViewURL:
-		return "url"
-	case ViewGzip:
-		return "gzip"
+	if v < NumViews {
+		return viewNames[v]
 	}
 	return "view?"
 }
 
 // ParseView resolves a wire view name.
 func ParseView(name string) (View, bool) {
-	switch name {
-	case "base64":
-		return ViewBase64, true
-	case "hex":
-		return ViewHex, true
-	case "url":
-		return ViewURL, true
-	case "gzip":
-		return ViewGzip, true
+	for v, n := range viewNames {
+		if n == name {
+			return View(v), true
+		}
 	}
 	return 0, false
 }

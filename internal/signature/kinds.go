@@ -6,10 +6,11 @@ package signature
 // matches exactly as it always did.
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
+
+	"leaksig/internal/httpmodel"
 )
 
 // Signature kinds. KindConjunction is the paper's unordered token set
@@ -39,24 +40,23 @@ func ValidKind(k string) bool {
 	return false
 }
 
-// KnownViews lists the decode views a signature may opt into, in
-// canonical order. Each name selects one transformed view of the packet
-// content that the matcher scans in addition to the raw bytes.
-func KnownViews() []string { return []string{"base64", "gzip", "hex", "url"} }
-
-// ValidViewName reports whether v names a known decode view.
-func ValidViewName(v string) bool {
-	switch v {
-	case "base64", "gzip", "hex", "url":
-		return true
+// KnownViews lists the decode views a signature may opt into, sorted by
+// name. Each name selects one transformed view of the packet content that
+// the matcher scans in addition to the raw bytes.
+func KnownViews() []string {
+	names := make([]string, httpmodel.NumViews)
+	for v := range names {
+		names[v] = httpmodel.View(v).String()
 	}
-	return false
+	sort.Strings(names)
+	return names
 }
 
-// Validate checks that every signature carries a compilable kind and
-// known view names, so a typo'd kind is rejected at the publish boundary
-// instead of silently never matching in the fleet. A null entry (JSON
-// `null` in the signatures array) is rejected too.
+// Validate checks that every signature carries a compilable kind, known
+// view names and no empty token, so a typo'd kind or a token that can
+// never occur is rejected at the publish boundary instead of silently
+// never matching in the fleet. A null entry (JSON `null` in the
+// signatures array) is rejected too.
 func (s *Set) Validate() error {
 	for i, sig := range s.Signatures {
 		if sig == nil {
@@ -66,8 +66,13 @@ func (s *Set) Validate() error {
 			return fmt.Errorf("signature: sig %d: unknown kind %q", sig.ID, sig.Kind)
 		}
 		for _, v := range sig.Views {
-			if !ValidViewName(v) {
+			if _, ok := httpmodel.ParseView(v); !ok {
 				return fmt.Errorf("signature: sig %d: unknown view %q", sig.ID, v)
+			}
+		}
+		for j, tok := range sig.Tokens {
+			if tok == "" {
+				return fmt.Errorf("signature: sig %d: token %d is empty", sig.ID, j)
 			}
 		}
 	}
@@ -79,53 +84,4 @@ func viewsKey(views []string) string {
 	vs := append([]string(nil), views...)
 	sort.Strings(vs)
 	return strings.Join(vs, ",")
-}
-
-// MatchesOrdered reports whether the tokens occur in order (gaps allowed)
-// within content, the subsequence-kind matching discipline. The greedy
-// left-to-right walk is exact: taking the earliest occurrence of each
-// token always leaves the most room for the rest.
-func MatchesOrdered(tokens []string, content []byte) bool {
-	if len(tokens) == 0 {
-		return false
-	}
-	pos := 0
-	for _, tok := range tokens {
-		idx := bytes.Index(content[pos:], []byte(tok))
-		if idx < 0 {
-			return false
-		}
-		pos += idx + len(tok)
-	}
-	return true
-}
-
-// MatchesContent applies the signature's kind discipline to one content
-// buffer, ignoring the host constraint. This is the per-kind reference
-// semantics the compiled engine must agree with.
-func (s *Signature) MatchesContent(content []byte) bool {
-	if len(s.Tokens) == 0 {
-		return false
-	}
-	if s.EffectiveKind() == KindSubsequence {
-		return MatchesOrdered(s.Tokens, content)
-	}
-	for _, tok := range s.Tokens {
-		if !bytes.Contains(content, []byte(tok)) {
-			return false
-		}
-	}
-	return true
-}
-
-// AsKinded promotes a SubsequenceSignature into the published kinded
-// model, preserving token order, host constraint, and provenance.
-func (s *SubsequenceSignature) AsKinded() *Signature {
-	return &Signature{
-		ID:          s.ID,
-		Kind:        KindSubsequence,
-		Tokens:      append([]string(nil), s.Tokens...),
-		HostSuffix:  s.HostSuffix,
-		ClusterSize: s.ClusterSize,
-	}
 }

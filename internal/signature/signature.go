@@ -210,9 +210,25 @@ func (o Options) withDefaults() Options {
 // packets. Clusters yielding no tokens after filtering produce no
 // signature; duplicate signatures are emitted once (largest cluster wins).
 func Generate(clusters [][]*httpmodel.Packet, opts Options) *Set {
+	return generateSet(KindConjunction, clusters, opts)
+}
+
+// GenerateSubsequence produces one ordered-token signature (Polygraph's
+// [14] second class, named in §VI as future work) per cluster, using the
+// same extraction and stoplist as Generate: ExtractTokens already emits
+// tokens in left-to-right content order, which is exactly the subsequence
+// the cluster members share. Deduplication is Generate's.
+func GenerateSubsequence(clusters [][]*httpmodel.Packet, opts Options) *Set {
+	return generateSet(KindSubsequence, clusters, opts)
+}
+
+// generateSet builds the kind's signatures with GenerateFromTokens,
+// drops duplicate keys (keeping the largest ClusterSize) and numbers
+// the survivors.
+func generateSet(kind string, clusters [][]*httpmodel.Packet, opts Options) *Set {
 	set := &Set{}
 	seen := make(map[string]*Signature)
-	for _, sig := range GenerateFromTokens(KindConjunction, clusters, extractEach(clusters), opts) {
+	for _, sig := range GenerateFromTokens(kind, clusters, extractEach(clusters), opts) {
 		if sig == nil {
 			continue
 		}

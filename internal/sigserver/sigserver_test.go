@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -449,6 +450,29 @@ func TestHTTPPublishAndStats(t *testing.T) {
 	}
 	if st.Version != 3 || st.Publishes != 1 || st.PublishesRejected != 1 || st.Signatures != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestPublishRejectsEmptyToken: an empty token can never occur in a
+// packet, so a signature carrying one would publish and then silently
+// never match; POST /publish refuses it and the version stays put.
+func TestPublishRejectsEmptyToken(t *testing.T) {
+	h := New().HandlerWithPublish("")
+	for _, body := range []string{
+		`{"signatures":[{"id":1,"tokens":[""]}]}`,
+		`{"signatures":[{"id":1,"tokens":["","udid="]}]}`,
+		`{"signatures":[{"id":1,"kind":"subsequence","tokens":["udid=",""],"views":["base64"]}]}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/publish", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST /publish %s answered %d, want 400", body, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/version", nil))
+	if v := strings.TrimSpace(rec.Body.String()); v != "0" {
+		t.Errorf("version after refused publishes = %q, want 0", v)
 	}
 }
 
