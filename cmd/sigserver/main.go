@@ -25,13 +25,15 @@
 // publish as a structured NDJSON event; -debug-addr opens a private
 // listener with /metrics and /debug/pprof.
 //
-// -journal makes publishes crash-safe: every accepted set appends to an
-// fsync'd CRC-framed journal, and a restarted server replays it before
-// listening, so named-set versions stay strictly increasing across a
-// SIGKILL and no watcher ever observes a rollback. -journal-fsync picks
-// the durability/latency trade (always | interval | never). SIGTERM
-// drains in-flight requests, syncs the journal, and flushes the event
-// shipper before exiting.
+// -journal makes publishes crash-safe: every publish appends its set to
+// an fsync'd CRC-framed journal before the set is installed, watchers
+// are woken or the publish is acked, and a restarted server replays the
+// journal before listening, so an acked publish is never lost and no
+// watcher ever observes a rollback. A publish the journal cannot append
+// is answered 500 and changes nothing. -journal-fsync picks the
+// durability/latency trade (always | interval | never); under always, a
+// failed fsync fails the publish too. SIGTERM drains in-flight requests,
+// syncs the journal, and flushes the event shipper before exiting.
 //
 // Without -token the publish endpoint is open: bind -addr to loopback
 // (or front it with an authenticating proxy) before exposing the

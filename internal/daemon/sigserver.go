@@ -42,18 +42,14 @@ func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	defer ops.close()
 
 	srv := sigserver.New()
-	ops.reg.Register(obs.SigserverCollector(srv.Stats))
-
-	// Attach the journal BEFORE the log/ship hook: replayed publishes
-	// restore state silently, and only live publishes reach the ops
-	// plane as events.
-	restored := 0
+	restored := int64(0)
 	if c.Journal != "" {
 		policy, err := durable.ParseFsyncPolicy(c.JournalFsync)
 		if err != nil {
 			return fmt.Errorf("-journal-fsync: %v", err)
 		}
-		journal, err := durable.AttachServerJournal(srv, c.Journal, durable.JournalConfig{Fsync: policy})
+		var journal *durable.Journal
+		srv, journal, err = sigserver.Open(c.Journal, policy)
 		if err != nil {
 			return fmt.Errorf("opening journal: %v", err)
 		}
@@ -65,13 +61,14 @@ func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 			journal.Close()
 		}()
 		ops.reg.Register(obs.JournalCollector(journal.Stats))
-		var skipped int
-		if restored, skipped = journal.Replayed(); restored > 0 || skipped > 0 {
+		restored = srv.Stats().Seq
+		if recovered := journal.Stats().Recovered; recovered > 0 {
 			_, v := srv.Current()
 			log.Printf("journal %s: replayed %d sets, skipped %d records (default set at version %d)",
-				c.Journal, restored, skipped, v)
+				c.Journal, restored, int64(recovered)-restored, v)
 		}
 	}
+	ops.reg.Register(obs.SigserverCollector(srv.Stats))
 
 	srv.OnPublish(func(name string, v int64) {
 		log.Printf("published %s version %d", setLabel(name), v)

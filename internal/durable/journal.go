@@ -43,7 +43,10 @@ type FsyncPolicy int
 const (
 	// FsyncAlways syncs after every append: no acknowledged record is
 	// ever lost. The default, and the right choice for the publish
-	// journal where each record is one version of a named set.
+	// journal where each record is one version of a named set. A failed
+	// sync fails the append: the record is cut back off the file and
+	// the error returned, so a record that never reached stable storage
+	// is never acknowledged — nor replayed later as if it had been.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs lazily, at most once per SyncEvery, checked
 	// on the append path (no background goroutine). Bounded loss window
@@ -102,6 +105,14 @@ type Journal struct {
 	dirty    bool
 	lastSync time.Time
 	closed   bool
+	// broken, once set, fails every later append: a failed append whose
+	// bytes could not be cut back off left the file's tail unknown.
+	broken error
+
+	// write and sync are the file operations an append makes; tests
+	// swap them to inject failures.
+	write func(f *os.File, p []byte) (int, error)
+	sync  func(f *os.File) error
 
 	appends      uint64
 	appendErrors uint64
@@ -128,7 +139,7 @@ func Open(path string, cfg JournalConfig) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: open journal: %w", err)
 	}
-	j := &Journal{path: path, cfg: cfg, f: f}
+	j := &Journal{path: path, cfg: cfg, f: f, write: (*os.File).Write, sync: (*os.File).Sync}
 	if err := j.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -219,8 +230,11 @@ func (j *Journal) recover() error {
 
 // Append frames payload and writes it to the journal, syncing per the
 // fsync policy. The payload is copied into the file; the caller keeps
-// ownership of the slice. Every failed append is counted in
-// JournalStats.AppendErrors.
+// ownership of the slice. An append either succeeds whole or leaves the
+// journal as it was: a write that fails part-way (or, under
+// FsyncAlways, a failed sync) is truncated back off before the error is
+// returned, so a torn frame never sits in front of later records. Every
+// failed append is counted in JournalStats.AppendErrors.
 func (j *Journal) Append(payload []byte) error {
 	err := j.append(payload)
 	if err != nil {
@@ -247,40 +261,62 @@ func (j *Journal) append(payload []byte) error {
 	if j.closed {
 		return errors.New("durable: journal closed")
 	}
-	if _, err := j.f.Write(frame[:]); err != nil {
-		return fmt.Errorf("durable: append frame: %w", err)
+	if j.broken != nil {
+		return j.broken
 	}
-	if _, err := j.f.Write(payload); err != nil {
-		return fmt.Errorf("durable: append payload: %w", err)
+	if _, err := j.write(j.f, frame[:]); err != nil {
+		return j.undoLocked(fmt.Errorf("durable: append frame: %w", err))
+	}
+	if _, err := j.write(j.f, payload); err != nil {
+		return j.undoLocked(fmt.Errorf("durable: append payload: %w", err))
+	}
+	j.dirty = true
+	if err := j.maybeSyncLocked(); err != nil {
+		return j.undoLocked(fmt.Errorf("durable: append sync: %w", err))
 	}
 	j.size += 8 + int64(len(payload))
 	j.appends++
-	j.dirty = true
-	j.maybeSyncLocked()
 	return nil
 }
 
+// undoLocked cuts a failed append back off the file, returning err. If
+// the cut itself fails the journal's tail is unknown, and the journal
+// refuses every later append rather than acknowledge records recovery
+// would drop behind the torn one. Callers hold j.mu.
+func (j *Journal) undoLocked(err error) error {
+	_, serr := j.f.Seek(j.size, io.SeekStart)
+	if terr := j.f.Truncate(j.size); terr != nil || serr != nil {
+		j.broken = fmt.Errorf("durable: journal unusable after a failed append: %w", errors.Join(serr, terr))
+	}
+	return err
+}
+
 // maybeSyncLocked applies the fsync policy after a write. Callers hold
-// j.mu. Sync failures are counted (exported for alerting) but do not
-// fail the append: the record is in the page cache and a later sync
-// retries.
-func (j *Journal) maybeSyncLocked() {
+// j.mu. Under FsyncAlways a sync failure is returned, and the append
+// fails with it. Under FsyncInterval it is counted (exported for
+// alerting) but does not fail the append: the policy already accepts a
+// loss window, and the next interval's sync retries.
+func (j *Journal) maybeSyncLocked() error {
 	switch j.cfg.Fsync {
 	case FsyncAlways:
 	case FsyncInterval:
 		now := time.Now()
 		if now.Sub(j.lastSync) < j.cfg.SyncEvery {
-			return
+			return nil
 		}
 		j.lastSync = now
 	case FsyncNever:
-		return
+		return nil
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(j.f); err != nil {
 		j.fsyncErrors++
-		return
+		if j.cfg.Fsync == FsyncAlways {
+			return err
+		}
+		return nil
 	}
 	j.dirty = false
+	return nil
 }
 
 // Sync forces any buffered appends to stable storage regardless of
@@ -357,27 +393,17 @@ func (j *Journal) rewrite(records [][]byte) error {
 		cleanup()
 		return fmt.Errorf("durable: compact sync: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: compact close: %w", err)
-	}
 	if err := os.Rename(tmpName, j.path); err != nil {
-		os.Remove(tmpName)
+		cleanup()
 		return fmt.Errorf("durable: compact rename: %w", err)
 	}
 	syncDir(dir)
 
-	// Swap the open handle to the new file, positioned for append.
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: reopen after compact: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: seek after compact: %w", err)
-	}
+	// The temp file's handle, already positioned at its end, becomes the
+	// append handle: no reopen can fail after the rename and leave
+	// appends going to the unlinked old file.
 	j.f.Close()
-	j.f = f
+	j.f = tmp
 	j.size = size
 	j.dirty = false
 	return nil

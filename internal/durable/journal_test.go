@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"leaksig/internal/signature"
-	"leaksig/internal/sigserver"
 )
 
 func journalPath(t *testing.T) string {
@@ -186,6 +185,75 @@ func TestJournalCompact(t *testing.T) {
 	}
 }
 
+// TestFailedAppendLeavesJournalUnchanged: an append that fails part-way
+// (its frame header written, its payload not) or whose FsyncAlways sync
+// fails must leave the journal as it was. Otherwise the torn frame sits
+// in front of the next good record and recovery, which stops at the
+// first damage, drops every acknowledged record behind it.
+func TestFailedAppendLeavesJournalUnchanged(t *testing.T) {
+	injected := errors.New("injected")
+	for _, tc := range []struct {
+		name   string
+		inject func(j *Journal)
+	}{
+		{"payload write", func(j *Journal) {
+			j.write = func(f *os.File, p []byte) (int, error) {
+				if len(p) == 8 { // the frame header goes through
+					return f.Write(p)
+				}
+				n, _ := f.Write(p[:len(p)/2])
+				return n, injected
+			}
+		}},
+		{"fsync always", func(j *Journal) {
+			j.sync = func(*os.File) error { return injected }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := journalPath(t)
+			j, err := Open(path, JournalConfig{Fsync: FsyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append([]byte("acked-1")); err != nil {
+				t.Fatal(err)
+			}
+			size := j.Size()
+			tc.inject(j)
+			if err := j.Append([]byte("never-acked")); !errors.Is(err, injected) {
+				t.Fatalf("failed append returned %v, want the injected error", err)
+			}
+			if j.Size() != size {
+				t.Fatalf("size %d after a failed append, want %d", j.Size(), size)
+			}
+			j.write, j.sync = (*os.File).Write, (*os.File).Sync
+			if err := j.Append([]byte("acked-2")); err != nil {
+				t.Fatalf("append after a failed one: %v", err)
+			}
+			if st := j.Stats(); st.Appends != 2 || st.AppendErrors != 1 {
+				t.Fatalf("stats = %+v, want 2 appends and 1 append error", st)
+			}
+			j.Close()
+
+			var got []string
+			j2, err := Open(path, JournalConfig{Replay: func(p []byte) error {
+				got = append(got, string(p))
+				return nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if len(got) != 2 || got[0] != "acked-1" || got[1] != "acked-2" {
+				t.Fatalf("replay = %q, want the two acknowledged records", got)
+			}
+			if st := j2.Stats(); st.TruncatedBytes != 0 {
+				t.Fatalf("reopen truncated %d bytes: the failed append left a torn frame", st.TruncatedBytes)
+			}
+		})
+	}
+}
+
 func makeSet(version int64, tags ...string) *signature.Set {
 	set := &signature.Set{Version: version}
 	for i, tag := range tags {
@@ -204,99 +272,6 @@ func sigTag(set *signature.Set) string {
 		return ""
 	}
 	return set.Signatures[0].Tokens[1]
-}
-
-func TestServerJournalReplayPreservesVersions(t *testing.T) {
-	path := journalPath(t)
-
-	srv := sigserver.New()
-	sj, err := AttachServerJournal(srv, path, JournalConfig{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatalf("attach: %v", err)
-	}
-	// A publish burst across the default and two named sets, with
-	// several generations each.
-	for v := int64(1); v <= 5; v++ {
-		if _, err := srv.Publish("", makeSet(v, "d")); err != nil {
-			t.Fatalf("publish default v%d: %v", v, err)
-		}
-		if _, err := srv.Publish("tenant-a", makeSet(v, "a")); err != nil {
-			t.Fatalf("publish a v%d: %v", v, err)
-		}
-	}
-	if _, err := srv.Publish("tenant-b", makeSet(3, "b")); err != nil {
-		t.Fatalf("publish b: %v", err)
-	}
-	if err := sj.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// "Restart": fresh server, same journal.
-	srv2 := sigserver.New()
-	sj2, err := AttachServerJournal(srv2, path, JournalConfig{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatalf("re-attach: %v", err)
-	}
-	defer sj2.Close()
-
-	if _, v := srv2.Current(); v != 5 {
-		t.Fatalf("default version = %d, want 5", v)
-	}
-	if _, v, ok := srv2.CurrentNamed("tenant-a"); !ok || v != 5 {
-		t.Fatalf("tenant-a version = %d (ok=%v), want 5", v, ok)
-	}
-	set, v, ok := srv2.CurrentNamed("tenant-b")
-	if !ok || v != 3 {
-		t.Fatalf("tenant-b version = %d (ok=%v), want 3", v, ok)
-	}
-	if len(set.Signatures) != 1 || sigTag(set) != "b" {
-		t.Fatalf("tenant-b contents lost: %+v", set)
-	}
-
-	// Strict increase survives the restart: replaying the old version
-	// must be rejected, the next version accepted.
-	if _, err := srv2.Publish("tenant-a", makeSet(5, "a")); err == nil {
-		t.Fatal("stale republish accepted after replay")
-	}
-	if _, err := srv2.Publish("tenant-a", makeSet(6, "a")); err != nil {
-		t.Fatalf("next version rejected after replay: %v", err)
-	}
-	restored, _ := sj2.Replayed()
-	if restored == 0 {
-		t.Fatal("Replayed() reports zero restored sets")
-	}
-}
-
-func TestServerJournalSurvivesTornTail(t *testing.T) {
-	path := journalPath(t)
-	srv := sigserver.New()
-	sj, err := AttachServerJournal(srv, path, JournalConfig{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatalf("attach: %v", err)
-	}
-	for v := int64(1); v <= 3; v++ {
-		srv.Publish("tenant-a", makeSet(v, "a"))
-	}
-	sj.Close()
-
-	// Simulate a crash mid-append: shear the file partway into the
-	// final record.
-	raw, _ := os.ReadFile(path)
-	os.WriteFile(path, raw[:len(raw)-7], 0o644)
-
-	srv2 := sigserver.New()
-	sj2, err := AttachServerJournal(srv2, path, JournalConfig{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatalf("re-attach over torn journal: %v", err)
-	}
-	defer sj2.Close()
-	if _, v, _ := srv2.CurrentNamed("tenant-a"); v != 2 {
-		t.Fatalf("recovered version = %d, want 2 (last intact record)", v)
-	}
-	// The loop continues from the recovered version.
-	if _, err := srv2.Publish("tenant-a", makeSet(3, "a")); err != nil {
-		t.Fatalf("publish after recovery: %v", err)
-	}
 }
 
 func TestCheckpointRoundTripAndCorruption(t *testing.T) {

@@ -11,6 +11,13 @@
 // streaming consumer learns of a new version within one round trip
 // instead of a poll interval.
 //
+// A server built by Open journals its publishes (internal/durable): under
+// one server-wide publish lock, Publish appends the {name, version, set}
+// record, then installs the set, then wakes its watchers, and only then
+// acks. A publish the journal cannot hold fails and changes nothing, so
+// an acked publish is never lost to a restart, and no watcher ever sees a
+// version the restarted server does not serve.
+//
 // Every set lives in one name-keyed table — one set per traffic
 // population, the way the paper's per-module signatures isolate ad
 // libraries — each with its own version sequence, strict-increase publish
@@ -39,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leaksig/internal/durable"
 	"leaksig/internal/resilience"
 	"leaksig/internal/signature"
 )
@@ -53,9 +61,15 @@ const waitTimeoutMax = 30 * time.Second
 const maxNamedSets = 4096
 
 // MaxPublishBytes bounds a publish request body; a larger one is refused
-// with 413. It equals the publish journal's record bound
-// (durable.MaxRecord), so a set too large to journal is never acked.
-const MaxPublishBytes = 16 << 20
+// with 413. It is the publish journal's record bound, so a body over what
+// the journal could hold is refused before it is decoded.
+const MaxPublishBytes = durable.MaxRecord
+
+// compactEvery is how many journal appends accumulate before the journal
+// is compacted down to the latest record per name. Publishes supersede
+// each other per name, so a long-lived journal would otherwise replay
+// every historical version just to land on the last.
+const compactEvery = 256
 
 // ErrStaleVersion is returned by Publish (and surfaced over HTTP as 409
 // Conflict) when a publish carries a version at or below the set's
@@ -71,6 +85,10 @@ var ErrBadSetName = errors.New("sigserver: invalid set name")
 // ErrTooManySets rejects publishes that would create a named set past
 // the server's table bound.
 var ErrTooManySets = errors.New("sigserver: named set limit reached")
+
+// errNotJournaled fails a publish whose record the journal could not
+// append; over HTTP it is a 500, and the set's version is unchanged.
+var errNotJournaled = errors.New("sigserver: publish not journaled")
 
 // ValidSetName reports whether a publish may create a set called name:
 // it must round-trip a URL path segment. "" is the reserved default set,
@@ -126,8 +144,16 @@ func (st *setState) read() (int64, <-chan struct{}) {
 
 // Server holds the currently published signature sets, keyed by name. It
 // is safe for concurrent use; the zero value is not usable, construct
-// with New.
+// with New or Open.
 type Server struct {
+	// pubMu serializes publishes: each journals, installs and wakes under
+	// it, and a compaction snapshots the sets and rewrites the journal
+	// under it, so the journal's record order is the install order and no
+	// append can fall between a compaction's snapshot and its rewrite.
+	pubMu        sync.Mutex
+	journal      *durable.Journal // nil: publishes live in memory only
+	sinceCompact int              // journal appends since the last compaction
+
 	// mu guards the set table and the callback list.
 	mu        sync.RWMutex
 	sets      map[string]*setState // "" (the default set) is present from New on
@@ -141,7 +167,7 @@ type Server struct {
 }
 
 // New returns a server holding only the default set "", empty at
-// version 0.
+// version 0, whose publishes live in memory only.
 func New() *Server {
 	return &Server{
 		sets:       map[string]*setState{"": newSetState()},
@@ -157,7 +183,8 @@ func (s *Server) lookup(name string) *setState {
 }
 
 // create returns name's state, adding it on first publish subject to the
-// name and table bounds.
+// name and table bounds. Callers hold s.pubMu, or replay before the
+// server is shared, so no other create can race this one.
 func (s *Server) create(name string) (*setState, error) {
 	if st := s.lookup(name); st != nil {
 		return st, nil
@@ -167,9 +194,6 @@ func (s *Server) create(name string) (*setState, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st := s.sets[name]; st != nil {
-		return st, nil
-	}
 	if len(s.sets) > maxNamedSets { // the default set does not count
 		return nil, ErrTooManySets
 	}
@@ -186,30 +210,125 @@ func (s *Server) catalog() (int64, <-chan struct{}) {
 	return s.seq, s.seqChanged
 }
 
+// Open returns a server whose publishes are journaled at path, synced
+// per fsync. It first replays every intact record, installing each at its
+// recorded version; a record at or below its set's version (a duplicate)
+// or one that does not decode is skipped. Replayed records count as
+// publishes: after Open, Stats().Seq is the number of records installed,
+// and the journal's Stats().Recovered minus that is the number skipped.
+// No OnPublish callback sees a replayed record. The caller syncs and
+// closes the journal once the server takes no more publishes; a publish
+// after that fails.
+func Open(path string, fsync durable.FsyncPolicy) (*Server, *durable.Journal, error) {
+	s := New()
+	j, err := durable.Open(path, durable.JournalConfig{Fsync: fsync, Replay: s.replay})
+	if err != nil {
+		return nil, nil, err
+	}
+	s.journal = j
+	return s, j, nil
+}
+
+// publishRecord is one journaled publish: which set, at what version,
+// with what contents. The default set journals under its name, "".
+type publishRecord struct {
+	Name    string         `json:"name"`
+	Version int64          `json:"version"`
+	Set     *signature.Set `json:"set"`
+}
+
+// replay installs one journal record during Open.
+func (s *Server) replay(payload []byte) error {
+	var rec publishRecord
+	if json.Unmarshal(payload, &rec) != nil || rec.Set == nil || rec.Version <= 0 {
+		// An intact-CRC record that fails to decode is a version-skew
+		// artifact, not corruption; skip it rather than refuse to boot.
+		return nil
+	}
+	st, err := s.create(rec.Name)
+	if err != nil {
+		return fmt.Errorf("replay %q v%d: %w", rec.Name, rec.Version, err)
+	}
+	if _, cur := st.current(); rec.Version <= cur {
+		return nil
+	}
+	rec.Set.Version = rec.Version
+	s.install(st, rec.Set)
+	return nil
+}
+
 // Publish installs set as name's current set, creating the name on its
 // first publish. A zero set.Version auto-bumps the name's version; any
 // other must strictly exceed it, or the publish is rejected with
 // ErrStaleVersion (and counted) — writers stamp last-seen + 1, so two
 // loops feeding one server cannot ping-pong the fleet between their
 // generations. The set's Version field is overwritten with the accepted
-// version, and every OnPublish callback runs before Publish returns.
+// version.
+//
+// Under the server's publish lock, a journaled server appends the record
+// first; if the append fails, so does the publish, and the version does
+// not change. Then the set is installed and its watchers woken. Every
+// OnPublish callback runs after the lock is released, before Publish
+// returns.
 func (s *Server) Publish(name string, set *signature.Set) (int64, error) {
+	version, err := s.publish(name, set)
+	if err != nil {
+		return version, err
+	}
+	s.mu.RLock()
+	cbs := s.onPublish
+	s.mu.RUnlock()
+	for _, fn := range cbs {
+		fn(name, version)
+	}
+	return version, nil
+}
+
+// publish is Publish up to its callbacks, under s.pubMu: version check,
+// journal, install, wake, and every compactEvery appends a compaction.
+func (s *Server) publish(name string, set *signature.Set) (int64, error) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	st, err := s.create(name)
 	if err != nil {
 		return 0, err
 	}
-	st.mu.Lock()
+	_, cur := st.current()
 	version := set.Version
 	if version == 0 {
-		version = st.version + 1
-	} else if version <= st.version {
-		cur := st.version
-		st.mu.Unlock()
+		version = cur + 1
+	} else if version <= cur {
 		st.publishesRejected.Add(1)
 		return cur, fmt.Errorf("%w: got %d, current %d", ErrStaleVersion, version, cur)
 	}
-	st.version = version
+	prev := set.Version
 	set.Version = version
+	if s.journal == nil {
+		s.install(st, set)
+		return version, nil
+	}
+	payload, err := json.Marshal(publishRecord{Name: name, Version: version, Set: set})
+	if err == nil {
+		err = s.journal.Append(payload)
+	}
+	if err != nil {
+		set.Version = prev
+		return cur, fmt.Errorf("%w: %w", errNotJournaled, err)
+	}
+	s.install(st, set)
+	if s.sinceCompact++; s.sinceCompact >= compactEvery {
+		s.sinceCompact = 0
+		s.compactLocked()
+	}
+	return version, nil
+}
+
+// install makes set, its Version already stamped, st's current set and
+// wakes the set's watchers and the catalog's. Callers hold s.pubMu, or
+// replay before the server is shared.
+func (s *Server) install(st *setState, set *signature.Set) {
+	st.mu.Lock()
+	st.version = set.Version
 	st.set = set
 	notify := st.changed
 	st.changed = make(chan struct{})
@@ -223,14 +342,27 @@ func (s *Server) Publish(name string, set *signature.Set) (int64, error) {
 	s.seqChanged = make(chan struct{})
 	s.seqMu.Unlock()
 	close(seqNotify)
+}
 
-	s.mu.RLock()
-	cbs := s.onPublish
-	s.mu.RUnlock()
-	for _, fn := range cbs {
-		fn(name, version)
+// compactLocked rewrites the journal as one record per set at its
+// current version. Callers hold s.pubMu, so the snapshot is exactly what
+// the journal holds. A set that fails to encode abandons the compaction
+// rather than drop the set from the rewrite.
+func (s *Server) compactLocked() {
+	names := s.SetNames()
+	records := make([][]byte, 0, len(names))
+	for _, name := range names {
+		set, v, _ := s.CurrentNamed(name)
+		if v == 0 {
+			continue
+		}
+		payload, err := json.Marshal(publishRecord{Name: name, Version: v, Set: set})
+		if err != nil {
+			return
+		}
+		records = append(records, payload)
 	}
-	return version, nil
+	s.journal.Compact(records)
 }
 
 // PublishSet is Publish to the default set "".
@@ -283,8 +415,10 @@ func (s *Server) setsSnapshot() (int64, map[string]int64) {
 }
 
 // OnPublish registers a callback invoked with the set name and new
-// version after every publish to any set. Callbacks run synchronously on
-// the publishing goroutine and must not publish themselves.
+// version after every publish to any set (never for a set Open replays).
+// Callbacks run synchronously on the publishing goroutine, after the set
+// is journaled, installed and its watchers woken, and must not publish
+// themselves.
 func (s *Server) OnPublish(fn func(name string, version int64)) {
 	s.mu.Lock()
 	s.onPublish = append(s.onPublish, fn)
@@ -506,7 +640,8 @@ func (s *Server) serveWait(w http.ResponseWriter, r *http.Request, param string,
 // Both route by the body's Version field: 0 auto-bumps, a non-zero
 // Version must exceed the set's current one or the publish is rejected
 // with 409 Conflict; the accepted version is answered as text. A body
-// over MaxPublishBytes is refused with 413.
+// over MaxPublishBytes is refused with 413, and a publish the server's
+// journal could not append with 500.
 //
 // A non-empty token requires `Authorization: Bearer <token>` (compared
 // in constant time); an empty token leaves the endpoints open, which is
@@ -556,8 +691,11 @@ func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, token stri
 	v, err := s.Publish(r.PathValue("name"), set)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrStaleVersion) {
+		switch {
+		case errors.Is(err, ErrStaleVersion):
 			status = http.StatusConflict
+		case errors.Is(err, errNotJournaled):
+			status = http.StatusInternalServerError
 		}
 		http.Error(w, err.Error(), status)
 		return
