@@ -255,6 +255,7 @@ func TestDegradedBootFromSignatureCache(t *testing.T) {
 	if err := prev.Put("", cached); err != nil {
 		t.Fatal(err)
 	}
+	prev.Close()
 
 	// Two free ports: the daemon's, and one nothing listens on yet — the
 	// dead server.

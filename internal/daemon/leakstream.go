@@ -198,6 +198,24 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 		be = eb
 	}
 	defer be.close()
+
+	// The last-known-good cache: boot serving whatever the previous run
+	// saw published, so a dead sigserver degrades this daemon instead of
+	// blanking it. The watch below overwrites both the engines and the
+	// cache the moment the server answers. Its Close is deferred before
+	// bg.stop, so it runs after the watch has ended: no delivery reaches
+	// a closed cache.
+	var cache *durable.SetCache
+	if c.SigCache != "" {
+		var loaded bool
+		if cache, loaded, err = durable.OpenSetCache(c.SigCache); err != nil {
+			return fmt.Errorf("opening -sig-cache: %v", err)
+		}
+		defer cache.Close()
+		if !loaded {
+			log.Printf("sig-cache %s: empty (first run, or no intact record); nothing to serve until the server answers", c.SigCache)
+		}
+	}
 	bg := newBackground()
 	defer bg.stop()
 	bg.every(verdictFlushInterval, out.flush)
@@ -216,23 +234,8 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 		ops.ready.Store(true)
 	}
 
-	// The last-known-good cache: boot serving whatever the previous run
-	// saw published, so a dead sigserver degrades this daemon instead of
-	// blanking it. The watch below overwrites both the engines and the
-	// cache the moment the server answers.
-	var cache *durable.SetCache
-	if c.SigCache != "" {
-		var loaded bool
-		cache, loaded, err = durable.OpenSetCache(c.SigCache)
-		if err != nil {
-			return fmt.Errorf("opening -sig-cache: %v", err)
-		}
-		if !loaded && cache.Len() == 0 {
-			log.Printf("sig-cache %s: empty (first run or unreadable); nothing to serve until the server answers", c.SigCache)
-		}
-		if c.Server != "" {
-			s.bootFromCache(cache, c.SigCache)
-		}
+	if cache != nil && c.Server != "" {
+		s.bootFromCache(cache, c.SigCache)
 	}
 
 	if c.Server != "" {

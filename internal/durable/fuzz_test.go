@@ -12,14 +12,18 @@ import (
 // invariants: Open never panics or errors, every replayed record is one
 // the original journal actually contained, the replayed records form a
 // prefix of the original sequence, and the recovered journal accepts
-// new appends that survive a further reopen.
+// new appends that survive a further reopen. An odd legacy heads the
+// journal with legacyMagic, as the checkpoint and signature-cache files
+// of older releases are, so they are held to the same invariants.
 func FuzzJournalReplay(f *testing.F) {
-	f.Add(int64(0), uint8(0), []byte{})
-	f.Add(int64(3), uint8(1), []byte{0xff})
-	f.Add(int64(100), uint8(7), []byte("garbage tail"))
-	f.Add(int64(8191), uint8(255), bytes.Repeat([]byte{0x00}, 64))
+	for _, legacy := range []uint8{0, 1} {
+		f.Add(legacy, int64(0), uint8(0), []byte{})
+		f.Add(legacy, int64(3), uint8(1), []byte{0xff})
+		f.Add(legacy, int64(100), uint8(7), []byte("garbage tail"))
+		f.Add(legacy, int64(8191), uint8(255), bytes.Repeat([]byte{0x00}, 64))
+	}
 
-	f.Fuzz(func(t *testing.T, cut int64, flips uint8, tail []byte) {
+	f.Fuzz(func(t *testing.T, legacy uint8, cut int64, flips uint8, tail []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.journal")
 
@@ -43,6 +47,9 @@ func FuzzJournalReplay(f *testing.F) {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read seed: %v", err)
+		}
+		if legacy%2 == 1 {
+			copy(raw, legacyMagic)
 		}
 
 		// Damage: truncate to |cut| mod len, flip up to 8 bits at

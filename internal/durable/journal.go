@@ -1,15 +1,17 @@
 // Package durable is the crash-safety layer of the control plane: an
-// append-only CRC-framed journal (the sigserver publish log), atomic
-// checkpoint files (the siggen learner state), and a last-known-good
-// signature cache (leakstream degraded boot).
+// append-only CRC-framed journal, and every file this system keeps is
+// one. The sigserver publish log appends one record per publish; the
+// siggen learner checkpoint is a journal compacted to one record per
+// save; leakstream's last-known-good signature cache (SetCache) appends
+// one record per delivered set.
 //
 // Everything here shares one recovery philosophy: **never refuse to
 // boot**. A truncated or bit-flipped tail — the normal residue of a
 // crash mid-write — recovers to the last intact record and keeps going.
-// Data that cannot be authenticated by its CRC is discarded, counted,
-// and logged, not fatal. The paper's signatures are expensive to learn
-// and cheap to re-learn incrementally; a process that refuses to start
-// over one torn write loses far more than the torn write did.
+// Data that cannot be authenticated by its CRC is discarded and
+// counted, not fatal. The paper's signatures are expensive to learn and
+// cheap to re-learn incrementally; a process that refuses to start over
+// one torn write loses far more than the torn write did.
 package durable
 
 import (
@@ -24,9 +26,15 @@ import (
 	"time"
 )
 
-// journalMagic heads every journal file; a file that does not start
-// with it is treated as foreign and rebuilt from scratch.
+// journalMagic heads every journal file; a file that starts with
+// neither it nor legacyMagic is treated as foreign and rebuilt from
+// scratch.
 const journalMagic = "LSJRNL1\n"
+
+// legacyMagic heads the checkpoint and signature-cache files older
+// releases wrote: their frames are journal frames, so they recover as
+// journals, and the next compaction rewrites them under journalMagic.
+const legacyMagic = "LSCKPT1\n"
 
 // MaxRecord bounds a single journal payload. A corrupt length field
 // would otherwise ask recovery to allocate gigabytes; anything above
@@ -170,7 +178,7 @@ func (j *Journal) recover() error {
 
 	header := make([]byte, len(journalMagic))
 	good := int64(0)
-	if _, err := io.ReadFull(j.f, header); err == nil && string(header) == journalMagic {
+	if _, err := io.ReadFull(j.f, header); err == nil && (string(header) == journalMagic || string(header) == legacyMagic) {
 		good = int64(len(header))
 	} else {
 		// Foreign or mangled header: the whole file is unrecoverable.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"leaksig/internal/signature"
@@ -274,35 +275,6 @@ func sigTag(set *signature.Set) string {
 	return set.Signatures[0].Tokens[1]
 }
 
-func TestCheckpointRoundTripAndCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "learner.ckpt")
-	type state struct {
-		Epoch int      `json:"epoch"`
-		Names []string `json:"names"`
-	}
-	if err := SaveJSON(path, state{Epoch: 7, Names: []string{"a", "b"}}); err != nil {
-		t.Fatalf("SaveJSON: %v", err)
-	}
-	var got state
-	if err := LoadJSON(path, &got); err != nil {
-		t.Fatalf("LoadJSON: %v", err)
-	}
-	if got.Epoch != 7 || len(got.Names) != 2 {
-		t.Fatalf("got %+v", got)
-	}
-
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	if err := LoadJSON(path, &got); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt checkpoint err = %v, want ErrCorrupt", err)
-	}
-
-	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing")); !os.IsNotExist(err) {
-		t.Fatalf("missing checkpoint err = %v, want not-exist", err)
-	}
-}
-
 func TestSetCacheRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sigs.cache")
 	c, loaded, err := OpenSetCache(path)
@@ -331,19 +303,152 @@ func TestSetCacheRoundTrip(t *testing.T) {
 		t.Fatalf("tenant-a from cache: ok=%v set=%+v", ok, set)
 	}
 
-	// Corrupt cache: boots empty, never errors.
+	c2.Close()
+
+	// Damage in the last record costs that record only: the cache boots
+	// with the intact prefix, never errors.
 	raw, _ := os.ReadFile(path)
-	raw[len(raw)/2] ^= 0xaa
+	raw[len(raw)-2] ^= 0xaa
 	os.WriteFile(path, raw, 0o644)
 	c3, loaded, err := OpenSetCache(path)
 	if err != nil {
 		t.Fatalf("open corrupt cache: %v", err)
 	}
-	if loaded || c3.Len() != 0 {
-		t.Fatalf("corrupt cache: loaded=%v len=%d, want false/0", loaded, c3.Len())
+	if _, ok := c3.Get("tenant-a"); !loaded || c3.Len() != 1 || ok {
+		t.Fatalf("corrupt cache: loaded=%v len=%d names=%v, want the default set only", loaded, c3.Len(), c3.Names())
 	}
 	// And is immediately writable again.
 	if err := c3.Put("", makeSet(1, "d")); err != nil {
 		t.Fatalf("Put over corrupt cache: %v", err)
+	}
+	c3.Close()
+}
+
+// TestSetCacheHoldsSetsPastMaxRecord: each set is its own record, so
+// sets that together exceed MaxRecord still cache, and a small Put after
+// them still succeeds.
+func TestSetCacheHoldsSetsPastMaxRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sigs.cache")
+	c, _, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := func(tag string) *signature.Set {
+		set := makeSet(1, tag)
+		set.Signatures[0].Tokens = append(set.Signatures[0].Tokens, strings.Repeat("x", 9<<20))
+		return set
+	}
+	for _, put := range []struct {
+		name string
+		set  *signature.Set
+	}{{"a", big("a")}, {"b", big("b")}, {"c", makeSet(1, "c")}} {
+		if err := c.Put(put.name, put.set); err != nil {
+			t.Fatalf("Put %q: %v", put.name, err)
+		}
+	}
+	c.Close()
+
+	c2, loaded, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if !loaded || c2.Len() != 3 {
+		t.Fatalf("reopened cache holds %v, want a, b and c", c2.Names())
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if set, _ := c2.Get(name); sigTag(set) != name {
+			t.Fatalf("set %q reopened as %+v", name, set)
+		}
+	}
+}
+
+// TestSetCacheCompactionKeepsLatest: deliveries that supersede each
+// other are compacted, and each name reopens at its last version.
+func TestSetCacheCompactionKeepsLatest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sigs.cache")
+	c, _, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"", "tenant-a", "tenant-b"}
+	const puts = 600
+	for i := 0; i < puts; i++ {
+		if err := c.Put(names[i%3], makeSet(int64(i+1), names[i%3])); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	c.Close()
+
+	records := 0
+	j, err := Open(path, JournalConfig{Replay: func([]byte) error { records++; return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if records > len(names)+cacheCompactEvery {
+		t.Fatalf("cache file holds %d records after %d puts, want at most %d", records, puts, len(names)+cacheCompactEvery)
+	}
+
+	c2, _, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for i, name := range names {
+		want := int64(puts - 3 + i + 1)
+		if set, ok := c2.Get(name); !ok || set.Version != want || sigTag(set) != name {
+			t.Fatalf("set %q reopened as %+v, want version %d", name, set, want)
+		}
+	}
+}
+
+// TestLegacyFilesOpenAsJournals opens a signature cache in the format
+// older releases wrote (an LSCKPT1 header and one {"sets":{…}} record):
+// it loads the same sets, and a Put after it survives a reopen.
+func TestLegacyFilesOpenAsJournals(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-sigs.cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sigs.cache")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, loaded, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		version int64
+		tokens  []string
+	}{
+		"":         {3, []string{"imei=", "3579"}},
+		"tenant-a": {9, []string{"android_id=", "a1b2"}},
+	}
+	if !loaded || c.Len() != len(want) {
+		t.Fatalf("legacy cache loaded=%v names=%v", loaded, c.Names())
+	}
+	for name, w := range want {
+		set, ok := c.Get(name)
+		if !ok || set.Version != w.version || len(set.Signatures) != 1 || fmt.Sprint(set.Signatures[0].Tokens) != fmt.Sprint(w.tokens) {
+			t.Fatalf("legacy set %q = %+v, want version %d tokens %v", name, set, w.version, w.tokens)
+		}
+	}
+	if err := c.Put("tenant-a", makeSet(10, "a")); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c2, _, err := OpenSetCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if set, _ := c2.Get(""); set == nil || set.Version != 3 {
+		t.Fatalf("default set after a Put on the legacy file: %+v", set)
+	}
+	if set, _ := c2.Get("tenant-a"); set == nil || set.Version != 10 {
+		t.Fatalf("tenant-a after a Put on the legacy file: %+v", set)
 	}
 }

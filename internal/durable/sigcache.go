@@ -1,62 +1,112 @@
 package durable
 
 import (
-	"errors"
-	"os"
+	"encoding/json"
 	"sort"
 	"sync"
 
 	"leaksig/internal/signature"
 )
 
-// SetCache is leakstream's last-known-good signature store: every set
-// delivered by a watch is written through to one atomic checkpoint
-// file, and on a boot where sigserver is unreachable the engine loads
-// and serves the cached sets instead of starting blind (degraded mode).
-// Safe for concurrent use.
+// cacheCompactEvery is how many appends accumulate before the cache is
+// compacted down to one record per name: deliveries supersede each
+// other per name, so the file would otherwise grow by one set per
+// delivery for as long as the daemon lives.
+const cacheCompactEvery = 256
+
+// SetCache is leakstream's last-known-good signature store: a journal
+// with one {name, set} record per set delivered by a watch, and on a
+// boot where sigserver is unreachable the engine loads and serves the
+// cached sets instead of starting blind (degraded mode). Safe for
+// concurrent use.
 type SetCache struct {
-	path string
+	j *Journal
 
-	mu   sync.Mutex
-	sets map[string]*signature.Set // name ("" = default) → last good set
+	mu           sync.Mutex
+	sets         map[string]*signature.Set // name ("" = default) → last good set
+	sinceCompact int                       // appends since the last compaction; at open, the records recovered
 }
 
-// cachedSets is the on-disk shape.
-type cachedSets struct {
-	Sets map[string]*signature.Set `json:"sets"`
+// cacheRecord is one cached set at rest. Sets is the single whole-cache
+// record older releases wrote; replay still reads it.
+type cacheRecord struct {
+	Name string                    `json:"name"`
+	Set  *signature.Set            `json:"set,omitempty"`
+	Sets map[string]*signature.Set `json:"sets,omitempty"`
 }
 
-// OpenSetCache loads the cache at path. Missing and corrupt files both
-// yield an empty, usable cache — corruption is counted by the caller's
-// logs, never fatal. The returned bool reports whether cached sets were
-// actually loaded.
+// OpenSetCache opens (creating if absent) the cache at path and loads
+// each name's last intact record. Damage costs only the records from
+// the first damaged one on, as in any journal; a path that cannot be
+// opened is an error. The returned bool reports whether cached sets
+// were actually loaded.
 func OpenSetCache(path string) (*SetCache, bool, error) {
-	c := &SetCache{path: path, sets: map[string]*signature.Set{}}
-	var disk cachedSets
-	err := LoadJSON(path, &disk)
-	switch {
-	case err == nil:
-		if disk.Sets != nil {
-			c.sets = disk.Sets
-		}
-		return c, len(c.sets) > 0, nil
-	case errors.Is(err, os.ErrNotExist):
-		return c, false, nil
-	case errors.Is(err, ErrCorrupt):
-		return c, false, nil
-	default:
+	c := &SetCache{sets: map[string]*signature.Set{}}
+	j, err := Open(path, JournalConfig{Fsync: FsyncAlways, Replay: c.replay})
+	if err != nil {
 		return nil, false, err
 	}
+	c.j = j
+	c.sinceCompact = int(j.Stats().Recovered)
+	return c, len(c.sets) > 0, nil
 }
 
-// Put records set as the last known good for name and persists the
-// whole cache atomically. The write is synchronous — a watch delivery
-// returns only after the cache would survive a crash.
+// replay applies one record during Open: a later record for a name
+// replaces an earlier one.
+func (c *SetCache) replay(payload []byte) error {
+	var rec cacheRecord
+	if json.Unmarshal(payload, &rec) != nil {
+		// An intact-CRC record that fails to decode is a version-skew
+		// artifact, not corruption; skip it rather than refuse to boot.
+		return nil
+	}
+	for name, set := range rec.Sets {
+		if set != nil {
+			c.sets[name] = set
+		}
+	}
+	if rec.Set != nil {
+		c.sets[rec.Name] = rec.Set
+	}
+	return nil
+}
+
+// Put records set as the last known good for name by appending one
+// record. The append is synced — a watch delivery returns only after the
+// set would survive a crash — and a failed append leaves the cache as it
+// was. Every cacheCompactEvery records, the file is rewritten as one
+// record per name.
 func (c *SetCache) Put(name string, set *signature.Set) error {
+	payload, err := json.Marshal(cacheRecord{Name: name, Set: set})
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.j.Append(payload); err != nil {
+		return err
+	}
 	c.sets[name] = set
-	return SaveJSON(c.path, cachedSets{Sets: c.sets})
+	if c.sinceCompact++; c.sinceCompact >= cacheCompactEvery {
+		c.sinceCompact = 0
+		c.compactLocked()
+	}
+	return nil
+}
+
+// compactLocked rewrites the file as one record per name. A failed
+// compaction leaves the appended records in place; the next one retries.
+// Callers hold c.mu.
+func (c *SetCache) compactLocked() {
+	records := make([][]byte, 0, len(c.sets))
+	for _, name := range c.namesLocked() {
+		payload, err := json.Marshal(cacheRecord{Name: name, Set: c.sets[name]})
+		if err != nil {
+			return
+		}
+		records = append(records, payload)
+	}
+	c.j.Compact(records)
 }
 
 // Get returns the cached set for name, if any.
@@ -72,6 +122,10 @@ func (c *SetCache) Get(name string) (*signature.Set, bool) {
 func (c *SetCache) Names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.namesLocked()
+}
+
+func (c *SetCache) namesLocked() []string {
 	names := make([]string, 0, len(c.sets))
 	for name := range c.sets {
 		names = append(names, name)
@@ -86,3 +140,6 @@ func (c *SetCache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.sets)
 }
+
+// Close closes the cache's file. A Put after Close fails.
+func (c *SetCache) Close() error { return c.j.Close() }

@@ -1,6 +1,8 @@
 package siggen
 
 import (
+	"encoding/json"
+
 	"leaksig/internal/durable"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
@@ -64,10 +66,17 @@ type ckptState struct {
 	Pubs    map[string]ckptPub          `json:"pubs,omitempty"`
 }
 
-// saveCheckpointLocked atomically writes the learner's state to path:
-// the snapshot and the (synced) file write both hold s.mu, so it runs on
-// epoch cadence and at Close, never per packet. Callers hold s.mu.
-func (s *Service) saveCheckpointLocked(path string) {
+// saveCheckpointLocked compacts the checkpoint journal to one record,
+// the learner's state: temp file, sync, rename, directory sync, so a
+// crash mid-save leaves the previous checkpoint whole. The snapshot and
+// the write both hold s.mu, so it runs on epoch cadence and at Close,
+// never per packet. A save that fails, or finds no journal open, counts
+// in CheckpointErrors. Callers hold s.mu.
+func (s *Service) saveCheckpointLocked() {
+	if s.ckpt == nil {
+		s.ckptErrors.Add(1)
+		return
+	}
 	state := ckptState{
 		Format:        ckptFormat,
 		ClusterEpoch:  s.clusterer.epoch,
@@ -109,7 +118,11 @@ func (s *Service) saveCheckpointLocked(path string) {
 			}
 		}
 	}
-	if err := durable.SaveJSON(path, state); err != nil {
+	payload, err := json.Marshal(state)
+	if err == nil {
+		err = s.ckpt.Compact([][]byte{payload})
+	}
+	if err != nil {
 		s.ckptErrors.Add(1)
 		return
 	}
@@ -127,13 +140,26 @@ func samplesOut(buf []sample) []ckptSample {
 	return out
 }
 
-// restoreCheckpoint loads learner state from path into a new service,
-// before NewService starts the owner goroutine. A missing, unreadable,
-// corrupt, or format-skewed file restores nothing: re-learning beats
-// refusing to boot. Stats reports whether a checkpoint was restored.
-func (s *Service) restoreCheckpoint(path string) {
+// openCheckpoint opens the checkpoint journal at path and restores the
+// learner's state from its last intact record, before NewService starts
+// the owner goroutine. A journal that cannot be opened counts in
+// CheckpointErrors, and the learner runs without one; an empty journal,
+// or a last record that does not decode or carries another format,
+// restores nothing. Either way the learner starts fresh and says nothing
+// beyond Stats: re-learning beats refusing to boot.
+func (s *Service) openCheckpoint(path string) {
+	var last []byte
+	j, err := durable.Open(path, durable.JournalConfig{Replay: func(p []byte) error {
+		last = append(last[:0], p...)
+		return nil
+	}})
+	if err != nil {
+		s.ckptErrors.Add(1)
+		return
+	}
+	s.ckpt = j
 	var state ckptState
-	if err := durable.LoadJSON(path, &state); err != nil || state.Format != ckptFormat {
+	if json.Unmarshal(last, &state) != nil || state.Format != ckptFormat {
 		return
 	}
 

@@ -161,6 +161,48 @@ func TestCheckpointCorruptStartsFresh(t *testing.T) {
 	}
 }
 
+// TestCheckpointUnopenableCounted: a checkpoint path that cannot be
+// opened does not stop the learner; the failed open and each save that
+// then cannot happen count as checkpoint errors.
+func TestCheckpointUnopenableCounted(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "missing-dir", "learner.ckpt")
+	svc := NewService(Config{CheckpointPath: ckpt})
+	defer svc.Close()
+	if st := svc.Stats(); st.CheckpointErrors != 1 || st.CheckpointRestored {
+		t.Fatalf("after an unopenable checkpoint: %+v", st)
+	}
+	for i := 0; i < 10; i++ {
+		svc.Observe("t", leakPacket("t", i))
+	}
+	if _, err := svc.RunEpoch(context.Background()); err != nil {
+		t.Fatalf("epoch without a checkpoint: %v", err)
+	}
+	if st := svc.Stats(); st.CheckpointErrors != 2 || st.CheckpointSaves != 0 {
+		t.Fatalf("save without a checkpoint: %+v", st)
+	}
+}
+
+// TestCheckpointRestoresLegacyFile restores from a checkpoint in the
+// format older releases wrote (an LSCKPT1 header, one record), written
+// by a service that saw 8 misses and one epoch: the restored service
+// reports the version and catalog that service had.
+func TestCheckpointRestoresLegacyFile(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "durable", "testdata", "legacy-learner.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "learner.ckpt")
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(Config{CheckpointPath: ckpt})
+	defer svc.Close()
+	st := svc.Stats()
+	if !st.CheckpointRestored || st.LastVersion != 1 || st.Catalog != 1 {
+		t.Fatalf("legacy checkpoint restored=%v version=%d catalog=%d, want true/1/1", st.CheckpointRestored, st.LastVersion, st.Catalog)
+	}
+}
+
 // failingPublisher rejects every publish, simulating a dead sigserver.
 type failingPublisher struct{}
 

@@ -2,6 +2,7 @@ package siggen
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -196,9 +197,14 @@ func TestCloseCheckpointHoldsEveryObservedMiss(t *testing.T) {
 	<-closed
 
 	var state ckptState
-	if err := durable.LoadJSON(ckpt, &state); err != nil {
+	j, err := durable.Open(ckpt, durable.JournalConfig{Replay: func(p []byte) error {
+		state = ckptState{}
+		return json.Unmarshal(p, &state)
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	j.Close()
 	got := len(state.Overflow)
 	for _, samples := range state.Reservoirs {
 		got += len(samples)

@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leaksig/internal/durable"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs/trace"
 	"leaksig/internal/signature"
@@ -152,12 +153,13 @@ type Config struct {
 	Seed int64
 
 	// CheckpointPath, when set, makes learner state durable: NewService
-	// restores from it (missing/corrupt files restore nothing and are
-	// not errors), every epoch atomically rewrites it, and Close writes
-	// a final checkpoint — so reservoir samples, cluster medoids+tags,
-	// the published catalog, and retirement bookkeeping survive a
-	// restart. RNG state is not checkpointed; a restored service
-	// reseeds from Seed.
+	// opens it as a journal (internal/durable) and restores from its
+	// last record (missing/corrupt files restore nothing and are not
+	// errors), every epoch atomically rewrites it, and Close writes a
+	// final checkpoint and closes it — so reservoir samples, cluster
+	// medoids+tags, the published catalog, and retirement bookkeeping
+	// survive a restart. RNG state is not checkpointed; a restored
+	// service reseeds from Seed.
 	CheckpointPath string
 
 	// Tracer, when non-nil, receives the learner's stage latencies:
@@ -258,6 +260,7 @@ type Service struct {
 	ckptSaves       atomic.Uint64
 	ckptErrors      atomic.Uint64
 	ckptRestored    atomic.Bool
+	ckpt            *durable.Journal // the checkpoint; nil without CheckpointPath or when it failed to open
 
 	benignTrain []*httpmodel.Packet
 	benignHold  []*httpmodel.Packet
@@ -294,7 +297,7 @@ func NewService(cfg Config) *Service {
 	s.stage = s.clusterer
 	s.benignTrain, s.benignHold = splitBenign(cfg.Benign)
 	if cfg.CheckpointPath != "" {
-		s.restoreCheckpoint(cfg.CheckpointPath)
+		s.openCheckpoint(cfg.CheckpointPath)
 	}
 	go s.run()
 	return s
@@ -454,7 +457,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	// pubState versions and pending sets reflect this epoch's outcome —
 	// including failed publishes parked for retry.
 	if s.cfg.CheckpointPath != "" {
-		s.saveCheckpointLocked(s.cfg.CheckpointPath)
+		s.saveCheckpointLocked()
 	}
 	return set, err
 }
@@ -834,16 +837,19 @@ func (s *Service) Stats() Stats {
 
 // Close is the owner's last call: after admitting every miss observed
 // before it, it writes a final checkpoint when CheckpointPath is set
-// (capturing samples that arrived after the last epoch) and stops the
-// owner. It does not run a final epoch; callers that want one
-// (pipe-mode daemons) call RunEpoch first. Close is idempotent, and
-// RunEpoch after it returns an error.
+// (capturing samples that arrived after the last epoch), closes the
+// checkpoint journal, and stops the owner. It does not run a final
+// epoch; callers that want one (pipe-mode daemons) call RunEpoch first.
+// Close is idempotent, and RunEpoch after it returns an error.
 func (s *Service) Close() {
 	// errClosed only means an earlier Close already stopped the owner.
 	_ = s.call(func() {
 		if s.cfg.CheckpointPath != "" {
 			s.mu.Lock()
-			s.saveCheckpointLocked(s.cfg.CheckpointPath)
+			s.saveCheckpointLocked()
+			if s.ckpt != nil && s.ckpt.Close() != nil {
+				s.ckptErrors.Add(1)
+			}
 			s.mu.Unlock()
 		}
 		s.stopped = true
