@@ -1,8 +1,9 @@
 package leaksig
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, ablation benchmarks for the design choices DESIGN.md calls
-// out, and microbenchmarks for the hot paths. Rates are attached as custom
+// evaluation, ablation benchmarks for the repository's design choices
+// (distance convention, destination term, linkage, singleton clusters), and
+// microbenchmarks for the hot paths. Rates are attached as custom
 // benchmark metrics (tp@N%, fn@N%, fp@N%), so
 //
 //	go test -bench=Figure4 -benchmem
@@ -175,7 +176,7 @@ func ablationPoint(b *testing.B, cfg core.Config) {
 
 // BenchmarkAblationDistanceMode compares the normalized destination terms
 // (repository default) against the paper's literal formulas, which score
-// identical destinations as maximally far apart (DESIGN.md §3).
+// identical destinations as maximally far apart.
 func BenchmarkAblationDistanceMode(b *testing.B) {
 	b.Run("normalized", func(b *testing.B) {
 		ablationPoint(b, core.Config{Distance: distance.Config{Mode: distance.ModeNormalized}})

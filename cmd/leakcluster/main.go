@@ -36,18 +36,11 @@ func loadDevice(path string) (*android.Device, error) {
 	return &d, nil
 }
 
-func loadCapture(path string) (*capture.Set, error) {
-	if set, err := capture.LoadBinary(path); err == nil {
-		return set, nil
-	}
-	return capture.LoadJSONL(path)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("leakcluster: ")
 	var (
-		in      = flag.String("in", "capture.jsonl", "capture input (jsonl or binary)")
+		in      = flag.String("in", "capture.jsonl", "capture input")
 		device  = flag.String("device", "device.json", "device identity file")
 		n       = flag.Int("n", 500, "suspicious packets to sample (0: use all)")
 		seed    = flag.Int64("seed", 42, "sampling seed")
@@ -63,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading device: %v", err)
 	}
-	set, err := loadCapture(*in)
+	set, err := capture.LoadJSONL(*in)
 	if err != nil {
 		log.Fatalf("loading capture: %v", err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("leakdetect: ")
 	var (
-		in     = flag.String("in", "capture.jsonl", "capture input (jsonl or binary)")
+		in     = flag.String("in", "capture.jsonl", "capture input")
 		sigsIn = flag.String("sigs", "signatures.json", "signature set")
 		device = flag.String("device", "", "device identity file (enables scoring)")
 		n      = flag.Int("n", 0, "training sample size used when generating the signatures")
@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	set, err := loadCapture(*in)
+	set, err := capture.LoadJSONL(*in)
 	if err != nil {
 		log.Fatalf("loading capture: %v", err)
 	}
@@ -104,11 +104,4 @@ func main() {
 		report.Percent(res.TruePositiveRate),
 		report.Percent(res.FalseNegativeRate),
 		report.Percent(res.FalsePositiveRate))
-}
-
-func loadCapture(path string) (*capture.Set, error) {
-	if set, err := capture.LoadBinary(path); err == nil {
-		return set, nil
-	}
-	return capture.LoadJSONL(path)
 }

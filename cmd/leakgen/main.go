@@ -3,10 +3,13 @@
 // the paper's Tables I-III and Figure 2, plus the device identity file the
 // other tools need to re-derive ground truth.
 //
+// The capture is JSONL, one packet per line, in the schema the daemons
+// ingest as NDJSON.
+//
 // Usage:
 //
 //	leakgen -out capture.jsonl -device device.json [-seed 1]
-//	        [-apps 1188] [-packets 107859] [-format jsonl|binary]
+//	        [-apps 1188] [-packets 107859] [-orgs orgs.json]
 package main
 
 import (
@@ -29,7 +32,6 @@ func main() {
 		packets = flag.Int("packets", 107859, "total packet budget")
 		out     = flag.String("out", "capture.jsonl", "capture output path")
 		device  = flag.String("device", "device.json", "device identity output path")
-		format  = flag.String("format", "jsonl", "capture format: jsonl or binary")
 		orgs    = flag.String("orgs", "", "optional path for the organization/IP-block registry (WHOIS data)")
 	)
 	flag.Parse()
@@ -40,17 +42,8 @@ func main() {
 		TotalPackets: *packets,
 	})
 
-	switch *format {
-	case "jsonl":
-		if err := ds.Capture.SaveJSONL(*out); err != nil {
-			log.Fatalf("writing capture: %v", err)
-		}
-	case "binary":
-		if err := ds.Capture.SaveBinary(*out); err != nil {
-			log.Fatalf("writing capture: %v", err)
-		}
-	default:
-		log.Fatalf("unknown format %q (want jsonl or binary)", *format)
+	if err := ds.Capture.SaveJSONL(*out); err != nil {
+		log.Fatalf("writing capture: %v", err)
 	}
 
 	df, err := os.Create(*device)
@@ -96,5 +89,5 @@ func main() {
 	}
 	fmt.Printf("generated %d packets from %d apps (%d suspicious, %d normal)\n",
 		ds.Capture.Len(), len(ds.Apps), susp, ds.Capture.Len()-susp)
-	fmt.Printf("capture: %s (%s)\ndevice:  %s\n", *out, *format, *device)
+	fmt.Printf("capture: %s\ndevice:  %s\n", *out, *device)
 }

@@ -32,8 +32,9 @@ import (
 	"leaksig/internal/ipaddr"
 )
 
-// Calibration constants for the tail (see DESIGN.md §4 and EXPERIMENTS.md
-// for generated-vs-paper numbers).
+// Calibration constants for the tail. TestTableIIISensitiveComposition in
+// internal/trafficgen logs the generated count of each leak kind beside the
+// paper's Table III figure.
 const (
 	aidBeaconHosts, aidBeaconPkts           = 75, 1200
 	md5BeaconHosts, md5BeaconPkts           = 8, 2180

@@ -6,14 +6,13 @@
 // filtering, random sampling of the signature-generation subset P ⊂ H
 // (§IV-D), and splitting into suspicious/normal groups (§V-A).
 //
-// Two interchange formats are provided: JSONL (one packet per line, human
-// inspectable) and a length-prefixed binary framing of the raw HTTP wire
-// format (compact, mirrors what an on-path collector would store).
+// A capture file has one format: JSONL, one packet per line, in the same
+// schema the daemons ingest as NDJSON, and httpmodel.ReadNDJSON is its one
+// reader.
 package capture
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +20,6 @@ import (
 	"os"
 
 	"leaksig/internal/httpmodel"
-	"leaksig/internal/ipaddr"
 )
 
 // Set is an ordered collection of captured packets.
@@ -126,128 +124,28 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL reads a JSONL stream produced by WriteJSONL.
+// ReadJSONL reads a JSONL stream produced by WriteJSONL. Each line is
+// decoded and validated by httpmodel.ReadNDJSON, and the first line it
+// rejects refuses the whole stream: the error names that line's number and
+// the class of failure, never a field's value.
 func ReadJSONL(r io.Reader) (*Set, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
 	s := &Set{}
-	for {
-		var p httpmodel.Packet
-		if err := dec.Decode(&p); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("capture: decoding packet %d: %w", len(s.Packets), err)
-		}
-		s.Packets = append(s.Packets, &p)
-	}
-	return s, nil
-}
-
-// Binary framing: a magic header, then per packet
-//
-//	uint32 frameLen | uint64 id | uint32 ip | uint16 port |
-//	uint32 appLen | app | uint64 time | uint32 rawLen | raw-HTTP
-//
-// all big-endian. The raw HTTP request carries everything else.
-var binaryMagic = [8]byte{'L', 'S', 'I', 'G', 'C', 'A', 'P', '1'}
-
-// WriteBinary writes the compact binary capture format.
-func (s *Set) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	for _, p := range s.Packets {
-		raw := p.WireBytes()
-		app := []byte(p.App)
-		frame := 8 + 4 + 2 + 4 + len(app) + 8 + 4 + len(raw)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(frame))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var fixed [8]byte
-		binary.BigEndian.PutUint64(fixed[:], uint64(p.ID))
-		bw.Write(fixed[:])
-		binary.BigEndian.PutUint32(fixed[:4], uint32(p.DstIP))
-		bw.Write(fixed[:4])
-		binary.BigEndian.PutUint16(fixed[:2], p.DstPort)
-		bw.Write(fixed[:2])
-		binary.BigEndian.PutUint32(fixed[:4], uint32(len(app)))
-		bw.Write(fixed[:4])
-		bw.Write(app)
-		binary.BigEndian.PutUint64(fixed[:], uint64(p.Time))
-		bw.Write(fixed[:])
-		binary.BigEndian.PutUint32(fixed[:4], uint32(len(raw)))
-		bw.Write(fixed[:4])
-		if _, err := bw.Write(raw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads the binary capture format.
-func ReadBinary(r io.Reader) (*Set, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("capture: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("capture: bad magic %q", magic)
-	}
-	s := &Set{}
-	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("capture: reading frame header: %w", err)
-		}
-		frame := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return nil, fmt.Errorf("capture: reading frame: %w", err)
-		}
-		p, err := decodeFrame(frame)
-		if err != nil {
-			return nil, err
-		}
+	var refused error
+	_, _, err := httpmodel.ReadNDJSON(r, nil, func(p *httpmodel.Packet) error {
 		s.Packets = append(s.Packets, p)
+		return nil
+	}, func(line int, err error) {
+		if refused == nil {
+			refused = fmt.Errorf("capture: line %d: %w", line, err)
+		}
+	})
+	if refused != nil {
+		return nil, refused
+	}
+	if err != nil {
+		return nil, fmt.Errorf("capture: reading: %w", err)
 	}
 	return s, nil
-}
-
-func decodeFrame(frame []byte) (*httpmodel.Packet, error) {
-	const fixedMin = 8 + 4 + 2 + 4
-	if len(frame) < fixedMin {
-		return nil, fmt.Errorf("capture: frame too short (%d bytes)", len(frame))
-	}
-	id := int64(binary.BigEndian.Uint64(frame[0:8]))
-	ip := ipaddr.Addr(binary.BigEndian.Uint32(frame[8:12]))
-	port := binary.BigEndian.Uint16(frame[12:14])
-	appLen := int(binary.BigEndian.Uint32(frame[14:18]))
-	rest := frame[18:]
-	if len(rest) < appLen+8+4 {
-		return nil, fmt.Errorf("capture: truncated frame")
-	}
-	app := string(rest[:appLen])
-	rest = rest[appLen:]
-	tm := int64(binary.BigEndian.Uint64(rest[0:8]))
-	rawLen := int(binary.BigEndian.Uint32(rest[8:12]))
-	rest = rest[12:]
-	if len(rest) != rawLen {
-		return nil, fmt.Errorf("capture: raw length %d does not match remainder %d", rawLen, len(rest))
-	}
-	p, err := httpmodel.ParseWireBytes(rest, ip, port)
-	if err != nil {
-		return nil, fmt.Errorf("capture: frame id %d: %w", id, err)
-	}
-	p.ID = id
-	p.App = app
-	p.Time = tm
-	return p, nil
 }
 
 // SaveJSONL writes the set to a file in JSONL format.
@@ -271,27 +169,4 @@ func LoadJSONL(path string) (*Set, error) {
 	}
 	defer f.Close()
 	return ReadJSONL(f)
-}
-
-// SaveBinary writes the set to a file in binary format.
-func (s *Set) SaveBinary(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinary reads a binary capture file.
-func LoadBinary(path string) (*Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -114,19 +114,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	assertSetsEqual(t, s, got)
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	s := sampleSet()
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSetsEqual(t, s, got)
-}
-
 func assertSetsEqual(t *testing.T, want, got *Set) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -152,29 +139,6 @@ func assertSetsEqual(t *testing.T, want, got *Set) {
 	}
 }
 
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOTMAGIC rest"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
-}
-
-func TestBinaryRejectsTruncated(t *testing.T) {
-	s := sampleSet()
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, cut := range []int{len(raw) - 1, len(raw) / 2, 9} {
-		if _, err := ReadBinary(bytes.NewReader(raw[:cut])); err == nil {
-			t.Errorf("truncated stream (cut %d) accepted", cut)
-		}
-	}
-}
-
 func TestJSONLRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
 		t.Error("garbage JSONL accepted")
@@ -194,31 +158,57 @@ func TestFileRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSetsEqual(t, s, got)
-
-	bp := filepath.Join(dir, "cap.bin")
-	if err := s.SaveBinary(bp); err != nil {
-		t.Fatal(err)
-	}
-	got, err = LoadBinary(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSetsEqual(t, s, got)
 }
 
 func TestEmptySetRoundTrips(t *testing.T) {
 	s := New(nil)
-	var jbuf, bbuf bytes.Buffer
-	if err := s.WriteJSONL(&jbuf); err != nil {
+	var buf bytes.Buffer
+	if err := s.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadJSONL(&jbuf); err != nil || got.Len() != 0 {
+	if got, err := ReadJSONL(&buf); err != nil || got.Len() != 0 {
 		t.Errorf("empty JSONL round trip: %v, len %d", err, got.Len())
 	}
-	if err := s.WriteBinary(&bbuf); err != nil {
+}
+
+// captureLines is a valid two-packet capture with bad spliced in as its
+// third line.
+func captureLines(t *testing.T, bad string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := New(sampleSet().Packets[:2]).WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadBinary(&bbuf); err != nil || got.Len() != 0 {
-		t.Errorf("empty binary round trip: %v", err)
+	return buf.String() + bad + "\n"
+}
+
+func TestReadJSONLRejectsInvalidPackets(t *testing.T) {
+	for name, line := range map[string]string{
+		"PUT":           `{"id":7,"host":"a.example","dst_ip":"203.0.113.9","dst_port":80,"method":"PUT","path":"/x","proto":"HTTP/1.1"}`,
+		"GET with body": `{"id":8,"host":"a.example","dst_ip":"203.0.113.9","dst_port":80,"method":"GET","path":"/x","proto":"HTTP/1.1","body":"az0xMjM="}`,
+	} {
+		set, err := ReadJSONL(strings.NewReader(captureLines(t, line)))
+		if err == nil {
+			t.Errorf("%s: capture accepted with %d packets", name, set.Len())
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3:") {
+			t.Errorf("%s: error %q does not name line 3", name, err)
+		}
+	}
+}
+
+func TestReadJSONLErrorsNeverQuoteValues(t *testing.T) {
+	const imei = "355136052391234"
+	line := `{"id":9,"host":"a.example","dst_ip":"imei=` + imei + `","dst_port":80,"method":"GET","path":"/x","proto":"HTTP/1.1"}`
+	_, err := ReadJSONL(strings.NewReader(captureLines(t, line)))
+	if err == nil {
+		t.Fatal("capture with an unparseable dst_ip accepted")
+	}
+	if strings.Contains(err.Error(), imei) {
+		t.Errorf("error quotes the field value: %q", err)
+	}
+	if !strings.Contains(err.Error(), "line 3:") {
+		t.Errorf("error %q does not name line 3", err)
 	}
 }

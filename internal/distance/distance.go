@@ -17,7 +17,16 @@
 //     the behaviour the paper's prose describes ("results sent to the same
 //     server to be clustered together", §IV-A).
 //
-// See DESIGN.md §3 for the rationale; an ablation benchmark compares both.
+// The root package's BenchmarkAblationDistanceMode compares the two
+// conventions end to end.
+//
+// The host term is the paper's
+//
+//	dhost(px, py) = ed(hostx, hosty) / max(len(hostx), len(hosty))
+//
+// where ed is the unit-cost Levenshtein edit distance: bit-parallel when
+// the shorter string fits a machine word, a two-row dynamic program
+// otherwise.
 package distance
 
 import (
@@ -27,7 +36,6 @@ import (
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/ipaddr"
 	"leaksig/internal/ncd"
-	"leaksig/internal/strdist"
 )
 
 // Mode selects the destination-term convention.
@@ -151,7 +159,7 @@ func (m *Metric) PortTerm(a, b uint16) float64 {
 // longer length. Both modes use the paper's formula (it is already a
 // distance).
 func (m *Metric) HostTerm(a, b string) float64 {
-	return strdist.Normalized(a, b)
+	return normalized(a, b)
 }
 
 // Destination returns ddst(px, py) = dip + dport + dhost.

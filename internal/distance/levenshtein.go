@@ -1,19 +1,9 @@
-// Package strdist implements string edit distances used by the HTTP host
-// component of the packet destination distance (§IV-B of the paper).
-//
-// The paper defines the host distance as
-//
-//	dhost(px, py) = ed(hostx, hosty) / max(len(hostx), len(hosty))
-//
-// where ed is the (unit-cost Levenshtein) edit distance. The package provides
-// the edit distance — bit-parallel when the shorter string fits a machine
-// word, a two-row dynamic program otherwise — and the normalized form.
-package strdist
+package distance
 
-// Levenshtein returns the unit-cost edit distance (insertions, deletions,
+// levenshtein returns the unit-cost edit distance (insertions, deletions,
 // substitutions) between a and b, operating on bytes. Hostnames are ASCII,
 // so byte-level distance matches rune-level distance for our inputs.
-func Levenshtein(a, b string) int {
+func levenshtein(a, b string) int {
 	if a == b {
 		return 0
 	}
@@ -55,7 +45,7 @@ func Levenshtein(a, b string) int {
 	return row[len(b)]
 }
 
-// bitParallel is Levenshtein for 1 ≤ len(b) ≤ 64, by Hyyrö's form of
+// bitParallel is levenshtein for 1 ≤ len(b) ≤ 64, by Hyyrö's form of
 // Myers' bit-parallel algorithm: bit i of each word holds the vertical
 // delta D[i+1][j] − D[i][j] of the dynamic program's column j over b as
 // positive (pv) or negative (mv), one column per byte of a, and score
@@ -89,10 +79,10 @@ func bitParallel(a, b string) int {
 	return score
 }
 
-// Normalized returns the paper's dhost term: Levenshtein(a, b) divided by
+// normalized returns the paper's dhost term: levenshtein(a, b) divided by
 // the length of the longer string, in [0, 1]. Two empty strings have
 // distance 0.
-func Normalized(a, b string) float64 {
+func normalized(a, b string) float64 {
 	n := len(a)
 	if len(b) > n {
 		n = len(b)
@@ -100,5 +90,5 @@ func Normalized(a, b string) float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(Levenshtein(a, b)) / float64(n)
+	return float64(levenshtein(a, b)) / float64(n)
 }

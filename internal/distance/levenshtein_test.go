@@ -1,4 +1,4 @@
-package strdist
+package distance
 
 import (
 	"math/rand"
@@ -24,8 +24,8 @@ func TestLevenshteinBasics(t *testing.T) {
 		{"a", "b", 1},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := levenshtein(c.a, c.b); got != c.want {
+			t.Errorf("levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -38,7 +38,7 @@ func TestLevenshteinSymmetric(t *testing.T) {
 		if len(b) > 64 {
 			b = b[:64]
 		}
-		return Levenshtein(a, b) == Levenshtein(b, a)
+		return levenshtein(a, b) == levenshtein(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -57,7 +57,7 @@ func TestLevenshteinTriangleInequality(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		a, b, c := randStr(), randStr(), randStr()
-		ab, bc, ac := Levenshtein(a, b), Levenshtein(b, c), Levenshtein(a, c)
+		ab, bc, ac := levenshtein(a, b), levenshtein(b, c), levenshtein(a, c)
 		if ac > ab+bc {
 			t.Fatalf("triangle violated: d(%q,%q)=%d > d(%q,%q)=%d + d(%q,%q)=%d",
 				a, c, ac, a, b, ab, b, c, bc)
@@ -74,7 +74,7 @@ func TestLevenshteinBoundsProperty(t *testing.T) {
 		if len(b) > 48 {
 			b = b[:48]
 		}
-		d := Levenshtein(a, b)
+		d := levenshtein(a, b)
 		lo := len(a) - len(b)
 		if lo < 0 {
 			lo = -lo
@@ -134,14 +134,14 @@ func TestLevenshteinMatchesDP(t *testing.T) {
 			c[rng.Intn(len(c))] = byte('a' + rng.Intn(alphabet))
 			b = string(c[:rng.Intn(len(c)+1)]) + randStr(rng.Intn(4), alphabet)
 		}
-		if got, want := Levenshtein(a, b), dpLevenshtein(a, b); got != want {
-			t.Fatalf("Levenshtein(%q, %q) = %d, dynamic program %d", a, b, got, want)
+		if got, want := levenshtein(a, b), dpLevenshtein(a, b); got != want {
+			t.Fatalf("levenshtein(%q, %q) = %d, dynamic program %d", a, b, got, want)
 		}
 	}
 	// Exactly at the word boundary, both ways.
 	for _, n := range []int{63, 64, 65} {
 		a, b := randStr(n, 3), randStr(n+rng.Intn(20), 3)
-		if got, want := Levenshtein(a, b), dpLevenshtein(a, b); got != want {
+		if got, want := levenshtein(a, b), dpLevenshtein(a, b); got != want {
 			t.Fatalf("len %d, %d: Levenshtein = %d, dynamic program %d", len(a), len(b), got, want)
 		}
 	}
@@ -149,7 +149,7 @@ func TestLevenshteinMatchesDP(t *testing.T) {
 
 func TestLevenshteinWordPathAllocatesNothing(t *testing.T) {
 	a, b := "n017.q8xk2mfa.example.net", "n018.q8xk2mfa.example.net.cdn"
-	if n := testing.AllocsPerRun(100, func() { Levenshtein(a, b) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { levenshtein(a, b) }); n != 0 {
 		t.Fatalf("Levenshtein on hosts allocates %v times per call", n)
 	}
 }
@@ -158,7 +158,7 @@ func BenchmarkLevenshteinHosts(b *testing.B) {
 	x, y := "ads.q8xk2mfa-net017.example.net", "trk.q8xk2mfa-net018.example.net"
 	b.ReportAllocs()
 	for b.Loop() {
-		Levenshtein(x, y)
+		levenshtein(x, y)
 	}
 }
 
@@ -175,8 +175,8 @@ func TestNormalized(t *testing.T) {
 		{"admob.com", "admob.org", 3.0 / 9.0},
 	}
 	for _, c := range cases {
-		if got := Normalized(c.a, c.b); got != c.want {
-			t.Errorf("Normalized(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		if got := normalized(c.a, c.b); got != c.want {
+			t.Errorf("normalized(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -189,7 +189,7 @@ func TestNormalizedRange(t *testing.T) {
 		if len(b) > 40 {
 			b = b[:40]
 		}
-		d := Normalized(a, b)
+		d := normalized(a, b)
 		return d >= 0 && d <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

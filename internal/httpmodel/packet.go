@@ -1,5 +1,5 @@
 // Package httpmodel defines the HTTP packet representation the whole system
-// operates on, plus a raw wire-format parser and serializer.
+// operates on.
 //
 // The paper (§IV-B/C) models an HTTP packet p as two tuples:
 //

@@ -9,9 +9,6 @@ package signature
 // threshold calibrated against benign traffic.
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -207,24 +204,3 @@ func (b *BayesSignature) Matches(p *httpmodel.Packet) bool {
 
 // NumTokens returns the vocabulary size.
 func (b *BayesSignature) NumTokens() int { return len(b.Tokens) }
-
-// WriteJSON serializes the signature.
-func (b *BayesSignature) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadBayesJSON deserializes a signature written by WriteJSON.
-func ReadBayesJSON(r io.Reader) (*BayesSignature, error) {
-	var b BayesSignature
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return nil, fmt.Errorf("signature: decoding bayes signature: %w", err)
-	}
-	if len(b.Scores) != len(b.Tokens) {
-		return nil, fmt.Errorf("signature: bayes signature has %d scores for %d tokens",
-			len(b.Scores), len(b.Tokens))
-	}
-	b.compile()
-	return &b, nil
-}

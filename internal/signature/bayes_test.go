@@ -115,37 +115,6 @@ func TestBayesNoBenignSample(t *testing.T) {
 	}
 }
 
-func TestBayesJSONRoundTrip(t *testing.T) {
-	clusters := [][]*httpmodel.Packet{leakCluster("ads.x.jp", "udid", "f3a9c1d200b14e67", 6)}
-	sig := GenerateBayes(clusters, benignTraffic(30), BayesOptions{})
-	var buf bytes.Buffer
-	if err := sig.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBayesJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumTokens() != sig.NumTokens() || got.Threshold != sig.Threshold {
-		t.Errorf("round trip changed signature: %d/%f vs %d/%f",
-			got.NumTokens(), got.Threshold, sig.NumTokens(), sig.Threshold)
-	}
-	p := leakCluster("ads.x.jp", "udid", "f3a9c1d200b14e67", 1)[0]
-	if got.Matches(p) != sig.Matches(p) {
-		t.Error("round trip changed verdict")
-	}
-}
-
-func TestBayesJSONRejectsMismatchedScores(t *testing.T) {
-	raw := `{"tokens":["a","b"],"scores":[1.0],"threshold":0.5}`
-	if _, err := ReadBayesJSON(bytes.NewReader([]byte(raw))); err == nil {
-		t.Error("mismatched scores accepted")
-	}
-	if _, err := ReadBayesJSON(bytes.NewReader([]byte("{bad"))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
 func TestBayesToleratesPartialTokenPresence(t *testing.T) {
 	// The probabilistic advantage over conjunctions: a packet carrying most
 	// but not all high-scoring tokens can still match.

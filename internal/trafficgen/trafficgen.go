@@ -86,7 +86,7 @@ func Generate(cfg Config) *Dataset {
 // 1,188 applications. The five printed Table I rows come first; the last
 // three absorb the 233 applications the paper's table leaves unexplained
 // (all still hold INTERNET so that every app produces traffic, matching
-// Figure 2's minimum of one destination — see DESIGN.md §3).
+// Figure 2's minimum of one destination).
 type tableIRow struct {
 	count int
 	perms []android.Permission

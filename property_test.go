@@ -57,26 +57,16 @@ func randToken(rng *rand.Rand) string {
 }
 
 func TestPropertyCaptureRoundTripsAnyPacket(t *testing.T) {
-	f := func(seed int64, binary bool) bool {
+	f := func(seed int64) bool {
 		p := arbitraryPacket(seed)
 		if p.Validate() != nil {
 			return true // only valid packets enter captures
 		}
-		set := capture.New([]*httpmodel.Packet{p})
 		var buf bytes.Buffer
-		var got *capture.Set
-		var err error
-		if binary {
-			if err = set.WriteBinary(&buf); err != nil {
-				return false
-			}
-			got, err = capture.ReadBinary(&buf)
-		} else {
-			if err = set.WriteJSONL(&buf); err != nil {
-				return false
-			}
-			got, err = capture.ReadJSONL(&buf)
+		if capture.New([]*httpmodel.Packet{p}).WriteJSONL(&buf) != nil {
+			return false
 		}
+		got, err := capture.ReadJSONL(&buf)
 		if err != nil || got.Len() != 1 {
 			return false
 		}
