@@ -9,17 +9,17 @@ import (
 
 func TestLuhnKnownValues(t *testing.T) {
 	// 49015420323751 -> check digit 8 (classic IMEI example).
-	if got := LuhnCheckDigit("49015420323751"); got != '8' {
-		t.Errorf("LuhnCheckDigit = %c, want 8", got)
+	if got := luhnCheckDigit("49015420323751"); got != '8' {
+		t.Errorf("luhnCheckDigit = %c, want 8", got)
 	}
-	if !LuhnValid("490154203237518") {
-		t.Error("LuhnValid(known IMEI) = false")
+	if !luhnValid("490154203237518") {
+		t.Error("luhnValid(known IMEI) = false")
 	}
-	if LuhnValid("490154203237519") {
-		t.Error("LuhnValid(corrupted IMEI) = true")
+	if luhnValid("490154203237519") {
+		t.Error("luhnValid(corrupted IMEI) = true")
 	}
-	if LuhnValid("") || LuhnValid("5") || LuhnValid("12a4") {
-		t.Error("LuhnValid accepted malformed input")
+	if luhnValid("") || luhnValid("5") || luhnValid("12a4") {
+		t.Error("luhnValid accepted malformed input")
 	}
 }
 
@@ -27,16 +27,16 @@ func TestLuhnAppendProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		body := randDigits(rng, 1+rng.Intn(20))
-		full := body + string(LuhnCheckDigit(body))
-		if !LuhnValid(full) {
-			t.Fatalf("LuhnValid(%q) = false", full)
+		full := body + string(luhnCheckDigit(body))
+		if !luhnValid(full) {
+			t.Fatalf("luhnValid(%q) = false", full)
 		}
 		// Mutating any single digit must break the check.
 		pos := rng.Intn(len(full))
 		mut := []byte(full)
 		mut[pos] = byte('0' + (int(mut[pos]-'0')+1+rng.Intn(8))%10)
-		if string(mut) != full && LuhnValid(string(mut)) {
-			t.Fatalf("LuhnValid accepted single-digit mutation %q of %q", mut, full)
+		if string(mut) != full && luhnValid(string(mut)) {
+			t.Fatalf("luhnValid accepted single-digit mutation %q of %q", mut, full)
 		}
 	}
 }
@@ -47,18 +47,18 @@ func TestLuhnPanicsOnNonDigit(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	LuhnCheckDigit("12x4")
+	luhnCheckDigit("12x4")
 }
 
 func TestGenerateIMEI(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	seen := make(map[string]bool)
 	for i := 0; i < 200; i++ {
-		imei := GenerateIMEI(rng)
+		imei := generateIMEI(rng)
 		if len(imei) != 15 {
 			t.Fatalf("IMEI length = %d", len(imei))
 		}
-		if !LuhnValid(imei) {
+		if !luhnValid(imei) {
 			t.Fatalf("IMEI %q fails Luhn", imei)
 		}
 		tacOK := false
@@ -79,7 +79,7 @@ func TestGenerateIMEI(t *testing.T) {
 
 func TestGenerateIMSI(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	imsi := GenerateIMSI(rng, CarrierDocomo)
+	imsi := generateIMSI(rng, CarrierDocomo)
 	if len(imsi) != 15 {
 		t.Fatalf("IMSI length = %d", len(imsi))
 	}
@@ -91,14 +91,14 @@ func TestGenerateIMSI(t *testing.T) {
 func TestGenerateICCID(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
-		iccid := GenerateICCID(rng)
+		iccid := generateICCID(rng)
 		if len(iccid) != 19 {
 			t.Fatalf("ICCID length = %d", len(iccid))
 		}
 		if !strings.HasPrefix(iccid, "8981") {
 			t.Errorf("ICCID %q missing 8981 prefix", iccid)
 		}
-		if !LuhnValid(iccid) {
+		if !luhnValid(iccid) {
 			t.Errorf("ICCID %q fails Luhn", iccid)
 		}
 	}
@@ -106,7 +106,7 @@ func TestGenerateICCID(t *testing.T) {
 
 func TestGenerateAndroidID(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	id := GenerateAndroidID(rng)
+	id := generateAndroidID(rng)
 	if len(id) != 16 {
 		t.Fatalf("AndroidID length = %d", len(id))
 	}
@@ -133,10 +133,10 @@ func TestNewDeviceDeterministic(t *testing.T) {
 }
 
 func TestPermissionShort(t *testing.T) {
-	if PermInternet.Short() != "INTERNET" {
-		t.Errorf("Short = %q", PermInternet.Short())
+	if PermInternet.short() != "INTERNET" {
+		t.Errorf("Short = %q", PermInternet.short())
 	}
-	if Permission("BARE").Short() != "BARE" {
+	if Permission("BARE").short() != "BARE" {
 		t.Error("Short on bare name failed")
 	}
 }
@@ -149,15 +149,9 @@ func TestSetOperations(t *testing.T) {
 	if s.HasLocation() {
 		t.Error("HasLocation false positive")
 	}
-	s.Add(PermAccessCoarseLocation)
+	s[PermAccessCoarseLocation] = true
 	if !s.HasLocation() {
 		t.Error("HasLocation missed coarse location")
-	}
-	sorted := s.Sorted()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			t.Error("Sorted not sorted")
-		}
 	}
 }
 
@@ -167,7 +161,7 @@ func TestDangerousComboTableIRows(t *testing.T) {
 		want  Combo
 	}{
 		{[]Permission{PermInternet}, ComboInternetOnly},
-		{[]Permission{PermInternet, PermVibrate}, ComboInternetOnly},
+		{[]Permission{PermInternet, "android.permission.VIBRATE"}, ComboInternetOnly},
 		{[]Permission{PermInternet, PermReadPhoneState}, ComboInternetPhone},
 		{[]Permission{PermInternet, PermAccessFineLocation, PermReadPhoneState}, ComboInternetLocationPhone},
 		{[]Permission{PermInternet, PermAccessCoarseLocation}, ComboInternetLocation},
@@ -184,21 +178,6 @@ func TestDangerousComboTableIRows(t *testing.T) {
 	}
 }
 
-func TestCanLeak(t *testing.T) {
-	leaky := &Manifest{Permissions: NewSet(PermInternet, PermReadPhoneState)}
-	if !leaky.CanLeak() {
-		t.Error("INTERNET+PHONE should leak")
-	}
-	netOnly := &Manifest{Permissions: NewSet(PermInternet)}
-	if netOnly.CanLeak() {
-		t.Error("INTERNET only should not leak")
-	}
-	noNet := &Manifest{Permissions: NewSet(PermReadPhoneState, PermReadContacts)}
-	if noNet.CanLeak() {
-		t.Error("no INTERNET should not leak")
-	}
-}
-
 func TestComboString(t *testing.T) {
 	if ComboInternetOnly.String() != "INTERNET" {
 		t.Errorf("String = %q", ComboInternetOnly.String())
@@ -211,7 +190,7 @@ func TestComboString(t *testing.T) {
 func TestIMSIAllCarriers(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, c := range Carriers() {
-		imsi := GenerateIMSI(rng, c)
+		imsi := generateIMSI(rng, c)
 		if !strings.HasPrefix(imsi, c.MCC+c.MNC) {
 			t.Errorf("IMSI %q missing %s%s for %s", imsi, c.MCC, c.MNC, c.Name)
 		}
@@ -222,7 +201,7 @@ func TestLuhnQuickCheckDigitIsDigit(t *testing.T) {
 	f := func(n uint32) bool {
 		rng := rand.New(rand.NewSource(int64(n)))
 		body := randDigits(rng, 1+int(n%25))
-		d := LuhnCheckDigit(body)
+		d := luhnCheckDigit(body)
 		return d >= '0' && d <= '9'
 	}
 	if err := quick.Check(f, nil); err != nil {

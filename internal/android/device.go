@@ -17,14 +17,14 @@ type Carrier struct {
 // Japanese carriers contemporaneous with the paper's collection window.
 var (
 	CarrierDocomo   = Carrier{Name: "NTTDOCOMO", MCC: "440", MNC: "10"}
-	CarrierSoftBank = Carrier{Name: "SoftBank", MCC: "440", MNC: "20"}
-	CarrierKDDI     = Carrier{Name: "KDDI", MCC: "440", MNC: "50"}
-	CarrierEmobile  = Carrier{Name: "eMobile", MCC: "440", MNC: "00"}
+	carrierSoftBank = Carrier{Name: "SoftBank", MCC: "440", MNC: "20"}
+	carrierKDDI     = Carrier{Name: "KDDI", MCC: "440", MNC: "50"}
+	carrierEmobile  = Carrier{Name: "eMobile", MCC: "440", MNC: "00"}
 )
 
 // Carriers lists the built-in carriers.
 func Carriers() []Carrier {
-	return []Carrier{CarrierDocomo, CarrierSoftBank, CarrierKDDI, CarrierEmobile}
+	return []Carrier{CarrierDocomo, carrierSoftBank, carrierKDDI, carrierEmobile}
 }
 
 // Device models the identifier-bearing state of one handset: the four UDIDs
@@ -52,16 +52,16 @@ func NewDevice(rng *rand.Rand, carrier Carrier) *Device {
 		Model:     "Nexus S",
 		OSVersion: "2.3.4",
 		Carrier:   carrier,
-		IMEI:      GenerateIMEI(rng),
-		IMSI:      GenerateIMSI(rng, carrier),
-		SIMSerial: GenerateICCID(rng),
-		AndroidID: GenerateAndroidID(rng),
+		IMEI:      generateIMEI(rng),
+		IMSI:      generateIMSI(rng, carrier),
+		SIMSerial: generateICCID(rng),
+		AndroidID: generateAndroidID(rng),
 	}
 }
 
-// LuhnCheckDigit returns the Luhn check digit for the given digit string.
+// luhnCheckDigit returns the Luhn check digit for the given digit string.
 // It panics on non-digit input (programming error).
-func LuhnCheckDigit(digits string) byte {
+func luhnCheckDigit(digits string) byte {
 	sum := 0
 	// The check digit will be appended, so positions alternate starting
 	// with double on the rightmost existing digit.
@@ -84,9 +84,9 @@ func LuhnCheckDigit(digits string) byte {
 	return byte('0' + (10-sum%10)%10)
 }
 
-// LuhnValid reports whether the digit string (including its final check
+// luhnValid reports whether the digit string (including its final check
 // digit) passes the Luhn check.
-func LuhnValid(s string) bool {
+func luhnValid(s string) bool {
 	if len(s) < 2 {
 		return false
 	}
@@ -95,11 +95,11 @@ func LuhnValid(s string) bool {
 			return false
 		}
 	}
-	return LuhnCheckDigit(s[:len(s)-1]) == s[len(s)-1]
+	return luhnCheckDigit(s[:len(s)-1]) == s[len(s)-1]
 }
 
 // Type-allocation codes of 2011-2012 era Android handsets; the first is the
-// Nexus S. GenerateIMEI picks one so synthetic IMEIs look like real ones.
+// Nexus S. generateIMEI picks one so synthetic IMEIs look like real ones.
 var tacCodes = []string{
 	"35391805", // Samsung Nexus S
 	"35896704", // Samsung Galaxy S II
@@ -116,31 +116,31 @@ func randDigits(rng *rand.Rand, n int) string {
 	return string(b)
 }
 
-// GenerateIMEI returns a 15-digit IMEI: 8-digit TAC, 6-digit serial,
+// generateIMEI returns a 15-digit IMEI: 8-digit TAC, 6-digit serial,
 // Luhn check digit.
-func GenerateIMEI(rng *rand.Rand) string {
+func generateIMEI(rng *rand.Rand) string {
 	body := tacCodes[rng.Intn(len(tacCodes))] + randDigits(rng, 6)
-	return body + string(LuhnCheckDigit(body))
+	return body + string(luhnCheckDigit(body))
 }
 
-// GenerateIMSI returns a 15-digit IMSI for the carrier: MCC (3) + MNC (2) +
+// generateIMSI returns a 15-digit IMSI for the carrier: MCC (3) + MNC (2) +
 // MSIN (10).
-func GenerateIMSI(rng *rand.Rand, c Carrier) string {
+func generateIMSI(rng *rand.Rand, c Carrier) string {
 	return c.MCC + c.MNC + randDigits(rng, 10)
 }
 
-// GenerateICCID returns a 19-digit SIM serial: "8981" (telecom prefix +
+// generateICCID returns a 19-digit SIM serial: "8981" (telecom prefix +
 // Japan country code) + 14 digits + Luhn check digit.
-func GenerateICCID(rng *rand.Rand) string {
+func generateICCID(rng *rand.Rand) string {
 	body := "8981" + randDigits(rng, 14)
-	return body + string(LuhnCheckDigit(body))
+	return body + string(luhnCheckDigit(body))
 }
 
 const hexDigits = "0123456789abcdef"
 
-// GenerateAndroidID returns the 16-hex-character Android ID generated at
+// generateAndroidID returns the 16-hex-character Android ID generated at
 // first boot.
-func GenerateAndroidID(rng *rand.Rand) string {
+func generateAndroidID(rng *rand.Rand) string {
 	b := make([]byte, 16)
 	for i := range b {
 		b[i] = hexDigits[rng.Intn(16)]

@@ -10,33 +10,24 @@ package android
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // Permission is an Android manifest permission name.
 type Permission string
 
-// The permissions the paper's analysis groups applications by (Table I),
-// plus common companions seen in free applications. LOCATION in the paper
-// stands for either of the two location permissions.
+// The permissions the paper's analysis groups applications by (Table I).
+// LOCATION in the paper stands for either of the two location permissions.
 const (
 	PermInternet             Permission = "android.permission.INTERNET"
 	PermAccessFineLocation   Permission = "android.permission.ACCESS_FINE_LOCATION"
 	PermAccessCoarseLocation Permission = "android.permission.ACCESS_COARSE_LOCATION"
 	PermReadPhoneState       Permission = "android.permission.READ_PHONE_STATE"
 	PermReadContacts         Permission = "android.permission.READ_CONTACTS"
-	PermAccessNetworkState   Permission = "android.permission.ACCESS_NETWORK_STATE"
-	PermWriteExternal        Permission = "android.permission.WRITE_EXTERNAL_STORAGE"
-	PermWakeLock             Permission = "android.permission.WAKE_LOCK"
-	PermVibrate              Permission = "android.permission.VIBRATE"
-	PermCamera               Permission = "android.permission.CAMERA"
-	PermRecordAudio          Permission = "android.permission.RECORD_AUDIO"
-	PermReceiveBootCompleted Permission = "android.permission.RECEIVE_BOOT_COMPLETED"
 )
 
-// Short returns the final path component, e.g. "INTERNET".
-func (p Permission) Short() string {
+// short returns the final path component, e.g. "INTERNET".
+func (p Permission) short() string {
 	if i := strings.LastIndexByte(string(p), '.'); i >= 0 {
 		return string(p[i+1:])
 	}
@@ -62,23 +53,6 @@ func (s Set) Has(p Permission) bool { return s[p] }
 // paper's Table I treats fine and coarse location as one LOCATION column.
 func (s Set) HasLocation() bool {
 	return s[PermAccessFineLocation] || s[PermAccessCoarseLocation]
-}
-
-// Add inserts permissions into the set.
-func (s Set) Add(ps ...Permission) {
-	for _, p := range ps {
-		s[p] = true
-	}
-}
-
-// Sorted returns the permissions in lexical order.
-func (s Set) Sorted() []Permission {
-	out := make([]Permission, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Manifest is the permission-relevant part of an application's
@@ -150,15 +124,4 @@ func (m *Manifest) DangerousCombo() Combo {
 	default:
 		return ComboOther
 	}
-}
-
-// CanLeak reports whether the manifest holds INTERNET together with at
-// least one sensitive-information permission — the paper's definition of an
-// application that "can access sensitive resources on the device and send
-// information gathered from those sensitive resources using the network"
-// (§III-A).
-func (m *Manifest) CanLeak() bool {
-	s := m.Permissions
-	return s.Has(PermInternet) &&
-		(s.HasLocation() || s.Has(PermReadPhoneState) || s.Has(PermReadContacts))
 }

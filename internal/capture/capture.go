@@ -48,8 +48,8 @@ func (s *Set) Filter(keep func(*httpmodel.Packet) bool) *Set {
 	return out
 }
 
-// Split partitions the set into (true-side, false-side) by predicate.
-func (s *Set) Split(pred func(*httpmodel.Packet) bool) (*Set, *Set) {
+// split partitions the set into (true-side, false-side) by predicate.
+func (s *Set) split(pred func(*httpmodel.Packet) bool) (*Set, *Set) {
 	yes, no := &Set{}, &Set{}
 	for _, p := range s.Packets {
 		if pred(p) {
@@ -86,8 +86,8 @@ func (s *Set) Sample(rng *rand.Rand, n int) *Set {
 	return &Set{Packets: out}
 }
 
-// Apps returns the distinct application names in first-seen order.
-func (s *Set) Apps() []string {
+// apps returns the distinct application names in first-seen order.
+func (s *Set) apps() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, p := range s.Packets {

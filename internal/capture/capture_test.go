@@ -40,7 +40,7 @@ func TestFilterAndSplit(t *testing.T) {
 	if ads.Len() != 2 {
 		t.Fatalf("Filter len = %d", ads.Len())
 	}
-	yes, no := s.Split(func(p *httpmodel.Packet) bool { return p.Method == "POST" })
+	yes, no := s.split(func(p *httpmodel.Packet) bool { return p.Method == "POST" })
 	if yes.Len() != 1 || no.Len() != 3 {
 		t.Fatalf("Split = %d/%d", yes.Len(), no.Len())
 	}
@@ -91,7 +91,7 @@ func TestSampleUniform(t *testing.T) {
 
 func TestAppsHosts(t *testing.T) {
 	s := sampleSet()
-	apps := s.Apps()
+	apps := s.apps()
 	if strings.Join(apps, ",") != "com.a,com.b,com.c" {
 		t.Errorf("Apps = %v", apps)
 	}

@@ -177,15 +177,6 @@ func mergeInto(w [][]float64, active []bool, size []int, a, b int, dab float64, 
 	active[b] = false
 }
 
-// Heights returns the merge distances in merge order.
-func (d *Dendrogram) Heights() []float64 {
-	out := make([]float64, len(d.Merges))
-	for i, m := range d.Merges {
-		out[i] = m.Distance
-	}
-	return out
-}
-
 // CutDistance returns the flat clustering obtained by applying every merge
 // with Distance <= threshold. Each cluster is a sorted slice of leaf
 // indices; clusters are ordered by their smallest leaf.

@@ -71,32 +71,6 @@ func Silhouette(dm DistanceMatrix, clusters [][]int) float64 {
 	return total / float64(counted)
 }
 
-// BestCutBySilhouette scans candidate cluster counts (2..maxK) and returns
-// the flat clustering with the highest silhouette, along with its score.
-// It is a model-selection helper for choosing the dendrogram cut when no
-// threshold is known a priori.
-func (d *Dendrogram) BestCutBySilhouette(dm DistanceMatrix, maxK int) ([][]int, float64) {
-	if maxK > d.NumLeaves {
-		maxK = d.NumLeaves
-	}
-	var best [][]int
-	bestScore := -2.0
-	for k := 2; k <= maxK; k++ {
-		cs := d.CutCount(k)
-		if len(cs) != k {
-			continue
-		}
-		s := Silhouette(dm, cs)
-		if s > bestScore {
-			best, bestScore = cs, s
-		}
-	}
-	if best == nil {
-		return d.CutCount(1), 0
-	}
-	return best, bestScore
-}
-
 // Newick serializes the dendrogram in Newick tree format with merge
 // distances as branch annotations, e.g. "((0:0.1,1:0.1):0.5,2:0.5);".
 // labels, when non-nil, names the leaves; otherwise leaf indices are used.

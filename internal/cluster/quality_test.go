@@ -77,27 +77,6 @@ func TestSilhouetteRange(t *testing.T) {
 	}
 }
 
-func TestBestCutBySilhouetteFindsBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := twoBlobMatrix(rng, 14)
-	d := Agglomerate(m, GroupAverage)
-	cs, score := d.BestCutBySilhouette(m, 10)
-	if len(cs) != 2 {
-		t.Errorf("best cut has %d clusters, want 2 (score %v)", len(cs), score)
-	}
-	if score < 0.8 {
-		t.Errorf("best silhouette = %v", score)
-	}
-}
-
-func TestBestCutDegenerate(t *testing.T) {
-	d := Agglomerate(mat([][]float64{{0}}), GroupAverage)
-	cs, score := d.BestCutBySilhouette(mat([][]float64{{0}}), 5)
-	if len(cs) != 1 || score != 0 {
-		t.Errorf("degenerate best cut = %v, %v", cs, score)
-	}
-}
-
 func TestNewickBasic(t *testing.T) {
 	m := mat([][]float64{
 		{0, 1, 5},

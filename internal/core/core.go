@@ -58,11 +58,8 @@ func NewPipeline(cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg, metric: distance.New(cfg.Distance)}
 }
 
-// Metric exposes the configured packet metric.
-func (pl *Pipeline) Metric() *distance.Metric { return pl.metric }
-
-// Threshold returns the absolute dendrogram cut height.
-func (pl *Pipeline) Threshold() float64 {
+// cutThreshold returns the absolute dendrogram cut height.
+func (pl *Pipeline) cutThreshold() float64 {
 	return pl.cfg.CutFraction * pl.metric.MaxValue()
 }
 
@@ -72,7 +69,7 @@ func (pl *Pipeline) Threshold() float64 {
 func (pl *Pipeline) Cluster(packets []*httpmodel.Packet) (*cluster.Dendrogram, [][]*httpmodel.Packet) {
 	mx := distance.NewMatrix(pl.metric, packets)
 	dend := cluster.Agglomerate(mx, pl.cfg.Linkage)
-	idxClusters := dend.CutDistance(pl.Threshold())
+	idxClusters := dend.CutDistance(pl.cutThreshold())
 	groups := make([][]*httpmodel.Packet, len(idxClusters))
 	for i, idxs := range idxClusters {
 		g := make([]*httpmodel.Packet, len(idxs))

@@ -108,15 +108,15 @@ func TestPipelineDetectorRoundTrip(t *testing.T) {
 
 func TestThresholdScalesWithMetric(t *testing.T) {
 	def := NewPipeline(Config{})
-	if got, want := def.Threshold(), 0.22*6.0; got != want {
+	if got, want := def.cutThreshold(), 0.22*6.0; got != want {
 		t.Errorf("default threshold = %v, want %v", got, want)
 	}
 	contentOnly := NewPipeline(Config{Distance: distance.Config{DestinationWeight: -1}})
-	if got, want := contentOnly.Threshold(), 0.22*3.0; got != want {
+	if got, want := contentOnly.cutThreshold(), 0.22*3.0; got != want {
 		t.Errorf("content-only threshold = %v, want %v", got, want)
 	}
 	custom := NewPipeline(Config{CutFraction: 0.5})
-	if got := custom.Threshold(); got != 3.0 {
+	if got := custom.cutThreshold(); got != 3.0 {
 		t.Errorf("custom threshold = %v", got)
 	}
 }

@@ -150,9 +150,6 @@ func NewEngine(set *signature.Set) *Engine {
 	return e
 }
 
-// Set returns the engine's signature set.
-func (e *Engine) Set() *signature.Set { return e.set }
-
 // NewScratch returns a scratch pre-sized for this engine. Callers that
 // match many packets (shard workers, batch loops) should hold one per
 // goroutine and pass it to MatchInto; the zero Scratch value works too.

@@ -121,7 +121,7 @@ func TestDifferentialKindedEngineVsReference(t *testing.T) {
 					if row.want {
 						want = []int{0}
 					}
-					ref, got, into := reference.Match(eng.Set(), p), eng.MatchPacket(p), eng.MatchInto(p, sc)
+					ref, got, into := reference.Match(eng.set, p), eng.MatchPacket(p), eng.MatchInto(p, sc)
 					if !equalIDs(ref, want) || !equalIDs(got, want) || !equalIDs(into, want) {
 						t.Errorf("%s: reference=%v MatchPacket=%v MatchInto=%v, want %v", row.name, ref, got, into, want)
 						return

@@ -123,10 +123,10 @@ func New(cfg Config) *Metric {
 // Default returns the metric with repository-default configuration.
 func Default() *Metric { return New(Config{}) }
 
-// IPTerm returns dip for the two destination addresses. With an
+// ipTerm returns dip for the two destination addresses. With an
 // OrgResolver configured and a known answer, organizational identity
 // replaces the prefix similarity (the §VI WHOIS verification).
-func (m *Metric) IPTerm(a, b ipaddr.Addr) float64 {
+func (m *Metric) ipTerm(a, b ipaddr.Addr) float64 {
 	sim := float64(ipaddr.CommonPrefixLen(a, b)) / 32
 	if m.orgRes != nil {
 		if same, known := m.orgRes(a, b); known {
@@ -143,8 +143,8 @@ func (m *Metric) IPTerm(a, b ipaddr.Addr) float64 {
 	return 1 - sim
 }
 
-// PortTerm returns dport for the two destination ports.
-func (m *Metric) PortTerm(a, b uint16) float64 {
+// portTerm returns dport for the two destination ports.
+func (m *Metric) portTerm(a, b uint16) float64 {
 	match := 0.0
 	if a == b {
 		match = 1.0
@@ -155,23 +155,23 @@ func (m *Metric) PortTerm(a, b uint16) float64 {
 	return 1 - match
 }
 
-// HostTerm returns dhost: edit distance over the FQDNs normalized by the
+// hostTerm returns dhost: edit distance over the FQDNs normalized by the
 // longer length. Both modes use the paper's formula (it is already a
 // distance).
-func (m *Metric) HostTerm(a, b string) float64 {
+func (m *Metric) hostTerm(a, b string) float64 {
 	return normalized(a, b)
 }
 
-// Destination returns ddst(px, py) = dip + dport + dhost.
-func (m *Metric) Destination(px, py *httpmodel.Packet) float64 {
-	return m.IPTerm(px.DstIP, py.DstIP) +
-		m.PortTerm(px.DstPort, py.DstPort) +
-		m.HostTerm(px.Host, py.Host)
+// destination returns ddst(px, py) = dip + dport + dhost.
+func (m *Metric) destination(px, py *httpmodel.Packet) float64 {
+	return m.ipTerm(px.DstIP, py.DstIP) +
+		m.portTerm(px.DstPort, py.DstPort) +
+		m.hostTerm(px.Host, py.Host)
 }
 
-// Content returns dheader(px, py): the sum of NCD over request-line,
+// content returns dheader(px, py): the sum of NCD over request-line,
 // cookie, and message-body (§IV-C).
-func (m *Metric) Content(px, py *httpmodel.Packet) float64 {
+func (m *Metric) content(px, py *httpmodel.Packet) float64 {
 	fx := px.ContentFields()
 	fy := py.ContentFields()
 	d := 0.0
@@ -185,10 +185,10 @@ func (m *Metric) Content(px, py *httpmodel.Packet) float64 {
 func (m *Metric) Packet(px, py *httpmodel.Packet) float64 {
 	d := 0.0
 	if m.wDst > 0 {
-		d += m.wDst * m.Destination(px, py)
+		d += m.wDst * m.destination(px, py)
 	}
 	if m.wHeader > 0 {
-		d += m.wHeader * m.Content(px, py)
+		d += m.wHeader * m.content(px, py)
 	}
 	return d
 }
@@ -201,7 +201,7 @@ func (m *Metric) Packet(px, py *httpmodel.Packet) float64 {
 func (m *Metric) LowerBound(px, py *httpmodel.Packet) float64 {
 	d := 0.0
 	if m.wDst > 0 {
-		d += m.wDst * m.Destination(px, py)
+		d += m.wDst * m.destination(px, py)
 	}
 	return d
 }
@@ -336,18 +336,4 @@ func (mx *Matrix) At(i, j int) float64 {
 		i, j = j, i
 	}
 	return mx.vals[condensedIndex(mx.n, i, j)]
-}
-
-// Dense expands the matrix into a full n×n slice-of-slices. Used by the
-// clustering algorithm, which mutates its own working copy.
-func (mx *Matrix) Dense() [][]float64 {
-	out := make([][]float64, mx.n)
-	flat := make([]float64, mx.n*mx.n)
-	for i := range out {
-		out[i] = flat[i*mx.n : (i+1)*mx.n]
-		for j := range out[i] {
-			out[i][j] = mx.At(i, j)
-		}
-	}
-	return out
 }

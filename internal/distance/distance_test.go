@@ -18,19 +18,19 @@ func TestIPTermModes(t *testing.T) {
 	lit := New(Config{Mode: ModeLiteral})
 	a := ipaddr.MustParse("203.0.113.10")
 	same := a
-	if got := norm.IPTerm(a, same); got != 0 {
+	if got := norm.ipTerm(a, same); got != 0 {
 		t.Errorf("normalized identical IP term = %v, want 0", got)
 	}
-	if got := lit.IPTerm(a, same); got != 1 {
+	if got := lit.ipTerm(a, same); got != 1 {
 		t.Errorf("literal identical IP term = %v, want 1", got)
 	}
 	far := ipaddr.MustParse("10.0.0.1") // differs in top bit region
-	nf := norm.IPTerm(a, far)
-	lf := lit.IPTerm(a, far)
+	nf := norm.ipTerm(a, far)
+	lf := lit.ipTerm(a, far)
 	if math.Abs(nf+lf-1) > 1e-12 {
 		t.Errorf("modes should be complementary: %v + %v != 1", nf, lf)
 	}
-	if nf <= norm.IPTerm(a, ipaddr.MustParse("203.0.113.99")) {
+	if nf <= norm.ipTerm(a, ipaddr.MustParse("203.0.113.99")) {
 		t.Error("same /24 should be closer than cross-class in normalized mode")
 	}
 }
@@ -38,10 +38,10 @@ func TestIPTermModes(t *testing.T) {
 func TestPortTermModes(t *testing.T) {
 	norm := New(Config{Mode: ModeNormalized})
 	lit := New(Config{Mode: ModeLiteral})
-	if norm.PortTerm(80, 80) != 0 || norm.PortTerm(80, 443) != 1 {
+	if norm.portTerm(80, 80) != 0 || norm.portTerm(80, 443) != 1 {
 		t.Error("normalized port term wrong")
 	}
-	if lit.PortTerm(80, 80) != 1 || lit.PortTerm(80, 443) != 0 {
+	if lit.portTerm(80, 80) != 1 || lit.portTerm(80, 443) != 0 {
 		t.Error("literal port term wrong")
 	}
 }
@@ -50,13 +50,13 @@ func TestHostTermSharedByModes(t *testing.T) {
 	norm := New(Config{Mode: ModeNormalized})
 	lit := New(Config{Mode: ModeLiteral})
 	a, b := "admob.com", "amob.com"
-	if norm.HostTerm(a, b) != lit.HostTerm(a, b) {
+	if norm.hostTerm(a, b) != lit.hostTerm(a, b) {
 		t.Error("host term should not depend on mode")
 	}
-	if norm.HostTerm(a, a) != 0 {
+	if norm.hostTerm(a, a) != 0 {
 		t.Error("identical hosts should have zero host term")
 	}
-	if got := norm.HostTerm(a, b); math.Abs(got-1.0/9.0) > 1e-12 {
+	if got := norm.hostTerm(a, b); math.Abs(got-1.0/9.0) > 1e-12 {
 		t.Errorf("HostTerm = %v, want 1/9", got)
 	}
 }
@@ -65,7 +65,7 @@ func TestDestinationIdenticalNormalized(t *testing.T) {
 	m := Default()
 	p := pkt("ads.example.jp", "/a", "203.0.113.1", 80)
 	q := pkt("ads.example.jp", "/b", "203.0.113.1", 80)
-	if got := m.Destination(p, q); got != 0 {
+	if got := m.destination(p, q); got != 0 {
 		t.Errorf("identical destination distance = %v, want 0", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestDestinationRange(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p := pkt("a.example", "/", ipaddr.Addr(rng.Uint32()).String(), uint16(rng.Intn(65536)))
 		q := pkt("bb.example.org", "/", ipaddr.Addr(rng.Uint32()).String(), uint16(rng.Intn(65536)))
-		d := m.Destination(p, q)
+		d := m.destination(p, q)
 		if d < 0 || d > 3 {
 			t.Fatalf("destination distance out of range: %v", d)
 		}
@@ -88,9 +88,9 @@ func TestContentDistanceOrdering(t *testing.T) {
 	base := pkt("ad.example", "/fetch?zone=12&udid=f3a9c1d200b14e67&fmt=json", "203.0.113.1", 80)
 	near := pkt("ad.example", "/fetch?zone=99&udid=f3a9c1d200b14e67&fmt=json", "203.0.113.1", 80)
 	far := pkt("ad.example", "/completely/other/endpoint/with/long/path/segments.js", "203.0.113.1", 80)
-	if m.Content(base, near) >= m.Content(base, far) {
+	if m.content(base, near) >= m.content(base, far) {
 		t.Errorf("content distance ordering: near %v >= far %v",
-			m.Content(base, near), m.Content(base, far))
+			m.content(base, near), m.content(base, far))
 	}
 }
 
@@ -98,7 +98,7 @@ func TestPacketCombinesTerms(t *testing.T) {
 	m := Default()
 	p := pkt("a.example", "/x?q=1", "203.0.113.1", 80)
 	q := pkt("b.example", "/y?q=2", "198.51.100.7", 443)
-	want := m.Destination(p, q) + m.Content(p, q)
+	want := m.destination(p, q) + m.content(p, q)
 	if got := m.Packet(p, q); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Packet = %v, want %v", got, want)
 	}
@@ -108,12 +108,12 @@ func TestWeights(t *testing.T) {
 	p := pkt("a.example", "/x", "203.0.113.1", 80)
 	q := pkt("b.example", "/y", "198.51.100.7", 443)
 	contentOnly := New(Config{DestinationWeight: -1})
-	if got, want := contentOnly.Packet(p, q), Default().Content(p, q); math.Abs(got-want) > 1e-12 {
+	if got, want := contentOnly.Packet(p, q), Default().content(p, q); math.Abs(got-want) > 1e-12 {
 		t.Errorf("content-only = %v, want %v", got, want)
 	}
 	doubled := New(Config{DestinationWeight: 2, ContentWeight: 1})
 	base := Default()
-	want := 2*base.Destination(p, q) + base.Content(p, q)
+	want := 2*base.destination(p, q) + base.content(p, q)
 	if got := doubled.Packet(p, q); math.Abs(got-want) > 1e-12 {
 		t.Errorf("weighted = %v, want %v", got, want)
 	}
@@ -183,23 +183,6 @@ func TestMatrix(t *testing.T) {
 	}
 }
 
-func TestMatrixDense(t *testing.T) {
-	ps := []*httpmodel.Packet{
-		pkt("a.example", "/1", "203.0.113.1", 80),
-		pkt("b.example", "/2", "203.0.113.2", 80),
-		pkt("c.example", "/3", "203.0.113.3", 80),
-	}
-	mx := NewMatrix(Default(), ps)
-	d := mx.Dense()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if d[i][j] != mx.At(i, j) {
-				t.Errorf("Dense[%d][%d] = %v, want %v", i, j, d[i][j], mx.At(i, j))
-			}
-		}
-	}
-}
-
 func TestMatrixTrivialSizes(t *testing.T) {
 	if mx := NewMatrix(Default(), nil); mx.N() != 0 {
 		t.Error("empty matrix")
@@ -247,21 +230,21 @@ func TestIPTermWithOrgResolver(t *testing.T) {
 	sameOrg := func(x, y ipaddr.Addr) (bool, bool) { return false, true }
 	plain := New(Config{})
 	verified := New(Config{OrgResolver: sameOrg})
-	if plain.IPTerm(a, b) >= 0.9 {
-		t.Fatalf("raw prefix term should be small-ish: %v", plain.IPTerm(a, b))
+	if plain.ipTerm(a, b) >= 0.9 {
+		t.Fatalf("raw prefix term should be small-ish: %v", plain.ipTerm(a, b))
 	}
-	if got := verified.IPTerm(a, b); got != 1 {
+	if got := verified.ipTerm(a, b); got != 1 {
 		t.Errorf("refuted pair term = %v, want 1 (maximally far)", got)
 	}
 	// Confirmed same-org pair becomes maximally close.
 	confirm := New(Config{OrgResolver: func(x, y ipaddr.Addr) (bool, bool) { return true, true }})
-	if got := confirm.IPTerm(a, b); got != 0 {
+	if got := confirm.ipTerm(a, b); got != 0 {
 		t.Errorf("confirmed pair term = %v, want 0", got)
 	}
 	// Unknown allocations fall back to the prefix term.
 	unknown := New(Config{OrgResolver: func(x, y ipaddr.Addr) (bool, bool) { return false, false }})
-	if got := unknown.IPTerm(a, b); got != plain.IPTerm(a, b) {
-		t.Errorf("unknown pair term = %v, want prefix fallback %v", got, plain.IPTerm(a, b))
+	if got := unknown.ipTerm(a, b); got != plain.ipTerm(a, b) {
+		t.Errorf("unknown pair term = %v, want prefix fallback %v", got, plain.ipTerm(a, b))
 	}
 }
 
@@ -269,7 +252,7 @@ func TestIPTermOrgResolverLiteralMode(t *testing.T) {
 	a := ipaddr.MustParse("64.16.0.1")
 	b := ipaddr.MustParse("64.17.0.1")
 	lit := New(Config{Mode: ModeLiteral, OrgResolver: func(x, y ipaddr.Addr) (bool, bool) { return true, true }})
-	if got := lit.IPTerm(a, b); got != 1 {
+	if got := lit.ipTerm(a, b); got != 1 {
 		t.Errorf("literal confirmed term = %v, want 1 (similarity)", got)
 	}
 }

@@ -428,8 +428,8 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Size returns the journal's current byte length.
-func (j *Journal) Size() int64 {
+// byteSize returns the journal's current byte length.
+func (j *Journal) byteSize() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size

@@ -134,8 +134,8 @@ func (c *SetCache) namesLocked() []string {
 	return names
 }
 
-// Len reports how many sets are cached.
-func (c *SetCache) Len() int {
+// numSets reports how many sets are cached.
+func (c *SetCache) numSets() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.sets)

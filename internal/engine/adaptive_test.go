@@ -78,7 +78,7 @@ func TestAdaptiveBatchDisabled(t *testing.T) {
 		OnVerdict:  func(Verdict) { <-gate },
 	})
 	for i := 0; i < 256; i++ {
-		e.TrySubmit(pkt(int64(i), "a.example.com", "x-token"))
+		e.trySubmit(pkt(int64(i), "a.example.com", "x-token"))
 	}
 	if got := int(e.shards[0].target.Load()); got != 4 {
 		t.Errorf("pinned batch target moved to %d", got)

@@ -23,7 +23,7 @@
 //     once the new generation is live. Generations apply strictly
 //     monotonically, so concurrent reloads cannot regress the live set.
 //   - Submit blocks while a shard's ring is full (bounded backpressure);
-//     TrySubmit drops instead and counts the drop. A stalled sink slows
+//     trySubmit drops instead and counts the drop. A stalled sink slows
 //     only its own shard's ring — sibling shards keep flowing.
 //   - Drain sizes adapt to load: each shard's target doubles toward
 //     Config.MaxBatch while its ring stays occupied and halves toward
@@ -63,8 +63,8 @@ import (
 	"leaksig/internal/signature"
 )
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("engine: closed")
+// errClosed is returned by Submit after Close.
+var errClosed = errors.New("engine: closed")
 
 // Affinity selects how packets map onto shards.
 type Affinity int
@@ -110,7 +110,7 @@ type Config struct {
 	// per-shard consumers (see Sink and ShardSink for the borrow rule).
 	Sink Sink
 	// Flight, when non-nil, is the flight recorder the engine feeds:
-	// TrySubmit drops (with burst detection), blocking-submit stalls,
+	// trySubmit drops (with burst detection), blocking-submit stalls,
 	// reload tickets issued and applied, and per-shard batch-target
 	// changes. Nil disables recording at the cost of a nil check off the
 	// per-packet path.
@@ -355,21 +355,21 @@ func (e *Engine) shardFor(p *httpmodel.Packet, seq uint64) *shard {
 }
 
 // Submit queues one packet for matching, blocking while the target shard's
-// ring is full (backpressure). It returns ErrClosed after Close.
+// ring is full (backpressure). It returns errClosed after Close.
 func (e *Engine) Submit(p *httpmodel.Packet) error {
 	e.submitMu.RLock()
 	defer e.submitMu.RUnlock()
 	if e.closed {
-		return ErrClosed
+		return errClosed
 	}
 	e.submit(p, true)
 	return nil
 }
 
-// TrySubmit queues one packet without blocking. It reports false — and
+// trySubmit queues one packet without blocking. It reports false — and
 // counts a drop — when the target shard is saturated or the engine is
 // closed.
-func (e *Engine) TrySubmit(p *httpmodel.Packet) bool {
+func (e *Engine) trySubmit(p *httpmodel.Packet) bool {
 	e.submitMu.RLock()
 	defer e.submitMu.RUnlock()
 	if e.closed {
@@ -384,8 +384,8 @@ func (e *Engine) TrySubmit(p *httpmodel.Packet) bool {
 // backpressure point. Caller holds submitMu.RLock, which is what
 // guarantees Close observes no in-flight publication.
 func (e *Engine) submit(p *httpmodel.Packet, block bool) bool {
-	// Sequences from dropped TrySubmits are not reused, so Seq is a unique
-	// admission ticket: gapless under Submit, with holes where TrySubmit
+	// Sequences from dropped trySubmits are not reused, so Seq is a unique
+	// admission ticket: gapless under Submit, with holes where trySubmit
 	// dropped.
 	seq := e.seq.Add(1) - 1
 	s := e.shardFor(p, seq)

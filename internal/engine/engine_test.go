@@ -163,18 +163,18 @@ func TestBackpressureTrySubmit(t *testing.T) {
 	})
 	// First packet occupies the worker; then the ring (floor capacity 2)
 	// fills; everything after must be rejected.
-	if !e.TrySubmit(pkt(0, "a.example.com", "x-token")) {
-		t.Fatal("first TrySubmit rejected")
+	if !e.trySubmit(pkt(0, "a.example.com", "x-token")) {
+		t.Fatal("first trySubmit rejected")
 	}
 	<-started
 	accepted := 1
 	for i := 1; i < 64; i++ {
-		if e.TrySubmit(pkt(int64(i), "a.example.com", "x-token")) {
+		if e.trySubmit(pkt(int64(i), "a.example.com", "x-token")) {
 			accepted++
 		}
 	}
 	if accepted >= 64 {
-		t.Fatal("no backpressure: every TrySubmit accepted")
+		t.Fatal("no backpressure: every trySubmit accepted")
 	}
 	m := e.Metrics()
 	if m.Dropped == 0 {
@@ -219,11 +219,11 @@ func TestSubmitAfterClose(t *testing.T) {
 	e := New(nil, Config{Shards: 1})
 	e.Close()
 	e.Close() // idempotent
-	if err := e.Submit(pkt(0, "a.example.com", "q=1")); err != ErrClosed {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := e.Submit(pkt(0, "a.example.com", "q=1")); err != errClosed {
+		t.Fatalf("Submit after Close = %v, want errClosed", err)
 	}
-	if e.TrySubmit(pkt(0, "a.example.com", "q=1")) {
-		t.Fatal("TrySubmit accepted after Close")
+	if e.trySubmit(pkt(0, "a.example.com", "q=1")) {
+		t.Fatal("trySubmit accepted after Close")
 	}
 }
 

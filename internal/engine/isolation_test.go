@@ -74,7 +74,7 @@ func TestStalledSinkIsolatesToOwnShard(t *testing.T) {
 	<-g.entered
 	stalled := 0
 	for i := 0; i < 256; i++ {
-		if !e.TrySubmit(pkt(int64(1+i), host0, "x-token")) {
+		if !e.trySubmit(pkt(int64(1+i), host0, "x-token")) {
 			break
 		}
 		stalled++

@@ -82,10 +82,10 @@ type Snapshot struct {
 	// one compile to this engine's install.
 	LastReload time.Duration
 
-	Ingested  uint64 // packets accepted by Submit/TrySubmit
+	Ingested  uint64 // packets accepted by Submit/trySubmit
 	Processed uint64 // packets matched and emitted
 	Matched   uint64 // processed packets that matched >= 1 signature
-	Dropped   uint64 // packets rejected by TrySubmit under backpressure
+	Dropped   uint64 // packets rejected by trySubmit under backpressure
 
 	SyncVetted  uint64 // packets vetted inline via MatchPacket (proxy path)
 	SyncMatched uint64 // inline vets that matched >= 1 signature

@@ -34,7 +34,7 @@ type PoolConfig struct {
 	// one first (its queued packets drain before the new tenant starts).
 	MaxTenants int
 
-	// IdleAfter evicts tenants that have not seen a Submit, TrySubmit,
+	// IdleAfter evicts tenants that have not seen a Submit, trySubmit,
 	// Tenant, or ReloadTenant for this long; 0 disables idle
 	// eviction. The janitor sweeps every IdleAfter/4 (floor 1ms).
 	// Evicted tenants drain fully and fold their counters into the pool
@@ -145,7 +145,7 @@ func NewPool(set *signature.Set, cfg PoolConfig) *Pool {
 
 // Tenant returns the engine serving key, creating it on first use. It
 // returns nil after Close. Callers that hold the engine across calls must
-// tolerate ErrClosed from Submit — an idle eviction may retire it at any
+// tolerate errClosed from Submit — an idle eviction may retire it at any
 // time — or simply route through Pool.Submit, which retries.
 func (p *Pool) Tenant(key string) *Engine {
 	p.mu.RLock()
@@ -192,7 +192,7 @@ func (p *Pool) create(key string) *tenant {
 				}
 			}
 			p.mu.Unlock()
-			p.Evict(victim)
+			p.evict(victim)
 			continue
 		}
 
@@ -291,24 +291,24 @@ func (p *Pool) converge(t *tenant) {
 // Submit queues one packet for the tenant, creating the tenant on first
 // use and blocking under that tenant's backpressure. A concurrent
 // eviction is transparent: the packet lands on the recreated tenant.
-// It returns ErrClosed only after Pool.Close.
+// It returns errClosed only after Pool.Close.
 func (p *Pool) Submit(key string, pkt *httpmodel.Packet) error {
 	for {
 		e := p.Tenant(key)
 		if e == nil {
-			return ErrClosed
+			return errClosed
 		}
 		err := e.Submit(pkt)
-		if err == ErrClosed {
+		if err == errClosed {
 			continue // tenant evicted between lookup and submit; recreate
 		}
 		return err
 	}
 }
 
-// TrySubmit queues one packet for the tenant without blocking, reporting
+// trySubmit queues one packet for the tenant without blocking, reporting
 // false when the tenant's shard is saturated or the pool is closed.
-func (p *Pool) TrySubmit(key string, pkt *httpmodel.Packet) bool {
+func (p *Pool) trySubmit(key string, pkt *httpmodel.Packet) bool {
 	for {
 		p.mu.RLock()
 		t := p.tenants[key]
@@ -323,7 +323,7 @@ func (p *Pool) TrySubmit(key string, pkt *httpmodel.Packet) bool {
 			}
 		}
 		t.touch()
-		if t.eng.TrySubmit(pkt) {
+		if t.eng.trySubmit(pkt) {
 			return true
 		}
 		// Saturation is a real answer; only the eviction race retries.
@@ -388,11 +388,11 @@ func (p *Pool) ReloadTenant(key string, set *signature.Set) {
 	}
 }
 
-// Evict drains and retires the tenant, folding its final counters into
+// evict drains and retires the tenant, folding its final counters into
 // the pool aggregate and returning its shards to the budget. It reports
 // whether the tenant existed. The tenant's queued packets are fully
 // matched (and its sinks fed) before Evict returns.
-func (p *Pool) Evict(key string) bool {
+func (p *Pool) evict(key string) bool {
 	p.mu.Lock()
 	t := p.tenants[key]
 	if t == nil {
@@ -436,14 +436,14 @@ func (p *Pool) runJanitor() {
 			}
 			p.mu.RUnlock()
 			for _, k := range idle {
-				p.Evict(k)
+				p.evict(k)
 			}
 		}
 	}
 }
 
-// Tenants returns the live tenant keys in unspecified order.
-func (p *Pool) Tenants() []string {
+// tenantKeys returns the live tenant keys in unspecified order.
+func (p *Pool) tenantKeys() []string {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	keys := make([]string, 0, len(p.tenants))

@@ -40,13 +40,13 @@ func TestPoolTenantIsolation(t *testing.T) {
 func TestPoolLazyCreationAndDefaultReload(t *testing.T) {
 	p := NewPool(tokenSet(1, "v1-token"), PoolConfig{Engine: Config{Shards: 1}})
 	defer p.Close()
-	if got := len(p.Tenants()); got != 0 {
+	if got := len(p.tenantKeys()); got != 0 {
 		t.Fatalf("fresh pool has %d tenants", got)
 	}
 	if m := p.Tenant("cohort-7").MatchPacket(pkt(0, "a.example.com", "v1-token")); len(m) == 0 {
 		t.Fatal("lazily created tenant did not start on the pool's default set")
 	}
-	if got := len(p.Tenants()); got != 1 {
+	if got := len(p.tenantKeys()); got != 1 {
 		t.Fatalf("pool has %d tenants after first use, want 1", got)
 	}
 
@@ -86,8 +86,8 @@ func TestPoolShardBudget(t *testing.T) {
 
 	// Eviction returns shards to the budget: dropping t1 (2 shards) and
 	// t3 (1 degraded shard) leaves t2 alone, freeing 2 of the 4.
-	p.Evict("t1")
-	p.Evict("t3")
+	p.evict("t1")
+	p.evict("t3")
 	p.Tenant("t4")
 	snap = p.Metrics()
 	if snap.PerTenant["t4"].Shards != 2 {
@@ -189,7 +189,7 @@ func TestPoolMaxTenantsEvictsLRU(t *testing.T) {
 	p.Tenant("old") // refresh: "mid" is now least recently active
 	p.Tenant("new") // overflow evicts "mid"
 	keys := map[string]bool{}
-	for _, k := range p.Tenants() {
+	for _, k := range p.tenantKeys() {
 		keys[k] = true
 	}
 	if !keys["old"] || !keys["new"] || keys["mid"] {
@@ -249,11 +249,11 @@ func TestPoolClose(t *testing.T) {
 	p.Tenant("x")
 	p.Close()
 	p.Close() // idempotent
-	if err := p.Submit("x", pkt(0, "a.example.com", "q=1")); err != ErrClosed {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := p.Submit("x", pkt(0, "a.example.com", "q=1")); err != errClosed {
+		t.Fatalf("Submit after Close = %v, want errClosed", err)
 	}
-	if p.TrySubmit("x", pkt(0, "a.example.com", "q=1")) {
-		t.Fatal("TrySubmit accepted after Close")
+	if p.trySubmit("x", pkt(0, "a.example.com", "q=1")) {
+		t.Fatal("trySubmit accepted after Close")
 	}
 	if p.Tenant("x") != nil {
 		t.Fatal("Tenant returned an engine after Close")
@@ -338,7 +338,7 @@ func TestPoolEvictDrainsSinkBeforeRetiring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !p.Evict("victim") {
+	if !p.evict("victim") {
 		t.Fatal("tenant missing")
 	}
 	if got := seen.Load(); got != n {
@@ -369,7 +369,7 @@ func TestPoolEvictRacesSinkFlush(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				p.Evict("victim")
+				p.evict("victim")
 				time.Sleep(evictEvery)
 			}
 		}
@@ -431,18 +431,18 @@ func TestPoolShardsInUseCountsWorkers(t *testing.T) {
 
 	// Evicting returns exactly the evicted tenant's shards; tenants that
 	// kept one shard are not resized.
-	p.Evict("t1")
+	p.evict("t1")
 	check("after evicting a 2-shard tenant", 5)
-	p.Evict("t3")
+	p.evict("t3")
 	check("after evicting a 1-shard tenant", 4)
 
 	// Recycling: the budget is still spent (4 of 4), so a new tenant runs
 	// one shard; once evictions bring use under budget, it gets what is left.
 	p.Tenant("t6")
 	check("recycled under pressure", 5)
-	p.Evict("t2")
-	p.Evict("t4")
-	p.Evict("t5")
+	p.evict("t2")
+	p.evict("t4")
+	p.evict("t5")
 	check("after draining to one tenant", 1)
 	p.Tenant("t7")
 	if got := p.Metrics().PerTenant["t7"].Shards; got != 2 {
@@ -461,14 +461,14 @@ func TestPoolPinSurvivesEviction(t *testing.T) {
 	defer p.Close()
 
 	p.ReloadTenant("pinned", tokenSet(5, "pinned-token"))
-	if got := len(p.Tenants()); got != 0 {
+	if got := len(p.tenantKeys()); got != 0 {
 		t.Fatalf("ReloadTenant eagerly created %d engines", got)
 	}
 	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {
 		t.Fatal("lazily created tenant did not start on its pinned set")
 	}
 
-	if !p.Evict("pinned") {
+	if !p.evict("pinned") {
 		t.Fatal("tenant missing")
 	}
 	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {

@@ -134,13 +134,13 @@ func TestPoolSharedGenerationSchedule(t *testing.T) {
 		case r < 9:
 			key := all[rng.Intn(len(all))]
 			op = "Evict " + key
-			p.Evict(key)
+			p.evict(key)
 		default:
 			// Evict two at once, so the check's first use recreates one
 			// while the other is still absent.
 			op = fmt.Sprintf("Evict %s+%s", unpinned[step%8], pinned[step%2])
-			p.Evict(unpinned[step%8])
-			p.Evict(pinned[step%2])
+			p.evict(unpinned[step%8])
+			p.evict(pinned[step%2])
 		}
 		check(step, op)
 	}

@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic chaos harness for the HTTP
-// control plane. An Injector wraps an http.RoundTripper (client side) or
-// a net.Listener (server side) and injects faults — added latency, 5xx
-// responses, connection resets, partial bodies, blackholes — drawn from
+// control plane. An Injector wraps a client's http.RoundTripper and
+// injects faults — added latency, 5xx responses, connection resets,
+// partial bodies, blackholes — drawn from
 // a seeded PRNG, so a chaos run that found a bug replays bit-for-bit
 // from the same seed.
 //
@@ -10,7 +10,7 @@
 //
 //	seed=7,reset=0.1,latency_p=0.1,latency=20ms
 //
-// A nil *Injector is inert and valid: Transport returns its input
+// A nil *Injector is inert and valid: Client returns its input
 // unchanged, so call sites wrap unconditionally and pay nothing when
 // chaos is off.
 package faultinject
@@ -31,17 +31,17 @@ import (
 	"time"
 )
 
-// ErrInjectedReset is the error surfaced for an injected connection
+// errInjectedReset is the error surfaced for an injected connection
 // reset on the client path.
-var ErrInjectedReset = errors.New("faultinject: connection reset")
+var errInjectedReset = errors.New("faultinject: connection reset")
 
-// ErrInjectedBlackhole is surfaced when a request is blackholed: it
+// errInjectedBlackhole is surfaced when a request is blackholed: it
 // neither succeeds nor fails until the request context expires.
-var ErrInjectedBlackhole = errors.New("faultinject: blackholed")
+var errInjectedBlackhole = errors.New("faultinject: blackholed")
 
-// Config sets per-fault probabilities (each in [0,1], checked
+// config sets per-fault probabilities (each in [0,1], checked
 // independently per request) and the deterministic seed.
-type Config struct {
+type config struct {
 	// Seed fixes the fault stream; 0 means seed from the current time
 	// (still reproducible if the chosen seed is logged by the caller).
 	Seed int64
@@ -56,7 +56,7 @@ type Config struct {
 	ErrorP float64
 
 	// ResetP is the probability of failing the request with
-	// ErrInjectedReset, as a mid-flight connection teardown would.
+	// errInjectedReset, as a mid-flight connection teardown would.
 	ResetP float64
 
 	// PartialP is the probability of truncating the response body
@@ -69,16 +69,16 @@ type Config struct {
 }
 
 // enabled reports whether any fault has a nonzero probability.
-func (c Config) enabled() bool {
+func (c config) enabled() bool {
 	return c.LatencyP > 0 || c.ErrorP > 0 || c.ResetP > 0 || c.PartialP > 0 || c.BlackholeP > 0
 }
 
-// Parse decodes a comma-separated spec like
+// parse decodes a comma-separated spec like
 // "seed=7,reset=0.1,latency_p=0.1,latency=20ms,error=0.05". Keys:
 // seed, latency (duration), latency_p, error, reset, partial,
 // blackhole. An empty spec returns a zero Config and no error.
-func Parse(spec string) (Config, error) {
-	var cfg Config
+func parse(spec string) (config, error) {
+	var cfg config
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return cfg, nil
@@ -133,16 +133,16 @@ func parseProb(val string) (float64, error) {
 	return p, nil
 }
 
-// FromEnv builds an Injector from the LEAKSIG_FAULTS spec variable; a
+// fromEnv builds an Injector from the LEAKSIG_FAULTS spec variable; a
 // FAULT_SEED variable, when set, overrides the spec's seed so smoke
 // harnesses can pin determinism without rewriting the spec. Returns
 // (nil, nil) when LEAKSIG_FAULTS is unset or empty.
-func FromEnv() (*Injector, error) {
+func fromEnv() (*Injector, error) {
 	spec := os.Getenv("LEAKSIG_FAULTS")
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	cfg, err := Parse(spec)
+	cfg, err := parse(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -153,25 +153,25 @@ func FromEnv() (*Injector, error) {
 		}
 		cfg.Seed = seed
 	}
-	return New(cfg), nil
+	return newInjector(cfg), nil
 }
 
 // FromFlag builds a daemon's Injector from its -faults flag value or,
-// when that is empty, from the environment (see FromEnv). The error
+// when that is empty, from the environment (see fromEnv). The error
 // names which of the two was malformed.
 func FromFlag(spec string) (*Injector, error) {
 	if spec == "" {
-		inj, err := FromEnv()
+		inj, err := fromEnv()
 		if err != nil {
 			return nil, fmt.Errorf("LEAKSIG_FAULTS: %w", err)
 		}
 		return inj, nil
 	}
-	cfg, err := Parse(spec)
+	cfg, err := parse(spec)
 	if err != nil {
 		return nil, fmt.Errorf("-faults: %w", err)
 	}
-	return New(cfg), nil
+	return newInjector(cfg), nil
 }
 
 // Stats counts injected faults by kind.
@@ -187,7 +187,7 @@ type Stats struct {
 // Injector injects faults per Config. A nil Injector is valid and
 // injects nothing. Safe for concurrent use.
 type Injector struct {
-	cfg Config
+	cfg config
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -200,9 +200,9 @@ type Injector struct {
 	blackholes atomic.Uint64
 }
 
-// New returns an Injector for cfg, or nil when cfg injects nothing —
+// newInjector returns an Injector for cfg, or nil when cfg injects nothing —
 // so "chaos off" and "no injector" are the same cheap path.
-func New(cfg Config) *Injector {
+func newInjector(cfg config) *Injector {
 	if !cfg.enabled() {
 		return nil
 	}
@@ -236,10 +236,10 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// Transport wraps base with fault injection. A nil Injector returns
+// wrapTransport wraps base with fault injection. A nil Injector returns
 // base unchanged (nil base meaning http.DefaultTransport is preserved
 // for the caller to resolve).
-func (in *Injector) Transport(base http.RoundTripper) http.RoundTripper {
+func (in *Injector) wrapTransport(base http.RoundTripper) http.RoundTripper {
 	if in == nil {
 		return base
 	}
@@ -259,7 +259,7 @@ func (in *Injector) Client(c *http.Client) *http.Client {
 		c = &http.Client{}
 	}
 	wrapped := *c
-	wrapped.Transport = in.Transport(c.Transport)
+	wrapped.Transport = in.wrapTransport(c.Transport)
 	return &wrapped
 }
 
@@ -276,7 +276,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if cfg.BlackholeP > 0 && in.roll() < cfg.BlackholeP {
 		in.blackholes.Add(1)
 		<-req.Context().Done()
-		return nil, fmt.Errorf("%w: %v", ErrInjectedBlackhole, req.Context().Err())
+		return nil, fmt.Errorf("%w: %v", errInjectedBlackhole, req.Context().Err())
 	}
 	if cfg.LatencyP > 0 && in.roll() < cfg.LatencyP {
 		in.latencies.Add(1)
@@ -288,7 +288,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if cfg.ResetP > 0 && in.roll() < cfg.ResetP {
 		in.resets.Add(1)
-		return nil, &net.OpError{Op: "read", Net: "tcp", Err: ErrInjectedReset}
+		return nil, &net.OpError{Op: "read", Net: "tcp", Err: errInjectedReset}
 	}
 	if cfg.ErrorP > 0 && in.roll() < cfg.ErrorP {
 		in.errors5xx.Add(1)
@@ -353,56 +353,6 @@ func (p *partialBody) Read(b []byte) (int, error) {
 }
 
 func (p *partialBody) Close() error { return p.rc.Close() }
-
-// Listener wraps l so accepted connections are subject to reset and
-// latency faults on the server side. Nil-safe.
-func (in *Injector) Listener(l net.Listener) net.Listener {
-	if in == nil {
-		return l
-	}
-	return &listener{Listener: l, in: in}
-}
-
-type listener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return c, err
-	}
-	return &conn{Conn: c, in: l.in}, nil
-}
-
-// conn applies per-write faults: an injected reset closes the
-// connection mid-stream; latency delays the write.
-type conn struct {
-	net.Conn
-	in *Injector
-}
-
-func (c *conn) Write(b []byte) (int, error) {
-	in := c.in
-	cfg := in.cfg
-	if cfg.LatencyP > 0 && in.roll() < cfg.LatencyP {
-		in.latencies.Add(1)
-		time.Sleep(cfg.Latency)
-	}
-	if cfg.ResetP > 0 && in.roll() < cfg.ResetP {
-		in.resets.Add(1)
-		c.Conn.Close()
-		return 0, &net.OpError{Op: "write", Net: "tcp", Err: ErrInjectedReset}
-	}
-	if cfg.PartialP > 0 && len(b) > 1 && in.roll() < cfg.PartialP {
-		in.partials.Add(1)
-		n, _ := c.Conn.Write(b[:len(b)/2])
-		c.Conn.Close()
-		return n, &net.OpError{Op: "write", Net: "tcp", Err: ErrInjectedReset}
-	}
-	return c.Conn.Write(b)
-}
 
 // String summarizes the active config for startup logs. Nil-safe.
 func (in *Injector) String() string {

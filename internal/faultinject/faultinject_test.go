@@ -12,7 +12,7 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := Parse("seed=7, reset=0.1, latency_p=0.25, latency=20ms, error=0.05, partial=0.1, blackhole=0.01")
+	cfg, err := parse("seed=7, reset=0.1, latency_p=0.25, latency=20ms, error=0.05, partial=0.1, blackhole=0.01")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseDefaultsLatency(t *testing.T) {
-	cfg, err := Parse("latency_p=0.5")
+	cfg, err := parse("latency_p=0.5")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -35,25 +35,25 @@ func TestParseDefaultsLatency(t *testing.T) {
 
 func TestParseRejectsBadInput(t *testing.T) {
 	for _, spec := range []string{"reset=1.5", "bogus=1", "reset", "latency=notadur"} {
-		if _, err := Parse(spec); err == nil {
+		if _, err := parse(spec); err == nil {
 			t.Fatalf("Parse(%q): want error", spec)
 		}
 	}
 }
 
 func TestParseEmptyIsInert(t *testing.T) {
-	cfg, err := Parse("")
+	cfg, err := parse("")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if New(cfg) != nil {
+	if newInjector(cfg) != nil {
 		t.Fatal("empty spec should build a nil injector")
 	}
 }
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if got := in.Transport(http.DefaultTransport); got != http.DefaultTransport {
+	if got := in.wrapTransport(http.DefaultTransport); got != http.DefaultTransport {
 		t.Fatal("nil injector should return base transport unchanged")
 	}
 	c := &http.Client{}
@@ -75,13 +75,13 @@ func TestInjectedResetsAreDeterministic(t *testing.T) {
 	defer srv.Close()
 
 	run := func(seed int64) []bool {
-		in := New(Config{Seed: seed, ResetP: 0.5})
+		in := newInjector(config{Seed: seed, ResetP: 0.5})
 		client := in.Client(srv.Client())
 		var outcomes []bool
 		for i := 0; i < 40; i++ {
 			resp, err := client.Get(srv.URL)
 			if err != nil {
-				if !strings.Contains(err.Error(), ErrInjectedReset.Error()) {
+				if !strings.Contains(err.Error(), errInjectedReset.Error()) {
 					t.Fatalf("unexpected error kind: %v", err)
 				}
 				outcomes = append(outcomes, false)
@@ -111,7 +111,7 @@ func TestInjected5xx(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	in := New(Config{Seed: 3, ErrorP: 1})
+	in := newInjector(config{Seed: 3, ErrorP: 1})
 	client := in.Client(srv.Client())
 	resp, err := client.Get(srv.URL)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestInjectedPartialBody(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	in := New(Config{Seed: 3, PartialP: 1})
+	in := newInjector(config{Seed: 3, PartialP: 1})
 	client := in.Client(srv.Client())
 	resp, err := client.Get(srv.URL)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestInjectedBlackholeHonorsContext(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	in := New(Config{Seed: 3, BlackholeP: 1})
+	in := newInjector(config{Seed: 3, BlackholeP: 1})
 	client := in.Client(srv.Client())
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -176,19 +176,19 @@ func TestInjectedBlackholeHonorsContext(t *testing.T) {
 func TestFromEnv(t *testing.T) {
 	t.Setenv("LEAKSIG_FAULTS", "seed=5,reset=0.2")
 	t.Setenv("FAULT_SEED", "77")
-	in, err := FromEnv()
+	in, err := fromEnv()
 	if err != nil {
-		t.Fatalf("FromEnv: %v", err)
+		t.Fatalf("fromEnv: %v", err)
 	}
 	if in == nil {
-		t.Fatal("FromEnv returned nil injector for a live spec")
+		t.Fatal("fromEnv returned nil injector for a live spec")
 	}
 	if in.cfg.Seed != 77 {
 		t.Fatalf("seed = %d, want FAULT_SEED override 77", in.cfg.Seed)
 	}
 
 	t.Setenv("LEAKSIG_FAULTS", "")
-	in, err = FromEnv()
+	in, err = fromEnv()
 	if err != nil || in != nil {
 		t.Fatalf("empty env: injector=%v err=%v, want nil/nil", in, err)
 	}

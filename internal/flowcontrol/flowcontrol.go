@@ -12,11 +12,11 @@
 // an audit log, giving the user exactly the per-transmission control the
 // paper argues Android lacks (§III-A).
 //
-// Matching is delegated through the swappable Backend interface: a batch
-// detect.Engine for a static set, a streaming engine.Engine for sharded
-// hot reload, or — via NewPoolBackend — a multi-tenant engine.Pool that
-// vets each destination host (or app) against its own population's
-// signature set.
+// Matching is delegated through the Backend interface: a batch
+// detect.Engine for a static set, or a streaming engine.Engine whose
+// sharded hot reload a sigserver watch drives. NewObservedBackend wraps
+// either so the requests no signature matches also feed online signature
+// generation.
 package flowcontrol
 
 import (
@@ -81,9 +81,9 @@ func BlockMatched() Policy {
 	})
 }
 
-// PromptMatched asks the user about each matching request via confirm and
+// promptMatched asks the user about each matching request via confirm and
 // allows everything else. A nil confirm blocks every match (headless).
-func PromptMatched(confirm func(p *httpmodel.Packet, matched []int) bool) Policy {
+func promptMatched(confirm func(p *httpmodel.Packet, matched []int) bool) Policy {
 	return PolicyFunc(func(p *httpmodel.Packet, matched []int) Action {
 		if len(matched) == 0 {
 			return Allow
@@ -120,15 +120,20 @@ type Backend interface {
 // backendBox wraps a Backend so it can live in an atomic.Pointer.
 type backendBox struct{ b Backend }
 
-// Proxy is the flow-control forward proxy. Backends are swappable at
-// runtime, so a sigserver.Client refresh loop can hot-reload signatures.
+// auditCap bounds the audit log: the proxy keeps the newest auditCap
+// decisions. A long-running proxy serves without end, and every entry
+// holds a request path that may carry a device identifier.
+const auditCap = 1024
+
+// Proxy is the flow-control forward proxy.
 type Proxy struct {
 	backend   atomic.Pointer[backendBox]
 	policy    Policy
 	transport http.RoundTripper
 
-	mu    sync.Mutex
-	audit []AuditEntry
+	mu        sync.Mutex
+	audit     []AuditEntry // ring of at most auditCap entries
+	auditNext int          // once the ring is full, the index of its oldest entry
 
 	allowed atomic.Int64
 	blocked atomic.Int64
@@ -138,7 +143,7 @@ type Proxy struct {
 // transport may be nil for http.DefaultTransport.
 func NewProxy(set *signature.Set, policy Policy, transport http.RoundTripper) *Proxy {
 	p := newProxy(policy, transport)
-	p.SetSignatures(set)
+	p.setSignatures(set)
 	return p
 }
 
@@ -147,7 +152,7 @@ func NewProxy(set *signature.Set, policy Policy, transport http.RoundTripper) *P
 // sigserver watch keeps current.
 func NewProxyWith(backend Backend, policy Policy, transport http.RoundTripper) *Proxy {
 	p := newProxy(policy, transport)
-	p.SetBackend(backend)
+	p.setBackend(backend)
 	return p
 }
 
@@ -161,32 +166,22 @@ func newProxy(policy Policy, transport http.RoundTripper) *Proxy {
 	return &Proxy{policy: policy, transport: transport}
 }
 
-// SetSignatures hot-swaps the signature set, replacing the backend with a
+// setSignatures hot-swaps the signature set, replacing the backend with a
 // freshly compiled conjunction engine.
-func (p *Proxy) SetSignatures(set *signature.Set) {
+func (p *Proxy) setSignatures(set *signature.Set) {
 	if set == nil {
 		set = &signature.Set{}
 	}
-	p.SetBackend(detect.NewEngine(set))
+	p.setBackend(detect.NewEngine(set))
 }
 
-// SetBackend hot-swaps the matcher backend. A nil backend installs an
+// setBackend hot-swaps the matcher backend. A nil backend installs an
 // empty signature set.
-func (p *Proxy) SetBackend(b Backend) {
+func (p *Proxy) setBackend(b Backend) {
 	if b == nil {
 		b = detect.NewEngine(&signature.Set{})
 	}
 	p.backend.Store(&backendBox{b: b})
-}
-
-// Backend returns the current matcher backend.
-func (p *Proxy) Backend() Backend { return p.backend.Load().b }
-
-// Engine returns the current detection engine when the backend is a
-// conjunction engine, and nil when an alternative backend is installed.
-func (p *Proxy) Engine() *detect.Engine {
-	eng, _ := p.backend.Load().b.(*detect.Engine)
-	return eng
 }
 
 // Stats returns how many requests were allowed and blocked.
@@ -194,16 +189,24 @@ func (p *Proxy) Stats() (allowed, blocked int64) {
 	return p.allowed.Load(), p.blocked.Load()
 }
 
-// Audit returns a copy of the audit log.
+// Audit returns a copy of the audit log, oldest first. The log holds the
+// newest 1,024 decisions; older ones are dropped.
 func (p *Proxy) Audit() []AuditEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]AuditEntry(nil), p.audit...)
+	out := make([]AuditEntry, 0, len(p.audit))
+	out = append(out, p.audit[p.auditNext:]...)
+	return append(out, p.audit[:p.auditNext]...)
 }
 
 func (p *Proxy) record(e AuditEntry) {
 	p.mu.Lock()
-	p.audit = append(p.audit, e)
+	if len(p.audit) < auditCap {
+		p.audit = append(p.audit, e)
+	} else {
+		p.audit[p.auditNext] = e
+		p.auditNext = (p.auditNext + 1) % auditCap
+	}
 	p.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package flowcontrol
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"leaksig/internal/detect"
 	"leaksig/internal/engine"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/signature"
@@ -117,12 +119,12 @@ func TestProxyForwardsBodyIntact(t *testing.T) {
 
 func TestPromptPolicy(t *testing.T) {
 	asked := 0
-	allowIt := PromptMatched(func(p *httpmodel.Packet, matched []int) bool {
+	allowIt := promptMatched(func(p *httpmodel.Packet, matched []int) bool {
 		asked++
 		return true
 	})
-	denyIt := PromptMatched(func(p *httpmodel.Packet, matched []int) bool { return false })
-	headless := PromptMatched(nil)
+	denyIt := promptMatched(func(p *httpmodel.Packet, matched []int) bool { return false })
+	headless := promptMatched(nil)
 
 	pkt := httpmodel.Get("x.example", "/a?imei=353918051234563").Dest(1, 80).Build()
 	if got := allowIt.Decide(pkt, []int{0}); got != Allow {
@@ -163,6 +165,26 @@ func TestAuditLog(t *testing.T) {
 	}
 }
 
+// TestAuditLogIsBounded drives more requests than the audit log keeps:
+// the log holds the newest auditCap entries, oldest first.
+func TestAuditLogIsBounded(t *testing.T) {
+	proxy := NewProxy(leakSet(), BlockMatched(), nil)
+	const n = auditCap + 10
+	for i := 1; i <= n; i++ {
+		req := httptest.NewRequest("GET", fmt.Sprintf("http://t.example/x?seq=%d&imei=353918051234563", i), nil)
+		proxy.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	audit := proxy.Audit()
+	if len(audit) != auditCap {
+		t.Fatalf("audit entries = %d after %d requests, want %d", len(audit), n, auditCap)
+	}
+	for j, e := range audit {
+		if want := fmt.Sprintf("/x?seq=%d&", j+11); !strings.HasPrefix(e.Path, want) {
+			t.Fatalf("audit[%d].Path = %q, want prefix %q", j, e.Path, want)
+		}
+	}
+}
+
 func TestHotSwapSignatures(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer origin.Close()
@@ -171,12 +193,12 @@ func TestHotSwapSignatures(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty set should allow: %s", resp.Status)
 	}
-	proxy.SetSignatures(leakSet())
+	proxy.setSignatures(leakSet())
 	resp = proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")
 	if resp.StatusCode != http.StatusUnavailableForLegalReasons {
 		t.Fatalf("after hot swap: %s, want 451", resp.Status)
 	}
-	proxy.SetSignatures(nil) // nil degrades to empty set
+	proxy.setSignatures(nil) // nil degrades to empty set
 	resp = proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after clearing: %s", resp.Status)
@@ -218,11 +240,8 @@ func TestEngineBackend(t *testing.T) {
 	eng := engine.New(&signature.Set{}, engine.Config{Shards: 1})
 	defer eng.Close()
 	proxy := NewProxyWith(eng, BlockMatched(), nil)
-	if proxy.Engine() != nil {
-		t.Error("Engine() should be nil with a streaming backend")
-	}
-	if proxy.Backend() == nil {
-		t.Fatal("Backend() is nil")
+	if proxy.backend.Load().b != Backend(eng) {
+		t.Fatal("the streaming engine is not the proxy's backend")
 	}
 
 	leakURL := origin.URL + "/x?imei=353918051234563"
@@ -242,7 +261,7 @@ func TestSetBackendNil(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer origin.Close()
 	proxy := NewProxyWith(nil, BlockMatched(), nil)
-	if proxy.Engine() == nil {
+	if _, ok := proxy.backend.Load().b.(*detect.Engine); !ok {
 		t.Error("nil backend should degrade to an empty conjunction engine")
 	}
 	resp := proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")

@@ -13,8 +13,8 @@ type Builder struct {
 	p Packet
 }
 
-// NewBuilder starts a builder for the given method, host, and path.
-func NewBuilder(method, host, path string) *Builder {
+// newBuilder starts a builder for the given method, host, and path.
+func newBuilder(method, host, path string) *Builder {
 	return &Builder{p: Packet{
 		Method: method,
 		Host:   host,
@@ -24,10 +24,10 @@ func NewBuilder(method, host, path string) *Builder {
 }
 
 // Get starts a GET request builder.
-func Get(host, path string) *Builder { return NewBuilder("GET", host, path) }
+func Get(host, path string) *Builder { return newBuilder("GET", host, path) }
 
 // Post starts a POST request builder.
-func Post(host, path string) *Builder { return NewBuilder("POST", host, path) }
+func Post(host, path string) *Builder { return newBuilder("POST", host, path) }
 
 // ID sets the capture ID.
 func (b *Builder) ID(id int64) *Builder { b.p.ID = id; return b }
@@ -44,9 +44,6 @@ func (b *Builder) Dest(ip ipaddr.Addr, port uint16) *Builder {
 	b.p.DstPort = port
 	return b
 }
-
-// Proto overrides the HTTP protocol version string.
-func (b *Builder) Proto(proto string) *Builder { b.p.Proto = proto; return b }
 
 // Header appends a header field.
 func (b *Builder) Header(name, value string) *Builder {
@@ -100,5 +97,5 @@ func (b *Builder) Form(pairs ...string) *Builder {
 
 // Build returns a copy of the assembled packet.
 func (b *Builder) Build() *Packet {
-	return b.p.Clone()
+	return b.p.clone()
 }

@@ -14,7 +14,6 @@ package httpmodel
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"leaksig/internal/ipaddr"
 	"leaksig/internal/obs/trace"
@@ -102,29 +101,6 @@ func isCookieName(name string) bool {
 	return true
 }
 
-// HeaderValue returns the first value of the named header (case-insensitive)
-// and whether it was present.
-func (p *Packet) HeaderValue(name string) (string, bool) {
-	for _, h := range p.Headers {
-		if strings.EqualFold(h.Name, name) {
-			return h.Value, true
-		}
-	}
-	return "", false
-}
-
-// SetHeader replaces every existing value of the named header with one value,
-// or appends it if absent.
-func (p *Packet) SetHeader(name, value string) {
-	out := p.Headers[:0]
-	for _, h := range p.Headers {
-		if !strings.EqualFold(h.Name, name) {
-			out = append(out, h)
-		}
-	}
-	p.Headers = append(out, Header{Name: name, Value: value})
-}
-
 // Content returns the bytes the signature matcher scans: request line,
 // cookie, and body, separated by newlines. The separator prevents tokens
 // from spanning two fields.
@@ -196,41 +172,9 @@ func (p *Packet) VisitContent(v ContentVisitor) {
 	v.Bytes(p.Body)
 }
 
-// Query parses the query portion of the path into key/value pairs in
-// order of appearance. Keys without '=' get an empty value. It performs no
-// percent-decoding: signatures operate on raw bytes.
-func (p *Packet) Query() []Header {
-	qi := strings.IndexByte(p.Path, '?')
-	if qi < 0 || qi == len(p.Path)-1 {
-		return nil
-	}
-	var out []Header
-	for _, kv := range strings.Split(p.Path[qi+1:], "&") {
-		if kv == "" {
-			continue
-		}
-		if eq := strings.IndexByte(kv, '='); eq >= 0 {
-			out = append(out, Header{Name: kv[:eq], Value: kv[eq+1:]})
-		} else {
-			out = append(out, Header{Name: kv})
-		}
-	}
-	return out
-}
-
-// QueryValue returns the first value of the named query parameter.
-func (p *Packet) QueryValue(key string) (string, bool) {
-	for _, kv := range p.Query() {
-		if kv.Name == key {
-			return kv.Value, true
-		}
-	}
-	return "", false
-}
-
-// Clone returns a deep copy of the packet. The clone keeps the trace ID
+// clone returns a deep copy of the packet. The clone keeps the trace ID
 // but not the live span — span ownership stays with the original.
-func (p *Packet) Clone() *Packet {
+func (p *Packet) clone() *Packet {
 	q := *p
 	q.Headers = append([]Header(nil), p.Headers...)
 	q.Body = append([]byte(nil), p.Body...)

@@ -68,7 +68,7 @@ func TestCookieNameIsASCIIOnly(t *testing.T) {
 	}
 	raw := rawRecorder{}
 	var vs ViewScratch
-	p.VisitContentViews(&raw, ViewURL.Mask(), &vs)
+	p.VisitContentViews(&raw, ViewURL.mask(), &vs)
 	if raw.fields[1] != want {
 		t.Errorf("VisitContentViews cookie field = %q, want %q", raw.fields[1], want)
 	}
@@ -91,29 +91,6 @@ func (r *rawRecorder) Text(s string) {
 func (r *rawRecorder) Bytes(b []byte) {
 	if !r.inView {
 		r.fieldRecorder.Bytes(b)
-	}
-}
-
-func TestHeaderAccessors(t *testing.T) {
-	p := samplePacket()
-	if v, ok := p.HeaderValue("user-agent"); !ok || !strings.HasPrefix(v, "Dalvik") {
-		t.Errorf("HeaderValue(user-agent) = %q, %v", v, ok)
-	}
-	if _, ok := p.HeaderValue("X-Missing"); ok {
-		t.Error("HeaderValue for missing header reported ok")
-	}
-	p.SetHeader("User-Agent", "Other/1.0")
-	if v, _ := p.HeaderValue("User-Agent"); v != "Other/1.0" {
-		t.Errorf("SetHeader replace failed: %q", v)
-	}
-	n := 0
-	for _, h := range p.Headers {
-		if strings.EqualFold(h.Name, "User-Agent") {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Errorf("SetHeader left %d copies", n)
 	}
 }
 
@@ -153,32 +130,9 @@ func TestContentFieldsOrder(t *testing.T) {
 	}
 }
 
-func TestQueryParsing(t *testing.T) {
-	p := samplePacket()
-	q := p.Query()
-	if len(q) != 2 || q[0].Name != "zone" || q[0].Value != "12" || q[1].Name != "udid" {
-		t.Errorf("Query = %v", q)
-	}
-	if v, ok := p.QueryValue("udid"); !ok || v != "f3a9c1d200b14e67" {
-		t.Errorf("QueryValue(udid) = %q, %v", v, ok)
-	}
-	if _, ok := p.QueryValue("absent"); ok {
-		t.Error("QueryValue(absent) reported ok")
-	}
-	noQ := Get("x.example", "/plain").Build()
-	if noQ.Query() != nil {
-		t.Errorf("Query on plain path = %v", noQ.Query())
-	}
-	flag := Get("x.example", "/p?flag&k=v").Build()
-	fq := flag.Query()
-	if len(fq) != 2 || fq[0].Name != "flag" || fq[0].Value != "" {
-		t.Errorf("Query with bare flag = %v", fq)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	p := Post("x.example", "/p").Dest(1, 80).BodyString("abc").Cookie("a=1").Build()
-	q := p.Clone()
+	q := p.clone()
 	q.Body[0] = 'X'
 	q.Headers[0].Value = "changed"
 	if p.Body[0] != 'a' {
@@ -238,8 +192,8 @@ func TestBuilderFormAndReuse(t *testing.T) {
 	if string(p1.Body) != "udid=abc&carrier=docomo" {
 		t.Errorf("Form body = %q", p1.Body)
 	}
-	if ct, _ := p1.HeaderValue("Content-Type"); ct != "application/x-www-form-urlencoded" {
-		t.Errorf("Content-Type = %q", ct)
+	if h := p1.Headers; len(h) == 0 || h[len(h)-1] != (Header{Name: "Content-Type", Value: "application/x-www-form-urlencoded"}) {
+		t.Errorf("headers = %v, want Content-Type form-urlencoded last", h)
 	}
 	p1.Body[0] = 'X'
 	if p2.Body[0] == 'X' {

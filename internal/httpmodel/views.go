@@ -5,7 +5,7 @@ package httpmodel
 // payloads an app base64/hex/URL-encodes or gzip-compresses before
 // exfiltration. Views are opt-in per signature — decoding costs — and
 // every decoder is bounded and panic-free on hostile input: output is
-// capped at MaxViewOutput bytes per field per view across at most
+// capped at maxViewOutput bytes per field per view across at most
 // maxViewSpans spans, and a malformed encoding yields whatever prefix
 // decoded cleanly rather than an error. Views are single-level: a view is
 // decoded from the raw field only, never from another view's output.
@@ -32,11 +32,11 @@ const (
 // ViewMask is a bitmask of Views.
 type ViewMask uint8
 
-// Mask returns the single-view mask.
-func (v View) Mask() ViewMask { return 1 << v }
+// mask returns the single-view mask.
+func (v View) mask() ViewMask { return 1 << v }
 
 // Has reports whether the mask includes v.
-func (m ViewMask) Has(v View) bool { return m&v.Mask() != 0 }
+func (m ViewMask) Has(v View) bool { return m&v.mask() != 0 }
 
 // viewNames holds each view's canonical wire name, indexed by View.
 var viewNames = [NumViews]string{
@@ -71,17 +71,17 @@ func ViewMaskOf(names []string) ViewMask {
 	var m ViewMask
 	for _, n := range names {
 		if v, ok := ParseView(n); ok {
-			m |= v.Mask()
+			m |= v.mask()
 		}
 	}
 	return m
 }
 
 const (
-	// MaxViewOutput caps the decoded bytes one field yields under one
+	// maxViewOutput caps the decoded bytes one field yields under one
 	// view, no matter what the input claims (a gzip bomb decodes to at
 	// most this much).
-	MaxViewOutput = 64 << 10
+	maxViewOutput = 64 << 10
 	// maxViewSpans caps how many encoded spans of one field are decoded
 	// under one view.
 	maxViewSpans = 16
@@ -167,7 +167,7 @@ func visitFieldViews(v ViewVisitor, mask ViewMask, field []byte, vs *ViewScratch
 }
 
 // VisitDecodedView streams every decoded span src yields under view to
-// emit. It never panics: hostile input yields at most MaxViewOutput
+// emit. It never panics: hostile input yields at most maxViewOutput
 // bytes across at most maxViewSpans spans, and malformed encodings emit
 // the prefix that decoded cleanly (or nothing). Emitted slices alias
 // vs's buffers and are valid only until the next decode through vs.
@@ -203,7 +203,7 @@ func isHexByte(c byte) bool {
 // trailing character that cannot start a final quantum is trimmed, so a
 // run embedded in surrounding text still decodes its valid prefix.
 func decodeBase64Spans(src []byte, vs *ViewScratch, emit func([]byte)) {
-	budget := MaxViewOutput
+	budget := maxViewOutput
 	spans := 0
 	for i := 0; i < len(src) && spans < maxViewSpans && budget >= minDecodedEmit; {
 		if !isBase64Byte(src[i]) {
@@ -259,7 +259,7 @@ func decodeBase64Spans(src []byte, vs *ViewScratch, emit func([]byte)) {
 // decodeHexSpans finds maximal runs of hex digits of at least
 // minEncodedSpan characters, trims each to an even length, and decodes.
 func decodeHexSpans(src []byte, vs *ViewScratch, emit func([]byte)) {
-	budget := MaxViewOutput
+	budget := maxViewOutput
 	spans := 0
 	for i := 0; i < len(src) && spans < maxViewSpans && budget >= minDecodedEmit; {
 		if !isHexByte(src[i]) {
@@ -303,7 +303,7 @@ func decodeURLField(src []byte, vs *ViewScratch, emit func([]byte)) {
 	}
 	vs.dec = vs.dec[:0]
 	changed := false
-	for i := 0; i < len(src) && len(vs.dec) < MaxViewOutput; i++ {
+	for i := 0; i < len(src) && len(vs.dec) < maxViewOutput; i++ {
 		c := src[i]
 		switch {
 		case c == '+':
@@ -325,7 +325,7 @@ func decodeURLField(src []byte, vs *ViewScratch, emit func([]byte)) {
 }
 
 // decodeGzipField inflates a field that starts with the gzip magic,
-// emitting at most MaxViewOutput decompressed bytes. A corrupt or
+// emitting at most maxViewOutput decompressed bytes. A corrupt or
 // truncated stream emits whatever prefix inflated cleanly.
 func decodeGzipField(src []byte, vs *ViewScratch, emit func([]byte)) {
 	if len(src) < 10 || src[0] != 0x1f || src[1] != 0x8b {
@@ -342,10 +342,10 @@ func decodeGzipField(src []byte, vs *ViewScratch, emit func([]byte)) {
 		return
 	}
 	vs.gz.Multistream(false)
-	if cap(vs.dec) < MaxViewOutput {
-		vs.dec = make([]byte, MaxViewOutput)
+	if cap(vs.dec) < maxViewOutput {
+		vs.dec = make([]byte, maxViewOutput)
 	}
-	buf := vs.dec[:MaxViewOutput]
+	buf := vs.dec[:maxViewOutput]
 	total := 0
 	for total < len(buf) {
 		n, err := vs.gz.Read(buf[total:])

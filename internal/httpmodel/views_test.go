@@ -107,13 +107,13 @@ func TestDecodeGzipField(t *testing.T) {
 }
 
 func TestDecodeBounded(t *testing.T) {
-	// A gzip bomb — 10 MB of zeros — must cap at MaxViewOutput.
+	// A gzip bomb — 10 MB of zeros — must cap at maxViewOutput.
 	var b bytes.Buffer
 	zw := gzip.NewWriter(&b)
 	zw.Write(make([]byte, 10<<20))
 	zw.Close()
 	spans := collectSpans(ViewGzip, b.Bytes())
-	if len(spans) != 1 || len(spans[0]) > MaxViewOutput {
+	if len(spans) != 1 || len(spans[0]) > maxViewOutput {
 		t.Fatalf("gzip output not bounded: %d spans, %d bytes", len(spans), len(spans[0]))
 	}
 	// A huge base64 run must cap too, and many runs must cap at
@@ -123,8 +123,8 @@ func TestDecodeBounded(t *testing.T) {
 		total, n := 0, 0
 		var vs ViewScratch
 		VisitDecodedView(view, big, &vs, func(dec []byte) { total += len(dec); n++ })
-		if total > MaxViewOutput {
-			t.Errorf("%v: decoded %d bytes > MaxViewOutput", view, total)
+		if total > maxViewOutput {
+			t.Errorf("%v: decoded %d bytes > maxViewOutput", view, total)
 		}
 	}
 	many := bytes.Repeat([]byte("41414141414141414141!"), 100)
@@ -149,7 +149,7 @@ func TestVisitContentViews(t *testing.T) {
 		view: func(v View, chunk []byte) {
 			got[v] = append(got[v], string(chunk))
 		},
-	}, ViewBase64.Mask()|ViewHex.Mask(), &vs)
+	}, ViewBase64.mask()|ViewHex.mask(), &vs)
 
 	if fields != 3 {
 		t.Fatalf("fields = %d, want 3", fields)
@@ -220,7 +220,7 @@ func TestParseViewRoundTrip(t *testing.T) {
 }
 
 // FuzzViewDecoders drives every decoder with arbitrary bytes: none may
-// panic, and none may emit more than MaxViewOutput bytes per call.
+// panic, and none may emit more than maxViewOutput bytes per call.
 func FuzzViewDecoders(f *testing.F) {
 	f.Add([]byte("p=" + base64.StdEncoding.EncodeToString([]byte("imei=356938035643809"))))
 	f.Add([]byte("p=" + hex.EncodeToString([]byte("imei=356938035643809"))))
@@ -244,8 +244,8 @@ func FuzzViewDecoders(f *testing.F) {
 					t.Fatalf("view %v emitted %d-byte span < minDecodedEmit", view, len(dec))
 				}
 			})
-			if total > MaxViewOutput {
-				t.Fatalf("view %v emitted %d bytes > MaxViewOutput", view, total)
+			if total > maxViewOutput {
+				t.Fatalf("view %v emitted %d bytes > maxViewOutput", view, total)
 			}
 		}
 	})

@@ -87,11 +87,6 @@ func (a *Addr) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Octets returns the four octets of the address, most significant first.
-func (a Addr) Octets() [4]byte {
-	return [4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
-}
-
 // FromOctets assembles an address from four octets, most significant first.
 func FromOctets(o0, o1, o2, o3 byte) Addr {
 	return Addr(o0)<<24 | Addr(o1)<<16 | Addr(o2)<<8 | Addr(o3)
@@ -113,9 +108,9 @@ func CommonPrefixLen(a, b Addr) int {
 	return n
 }
 
-// Mask returns the network mask with the given prefix length.
-// Mask(0) is 0.0.0.0 and Mask(32) is 255.255.255.255.
-func Mask(prefixLen int) Addr {
+// prefixMask returns the network mask with the given prefix length.
+// prefixMask(0) is 0.0.0.0 and prefixMask(32) is 255.255.255.255.
+func prefixMask(prefixLen int) Addr {
 	if prefixLen <= 0 {
 		return 0
 	}
@@ -145,7 +140,7 @@ func ParseBlock(s string) (Block, error) {
 	if err != nil || bits < 0 || bits > 32 {
 		return Block{}, fmt.Errorf("ipaddr: invalid CIDR %q: bad prefix length", s)
 	}
-	return Block{Base: base & Mask(bits), Bits: bits}, nil
+	return Block{Base: base & prefixMask(bits), Bits: bits}, nil
 }
 
 // MustParseBlock is like ParseBlock but panics on error.
@@ -164,7 +159,7 @@ func (b Block) String() string {
 
 // Contains reports whether the address lies within the block.
 func (b Block) Contains(a Addr) bool {
-	return a&Mask(b.Bits) == b.Base&Mask(b.Bits)
+	return a&prefixMask(b.Bits) == b.Base&prefixMask(b.Bits)
 }
 
 // Size returns the number of addresses in the block.
@@ -178,10 +173,10 @@ func (b Block) Nth(i uint64) Addr {
 	if i >= b.Size() {
 		panic(fmt.Sprintf("ipaddr: index %d out of range for %s", i, b))
 	}
-	return b.Base&Mask(b.Bits) | Addr(i)
+	return b.Base&prefixMask(b.Bits) | Addr(i)
 }
 
 // Overlaps reports whether the two blocks share any address.
 func (b Block) Overlaps(o Block) bool {
-	return b.Contains(o.Base&Mask(o.Bits)) || o.Contains(b.Base&Mask(b.Bits))
+	return b.Contains(o.Base&prefixMask(o.Bits)) || o.Contains(b.Base&prefixMask(b.Bits))
 }

@@ -46,12 +46,11 @@ func TestParseInvalid(t *testing.T) {
 
 func TestOctetsRoundTrip(t *testing.T) {
 	a := MustParse("203.0.113.77")
-	o := a.Octets()
-	if o != [4]byte{203, 0, 113, 77} {
-		t.Fatalf("Octets = %v", o)
-	}
-	if FromOctets(o[0], o[1], o[2], o[3]) != a {
+	if FromOctets(203, 0, 113, 77) != a {
 		t.Fatal("FromOctets round trip failed")
+	}
+	if a.String() != "203.0.113.77" {
+		t.Fatalf("String = %q", a.String())
 	}
 }
 
@@ -91,7 +90,7 @@ func TestCommonPrefixLenProperties(t *testing.T) {
 	// The prefix up to the returned length is actually equal.
 	g := func(a, b uint32) bool {
 		n := CommonPrefixLen(Addr(a), Addr(b))
-		m := uint32(Mask(n))
+		m := uint32(prefixMask(n))
 		return a&m == b&m
 	}
 	if err := quick.Check(g, nil); err != nil {
@@ -112,11 +111,11 @@ func TestMask(t *testing.T) {
 		{32, "255.255.255.255"},
 	}
 	for _, c := range cases {
-		if got := Mask(c.bits).String(); got != c.want {
-			t.Errorf("Mask(%d) = %s, want %s", c.bits, got, c.want)
+		if got := prefixMask(c.bits).String(); got != c.want {
+			t.Errorf("prefixMask(%d) = %s, want %s", c.bits, got, c.want)
 		}
 	}
-	if Mask(-3) != 0 || Mask(40) != 0xffffffff {
+	if prefixMask(-3) != 0 || prefixMask(40) != 0xffffffff {
 		t.Error("Mask clamp failed")
 	}
 }

@@ -32,7 +32,7 @@ func EngineCollector(snap func() engine.Snapshot, shards func() []engine.ShardSt
 			return
 		}
 		for i, sh := range shards() {
-			shard := L("shard", strconv.Itoa(i))
+			shard := label("shard", strconv.Itoa(i))
 			m.Counter("leaksig_engine_shard_processed_total", "Packets matched, per worker shard.", float64(sh.Processed), shard)
 			m.Counter("leaksig_engine_shard_matched_total", "Leaking packets, per worker shard.", float64(sh.Matched), shard)
 			m.Gauge("leaksig_engine_shard_batch_target", "Adaptive drain target, per worker shard.", float64(sh.BatchTarget), shard)
@@ -62,8 +62,8 @@ func writeEngineSnapshot(m *MetricWriter, s engine.Snapshot, labels []Label) {
 	m.Gauge("leaksig_engine_batch_target", "Mean adaptive batch target across shards.", float64(s.BatchTarget), labels...)
 	m.Gauge("leaksig_engine_packets_per_second", "Lifetime processed packets per second.", s.PacketsPerSec, labels...)
 	m.Gauge("leaksig_engine_match_rate", "Matched / processed, in [0, 1].", s.MatchRate, labels...)
-	m.Gauge("leaksig_engine_latency_seconds", "Sampled queue-to-verdict latency quantiles.", s.P50.Seconds(), append(append([]Label{}, labels...), L("quantile", "0.5"))...)
-	m.Gauge("leaksig_engine_latency_seconds", "Sampled queue-to-verdict latency quantiles.", s.P99.Seconds(), append(append([]Label{}, labels...), L("quantile", "0.99"))...)
+	m.Gauge("leaksig_engine_latency_seconds", "Sampled queue-to-verdict latency quantiles.", s.P50.Seconds(), append(append([]Label{}, labels...), label("quantile", "0.5"))...)
+	m.Gauge("leaksig_engine_latency_seconds", "Sampled queue-to-verdict latency quantiles.", s.P99.Seconds(), append(append([]Label{}, labels...), label("quantile", "0.99"))...)
 }
 
 // PoolCollector projects a pool snapshot: pool lifecycle gauges, the
@@ -85,7 +85,7 @@ func PoolCollector(snap func() engine.PoolSnapshot) Collector {
 		}
 		sort.Strings(tenants)
 		for _, k := range tenants {
-			writeEngineSnapshot(m, s.PerTenant[k], []Label{L("tenant", k)})
+			writeEngineSnapshot(m, s.PerTenant[k], []Label{label("tenant", k)})
 		}
 	})
 }
@@ -120,14 +120,14 @@ func SiggenCollector(snap func() siggen.Stats) Collector {
 		m.Counter("leaksig_siggen_publishes_total", "Global-set publishes.", float64(s.Publishes))
 		m.Counter("leaksig_siggen_named_publishes_total", "Per-tenant named-set publishes.", float64(s.NamedPublishes))
 		m.Counter("leaksig_siggen_publish_errors_total", "Failed publish round trips.", float64(s.PublishErrors))
-		m.Gauge("leaksig_siggen_set_version", "Last published version, per set (the default set is the empty label).", float64(s.LastVersion), L("set", ""))
+		m.Gauge("leaksig_siggen_set_version", "Last published version, per set (the default set is the empty label).", float64(s.LastVersion), label("set", ""))
 		names := make([]string, 0, len(s.NamedVersions))
 		for k := range s.NamedVersions {
 			names = append(names, k)
 		}
 		sort.Strings(names)
 		for _, k := range names {
-			m.Gauge("leaksig_siggen_set_version", "Last published version, per set (the default set is the empty label).", float64(s.NamedVersions[k]), L("set", k))
+			m.Gauge("leaksig_siggen_set_version", "Last published version, per set (the default set is the empty label).", float64(s.NamedVersions[k]), label("set", k))
 		}
 	})
 }
@@ -141,7 +141,7 @@ func SigserverCollector(snap func() sigserver.ServerStats) Collector {
 		s := snap()
 		m.Gauge("leaksig_sigserver_seq", "Catalog sequence: publishes to any set.", float64(s.Seq))
 		emit := func(name string, st sigserver.NamedSetStats) {
-			set := L("set", name)
+			set := label("set", name)
 			m.Gauge("leaksig_sigserver_version", "Current published version, per set.", float64(st.Version), set)
 			m.Gauge("leaksig_sigserver_signatures", "Signatures in the published set, per set.", float64(st.Signatures), set)
 			m.Counter("leaksig_sigserver_publishes_total", "Accepted publishes, per set.", float64(st.Publishes), set)
@@ -175,8 +175,8 @@ func TracerCollector(t *trace.Tracer) Collector {
 			return
 		}
 		for _, s := range t.Snapshot() {
-			m.Histogram("leaksig_stage_seconds", "Sampled per-stage pipeline latency, by stage.",
-				s.Bounds, s.Counts, s.Count, s.SumSeconds, L("stage", s.Stage))
+			m.histogram("leaksig_stage_seconds", "Sampled per-stage pipeline latency, by stage.",
+				s.Bounds, s.Counts, s.Count, s.SumSeconds, label("stage", s.Stage))
 		}
 		st := t.Stats()
 		m.Counter("leaksig_trace_spans_started_total", "Spans head-sampled in this process.", float64(st.Started))
@@ -206,8 +206,8 @@ func FlightCollector(f *trace.Flight) Collector {
 func ProxyCollector(stats func() (allowed, blocked int64)) Collector {
 	return CollectorFunc(func(m *MetricWriter) {
 		allowed, blocked := stats()
-		m.Counter("leaksig_proxy_decisions_total", "Proxy policy decisions, by action.", float64(allowed), L("action", "allow"))
-		m.Counter("leaksig_proxy_decisions_total", "Proxy policy decisions, by action.", float64(blocked), L("action", "block"))
+		m.Counter("leaksig_proxy_decisions_total", "Proxy policy decisions, by action.", float64(allowed), label("action", "allow"))
+		m.Counter("leaksig_proxy_decisions_total", "Proxy policy decisions, by action.", float64(blocked), label("action", "block"))
 	})
 }
 
@@ -237,7 +237,7 @@ func BreakerCollector(name string, br *resilience.Breaker) Collector {
 		if br == nil {
 			return
 		}
-		lbl := L("breaker", name)
+		lbl := label("breaker", name)
 		var state float64
 		switch br.State() {
 		case resilience.Open:
@@ -264,11 +264,11 @@ func FaultCollector(in *faultinject.Injector) Collector {
 		}
 		s := in.Stats()
 		const help = "Faults injected by the chaos harness, by kind."
-		m.Counter("leaksig_faults_injected_total", help, float64(s.Latencies), L("kind", "latency"))
-		m.Counter("leaksig_faults_injected_total", help, float64(s.Errors5xx), L("kind", "error_5xx"))
-		m.Counter("leaksig_faults_injected_total", help, float64(s.Resets), L("kind", "reset"))
-		m.Counter("leaksig_faults_injected_total", help, float64(s.Partials), L("kind", "partial"))
-		m.Counter("leaksig_faults_injected_total", help, float64(s.Blackholes), L("kind", "blackhole"))
+		m.Counter("leaksig_faults_injected_total", help, float64(s.Latencies), label("kind", "latency"))
+		m.Counter("leaksig_faults_injected_total", help, float64(s.Errors5xx), label("kind", "error_5xx"))
+		m.Counter("leaksig_faults_injected_total", help, float64(s.Resets), label("kind", "reset"))
+		m.Counter("leaksig_faults_injected_total", help, float64(s.Partials), label("kind", "partial"))
+		m.Counter("leaksig_faults_injected_total", help, float64(s.Blackholes), label("kind", "blackhole"))
 	})
 }
 
@@ -283,6 +283,6 @@ func BuildInfoCollector() Collector {
 	goversion := runtime.Version()
 	return CollectorFunc(func(m *MetricWriter) {
 		m.Gauge("leaksig_build_info", "Build metadata: constant 1, labeled with the module version and Go toolchain.", 1,
-			L("version", version), L("goversion", goversion))
+			label("version", version), label("goversion", goversion))
 	})
 }

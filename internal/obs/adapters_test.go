@@ -19,7 +19,7 @@ import (
 func expose(c Collector) string {
 	reg := NewRegistry()
 	reg.Register(c)
-	return reg.Expose()
+	return reg.expose()
 }
 
 func TestEngineCollectorPerShardFamilies(t *testing.T) {

@@ -40,8 +40,8 @@ type Label struct {
 	Value string
 }
 
-// L is shorthand for constructing a Label.
-func L(name, value string) Label { return Label{Name: name, Value: value} }
+// label is shorthand for constructing a Label.
+func label(name, value string) Label { return Label{Name: name, Value: value} }
 
 // kind is a metric family's TYPE line.
 type kind string
@@ -105,18 +105,18 @@ func (m *MetricWriter) Gauge(name, help string, v float64, labels ...Label) {
 	f.samples = append(f.samples, sample{name: name, labels: labels, value: v})
 }
 
-// Histogram emits one full fixed-bucket histogram: counts[i] is the
+// histogram emits one full fixed-bucket histogram: counts[i] is the
 // number of observations in (-inf, buckets[i]]; count and sum cover all
 // observations (the implicit +Inf bucket equals count).
-func (m *MetricWriter) Histogram(name, help string, buckets []float64, counts []uint64, count uint64, sum float64, labels ...Label) {
+func (m *MetricWriter) histogram(name, help string, buckets []float64, counts []uint64, count uint64, sum float64, labels ...Label) {
 	f := m.familyFor(name, help, kindHistogram)
 	cum := uint64(0)
 	for i, le := range buckets {
 		cum += counts[i]
-		ls := append(append([]Label{}, labels...), L("le", formatFloat(le)))
+		ls := append(append([]Label{}, labels...), label("le", formatFloat(le)))
 		f.samples = append(f.samples, sample{name: name + "_bucket", labels: ls, value: float64(cum)})
 	}
-	inf := append(append([]Label{}, labels...), L("le", "+Inf"))
+	inf := append(append([]Label{}, labels...), label("le", "+Inf"))
 	f.samples = append(f.samples, sample{name: name + "_bucket", labels: inf, value: float64(count)})
 	f.samples = append(f.samples, sample{name: name + "_sum", labels: labels, value: sum})
 	f.samples = append(f.samples, sample{name: name + "_count", labels: labels, value: float64(count)})
@@ -210,8 +210,8 @@ func (r *Registry) Register(c Collector) {
 	r.mu.Unlock()
 }
 
-// Expose renders one scrape in the Prometheus text format.
-func (r *Registry) Expose() string {
+// expose renders one scrape in the Prometheus text format.
+func (r *Registry) expose() string {
 	r.mu.RLock()
 	cs := append([]Collector(nil), r.collectors...)
 	r.mu.RUnlock()
@@ -231,73 +231,50 @@ func (r *Registry) Handler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		body := r.Expose()
+		body := r.expose()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-store")
 		fmt.Fprint(w, body)
 	})
 }
 
-// Counter is a monotonically increasing cumulative count. The zero value
+// counter is a monotonically increasing cumulative count. The zero value
 // is usable; all methods are safe for concurrent use.
-type Counter struct {
+type counter struct {
 	n atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
+func (c *counter) Inc() { c.n.Add(1) }
 
 // Add adds n (which must be non-negative; counters never decrease).
-func (c *Counter) Add(n uint64) { c.n.Add(n) }
+func (c *counter) Add(n uint64) { c.n.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
+func (c *counter) Value() uint64 { return c.n.Load() }
 
-// Gauge is a value that may go up and down. The zero value is usable;
-// all methods are safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Add adjusts the gauge by delta, retrying on concurrent writers.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Histogram counts observations into fixed buckets chosen at
-// construction. Construct with NewHistogram; all methods are safe for
+// histogram counts observations into fixed buckets chosen at
+// construction. Construct with newHistogram; all methods are safe for
 // concurrent use. Observation is a binary search plus two atomic adds —
 // cheap enough for per-batch (not per-packet) paths.
-type Histogram struct {
+type histogram struct {
 	buckets []float64 // upper bounds, strictly increasing
 	counts  []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits of the running sum
 }
 
-// NewHistogram builds a histogram over the given strictly increasing
+// newHistogram builds a histogram over the given strictly increasing
 // upper bounds (the +Inf bucket is implicit).
-func NewHistogram(buckets []float64) *Histogram {
+func newHistogram(buckets []float64) *histogram {
 	b := append([]float64(nil), buckets...)
 	sort.Float64s(b)
-	return &Histogram{buckets: b, counts: make([]atomic.Uint64, len(b))}
+	return &histogram{buckets: b, counts: make([]atomic.Uint64, len(b))}
 }
 
-// ExpBuckets returns n bounds growing geometrically from start by factor
+// expBuckets returns n bounds growing geometrically from start by factor
 // — the usual latency/size ladder.
-func ExpBuckets(start, factor float64, n int) []float64 {
+func expBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
 	v := start
 	for i := range out {
@@ -308,7 +285,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.buckets, v)
 	if i < len(h.counts) {
 		h.counts[i].Add(1)
@@ -324,38 +301,38 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Write emits the histogram into one collection pass.
-func (h *Histogram) Write(m *MetricWriter, name, help string, labels ...Label) {
+func (h *histogram) Write(m *MetricWriter, name, help string, labels ...Label) {
 	counts := make([]uint64, len(h.counts))
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 	}
-	m.Histogram(name, help, h.buckets, counts, h.count.Load(), math.Float64frombits(h.sumBits.Load()), labels...)
+	m.histogram(name, help, h.buckets, counts, h.count.Load(), math.Float64frombits(h.sumBits.Load()), labels...)
 }
 
-// CounterVec is a family of counters split by one label. Construct with
-// NewCounterVec. The table grows one entry per distinct label value;
+// counterVec is a family of counters split by one label. Construct with
+// newCounterVec. The table grows one entry per distinct label value;
 // callers must bound the values they pass (tenant keys must come from a
 // bounded table, never raw traffic).
-type CounterVec struct {
+type counterVec struct {
 	name, help string
 	label      string
 
 	mu   sync.Mutex
-	byst map[string]*Counter
+	byst map[string]*counter
 }
 
-// NewCounterVec builds a labeled counter family.
-func NewCounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{name: name, help: help, label: label, byst: make(map[string]*Counter)}
+// newCounterVec builds a labeled counter family.
+func newCounterVec(name, help, label string) *counterVec {
+	return &counterVec{name: name, help: help, label: label, byst: make(map[string]*counter)}
 }
 
 // With returns the counter for one label value, creating it at zero.
-func (v *CounterVec) With(value string) *Counter {
+func (v *counterVec) With(value string) *counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	c := v.byst[value]
 	if c == nil {
-		c = &Counter{}
+		c = &counter{}
 		v.byst[value] = c
 	}
 	return c
@@ -363,7 +340,7 @@ func (v *CounterVec) With(value string) *Counter {
 
 // Forget drops one label value's series (used when the labeled entity —
 // a tenant — is evicted and its count has been folded into an aggregate).
-func (v *CounterVec) Forget(value string) {
+func (v *counterVec) Forget(value string) {
 	v.mu.Lock()
 	delete(v.byst, value)
 	v.mu.Unlock()
@@ -371,7 +348,7 @@ func (v *CounterVec) Forget(value string) {
 
 // Collect implements Collector: one sample per live label value, in
 // sorted order for a stable exposition.
-func (v *CounterVec) Collect(m *MetricWriter) {
+func (v *counterVec) Collect(m *MetricWriter) {
 	v.mu.Lock()
 	keys := make([]string, 0, len(v.byst))
 	for k := range v.byst {
@@ -388,6 +365,6 @@ func (v *CounterVec) Collect(m *MetricWriter) {
 	}
 	v.mu.Unlock()
 	for _, e := range out {
-		m.Counter(v.name, v.help, float64(e.n), L(v.label, e.k))
+		m.Counter(v.name, v.help, float64(e.n), label(v.label, e.k))
 	}
 }

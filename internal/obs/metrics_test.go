@@ -9,11 +9,11 @@ import (
 func TestExpositionFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(CollectorFunc(func(m *MetricWriter) {
-		m.Counter("leaksig_test_total", "A test counter.", 42, L("tenant", "app.a"))
-		m.Counter("leaksig_test_total", "A test counter.", 7, L("tenant", "app.b"))
+		m.Counter("leaksig_test_total", "A test counter.", 42, label("tenant", "app.a"))
+		m.Counter("leaksig_test_total", "A test counter.", 7, label("tenant", "app.b"))
 		m.Gauge("leaksig_test_depth", "A test gauge.", 3.5)
 	}))
-	out := reg.Expose()
+	out := reg.expose()
 
 	wantLines := []string{
 		"# HELP leaksig_test_total A test counter.",
@@ -40,10 +40,10 @@ func TestExpositionMergesFamiliesAcrossCollectors(t *testing.T) {
 	for _, v := range []string{"x", "y"} {
 		v := v
 		reg.Register(CollectorFunc(func(m *MetricWriter) {
-			m.Counter("leaksig_shared_total", "Shared family.", 1, L("src", v))
+			m.Counter("leaksig_shared_total", "Shared family.", 1, label("src", v))
 		}))
 	}
-	out := reg.Expose()
+	out := reg.expose()
 	if n := strings.Count(out, "# TYPE leaksig_shared_total counter"); n != 1 {
 		t.Fatalf("shared family should have exactly one TYPE header, got %d:\n%s", n, out)
 	}
@@ -57,16 +57,16 @@ func TestExpositionMergesFamiliesAcrossCollectors(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(CollectorFunc(func(m *MetricWriter) {
-		m.Gauge("leaksig_esc", "Escapes.", 1, L("v", "a\"b\\c\nd"))
+		m.Gauge("leaksig_esc", "Escapes.", 1, label("v", "a\"b\\c\nd"))
 	}))
-	out := reg.Expose()
+	out := reg.expose()
 	if !strings.Contains(out, `leaksig_esc{v="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped correctly:\n%s", out)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1, 10})
+	h := newHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -117,7 +117,7 @@ func TestHandlerContentType(t *testing.T) {
 }
 
 func TestCounterVecForget(t *testing.T) {
-	v := NewCounterVec("leaksig_vec_total", "Vec.", "tenant")
+	v := newCounterVec("leaksig_vec_total", "Vec.", "tenant")
 	v.With("a").Add(3)
 	v.With("b").Inc()
 	v.Forget("a")

@@ -40,8 +40,8 @@ type tokenBucket struct {
 	last   time.Time // last refill instant; also the recency key for eviction
 }
 
-// RateLimiterStats is a point-in-time view of the limiter's accounting.
-type RateLimiterStats struct {
+// rateLimiterStats is a point-in-time view of the limiter's accounting.
+type rateLimiterStats struct {
 	Allowed uint64 `json:"allowed"` // packets admitted
 	Limited uint64 `json:"limited"` // packets rejected by an empty bucket
 	Tenants int    `json:"tenants"` // live bucket-table entries
@@ -62,11 +62,11 @@ type RateLimiter struct {
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
 
-	allowed Counter
-	limited Counter
+	allowed counter
+	limited counter
 
-	allowedBy *CounterVec
-	limitedBy *CounterVec
+	allowedBy *counterVec
+	limitedBy *counterVec
 
 	now func() time.Time // test hook
 }
@@ -79,8 +79,8 @@ func NewRateLimiter(cfg RateLimiterConfig) *RateLimiter {
 	return &RateLimiter{
 		cfg:       cfg,
 		buckets:   make(map[string]*tokenBucket),
-		allowedBy: NewCounterVec("leaksig_intake_tenant_allowed_total", "Packets admitted at intake, per tenant (bounded by the limiter table).", "tenant"),
-		limitedBy: NewCounterVec("leaksig_intake_tenant_limited_total", "Packets rejected at intake by the rate limit, per tenant (bounded by the limiter table).", "tenant"),
+		allowedBy: newCounterVec("leaksig_intake_tenant_allowed_total", "Packets admitted at intake, per tenant (bounded by the limiter table).", "tenant"),
+		limitedBy: newCounterVec("leaksig_intake_tenant_limited_total", "Packets rejected at intake by the rate limit, per tenant (bounded by the limiter table).", "tenant"),
 		now:       time.Now,
 	}
 }
@@ -147,12 +147,12 @@ func (l *RateLimiter) evictStalestLocked() {
 	}
 }
 
-// Stats returns the limiter's aggregate accounting.
-func (l *RateLimiter) Stats() RateLimiterStats {
+// stats returns the limiter's aggregate accounting.
+func (l *RateLimiter) stats() rateLimiterStats {
 	l.mu.Lock()
 	tenants := len(l.buckets)
 	l.mu.Unlock()
-	return RateLimiterStats{
+	return rateLimiterStats{
 		Allowed: l.allowed.Value(),
 		Limited: l.limited.Value(),
 		Tenants: tenants,
@@ -165,7 +165,7 @@ func (l *RateLimiter) Stats() RateLimiterStats {
 // separate families, so summing the tenant label never double-counts
 // the aggregate, and the aggregate survives bucket eviction.
 func (l *RateLimiter) Collect(m *MetricWriter) {
-	st := l.Stats()
+	st := l.stats()
 	m.Counter("leaksig_intake_allowed_total", "Packets admitted at intake across all tenants.", float64(st.Allowed))
 	m.Counter("leaksig_intake_limited_total", "Packets rejected at intake by the per-tenant rate limit, across all tenants.", float64(st.Limited))
 	m.Gauge("leaksig_intake_limiter_tenants", "Live token buckets in the intake limiter table.", float64(st.Tenants))

@@ -50,7 +50,7 @@ func TestRateLimiterBurstThenRefill(t *testing.T) {
 		t.Fatal("idle credit exceeded the burst cap")
 	}
 
-	st := l.Stats()
+	st := l.stats()
 	if st.Allowed != 7 || st.Limited != 3 {
 		t.Fatalf("stats = %+v, want 7 allowed / 3 limited", st)
 	}
@@ -63,7 +63,7 @@ func TestRateLimiterPassThroughWhenUnlimited(t *testing.T) {
 			t.Fatal("pass-through limiter rejected a packet")
 		}
 	}
-	if st := l.Stats(); st.Allowed != 100 || st.Limited != 0 {
+	if st := l.stats(); st.Allowed != 100 || st.Limited != 0 {
 		t.Fatalf("pass-through must still count admissions: %+v", st)
 	}
 }
@@ -79,13 +79,13 @@ func TestRateLimiterBoundedTableEvictsStalest(t *testing.T) {
 		l.Allow(fmt.Sprintf("t%d", i))
 		clk.advance(time.Second)
 	}
-	if st := l.Stats(); st.Tenants != 4 {
+	if st := l.stats(); st.Tenants != 4 {
 		t.Fatalf("tenants = %d, want 4", st.Tenants)
 	}
 
 	// A fifth tenant must recycle t0, not grow the table.
 	l.Allow("t4")
-	st := l.Stats()
+	st := l.stats()
 	if st.Tenants != 4 {
 		t.Fatalf("table grew past MaxTenants: %d", st.Tenants)
 	}
@@ -122,5 +122,5 @@ func scrape(t *testing.T, c Collector) string {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Register(c)
-	return reg.Expose()
+	return reg.expose()
 }

@@ -110,8 +110,8 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 	return c
 }
 
-// ShipperStats is a point-in-time view of the shipper's accounting.
-type ShipperStats struct {
+// shipperStats is a point-in-time view of the shipper's accounting.
+type shipperStats struct {
 	Shipped        uint64 `json:"shipped"`         // events delivered to the sink
 	DroppedBuffer  uint64 `json:"dropped_buffer"`  // events dropped: ring full
 	DroppedUpload  uint64 `json:"dropped_upload"`  // events dropped: batch abandoned after MaxAttempts
@@ -136,13 +136,13 @@ type Shipper struct {
 	wake   chan struct{}
 	closed bool
 
-	shipped        Counter
-	droppedBuffer  Counter
-	droppedUpload  Counter
-	uploadFailures Counter
-	batches        Counter
+	shipped        counter
+	droppedBuffer  counter
+	droppedUpload  counter
+	uploadFailures counter
+	batches        counter
 
-	flushSec *Histogram // delivery attempt duration, seconds
+	flushSec *histogram // delivery attempt duration, seconds
 	retry    *resilience.Backoff
 	stop     chan struct{}
 	done     chan struct{}
@@ -158,7 +158,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 		cfg:      cfg,
 		buf:      make([]Event, 0, cfg.BufferEvents),
 		wake:     make(chan struct{}, 1),
-		flushSec: NewHistogram(ExpBuckets(0.001, 4, 8)), // 1ms .. ~16s
+		flushSec: newHistogram(expBuckets(0.001, 4, 8)), // 1ms .. ~16s
 		retry:    resilience.NewBackoff(cfg.RetryMin, cfg.RetryMax, 0),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -306,12 +306,12 @@ func (s *Shipper) deliver(batch []Event, attempts int) {
 	}
 }
 
-// Stats returns the shipper's accounting counters.
-func (s *Shipper) Stats() ShipperStats {
+// stats returns the shipper's accounting counters.
+func (s *Shipper) stats() shipperStats {
 	s.mu.Lock()
 	buffered := len(s.buf)
 	s.mu.Unlock()
-	return ShipperStats{
+	return shipperStats{
 		Shipped:        s.shipped.Value(),
 		DroppedBuffer:  s.droppedBuffer.Value(),
 		DroppedUpload:  s.droppedUpload.Value(),
@@ -324,10 +324,10 @@ func (s *Shipper) Stats() ShipperStats {
 // Collect implements Collector: the shipper's own accounting as metric
 // families, so event loss is as scrapeable as event volume.
 func (s *Shipper) Collect(m *MetricWriter) {
-	st := s.Stats()
+	st := s.stats()
 	m.Counter("leaksig_events_shipped_total", "Events delivered to the event sink.", float64(st.Shipped))
-	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedBuffer), L("reason", "buffer_full"))
-	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedUpload), L("reason", "upload_abandoned"))
+	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedBuffer), label("reason", "buffer_full"))
+	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedUpload), label("reason", "upload_abandoned"))
 	m.Counter("leaksig_events_upload_failures_total", "Failed event upload attempts (each retried batch attempt counts once).", float64(st.UploadFailures))
 	m.Counter("leaksig_events_batches_total", "Event batches delivered.", float64(st.Batches))
 	m.Gauge("leaksig_events_buffered", "Events currently waiting in the ship buffer.", float64(st.Buffered))

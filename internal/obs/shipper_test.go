@@ -69,7 +69,7 @@ func TestShipperDeliversNDJSON(t *testing.T) {
 			t.Fatal("event time not stamped")
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Shipped != 10 || st.DroppedBuffer != 0 || st.DroppedUpload != 0 {
 		t.Fatalf("stats = %+v, want 10 shipped and no drops", st)
 	}
@@ -117,7 +117,7 @@ func TestShipperNeverBlocksOnStalledSink(t *testing.T) {
 	}
 
 	delivered.Wait() // the wedged delivery is in flight — the buffer bound is now hard
-	st := s.Stats()
+	st := s.stats()
 	total := st.Shipped + st.DroppedBuffer + st.DroppedUpload + uint64(st.Buffered)
 	// The in-flight batch (taken from the ring, not yet counted anywhere)
 	// accounts for at most FlushEvents of slack.
@@ -152,7 +152,7 @@ func TestShipperRetriesThenDrops(t *testing.T) {
 	s.Ship(Event{Type: "publish"})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := s.Stats()
+		st := s.stats()
 		if st.DroppedUpload == 1 {
 			break
 		}
@@ -167,7 +167,7 @@ func TestShipperRetriesThenDrops(t *testing.T) {
 	if attempts < 3 {
 		t.Fatalf("sink saw %d attempts, want >= 3 (MaxAttempts)", attempts)
 	}
-	if st := s.Stats(); st.UploadFailures < 3 {
+	if st := s.stats(); st.UploadFailures < 3 {
 		t.Fatalf("upload failures = %d, want >= 3", st.UploadFailures)
 	}
 }
@@ -189,7 +189,7 @@ func TestShipperFlushesPendingOnClose(t *testing.T) {
 	if evs := cs.events(t); len(evs) != 5 {
 		t.Fatalf("final flush delivered %d events, want 5", len(evs))
 	}
-	if st := s.Stats(); st.Shipped != 5 || st.DroppedUpload != 0 || st.Buffered != 0 {
+	if st := s.stats(); st.Shipped != 5 || st.DroppedUpload != 0 || st.Buffered != 0 {
 		t.Fatalf("stats after close = %+v, want 5 shipped, nothing dropped or buffered", st)
 	}
 }
@@ -209,7 +209,7 @@ func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
 		s.Ship(Event{Type: "verdict", Version: int64(i)})
 	}
 	s.Close()
-	st := s.Stats()
+	st := s.stats()
 	if st.DroppedUpload != 7 {
 		t.Fatalf("dropped_upload = %d after failed final flush, want 7 (stats %+v)", st.DroppedUpload, st)
 	}
@@ -225,7 +225,7 @@ func TestShipperCollectFamilies(t *testing.T) {
 	s.Close()
 	reg := NewRegistry()
 	reg.Register(s)
-	out := reg.Expose()
+	out := reg.expose()
 	for _, fam := range []string{
 		"leaksig_events_shipped_total",
 		`leaksig_events_dropped_total{reason="buffer_full"}`,

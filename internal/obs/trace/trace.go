@@ -227,7 +227,7 @@ func (t *Tracer) Start() *Span {
 		return nil
 	}
 	sp := t.get()
-	sp.id = FormatID(splitmix64(t.seq.Add(1)))
+	sp.id = formatID(splitmix64(t.seq.Add(1)))
 	t.started.Add(1)
 	return sp
 }
@@ -244,7 +244,7 @@ func (t *Tracer) StartID() string {
 		return ""
 	}
 	t.started.Add(1)
-	return FormatID(splitmix64(t.seq.Add(1)))
+	return formatID(splitmix64(t.seq.Add(1)))
 }
 
 // Adopt continues a trace started in another process under the given ID.
@@ -361,8 +361,8 @@ func splitmix64(x uint64) uint64 {
 
 const hexDigits = "0123456789abcdef"
 
-// FormatID renders a trace ID in its canonical 16-hex-digit form.
-func FormatID(v uint64) string {
+// formatID renders a trace ID in its canonical 16-hex-digit form.
+func formatID(v uint64) string {
 	var b [16]byte
 	for i := 15; i >= 0; i-- {
 		b[i] = hexDigits[v&0xf]

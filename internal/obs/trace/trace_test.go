@@ -152,11 +152,11 @@ func TestTraceIDsDistinctAndStable(t *testing.T) {
 		seen[id] = true
 		sp.Finish()
 	}
-	if got := FormatID(0); got != "0000000000000000" {
-		t.Fatalf("FormatID(0) = %q", got)
+	if got := formatID(0); got != "0000000000000000" {
+		t.Fatalf("formatID(0) = %q", got)
 	}
-	if got := FormatID(0xdeadbeef); got != "00000000deadbeef" {
-		t.Fatalf("FormatID(0xdeadbeef) = %q", got)
+	if got := formatID(0xdeadbeef); got != "00000000deadbeef" {
+		t.Fatalf("formatID(0xdeadbeef) = %q", got)
 	}
 }
 

@@ -231,9 +231,9 @@ func (b *Breaker) Record(err error) {
 	}
 }
 
-// Do runs fn if the breaker allows it, records the outcome, and returns
+// do runs fn if the breaker allows it, records the outcome, and returns
 // fn's error — or ErrOpen without running fn when the breaker is open.
-func (b *Breaker) Do(fn func() error) error {
+func (b *Breaker) do(fn func() error) error {
 	if !b.Allow() {
 		return ErrOpen
 	}

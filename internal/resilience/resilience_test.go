@@ -83,7 +83,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if br.Allow() {
 		t.Fatal("open breaker admitted an attempt before OpenFor elapsed")
 	}
-	if err := br.Do(func() error { t.Fatal("fn ran while open"); return nil }); !errors.Is(err, ErrOpen) {
+	if err := br.do(func() error { t.Fatal("fn ran while open"); return nil }); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Do while open: err = %v, want ErrOpen", err)
 	}
 }
@@ -141,17 +141,17 @@ func TestBreakerStatsAndTransitions(t *testing.T) {
 		}
 	}
 
-	br.Do(func() error { return boom })
+	br.do(func() error { return boom })
 	step("first failure", Closed)
-	br.Do(func() error { return boom })
+	br.do(func() error { return boom })
 	step("second failure", Open)
-	if err := br.Do(func() error { return boom }); !errors.Is(err, ErrOpen) {
+	if err := br.do(func() error { return boom }); !errors.Is(err, ErrOpen) {
 		t.Fatalf("open breaker ran the attempt: %v", err)
 	}
 	step("shed attempt", Open)
 	clk.Advance(time.Second)
 	step("open window elapsed", HalfOpen)
-	br.Do(func() error { return nil }) // probe succeeds
+	br.do(func() error { return nil }) // probe succeeds
 	step("successful probe", Closed)
 
 	st := br.Stats()

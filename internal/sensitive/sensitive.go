@@ -79,7 +79,6 @@ func SHA1Hex(s string) string {
 type Oracle struct {
 	matcher *ahocorasick.Matcher
 	kinds   []Kind // kind of pattern i
-	device  *android.Device
 }
 
 // NewOracle builds the payload check for one device. Hash digests are
@@ -113,12 +112,8 @@ func NewOracle(d *android.Device) *Oracle {
 	return &Oracle{
 		matcher: ahocorasick.Compile(patterns),
 		kinds:   kinds,
-		device:  d,
 	}
 }
-
-// Device returns the device the oracle was built for.
-func (o *Oracle) Device() *android.Device { return o.device }
 
 // ScanBytes reports the distinct kinds of sensitive information occurring
 // in raw content, in Kind order.
@@ -150,42 +145,4 @@ func (o *Oracle) Scan(p *httpmodel.Packet) []Kind {
 // the predicate that forms the paper's suspicious group.
 func (o *Oracle) IsSensitive(p *httpmodel.Packet) bool {
 	return len(o.Scan(p)) > 0
-}
-
-// Value returns the raw (unhashed) device value underlying a kind, e.g. the
-// IMEI digits for KindIMEI, KindIMEIMD5 and KindIMEISHA1. The carrier kind
-// returns the carrier name.
-func (o *Oracle) Value(k Kind) string {
-	d := o.device
-	switch k {
-	case KindAndroidID, KindAndroidIDMD5, KindAndroidIDSHA1:
-		return d.AndroidID
-	case KindCarrier:
-		return d.Carrier.Name
-	case KindIMEI, KindIMEIMD5, KindIMEISHA1:
-		return d.IMEI
-	case KindIMSI:
-		return d.IMSI
-	case KindSIMSerial:
-		return d.SIMSerial
-	}
-	return ""
-}
-
-// TransmittedValue returns the byte string an ad module would place in a
-// packet for kind k: the raw value, or its lowercase hex digest for the
-// hashed kinds.
-func (o *Oracle) TransmittedValue(k Kind) string {
-	switch k {
-	case KindAndroidIDMD5:
-		return MD5Hex(o.device.AndroidID)
-	case KindAndroidIDSHA1:
-		return SHA1Hex(o.device.AndroidID)
-	case KindIMEIMD5:
-		return MD5Hex(o.device.IMEI)
-	case KindIMEISHA1:
-		return SHA1Hex(o.device.IMEI)
-	default:
-		return o.Value(k)
-	}
 }

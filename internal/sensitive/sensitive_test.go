@@ -10,10 +10,11 @@ import (
 	"leaksig/internal/ipaddr"
 )
 
-func testOracle() *Oracle {
-	d := android.NewDevice(rand.New(rand.NewSource(1)), android.CarrierDocomo)
-	return NewOracle(d)
+func testDevice() *android.Device {
+	return android.NewDevice(rand.New(rand.NewSource(1)), android.CarrierDocomo)
 }
+
+func testOracle() *Oracle { return NewOracle(testDevice()) }
 
 func TestHashHelpers(t *testing.T) {
 	if got := MD5Hex("abc"); got != "900150983cd24fb0d6963f7d28e17f72" {
@@ -41,7 +42,7 @@ func TestKindStrings(t *testing.T) {
 
 func TestScanEachKind(t *testing.T) {
 	o := testOracle()
-	d := o.Device()
+	d := testDevice()
 	cases := []struct {
 		payload string
 		want    Kind
@@ -74,7 +75,7 @@ func TestScanEachKind(t *testing.T) {
 
 func TestScanUppercaseHash(t *testing.T) {
 	o := testOracle()
-	up := strings.ToUpper(MD5Hex(o.Device().IMEI))
+	up := strings.ToUpper(MD5Hex(testDevice().IMEI))
 	p := httpmodel.Get("x.example", "/t?h="+up).Dest(1, 80).Build()
 	kinds := o.Scan(p)
 	if len(kinds) != 1 || kinds[0] != KindIMEIMD5 {
@@ -96,7 +97,7 @@ func TestScanBenignPacket(t *testing.T) {
 	o := testOracle()
 	p := httpmodel.Get("gstatic.com", "/images/logo.png").
 		Dest(ipaddr.MustParse("198.51.100.4"), 80).
-		UserAgent(o.Device().UserAgent()).
+		UserAgent(testDevice().UserAgent()).
 		Build()
 	if o.IsSensitive(p) {
 		t.Errorf("benign packet flagged: %v", o.Scan(p))
@@ -107,7 +108,7 @@ func TestScanMultipleKindsOnePacket(t *testing.T) {
 	// Mirrors the paper's §III-B observation: "ad-maker.info ... expect[s]
 	// IMEI and Android ID" in a single request.
 	o := testOracle()
-	d := o.Device()
+	d := testDevice()
 	p := httpmodel.Get("ad-maker.info", "/sdk/v1").
 		Dest(ipaddr.MustParse("203.0.113.7"), 80).
 		Query("imei", d.IMEI).
@@ -128,7 +129,7 @@ func TestScanMultipleKindsOnePacket(t *testing.T) {
 
 func TestScanBodyAndCookie(t *testing.T) {
 	o := testOracle()
-	d := o.Device()
+	d := testDevice()
 	inBody := httpmodel.Post("track.example", "/ev").
 		Dest(1, 80).Form("udid", d.IMEI).Build()
 	if !o.IsSensitive(inBody) {
@@ -138,26 +139,6 @@ func TestScanBodyAndCookie(t *testing.T) {
 		Dest(1, 80).Cookie("device=" + d.AndroidID).Build()
 	if !o.IsSensitive(inCookie) {
 		t.Error("Android ID in cookie not detected")
-	}
-}
-
-func TestValueAndTransmittedValue(t *testing.T) {
-	o := testOracle()
-	d := o.Device()
-	if o.Value(KindIMEIMD5) != d.IMEI {
-		t.Error("Value(IMEI MD5) should be raw IMEI")
-	}
-	if o.TransmittedValue(KindIMEIMD5) != MD5Hex(d.IMEI) {
-		t.Error("TransmittedValue(IMEI MD5) should be the digest")
-	}
-	if o.TransmittedValue(KindIMEI) != d.IMEI {
-		t.Error("TransmittedValue(IMEI) should be raw")
-	}
-	if o.Value(Kind(99)) != "" {
-		t.Error("Value(unknown) should be empty")
-	}
-	if o.Value(KindCarrier) != d.Carrier.Name {
-		t.Error("Value(carrier)")
 	}
 }
 

@@ -49,7 +49,7 @@ func TestCheckpointRestoresCatalogAndVersions(t *testing.T) {
 	svc := NewService(Config{
 		TenantSets:     true,
 		CheckpointPath: ckpt,
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 	})
 	feedAndEpoch(t, svc, "com.app.alpha", 40, leakPacket)
 	stBefore := svc.Stats()
@@ -71,7 +71,7 @@ func TestCheckpointRestoresCatalogAndVersions(t *testing.T) {
 	svc2 := NewService(Config{
 		TenantSets:     true,
 		CheckpointPath: ckpt,
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 	})
 	defer svc2.Close()
 	st := svc2.Stats()
@@ -126,7 +126,7 @@ func TestCheckpointRestoresPendingRetry(t *testing.T) {
 	srv := sigserver.New()
 	svc2 := NewService(Config{
 		CheckpointPath: ckpt,
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 	})
 	defer svc2.Close()
 	if _, err := svc2.RunEpoch(context.Background()); err != nil {

@@ -148,9 +148,6 @@ func NewClusterer(cfg ClusterConfig, seed int64) *Clusterer {
 	}
 }
 
-// Metric exposes the configured packet metric.
-func (c *Clusterer) Metric() *distance.Metric { return c.metric }
-
 // Observe assigns one unattributed packet — ObserveTenant with the empty
 // tenant label.
 func (c *Clusterer) Observe(p *httpmodel.Packet) bool {
@@ -373,23 +370,23 @@ func (c *Clusterer) Compact() CompactStats {
 	return st
 }
 
-// Group is one live cluster's distillable view: its stable identity, the
+// group is one live cluster's distillable view: its stable identity, the
 // member packets of its current window, and the tenant mix of those
 // members — the unit per-tenant signature sets are built from.
-type Group struct {
+type group struct {
 	ID      uint64
 	Packets []*httpmodel.Packet
 	Tenants map[string]int
 }
 
-// TaggedGroups returns every cluster holding at least minSize packets as
+// taggedGroups returns every cluster holding at least minSize packets as
 // a Group with provenance. The packet slices are fresh copies of the
 // member windows; the clusterer keeps no alias into them.
-func (c *Clusterer) TaggedGroups(minSize int) []Group {
+func (c *Clusterer) taggedGroups(minSize int) []group {
 	if minSize < 1 {
 		minSize = 1
 	}
-	var out []Group
+	var out []group
 	for _, cl := range c.clusters {
 		if len(cl.members) < minSize {
 			continue
@@ -398,7 +395,7 @@ func (c *Clusterer) TaggedGroups(minSize int) []Group {
 		for i, m := range cl.members {
 			pkts[i] = m.p
 		}
-		out = append(out, Group{ID: cl.id, Packets: pkts, Tenants: cl.tenants()})
+		out = append(out, group{ID: cl.id, Packets: pkts, Tenants: cl.tenants()})
 	}
 	return out
 }
@@ -407,7 +404,7 @@ func (c *Clusterer) TaggedGroups(minSize int) []Group {
 // least minSize packets — the provenance-free form kept for callers that
 // only need the paper's cluster → signature input shape.
 func (c *Clusterer) Groups(minSize int) [][]*httpmodel.Packet {
-	tagged := c.TaggedGroups(minSize)
+	tagged := c.taggedGroups(minSize)
 	out := make([][]*httpmodel.Packet, len(tagged))
 	for i, g := range tagged {
 		out[i] = g.Packets
@@ -418,8 +415,8 @@ func (c *Clusterer) Groups(minSize int) [][]*httpmodel.Packet {
 // Len returns the live cluster count.
 func (c *Clusterer) Len() int { return len(c.clusters) }
 
-// Members returns the total packets held across clusters.
-func (c *Clusterer) Members() int {
+// members returns the total packets held across clusters.
+func (c *Clusterer) members() int {
 	n := 0
 	for _, cl := range c.clusters {
 		n += len(cl.members)
@@ -427,9 +424,9 @@ func (c *Clusterer) Members() int {
 	return n
 }
 
-// Rejected returns how many arrivals were dropped because the cluster
+// rejectedCount returns how many arrivals were dropped because the cluster
 // table was full and no medoid was within the join threshold.
-func (c *Clusterer) Rejected() uint64 { return c.rejected }
+func (c *Clusterer) rejectedCount() uint64 { return c.rejected }
 
 // Distances returns how many full dpkt evaluations arrivals paid against
 // medoids.

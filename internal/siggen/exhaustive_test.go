@@ -180,11 +180,11 @@ func (c *exhaustiveClusterer) Compact() CompactStats {
 	return st
 }
 
-func (c *exhaustiveClusterer) TaggedGroups(minSize int) []Group {
+func (c *exhaustiveClusterer) taggedGroups(minSize int) []group {
 	if minSize < 1 {
 		minSize = 1
 	}
-	var out []Group
+	var out []group
 	for _, cl := range c.clusters {
 		if len(cl.members) < minSize {
 			continue
@@ -195,7 +195,7 @@ func (c *exhaustiveClusterer) TaggedGroups(minSize int) []Group {
 			pkts[i] = m.p
 			tenants[m.tenant]++
 		}
-		out = append(out, Group{ID: cl.id, Packets: pkts, Tenants: tenants})
+		out = append(out, group{ID: cl.id, Packets: pkts, Tenants: tenants})
 	}
 	return out
 }

@@ -40,12 +40,12 @@ func reversedBenignPacket(i int) *httpmodel.Packet {
 		Build()
 }
 
-func orderedGroup() []Group {
+func orderedGroup() []group {
 	var members []*httpmodel.Packet
 	for i := 0; i < 8; i++ {
 		members = append(members, orderedLeakPacket(i))
 	}
-	return []Group{{ID: 1, Packets: members, Tenants: map[string]int{"com.app": len(members)}}}
+	return []group{{ID: 1, Packets: members, Tenants: map[string]int{"com.app": len(members)}}}
 }
 
 // TestSubsequenceFallback drives the distiller into the fallback path: a

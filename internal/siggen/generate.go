@@ -10,9 +10,9 @@ import (
 	"leaksig/internal/signature"
 )
 
-// DistillStats reports what one generation pass kept and why it dropped
+// distillStats reports what one generation pass kept and why it dropped
 // the rest.
-type DistillStats struct {
+type distillStats struct {
 	Groups        int // clusters large enough to generate from
 	Candidates    int // signatures emitted by the conjunction generator
 	RejectedBayes int // dropped by the Bayes log-likelihood gate (both kinds)
@@ -67,7 +67,7 @@ func mergeTraces(dst, add []string) []string {
 // groupTraces harvests the sampled members' trace IDs of one group —
 // provenance tying a published signature back to the misses that taught
 // it.
-func groupTraces(g *Group) []string {
+func groupTraces(g *group) []string {
 	var gtraces []string
 	for _, p := range g.Packets {
 		if p.Trace != "" {
@@ -84,7 +84,7 @@ func groupTraces(g *Group) []string {
 // deduplicating on the kind-aware key: two clusters distilling identical
 // signatures collapse into one candidate whose provenance names both.
 func foldCandidate(cands []candidate, byKey map[string]int, sig *signature.Signature,
-	g *Group, gtraces []string) []candidate {
+	g *group, gtraces []string) []candidate {
 
 	key := sig.Key()
 	if i, ok := byKey[key]; ok {
@@ -120,7 +120,7 @@ func foldCandidate(cands []candidate, byKey map[string]int, sig *signature.Signa
 // by the shared gate alone). An empty corpus passes everything.
 func applyGates(cands []candidate, bayes *signature.BayesSignature,
 	benignHold []*httpmodel.Packet, tenantHold map[string][]*httpmodel.Packet,
-	maxHoldFP float64, st *DistillStats) []candidate {
+	maxHoldFP float64, st *distillStats) []candidate {
 
 	if len(cands) == 0 {
 		return cands
@@ -232,13 +232,13 @@ func applyGates(cands []candidate, bayes *signature.BayesSignature,
 // Every generator takes its tokens from memo, so a group's member window
 // is extracted once, not once per generator, and not again in a later
 // epoch that finds the window unchanged.
-func distill(memo *tokenMemo, groups []Group, benignTrain, benignHold []*httpmodel.Packet,
+func distill(memo *tokenMemo, groups []group, benignTrain, benignHold []*httpmodel.Packet,
 	tenantHold map[string][]*httpmodel.Packet,
-	opts signature.Options, maxHoldFP float64) ([]candidate, DistillStats) {
+	opts signature.Options, maxHoldFP float64) ([]candidate, distillStats) {
 
 	memo.begin()
 	defer memo.end()
-	st := DistillStats{Groups: len(groups)}
+	st := distillStats{Groups: len(groups)}
 	packetGroups := make([][]*httpmodel.Packet, len(groups))
 	for i, g := range groups {
 		packetGroups[i] = g.Packets
@@ -269,7 +269,7 @@ func distill(memo *tokenMemo, groups []Group, benignTrain, benignHold []*httpmod
 			surviving[src] = true
 		}
 	}
-	var uncovered []*Group
+	var uncovered []*group
 	var uncoveredPackets [][]*httpmodel.Packet
 	for gi := range groups {
 		if g := &groups[gi]; !surviving[g.ID] {
@@ -330,7 +330,7 @@ func (m *tokenMemo) end() { m.last = nil }
 
 // tokens returns a copy of g's tokens at the bounds, extracted now
 // unless this distill or the last one extracted the same window.
-func (m *tokenMemo) tokens(g *Group, minLen, maxTokens int) []string {
+func (m *tokenMemo) tokens(g *group, minLen, maxTokens int) []string {
 	key := extractKey{g.ID, minLen, maxTokens}
 	e, ok := m.cur[key]
 	if !ok {

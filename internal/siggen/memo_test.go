@@ -52,7 +52,7 @@ func memoEpochs(t *testing.T, cfg ClusterConfig, epochs [][]arrival) (carried, f
 			c.ObserveTenant(a.p, a.tenant)
 		}
 		cs := c.Compact()
-		groups := c.TaggedGroups(opts.MinClusterSize)
+		groups := c.taggedGroups(opts.MinClusterSize)
 		before := map[uint64][]string{}
 		for k, e := range memo.cur {
 			before[k.id] = e.tokens
@@ -205,11 +205,11 @@ func TestDistillMemoReextractsChangedWindows(t *testing.T) {
 // out. extractions/op counts the windows extracted rather than reused.
 func BenchmarkDistillSteadyState(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	groups := make([]Group, 8)
+	groups := make([]group, 8)
 	var windows [2][]*httpmodel.Packet
 	for i := range groups {
 		fam := adFamily(rng, i, 17)
-		groups[i] = Group{ID: uint64(i + 1), Packets: fam[:16], Tenants: map[string]int{"tenant-0": 16}}
+		groups[i] = group{ID: uint64(i + 1), Packets: fam[:16], Tenants: map[string]int{"tenant-0": 16}}
 		if i == 0 {
 			windows = [2][]*httpmodel.Packet{fam[:16], fam[1:]}
 		}

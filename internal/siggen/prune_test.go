@@ -143,8 +143,8 @@ func checkSameClusters(t testing.TB, at string, c *Clusterer, ref *exhaustiveClu
 	}
 }
 
-// checkSameGroups compares two TaggedGroups results by packet identity.
-func checkSameGroups(t testing.TB, at string, got, want []Group) {
+// checkSameGroups compares two taggedGroups results by packet identity.
+func checkSameGroups(t testing.TB, at string, got, want []group) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d groups, reference %d", at, len(got), len(want))
@@ -179,7 +179,7 @@ func lockstep(t testing.TB, cfg ClusterConfig, stream []arrival, every int) *Clu
 			t.Fatalf("%s: Compact = %+v; reference %+v", at, got, want)
 		}
 		checkSameClusters(t, at, c, ref)
-		checkSameGroups(t, at, c.TaggedGroups(2), ref.TaggedGroups(2))
+		checkSameGroups(t, at, c.taggedGroups(2), ref.taggedGroups(2))
 	}
 	for i, a := range stream {
 		at := fmt.Sprintf("arrival %d", i)
@@ -216,7 +216,7 @@ func TestObserveMatchesExhaustiveScan(t *testing.T) {
 	t.Run("families/table-full", func(t *testing.T) {
 		cfg := small
 		cfg.MaxClusters = 3
-		if c := lockstep(t, cfg, families, 80); c.Rejected() == 0 {
+		if c := lockstep(t, cfg, families, 80); c.rejectedCount() == 0 {
 			t.Fatal("a 3-cluster table never rejected; the reject path went untested")
 		}
 	})
@@ -409,7 +409,7 @@ func TestLearnerMemoryBounded(t *testing.T) {
 	end := heap()
 	growth := int64(end) - int64(atMark)
 	t.Logf("heap %d KB at %d misses, %d KB at %d; %d clusters, %d members, %d distances, %d pruned",
-		atMark>>10, mark, end>>10, total, c.Len(), c.Members(), c.Distances(), c.Pruned())
+		atMark>>10, mark, end>>10, total, c.Len(), c.members(), c.Distances(), c.Pruned())
 	if growth > maxGrowth {
 		t.Fatalf("learner heap grew %d KB between %d and %d misses, bound %d KB", growth>>10, mark, total, maxGrowth>>10)
 	}

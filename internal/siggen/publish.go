@@ -22,18 +22,18 @@ type Publisher interface {
 	Publish(ctx context.Context, name string, set *signature.Set) (int64, error)
 }
 
-// ServerPublisher publishes into an in-process sigserver.Server — the
+// serverPublisher publishes into an in-process sigserver.Server — the
 // embedded deployment (leakstream -learn against its own server, tests).
-type ServerPublisher struct{ Server *sigserver.Server }
+type serverPublisher struct{ Server *sigserver.Server }
 
 // CurrentVersion implements Publisher.
-func (p ServerPublisher) CurrentVersion(_ context.Context, name string) (int64, error) {
+func (p serverPublisher) CurrentVersion(_ context.Context, name string) (int64, error) {
 	_, v, _ := p.Server.CurrentNamed(name)
 	return v, nil
 }
 
 // Publish implements Publisher.
-func (p ServerPublisher) Publish(_ context.Context, name string, set *signature.Set) (int64, error) {
+func (p serverPublisher) Publish(_ context.Context, name string, set *signature.Set) (int64, error) {
 	return p.Server.Publish(name, set)
 }
 

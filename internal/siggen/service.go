@@ -244,7 +244,7 @@ type Service struct {
 	catalog     map[string]*publishedSig // published signatures by key
 	pubs        map[string]*pubState     // per published-name delivery state; "" = global
 	lastCompact CompactStats
-	lastDistill DistillStats
+	lastDistill distillStats
 	tokens      tokenMemo // each live group's extracted tokens, for distill
 
 	observed        atomic.Uint64
@@ -275,7 +275,7 @@ type Service struct {
 type clusterStage interface {
 	ObserveTenant(p *httpmodel.Packet, tenant string) bool
 	Compact() CompactStats
-	TaggedGroups(minSize int) []Group
+	taggedGroups(minSize int) []group
 }
 
 // NewService starts the learner: the owner goroutine begins admitting
@@ -435,7 +435,7 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	s.retireLocked(s.lastCompact)
 
 	// Stage 3: distill, gate, and fold survivors into the catalog.
-	groups := s.stage.TaggedGroups(s.cfg.MinClusterSize)
+	groups := s.stage.taggedGroups(s.cfg.MinClusterSize)
 	opts := s.cfg.Signature
 	opts.MinClusterSize = s.cfg.MinClusterSize
 	distillStart := time.Now()
@@ -811,8 +811,8 @@ func (s *Service) Stats() Stats {
 	}
 	st.PendingSamples += s.overflow.size()
 	st.Clusters = s.clusterer.Len()
-	st.ClusterMembers = s.clusterer.Members()
-	st.ClusterRejected = s.clusterer.Rejected()
+	st.ClusterMembers = s.clusterer.members()
+	st.ClusterRejected = s.clusterer.rejectedCount()
 	st.ClusterDistances = s.clusterer.Distances()
 	st.ClusterPruned = s.clusterer.Pruned()
 	st.Silhouette = s.lastCompact.Silhouette

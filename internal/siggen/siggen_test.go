@@ -155,8 +155,8 @@ func TestClustererGroupsSimilarPackets(t *testing.T) {
 		t.Fatalf("expected the two populations to form >= 2 clusters, got %d", c.Len())
 	}
 	st := c.Compact()
-	if st.Clusters != c.Len() || st.Members != c.Members() {
-		t.Fatalf("compact stats inconsistent: %+v vs len=%d members=%d", st, c.Len(), c.Members())
+	if st.Clusters != c.Len() || st.Members != c.members() {
+		t.Fatalf("compact stats inconsistent: %+v vs len=%d members=%d", st, c.Len(), c.members())
 	}
 	// The leak population must sit together in one cluster of >= 10.
 	var big int
@@ -182,7 +182,7 @@ func TestClustererBoundsAndStaleness(t *testing.T) {
 	if c.Len() > 4 {
 		t.Fatalf("cluster table grew to %d, cap 4", c.Len())
 	}
-	if c.Rejected() == 0 {
+	if c.rejectedCount() == 0 {
 		t.Fatal("full table never rejected an arrival")
 	}
 	// Member windows stay bounded too.
@@ -216,7 +216,7 @@ func TestDistillBayesAndFPGates(t *testing.T) {
 		corpus = append(corpus, benignPacket(i))
 	}
 	train, hold := splitBenign(corpus)
-	groups := []Group{
+	groups := []group{
 		{ID: 1, Packets: leaks, Tenants: map[string]int{"com.app": len(leaks)}},
 		{ID: 2, Packets: benignLike, Tenants: map[string]int{"com.other": len(benignLike)}},
 	}
@@ -283,7 +283,7 @@ func TestServiceEpochPublishesAndDeduplicates(t *testing.T) {
 	srv := sigserver.New()
 	var published []int64
 	svc := NewService(Config{
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 		MinClusterSize: 2,
 		OnPublish:      func(_ string, set *signature.Set) { published = append(published, set.Version) },
 	})
@@ -325,7 +325,7 @@ func TestServiceEpochPublishesAndDeduplicates(t *testing.T) {
 func TestServicePublishLosesRaceAndResyncs(t *testing.T) {
 	srv := sigserver.New()
 	svc := NewService(Config{
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 		MinClusterSize: 2,
 	})
 	defer svc.Close()
@@ -385,7 +385,7 @@ func TestServicePublishLosesRaceAndResyncs(t *testing.T) {
 func TestTimedEpochLoop(t *testing.T) {
 	srv := sigserver.New()
 	svc := NewService(Config{
-		Publisher:        ServerPublisher{Server: srv},
+		Publisher:        serverPublisher{Server: srv},
 		MinClusterSize:   2,
 		GenerateInterval: 20 * time.Millisecond,
 		MinNewSamples:    1,
@@ -533,7 +533,7 @@ func TestTenantSetsPublishAndIsolate(t *testing.T) {
 	srv := sigserver.New()
 	published := map[string]int64{}
 	svc := NewService(Config{
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 		TenantSets:     true,
 		MinClusterSize: 2,
 		OnPublish:      func(name string, set *signature.Set) { published[name] = set.Version },
@@ -598,7 +598,7 @@ func TestTenantSetsPublishAndIsolate(t *testing.T) {
 func TestDriftRetirementDropsStaleSignatures(t *testing.T) {
 	srv := sigserver.New()
 	svc := NewService(Config{
-		Publisher:      ServerPublisher{Server: srv},
+		Publisher:      serverPublisher{Server: srv},
 		TenantSets:     true,
 		MinClusterSize: 2,
 		Cluster:        ClusterConfig{StaleEpochs: 1},

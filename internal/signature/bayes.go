@@ -29,7 +29,7 @@ type BayesOptions struct {
 	// TargetTrainFP bounds the fraction of the benign sample the calibrated
 	// threshold may match (default 0.005).
 	TargetTrainFP float64
-	// Stoplist overrides DefaultStoplist when non-nil.
+	// Stoplist overrides defaultStoplist when non-nil.
 	Stoplist []string
 }
 
@@ -47,7 +47,7 @@ func (o BayesOptions) withDefaults() BayesOptions {
 		o.TargetTrainFP = 0.005
 	}
 	if o.Stoplist == nil {
-		o.Stoplist = DefaultStoplist()
+		o.Stoplist = defaultStoplist()
 	}
 	return o
 }
@@ -90,7 +90,7 @@ func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
 	for i, cl := range clusters {
 		suspicious = append(suspicious, cl...)
 		for _, tok := range tokens(i, o.MinTokenLen, o.MaxTokensPerCluster) {
-			if seen[tok] || InformativeLen(tok, o.Stoplist) < o.MinTokenLen {
+			if seen[tok] || informativeLen(tok, o.Stoplist) < o.MinTokenLen {
 				continue
 			}
 			seen[tok] = true

@@ -1,18 +1,9 @@
-// Package suffix implements a suffix automaton over byte strings and uses it
-// to compute longest common substrings across two or more strings.
-//
-// Signature generation (§IV-E of the paper) needs "the longest common
-// strings of HTTP contents" in each cluster. The suffix automaton gives the
-// longest substring common to k strings in O(total length) time: build the
-// automaton of the first string, then stream every other string through it,
-// recording per state the longest match achieved, and finally take the
-// minimum across strings at each state.
-package suffix
+package signature
 
-// Automaton is a suffix automaton (directed acyclic word graph) of a single
-// byte string. States are identified by dense int indices; state 0 is the
-// initial state.
-type Automaton struct {
+// suffixAutomaton is a suffix automaton (directed acyclic word graph) of a
+// single byte string. States are identified by dense int indices; state 0
+// is the initial state. It is immutable after newSuffixAutomaton.
+type suffixAutomaton struct {
 	next     []map[byte]int32 // transitions
 	link     []int32          // suffix links; link[0] == -1
 	length   []int32          // longest substring length recognized at the state
@@ -22,10 +13,11 @@ type Automaton struct {
 	src      []byte
 }
 
-// New builds the suffix automaton of s. The automaton keeps a reference to s
-// for substring extraction; callers must not mutate s afterwards.
-func New(s []byte) *Automaton {
-	a := &Automaton{
+// newSuffixAutomaton builds the suffix automaton of s. The automaton keeps
+// a reference to s for substring extraction; callers must not mutate s
+// afterwards.
+func newSuffixAutomaton(s []byte) *suffixAutomaton {
+	a := &suffixAutomaton{
 		next:     make([]map[byte]int32, 1, 2*len(s)+2),
 		link:     make([]int32, 1, 2*len(s)+2),
 		length:   make([]int32, 1, 2*len(s)+2),
@@ -41,7 +33,7 @@ func New(s []byte) *Automaton {
 	return a
 }
 
-func (a *Automaton) addState(length, link, firstPos int32) int32 {
+func (a *suffixAutomaton) addState(length, link, firstPos int32) int32 {
 	a.next = append(a.next, make(map[byte]int32))
 	a.link = append(a.link, link)
 	a.length = append(a.length, length)
@@ -49,7 +41,7 @@ func (a *Automaton) addState(length, link, firstPos int32) int32 {
 	return int32(len(a.next) - 1)
 }
 
-func (a *Automaton) extend(c byte, pos int32) {
+func (a *suffixAutomaton) extend(c byte, pos int32) {
 	cur := a.addState(a.length[a.last]+1, -1, pos)
 	p := a.last
 	for p != -1 {
@@ -85,36 +77,51 @@ func (a *Automaton) extend(c byte, pos int32) {
 	a.last = cur
 }
 
-// NumStates returns the number of states in the automaton.
-func (a *Automaton) NumStates() int { return len(a.next) }
-
-// Contains reports whether t occurs as a substring of the automaton's
-// source string.
-func (a *Automaton) Contains(t []byte) bool {
-	v := int32(0)
-	for _, c := range t {
-		nv, ok := a.next[v][c]
-		if !ok {
-			return false
-		}
-		v = nv
-	}
-	return true
-}
-
 // matchLengths streams t through the automaton and returns, for each state,
 // the length of the longest substring of t whose traversal ends at that
 // state (capped at the state's own length), propagated down suffix links.
-// It is the one-shot face of Stream: one Feed of the whole string.
-func (a *Automaton) matchLengths(t []byte) []int32 {
-	s := a.NewStream()
-	s.Feed(t)
-	return s.Finish()
+func (a *suffixAutomaton) matchLengths(t []byte) []int32 {
+	match := make([]int32, len(a.next))
+	v, l := int32(0), int32(0) // current state and matched length
+	for _, c := range t {
+		for {
+			if nv, ok := a.next[v][c]; ok {
+				v = nv
+				l++
+				break
+			}
+			if a.link[v] == -1 {
+				l = 0
+				break
+			}
+			v = a.link[v]
+			l = a.length[v]
+		}
+		if l > match[v] {
+			match[v] = l
+		}
+	}
+	order := a.byLength
+	for i := len(order) - 1; i >= 0; i-- {
+		st := order[i]
+		p := a.link[st]
+		if p < 0 || match[st] == 0 {
+			continue
+		}
+		m := match[st]
+		if m > a.length[p] {
+			m = a.length[p]
+		}
+		if m > match[p] {
+			match[p] = m
+		}
+	}
+	return match
 }
 
 // statesByLength returns state indices sorted by increasing length using a
 // counting sort (lengths are bounded by len(src)).
-func (a *Automaton) statesByLength() []int32 {
+func (a *suffixAutomaton) statesByLength() []int32 {
 	maxLen := int32(len(a.src))
 	count := make([]int32, maxLen+2)
 	for _, l := range a.length {
@@ -132,11 +139,12 @@ func (a *Automaton) statesByLength() []int32 {
 	return order
 }
 
-// LongestCommonSubstring returns the longest substring shared by every
+// longestCommonSubstring returns the longest substring shared by every
 // string in ss. When several substrings tie for the maximum length the one
-// occurring earliest in ss[0] is returned. The result aliases ss[0]'s
-// backing array. An empty input or any empty member yields nil.
-func LongestCommonSubstring(ss [][]byte) []byte {
+// occurring earliest in the shortest member is returned. The result aliases
+// that member's backing array. An empty input or any empty member yields
+// nil.
+func longestCommonSubstring(ss [][]byte) []byte {
 	switch len(ss) {
 	case 0:
 		return nil
@@ -154,11 +162,9 @@ func LongestCommonSubstring(ss [][]byte) []byte {
 	if len(ss[ref]) == 0 {
 		return nil
 	}
-	a := New(ss[ref])
-	best := make([]int32, a.NumStates())
-	for i := range best {
-		best[i] = a.length[i]
-	}
+	a := newSuffixAutomaton(ss[ref])
+	best := make([]int32, len(a.next))
+	copy(best, a.length)
 	for i, s := range ss {
 		if i == ref {
 			continue
@@ -172,7 +178,7 @@ func LongestCommonSubstring(ss [][]byte) []byte {
 	}
 	var bestLen, bestEnd int32
 	bestEnd = -1
-	for v := 1; v < a.NumStates(); v++ {
+	for v := 1; v < len(a.next); v++ {
 		if best[v] > bestLen ||
 			(best[v] == bestLen && bestEnd >= 0 && a.firstPos[int32(v)] < bestEnd) {
 			bestLen = best[v]

@@ -1,4 +1,4 @@
-package suffix
+package signature
 
 import (
 	"bytes"
@@ -37,31 +37,11 @@ func naiveLCS(ss [][]byte) []byte {
 	return nil
 }
 
-func TestAutomatonContains(t *testing.T) {
-	s := []byte("abcbcabcabx")
-	a := New(s)
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j <= len(s); j++ {
-			if !a.Contains(s[i:j]) {
-				t.Fatalf("Contains(%q) = false", s[i:j])
-			}
-		}
-	}
-	for _, bad := range []string{"xy", "bcx", "abcabz", "z"} {
-		if a.Contains([]byte(bad)) {
-			t.Errorf("Contains(%q) = true", bad)
-		}
-	}
-	if !a.Contains(nil) {
-		t.Error("empty string should be contained")
-	}
-}
-
 func TestAutomatonStateCountLinear(t *testing.T) {
 	s := bytes.Repeat([]byte("ab"), 500)
-	a := New(s)
-	if a.NumStates() > 2*len(s) {
-		t.Errorf("state count %d exceeds 2n = %d", a.NumStates(), 2*len(s))
+	a := newSuffixAutomaton(s)
+	if n := len(a.next); n > 2*len(s) {
+		t.Errorf("state count %d exceeds 2n = %d", n, 2*len(s))
 	}
 }
 
@@ -79,7 +59,7 @@ func TestLCS2Known(t *testing.T) {
 		{"banana", "ananas", "anana"},
 	}
 	for _, c := range cases {
-		got := LongestCommonSubstring([][]byte{[]byte(c.a), []byte(c.b)})
+		got := longestCommonSubstring([][]byte{[]byte(c.a), []byte(c.b)})
 		if string(got) != c.want {
 			t.Errorf("LCS(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
 		}
@@ -102,7 +82,7 @@ func TestLCSMulti(t *testing.T) {
 		for i, s := range c.in {
 			ss[i] = []byte(s)
 		}
-		got := LongestCommonSubstring(ss)
+		got := longestCommonSubstring(ss)
 		if string(got) != c.want && len(got) != len(c.want) {
 			t.Errorf("LCS(%v) = %q, want %q (or same length)", c.in, got, c.want)
 		}
@@ -116,13 +96,13 @@ func TestLCSMulti(t *testing.T) {
 }
 
 func TestLCSDegenerate(t *testing.T) {
-	if got := LongestCommonSubstring(nil); got != nil {
+	if got := longestCommonSubstring(nil); got != nil {
 		t.Errorf("LCS(nil) = %q", got)
 	}
-	if got := LongestCommonSubstring([][]byte{[]byte("solo")}); string(got) != "solo" {
+	if got := longestCommonSubstring([][]byte{[]byte("solo")}); string(got) != "solo" {
 		t.Errorf("LCS(single) = %q", got)
 	}
-	if got := LongestCommonSubstring([][]byte{[]byte("a"), nil}); got != nil {
+	if got := longestCommonSubstring([][]byte{[]byte("a"), nil}); got != nil {
 		t.Errorf("LCS with empty member = %q", got)
 	}
 }
@@ -140,7 +120,7 @@ func TestLCS2MatchesNaiveRandom(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := randStr(rng.Intn(30))
 		b := randStr(rng.Intn(30))
-		got := LongestCommonSubstring([][]byte{a, b})
+		got := longestCommonSubstring([][]byte{a, b})
 		want := naiveLCS([][]byte{a, b})
 		if len(got) != len(want) {
 			t.Fatalf("LCS(%q, %q) = %q (len %d), naive %q (len %d)",
@@ -168,7 +148,7 @@ func TestLCSMultiMatchesNaiveRandom(t *testing.T) {
 		for j := range ss {
 			ss[j] = randStr(1 + rng.Intn(20))
 		}
-		got := LongestCommonSubstring(ss)
+		got := longestCommonSubstring(ss)
 		want := naiveLCS(ss)
 		if len(got) != len(want) {
 			t.Fatalf("LCS(%q) = %q (len %d), naive %q (len %d)", ss, got, len(got), want, len(want))
@@ -189,7 +169,7 @@ func TestLCSPropertyCommonAndMaximalLength(t *testing.T) {
 		if len(b) > 32 {
 			b = b[:32]
 		}
-		got := LongestCommonSubstring([][]byte{[]byte(a), []byte(b)})
+		got := longestCommonSubstring([][]byte{[]byte(a), []byte(b)})
 		if !strings.Contains(a, string(got)) || !strings.Contains(b, string(got)) {
 			return false
 		}
@@ -210,7 +190,7 @@ func TestLCSSharedTemplateAcrossPackets(t *testing.T) {
 		[]byte(tmpl + "2918 HTTP/1.1"),
 		[]byte(tmpl + "77 HTTP/1.1"),
 	}
-	got := LongestCommonSubstring(packets)
+	got := longestCommonSubstring(packets)
 	if !bytes.HasPrefix(got, []byte(tmpl)) {
 		t.Errorf("template not recovered: got %q", got)
 	}

@@ -8,6 +8,12 @@
 // common to all members is a token, the members are split around it, and
 // the two sides are processed recursively, yielding an ordered token set.
 //
+// The longest common substring comes from a suffix automaton over byte
+// strings: build the automaton of the shortest member, then stream every
+// other member through it, recording per state the longest match achieved,
+// and finally take the minimum across members at each state. That finds
+// the longest substring common to k strings in O(total length) time.
+//
 // Clustering "applied carelessly ... can produce signatures that match most
 // network packets (e.g POST *, GET *, * HTTP/1.1)" (§VI). Two filters
 // address this: a stoplist of protocol boilerplate, and an optional
@@ -25,7 +31,6 @@ import (
 	"strings"
 
 	"leaksig/internal/httpmodel"
-	"leaksig/internal/suffix"
 )
 
 // Signature is one published signature of any kind.
@@ -144,9 +149,9 @@ func ReadFile(path string) (*Set, error) {
 	return set, nil
 }
 
-// DefaultStoplist contains HTTP boilerplate that must never count toward a
+// defaultStoplist contains HTTP boilerplate that must never count toward a
 // token's informative content: fragments present in nearly every request.
-func DefaultStoplist() []string {
+func defaultStoplist() []string {
 	return []string{
 		"GET /", "POST /",
 		" HTTP/1.1", " HTTP/1.0", "HTTP/1.",
@@ -172,7 +177,7 @@ type Options struct {
 	// paper generates a signature for every cluster).
 	MinClusterSize int
 
-	// Stoplist overrides DefaultStoplist when non-nil.
+	// Stoplist overrides defaultStoplist when non-nil.
 	Stoplist []string
 
 	// BenignSample, when non-empty, enables the frequency filter: a token
@@ -198,7 +203,7 @@ func (o Options) withDefaults() Options {
 		o.MinClusterSize = 1
 	}
 	if o.Stoplist == nil {
-		o.Stoplist = DefaultStoplist()
+		o.Stoplist = defaultStoplist()
 	}
 	if o.MaxBenignFraction == 0 {
 		o.MaxBenignFraction = 0.05
@@ -294,7 +299,7 @@ func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
 			for i, p := range cl {
 				hosts[i] = p.Host
 			}
-			sig.HostSuffix = CommonHostSuffix(hosts)
+			sig.HostSuffix = commonHostSuffix(hosts)
 		}
 		sigs[i] = sig
 	}
@@ -374,7 +379,7 @@ func extractRec(contents [][]byte, minLen, maxTokens int, out *[]string) {
 			return
 		}
 	}
-	tok := suffix.LongestCommonSubstring(contents)
+	tok := longestCommonSubstring(contents)
 	if len(tok) < minLen {
 		return
 	}
@@ -403,7 +408,7 @@ func filterTokens(tokens []string, benign [][]byte, o Options) []string {
 			continue
 		}
 		seen[t] = true
-		if InformativeLen(t, o.Stoplist) < o.MinTokenLen {
+		if informativeLen(t, o.Stoplist) < o.MinTokenLen {
 			continue
 		}
 		if benign != nil && benignFraction(t, benign) > o.MaxBenignFraction {
@@ -419,17 +424,17 @@ func filterTokens(tokens []string, benign [][]byte, o Options) []string {
 func informativeTokens(tokens []string, o Options) []string {
 	out := tokens[:0]
 	for _, t := range tokens {
-		if InformativeLen(t, o.Stoplist) >= o.MinTokenLen {
+		if informativeLen(t, o.Stoplist) >= o.MinTokenLen {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
-// InformativeLen returns the number of bytes of t remaining after deleting
+// informativeLen returns the number of bytes of t remaining after deleting
 // every occurrence of every stoplist entry (longest-match-first, repeated to
 // a fixed point). A token made of pure boilerplate scores near zero.
-func InformativeLen(t string, stoplist []string) int {
+func informativeLen(t string, stoplist []string) int {
 	// Delete longer stop entries first so substring-of-stop entries do not
 	// shadow them.
 	sorted := append([]string(nil), stoplist...)
@@ -472,11 +477,11 @@ func benignFraction(token string, benign [][]byte) float64 {
 	return float64(hits) / float64(len(benign))
 }
 
-// CommonHostSuffix returns the longest common label-aligned suffix of the
+// commonHostSuffix returns the longest common label-aligned suffix of the
 // hosts, e.g. ["a.admob.com", "b.admob.com"] -> "admob.com". It returns ""
 // when fewer than two trailing labels are shared (a bare TLD is too generic
 // to constrain anything).
-func CommonHostSuffix(hosts []string) string {
+func commonHostSuffix(hosts []string) string {
 	if len(hosts) == 0 {
 		return ""
 	}

@@ -93,17 +93,17 @@ func TestExtractTokensRespectsBudgetAndMinLen(t *testing.T) {
 }
 
 func TestInformativeLen(t *testing.T) {
-	stop := DefaultStoplist()
-	if got := InformativeLen(" HTTP/1.1", stop); got != 0 {
+	stop := defaultStoplist()
+	if got := informativeLen(" HTTP/1.1", stop); got != 0 {
 		t.Errorf("boilerplate scored %d", got)
 	}
-	if got := InformativeLen("GET /ad/v2?zone=", stop); got < 6 {
+	if got := informativeLen("GET /ad/v2?zone=", stop); got < 6 {
 		t.Errorf("real prefix scored %d", got)
 	}
-	if got := InformativeLen("udid=f3a9c1d200b14e67", stop); got < 16 {
+	if got := informativeLen("udid=f3a9c1d200b14e67", stop); got < 16 {
 		t.Errorf("udid token scored %d", got)
 	}
-	if got := InformativeLen("", stop); got != 0 {
+	if got := informativeLen("", stop); got != 0 {
 		t.Errorf("empty token scored %d", got)
 	}
 }
@@ -212,8 +212,8 @@ func TestCommonHostSuffix(t *testing.T) {
 		{[]string{"xmob.com", "admob.com"}, ""}, // "mob.com" is not label-aligned
 	}
 	for _, c := range cases {
-		if got := CommonHostSuffix(c.hosts); got != c.want {
-			t.Errorf("CommonHostSuffix(%v) = %q, want %q", c.hosts, got, c.want)
+		if got := commonHostSuffix(c.hosts); got != c.want {
+			t.Errorf("commonHostSuffix(%v) = %q, want %q", c.hosts, got, c.want)
 		}
 	}
 }
@@ -311,7 +311,7 @@ func TestBoilerplateOnlyClusterProducesNoSignature(t *testing.T) {
 	set := Generate([][]*httpmodel.Packet{cluster}, Options{})
 	for _, sig := range set.Signatures {
 		for _, tok := range sig.Tokens {
-			if InformativeLen(tok, DefaultStoplist()) < 6 {
+			if informativeLen(tok, defaultStoplist()) < 6 {
 				t.Errorf("boilerplate token survived: %q", tok)
 			}
 		}

@@ -22,7 +22,7 @@ import (
 func TestWatchRetryBackoffIsJittered(t *testing.T) {
 	const fallback = 10 * time.Second
 	c := NewClient("http://127.0.0.1:1", nil) // nothing listens here
-	c.SetRetrySeed(42)
+	c.setRetrySeed(42)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	delays := make(chan time.Duration, 16)
@@ -63,7 +63,7 @@ func TestWatchRetryBackoffIsJittered(t *testing.T) {
 
 	// Determinism: the same seed reproduces the same delay sequence.
 	c2 := NewClient("http://127.0.0.1:1", nil)
-	c2.SetRetrySeed(42)
+	c2.setRetrySeed(42)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var got2 []time.Duration
 	c2.sleep = func(ctx context.Context, d time.Duration) error {

@@ -229,7 +229,7 @@ func TestServerJournalReplaysCommittedFormat(t *testing.T) {
 	if skipped := int64(j.Stats().Recovered) - restored; restored != 6 || skipped != 1 {
 		t.Fatalf("replayed %d, skipped %d; want 6 and 1", restored, skipped)
 	}
-	if names := srv.SetNames(); !slices.Equal(names, []string{"", "tenant-a", "tenant-b"}) {
+	if names := srv.setNames(); !slices.Equal(names, []string{"", "tenant-a", "tenant-b"}) {
 		t.Fatalf("names = %q", names)
 	}
 	for _, want := range []struct {

@@ -60,10 +60,10 @@ const waitTimeoutMax = 30 * time.Second
 // so the table must not grow without limit.
 const maxNamedSets = 4096
 
-// MaxPublishBytes bounds a publish request body; a larger one is refused
+// maxPublishBytes bounds a publish request body; a larger one is refused
 // with 413. It is the publish journal's record bound, so a body over what
 // the journal could hold is refused before it is decoded.
-const MaxPublishBytes = durable.MaxRecord
+const maxPublishBytes = durable.MaxRecord
 
 // compactEvery is how many journal appends accumulate before the journal
 // is compacted down to the latest record per name. Publishes supersede
@@ -77,14 +77,14 @@ const compactEvery = 256
 // from rolling the fleet backwards.
 var ErrStaleVersion = errors.New("sigserver: publish version not greater than current")
 
-// ErrBadSetName rejects set names that cannot round-trip a URL path
+// errBadSetName rejects set names that cannot round-trip a URL path
 // segment (empty, over 200 bytes, containing '/' or control bytes, or
 // the path-cleaning hazards "." and "..").
-var ErrBadSetName = errors.New("sigserver: invalid set name")
+var errBadSetName = errors.New("sigserver: invalid set name")
 
-// ErrTooManySets rejects publishes that would create a named set past
+// errTooManySets rejects publishes that would create a named set past
 // the server's table bound.
-var ErrTooManySets = errors.New("sigserver: named set limit reached")
+var errTooManySets = errors.New("sigserver: named set limit reached")
 
 // errNotJournaled fails a publish whose record the journal could not
 // append; over HTTP it is a 500, and the set's version is unchanged.
@@ -190,12 +190,12 @@ func (s *Server) create(name string) (*setState, error) {
 		return st, nil
 	}
 	if !ValidSetName(name) {
-		return nil, fmt.Errorf("%w: %q", ErrBadSetName, name)
+		return nil, fmt.Errorf("%w: %q", errBadSetName, name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.sets) > maxNamedSets { // the default set does not count
-		return nil, ErrTooManySets
+		return nil, errTooManySets
 	}
 	st := newSetState()
 	s.sets[name] = st
@@ -349,7 +349,7 @@ func (s *Server) install(st *setState, set *signature.Set) {
 // the journal holds. A set that fails to encode abandons the compaction
 // rather than drop the set from the rewrite.
 func (s *Server) compactLocked() {
-	names := s.SetNames()
+	names := s.setNames()
 	records := make([][]byte, 0, len(names))
 	for _, name := range names {
 		set, v, _ := s.CurrentNamed(name)
@@ -386,9 +386,9 @@ func (s *Server) CurrentNamed(name string) (*signature.Set, int64, bool) {
 	return set, v, true
 }
 
-// SetNames returns every set's name, sorted; "" (the default set) is
+// setNames returns every set's name, sorted; "" (the default set) is
 // always first.
-func (s *Server) SetNames() []string {
+func (s *Server) setNames() []string {
 	s.mu.RLock()
 	names := make([]string, 0, len(s.sets))
 	for name := range s.sets {
@@ -640,7 +640,7 @@ func (s *Server) serveWait(w http.ResponseWriter, r *http.Request, param string,
 // Both route by the body's Version field: 0 auto-bumps, a non-zero
 // Version must exceed the set's current one or the publish is rejected
 // with 409 Conflict; the accepted version is answered as text. A body
-// over MaxPublishBytes is refused with 413, and a publish the server's
+// over maxPublishBytes is refused with 413, and a publish the server's
 // journal could not append with 500.
 //
 // A non-empty token requires `Authorization: Bearer <token>` (compared
@@ -666,7 +666,7 @@ func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, token stri
 			return
 		}
 	}
-	set, err := signature.ReadJSON(http.MaxBytesReader(w, r.Body, MaxPublishBytes))
+	set, err := signature.ReadJSON(http.MaxBytesReader(w, r.Body, maxPublishBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -754,10 +754,9 @@ func (c *Client) SetToken(token string) { c.token = token }
 // reads keep probing. Call before concurrent use.
 func (c *Client) SetBreaker(br *resilience.Breaker) { c.breaker = br }
 
-// SetRetrySeed fixes the watch-retry jitter stream — for tests and
-// chaos harnesses that need reproducible retry timing. Call before
-// concurrent use.
-func (c *Client) SetRetrySeed(seed int64) {
+// setRetrySeed fixes the watch-retry jitter stream — for tests that
+// need reproducible retry timing. Call before concurrent use.
+func (c *Client) setRetrySeed(seed int64) {
 	c.jmu.Lock()
 	c.jrng = rand.New(rand.NewSource(seed))
 	c.jmu.Unlock()
@@ -952,9 +951,9 @@ func (c *Client) waitVersion(ctx context.Context, name string, after int64) (int
 	return c.intGet(ctx, fmt.Sprintf("%s/wait?v=%d", pathPrefix(name), after))
 }
 
-// Sets fetches the server's set catalog: the catalog sequence plus every
+// listSets fetches the server's set catalog: the catalog sequence plus every
 // set's version, the default set included as "".
-func (c *Client) Sets(ctx context.Context) (int64, map[string]int64, error) {
+func (c *Client) listSets(ctx context.Context) (int64, map[string]int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/sets", nil)
 	if err != nil {
 		return 0, nil, err
@@ -980,9 +979,9 @@ func (c *Client) Sets(ctx context.Context) (int64, map[string]int64, error) {
 	return out.Seq, out.Sets, nil
 }
 
-// WaitSets long-polls /sets/wait until the catalog sequence exceeds
+// waitSets long-polls /sets/wait until the catalog sequence exceeds
 // after — i.e. until any set is published.
-func (c *Client) WaitSets(ctx context.Context, after int64) (int64, error) {
+func (c *Client) waitSets(ctx context.Context, after int64) (int64, error) {
 	return c.intGet(ctx, fmt.Sprintf("/sets/wait?s=%d", after))
 }
 
@@ -1033,7 +1032,7 @@ func (c *Client) WatchSets(ctx context.Context, fallback time.Duration, fn func(
 	known := make(map[string]int64)
 	for {
 		sctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-		seq, versions, err := c.Sets(sctx)
+		seq, versions, err := c.listSets(sctx)
 		cancel()
 		if err != nil {
 			if err := c.backoff(ctx, fallback); err != nil {
@@ -1066,7 +1065,7 @@ func (c *Client) WatchSets(ctx context.Context, fallback time.Duration, fn func(
 			}
 			continue
 		}
-		if err := c.awaitAdvance(ctx, fallback, seq, c.WaitSets); err != nil {
+		if err := c.awaitAdvance(ctx, fallback, seq, c.waitSets); err != nil {
 			return err
 		}
 	}

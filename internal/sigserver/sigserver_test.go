@@ -539,7 +539,7 @@ func TestNamedSetsIndependentVersions(t *testing.T) {
 	if _, v, ok := s.CurrentNamed("ghost"); ok || v != 0 {
 		t.Fatalf("unknown name: v=%d ok=%v", v, ok)
 	}
-	names := s.SetNames()
+	names := s.setNames()
 	if len(names) != 3 || names[0] != "" || names[1] != "tenant-a" || names[2] != "tenant-b" {
 		t.Fatalf("SetNames = %v", names)
 	}
@@ -560,7 +560,7 @@ func TestNamedSetNameValidation(t *testing.T) {
 		if bad == "" {
 			continue // "" is the default set, which always exists
 		}
-		if _, err := s.Publish(bad, testSet("t")); !errors.Is(err, ErrBadSetName) {
+		if _, err := s.Publish(bad, testSet("t")); !errors.Is(err, errBadSetName) {
 			t.Fatalf("name %q accepted (err=%v)", bad, err)
 		}
 	}
@@ -598,7 +598,7 @@ func TestNamedSetsHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("ghost fetch: %+v err=%v", ghost, err)
 	}
 	// Catalog listing includes the default set as "".
-	seq, versions, err := c.Sets(ctx)
+	seq, versions, err := c.listSets(ctx)
 	if err != nil || seq != 1 || versions["com.app one"] != 1 || versions[""] != 0 {
 		t.Fatalf("sets: seq=%d versions=%v err=%v", seq, versions, err)
 	}
@@ -620,7 +620,7 @@ func TestNamedWaitBeforeFirstPublish(t *testing.T) {
 	// publish (and creates no server state while blocked).
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		if len(s.SetNames()) != 1 {
+		if len(s.setNames()) != 1 {
 			t.Error("waiting on an unpublished name allocated server state")
 		}
 		s.Publish("late", testSet("late-token"))

@@ -51,11 +51,8 @@ func NewCDF(xs []int) *CDF {
 	return &CDF{n: len(vs), values: vs}
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return c.n }
-
-// AtMost returns the number of samples with value <= x.
-func (c *CDF) AtMost(x int) int {
+// atMost returns the number of samples with value <= x.
+func (c *CDF) atMost(x int) int {
 	return sort.SearchInts(c.values, x+1)
 }
 
@@ -65,7 +62,7 @@ func (c *CDF) FractionAtMost(x int) float64 {
 	if c.n == 0 {
 		return 0
 	}
-	return float64(c.AtMost(x)) / float64(c.n)
+	return float64(c.atMost(x)) / float64(c.n)
 }
 
 // Quantile returns the smallest value v such that at least q of the mass is
@@ -121,8 +118,8 @@ func (f Freq[K]) Add(k K) { f[k]++ }
 // AddN increments the count for k by n.
 func (f Freq[K]) AddN(k K, n int) { f[k] += n }
 
-// Total returns the sum of all counts.
-func (f Freq[K]) Total() int {
+// total returns the sum of all counts.
+func (f Freq[K]) total() int {
 	t := 0
 	for _, n := range f {
 		t += n

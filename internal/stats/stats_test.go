@@ -17,8 +17,8 @@ func TestSummarize(t *testing.T) {
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]int{1, 1, 2, 5, 10})
-	if c.N() != 5 {
-		t.Fatalf("N = %d", c.N())
+	if c.n != 5 {
+		t.Fatalf("n = %d", c.n)
 	}
 	cases := []struct {
 		x    int
@@ -27,7 +27,7 @@ func TestCDFBasics(t *testing.T) {
 		{0, 0}, {1, 2}, {2, 3}, {4, 3}, {5, 4}, {10, 5}, {100, 5},
 	}
 	for _, cse := range cases {
-		if got := c.AtMost(cse.x); got != cse.want {
+		if got := c.atMost(cse.x); got != cse.want {
 			t.Errorf("AtMost(%d) = %d, want %d", cse.x, got, cse.want)
 		}
 	}
@@ -113,8 +113,8 @@ func TestFreq(t *testing.T) {
 	f.Add("b")
 	f.Add("a")
 	f.AddN("c", 5)
-	if f.Total() != 8 {
-		t.Errorf("Total = %d", f.Total())
+	if f.total() != 8 {
+		t.Errorf("Total = %d", f.total())
 	}
 	pairs := f.SortedByCount(func(a, b string) bool { return a < b })
 	if pairs[0].Key != "c" || pairs[0].Count != 5 {

@@ -1,4 +1,4 @@
-package adnet
+package trafficgen
 
 // This file defines the 26 named destinations of the paper's Table II with
 // their printed packet/app targets, and request builders mimicking each
@@ -31,46 +31,46 @@ type tableIIEntry struct {
 	host            string
 	packets, apps   int
 	org             string
-	category        Category
+	category        category
 	sensitive       bool
 	needsPhoneState bool
-	build           func(ctx *BuildCtx, host string) *httpmodel.Packet
+	build           func(ctx *buildCtx, host string) *httpmodel.Packet
 }
 
 func tableIIEntries() []tableIIEntry {
 	return []tableIIEntry{
-		{"doubleclick.net", 5786, 407, "Google", CatAdModule, false, false, buildDoubleclick},
-		{"admob.com", 1299, 401, "Google", CatAdModule, true, false, buildAdmob},
-		{"google-analytics.com", 3098, 353, "Google", CatAnalytics, false, false, buildGA},
-		{"gstatic.com", 1387, 333, "Google", CatCDN, false, false, buildStatic},
-		{"google.com", 3604, 308, "Google", CatWebAPI, false, false, buildGoogleAPI},
-		{"yahoo.co.jp", 1756, 287, "Yahoo Japan", CatPortal, false, false, buildYahoo},
-		{"ggpht.com", 940, 281, "Google", CatCDN, false, false, buildStatic},
-		{"googlesyndication.com", 938, 244, "Google", CatAdModule, true, false, buildGSyndication},
-		{"ad-maker.info", 3391, 195, "AdMaker", CatAdModule, true, false, buildAdMaker},
-		{"nend.net", 1368, 192, "FAN Communications", CatAdModule, true, false, buildNend},
-		{"mydas.mobi", 332, 164, "Millennial Media", CatAdModule, true, false, buildMydas},
-		{"amoad.com", 583, 116, "AMoAd", CatAdModule, true, true, buildAmoad},
-		{"flurry.com", 335, 119, "Flurry", CatAdModule, true, false, buildFlurry},
-		{"microad.jp", 868, 103, "MicroAd", CatAdModule, true, false, buildMicroad},
-		{"adwhirl.com", 548, 102, "AdWhirl", CatAdModule, true, true, buildAdwhirl},
-		{"i-mobile.co.jp", 3729, 100, "i-mobile", CatAdModule, true, false, buildIMobile},
-		{"adlantis.jp", 237, 98, "Adlantis", CatAdModule, true, false, buildAdlantis},
-		{"naver.jp", 3390, 82, "Naver Japan", CatPortal, false, false, buildNaver},
-		{"adimg.net", 315, 72, "AdImg", CatAdModule, true, false, buildAdimg},
-		{"mbga.jp", 1048, 63, "DeNA", CatSocial, true, false, buildMbga},
-		{"rakuten.co.jp", 502, 56, "Rakuten", CatWebAPI, false, false, buildRakuten},
-		{"fc2.com", 163, 52, "FC2", CatPortal, false, false, buildFC2},
-		{"medibaad.com", 1162, 49, "mediba", CatAdModule, true, false, buildMedibaAd},
-		{"mediba.jp", 427, 48, "mediba", CatAdModule, true, false, buildMediba},
-		{"mobclix.com", 260, 48, "Mobclix", CatAdModule, true, true, buildMobclix},
-		{"gree.jp", 228, 45, "GREE", CatSocial, true, false, buildGree},
+		{"doubleclick.net", 5786, 407, "Google", catAdModule, false, false, buildDoubleclick},
+		{"admob.com", 1299, 401, "Google", catAdModule, true, false, buildAdmob},
+		{"google-analytics.com", 3098, 353, "Google", catAnalytics, false, false, buildGA},
+		{"gstatic.com", 1387, 333, "Google", catCDN, false, false, buildStatic},
+		{"google.com", 3604, 308, "Google", catWebAPI, false, false, buildGoogleAPI},
+		{"yahoo.co.jp", 1756, 287, "Yahoo Japan", catPortal, false, false, buildYahoo},
+		{"ggpht.com", 940, 281, "Google", catCDN, false, false, buildStatic},
+		{"googlesyndication.com", 938, 244, "Google", catAdModule, true, false, buildGSyndication},
+		{"ad-maker.info", 3391, 195, "AdMaker", catAdModule, true, false, buildAdMaker},
+		{"nend.net", 1368, 192, "FAN Communications", catAdModule, true, false, buildNend},
+		{"mydas.mobi", 332, 164, "Millennial Media", catAdModule, true, false, buildMydas},
+		{"amoad.com", 583, 116, "AMoAd", catAdModule, true, true, buildAmoad},
+		{"flurry.com", 335, 119, "Flurry", catAdModule, true, false, buildFlurry},
+		{"microad.jp", 868, 103, "MicroAd", catAdModule, true, false, buildMicroad},
+		{"adwhirl.com", 548, 102, "AdWhirl", catAdModule, true, true, buildAdwhirl},
+		{"i-mobile.co.jp", 3729, 100, "i-mobile", catAdModule, true, false, buildIMobile},
+		{"adlantis.jp", 237, 98, "Adlantis", catAdModule, true, false, buildAdlantis},
+		{"naver.jp", 3390, 82, "Naver Japan", catPortal, false, false, buildNaver},
+		{"adimg.net", 315, 72, "AdImg", catAdModule, true, false, buildAdimg},
+		{"mbga.jp", 1048, 63, "DeNA", catSocial, true, false, buildMbga},
+		{"rakuten.co.jp", 502, 56, "Rakuten", catWebAPI, false, false, buildRakuten},
+		{"fc2.com", 163, 52, "FC2", catPortal, false, false, buildFC2},
+		{"medibaad.com", 1162, 49, "mediba", catAdModule, true, false, buildMedibaAd},
+		{"mediba.jp", 427, 48, "mediba", catAdModule, true, false, buildMediba},
+		{"mobclix.com", 260, 48, "Mobclix", catAdModule, true, true, buildMobclix},
+		{"gree.jp", 228, 45, "GREE", catSocial, true, false, buildGree},
 	}
 }
 
 // --- sensitive ad modules ------------------------------------------------
 
-func buildAdMaker(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAdMaker(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/ad/v2/fetch").
 		Query("zone", randInt(ctx.Rng, 1, 400)).
 		Query("aid", ctx.Device.AndroidID)
@@ -82,7 +82,7 @@ func buildAdMaker(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMydas(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMydas(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/getAd.php5").
 		Query("apid", ctx.App.PubID).
 		Query("androidid", ctx.Device.AndroidID)
@@ -94,7 +94,7 @@ func buildMydas(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMedibaAd(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMedibaAd(ctx *buildCtx, host string) *httpmodel.Packet {
 	pairs := []string{"uid", ctx.Device.AndroidID}
 	if ctx.App.HasPhoneState {
 		pairs = append(pairs, "imei", ctx.Device.IMEI)
@@ -109,7 +109,7 @@ func buildMedibaAd(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildAdlantis(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAdlantis(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/sp/load").
 		Query("aduid", ctx.Device.AndroidID)
 	if ctx.App.HasPhoneState {
@@ -120,7 +120,7 @@ func buildAdlantis(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMbga(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMbga(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/api/session").
 		Query("user", ctx.Device.AndroidID).
 		Query("app", ctx.App.PubID).
@@ -128,7 +128,7 @@ func buildMbga(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildAdimg(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAdimg(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/img/banner").
 		Query("aid", ctx.Device.AndroidID).
 		Query("size", "320x50").
@@ -136,7 +136,7 @@ func buildAdimg(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildGree(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildGree(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/api/v1/me").
 		Query("uid", ctx.Device.AndroidID).
 		Query("app_id", ctx.App.PubID).
@@ -144,7 +144,7 @@ func buildGree(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildIMobile(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildIMobile(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/ad/p/").
 		Query("pid", ctx.App.PubID).
 		Query("uid", md5AID(ctx.Device)).
@@ -156,7 +156,7 @@ func buildIMobile(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildNend(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildNend(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/na.php").
 		Query("apikey", ctx.App.PubID).
 		Query("uid", md5AID(ctx.Device)).
@@ -165,7 +165,7 @@ func buildNend(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildAdmob(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAdmob(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/mads/gma").
 		Query("preqs", randInt(ctx.Rng, 0, 30)).
 		Query("u_w", "320").
@@ -176,7 +176,7 @@ func buildAdmob(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildGSyndication(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildGSyndication(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/pagead/ads").
 		Query("client", "ca-app-pub-"+ctx.App.PubID).
 		Query("udid", md5AID(ctx.Device)).
@@ -186,7 +186,7 @@ func buildGSyndication(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMicroad(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMicroad(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/ad/sp").
 		Query("spot", ctx.App.PubID).
 		Query("u", md5AID(ctx.Device)).
@@ -194,7 +194,7 @@ func buildMicroad(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMediba(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMediba(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/sdk/ad").
 		Query("sid", ctx.App.PubID).
 		Query("muid", md5AID(ctx.Device)).
@@ -202,7 +202,7 @@ func buildMediba(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildFlurry(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildFlurry(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Post(host, "/aap.do").
 		Form(
 			"apiKey", ctx.App.PubID,
@@ -215,7 +215,7 @@ func buildFlurry(ctx *BuildCtx, host string) *httpmodel.Packet {
 
 // buildAmoad transmits MD5(IMEI) when permitted; otherwise the SDK falls
 // back to a permissionless config fetch (a benign packet on an ad host).
-func buildAmoad(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAmoad(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/n/v1").
 		Query("sid", ctx.App.PubID)
 	if ctx.App.HasPhoneState {
@@ -227,7 +227,7 @@ func buildAmoad(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildAdwhirl(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildAdwhirl(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/getInfo.php").
 		Query("appid", ctx.App.PubID)
 	if ctx.App.HasPhoneState {
@@ -237,7 +237,7 @@ func buildAdwhirl(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildMobclix(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildMobclix(ctx *buildCtx, host string) *httpmodel.Packet {
 	pairs := []string{"p", "android", "a", ctx.App.PubID}
 	if ctx.App.HasPhoneState {
 		pairs = append(pairs, "d", sha1IMEI(ctx.Device))
@@ -255,7 +255,7 @@ func buildMobclix(ctx *BuildCtx, host string) *httpmodel.Packet {
 // parameters) with the Google in-app ad modules: clusters that degrade to
 // template-only tokens will false-positive against this traffic, the
 // behaviour Figure 4's FP curve shows growing with N.
-func buildDoubleclick(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildDoubleclick(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/pagead/adview").
 		Query("correlator", randDigits(ctx.Rng, 13)).
 		Query("output", "html").
@@ -265,7 +265,7 @@ func buildDoubleclick(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildGA(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildGA(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/__utm.gif").
 		Query("utmwv", "4.8.1ma").
 		Query("utmn", randDigits(ctx.Rng, 10)).
@@ -277,7 +277,7 @@ func buildGA(ctx *BuildCtx, host string) *httpmodel.Packet {
 
 var staticAssets = []string{"logo", "sprite", "banner", "icon", "btn", "bg", "header", "thumb"}
 
-func buildStatic(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildStatic(ctx *buildCtx, host string) *httpmodel.Packet {
 	name := staticAssets[ctx.Rng.Intn(len(staticAssets))]
 	return httpmodel.Get(host, "/images/"+name+randInt(ctx.Rng, 1, 99)+".png").
 		Header("Accept", "image/*").
@@ -289,7 +289,7 @@ var searchWords = []string{
 	"sale", "matome", "anime", "soccer", "keiba",
 }
 
-func buildGoogleAPI(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildGoogleAPI(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/complete/search").
 		Query("q", searchWords[ctx.Rng.Intn(len(searchWords))]).
 		Query("client", "android").
@@ -297,7 +297,7 @@ func buildGoogleAPI(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildYahoo(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildYahoo(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/search").
 		Query("p", searchWords[ctx.Rng.Intn(len(searchWords))]).
 		Query("ei", "UTF-8").
@@ -307,14 +307,14 @@ func buildYahoo(ctx *BuildCtx, host string) *httpmodel.Packet {
 
 var naverSections = []string{"matome", "news", "ranking", "topic", "photo"}
 
-func buildNaver(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildNaver(ctx *buildCtx, host string) *httpmodel.Packet {
 	s := naverSections[ctx.Rng.Intn(len(naverSections))]
 	return httpmodel.Get(host, "/"+s+"/list").
 		Query("page", randInt(ctx.Rng, 1, 40)).
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildRakuten(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildRakuten(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/api/item/search").
 		Query("keyword", searchWords[ctx.Rng.Intn(len(searchWords))]).
 		Query("format", "json").
@@ -322,7 +322,7 @@ func buildRakuten(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildFC2(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildFC2(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/blog/entry-"+randInt(ctx.Rng, 100, 99999)+".html").
 		UserAgent(ctx.Device.UserAgent()).Build()
 }

@@ -1,4 +1,4 @@
-package adnet
+package trafficgen
 
 // This file fabricates the long tail of destinations behind Table II's
 // named rows: the paper's applications contacted far more hosts than the 26
@@ -89,7 +89,7 @@ const (
 
 // vendorSkeleton emits one request in the vendor's syntax. dev carries the
 // identifier value; ep is the per-host endpoint token ("" omits it).
-func vendorSkeleton(v vendor, ctx *BuildCtx, host, dev, ep string) *httpmodel.Packet {
+func vendorSkeleton(v vendor, ctx *buildCtx, host, dev, ep string) *httpmodel.Packet {
 	switch v {
 	case vendorA:
 		b := httpmodel.Get(host, "/v1/imp").
@@ -139,7 +139,7 @@ type beaconFamily struct {
 	bridge     int    // leading hosts placed in the vendor's holding org
 	bridgePkts int    // per-bridge-host packet budget (0: equal share)
 	hostFmt    string // printf pattern over host index
-	devValue   func(ctx *BuildCtx) string
+	devValue   func(ctx *buildCtx) string
 }
 
 func beaconFamilies() []beaconFamily {
@@ -150,7 +150,7 @@ func beaconFamilies() []beaconFamily {
 			family: "md5-beacon", hosts: md5BeaconHosts, packets: md5BeaconPkts,
 			appsPer: 25, vendor: vendorA, bridge: 2, bridgePkts: 80,
 			hostFmt:  "t%02d.%s-media.jp",
-			devValue: func(ctx *BuildCtx) string { return md5AID(ctx.Device) },
+			devValue: func(ctx *buildCtx) string { return md5AID(ctx.Device) },
 		},
 		{
 			// Per-host endpoint tokens over many tiny hosts: each host is
@@ -159,19 +159,19 @@ func beaconFamilies() []beaconFamily {
 			family: "imei-beacon", hosts: imeiBeaconHosts, packets: imeiBeaconPkts,
 			appsPer: 3, phone: true, vendor: vendorA, perHost: true, bridge: 2, bridgePkts: 50,
 			hostFmt:  "d%02d.%s-trk.info",
-			devValue: func(ctx *BuildCtx) string { return ctx.Device.IMEI },
+			devValue: func(ctx *buildCtx) string { return ctx.Device.IMEI },
 		},
 		{
 			family: "sha1-beacon", hosts: sha1BeaconHosts, packets: sha1BeaconPkts,
 			appsPer: 15, vendor: vendorB, bridge: 2, bridgePkts: 80,
 			hostFmt:  "s%02d.%s-analytics.com",
-			devValue: func(ctx *BuildCtx) string { return sha1AID(ctx.Device) },
+			devValue: func(ctx *buildCtx) string { return sha1AID(ctx.Device) },
 		},
 		{
 			family: "imeimd5-beacon", hosts: imeiMD5BeaconHosts, packets: imeiMD5BeaconPkts,
 			appsPer: 12, phone: true, vendor: vendorB, perHost: true, bridge: 2, bridgePkts: 30,
 			hostFmt:  "m%02d.%s-adserv.net",
-			devValue: func(ctx *BuildCtx) string { return md5IMEI(ctx.Device) },
+			devValue: func(ctx *buildCtx) string { return md5IMEI(ctx.Device) },
 		},
 		{
 			// The plain-Android-ID beacons share one exact template (no ep):
@@ -180,13 +180,13 @@ func beaconFamilies() []beaconFamily {
 			family: "aid-beacon", hosts: aidBeaconHosts, packets: aidBeaconPkts,
 			appsPer: 4, heavy: true, vendor: vendorC, bridge: 2, bridgePkts: 80,
 			hostFmt:  "b%02d.%s-net.asia",
-			devValue: func(ctx *BuildCtx) string { return ctx.Device.AndroidID },
+			devValue: func(ctx *buildCtx) string { return ctx.Device.AndroidID },
 		},
 		{
 			family: "imeisha1-beacon", hosts: imeiSHA1BeaconHosts, packets: imeiSHA1BeaconPkts,
 			appsPer: 12, phone: true, vendor: vendorC, perHost: true, bridge: 2, bridgePkts: 45,
 			hostFmt:  "h%02d.%s-metrics.com",
-			devValue: func(ctx *BuildCtx) string { return sha1IMEI(ctx.Device) },
+			devValue: func(ctx *buildCtx) string { return sha1IMEI(ctx.Device) },
 		},
 	}
 }
@@ -233,7 +233,7 @@ func (bs bridgeSlots) hostName(v vendor, i int) string {
 // buildZqapk mirrors the paper's zqapk.com example: "zqapk.com expects
 // IMEI, and SIM Serial ID, and Carrier name" — we additionally give it the
 // IMSI, the only place Table III's IMSI traffic can plausibly come from.
-func buildZqapk(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildZqapk(ctx *buildCtx, host string) *httpmodel.Packet {
 	b := httpmodel.Get(host, "/u/reg").
 		Query("imsi", ctx.Device.IMSI)
 	if ctx.Rng.Float64() < 0.50 {
@@ -252,7 +252,7 @@ func buildZqapk(ctx *BuildCtx, host string) *httpmodel.Packet {
 
 // benign tail builders, one per category rotation slot.
 
-func buildTailAPI(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailAPI(ctx *buildCtx, host string) *httpmodel.Packet {
 	res := []string{"items", "list", "detail", "rank", "config"}[ctx.Rng.Intn(5)]
 	return httpmodel.Get(host, "/v2/"+res).
 		Query("format", "json").
@@ -262,19 +262,19 @@ func buildTailAPI(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildTailCDN(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailCDN(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/assets/img/"+tailWord(ctx.Rng.Intn(999))+randInt(ctx.Rng, 1, 500)+".jpg").
 		Header("Accept", "image/*").
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildTailNews(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailNews(ctx *buildCtx, host string) *httpmodel.Packet {
 	cat := []string{"sports", "enta", "it", "keizai", "kokusai"}[ctx.Rng.Intn(5)]
 	return httpmodel.Get(host, "/news/"+cat+"/article-"+randInt(ctx.Rng, 1000, 99999)+".html").
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildTailGame(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailGame(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Post(host, "/v1/score").
 		Form(
 			"stage", randInt(ctx.Rng, 1, 60),
@@ -284,7 +284,7 @@ func buildTailGame(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildTailWeather(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailWeather(ctx *buildCtx, host string) *httpmodel.Packet {
 	city := []string{"tokyo", "osaka", "nagoya", "sapporo", "fukuoka", "sendai"}[ctx.Rng.Intn(6)]
 	return httpmodel.Get(host, "/api/weather").
 		Query("city", city).
@@ -293,7 +293,7 @@ func buildTailWeather(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-func buildTailSNS(ctx *BuildCtx, host string) *httpmodel.Packet {
+func buildTailSNS(ctx *buildCtx, host string) *httpmodel.Packet {
 	return httpmodel.Get(host, "/api/feed").
 		Query("user", ctx.App.InstallUUID).
 		Query("count", "20").
@@ -301,27 +301,27 @@ func buildTailSNS(ctx *BuildCtx, host string) *httpmodel.Packet {
 		UserAgent(ctx.Device.UserAgent()).Build()
 }
 
-// NewUniverse assembles every destination profile for one device: Table II
+// newUniverse assembles every destination profile for one device: Table II
 // rows, beacon families, the zqapk family, UUID trackers, and the benign
 // tail. totalPackets is the full trace size (the paper's 107,859); the
 // benign tail absorbs whatever the calibrated families do not claim.
-func NewUniverse(totalPackets int) *Universe {
+func newUniverse(totalPackets int) *Universe {
 	alloc := newIPAllocator()
 	u := &Universe{}
 	claimed := 0
 
-	addProfile := func(p *Profile) {
+	addProfile := func(p *profile) {
 		p.IP = alloc.addr(p.Org)
 		if p.Port == 0 {
 			p.Port = 80
 		}
-		u.Profiles = append(u.Profiles, p)
+		u.profiles = append(u.profiles, p)
 		claimed += p.TargetPackets
 	}
 
 	for _, e := range tableIIEntries() {
 		e := e
-		addProfile(&Profile{
+		addProfile(&profile{
 			Host:            e.host,
 			Category:        e.category,
 			Org:             e.org,
@@ -330,7 +330,7 @@ func NewUniverse(totalPackets int) *Universe {
 			Sensitive:       e.sensitive,
 			NeedsPhoneState: e.needsPhoneState,
 			Family:          e.host,
-			Build: func(ctx *BuildCtx) *httpmodel.Packet {
+			Build: func(ctx *buildCtx) *httpmodel.Packet {
 				return e.build(ctx, e.host)
 			},
 		})
@@ -376,9 +376,9 @@ func NewUniverse(totalPackets int) *Universe {
 				}
 			}
 			v, dev := f.vendor, f.devValue
-			addProfile(&Profile{
+			addProfile(&profile{
 				Host:            host,
-				Category:        CatAdBeacon,
+				Category:        catAdBeacon,
 				Org:             org,
 				TargetPackets:   pkts,
 				TargetApps:      f.appsPer,
@@ -386,7 +386,7 @@ func NewUniverse(totalPackets int) *Universe {
 				NeedsPhoneState: f.phone,
 				Family:          f.family,
 				HeavyOnly:       f.heavy,
-				Build: func(ctx *BuildCtx) *httpmodel.Packet {
+				Build: func(ctx *buildCtx) *httpmodel.Packet {
 					return vendorSkeleton(v, ctx, host, dev(ctx), ep)
 				},
 			})
@@ -398,16 +398,16 @@ func NewUniverse(totalPackets int) *Universe {
 		if i > 0 {
 			host = fmt.Sprintf("u%d.zq%s.com", i, tailAdWord(i))
 		}
-		addProfile(&Profile{
+		addProfile(&profile{
 			Host:            host,
-			Category:        CatAdBeacon,
+			Category:        catAdBeacon,
 			Org:             fmt.Sprintf("zqapk-org-%d", i),
 			TargetPackets:   zqapkPkts / zqapkHosts,
 			TargetApps:      2,
 			Sensitive:       true,
 			NeedsPhoneState: true,
 			Family:          "zqapk",
-			Build: func(ctx *BuildCtx) *httpmodel.Packet {
+			Build: func(ctx *buildCtx) *httpmodel.Packet {
 				return buildZqapk(ctx, host)
 			},
 		})
@@ -417,14 +417,14 @@ func NewUniverse(totalPackets int) *Universe {
 		for i := 0; i < tf.hosts; i++ {
 			host := fmt.Sprintf("c%02d.%s-audience.net", ti*4+i+1, tailAdWord(ti*5+i+3))
 			v := tf.vendor
-			addProfile(&Profile{
+			addProfile(&profile{
 				Host:          host,
-				Category:      CatUUIDTracker,
+				Category:      catUUIDTracker,
 				Org:           fmt.Sprintf("uuidtrk-org-%d-%d", ti, i),
 				TargetPackets: tf.packets / tf.hosts,
 				TargetApps:    25,
 				Family:        fmt.Sprintf("uuid-tracker-%c", 'a'+int(v)),
-				Build: func(ctx *BuildCtx) *httpmodel.Packet {
+				Build: func(ctx *buildCtx) *httpmodel.Packet {
 					return vendorSkeleton(v, ctx, host, ctx.App.InstallUUID, "")
 				},
 			})
@@ -434,18 +434,18 @@ func NewUniverse(totalPackets int) *Universe {
 	// Benign tail absorbs the remaining packet budget, spread proportional
 	// to each host's app target.
 	type tailSlot struct {
-		cat   Category
-		build func(ctx *BuildCtx, host string) *httpmodel.Packet
+		cat   category
+		build func(ctx *buildCtx, host string) *httpmodel.Packet
 		fmt   string
 		apps  int
 	}
 	tailSlots := []tailSlot{
-		{CatWebAPI, buildTailAPI, "api.%s-app.jp", 40},
-		{CatCDN, buildTailCDN, "img.%s-cdn.net", 30},
-		{CatPortal, buildTailNews, "www.%s-news.jp", 22},
-		{CatWebAPI, buildTailGame, "gs.%s-games.com", 18},
-		{CatWebAPI, buildTailWeather, "api.%s-weather.jp", 45},
-		{CatSocial, buildTailSNS, "sns.%s-talk.jp", 28},
+		{catWebAPI, buildTailAPI, "api.%s-app.jp", 40},
+		{catCDN, buildTailCDN, "img.%s-cdn.net", 30},
+		{catPortal, buildTailNews, "www.%s-news.jp", 22},
+		{catWebAPI, buildTailGame, "gs.%s-games.com", 18},
+		{catWebAPI, buildTailWeather, "api.%s-weather.jp", 45},
+		{catSocial, buildTailSNS, "sns.%s-talk.jp", 28},
 	}
 	remaining := totalPackets - claimed
 	if remaining < 0 {
@@ -466,14 +466,14 @@ func NewUniverse(totalPackets int) *Universe {
 		host := fmt.Sprintf(s.fmt, tailWord(i)+string(rune('a'+i/len(tailNameWords))))
 		build := s.build
 		pkts := remaining * appWeights[i] / totalWeight
-		addProfile(&Profile{
+		addProfile(&profile{
 			Host:          host,
 			Category:      s.cat,
 			Org:           fmt.Sprintf("tail-org-%d", i/3),
 			TargetPackets: pkts,
 			TargetApps:    appWeights[i],
 			Family:        "benign-tail",
-			Build: func(ctx *BuildCtx) *httpmodel.Packet {
+			Build: func(ctx *buildCtx) *httpmodel.Packet {
 				return build(ctx, host)
 			},
 		})
@@ -483,13 +483,13 @@ func NewUniverse(totalPackets int) *Universe {
 	// budgets (scaled-down runs), shrink every profile proportionally so
 	// the configured total is honored.
 	if totalPackets > 0 && claimed > totalPackets {
-		for _, p := range u.Profiles {
+		for _, p := range u.profiles {
 			p.TargetPackets = p.TargetPackets * totalPackets / claimed
 		}
 	}
 
 	u.orgs = make(map[string]ipaddr.Block)
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		if b, ok := alloc.block(p.Org); ok {
 			u.orgs[p.Org] = b
 		}

@@ -9,6 +9,20 @@
 //     (7% single-destination, 74% within 10, 90% within 16, mean 7.9,
 //     maximum 84 — the embedded-browser outlier).
 //
+// The server side of the measurement is a Universe: the destinations the
+// 1,188 applications talked to (Table II), the advertisement modules that
+// embed device identifiers in their requests (§III-B, Table III), and the
+// benign Web-API/CDN/analytics traffic that forms the normal group.
+//
+// Every destination is a profile: a host with an allocated IPv4 address, a
+// traffic category, calibration targets (packets and distinct apps, from
+// Table II for the named domains), and a Build function that fabricates one
+// HTTP request the way that service's client library did in 2012. Sensitive
+// profiles consult the requesting application's permissions: a module only
+// transmits the IMEI family when the host application holds
+// READ_PHONE_STATE, while the Android ID needs no permission at all —
+// which is exactly why hashed Android IDs dominate the paper's Table III.
+//
 // The generator is fully deterministic for a given Config.Seed.
 package trafficgen
 
@@ -17,7 +31,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"leaksig/internal/adnet"
 	"leaksig/internal/android"
 	"leaksig/internal/capture"
 	"leaksig/internal/httpmodel"
@@ -48,18 +61,17 @@ func (c Config) withDefaults() Config {
 // observe and its assigned destinations.
 type App struct {
 	Manifest   *android.Manifest
-	Info       adnet.AppInfo
-	DestTarget int              // Figure 2 capacity drawn for this app
-	Profiles   []*adnet.Profile // destinations assigned
-	Heavy      bool             // one of the high-fanout applications
+	info       appInfo
+	destTarget int        // Figure 2 capacity drawn for this app
+	profiles   []*profile // destinations assigned
+	heavy      bool       // one of the high-fanout applications
 }
 
 // Dataset is the full synthetic capture with its provenance.
 type Dataset struct {
-	Config   Config
 	Device   *android.Device
 	Apps     []*App
-	Universe *adnet.Universe
+	Universe *Universe
 	Capture  *capture.Set
 }
 
@@ -68,13 +80,12 @@ func Generate(cfg Config) *Dataset {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	device := android.NewDevice(rng, cfg.Carrier)
-	universe := adnet.NewUniverse(cfg.TotalPackets)
+	universe := newUniverse(cfg.TotalPackets)
 	apps := buildApps(rng, cfg.NumApps)
 	markHeavyApps(apps)
 	assignDestinations(rng, universe, apps)
 	set := emitPackets(rng, device, universe, apps)
 	return &Dataset{
-		Config:   cfg,
 		Device:   device,
 		Apps:     apps,
 		Universe: universe,
@@ -141,14 +152,14 @@ func buildApps(rng *rand.Rand, numApps int) []*App {
 		}
 		return &App{
 			Manifest: man,
-			Info: adnet.AppInfo{
+			info: appInfo{
 				Package:       pkg,
 				HasPhoneState: man.Permissions.Has(android.PermReadPhoneState),
 				HasLocation:   man.Permissions.HasLocation(),
 				InstallUUID:   randHex(rng, 32),
 				PubID:         randHex(rng, 12),
 			},
-			DestTarget: sampleDestTarget(rng),
+			destTarget: sampleDestTarget(rng),
 		}
 	}
 	idx := 0
@@ -208,7 +219,7 @@ func markHeavyApps(apps []*App) {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		return apps[idx[a]].DestTarget > apps[idx[b]].DestTarget
+		return apps[idx[a]].destTarget > apps[idx[b]].destTarget
 	})
 	nHeavy := 21
 	if nHeavy > len(apps) {
@@ -216,13 +227,13 @@ func markHeavyApps(apps []*App) {
 	}
 	for r := 0; r < nHeavy; r++ {
 		a := apps[idx[r]]
-		a.Heavy = true
-		if a.DestTarget < 25 {
-			a.DestTarget = 25 + r
+		a.heavy = true
+		if a.destTarget < 25 {
+			a.destTarget = 25 + r
 		}
 	}
 	if nHeavy > 0 {
-		apps[idx[0]].DestTarget = 84
+		apps[idx[0]].destTarget = 84
 	}
 }
 
@@ -231,17 +242,17 @@ func markHeavyApps(apps []*App) {
 // hold approximately. Profiles claim apps by weighted sampling on remaining
 // app capacity, biased toward READ_PHONE_STATE holders for IMEI-hungry
 // modules and restricted to heavy apps for HeavyOnly families.
-func assignDestinations(rng *rand.Rand, u *adnet.Universe, apps []*App) {
+func assignDestinations(rng *rand.Rand, u *Universe, apps []*App) {
 	remaining := make([]float64, len(apps))
 	for i, a := range apps {
-		remaining[i] = float64(a.DestTarget)
+		remaining[i] = float64(a.destTarget)
 	}
 	// Order: heavy-only families first (their pool is tiny), then sensitive
 	// profiles needing phone state, then other sensitive, then benign, each
 	// by descending app target so big rows see full capacity.
-	order := make([]*adnet.Profile, len(u.Profiles))
-	copy(order, u.Profiles)
-	rank := func(p *adnet.Profile) int {
+	order := make([]*profile, len(u.profiles))
+	copy(order, u.profiles)
+	rank := func(p *profile) int {
 		switch {
 		case p.HeavyOnly:
 			return 0
@@ -267,22 +278,22 @@ func assignDestinations(rng *rand.Rand, u *adnet.Universe, apps []*App) {
 		}
 		chosen := sampleApps(rng, apps, remaining, p, k)
 		for _, ai := range chosen {
-			apps[ai].Profiles = append(apps[ai].Profiles, p)
+			apps[ai].profiles = append(apps[ai].profiles, p)
 			remaining[ai]--
 		}
 	}
 	// Every application produced traffic in the paper's trace (Figure 2's
 	// minimum is one destination); give stragglers one benign destination.
-	var fallback []*adnet.Profile
-	for _, p := range u.Profiles {
+	var fallback []*profile
+	for _, p := range u.profiles {
 		if !p.Sensitive && !p.HeavyOnly && p.TargetApps >= 10 {
 			fallback = append(fallback, p)
 		}
 	}
 	if len(fallback) > 0 {
 		for _, a := range apps {
-			if len(a.Profiles) == 0 {
-				a.Profiles = append(a.Profiles, fallback[rng.Intn(len(fallback))])
+			if len(a.profiles) == 0 {
+				a.profiles = append(a.profiles, fallback[rng.Intn(len(fallback))])
 			}
 		}
 	}
@@ -291,14 +302,14 @@ func assignDestinations(rng *rand.Rand, u *adnet.Universe, apps []*App) {
 // sampleApps draws up to k distinct eligible apps weighted by remaining
 // capacity (plus a floor so saturated apps stay reachable when the pool is
 // tight) and the profile's permission bias.
-func sampleApps(rng *rand.Rand, apps []*App, remaining []float64, p *adnet.Profile, k int) []int {
+func sampleApps(rng *rand.Rand, apps []*App, remaining []float64, p *profile, k int) []int {
 	type cand struct {
 		idx int
 		w   float64
 	}
 	var pool []cand
 	for i, a := range apps {
-		if p.HeavyOnly && !a.Heavy {
+		if p.HeavyOnly && !a.heavy {
 			continue
 		}
 		w := remaining[i]
@@ -307,9 +318,9 @@ func sampleApps(rng *rand.Rand, apps []*App, remaining []float64, p *adnet.Profi
 		}
 		w += 0.02
 		if p.NeedsPhoneState {
-			if a.Info.HasPhoneState {
+			if a.info.HasPhoneState {
 				w *= 8
-			} else if p.Category == adnet.CatAdBeacon {
+			} else if p.Category == catAdBeacon {
 				// A beacon SDK with no permissionless fallback simply cannot
 				// run inside an app lacking READ_PHONE_STATE: hard gate.
 				continue
@@ -368,23 +379,23 @@ const (
 
 // emitPackets realizes every profile's packet budget over its assigned
 // apps, stamps capture metadata, and returns the packets in time order.
-func emitPackets(rng *rand.Rand, device *android.Device, u *adnet.Universe, apps []*App) *capture.Set {
+func emitPackets(rng *rand.Rand, device *android.Device, u *Universe, apps []*App) *capture.Set {
 	// Invert the assignment: per profile, its apps.
-	byProfile := make(map[*adnet.Profile][]*App)
+	byProfile := make(map[*profile][]*App)
 	for _, a := range apps {
-		for _, p := range a.Profiles {
+		for _, p := range a.profiles {
 			byProfile[p] = append(byProfile[p], a)
 		}
 	}
 	var packets []*httpmodel.Packet
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		assigned := byProfile[p]
 		if len(assigned) == 0 || p.TargetPackets <= 0 {
 			continue
 		}
 		counts := splitBudget(rng, p.TargetPackets, len(assigned))
 		for ai, a := range assigned {
-			ctx := &adnet.BuildCtx{Rng: rng, Device: device, App: a.Info}
+			ctx := &buildCtx{Rng: rng, Device: device, App: a.info}
 			for n := 0; n < counts[ai]; n++ {
 				pkt := p.Build(ctx)
 				pkt.DstIP = p.IP
@@ -431,14 +442,4 @@ func splitBudget(rng *rand.Rand, total, n int) []int {
 		given++
 	}
 	return counts
-}
-
-const hexAlphabet = "0123456789abcdef"
-
-func randHex(rng *rand.Rand, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = hexAlphabet[rng.Intn(16)]
-	}
-	return string(b)
 }

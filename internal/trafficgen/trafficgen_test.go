@@ -1,6 +1,8 @@
 package trafficgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -65,6 +67,23 @@ func TestPacketsTimeOrderedWithSequentialIDs(t *testing.T) {
 		if ps[i].ID != ps[i-1].ID+1 {
 			t.Fatalf("IDs not sequential at %d", i)
 		}
+	}
+}
+
+// datasetDigest is the sha256 of Generate(Config{Seed: 1})'s capture as
+// JSONL. It pins the generated bytes across commits: a refactor of the
+// generator or of the universe it draws from must leave it unchanged,
+// and a deliberate change to the dataset must update it in the same
+// commit.
+const datasetDigest = "5004d5bb870cb3ff797bc37f1767d700281824368916e04d21331e11b80d0c34"
+
+func TestDatasetDigestGolden(t *testing.T) {
+	h := sha256.New()
+	if err := Generate(Config{Seed: 1}).Capture.WriteJSONL(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != datasetDigest {
+		t.Errorf("dataset digest = %s, want %s", got, datasetDigest)
 	}
 }
 
@@ -218,7 +237,7 @@ func TestPermissionsGateIMEI(t *testing.T) {
 	oracle := sensitive.NewOracle(fullDataset.Device)
 	phonePerm := make(map[string]bool)
 	for _, a := range fullDataset.Apps {
-		phonePerm[a.Manifest.Package] = a.Info.HasPhoneState
+		phonePerm[a.Manifest.Package] = a.info.HasPhoneState
 	}
 	imeiKinds := map[sensitive.Kind]bool{
 		sensitive.KindIMEI: true, sensitive.KindIMEIMD5: true, sensitive.KindIMEISHA1: true,

@@ -1,18 +1,4 @@
-// Package adnet models the server side of the paper's measurement: the
-// destinations the 1,188 applications talked to (Table II), the
-// advertisement modules that embed device identifiers in their requests
-// (§III-B, Table III), and the benign Web-API/CDN/analytics traffic that
-// forms the normal group.
-//
-// Every destination is a Profile: a host with an allocated IPv4 address, a
-// traffic category, calibration targets (packets and distinct apps, from
-// Table II for the named domains), and a Build function that fabricates one
-// HTTP request the way that service's client library did in 2012. Sensitive
-// profiles consult the requesting application's permissions: a module only
-// transmits the IMEI family when the host application holds
-// READ_PHONE_STATE, while the Android ID needs no permission at all —
-// which is exactly why hashed Android IDs dominate the paper's Table III.
-package adnet
+package trafficgen
 
 import (
 	"fmt"
@@ -24,48 +10,48 @@ import (
 	"leaksig/internal/sensitive"
 )
 
-// Category classifies a destination's traffic.
-type Category int
+// category classifies a destination's traffic.
+type category int
 
 // Categories.
 const (
-	CatAdModule    Category = iota // Table II ad service with an SDK
-	CatAdBeacon                    // long-tail tracking beacon (sensitive)
-	CatUUIDTracker                 // beacon using a per-install UUID (benign)
-	CatAnalytics
-	CatCDN
-	CatWebAPI
-	CatPortal
-	CatSocial
+	catAdModule    category = iota // Table II ad service with an SDK
+	catAdBeacon                    // long-tail tracking beacon (sensitive)
+	catUUIDTracker                 // beacon using a per-install UUID (benign)
+	catAnalytics
+	catCDN
+	catWebAPI
+	catPortal
+	catSocial
 )
 
 // String names the category.
-func (c Category) String() string {
+func (c category) String() string {
 	switch c {
-	case CatAdModule:
+	case catAdModule:
 		return "ad-module"
-	case CatAdBeacon:
+	case catAdBeacon:
 		return "ad-beacon"
-	case CatUUIDTracker:
+	case catUUIDTracker:
 		return "uuid-tracker"
-	case CatAnalytics:
+	case catAnalytics:
 		return "analytics"
-	case CatCDN:
+	case catCDN:
 		return "cdn"
-	case CatWebAPI:
+	case catWebAPI:
 		return "web-api"
-	case CatPortal:
+	case catPortal:
 		return "portal"
-	case CatSocial:
+	case catSocial:
 		return "social"
 	default:
 		return "unknown"
 	}
 }
 
-// AppInfo carries the per-application facts a module's client library can
+// appInfo carries the per-application facts a module's client library can
 // observe: the package name, granted permissions, and per-install values.
-type AppInfo struct {
+type appInfo struct {
 	Package       string
 	HasPhoneState bool
 	HasLocation   bool
@@ -77,19 +63,19 @@ type AppInfo struct {
 	PubID string
 }
 
-// BuildCtx is the input to a Profile's Build function.
-type BuildCtx struct {
+// buildCtx is the input to a profile's Build function.
+type buildCtx struct {
 	Rng    *rand.Rand
 	Device *android.Device
-	App    AppInfo
+	App    appInfo
 }
 
-// Profile describes one destination.
-type Profile struct {
+// profile describes one destination.
+type profile struct {
 	Host     string
 	IP       ipaddr.Addr
 	Port     uint16
-	Category Category
+	Category category
 	Org      string // owning organization (drives IP adjacency and WHOIS)
 
 	// Calibration targets. For Table II rows these are the printed values;
@@ -112,7 +98,7 @@ type Profile struct {
 	HeavyOnly bool
 
 	// Build fabricates one request from this destination's client library.
-	Build func(ctx *BuildCtx) *httpmodel.Packet
+	Build func(ctx *buildCtx) *httpmodel.Packet
 }
 
 // ipAllocator hands out organization-adjacent address blocks: hosts of one
@@ -162,7 +148,7 @@ func (a *ipAllocator) block(org string) (ipaddr.Block, bool) {
 // Universe is the full destination population for one device: all profiles
 // plus the organization registry backing the WHOIS extension.
 type Universe struct {
-	Profiles []*Profile
+	profiles []*profile
 	orgs     map[string]ipaddr.Block
 }
 
@@ -171,28 +157,6 @@ func (u *Universe) OrgBlocks() map[string]ipaddr.Block {
 	out := make(map[string]ipaddr.Block, len(u.orgs))
 	for k, v := range u.orgs {
 		out[k] = v
-	}
-	return out
-}
-
-// ByCategory returns the profiles in the given category.
-func (u *Universe) ByCategory(c Category) []*Profile {
-	var out []*Profile
-	for _, p := range u.Profiles {
-		if p.Category == c {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// SensitiveProfiles returns profiles that can emit device identifiers.
-func (u *Universe) SensitiveProfiles() []*Profile {
-	var out []*Profile
-	for _, p := range u.Profiles {
-		if p.Sensitive {
-			out = append(out, p)
-		}
 	}
 	return out
 }

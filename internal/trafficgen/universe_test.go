@@ -1,4 +1,4 @@
-package adnet
+package trafficgen
 
 import (
 	"math/rand"
@@ -7,14 +7,15 @@ import (
 
 	"leaksig/internal/android"
 	"leaksig/internal/sensitive"
+	"leaksig/internal/whois"
 )
 
-func testCtx(phoneState bool) *BuildCtx {
+func testCtx(phoneState bool) *buildCtx {
 	rng := rand.New(rand.NewSource(1))
-	return &BuildCtx{
+	return &buildCtx{
 		Rng:    rng,
 		Device: android.NewDevice(rng, android.CarrierDocomo),
-		App: AppInfo{
+		App: appInfo{
 			Package:       "com.example.app",
 			HasPhoneState: phoneState,
 			InstallUUID:   "0123456789abcdef0123456789abcdef",
@@ -24,13 +25,13 @@ func testCtx(phoneState bool) *BuildCtx {
 }
 
 func TestUniverseProfileInvariants(t *testing.T) {
-	u := NewUniverse(107859)
-	if len(u.Profiles) < 300 {
-		t.Fatalf("profiles = %d", len(u.Profiles))
+	u := newUniverse(107859)
+	if len(u.profiles) < 300 {
+		t.Fatalf("profiles = %d", len(u.profiles))
 	}
 	hosts := make(map[string]bool)
 	totalPkts := 0
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		if p.Host == "" {
 			t.Fatal("profile without host")
 		}
@@ -61,9 +62,9 @@ func TestUniverseProfileInvariants(t *testing.T) {
 }
 
 func TestUniverseScalesDown(t *testing.T) {
-	u := NewUniverse(10000)
+	u := newUniverse(10000)
 	total := 0
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		total += p.TargetPackets
 	}
 	if total > 10000 {
@@ -75,9 +76,9 @@ func TestUniverseScalesDown(t *testing.T) {
 }
 
 func TestTableIITargetsPreserved(t *testing.T) {
-	u := NewUniverse(107859)
-	byHost := make(map[string]*Profile)
-	for _, p := range u.Profiles {
+	u := newUniverse(107859)
+	byHost := make(map[string]*profile)
+	for _, p := range u.profiles {
 		byHost[p.Host] = p
 	}
 	for _, e := range tableIIEntries() {
@@ -95,12 +96,12 @@ func TestTableIITargetsPreserved(t *testing.T) {
 func TestOrgAdjacency(t *testing.T) {
 	// Hosts of one organization must share a /16; different organizations
 	// must not collide — the property the destination IP distance exploits.
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	blocks := u.OrgBlocks()
 	if len(blocks) < 50 {
 		t.Fatalf("orgs = %d", len(blocks))
 	}
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		blk, ok := blocks[p.Org]
 		if !ok {
 			t.Fatalf("org %s missing from registry", p.Org)
@@ -110,13 +111,13 @@ func TestOrgAdjacency(t *testing.T) {
 		}
 	}
 	// Google hosts (6 Table II rows) share one block.
-	var google *Profile
-	for _, p := range u.Profiles {
+	var google *profile
+	for _, p := range u.profiles {
 		if p.Host == "google.com" {
 			google = p
 		}
 	}
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		if p.Org == "Google" && blocks["Google"] != blocks[google.Org] {
 			t.Error("google org block inconsistent")
 		}
@@ -124,7 +125,7 @@ func TestOrgAdjacency(t *testing.T) {
 }
 
 func TestSensitiveModulesEmitExpectedKinds(t *testing.T) {
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	ctx := testCtx(true)
 	oracle := sensitive.NewOracle(ctx.Device)
 	wantKinds := map[string]sensitive.Kind{
@@ -140,8 +141,8 @@ func TestSensitiveModulesEmitExpectedKinds(t *testing.T) {
 		"mobclix.com":           sensitive.KindIMEISHA1,
 		"zqapk.com":             sensitive.KindIMSI,
 	}
-	byHost := make(map[string]*Profile)
-	for _, p := range u.Profiles {
+	byHost := make(map[string]*profile)
+	for _, p := range u.profiles {
 		byHost[p.Host] = p
 	}
 	for host, want := range wantKinds {
@@ -164,7 +165,7 @@ func TestSensitiveModulesEmitExpectedKinds(t *testing.T) {
 }
 
 func TestIMEIModulesRespectPermission(t *testing.T) {
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	noPhone := testCtx(false)
 	oracle := sensitive.NewOracle(noPhone.Device)
 	imeiKinds := map[sensitive.Kind]bool{
@@ -173,8 +174,8 @@ func TestIMEIModulesRespectPermission(t *testing.T) {
 		sensitive.KindSIMSerial: true,
 	}
 	for _, host := range []string{"ad-maker.info", "mydas.mobi", "medibaad.com", "adlantis.jp", "amoad.com", "adwhirl.com", "mobclix.com"} {
-		var p *Profile
-		for _, q := range u.Profiles {
+		var p *profile
+		for _, q := range u.profiles {
 			if q.Host == host {
 				p = q
 			}
@@ -189,10 +190,10 @@ func TestIMEIModulesRespectPermission(t *testing.T) {
 }
 
 func TestBenignBuildersNeverLeak(t *testing.T) {
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	ctx := testCtx(true)
 	oracle := sensitive.NewOracle(ctx.Device)
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		if p.Sensitive {
 			continue
 		}
@@ -207,10 +208,10 @@ func TestBenignBuildersNeverLeak(t *testing.T) {
 }
 
 func TestAllBuildersProduceValidPackets(t *testing.T) {
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	for _, phone := range []bool{true, false} {
 		ctx := testCtx(phone)
-		for _, p := range u.Profiles {
+		for _, p := range u.profiles {
 			pkt := p.Build(ctx)
 			pkt.Host = p.Host // builders set Host; keep consistent
 			if err := pkt.Validate(); err != nil {
@@ -227,9 +228,9 @@ func TestVendorSkeletonsShareSyntaxWithinVendor(t *testing.T) {
 	// Beacon hosts of one vendor must share their path; UUID trackers of
 	// the same vendor must share it too (that is what makes skeleton-only
 	// signatures false-positive against them).
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	ctx := testCtx(true)
-	pathOf := func(p *Profile) string {
+	pathOf := func(p *profile) string {
 		pkt := p.Build(ctx)
 		path := pkt.Path
 		if i := strings.IndexByte(path, '?'); i >= 0 {
@@ -238,7 +239,7 @@ func TestVendorSkeletonsShareSyntaxWithinVendor(t *testing.T) {
 		return path
 	}
 	vendorPaths := map[string]string{}
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		switch p.Family {
 		case "md5-beacon", "imei-beacon":
 			vendorPaths["a:"+pathOf(p)] = p.Family
@@ -258,7 +259,10 @@ func TestVendorSkeletonsShareSyntaxWithinVendor(t *testing.T) {
 		}
 	}
 	// UUID trackers reuse those paths.
-	for _, p := range u.ByCategory(CatUUIDTracker) {
+	for _, p := range u.profiles {
+		if p.Category != catUUIDTracker {
+			continue
+		}
 		path := pathOf(p)
 		found := false
 		for k := range vendorPaths {
@@ -273,9 +277,9 @@ func TestVendorSkeletonsShareSyntaxWithinVendor(t *testing.T) {
 }
 
 func TestBridgeHostsShareOrg(t *testing.T) {
-	u := NewUniverse(107859)
+	u := newUniverse(107859)
 	orgsByVendorOrg := map[string][]string{}
-	for _, p := range u.Profiles {
+	for _, p := range u.profiles {
 		if strings.HasPrefix(p.Org, "vendor-") {
 			orgsByVendorOrg[p.Org] = append(orgsByVendorOrg[p.Org], p.Family)
 		}
@@ -310,37 +314,15 @@ func TestHostTokenStable(t *testing.T) {
 }
 
 func TestCategoryString(t *testing.T) {
-	names := map[Category]string{
-		CatAdModule: "ad-module", CatAdBeacon: "ad-beacon",
-		CatUUIDTracker: "uuid-tracker", CatAnalytics: "analytics",
-		CatCDN: "cdn", CatWebAPI: "web-api", CatPortal: "portal",
-		CatSocial: "social", Category(99): "unknown",
+	names := map[category]string{
+		catAdModule: "ad-module", catAdBeacon: "ad-beacon",
+		catUUIDTracker: "uuid-tracker", catAnalytics: "analytics",
+		catCDN: "cdn", catWebAPI: "web-api", catPortal: "portal",
+		catSocial: "social", category(99): "unknown",
 	}
 	for c, want := range names {
 		if c.String() != want {
 			t.Errorf("Category(%d).String() = %q, want %q", c, c.String(), want)
-		}
-	}
-}
-
-func TestByCategoryAndSensitiveProfiles(t *testing.T) {
-	u := NewUniverse(107859)
-	sens := u.SensitiveProfiles()
-	if len(sens) < 100 {
-		t.Errorf("sensitive profiles = %d", len(sens))
-	}
-	for _, p := range sens {
-		if !p.Sensitive {
-			t.Fatal("non-sensitive profile returned")
-		}
-	}
-	cdns := u.ByCategory(CatCDN)
-	if len(cdns) == 0 {
-		t.Error("no CDN profiles")
-	}
-	for _, p := range cdns {
-		if p.Category != CatCDN {
-			t.Fatal("wrong category returned")
 		}
 	}
 }
@@ -363,5 +345,42 @@ func TestIPAllocatorSeparatesOrgs(t *testing.T) {
 	}
 	if ip1 == ip2 {
 		t.Error("duplicate address within org")
+	}
+}
+
+func TestRegistryOverUniverse(t *testing.T) {
+	// The synthetic universe's allocation must be self-consistent: every
+	// profile's address resolves to its own organization.
+	u := newUniverse(107859)
+	reg := whois.NewRegistry(u.OrgBlocks())
+	if reg.Len() == 0 {
+		t.Fatal("empty registry")
+	}
+	for _, p := range u.profiles {
+		rec, ok := reg.Lookup(p.IP)
+		if !ok {
+			t.Fatalf("profile %s (%s) unresolvable", p.Host, p.IP)
+		}
+		if rec.Org != p.Org {
+			t.Fatalf("profile %s resolves to %q, want %q", p.Host, rec.Org, p.Org)
+		}
+	}
+	// Bridge hosts of one holding org must be confirmable; hosts of
+	// different orgs sharing a /8 must be refutable at 8 bits under the
+	// right pairs. Count outcomes over a sample of profile pairs.
+	confirmed, refuted := 0, 0
+	ps := u.profiles
+	for i := 0; i < len(ps); i += 7 {
+		for j := i + 1; j < len(ps); j += 13 {
+			switch reg.VerifyCloseness(ps[i].IP, ps[j].IP, 8) {
+			case whois.Confirmed:
+				confirmed++
+			case whois.Refuted:
+				refuted++
+			}
+		}
+	}
+	if confirmed == 0 || refuted == 0 {
+		t.Errorf("verification outcomes degenerate: %d confirmed, %d refuted", confirmed, refuted)
 	}
 }

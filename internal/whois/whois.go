@@ -30,7 +30,7 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry from an organization → block map (the
-// shape adnet.Universe.OrgBlocks returns).
+// shape trafficgen.Universe.OrgBlocks returns).
 func NewRegistry(orgBlocks map[string]ipaddr.Block) *Registry {
 	recs := make([]Record, 0, len(orgBlocks))
 	for org, b := range orgBlocks {
@@ -63,14 +63,6 @@ func (r *Registry) Lookup(a ipaddr.Addr) (Record, bool) {
 		return Record{}, false
 	}
 	return r.records[best], true
-}
-
-// SameOrg reports whether both addresses resolve to the same organization.
-// Unresolvable addresses are never the same organization.
-func (r *Registry) SameOrg(a, b ipaddr.Addr) bool {
-	ra, oka := r.Lookup(a)
-	rb, okb := r.Lookup(b)
-	return oka && okb && ra.Org == rb.Org
 }
 
 // Verdict classifies an IP-closeness claim.
