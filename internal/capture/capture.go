@@ -131,7 +131,7 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 func ReadJSONL(r io.Reader) (*Set, error) {
 	s := &Set{}
 	var refused error
-	_, _, err := httpmodel.ReadNDJSON(r, nil, func(p *httpmodel.Packet) error {
+	_, _, err := httpmodel.ReadNDJSON(r, func(p *httpmodel.Packet) error {
 		s.Packets = append(s.Packets, p)
 		return nil
 	}, func(line int, err error) {

@@ -321,12 +321,12 @@ func watchEnded(ctx context.Context, err error) {
 	}
 }
 
-// intake runs one long packet stream (stdin, an /ingest or /observe
-// body) through the shared NDJSON intake, its scanner buffer the whole
-// line cap up front, and logs every line rejected by number and class —
-// never by content.
+// intake runs one packet stream (stdin, an /ingest or /observe body)
+// through the shared NDJSON intake, which brings its own pooled scanner
+// buffer, and logs every line rejected by number and class — never by
+// content.
 func intake(r io.Reader, accept func(*httpmodel.Packet) error) (accepted, rejected int) {
-	accepted, rejected, err := httpmodel.ReadNDJSON(r, make([]byte, 0, 1<<20), accept, func(line int, err error) {
+	accepted, rejected, err := httpmodel.ReadNDJSON(r, accept, func(line int, err error) {
 		log.Printf("skipping line %d: %v", line, err)
 	})
 	if err != nil {

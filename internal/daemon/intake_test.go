@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"leaksig/internal/obs"
 	"leaksig/internal/sensitive"
 	"leaksig/internal/signature"
+	"leaksig/internal/trafficgen"
 )
 
 // lockedBuffer is a log destination a test may read while daemon
@@ -182,5 +184,43 @@ func TestIntakeNeverRepeatsPacketValues(t *testing.T) {
 	}
 	if !strings.Contains(said, "unsupported method") || !strings.Contains(said, "bad path") || !strings.Contains(said, "malformed JSON") {
 		t.Fatalf("rejections should still say which check failed:\n%s", said)
+	}
+}
+
+// TestIngestBodyAllocatesNoLineBuffer pins what one /ingest request costs
+// beyond its packets: the scanner buffer comes from a pool, so a 500-line
+// body allocates its decoded packets and little else. A megabyte line
+// buffer allocated and zeroed per request would alone exceed the budget.
+func TestIngestBodyAllocatesNoLineBuffer(t *testing.T) {
+	const budget = 256 << 10
+	ps := trafficgen.Generate(trafficgen.Config{Seed: 3, NumApps: 40, TotalPackets: 600}).Capture.Packets[:500]
+	var body bytes.Buffer
+	for _, p := range ps {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(append(b, '\n'))
+	}
+	h := newTestStream(t).handler()
+	ingest := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body.Bytes())))
+		if !strings.Contains(rec.Body.String(), `"accepted":500,`) {
+			t.Fatalf("/ingest answered %q, want 500 accepted", rec.Body.String())
+		}
+	}
+	ingest() // warm the buffer pool and the engine
+	const requests = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / requests
+	t.Logf("%d bytes allocated per 500-line /ingest request (%d body bytes)", perRequest, body.Len())
+	if perRequest >= budget {
+		t.Fatalf("a 500-line /ingest request allocates %d bytes, budget %d", perRequest, budget)
 	}
 }

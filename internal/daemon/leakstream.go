@@ -520,10 +520,10 @@ func (b *poolBackend) close() { b.pool.Close() }
 
 func (b *poolBackend) statsLine() string {
 	s := b.pool.Metrics()
-	return fmt.Sprintf("pool: tenants=%d created=%d evicted=%d shards=%d/%d in=%d out=%d matched=%d dropped=%d pps=%.0f",
+	return fmt.Sprintf("pool: tenants=%d created=%d evicted=%d shards=%d/%d in=%d out=%d matched=%d pps=%.0f",
 		s.Tenants, s.Created, s.Evicted, s.ShardsInUse, s.ShardBudget,
 		s.Aggregate.Ingested, s.Aggregate.Processed, s.Aggregate.Matched,
-		s.Aggregate.Dropped, s.Aggregate.PacketsPerSec)
+		s.Aggregate.PacketsPerSec)
 }
 
 func (b *poolBackend) stats(tenant string) (any, bool) {
@@ -738,14 +738,12 @@ func (s *stream) handler() http.Handler {
 	mux.HandleFunc("POST /match", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		tenant := tenantOf(r)
-		// The same intake as /ingest, but its buffer grows on demand: the
-		// usual /match body is one packet, and a megabyte allocated and
-		// zeroed per request was most of this daemon's garbage under a vet
-		// or probe load. A rejected line becomes an in-band NDJSON error
-		// and the stream goes on — same skip semantics as /ingest — and
-		// the answer is written once, after the body is read.
+		// The same intake as /ingest, on the same pooled scanner buffer.
+		// A rejected line becomes an in-band NDJSON error and the stream
+		// goes on — same skip semantics as /ingest — and the answer is
+		// written once, after the body is read.
 		var out []byte
-		_, _, err := httpmodel.ReadNDJSON(r.Body, nil, func(p *httpmodel.Packet) error {
+		_, _, err := httpmodel.ReadNDJSON(r.Body, func(p *httpmodel.Packet) error {
 			v := s.be.match(tenant, p)
 			out = appendVerdict(out, &verdictLine{
 				ID:      p.ID,

@@ -26,6 +26,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"leaksig/internal/ahocorasick"
 	"leaksig/internal/capture"
@@ -46,6 +47,7 @@ import (
 // eligible buckets with O(host labels) map probes, and a signature whose
 // tokens are all present still needs its bucket marked to match.
 type Engine struct {
+	id      uint64 // unique per NewEngine: how a Scratch knows what it is sized for
 	set     *signature.Set
 	matcher *ahocorasick.Matcher
 
@@ -81,14 +83,20 @@ type Engine struct {
 	kindBits  []uint64
 
 	// scratchPool feeds the compatibility entry points (MatchPacket,
-	// Matches); the pool lives on the engine, so a pooled scratch can
-	// never outlive or cross generations.
-	scratchPool sync.Pool
+	// Matches), one pool per engine so a pooled scratch never crosses
+	// engines. It is held by pointer: the runtime keeps every pool it has
+	// seen used listed until two collections later, and an embedded pool
+	// would keep the whole engine reachable through that list.
+	scratchPool *sync.Pool
 }
+
+// engineIDs hands out Engine.id; 0 is the zero Scratch's "sized for none".
+var engineIDs atomic.Uint64
 
 // NewEngine compiles the signature set.
 func NewEngine(set *signature.Set) *Engine {
 	e := &Engine{
+		id:          engineIDs.Add(1),
 		set:         set,
 		needed:      make([]int32, len(set.Signatures)),
 		sigBucket:   make([]int32, len(set.Signatures)),
@@ -146,7 +154,7 @@ func NewEngine(set *signature.Set) *Engine {
 		}
 	}
 	e.matcher = ahocorasick.Compile(patterns)
-	e.scratchPool.New = func() any { return &Scratch{} }
+	e.scratchPool = &sync.Pool{New: func() any { return &Scratch{} }}
 	return e
 }
 
@@ -188,11 +196,13 @@ func (e *Engine) markBuckets(host string, sc *Scratch) {
 // next use. Steady-state calls perform no allocation; a scratch sized for
 // a different engine (or the zero Scratch) is re-initialized first, so
 // hot reloads can never leave a worker indexing the new automaton with
-// old dimensions.
+// old dimensions. The scratch points at e's automaton only for the
+// duration of the call.
 func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
-	if sc.owner != e {
+	if sc.engineID != e.id {
 		sc.init(e)
 	}
+	sc.matcher = e.matcher
 	sc.begin()
 	if e.viewMask == 0 {
 		p.VisitContent(sc)
@@ -237,6 +247,7 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 	for _, si := range sc.cand {
 		sc.matched = append(sc.matched, e.set.Signatures[si].ID)
 	}
+	sc.matcher = nil
 	return sc.matched
 }
 

@@ -1,6 +1,9 @@
 package detect
 
-import "leaksig/internal/httpmodel"
+import (
+	"leaksig/internal/ahocorasick"
+	"leaksig/internal/httpmodel"
+)
 
 // Scratch holds every piece of per-packet mutable state one matching call
 // needs: the automaton state, the token-occurrence bitset, the
@@ -11,9 +14,15 @@ import "leaksig/internal/httpmodel"
 // never index a new automaton. After the first call with a given engine,
 // matching through a Scratch performs no allocation.
 //
+// A Scratch remembers the engine it is sized for by that engine's id,
+// and points at the engine's automaton only while MatchInto runs, so a
+// scratch kept by an idle worker or a pool never keeps a replaced
+// generation reachable.
+//
 // A Scratch is not safe for concurrent use; give each goroutine its own.
 type Scratch struct {
-	owner *Engine
+	engineID uint64               // id of the engine the buffers are sized for; 0 for none
+	matcher  *ahocorasick.Matcher // the engine's automaton, set only inside MatchInto
 
 	state int32    // automaton state threaded across chunks of one field
 	occ   []uint64 // raw-content token-occurrence bitset, matcher.BitsetWords() words
@@ -52,7 +61,7 @@ type Scratch struct {
 
 // init (re)sizes the scratch for e and invalidates all lazy state.
 func (sc *Scratch) init(e *Engine) {
-	sc.owner = e
+	sc.engineID = e.id
 	sc.occ = make([]uint64, e.matcher.BitsetWords())
 	sc.occCur = sc.occ
 	for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
@@ -89,11 +98,9 @@ func (sc *Scratch) begin() {
 	for i := range sc.occ {
 		sc.occ[i] = 0
 	}
-	if sc.owner.viewMask != 0 {
-		for v := range sc.occView {
-			for i := range sc.occView[v] {
-				sc.occView[v][i] = 0
-			}
+	for v := range sc.occView { // nil for every view the engine does not decode
+		for i := range sc.occView[v] {
+			sc.occView[v][i] = 0
 		}
 	}
 	sc.occCur = sc.occ
@@ -121,10 +128,10 @@ func (sc *Scratch) ViewField(v httpmodel.View) {
 
 // Text scans one string chunk of the current field.
 func (sc *Scratch) Text(s string) {
-	sc.state = sc.owner.matcher.ScanString(sc.state, s, sc.occCur)
+	sc.state = sc.matcher.ScanString(sc.state, s, sc.occCur)
 }
 
 // Bytes scans one byte chunk of the current field.
 func (sc *Scratch) Bytes(b []byte) {
-	sc.state = sc.owner.matcher.ScanBytes(sc.state, b, sc.occCur)
+	sc.state = sc.matcher.ScanBytes(sc.state, b, sc.occCur)
 }

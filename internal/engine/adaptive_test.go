@@ -66,25 +66,30 @@ func TestAdaptiveBatchShrinksWhenDrained(t *testing.T) {
 }
 
 // TestAdaptiveBatchDisabled pins the target when MinBatch = MaxBatch =
-// BatchSize, preserving the fixed-batch behavior.
+// BatchSize, preserving the fixed-batch behavior: the blocking-submit
+// backlog that grows an adaptive target (TestAdaptiveBatchGrowsUnderBacklog)
+// leaves it at 4.
 func TestAdaptiveBatchDisabled(t *testing.T) {
-	gate := make(chan struct{})
 	e := New(tokenSet(1, "x-token"), Config{
 		Shards:     1,
 		BatchSize:  4,
 		MinBatch:   4,
 		MaxBatch:   4,
 		QueueDepth: 64,
-		OnVerdict:  func(Verdict) { <-gate },
 	})
+	defer e.Close()
 	for i := 0; i < 256; i++ {
-		e.trySubmit(pkt(int64(i), "a.example.com", "x-token"))
+		if err := e.Submit(pkt(int64(i), "a.example.com", "x-token")); err != nil {
+			t.Fatal(err)
+		}
+		if got := int(e.shards[0].target.Load()); got != 4 {
+			t.Fatalf("pinned batch target moved to %d", got)
+		}
 	}
+	e.Flush()
 	if got := int(e.shards[0].target.Load()); got != 4 {
 		t.Errorf("pinned batch target moved to %d", got)
 	}
-	close(gate)
-	e.Close()
 }
 
 // TestConfigBatchBounds checks the default and clamping rules that keep

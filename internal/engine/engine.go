@@ -22,9 +22,9 @@
 //     path, and swaps it in with a single atomic pointer store; it returns
 //     once the new generation is live. Generations apply strictly
 //     monotonically, so concurrent reloads cannot regress the live set.
-//   - Submit blocks while a shard's ring is full (bounded backpressure);
-//     trySubmit drops instead and counts the drop. A stalled sink slows
-//     only its own shard's ring — sibling shards keep flowing.
+//   - Submit blocks while a shard's ring is full (bounded backpressure).
+//     A stalled sink slows only its own shard's ring — sibling shards
+//     keep flowing.
 //   - Drain sizes adapt to load: each shard's target doubles toward
 //     Config.MaxBatch while its ring stays occupied and halves toward
 //     Config.MinBatch when partial drains empty it, trading latency for
@@ -110,10 +110,9 @@ type Config struct {
 	// per-shard consumers (see Sink and ShardSink for the borrow rule).
 	Sink Sink
 	// Flight, when non-nil, is the flight recorder the engine feeds:
-	// trySubmit drops (with burst detection), blocking-submit stalls,
-	// reload tickets issued and applied, and per-shard batch-target
-	// changes. Nil disables recording at the cost of a nil check off the
-	// per-packet path.
+	// blocking-submit stalls, reload tickets issued and applied, and
+	// per-shard batch-target changes. Nil disables recording at the cost
+	// of a nil check off the per-packet path.
 	Flight *trace.Flight
 }
 
@@ -181,7 +180,6 @@ type Engine struct {
 
 	seq      atomic.Uint64 // next acceptance sequence number
 	ingested atomic.Uint64
-	dropped  atomic.Uint64
 	reloads  atomic.Int64 // generations installed
 	compiles atomic.Int64 // signature sets this engine compiled itself
 
@@ -263,10 +261,6 @@ func (e *Engine) install(cs *compiledSet, started time.Time) bool {
 		}
 		if e.set.CompareAndSwap(cur, cs) {
 			e.reloads.Add(1)
-			// Idle workers let go of the replaced generation (see run).
-			for _, s := range e.shards {
-				s.ring.nudge()
-			}
 			e.lastReloadNs.Store(time.Since(started).Nanoseconds())
 			e.cfg.Flight.Record(trace.FlightEvent{
 				Kind: trace.KindReloadApply, Shard: -1,
@@ -362,31 +356,18 @@ func (e *Engine) Submit(p *httpmodel.Packet) error {
 	if e.closed {
 		return errClosed
 	}
-	e.submit(p, true)
+	e.submit(p)
 	return nil
 }
 
-// trySubmit queues one packet without blocking. It reports false — and
-// counts a drop — when the target shard is saturated or the engine is
-// closed.
-func (e *Engine) trySubmit(p *httpmodel.Packet) bool {
-	e.submitMu.RLock()
-	defer e.submitMu.RUnlock()
-	if e.closed {
-		return false
-	}
-	return e.submit(p, false)
-}
-
 // submit publishes the packet into its shard's ring: one CAS, one store,
-// zero allocations. When the ring is full a blocking submit spins briefly
-// then sleeps in short slices until the worker frees a slot — the
-// backpressure point. Caller holds submitMu.RLock, which is what
-// guarantees Close observes no in-flight publication.
-func (e *Engine) submit(p *httpmodel.Packet, block bool) bool {
-	// Sequences from dropped trySubmits are not reused, so Seq is a unique
-	// admission ticket: gapless under Submit, with holes where trySubmit
-	// dropped.
+// zero allocations. When the ring is full it spins briefly then sleeps in
+// short slices until the worker frees a slot — the backpressure point.
+// Caller holds submitMu.RLock, which is what guarantees Close observes no
+// in-flight publication.
+func (e *Engine) submit(p *httpmodel.Packet) {
+	// Seq is a gapless admission ticket: every packet that takes one is
+	// published.
 	seq := e.seq.Add(1) - 1
 	s := e.shardFor(p, seq)
 	it := item{p: p, seq: seq}
@@ -396,17 +377,7 @@ func (e *Engine) submit(p *httpmodel.Packet, block bool) bool {
 	if p.Span != nil {
 		p.Span.Stamp(trace.StageEnqueue)
 	}
-	if s.ring.push(it) {
-		e.ingested.Add(1)
-		return true
-	}
-	if !block {
-		e.dropped.Add(1)
-		e.cfg.Flight.RecordDrop(s.idx, p.Trace)
-		p.EndTrace() // the dropped packet leaves the pipeline here
-		return false
-	}
-	for spin := 0; ; spin++ {
+	for spin := 0; !s.ring.push(it); spin++ {
 		if spin < 8 {
 			runtime.Gosched()
 		} else {
@@ -422,11 +393,8 @@ func (e *Engine) submit(p *httpmodel.Packet, block bool) bool {
 				Value: int64(s.ring.len()), Detail: "blocking submit stalled",
 			})
 		}
-		if s.ring.push(it) {
-			e.ingested.Add(1)
-			return true
-		}
 	}
+	e.ingested.Add(1)
 }
 
 // sinkStallSpins is the blocking-submit spin count treated as a stalled

@@ -148,46 +148,6 @@ func TestConcurrentReloadRace(t *testing.T) {
 	}
 }
 
-func TestBackpressureTrySubmit(t *testing.T) {
-	gate := make(chan struct{})
-	var entered sync.Once
-	started := make(chan struct{})
-	e := New(tokenSet(1, "x-token"), Config{
-		Shards:     1,
-		BatchSize:  1,
-		QueueDepth: 1,
-		OnVerdict: func(Verdict) {
-			entered.Do(func() { close(started) })
-			<-gate // wedge the worker
-		},
-	})
-	// First packet occupies the worker; then the ring (floor capacity 2)
-	// fills; everything after must be rejected.
-	if !e.trySubmit(pkt(0, "a.example.com", "x-token")) {
-		t.Fatal("first trySubmit rejected")
-	}
-	<-started
-	accepted := 1
-	for i := 1; i < 64; i++ {
-		if e.trySubmit(pkt(int64(i), "a.example.com", "x-token")) {
-			accepted++
-		}
-	}
-	if accepted >= 64 {
-		t.Fatal("no backpressure: every trySubmit accepted")
-	}
-	m := e.Metrics()
-	if m.Dropped == 0 {
-		t.Fatal("drops not counted")
-	}
-	close(gate)
-	e.Close()
-	final := e.Metrics()
-	if final.Processed != uint64(accepted) {
-		t.Fatalf("processed %d, accepted %d: accepted packets were dropped", final.Processed, accepted)
-	}
-}
-
 func TestShardAffinity(t *testing.T) {
 	e := New(nil, Config{Shards: 4})
 	defer e.Close()
@@ -221,9 +181,6 @@ func TestSubmitAfterClose(t *testing.T) {
 	e.Close() // idempotent
 	if err := e.Submit(pkt(0, "a.example.com", "q=1")); err != errClosed {
 		t.Fatalf("Submit after Close = %v, want errClosed", err)
-	}
-	if e.trySubmit(pkt(0, "a.example.com", "q=1")) {
-		t.Fatal("trySubmit accepted after Close")
 	}
 }
 

@@ -67,20 +67,28 @@ func TestStalledSinkIsolatesToOwnShard(t *testing.T) {
 		}
 	}
 
-	// Wedge shard 0's worker in its sink, then fill its ring to rejection.
+	// Wedge shard 0's worker in its sink, then fill its ring: a producer
+	// for shard 0 blocks there, far short of its 256 packets.
 	if err := e.Submit(pkt(0, host0, "x-token")); err != nil {
 		t.Fatal(err)
 	}
 	<-g.entered
-	stalled := 0
-	for i := 0; i < 256; i++ {
-		if !e.trySubmit(pkt(int64(1+i), host0, "x-token")) {
-			break
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		for i := 0; i < 256; i++ {
+			if err := e.Submit(pkt(int64(1+i), host0, "x-token")); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-		stalled++
-	}
-	if stalled >= 256 {
-		t.Fatal("shard 0 never saturated behind its stalled sink")
+	}()
+	ring0 := e.shards[0].ring
+	for deadline := time.Now().Add(10 * time.Second); ring0.len() < len(ring0.slots); {
+		if time.Now().After(deadline) {
+			t.Fatal("shard 0's ring never filled behind its stalled sink")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Shard 1 must absorb a full stream — far more packets than any
@@ -109,7 +117,13 @@ func TestStalledSinkIsolatesToOwnShard(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	select {
+	case <-stalled:
+		t.Fatal("shard 0's producer finished while its sink was stalled")
+	default:
+	}
 	close(g.gate)
+	<-stalled
 	e.Close()
 	if m := e.Metrics(); m.Processed != m.Ingested {
 		t.Errorf("processed %d != ingested %d after release", m.Processed, m.Ingested)

@@ -82,10 +82,9 @@ type Snapshot struct {
 	// one compile to this engine's install.
 	LastReload time.Duration
 
-	Ingested  uint64 // packets accepted by Submit/trySubmit
+	Ingested  uint64 // packets accepted by Submit
 	Processed uint64 // packets matched and emitted
 	Matched   uint64 // processed packets that matched >= 1 signature
-	Dropped   uint64 // packets rejected by trySubmit under backpressure
 
 	SyncVetted  uint64 // packets vetted inline via MatchPacket (proxy path)
 	SyncMatched uint64 // inline vets that matched >= 1 signature
@@ -107,7 +106,6 @@ func (s *Snapshot) addCounters(m Snapshot) {
 	s.Ingested += m.Ingested
 	s.Processed += m.Processed
 	s.Matched += m.Matched
-	s.Dropped += m.Dropped
 	s.SyncVetted += m.SyncVetted
 	s.SyncMatched += m.SyncMatched
 	s.Reloads += m.Reloads
@@ -117,9 +115,9 @@ func (s *Snapshot) addCounters(m Snapshot) {
 // String renders the snapshot as one log-friendly line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"engine: v%d sigs=%d shards=%d reloads=%d in=%d out=%d matched=%d dropped=%d sync=%d/%d queue=%d batch=%d pps=%.0f matchrate=%.4f p50=%s p99=%s",
+		"engine: v%d sigs=%d shards=%d reloads=%d in=%d out=%d matched=%d sync=%d/%d queue=%d batch=%d pps=%.0f matchrate=%.4f p50=%s p99=%s",
 		s.Version, s.Signatures, s.Shards, s.Reloads,
-		s.Ingested, s.Processed, s.Matched, s.Dropped,
+		s.Ingested, s.Processed, s.Matched,
 		s.SyncMatched, s.SyncVetted,
 		s.QueueDepth, s.BatchTarget, s.PacketsPerSec, s.MatchRate, s.P50, s.P99)
 }
@@ -164,7 +162,6 @@ func (e *Engine) Metrics() Snapshot {
 		ReloadIssued: e.reloadGen.Load(),
 		LastReload:   time.Duration(e.lastReloadNs.Load()),
 		Ingested:     e.ingested.Load(),
-		Dropped:      e.dropped.Load(),
 		SyncVetted:   e.syncVetted.Load(),
 		SyncMatched:  e.syncMatched.Load(),
 		Uptime:       time.Since(e.start),

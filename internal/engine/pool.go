@@ -34,12 +34,11 @@ type PoolConfig struct {
 	// one first (its queued packets drain before the new tenant starts).
 	MaxTenants int
 
-	// IdleAfter evicts tenants that have not seen a Submit, trySubmit,
-	// Tenant, or ReloadTenant for this long; 0 disables idle
-	// eviction. The janitor sweeps every IdleAfter/4 (floor 1ms).
-	// Evicted tenants drain fully and fold their counters into the pool
-	// aggregate; a later packet for the same key transparently recreates
-	// the tenant.
+	// IdleAfter evicts tenants that have not seen a Submit, Tenant, or
+	// ReloadTenant for this long; 0 disables idle eviction. The janitor
+	// sweeps every IdleAfter/4 (floor 1ms). Evicted tenants drain fully
+	// and fold their counters into the pool aggregate; a later packet for
+	// the same key transparently recreates the tenant.
 	IdleAfter time.Duration
 
 	// TenantSink, when non-nil, returns the sink a new tenant's engine
@@ -303,33 +302,6 @@ func (p *Pool) Submit(key string, pkt *httpmodel.Packet) error {
 			continue // tenant evicted between lookup and submit; recreate
 		}
 		return err
-	}
-}
-
-// trySubmit queues one packet for the tenant without blocking, reporting
-// false when the tenant's shard is saturated or the pool is closed.
-func (p *Pool) trySubmit(key string, pkt *httpmodel.Packet) bool {
-	for {
-		p.mu.RLock()
-		t := p.tenants[key]
-		closed := p.closed
-		p.mu.RUnlock()
-		if closed {
-			return false
-		}
-		if t == nil {
-			if t = p.create(key); t == nil {
-				return false
-			}
-		}
-		t.touch()
-		if t.eng.trySubmit(pkt) {
-			return true
-		}
-		// Saturation is a real answer; only the eviction race retries.
-		if !t.eng.isClosed() {
-			return false
-		}
 	}
 }
 

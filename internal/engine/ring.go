@@ -122,8 +122,7 @@ func (r *ring) len() int {
 }
 
 // nudge wakes the consumer if it is parked. A producer calls it after
-// publishing; a reload calls it after swapping the live generation, with
-// nothing published, so an idle worker runs its idle hook again.
+// publishing.
 func (r *ring) nudge() {
 	if r.parked.Load() == 1 {
 		select {
@@ -133,19 +132,15 @@ func (r *ring) nudge() {
 	}
 }
 
-// park blocks the consumer until an item is published, nudge is called or
-// stop closes. idle runs once the parked flag is up and the ring has been
-// found empty, just before blocking: whatever a nudging caller stored
-// before it loaded the flag, idle sees — the same pairing that rules out a
-// lost wakeup. Callers must re-check the ring after park returns; stale
-// wakeups are possible and benign.
-func (r *ring) park(stop <-chan struct{}, idle func()) {
+// park blocks the consumer until an item is published or stop closes.
+// Callers must re-check the ring after park returns; stale wakeups are
+// possible and benign.
+func (r *ring) park(stop <-chan struct{}) {
 	r.parked.Store(1)
 	if !r.empty() {
 		r.parked.Store(0)
 		return
 	}
-	idle()
 	select {
 	case <-r.wake:
 	case <-stop:

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"weak"
 
 	"leaksig/internal/detect"
@@ -158,46 +157,58 @@ func TestVerdictMatchedStableAcrossPackets(t *testing.T) {
 	}
 }
 
-// TestIdleWorkerReleasesReplacedGeneration: a worker's scratch points at
-// the generation it was last used with, so a tenant that goes quiet would
-// keep a replaced generation's automaton alive until its next packet —
-// and with a pool sharing one generation per publish, eight quiet tenants
-// each kept a different one. After a reload, with no further packet, every
-// replaced generation must become collectable.
+// TestIdleWorkerReleasesReplacedGeneration: a hot reload keeps only the
+// generation being served. An engine and a pool with eight unpinned
+// tenants are each reloaded three times; every worker matches under each
+// generation and every engine vets a packet through it before the next
+// reload, then all go idle. One collection must leave every replaced
+// detect.Engine unreachable: neither a parked worker's scratch nor a
+// pooled scratch, nor the runtime's list of used sync.Pools, may keep one.
 func TestIdleWorkerReleasesReplacedGeneration(t *testing.T) {
-	e := New(scratchTestSet(8), Config{Shards: 2, QueueDepth: 64, BatchSize: 4})
+	cfg := Config{Shards: 2, QueueDepth: 64, BatchSize: 4}
+	e := New(scratchTestSet(8), cfg)
 	defer e.Close()
+	p := NewPool(scratchTestSet(8), PoolConfig{Engine: cfg, ShardBudget: 16})
+	defer p.Close()
+	tenants := make([]string, 8)
+	for i := range tenants {
+		tenants[i] = fmt.Sprintf("tenant-%d", i)
+	}
 
 	var replaced []weak.Pointer[detect.Engine]
 	for round := 0; round < 3; round++ {
-		// Both workers match under the live generation, then go idle.
 		for i := 0; i < 32; i++ {
-			p := scratchTestPacket(i)
-			p.Host = fmt.Sprintf("h%d.example", i)
-			if err := e.Submit(p); err != nil {
+			pe, pp := scratchTestPacket(i), scratchTestPacket(i)
+			pe.Host = fmt.Sprintf("h%d.example", i)
+			pp.Host = pe.Host
+			if err := e.Submit(pe); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Submit(tenants[i%len(tenants)], pp); err != nil {
 				t.Fatal(err)
 			}
 		}
 		e.Flush()
-		replaced = append(replaced, weak.Make(e.set.Load().eng))
+		p.Flush()
+		e.Vet(scratchTestPacket(round))
+		for _, key := range tenants {
+			p.Tenant(key).Vet(scratchTestPacket(round))
+		}
+		p.mu.RLock()
+		replaced = append(replaced, weak.Make(e.set.Load().eng), weak.Make(p.def.eng))
+		p.mu.RUnlock()
 		e.Reload(scratchTestSet(16 + round))
+		p.Reload(scratchTestSet(16 + round))
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		kept := 0
-		for _, w := range replaced {
-			if w.Value() != nil {
-				kept++
-			}
+	runtime.GC()
+	kept := 0
+	for _, w := range replaced {
+		if w.Value() != nil {
+			kept++
 		}
-		if kept == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d replaced generations still reachable with every worker idle", kept, len(replaced))
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if kept > 0 {
+		t.Fatalf("%d of %d replaced generations still reachable after one GC with every worker idle", kept, len(replaced))
 	}
 }

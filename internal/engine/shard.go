@@ -104,21 +104,12 @@ func (s *shard) adapt(n, occupancy int, cfg Config) {
 // assembly allocate nothing in the steady state. MatchInto re-sizes the
 // scratch whenever the loaded generation differs from the one it was
 // last used with, which makes hot reloads safe: a scratch sized for the
-// old pattern count can never index the new automaton.
-//
-// The scratch points at the generation it is sized for. A worker about to
-// block drops a scratch whose generation has been replaced — it would be
-// re-sized on the next packet anyway — and install nudges parked workers,
-// so an idle tenant never keeps a replaced generation's tables alive.
+// old pattern count can never index the new automaton. Between drains
+// the scratch points at no generation, so a parked worker never keeps a
+// replaced one reachable.
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
 	var sc detect.Scratch
-	var last *compiledSet // the generation sc was last used with
-	release := func() {
-		if last != nil && last != e.set.Load() {
-			sc, last = detect.Scratch{}, nil
-		}
-	}
 	buf := make([]item, e.cfg.MaxBatch)
 	verdicts := make([]Verdict, 0, e.cfg.MaxBatch)
 	// ids is the arena behind every Matched slice of the drain in flight,
@@ -137,11 +128,10 @@ func (e *Engine) run(s *shard) {
 			if e.stopped.Load() && s.ring.empty() {
 				return
 			}
-			s.ring.park(e.stop, release)
+			s.ring.park(e.stop)
 			continue
 		}
 		cs := e.set.Load()
-		last = cs
 		verdicts, ids = verdicts[:0], ids[:0]
 		var leaks uint64
 		for _, it := range buf[:n] {

@@ -4,10 +4,19 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"sync"
 )
 
-// maxLineBytes caps one NDJSON packet line.
-const maxLineBytes = 1 << 20
+// maxLineBytes caps one NDJSON packet line; lineBufBytes is the
+// scanner buffer a scan starts on, which holds any usual packet line.
+const (
+	maxLineBytes = 1 << 20
+	lineBufBytes = 64 << 10
+)
+
+// lineBufs recycles ReadNDJSON's starting buffers, so a request body
+// costs no buffer allocation once the pool is warm.
+var lineBufs = sync.Pool{New: func() any { return new([lineBufBytes]byte) }}
 
 // errMalformedJSON stands in for the decoder's error, whose text (json's
 // or ipaddr's) can quote the offending bytes.
@@ -24,14 +33,18 @@ var errMalformedJSON = errors.New("malformed JSON")
 // can carry the sensitive bytes this system exists to catch and which
 // callers write to logs and responses.
 //
-// buf is the scanner's initial buffer: nil grows on demand, right for
-// the usual one-packet /match body; a preallocated megabyte spares a
-// long stream the regrowth. Either way a line is capped at 1 MiB. err
-// is the scanner's own — a failed read or an over-long line — and ends
-// the scan.
-func ReadNDJSON(r io.Reader, buf []byte, accept func(*Packet) error, reject func(line int, err error)) (accepted, rejected int, err error) {
+// The scanner starts on a 64 KiB buffer drawn from a package-level pool
+// — one buffer policy for stdin, /ingest, /observe, /match and capture
+// files — and a longer line grows a buffer of its own, up to the 1 MiB
+// line cap. Only the pooled buffer goes back to the pool. No packet
+// aliases it: the decoder copies every string and the body out of the
+// line. err is the scanner's own — a failed read or an over-long line —
+// and ends the scan.
+func ReadNDJSON(r io.Reader, accept func(*Packet) error, reject func(line int, err error)) (accepted, rejected int, err error) {
+	buf := lineBufs.Get().(*[lineBufBytes]byte)
+	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(buf, maxLineBytes)
+	sc.Buffer(buf[:0], maxLineBytes)
 	var d packetDecoder
 	for line := 1; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {

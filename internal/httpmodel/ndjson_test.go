@@ -1,8 +1,10 @@
 package httpmodel_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,7 +38,7 @@ func traceLines(tb testing.TB) [][]byte {
 func readOne(line []byte) (*httpmodel.Packet, error) {
 	var got *httpmodel.Packet
 	var rejected error
-	_, _, err := httpmodel.ReadNDJSON(bytes.NewReader(line), nil,
+	_, _, err := httpmodel.ReadNDJSON(bytes.NewReader(line),
 		func(p *httpmodel.Packet) error { got = p; return nil },
 		func(_ int, err error) { rejected = err })
 	if err != nil {
@@ -237,16 +239,14 @@ func FuzzDecodePacket(f *testing.F) {
 
 // allocsPerLine is ReadNDJSON's marginal allocations per copy of line:
 // a body of 2n copies less a body of n, so the per-call scanner, reader
-// and decoder scratch drop out. The scanner buffer is preallocated, as
-// the daemons' stream intake does.
+// and decoder scratch drop out.
 func allocsPerLine(line []byte, n int) float64 {
-	buf := make([]byte, 0, 1<<20)
 	accept := func(*httpmodel.Packet) error { return nil }
 	reject := func(int, error) {}
 	allocs := func(copies int) float64 {
 		body := bytes.Repeat(append(line, '\n'), copies)
 		return testing.AllocsPerRun(20, func() {
-			httpmodel.ReadNDJSON(bytes.NewReader(body), buf, accept, reject)
+			httpmodel.ReadNDJSON(bytes.NewReader(body), accept, reject)
 		})
 	}
 	return (allocs(2*n) - allocs(n)) / float64(n)
@@ -279,6 +279,99 @@ func TestReadNDJSONAllocs(t *testing.T) {
 	}
 }
 
+// TestReadNDJSONPacketsOutliveTheBuffer: the scanner buffer goes back to
+// a pool and the next call scans over it, so no delivered packet may
+// alias it. Packets kept from one call must read byte-identical after
+// later calls have overwritten the buffer with other lines.
+func TestReadNDJSONPacketsOutliveTheBuffer(t *testing.T) {
+	var body []byte
+	bodies := 0
+	ps := trafficgen.Generate(trafficgen.Config{Seed: 2, NumApps: 40, TotalPackets: 600}).Capture.Packets[:500]
+	for _, p := range ps {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(append(body, b...), '\n')
+		if len(p.Body) > 0 && len(p.Headers) > 0 {
+			bodies++
+		}
+	}
+	if bodies == 0 {
+		t.Fatal("no sample packet carries headers and a body; the check would not cover them")
+	}
+	var kept []*httpmodel.Packet
+	var want [][]byte
+	_, rejected, err := httpmodel.ReadNDJSON(bytes.NewReader(body), func(p *httpmodel.Packet) error {
+		b, err := json.Marshal(p)
+		if err != nil {
+			return err
+		}
+		kept, want = append(kept, p), append(want, b)
+		return nil
+	}, func(line int, err error) { t.Errorf("line %d: %v", line, err) })
+	if err != nil || rejected != 0 || len(kept) != len(ps) {
+		t.Fatalf("first call: %d kept, %d rejected, err %v", len(kept), rejected, err)
+	}
+	// Lines of the same lengths, all 'z': each overwrites the bytes the
+	// matching trace line occupied, and each is rejected.
+	overwrite := bytes.Map(func(r rune) rune {
+		if r == '\n' {
+			return r
+		}
+		return 'z'
+	}, body)
+	for i := 0; i < 4; i++ {
+		httpmodel.ReadNDJSON(bytes.NewReader(overwrite), func(*httpmodel.Packet) error { return nil }, func(int, error) {})
+		httpmodel.ReadNDJSON(bytes.NewReader(body), func(*httpmodel.Packet) error { return nil }, func(int, error) {})
+	}
+	for i, p := range kept {
+		got, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("packet %d changed after later calls reused the buffer:\ngot  %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
+// TestReadNDJSONLineCap: the pooled buffer is smaller than the line cap,
+// so a long line grows the scanner's own buffer, and the cap is exactly
+// 1 MiB of line including its newline, as it was with a buffer of the
+// whole cap.
+func TestReadNDJSONLineCap(t *testing.T) {
+	packetLine := func(size int) []byte {
+		p := &httpmodel.Packet{ID: 1, Method: "GET", Host: "ads.example", Proto: "HTTP/1.1"}
+		b, _ := json.Marshal(p)
+		p.Path = "/x?q=" + strings.Repeat("a", size-len(b)-len("/x?q="))
+		b, err := json.Marshal(p)
+		if err != nil || len(b) != size {
+			t.Fatalf("built a %d-byte line, want %d (%v)", len(b), size, err)
+		}
+		return append(b, '\n')
+	}
+	for _, c := range []struct {
+		name string
+		size int // line bytes before the newline
+		ok   bool
+	}{
+		{"200 KiB", 200 << 10, true},
+		{"1 MiB with its newline", 1<<20 - 1, true},
+		{"1 MiB + 1", 1<<20 + 1, false},
+	} {
+		line := packetLine(c.size)
+		accepted, rejected, err := httpmodel.ReadNDJSON(bytes.NewReader(line),
+			func(*httpmodel.Packet) error { return nil }, func(int, error) {})
+		if c.ok && (accepted != 1 || rejected != 0 || err != nil) {
+			t.Errorf("%s: accepted %d, rejected %d, err %v; want the packet", c.name, accepted, rejected, err)
+		}
+		if !c.ok && (accepted != 0 || !errors.Is(err, bufio.ErrTooLong)) {
+			t.Errorf("%s: accepted %d, err %v; want %v", c.name, accepted, err, bufio.ErrTooLong)
+		}
+	}
+}
+
 // BenchmarkReadNDJSON decodes trace lines with encoding/json + Validate
 // (the reflective baseline) and through ReadNDJSON.
 func BenchmarkReadNDJSON(b *testing.B) {
@@ -298,9 +391,8 @@ func BenchmarkReadNDJSON(b *testing.B) {
 	})
 	b.Run("ReadNDJSON", func(b *testing.B) {
 		b.ReportAllocs()
-		buf := make([]byte, 0, 1<<20)
 		for i := 0; i < b.N; i++ {
-			_, rejected, _ := httpmodel.ReadNDJSON(bytes.NewReader(body), buf,
+			_, rejected, _ := httpmodel.ReadNDJSON(bytes.NewReader(body),
 				func(*httpmodel.Packet) error { return nil }, func(int, error) {})
 			if rejected != 0 {
 				b.Fatal("trace line rejected")

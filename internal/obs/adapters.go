@@ -45,10 +45,9 @@ func EngineCollector(snap func() engine.Snapshot, shards func() []engine.ShardSt
 // snapshot under the given labels (none for a single engine, a tenant
 // label inside a pool).
 func writeEngineSnapshot(m *MetricWriter, s engine.Snapshot, labels []Label) {
-	m.Counter("leaksig_engine_ingested_total", "Packets accepted by Submit/TrySubmit.", float64(s.Ingested), labels...)
+	m.Counter("leaksig_engine_ingested_total", "Packets accepted by Submit.", float64(s.Ingested), labels...)
 	m.Counter("leaksig_engine_processed_total", "Packets matched and emitted.", float64(s.Processed), labels...)
 	m.Counter("leaksig_engine_matched_total", "Processed packets that matched at least one signature.", float64(s.Matched), labels...)
-	m.Counter("leaksig_engine_dropped_total", "Packets rejected by TrySubmit under backpressure.", float64(s.Dropped), labels...)
 	m.Counter("leaksig_engine_sync_vetted_total", "Packets vetted inline via MatchPacket (proxy path).", float64(s.SyncVetted), labels...)
 	m.Counter("leaksig_engine_sync_matched_total", "Inline vets that matched at least one signature.", float64(s.SyncMatched), labels...)
 	m.Counter("leaksig_engine_reloads_total", "Signature hot reloads applied (generations installed) since construction.", float64(s.Reloads), labels...)

@@ -10,7 +10,7 @@ import (
 // Flight event kinds. Kinds are open-ended strings so daemons can record
 // their own, but the pipeline's core events use these names.
 const (
-	KindDrop        = "drop"         // trySubmit rejected a packet (ring full)
+	KindDrop        = "drop"         // a daemon shed a packet (intake limiter, full miss forwarder)
 	KindDropBurst   = "drop_burst"   // drop rate crossed the burst threshold
 	KindSinkStall   = "sink_stall"   // blocking submit spun past the stall budget
 	KindReloadIssue = "reload_issue" // a reload ticket was issued (possibly coalesced)
@@ -151,7 +151,7 @@ func (f *Flight) Record(ev FlightEvent) {
 	f.stripe(ev.Shard).record(ev)
 }
 
-// RecordDrop notes one trySubmit rejection and detects drop bursts: more
+// RecordDrop notes one packet a daemon shed and detects drop bursts: more
 // than burstThresh drops inside one second fires the trigger (once per
 // rate-limit window) and logs a drop_burst event alongside the drops.
 func (f *Flight) RecordDrop(shard int, traceID string) {
