@@ -197,21 +197,6 @@ func (m *Matcher) emit(s int, occ []uint64) {
 	}
 }
 
-// scan is the one hot-loop body behind ScanBytes and ScanString: the
-// generic instantiations for []byte and string compile to identical
-// code, so string fields scan without a conversion allocation.
-func scan[T interface{ ~string | ~[]byte }](m *Matcher, state int32, chunk T, occ []uint64) int32 {
-	s := int(state)
-	stride := m.stride
-	for i := 0; i < len(chunk); i++ {
-		s = int(m.delta[s*stride+int(m.classes[chunk[i]])])
-		if m.outStart[s] != m.outStart[s+1] {
-			m.emit(s, occ)
-		}
-	}
-	return int32(s)
-}
-
 // ScanBytes feeds one chunk of input through the automaton, OR-ing the
 // bit of every pattern that ends inside the chunk into occ (which must
 // have BitsetWords() length). Pass state 0 to start a new segment and the
@@ -219,13 +204,15 @@ func scan[T interface{ ~string | ~[]byte }](m *Matcher, state int32, chunk T, oc
 // boundaries within a segment but never across a state reset. ScanBytes
 // performs no allocation.
 func (m *Matcher) ScanBytes(state int32, chunk []byte, occ []uint64) int32 {
-	return scan(m, state, chunk, occ)
-}
-
-// ScanString is ScanBytes over a string chunk, so callers holding string
-// fields need not convert (and allocate) to scan them.
-func (m *Matcher) ScanString(state int32, chunk string, occ []uint64) int32 {
-	return scan(m, state, chunk, occ)
+	s := int(state)
+	stride := m.stride
+	for _, c := range chunk {
+		s = int(m.delta[s*stride+int(m.classes[c])])
+		if m.outStart[s] != m.outStart[s+1] {
+			m.emit(s, occ)
+		}
+	}
+	return int32(s)
 }
 
 // OccursSegments clears occ, then scans each segment with the automaton

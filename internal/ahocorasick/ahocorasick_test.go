@@ -60,7 +60,7 @@ func TestNoPatterns(t *testing.T) {
 		t.Fatalf("BitsetWords with no patterns = %d, want 0", w)
 	}
 	m.OccursSegments(nil, []byte("anything"))
-	if st := m.ScanString(0, "anything", nil); st != 0 {
+	if st := m.ScanBytes(0, []byte("anything"), nil); st != 0 {
 		t.Errorf("scan with no patterns left the root: state %d", st)
 	}
 }

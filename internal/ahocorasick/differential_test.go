@@ -123,13 +123,12 @@ func TestSegmentBoundaryNeverMatches(t *testing.T) {
 
 // TestScanChunkContinuation verifies the inverse property: chunks of the
 // SAME segment (state threaded through) do allow matches spanning chunk
-// boundaries, which is what lets the scanner walk a packet field in
-// pieces without concatenating it.
+// boundaries, so a segment may be fed to ScanBytes in pieces.
 func TestScanChunkContinuation(t *testing.T) {
 	m := Compile([][]byte{[]byte("hello world")})
 	occ := make([]uint64, m.BitsetWords())
 	st := m.ScanBytes(0, []byte("say hello"), occ)
-	st = m.ScanString(st, " wor", occ)
+	st = m.ScanBytes(st, []byte(" wor"), occ)
 	m.ScanBytes(st, []byte("ld!"), occ)
 	if occ[0]&1 == 0 {
 		t.Error("pattern spanning three chunks of one segment not matched")
@@ -148,11 +147,11 @@ func TestScanZeroAlloc(t *testing.T) {
 		t.Errorf("OccursSegments allocated %v per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		st := m.ScanString(0, "udid=", occ)
-		m.ScanBytes(st, text, occ)
+		st := m.ScanBytes(0, text[:10], occ)
+		m.ScanBytes(st, text[10:], occ)
 	})
 	if allocs != 0 {
-		t.Errorf("ScanString/ScanBytes allocated %v per run, want 0", allocs)
+		t.Errorf("chunked ScanBytes allocated %v per run, want 0", allocs)
 	}
 }
 

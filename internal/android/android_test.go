@@ -132,15 +132,6 @@ func TestNewDeviceDeterministic(t *testing.T) {
 	}
 }
 
-func TestPermissionShort(t *testing.T) {
-	if PermInternet.short() != "INTERNET" {
-		t.Errorf("Short = %q", PermInternet.short())
-	}
-	if Permission("BARE").short() != "BARE" {
-		t.Error("Short on bare name failed")
-	}
-}
-
 func TestSetOperations(t *testing.T) {
 	s := NewSet(PermInternet, PermReadPhoneState)
 	if !s.Has(PermInternet) || s.Has(PermReadContacts) {

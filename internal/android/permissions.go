@@ -8,10 +8,7 @@
 // carriers of the identifiers whose leakage the system detects.
 package android
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Permission is an Android manifest permission name.
 type Permission string
@@ -25,14 +22,6 @@ const (
 	PermReadPhoneState       Permission = "android.permission.READ_PHONE_STATE"
 	PermReadContacts         Permission = "android.permission.READ_CONTACTS"
 )
-
-// short returns the final path component, e.g. "INTERNET".
-func (p Permission) short() string {
-	if i := strings.LastIndexByte(string(p), '.'); i >= 0 {
-		return string(p[i+1:])
-	}
-	return string(p)
-}
 
 // Set is an unordered collection of permissions.
 type Set map[Permission]bool

@@ -48,19 +48,6 @@ func (s *Set) Filter(keep func(*httpmodel.Packet) bool) *Set {
 	return out
 }
 
-// split partitions the set into (true-side, false-side) by predicate.
-func (s *Set) split(pred func(*httpmodel.Packet) bool) (*Set, *Set) {
-	yes, no := &Set{}, &Set{}
-	for _, p := range s.Packets {
-		if pred(p) {
-			yes.Packets = append(yes.Packets, p)
-		} else {
-			no.Packets = append(no.Packets, p)
-		}
-	}
-	return yes, no
-}
-
 // Sample returns n packets drawn uniformly without replacement, in stable
 // order of their original position. If n >= Len, all packets are returned.
 // This implements the paper's "selected N HTTP packets at random out of the
@@ -84,19 +71,6 @@ func (s *Set) Sample(rng *rand.Rand, n int) *Set {
 		}
 	}
 	return &Set{Packets: out}
-}
-
-// apps returns the distinct application names in first-seen order.
-func (s *Set) apps() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range s.Packets {
-		if p.App != "" && !seen[p.App] {
-			seen[p.App] = true
-			out = append(out, p.App)
-		}
-	}
-	return out
 }
 
 // Hosts returns the distinct destination hosts in first-seen order.

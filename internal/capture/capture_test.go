@@ -40,9 +40,10 @@ func TestFilterAndSplit(t *testing.T) {
 	if ads.Len() != 2 {
 		t.Fatalf("Filter len = %d", ads.Len())
 	}
-	yes, no := s.split(func(p *httpmodel.Packet) bool { return p.Method == "POST" })
+	yes := s.Filter(func(p *httpmodel.Packet) bool { return p.Method == "POST" })
+	no := s.Filter(func(p *httpmodel.Packet) bool { return p.Method != "POST" })
 	if yes.Len() != 1 || no.Len() != 3 {
-		t.Fatalf("Split = %d/%d", yes.Len(), no.Len())
+		t.Fatalf("Filter by a predicate and its negation = %d/%d, want 1/3", yes.Len(), no.Len())
 	}
 	if s.Len() != 4 {
 		t.Error("source mutated")
@@ -89,12 +90,8 @@ func TestSampleUniform(t *testing.T) {
 	}
 }
 
-func TestAppsHosts(t *testing.T) {
+func TestHosts(t *testing.T) {
 	s := sampleSet()
-	apps := s.apps()
-	if strings.Join(apps, ",") != "com.a,com.b,com.c" {
-		t.Errorf("Apps = %v", apps)
-	}
 	hosts := s.Hosts()
 	if strings.Join(hosts, ",") != "admob.com,gstatic.com,flurry.com" {
 		t.Errorf("Hosts = %v", hosts)

@@ -2,11 +2,11 @@
 // computes the paper's evaluation rates (§V-B).
 //
 // Matching runs one dense Aho–Corasick pass per packet over the union of
-// every signature's tokens — field by field, with no concatenated content
-// buffer — then resolves conjunctions through an inverted token→signature
-// index with remaining-token counters and a host-suffix bucket prefilter,
-// so per-packet work scales with the tokens that occur rather than the
-// signature count. Evaluation implements the paper's equations verbatim:
+// every signature's tokens — over each of the three content fields on its
+// own, with no concatenated content buffer — then resolves conjunctions
+// through an inverted token→signature index with remaining-token counters
+// and a host-suffix bucket prefilter, so per-packet work scales with the
+// tokens that occur rather than the signature count. Evaluation implements the paper's equations verbatim:
 //
 //	TP = (#detected sensitive packets − N) / (#sensitive packets − N)
 //	FN =  #undetected sensitive packets   / (#sensitive packets − N)
@@ -24,6 +24,7 @@ package detect
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,25 +40,26 @@ import (
 //
 // The compiled form is built for per-packet cost proportional to the
 // tokens that actually occur, not to the signature count: one dense
-// Aho–Corasick pass over the packet's content fields fills a token
-// bitset, then an inverted index (token ID → postings list of signatures)
-// drives remaining-token countdowns so only signatures sharing an
-// occurring token are ever touched. Host constraints are a bucket
-// prefilter: each distinct HostSuffix is one bucket, the packet marks its
-// eligible buckets with O(host labels) map probes, and a signature whose
-// tokens are all present still needs its bucket marked to match.
+// Aho–Corasick scan of each content field (request line, cookie, body)
+// fills a token bitset, then an inverted index (token ID → the signatures
+// that need it) drives remaining-token countdowns so only signatures
+// sharing an occurring token are ever touched. Host constraints are a
+// bucket prefilter: each distinct HostSuffix is one bucket, the packet
+// marks its eligible buckets with O(host labels) map probes, and a
+// signature whose tokens are all present still needs its bucket marked to
+// match.
 type Engine struct {
 	id      uint64 // unique per NewEngine: how a Scratch knows what it is sized for
 	set     *signature.Set
 	matcher *ahocorasick.Matcher
 
-	// needed[si] is the number of DISTINCT tokens signature si requires;
-	// 0 means the signature can never match and appears in no postings
-	// list.
+	// needed[si] is the number of DISTINCT tokens signature si requires
+	// on the fast conjunction path; 0 means the signature is kinded or
+	// can never match, and appears in no postings list.
 	needed []int32
-	// postings[tok] lists the signatures requiring token tok, each
-	// exactly once.
-	postings [][]int32
+	// postings lists, per token, the fast-path signatures requiring it,
+	// each exactly once.
+	postings tokenIndex
 
 	// Host-suffix buckets: sigBucket[si] is the bucket of signature si's
 	// HostSuffix; buckets maps each distinct non-empty suffix to its
@@ -70,16 +72,14 @@ type Engine struct {
 
 	// Kinded programs beyond the fast conjunction path (kinds.go).
 	// viewMask is the union of every signature's decode views; when it
-	// is zero the scan never touches the view machinery. kindStart and
-	// kindList are their token index: kindList[kindStart[tok]:
-	// kindStart[tok+1]] lists the programs (indices into kinded) that
-	// need token tok, and kindBits marks the tokens with a non-empty
-	// list. When kinded is empty matchExtInto is never called, so a
-	// conjunction-only set compiles to just the postings engine.
+	// is zero the scan never touches the view machinery. kindIndex lists,
+	// per token, the programs (indices into kinded) that need it, and
+	// kindBits marks the tokens with a non-empty list. When kinded is
+	// empty matchExtInto is never called, so a conjunction-only set
+	// compiles to just the postings engine.
 	viewMask  httpmodel.ViewMask
 	kinded    []kindProgram
-	kindStart []int32
-	kindList  []int32
+	kindIndex tokenIndex
 	kindBits  []uint64
 
 	// scratchPool feeds the compatibility entry points (MatchPacket,
@@ -89,6 +89,42 @@ type Engine struct {
 	// would keep the whole engine reachable through that list.
 	scratchPool *sync.Pool
 }
+
+// tokenIndex is an inverted token index in compressed sparse row form:
+// list[start[tok]:start[tok+1]] holds the entries that need token tok, in
+// entry order. Two allocations hold the whole index, however many tokens
+// it covers.
+type tokenIndex struct {
+	start []int32
+	list  []int32
+}
+
+// newTokenIndex indexes entries 0..n-1 over numTokens tokens, entry k
+// needing each of tokens(k), which must be distinct and below numTokens.
+// It counts each token's entries, turns the counts into range ends, then
+// fills every range back to front, so each list is in entry order.
+func newTokenIndex(numTokens, n int, tokens func(k int) []int32) tokenIndex {
+	x := tokenIndex{start: make([]int32, numTokens+1)}
+	for k := 0; k < n; k++ {
+		for _, t := range tokens(k) {
+			x.start[t]++
+		}
+	}
+	for t := 1; t <= numTokens; t++ {
+		x.start[t] += x.start[t-1]
+	}
+	x.list = make([]int32, x.start[numTokens])
+	for k := n - 1; k >= 0; k-- {
+		for _, t := range tokens(k) {
+			x.start[t]--
+			x.list[x.start[t]] = int32(k)
+		}
+	}
+	return x
+}
+
+// of returns the entries that need token tok.
+func (x tokenIndex) of(tok int) []int32 { return x.list[x.start[tok]:x.start[tok+1]] }
 
 // engineIDs hands out Engine.id; 0 is the zero Scratch's "sized for none".
 var engineIDs atomic.Uint64
@@ -103,28 +139,33 @@ func NewEngine(set *signature.Set) *Engine {
 		buckets:     make(map[string]int32),
 		emptyBucket: -1,
 	}
-	tokenIndex := make(map[string]int32)
-	var patterns [][]byte
+	// Every signature's distinct token IDs live in one array, and every
+	// distinct token's bytes in one buffer, so the allocations do not
+	// grow with the token or signature count.
+	total := 0
+	for _, sig := range set.Signatures {
+		total += len(sig.Tokens)
+	}
+	tokenID := make(map[string]int32)
+	var distinct []string // by token ID
+	textLen := 0
+	ids := make([]int32, 0, total)
 	perSig := make([][]int32, len(set.Signatures))
 	for si, sig := range set.Signatures {
+		start := len(ids)
 		for _, tok := range sig.Tokens {
-			id, ok := tokenIndex[tok]
+			id, ok := tokenID[tok]
 			if !ok {
-				id = int32(len(patterns))
-				tokenIndex[tok] = id
-				patterns = append(patterns, []byte(tok))
+				id = int32(len(distinct))
+				tokenID[tok] = id
+				distinct = append(distinct, tok)
+				textLen += len(tok)
 			}
-			dup := false
-			for _, seen := range perSig[si] {
-				if seen == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				perSig[si] = append(perSig[si], id)
+			if !slices.Contains(ids[start:], id) {
+				ids = append(ids, id)
 			}
 		}
+		perSig[si] = ids[start:len(ids):len(ids)]
 		e.needed[si] = int32(len(perSig[si]))
 
 		bucket := int32(-1)
@@ -143,16 +184,19 @@ func NewEngine(set *signature.Set) *Engine {
 		}
 		e.sigBucket[si] = bucket
 	}
-	e.compileKinds(set, perSig, len(patterns))
-	e.postings = make([][]int32, len(patterns))
-	for si, ids := range perSig {
-		if e.needed[si] == 0 {
-			continue // token-less and non-fast-path signatures: no postings
-		}
-		for _, id := range ids {
-			e.postings[id] = append(e.postings[id], int32(si))
-		}
+	patterns := make([][]byte, len(distinct))
+	text := make([]byte, 0, textLen)
+	for id, tok := range distinct {
+		text = append(text, tok...)
+		patterns[id] = text[len(text)-len(tok):]
 	}
+	e.compileKinds(set, perSig, len(patterns))
+	e.postings = newTokenIndex(len(patterns), len(perSig), func(si int) []int32 {
+		if e.needed[si] == 0 {
+			return nil // token-less and kinded signatures: no postings
+		}
+		return perSig[si]
+	})
 	e.matcher = ahocorasick.Compile(patterns)
 	e.scratchPool = &sync.Pool{New: func() any { return &Scratch{} }}
 	return e
@@ -196,18 +240,23 @@ func (e *Engine) markBuckets(host string, sc *Scratch) {
 // next use. Steady-state calls perform no allocation; a scratch sized for
 // a different engine (or the zero Scratch) is re-initialized first, so
 // hot reloads can never leave a worker indexing the new automaton with
-// old dimensions. The scratch points at e's automaton only for the
-// duration of the call.
+// old dimensions. The scratch refers to p's body only for the duration of
+// the call.
+//
+// Each content field is scanned on its own from the automaton's start
+// state, so no token spans two fields; with views compiled in, so is
+// every decoded span of every field, into that view's own bitset.
 func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 	if sc.engineID != e.id {
 		sc.init(e)
 	}
-	sc.matcher = e.matcher
 	sc.begin()
-	if e.viewMask == 0 {
-		p.VisitContent(sc)
-	} else {
-		p.VisitContentViews(sc, e.viewMask, &sc.views)
+	sc.load(p)
+	for _, f := range sc.fields {
+		e.matcher.ScanBytes(0, f, sc.occ)
+	}
+	if e.viewMask != 0 {
+		e.scanViews(sc)
 	}
 	e.markBuckets(p.Host, sc)
 
@@ -221,7 +270,7 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 		for word != 0 {
 			tok := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			for _, si := range e.postings[tok] {
+			for _, si := range e.postings.of(tok) {
 				if sc.gen[si] != sc.cur {
 					sc.gen[si] = sc.cur
 					sc.rem[si] = e.needed[si]
@@ -234,7 +283,7 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 		}
 	}
 	if len(e.kinded) > 0 {
-		e.matchExtInto(p, sc)
+		e.matchExtInto(sc)
 	}
 	// Candidates surface in token-discovery order; restore signature-set
 	// order (insertion sort: the list is almost always 0–2 entries).
@@ -247,8 +296,24 @@ func (e *Engine) MatchInto(p *httpmodel.Packet, sc *Scratch) []int {
 	for _, si := range sc.cand {
 		sc.matched = append(sc.matched, e.set.Signatures[si].ID)
 	}
-	sc.matcher = nil
+	sc.fields[2] = nil
 	return sc.matched
+}
+
+// scanViews scans every decoded span of every content field, under each
+// view the set opts into, into that view's occurrence bitset.
+func (e *Engine) scanViews(sc *Scratch) {
+	for _, f := range sc.fields {
+		for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
+			if !e.viewMask.Has(v) {
+				continue
+			}
+			occ := sc.occView[v]
+			httpmodel.VisitDecodedView(v, f, &sc.views, func(dec []byte) {
+				e.matcher.ScanBytes(0, dec, occ)
+			})
+		}
+	}
 }
 
 // MatchPacket returns the IDs of every signature the packet matches. It

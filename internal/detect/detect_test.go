@@ -1,7 +1,9 @@
 package detect
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"leaksig/internal/capture"
@@ -212,5 +214,33 @@ func TestEmptyEngine(t *testing.T) {
 	out := e.MatchSet(&ds)
 	if len(out) != 0 {
 		t.Error("empty set match")
+	}
+}
+
+// conjunctionSet returns n signatures of 2–4 distinct tokens each, drawn
+// at random from a vocabulary of vocab tokens: a set every signature of
+// which takes the fast conjunction path.
+func conjunctionSet(n, vocab int, seed int64) *signature.Set {
+	r := rand.New(rand.NewSource(seed))
+	sigs := make([]*signature.Signature, n)
+	for i := range sigs {
+		var toks []string
+		for _, t := range r.Perm(vocab)[:2+r.Intn(3)] {
+			toks = append(toks, fmt.Sprintf("tok%04d=", t))
+		}
+		sigs[i] = &signature.Signature{Tokens: toks}
+	}
+	return sigSet(sigs...)
+}
+
+// TestCompileAllocsConjunctionIndex pins NewEngine's allocation count on
+// 1,000 random 2–4-token conjunctions over a 4,000-token vocabulary
+// (about 2,100 distinct tokens): a fixed handful of flat slices plus the
+// token map's growth, 62 here. A per-token postings slice, or a slice per
+// signature or per token's bytes, creeping back in shows up as thousands.
+func TestCompileAllocsConjunctionIndex(t *testing.T) {
+	set := conjunctionSet(1000, 4000, 1)
+	if allocs := testing.AllocsPerRun(3, func() { NewEngine(set) }); allocs > 80 {
+		t.Errorf("NewEngine of %d conjunctions made %v allocations, want at most 80", len(set.Signatures), allocs)
 	}
 }

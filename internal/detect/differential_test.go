@@ -3,7 +3,10 @@ package detect
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"weak"
 
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/ipaddr"
@@ -152,6 +155,37 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 			t.Errorf("packet %d: MatchInto allocated %v per run, want 0", i, allocs)
 		}
 	}
+}
+
+// TestScratchKeepsNoPacketReachable: after MatchInto returns, neither a
+// held scratch nor the engine's pooled one keeps the packet it matched
+// reachable, so one GC frees the packet, body included, while both stay
+// in use. The request line and cookie are copied into the scratch; the
+// body is aliased, so this fails if MatchInto keeps its body reference.
+func TestScratchKeepsNoPacketReachable(t *testing.T) {
+	e := NewEngine(sigSet(&signature.Signature{Tokens: []string{"udid=f3a9", "zone="}}))
+	sc := e.NewScratch()
+	var pkts []weak.Pointer[httpmodel.Packet]
+	var bodies []weak.Pointer[byte]
+	for i := 0; i < 2; i++ {
+		p := httpmodel.Post("x.example", "/a?zone=1").Dest(1, 80).
+			Cookie("sid=abc123").BodyString(strings.Repeat("udid=f3a9&pad=", 8)).Build()
+		if i == 0 {
+			e.MatchInto(p, sc)
+		} else {
+			e.MatchPacket(p)
+		}
+		pkts = append(pkts, weak.Make(p))
+		bodies = append(bodies, weak.Make(&p.Body[0]))
+	}
+	runtime.GC()
+	for i := range pkts {
+		if pkts[i].Value() != nil || bodies[i].Value() != nil {
+			t.Errorf("scratch %d keeps its last packet reachable after one GC", i)
+		}
+	}
+	runtime.KeepAlive(sc)
+	runtime.KeepAlive(e)
 }
 
 // TestScratchAdoptsNewEngine proves the stale-scratch guard: a scratch

@@ -13,13 +13,16 @@ package detect
 //     stream's materialized content: the greedy walk reference.Match
 //     states.
 //
-// Kinded programs are resolved through their own token index, the way
-// the postings path resolves plain conjunctions: per packet, only the
-// programs whose tokens all occurred in some stream run their exact
+// Kinded programs are resolved through their own token index, of the
+// same form as the fast path's postings (tokenIndex): per packet, only
+// the programs whose tokens all occurred in some stream run their exact
 // predicate, so the cost scales with the tokens that occur rather than
-// the number of programs. All kinds share one automaton pass per stream;
-// the index runs only when the compiled set contains kinded programs, so
-// a legacy conjunction-only set pays nothing.
+// the number of programs. The index stays apart from the postings, as the
+// raw and view bitsets stay apart: a plain conjunction counts only raw
+// occurrences, never a token that only a view produced. All kinds share
+// one automaton pass per stream; the index runs only when the compiled
+// set contains kinded programs, so a legacy conjunction-only set pays
+// nothing.
 
 import (
 	"bytes"
@@ -64,7 +67,7 @@ func allBits(occ []uint64, tokens []int32) bool {
 // programs that cannot match. Kinded signatures are absent from the
 // fast postings lists (needed[si] = 0), so the two countdowns never
 // share a slot and no candidate can duplicate.
-func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
+func (e *Engine) matchExtInto(sc *Scratch) {
 	for w, mask := range e.kindBits {
 		if mask == 0 {
 			continue
@@ -80,7 +83,7 @@ func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
 		for word != 0 {
 			tok := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			for _, k := range e.kindList[e.kindStart[tok]:e.kindStart[tok+1]] {
+			for _, k := range e.kindIndex.of(tok) {
 				pr := &e.kinded[k]
 				si := pr.si
 				if sc.bucketGen[e.sigBucket[si]] != sc.cur {
@@ -91,7 +94,7 @@ func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
 					sc.rem[si] = int32(len(pr.tokens))
 				}
 				sc.rem[si]--
-				if sc.rem[si] == 0 && e.kindMatches(p, pr, sc) {
+				if sc.rem[si] == 0 && kindMatches(pr, sc) {
 					sc.cand = append(sc.cand, si)
 				}
 			}
@@ -104,7 +107,7 @@ func (e *Engine) matchExtInto(p *httpmodel.Packet, sc *Scratch) {
 // bitset or in any opted view's bitset. A subsequence needs every token
 // in one stream — raw or a single opted view — and then the ordered
 // walk over that stream.
-func (e *Engine) kindMatches(p *httpmodel.Packet, pr *kindProgram, sc *Scratch) bool {
+func kindMatches(pr *kindProgram, sc *Scratch) bool {
 	if pr.toks == nil {
 		for _, t := range pr.tokens {
 			if bitSet(sc.occ, t) {
@@ -123,12 +126,12 @@ func (e *Engine) kindMatches(p *httpmodel.Packet, pr *kindProgram, sc *Scratch) 
 		}
 		return true
 	}
-	if allBits(sc.occ, pr.tokens) && e.verifyOrdered(p, pr, rawStream, sc) {
+	if allBits(sc.occ, pr.tokens) && verifyOrdered(pr, rawStream, sc) {
 		return true
 	}
 	for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
 		if pr.views.Has(v) && allBits(sc.occView[v], pr.tokens) &&
-			e.verifyOrdered(p, pr, v, sc) {
+			verifyOrdered(pr, v, sc) {
 			return true
 		}
 	}
@@ -139,36 +142,27 @@ func (e *Engine) kindMatches(p *httpmodel.Packet, pr *kindProgram, sc *Scratch) 
 const rawStream = httpmodel.NumViews
 
 // verifyOrdered materializes one stream of the packet — the raw content
-// ('\n'-joined fields, exactly Packet.Content) or one decode view's
-// spans '\n'-joined — into scratch and runs the ordered token walk over
-// it. It only runs after the prefilter saw every token in the stream, so
-// it is the rare path.
-func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *kindProgram, stream httpmodel.View, sc *Scratch) bool {
+// (the scratch's fields '\n'-joined, exactly Packet.Content) or one
+// decode view's spans '\n'-joined — into scratch and runs the ordered
+// token walk over it. It only runs after the prefilter saw every token in
+// the stream, so it is the rare path.
+func verifyOrdered(pr *kindProgram, stream httpmodel.View, sc *Scratch) bool {
 	buf := sc.content[:0]
-	if stream == rawStream {
-		buf = append(buf, p.Method...)
-		buf = append(buf, ' ')
-		buf = append(buf, p.Path...)
-		buf = append(buf, ' ')
-		buf = append(buf, p.Proto...)
-		buf = append(buf, '\n')
-		buf = p.AppendCookie(buf)
-		buf = append(buf, '\n')
-		buf = append(buf, p.Body...)
-	} else {
-		// Decoded spans join with the same separator as fields, so a
-		// token can never straddle two spans — matching the prefilter,
-		// which scanned each span in isolation.
-		sc.fieldBuf = sc.fieldBuf[:0]
-		sc.fieldBuf = append(sc.fieldBuf, p.Method...)
-		sc.fieldBuf = append(sc.fieldBuf, ' ')
-		sc.fieldBuf = append(sc.fieldBuf, p.Path...)
-		sc.fieldBuf = append(sc.fieldBuf, ' ')
-		sc.fieldBuf = append(sc.fieldBuf, p.Proto...)
-		buf = appendDecodedSpans(buf, stream, sc.fieldBuf, &sc.views)
-		sc.fieldBuf = p.AppendCookie(sc.fieldBuf[:0])
-		buf = appendDecodedSpans(buf, stream, sc.fieldBuf, &sc.views)
-		buf = appendDecodedSpans(buf, stream, p.Body, &sc.views)
+	for i, f := range sc.fields {
+		if stream != rawStream {
+			// Decoded spans join with the same separator as fields, so
+			// a token can never straddle two spans — matching the
+			// prefilter, which scanned each span in isolation.
+			httpmodel.VisitDecodedView(stream, f, &sc.views, func(dec []byte) {
+				buf = append(buf, dec...)
+				buf = append(buf, '\n')
+			})
+			continue
+		}
+		if i > 0 {
+			buf = append(buf, '\n')
+		}
+		buf = append(buf, f...)
 	}
 	sc.content = buf
 	pos := 0
@@ -182,21 +176,11 @@ func (e *Engine) verifyOrdered(p *httpmodel.Packet, pr *kindProgram, stream http
 	return true
 }
 
-// appendDecodedSpans appends every decoded span of field under view,
-// each terminated by '\n'.
-func appendDecodedSpans(buf []byte, view httpmodel.View, field []byte, vs *httpmodel.ViewScratch) []byte {
-	httpmodel.VisitDecodedView(view, field, vs, func(dec []byte) {
-		buf = append(buf, dec...)
-		buf = append(buf, '\n')
-	})
-	return buf
-}
-
 // compileKinds partitions the set into per-kind programs. perSig holds
 // each signature's distinct token IDs, all below numTokens. Fast
 // conjunctions keep their postings; kinded signatures are pulled out of
-// the postings index (needed[si] = 0), compiled into e.kinded, and
-// indexed by token for matchExtInto.
+// the postings (needed[si] = 0), compiled into e.kinded, and indexed by
+// token for matchExtInto.
 func (e *Engine) compileKinds(set *signature.Set, perSig [][]int32, numTokens int) {
 	for si, sig := range set.Signatures {
 		if !signature.ValidKind(sig.Kind) {
@@ -226,25 +210,11 @@ func (e *Engine) compileKinds(set *signature.Set, perSig [][]int32, numTokens in
 	if len(e.kinded) == 0 {
 		return
 	}
-	// Count each token's programs, turn the counts into range ends, then
-	// fill every range back to front, so two allocations hold the whole
-	// index and each list is in program order.
-	e.kindStart = make([]int32, numTokens+1)
+	e.kindIndex = newTokenIndex(numTokens, len(e.kinded), func(k int) []int32 { return e.kinded[k].tokens })
 	e.kindBits = make([]uint64, (numTokens+63)/64)
 	for _, pr := range e.kinded {
 		for _, t := range pr.tokens {
-			e.kindStart[t]++
 			e.kindBits[t>>6] |= 1 << (t & 63)
-		}
-	}
-	for t := 1; t <= numTokens; t++ {
-		e.kindStart[t] += e.kindStart[t-1]
-	}
-	e.kindList = make([]int32, e.kindStart[numTokens])
-	for k := len(e.kinded) - 1; k >= 0; k-- {
-		for _, t := range e.kinded[k].tokens {
-			e.kindStart[t]--
-			e.kindList[e.kindStart[t]] = int32(k)
 		}
 	}
 }

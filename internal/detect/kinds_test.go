@@ -368,9 +368,11 @@ func TestKindedZeroAllocFastPath(t *testing.T) {
 // the reference for it: every kinded program whose host bucket is live
 // runs its predicate, written out here independently of kindMatches. It
 // reads the scan state MatchInto left in sc, so call it right after
-// MatchInto on the same packet; it returns the matching signature
-// indices in program order.
+// MatchInto on the same packet (it reloads the packet's fields, which
+// MatchInto lets go of); it returns the matching signature indices in
+// program order.
 func (e *Engine) matchExtLinear(p *httpmodel.Packet, sc *Scratch) []int32 {
+	sc.load(p)
 	var out []int32
 	for i := range e.kinded {
 		pr := &e.kinded[i]
@@ -400,13 +402,13 @@ func (e *Engine) matchExtLinear(p *httpmodel.Packet, sc *Scratch) []int32 {
 			}
 			continue
 		}
-		if allBits(sc.occ, pr.tokens) && e.verifyOrdered(p, pr, rawStream, sc) {
+		if allBits(sc.occ, pr.tokens) && verifyOrdered(pr, rawStream, sc) {
 			out = append(out, pr.si)
 			continue
 		}
 		for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
 			if pr.views.Has(v) && allBits(sc.occView[v], pr.tokens) &&
-				e.verifyOrdered(p, pr, v, sc) {
+				verifyOrdered(pr, v, sc) {
 				out = append(out, pr.si)
 				break
 			}

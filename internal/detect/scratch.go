@@ -1,49 +1,49 @@
 package detect
 
-import (
-	"leaksig/internal/ahocorasick"
-	"leaksig/internal/httpmodel"
-)
+import "leaksig/internal/httpmodel"
 
 // Scratch holds every piece of per-packet mutable state one matching call
-// needs: the automaton state, the token-occurrence bitset, the
-// remaining-token counters, the host-bucket marks, and the matched-ID
+// needs: the packet's three content fields, the token-occurrence bitsets,
+// the remaining-token counters, the host-bucket marks, and the matched-ID
 // buffer. A zero Scratch is ready to use — MatchInto sizes it for its
 // engine on first use and re-sizes it automatically whenever it is handed
 // to a different (e.g. freshly reloaded) engine, so a stale scratch can
 // never index a new automaton. After the first call with a given engine,
-// matching through a Scratch performs no allocation.
+// matching through a Scratch allocates only to grow a buffer past the
+// longest request line, cookie or decoded stream it has held, so a warm
+// scratch performs no allocation.
 //
-// A Scratch remembers the engine it is sized for by that engine's id,
-// and points at the engine's automaton only while MatchInto runs, so a
-// scratch kept by an idle worker or a pool never keeps a replaced
-// generation reachable.
+// A Scratch remembers the engine it is sized for by that engine's id and
+// holds no pointer to it, and MatchInto drops the scratch's reference to
+// the packet's body before it returns, so a scratch kept by an idle
+// worker or a pool keeps neither a replaced generation nor the last
+// packet reachable.
 //
 // A Scratch is not safe for concurrent use; give each goroutine its own.
 type Scratch struct {
-	engineID uint64               // id of the engine the buffers are sized for; 0 for none
-	matcher  *ahocorasick.Matcher // the engine's automaton, set only inside MatchInto
+	engineID uint64 // id of the engine the buffers are sized for; 0 for none
 
-	state int32    // automaton state threaded across chunks of one field
-	occ   []uint64 // raw-content token-occurrence bitset, matcher.BitsetWords() words
+	// fields holds the packet's content fields, request line, cookie and
+	// body, the form Packet.ContentFields returns: the first two are
+	// copied into buffers the scratch reuses, the body aliases the
+	// packet's own and is set only inside MatchInto.
+	fields [3][]byte
+
+	occ []uint64 // raw-content token-occurrence bitset, matcher.BitsetWords() words
 
 	// Decode-view state, allocated only when the engine's set opts into
 	// views: occView[v] is the occurrence bitset for view v's decoded
-	// spans, occCur is the bitset the scan is currently filling (the raw
-	// occ between Field and the first ViewField), and views holds the
-	// decoder's reusable buffers.
+	// spans, and views holds the decoder's reusable buffers.
 	occView [httpmodel.NumViews][]uint64
-	occCur  []uint64
 	views   httpmodel.ViewScratch
 
-	// Subsequence-verify buffers (kinds.go): the materialized stream
-	// content and the raw-field staging area for view decoding.
-	content  []byte
-	fieldBuf []byte
+	// content is the subsequence verify's buffer (kinds.go): one stream
+	// of the packet, materialized.
+	content []byte
 
 	// Per-signature countdown of tokens still missing, lazily reset via
 	// the generation stamp: a signature whose gen is stale is implicitly
-	// at its full count of distinct tokens. The postings path and the
+	// at its full count of distinct tokens. The fast postings and the
 	// kinded index count down disjoint signatures in the same slices.
 	// cur==0 is never a valid generation.
 	rem []int32
@@ -63,7 +63,6 @@ type Scratch struct {
 func (sc *Scratch) init(e *Engine) {
 	sc.engineID = e.id
 	sc.occ = make([]uint64, e.matcher.BitsetWords())
-	sc.occCur = sc.occ
 	for v := httpmodel.View(0); v < httpmodel.NumViews; v++ {
 		if e.viewMask.Has(v) {
 			sc.occView[v] = make([]uint64, e.matcher.BitsetWords())
@@ -83,7 +82,7 @@ func (sc *Scratch) init(e *Engine) {
 	}
 }
 
-// begin starts a new packet: fresh generation, cleared bitset.
+// begin starts a new packet: fresh generation, cleared bitsets.
 func (sc *Scratch) begin() {
 	sc.cur++
 	if sc.cur == 0 { // generation counter wrapped: hard-reset the stamps
@@ -103,35 +102,11 @@ func (sc *Scratch) begin() {
 			sc.occView[v][i] = 0
 		}
 	}
-	sc.occCur = sc.occ
-	sc.state = 0
 }
 
-// Field, Text, Bytes and ViewField implement httpmodel.ViewVisitor: the
-// automaton state resets at each field (and decoded-span) boundary and
-// threads across the chunks within one, so tokens may span chunks but
-// never fields, and never two decoded spans.
-
-// Field resets the automaton at a content-field boundary and retargets
-// the scan at the raw occurrence bitset.
-func (sc *Scratch) Field() {
-	sc.state = 0
-	sc.occCur = sc.occ
-}
-
-// ViewField resets the automaton at a decoded-span boundary and
-// retargets the scan at the view's occurrence bitset.
-func (sc *Scratch) ViewField(v httpmodel.View) {
-	sc.state = 0
-	sc.occCur = sc.occView[v]
-}
-
-// Text scans one string chunk of the current field.
-func (sc *Scratch) Text(s string) {
-	sc.state = sc.matcher.ScanString(sc.state, s, sc.occCur)
-}
-
-// Bytes scans one byte chunk of the current field.
-func (sc *Scratch) Bytes(b []byte) {
-	sc.state = sc.matcher.ScanBytes(sc.state, b, sc.occCur)
+// load sets the scratch's content fields to p's.
+func (sc *Scratch) load(p *httpmodel.Packet) {
+	sc.fields[0] = p.AppendRequestLine(sc.fields[0][:0])
+	sc.fields[1] = p.AppendCookie(sc.fields[1][:0])
+	sc.fields[2] = p.Body
 }

@@ -428,13 +428,6 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// byteSize returns the journal's current byte length.
-func (j *Journal) byteSize() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size
-}
-
 // Stats returns the journal's accounting.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()

@@ -159,12 +159,12 @@ func TestJournalCompact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		j.Append([]byte(fmt.Sprintf("v%d", i)))
 	}
-	before := j.byteSize()
+	before := j.Stats().SizeBytes
 	if err := j.Compact([][]byte{[]byte("v99")}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if j.byteSize() >= before {
-		t.Fatalf("compaction did not shrink: %d -> %d", before, j.byteSize())
+	if after := j.Stats().SizeBytes; after >= before {
+		t.Fatalf("compaction did not shrink: %d -> %d", before, after)
 	}
 	// Appends continue against the compacted file.
 	if err := j.Append([]byte("v100")); err != nil {
@@ -219,13 +219,13 @@ func TestFailedAppendLeavesJournalUnchanged(t *testing.T) {
 			if err := j.Append([]byte("acked-1")); err != nil {
 				t.Fatal(err)
 			}
-			size := j.byteSize()
+			size := j.Stats().SizeBytes
 			tc.inject(j)
 			if err := j.Append([]byte("never-acked")); !errors.Is(err, injected) {
 				t.Fatalf("failed append returned %v, want the injected error", err)
 			}
-			if j.byteSize() != size {
-				t.Fatalf("size %d after a failed append, want %d", j.byteSize(), size)
+			if got := j.Stats().SizeBytes; got != size {
+				t.Fatalf("size %d after a failed append, want %d", got, size)
 			}
 			j.write, j.sync = (*os.File).Write, (*os.File).Sync
 			if err := j.Append([]byte("acked-2")); err != nil {
@@ -295,8 +295,8 @@ func TestSetCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if !loaded || c2.numSets() != 2 {
-		t.Fatalf("loaded=%v len=%d, want true/2", loaded, c2.numSets())
+	if !loaded || len(c2.Names()) != 2 {
+		t.Fatalf("loaded=%v names=%v, want true and two sets", loaded, c2.Names())
 	}
 	set, ok := c2.Get("tenant-a")
 	if !ok || set.Version != 9 || sigTag(set) != "a" {
@@ -314,8 +314,8 @@ func TestSetCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open corrupt cache: %v", err)
 	}
-	if _, ok := c3.Get("tenant-a"); !loaded || c3.numSets() != 1 || ok {
-		t.Fatalf("corrupt cache: loaded=%v len=%d names=%v, want the default set only", loaded, c3.numSets(), c3.Names())
+	if _, ok := c3.Get("tenant-a"); !loaded || len(c3.Names()) != 1 || ok {
+		t.Fatalf("corrupt cache: loaded=%v names=%v, want the default set only", loaded, c3.Names())
 	}
 	// And is immediately writable again.
 	if err := c3.Put("", makeSet(1, "d")); err != nil {
@@ -353,7 +353,7 @@ func TestSetCacheHoldsSetsPastMaxRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if !loaded || c2.numSets() != 3 {
+	if !loaded || len(c2.Names()) != 3 {
 		t.Fatalf("reopened cache holds %v, want a, b and c", c2.Names())
 	}
 	for _, name := range []string{"a", "b", "c"} {
@@ -426,7 +426,7 @@ func TestLegacyFilesOpenAsJournals(t *testing.T) {
 		"":         {3, []string{"imei=", "3579"}},
 		"tenant-a": {9, []string{"android_id=", "a1b2"}},
 	}
-	if !loaded || c.numSets() != len(want) {
+	if !loaded || len(c.Names()) != len(want) {
 		t.Fatalf("legacy cache loaded=%v names=%v", loaded, c.Names())
 	}
 	for name, w := range want {

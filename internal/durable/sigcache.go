@@ -134,12 +134,5 @@ func (c *SetCache) namesLocked() []string {
 	return names
 }
 
-// numSets reports how many sets are cached.
-func (c *SetCache) numSets() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sets)
-}
-
 // Close closes the cache's file. A Put after Close fails.
 func (c *SetCache) Close() error { return c.j.Close() }

@@ -414,17 +414,6 @@ func (p *Pool) runJanitor() {
 	}
 }
 
-// tenantKeys returns the live tenant keys in unspecified order.
-func (p *Pool) tenantKeys() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	keys := make([]string, 0, len(p.tenants))
-	for k := range p.tenants {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // TenantMetrics returns the tenant's snapshot and whether it is live.
 func (p *Pool) TenantMetrics(key string) (Snapshot, bool) {
 	p.mu.RLock()

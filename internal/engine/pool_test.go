@@ -40,13 +40,13 @@ func TestPoolTenantIsolation(t *testing.T) {
 func TestPoolLazyCreationAndDefaultReload(t *testing.T) {
 	p := NewPool(tokenSet(1, "v1-token"), PoolConfig{Engine: Config{Shards: 1}})
 	defer p.Close()
-	if got := len(p.tenantKeys()); got != 0 {
+	if got := p.Metrics().Tenants; got != 0 {
 		t.Fatalf("fresh pool has %d tenants", got)
 	}
 	if m := p.Tenant("cohort-7").MatchPacket(pkt(0, "a.example.com", "v1-token")); len(m) == 0 {
 		t.Fatal("lazily created tenant did not start on the pool's default set")
 	}
-	if got := len(p.tenantKeys()); got != 1 {
+	if got := p.Metrics().Tenants; got != 1 {
 		t.Fatalf("pool has %d tenants after first use, want 1", got)
 	}
 
@@ -189,7 +189,7 @@ func TestPoolMaxTenantsEvictsLRU(t *testing.T) {
 	p.Tenant("old") // refresh: "mid" is now least recently active
 	p.Tenant("new") // overflow evicts "mid"
 	keys := map[string]bool{}
-	for _, k := range p.tenantKeys() {
+	for k := range p.Metrics().PerTenant {
 		keys[k] = true
 	}
 	if !keys["old"] || !keys["new"] || keys["mid"] {
@@ -458,7 +458,7 @@ func TestPoolPinSurvivesEviction(t *testing.T) {
 	defer p.Close()
 
 	p.ReloadTenant("pinned", tokenSet(5, "pinned-token"))
-	if got := len(p.tenantKeys()); got != 0 {
+	if got := p.Metrics().Tenants; got != 0 {
 		t.Fatalf("ReloadTenant eagerly created %d engines", got)
 	}
 	if m := p.Tenant("pinned").MatchPacket(pkt(0, "h.example.com", "pinned-token")); len(m) == 0 {

@@ -13,6 +13,7 @@ package httpmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"leaksig/internal/ipaddr"
@@ -55,7 +56,19 @@ type Packet struct {
 // RequestLine returns the HTTP request line without the trailing CRLF,
 // e.g. "GET /ad?zone=1 HTTP/1.1".
 func (p *Packet) RequestLine() string {
-	return p.Method + " " + p.Path + " " + p.Proto
+	return string(p.AppendRequestLine(nil))
+}
+
+// AppendRequestLine appends the request-line field — exactly what
+// RequestLine returns — to buf and returns the extended buffer. It is
+// the one place that knows the request line's format.
+func (p *Packet) AppendRequestLine(buf []byte) []byte {
+	buf = slices.Grow(buf, len(p.Method)+1+len(p.Path)+1+len(p.Proto))
+	buf = append(buf, p.Method...)
+	buf = append(buf, ' ')
+	buf = append(buf, p.Path...)
+	buf = append(buf, ' ')
+	return append(buf, p.Proto...)
 }
 
 // Cookie returns the concatenation of all Cookie header values, joined by
@@ -101,75 +114,30 @@ func isCookieName(name string) bool {
 	return true
 }
 
-// Content returns the bytes the signature matcher scans: request line,
-// cookie, and body, separated by newlines. The separator prevents tokens
-// from spanning two fields.
+// Content returns the three content fields joined by '\n': request line,
+// cookie, body. The separator keeps a token from spanning two fields.
+// It allocates one fresh buffer. The matcher does not call it: it builds
+// the fields into its scratch through AppendRequestLine and AppendCookie
+// and scans each on its own.
 func (p *Packet) Content() []byte {
-	rl := p.RequestLine()
-	ck := p.AppendCookie(nil)
-	n := len(rl) + 1 + len(ck) + 1 + len(p.Body)
-	buf := make([]byte, 0, n)
-	buf = append(buf, rl...)
+	n := len(p.Method) + len(p.Path) + len(p.Proto) + 4 + len(p.Body)
+	for i := range p.Headers {
+		if isCookieName(p.Headers[i].Name) {
+			n += len(p.Headers[i].Value) + 2
+		}
+	}
+	buf := p.AppendRequestLine(make([]byte, 0, n))
 	buf = append(buf, '\n')
-	buf = append(buf, ck...)
+	buf = p.AppendCookie(buf)
 	buf = append(buf, '\n')
-	buf = append(buf, p.Body...)
-	return buf
+	return append(buf, p.Body...)
 }
 
 // ContentFields returns the three content components in the order the paper
-// sums their NCD terms: request-line, cookie, message-body.
+// sums their NCD terms: request-line, cookie, message-body. The first two
+// are fresh copies; the body aliases p.Body.
 func (p *Packet) ContentFields() [3][]byte {
-	return [3][]byte{
-		[]byte(p.RequestLine()),
-		[]byte(p.Cookie()),
-		p.Body,
-	}
-}
-
-// ContentVisitor receives a packet's scannable content as a stream of
-// chunks, field by field, without any concatenation buffer being built.
-// Implementations that thread matcher state across Text/Bytes chunks and
-// reset it on Field see exactly the semantics of scanning each
-// ContentFields() element in isolation: chunks of one field are
-// contiguous, fields are hard boundaries.
-type ContentVisitor interface {
-	// Field marks the start of the next content field (request line,
-	// cookie, body — in Content() order). It is called even when the
-	// field is empty.
-	Field()
-	// Text delivers the next chunk of the current field.
-	Text(s string)
-	// Bytes delivers the next chunk of the current field.
-	Bytes(b []byte)
-}
-
-// VisitContent streams the same bytes Content() would produce — minus the
-// '\n' field separators, which Field stands in for — to v, chunk by
-// chunk, allocating nothing. This is the zero-allocation scan path: the
-// request line is visited as its five constituent chunks, the cookie
-// field as each Cookie header value joined by "; " chunks, the body as
-// one []byte chunk.
-func (p *Packet) VisitContent(v ContentVisitor) {
-	v.Field()
-	v.Text(p.Method)
-	v.Text(" ")
-	v.Text(p.Path)
-	v.Text(" ")
-	v.Text(p.Proto)
-	v.Field()
-	first := true
-	for i := range p.Headers {
-		if isCookieName(p.Headers[i].Name) {
-			if !first {
-				v.Text("; ")
-			}
-			v.Text(p.Headers[i].Value)
-			first = false
-		}
-	}
-	v.Field()
-	v.Bytes(p.Body)
+	return [3][]byte{p.AppendRequestLine(nil), p.AppendCookie(nil), p.Body}
 }
 
 // clone returns a deep copy of the packet. The clone keeps the trace ID

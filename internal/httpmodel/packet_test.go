@@ -46,8 +46,9 @@ func TestCookieConcatenation(t *testing.T) {
 // TestCookieNameIsASCIIOnly pins the one rule for which headers form the
 // cookie field: names equal to "Cookie" under ASCII case folding. The
 // Kelvin sign (U+212A) folds to 'k' under Unicode rules, but a header
-// named with it is not a cookie — for Cookie, AppendCookie, Content,
-// VisitContent and VisitContentViews alike.
+// named with it is not a cookie — for Cookie, AppendCookie and Content
+// alike. The matcher builds its cookie field through AppendCookie; detect's
+// TestCookieNameFoldsASCIIOnly holds it to the same rule.
 func TestCookieNameIsASCIIOnly(t *testing.T) {
 	p := Get("x.example", "/").Dest(1, 80).
 		Header("COOKIE", "a=1").Header("Coo\u212Aie", "k=2").Header("cookie", "b=3").Build()
@@ -60,37 +61,6 @@ func TestCookieNameIsASCIIOnly(t *testing.T) {
 	}
 	if got := string(p.Content()); got != "GET / HTTP/1.1\n"+want+"\n" {
 		t.Errorf("Content = %q", got)
-	}
-	var rec fieldRecorder
-	p.VisitContent(&rec)
-	if rec.fields[1] != want {
-		t.Errorf("VisitContent cookie field = %q, want %q", rec.fields[1], want)
-	}
-	raw := rawRecorder{}
-	var vs ViewScratch
-	p.VisitContentViews(&raw, ViewURL.mask(), &vs)
-	if raw.fields[1] != want {
-		t.Errorf("VisitContentViews cookie field = %q, want %q", raw.fields[1], want)
-	}
-}
-
-// rawRecorder is a fieldRecorder for VisitContentViews that drops the
-// decoded spans, keeping only the raw fields.
-type rawRecorder struct {
-	fieldRecorder
-	inView bool
-}
-
-func (r *rawRecorder) Field()         { r.inView = false; r.fieldRecorder.Field() }
-func (r *rawRecorder) ViewField(View) { r.inView = true }
-func (r *rawRecorder) Text(s string) {
-	if !r.inView {
-		r.fieldRecorder.Text(s)
-	}
-}
-func (r *rawRecorder) Bytes(b []byte) {
-	if !r.inView {
-		r.fieldRecorder.Bytes(b)
 	}
 }
 
@@ -208,39 +178,4 @@ func TestBuilderFormOddPanics(t *testing.T) {
 		}
 	}()
 	Post("x", "/").Form("only-key")
-}
-
-// fieldRecorder collects VisitContent chunks, reassembling one string per
-// field.
-type fieldRecorder struct {
-	fields []string
-}
-
-func (r *fieldRecorder) Field()         { r.fields = append(r.fields, "") }
-func (r *fieldRecorder) Text(s string)  { r.fields[len(r.fields)-1] += s }
-func (r *fieldRecorder) Bytes(b []byte) { r.fields[len(r.fields)-1] += string(b) }
-
-func TestVisitContentMatchesContentFields(t *testing.T) {
-	packets := []*Packet{
-		samplePacket(),
-		Get("x.example", "/plain").Dest(1, 80).Build(),
-		Post("track.example", "/t").Dest(5, 8080).
-			Form("udid", "abc", "carrier", "docomo").Build(),
-		Get("c.example", "/p").Dest(2, 80).
-			Cookie("a=1").Cookie("b=2").Build(), // multiple Cookie headers join with "; "
-	}
-	for pi, p := range packets {
-		var rec fieldRecorder
-		p.VisitContent(&rec)
-		if len(rec.fields) != 3 {
-			t.Fatalf("packet %d: VisitContent produced %d fields, want 3", pi, len(rec.fields))
-		}
-		want := p.ContentFields()
-		for i := range want {
-			if rec.fields[i] != string(want[i]) {
-				t.Errorf("packet %d field %d: VisitContent %q != ContentFields %q",
-					pi, i, rec.fields[i], want[i])
-			}
-		}
-	}
 }

@@ -95,75 +95,14 @@ const (
 )
 
 // ViewScratch holds the reusable buffers one decoding pass needs: the
-// raw-field accumulator, the normalize and decode buffers, and a
-// resettable gzip reader. A zero ViewScratch is ready to use; after
-// warm-up, decoding through it allocates nothing.
+// normalize and decode buffers and a resettable gzip reader. A zero
+// ViewScratch is ready to use; after warm-up, decoding through it
+// allocates nothing.
 type ViewScratch struct {
-	field []byte // raw field accumulation for VisitContentViews
 	norm  []byte // base64 normalization buffer
 	dec   []byte // decode output buffer
 	gzsrc bytes.Reader
 	gz    *gzip.Reader
-}
-
-// ViewVisitor extends ContentVisitor with decoded-span delivery: after a
-// field's raw chunks, each decoded span arrives as ViewField(v) followed
-// by Bytes chunks. Every span is its own ViewField — spans are disjoint
-// regions of the encoded field, so matcher state must not thread across
-// them, exactly as it must not thread across fields.
-type ViewVisitor interface {
-	ContentVisitor
-	// ViewField marks the start of one decoded span of view v.
-	ViewField(v View)
-}
-
-// VisitContentViews streams the packet like VisitContent and, after each
-// field's raw chunks, the field's decoded spans under every view in
-// mask. With a zero mask it is exactly VisitContent.
-func (p *Packet) VisitContentViews(v ViewVisitor, mask ViewMask, vs *ViewScratch) {
-	if mask == 0 {
-		p.VisitContent(v)
-		return
-	}
-	v.Field()
-	vs.field = vs.field[:0]
-	vs.field = append(vs.field, p.Method...)
-	vs.field = append(vs.field, ' ')
-	vs.field = append(vs.field, p.Path...)
-	vs.field = append(vs.field, ' ')
-	vs.field = append(vs.field, p.Proto...)
-	v.Text(p.Method)
-	v.Text(" ")
-	v.Text(p.Path)
-	v.Text(" ")
-	v.Text(p.Proto)
-	visitFieldViews(v, mask, vs.field, vs)
-
-	v.Field()
-	vs.field = p.AppendCookie(vs.field[:0])
-	v.Bytes(vs.field)
-	visitFieldViews(v, mask, vs.field, vs)
-
-	v.Field()
-	v.Bytes(p.Body)
-	visitFieldViews(v, mask, p.Body, vs)
-}
-
-// visitFieldViews delivers one raw field's decoded spans for every view
-// in mask.
-func visitFieldViews(v ViewVisitor, mask ViewMask, field []byte, vs *ViewScratch) {
-	if len(field) == 0 {
-		return
-	}
-	for view := View(0); view < NumViews; view++ {
-		if !mask.Has(view) {
-			continue
-		}
-		VisitDecodedView(view, field, vs, func(dec []byte) {
-			v.ViewField(view)
-			v.Bytes(dec)
-		})
-	}
 }
 
 // VisitDecodedView streams every decoded span src yields under view to

@@ -136,73 +136,6 @@ func TestDecodeBounded(t *testing.T) {
 	}
 }
 
-func TestVisitContentViews(t *testing.T) {
-	secret := "imei=356938035643809&aid=9774d56d682e549c"
-	body := "p=" + base64.StdEncoding.EncodeToString([]byte(secret))
-	p := Post("x.example", "/c").Body([]byte(body)).Build()
-
-	var vs ViewScratch
-	got := map[View][]string{}
-	fields := 0
-	p.VisitContentViews(&funcVisitor{
-		field: func() { fields++ },
-		view: func(v View, chunk []byte) {
-			got[v] = append(got[v], string(chunk))
-		},
-	}, ViewBase64.mask()|ViewHex.mask(), &vs)
-
-	if fields != 3 {
-		t.Fatalf("fields = %d, want 3", fields)
-	}
-	joined := strings.Join(got[ViewBase64], "")
-	if !strings.Contains(joined, secret) {
-		t.Fatalf("base64 view spans missing secret: %q", got[ViewBase64])
-	}
-	if len(got[ViewHex]) != 0 {
-		t.Fatalf("hex view emitted for non-hex content: %q", got[ViewHex])
-	}
-
-	// Zero mask must behave exactly like VisitContent: no view spans.
-	got = map[View][]string{}
-	p.VisitContentViews(&funcVisitor{
-		field: func() {},
-		view: func(v View, chunk []byte) {
-			got[v] = append(got[v], string(chunk))
-		},
-	}, 0, &vs)
-	if len(got) != 0 {
-		t.Fatalf("zero mask emitted view spans: %v", got)
-	}
-}
-
-// funcVisitor adapts closures to ViewVisitor; raw chunks are discarded,
-// view chunks are routed with their view.
-type funcVisitor struct {
-	field  func()
-	view   func(View, []byte)
-	inView bool
-	v      View
-}
-
-func (f *funcVisitor) Field() {
-	f.inView = false
-	f.field()
-}
-func (f *funcVisitor) ViewField(v View) {
-	f.inView = true
-	f.v = v
-}
-func (f *funcVisitor) Text(s string) {
-	if f.inView {
-		f.view(f.v, []byte(s))
-	}
-}
-func (f *funcVisitor) Bytes(b []byte) {
-	if f.inView {
-		f.view(f.v, b)
-	}
-}
-
 func TestParseViewRoundTrip(t *testing.T) {
 	for v := View(0); v < NumViews; v++ {
 		got, ok := ParseView(v.String())

@@ -25,9 +25,9 @@ import (
 	"time"
 )
 
-// ErrOpen is returned by Breaker.Do (and surfaced by callers checking
-// Allow) when the breaker is open: the dependency has failed enough
-// consecutive times that attempts are being shed without trying.
+// ErrOpen is what callers return when Breaker.Allow refuses an attempt:
+// the dependency has failed enough consecutive times that attempts are
+// being shed without trying.
 var ErrOpen = errors.New("resilience: circuit open")
 
 // Backoff computes jittered exponential retry delays. The zero value is
@@ -229,17 +229,6 @@ func (b *Breaker) Record(err error) {
 		b.opens++
 		b.state = Open
 	}
-}
-
-// do runs fn if the breaker allows it, records the outcome, and returns
-// fn's error — or ErrOpen without running fn when the breaker is open.
-func (b *Breaker) do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := fn()
-	b.Record(err)
-	return err
 }
 
 // State returns the breaker's current position, advancing an expired

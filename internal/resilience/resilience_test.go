@@ -83,9 +83,6 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if br.Allow() {
 		t.Fatal("open breaker admitted an attempt before OpenFor elapsed")
 	}
-	if err := br.do(func() error { t.Fatal("fn ran while open"); return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do while open: err = %v, want ErrOpen", err)
-	}
 }
 
 func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
@@ -141,17 +138,22 @@ func TestBreakerStatsAndTransitions(t *testing.T) {
 		}
 	}
 
-	br.do(func() error { return boom })
+	br.Allow()
+	br.Record(boom)
 	step("first failure", Closed)
-	br.do(func() error { return boom })
+	br.Allow()
+	br.Record(boom)
 	step("second failure", Open)
-	if err := br.do(func() error { return boom }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open breaker ran the attempt: %v", err)
+	if br.Allow() {
+		t.Fatal("open breaker admitted the attempt")
 	}
 	step("shed attempt", Open)
 	clk.Advance(time.Second)
 	step("open window elapsed", HalfOpen)
-	br.do(func() error { return nil }) // probe succeeds
+	if !br.Allow() {
+		t.Fatal("half-open breaker refused the probe")
+	}
+	br.Record(nil) // probe succeeds
 	step("successful probe", Closed)
 
 	st := br.Stats()

@@ -118,15 +118,6 @@ func (f Freq[K]) Add(k K) { f[k]++ }
 // AddN increments the count for k by n.
 func (f Freq[K]) AddN(k K, n int) { f[k] += n }
 
-// total returns the sum of all counts.
-func (f Freq[K]) total() int {
-	t := 0
-	for _, n := range f {
-		t += n
-	}
-	return t
-}
-
 // Pair is a key with its count.
 type Pair[K comparable] struct {
 	Key   K
