@@ -100,7 +100,7 @@ func main() {
 	// attacker-controlled in an exposed deployment — so the cap
 	// defaults bounded: past it the least-recently-active tenant is
 	// recycled rather than goroutines growing without limit.
-	flag.IntVar(&c.MaxTenants, "max-tenants", 1024, "live tenant cap with -pool, LRU-evicted past it (0: unlimited)")
+	flag.IntVar(&c.MaxTenants, "max-tenants", 1024, "live tenant cap with -pool, LRU-evicted past it")
 
 	flag.BoolVar(&c.Learn, "learn", false, "sample unmatched flows into an online signature generator publishing back to -server")
 	flag.DurationVar(&c.LearnInterval, "learn-interval", 30*time.Second, "generation epoch cadence with -learn")

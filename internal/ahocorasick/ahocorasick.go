@@ -24,7 +24,9 @@ package ahocorasick
 // point writes into a caller-owned occurrence bitset and allocates
 // nothing.
 type Matcher struct {
-	patterns [][]byte
+	// numPatterns sizes the occurrence bitset. The patterns themselves
+	// are not kept: the automaton alone answers every scan.
+	numPatterns int
 
 	// classes maps each input byte to its column in the delta table.
 	// Bytes absent from every pattern share one dead column whose
@@ -46,7 +48,7 @@ type Matcher struct {
 // Compile builds a matcher over the given patterns. Empty patterns are
 // permitted but never match. Duplicate patterns each report their own index.
 func Compile(patterns [][]byte) *Matcher {
-	m := &Matcher{patterns: patterns}
+	m := &Matcher{numPatterns: len(patterns)}
 
 	// Byte classes: every byte occurring in some pattern gets its own
 	// column; all others share one dead column (unless the alphabet is
@@ -184,7 +186,7 @@ func Compile(patterns [][]byte) *Matcher {
 
 // BitsetWords returns the length a caller-owned occurrence bitset must
 // have: one bit per pattern, packed into uint64 words.
-func (m *Matcher) BitsetWords() int { return (len(m.patterns) + 63) / 64 }
+func (m *Matcher) BitsetWords() int { return (m.numPatterns + 63) / 64 }
 
 // States returns the number of automaton states (exposed for sizing
 // diagnostics and tests).

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"leaksig/internal/android"
 	"leaksig/internal/engine"
@@ -55,19 +56,22 @@ func captureLog(t *testing.T) *lockedBuffer {
 }
 
 // newTestStream is a single-engine leakstream with an empty signature
-// set and no intake limit, as its HTTP handler sees it.
+// set and no intake limit, as its HTTP handler sees it, the limiter
+// registered for /metrics as Run registers it.
 func newTestStream(t *testing.T) *stream {
 	t.Helper()
 	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	limiter := obs.NewRateLimiter(obs.RateLimiterConfig{})
+	ops.reg.Register(limiter)
 	eng := engine.New(&signature.Set{}, engine.Config{Shards: 1})
 	t.Cleanup(eng.Close)
 	return &stream{
 		ops:     ops,
 		be:      &engineBackend{eng: eng},
-		limiter: obs.NewRateLimiter(obs.RateLimiterConfig{}),
+		limiter: limiter,
 		keyFn:   tenantKeyFn("app"),
 	}
 }
@@ -222,5 +226,85 @@ func TestIngestBodyAllocatesNoLineBuffer(t *testing.T) {
 	t.Logf("%d bytes allocated per 500-line /ingest request (%d body bytes)", perRequest, body.Len())
 	if perRequest >= budget {
 		t.Fatalf("a 500-line /ingest request allocates %d bytes, budget %d", perRequest, budget)
+	}
+}
+
+// TestIntakeChurnIsBounded posts /ingest bodies carrying k and then 8k
+// distinct values of one client-supplied field — the tenant key (app)
+// or the trace ID — at default flags. Neither may grow the daemon: the
+// /metrics series count stays flat and the live heap grows by less than
+// churnHeapBound between the two marks.
+func TestIntakeChurnIsBounded(t *testing.T) {
+	const (
+		k              = 4096
+		linesPerBody   = 512
+		churnHeapBound = 512 << 10
+	)
+	for _, axis := range []struct {
+		name   string
+		packet func(i int) *httpmodel.Packet
+	}{
+		{"tenant", func(i int) *httpmodel.Packet {
+			return httpmodel.Get("ads.example", "/t").ID(int64(i)).App(fmt.Sprintf("com.churn%d", i)).Build()
+		}},
+		{"trace", func(i int) *httpmodel.Packet {
+			p := httpmodel.Get("ads.example", "/t").ID(int64(i)).App("com.churn").Build()
+			p.Trace = fmt.Sprintf("%016x", i+1)
+			return p
+		}},
+	} {
+		t.Run(axis.name, func(t *testing.T) {
+			s := newTestStream(t)
+			h := s.handler()
+			next := 0
+			ingestUpTo := func(n int) {
+				for next < n {
+					var body bytes.Buffer
+					for end := min(next+linesPerBody, n); next < end; next++ {
+						b, err := json.Marshal(axis.packet(next))
+						if err != nil {
+							t.Fatal(err)
+						}
+						body.Write(append(b, '\n'))
+					}
+					if rec := post(h, "/ingest", body.String()); !strings.Contains(rec.Body.String(), `"rejected":0}`) {
+						t.Fatalf("/ingest answered %q", rec.Body.String())
+					}
+				}
+			}
+			measure := func() (heap uint64, series int) {
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+					if m := aggregate(s.be); m.Processed == uint64(next) {
+						break
+					} else if time.Now().After(deadline) {
+						t.Fatalf("engine processed %d of %d packets", m.Processed, next)
+					}
+				}
+				runtime.GC() // twice: the first only moves sync.Pool contents to the victim cache
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				for _, line := range strings.Split(rec.Body.String(), "\n") {
+					if line != "" && !strings.HasPrefix(line, "#") {
+						series++
+					}
+				}
+				return ms.HeapInuse, series
+			}
+			ingestUpTo(k)
+			heapK, seriesK := measure()
+			ingestUpTo(8 * k)
+			heap8K, series8K := measure()
+			t.Logf("k=%d: heap %d B, %d series; 8k: heap %d B (%+d), %d series",
+				k, heapK, seriesK, heap8K, int64(heap8K)-int64(heapK), series8K)
+			if series8K != seriesK {
+				t.Errorf("/metrics went from %d series at %d distinct values to %d at %d", seriesK, k, series8K, 8*k)
+			}
+			if heap8K > heapK+churnHeapBound {
+				t.Errorf("live heap grew %d B between %d and %d distinct values, bound %d", heap8K-heapK, k, 8*k, churnHeapBound)
+			}
+		})
 	}
 }

@@ -29,9 +29,10 @@ type PoolConfig struct {
 	// budget-pressure signal. Evicting a tenant returns its shards.
 	ShardBudget int
 
-	// MaxTenants caps concurrently live tenants; 0 means unlimited.
-	// Creating a tenant past the cap evicts the least-recently-active
-	// one first (its queued packets drain before the new tenant starts).
+	// MaxTenants caps concurrently live tenants; <= 0 means 1024. The
+	// cap is never off: tenant keys come from traffic. Creating a tenant
+	// past the cap evicts the least-recently-active one first (its
+	// queued packets drain before the new tenant starts).
 	MaxTenants int
 
 	// IdleAfter evicts tenants that have not seen a Submit, Tenant, or
@@ -51,6 +52,9 @@ type PoolConfig struct {
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ShardBudget <= 0 {
 		c.ShardBudget = runtime.GOMAXPROCS(0)
+	}
+	if c.MaxTenants <= 0 {
+		c.MaxTenants = 1024
 	}
 	return c
 }
@@ -182,7 +186,7 @@ func (p *Pool) create(key string) *tenant {
 		}
 		// Over the tenant cap: evict the least-recently-active tenant,
 		// then retry — eviction drops the lock while draining.
-		if p.cfg.MaxTenants > 0 && len(p.tenants) >= p.cfg.MaxTenants {
+		if len(p.tenants) >= p.cfg.MaxTenants {
 			victim := ""
 			oldest := int64(1<<63 - 1)
 			for k, t := range p.tenants {

@@ -5,9 +5,10 @@
 //
 // The package deliberately splits instrumentation into two postures:
 //
-//   - Stateful instruments (Counter, Gauge, Histogram and their labeled
-//     vector forms) for code that counts as it goes — the event shipper's
-//     drop accounting, the intake rate limiter's per-tenant tallies.
+//   - Stateful instruments (the unexported counter and histogram, and
+//     the intake rate limiter's tenant table) for code that counts as it
+//     goes — the event shipper's drop accounting, the limiter's
+//     per-tenant tallies.
 //   - Snapshot collectors (Collector / CollectorFunc) for subsystems that
 //     already keep rich internal snapshots — engine.Snapshot,
 //     engine.PoolSnapshot, siggen.Stats, sigserver.ServerStats — which a
@@ -307,64 +308,4 @@ func (h *histogram) Write(m *MetricWriter, name, help string, labels ...Label) {
 		counts[i] = h.counts[i].Load()
 	}
 	m.histogram(name, help, h.buckets, counts, h.count.Load(), math.Float64frombits(h.sumBits.Load()), labels...)
-}
-
-// counterVec is a family of counters split by one label. Construct with
-// newCounterVec. The table grows one entry per distinct label value;
-// callers must bound the values they pass (tenant keys must come from a
-// bounded table, never raw traffic).
-type counterVec struct {
-	name, help string
-	label      string
-
-	mu   sync.Mutex
-	byst map[string]*counter
-}
-
-// newCounterVec builds a labeled counter family.
-func newCounterVec(name, help, label string) *counterVec {
-	return &counterVec{name: name, help: help, label: label, byst: make(map[string]*counter)}
-}
-
-// With returns the counter for one label value, creating it at zero.
-func (v *counterVec) With(value string) *counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.byst[value]
-	if c == nil {
-		c = &counter{}
-		v.byst[value] = c
-	}
-	return c
-}
-
-// Forget drops one label value's series (used when the labeled entity —
-// a tenant — is evicted and its count has been folded into an aggregate).
-func (v *counterVec) Forget(value string) {
-	v.mu.Lock()
-	delete(v.byst, value)
-	v.mu.Unlock()
-}
-
-// Collect implements Collector: one sample per live label value, in
-// sorted order for a stable exposition.
-func (v *counterVec) Collect(m *MetricWriter) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.byst))
-	for k := range v.byst {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type kv struct {
-		k string
-		n uint64
-	}
-	out := make([]kv, len(keys))
-	for i, k := range keys {
-		out[i] = kv{k, v.byst[k].Value()}
-	}
-	v.mu.Unlock()
-	for _, e := range out {
-		m.Counter(v.name, v.help, float64(e.n), label(v.label, e.k))
-	}
 }

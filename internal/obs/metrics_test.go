@@ -115,21 +115,3 @@ func TestHandlerContentType(t *testing.T) {
 		t.Errorf("scrape missing leaksig_build_info:\n%s", buf[:n])
 	}
 }
-
-func TestCounterVecForget(t *testing.T) {
-	v := newCounterVec("leaksig_vec_total", "Vec.", "tenant")
-	v.With("a").Add(3)
-	v.With("b").Inc()
-	v.Forget("a")
-	m := newMetricWriter()
-	v.Collect(m)
-	var sb strings.Builder
-	m.render(&sb)
-	out := sb.String()
-	if strings.Contains(out, `tenant="a"`) {
-		t.Errorf("forgotten series still exposed:\n%s", out)
-	}
-	if !strings.Contains(out, `leaksig_vec_total{tenant="b"} 1`) {
-		t.Errorf("surviving series missing:\n%s", out)
-	}
-}
