@@ -339,10 +339,10 @@ func BenchmarkDetectionThroughput(b *testing.B) {
 	b.ReportMetric(float64(e.Dataset.Capture.Len()), "packets")
 }
 
-// BenchmarkMatcherDense measures the zero-allocation dense-automaton
-// match path in isolation over the full trace. "match-into" is the exact
+// BenchmarkMatcherDense measures the zero-allocation automaton match
+// path in isolation over the full trace. "match-into" is the exact
 // per-packet scan+resolve a shard worker runs (MatchInto with one
-// persistent Scratch): dense Aho–Corasick over the content fields, then
+// persistent Scratch): Aho–Corasick over the content fields, then
 // postings-list conjunction resolution. "occurs-segments" is the raw
 // automaton segment scan with a reused bitset, no resolution. 0 allocs/op
 // is part of the contract (ReportAllocs).

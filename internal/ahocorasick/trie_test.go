@@ -10,8 +10,8 @@ type buildNode struct {
 // builder is the textbook map-based Aho–Corasick trie with scan-time
 // failure chasing. Compile used to be lowered from it; it now exists
 // only as the differential reference the flat construction is tested
-// against. It inserts patterns in the same order as Compile, so both
-// number their states identically.
+// against. It numbers states in insertion order, Compile in BFS order;
+// checkAgainstTrie maps one numbering to the other.
 type builder struct {
 	nodes    []buildNode
 	patterns [][]byte

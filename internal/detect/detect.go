@@ -1,7 +1,7 @@
 // Package detect applies conjunction signature sets to HTTP packets and
 // computes the paper's evaluation rates (§V-B).
 //
-// Matching runs one dense Aho–Corasick pass per packet over the union of
+// Matching runs one Aho–Corasick pass per packet over the union of
 // every signature's tokens — over each of the three content fields on its
 // own, with no concatenated content buffer — then resolves conjunctions
 // through an inverted token→signature index with remaining-token counters
@@ -39,11 +39,12 @@ import (
 // after construction and safe for concurrent use.
 //
 // The compiled form is built for per-packet cost proportional to the
-// tokens that actually occur, not to the signature count: one dense
-// Aho–Corasick scan of each content field (request line, cookie, body)
-// fills a token bitset, then an inverted index (token ID → the signatures
-// that need it) drives remaining-token countdowns so only signatures
-// sharing an occurring token are ever touched. Host constraints are a
+// tokens that actually occur, not to the signature count: one
+// Aho–Corasick scan of each content field (request line, cookie, body),
+// one dense-row load per byte in the shallow states and a short sparse
+// row below them, fills a token bitset, then an inverted index (token ID
+// → the signatures that need it) drives remaining-token countdowns so
+// only signatures sharing an occurring token are ever touched. Host constraints are a
 // bucket prefilter: each distinct HostSuffix is one bucket, the packet
 // marks its eligible buckets with O(host labels) map probes, and a
 // signature whose tokens are all present still needs its bucket marked to
