@@ -86,7 +86,6 @@ func main() {
 	flag.StringVar(&c.SigCache, "sig-cache", "", "last-known-good signature cache file: every watch delivery is persisted, and a boot against an unreachable -server serves the cached sets in degraded mode instead of refusing traffic")
 	flag.StringVar(&c.Listen, "listen", "", "HTTP ingest address (empty: stdin only)")
 	flag.IntVar(&c.Shards, "shards", 0, "worker shards per engine (0: GOMAXPROCS)")
-	flag.IntVar(&c.Batch, "batch", 0, "initial packets batched per dispatch (0: default; adapts between min/max)")
 	flag.IntVar(&c.Queue, "queue", 0, "per-shard queue depth in packets (0: default)")
 	flag.DurationVar(&c.Poll, "poll", 10*time.Second, "fallback poll interval with -server")
 	flag.DurationVar(&c.Stats, "stats", 0, "metrics reporting interval on stderr (0: off)")

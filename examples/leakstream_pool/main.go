@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("[sigserver] at %s\n", sigHTTP.URL)
 
 	pool := engine.NewPool(nil, engine.PoolConfig{
-		Engine:      engine.Config{Shards: 1, BatchSize: 16},
+		Engine:      engine.Config{Shards: 1},
 		ShardBudget: 2, // one worker per population
 	})
 	defer pool.Close()

@@ -407,7 +407,7 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 
 	// The pool: empty default set, per-tenant miss sinks into the learner.
 	pool := engine.NewPool(nil, engine.PoolConfig{
-		Engine: engine.Config{Shards: 1, BatchSize: 4},
+		Engine: engine.Config{Shards: 1},
 		TenantSink: func(key string) engine.Sink {
 			return learner.MissSinkFor(key)
 		},

@@ -33,7 +33,6 @@ type Leakstream struct {
 	SigCache string        // -sig-cache
 	Listen   string        // -listen
 	Shards   int           // -shards
-	Batch    int           // -batch
 	Queue    int           // -queue
 	Poll     time.Duration // -poll
 	Stats    time.Duration // -stats
@@ -123,7 +122,6 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 	cfg := engine.Config{
 		Shards:     c.Shards,
 		QueueDepth: c.Queue,
-		BatchSize:  c.Batch,
 		Affinity:   aff,
 		Flight:     ops.flight,
 	}

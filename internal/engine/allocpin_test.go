@@ -35,7 +35,7 @@ func makeAllocPinPackets(n int) []*httpmodel.Packet {
 func TestCountOnlyPathZeroAlloc(t *testing.T) {
 	sink := NewCountSink()
 	e := New(scratchTestSet(64), Config{
-		Shards: 1, BatchSize: 8, QueueDepth: 1024, Sink: sink,
+		Shards: 1, QueueDepth: 1024, Sink: sink,
 	})
 	defer e.Close()
 
@@ -49,7 +49,7 @@ func TestCountOnlyPathZeroAlloc(t *testing.T) {
 		}
 		e.Flush()
 	}
-	run() // warm: size the scratch, settle the adaptive target
+	run() // warm: size the scratch
 
 	allocs := testing.AllocsPerRun(20, run)
 	if perPacket := allocs / batch; perPacket >= 0.01 {
@@ -67,7 +67,7 @@ func TestCountOnlyPathZeroAllocWithTracing(t *testing.T) {
 	sink := NewCountSink()
 	tracer := trace.NewTracer(0) // sampling off: BeginTrace never starts
 	e := New(scratchTestSet(64), Config{
-		Shards: 1, BatchSize: 8, QueueDepth: 1024, Sink: sink,
+		Shards: 1, QueueDepth: 1024, Sink: sink,
 		Flight: trace.NewFlight(1, 0),
 	})
 	defer e.Close()
@@ -83,7 +83,7 @@ func TestCountOnlyPathZeroAllocWithTracing(t *testing.T) {
 		}
 		e.Flush()
 	}
-	run() // warm: size the scratch, settle the adaptive target
+	run() // warm: size the scratch
 
 	allocs := testing.AllocsPerRun(20, run)
 	if perPacket := allocs / batch; perPacket >= 0.01 {
@@ -101,7 +101,7 @@ func TestCountOnlyPathZeroAllocWithTracing(t *testing.T) {
 func TestBatchVerdictPathAllocBudget(t *testing.T) {
 	var total atomic.Uint64
 	e := New(scratchTestSet(64), Config{
-		Shards: 1, BatchSize: 8, QueueDepth: 1024,
+		Shards: 1, QueueDepth: 1024,
 		Sink: BatchCallbackSink(func(vs []Verdict) { total.Add(uint64(len(vs))) }),
 	})
 	defer e.Close()
@@ -116,7 +116,7 @@ func TestBatchVerdictPathAllocBudget(t *testing.T) {
 		}
 		e.Flush()
 	}
-	run() // warm the arena, scratch, and adaptive target
+	run() // warm the arena and scratch
 
 	allocs := testing.AllocsPerRun(20, run)
 	if perPacket := allocs / batch; perPacket > 2 {

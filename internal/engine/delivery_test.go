@@ -135,9 +135,9 @@ func TestDeliveryParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// A pinned four-packet drain makes each worker reuse its arena
-			// dozens of times over the stream.
-			cfg := engine.Config{Shards: 2, BatchSize: 4, MinBatch: 4, MaxBatch: 4}
+			// A four-packet queue caps every drain at four packets, so each
+			// worker reuses its arena dozens of times over the stream.
+			cfg := engine.Config{Shards: 2, QueueDepth: 4}
 			var sinks []engine.Sink
 			var checks []func(*testing.T)
 			for _, mk := range c.probes {

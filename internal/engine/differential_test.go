@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"leaksig/internal/detect"
@@ -94,8 +95,11 @@ func diffPacket(id int64, rng *rand.Rand, sigs int) *httpmodel.Packet {
 // TestDifferentialRingVsChannelSubmit streams randomized multi-producer
 // interleavings through the ring-based engine and the channel-based
 // reference simultaneously, then requires the per-packet-ID matched-ID
-// decisions to agree exactly. Run under -race this also exercises the
-// ring's multi-producer publication ordering.
+// decisions to agree exactly and every packet to get exactly one
+// verdict. It runs at queue depths from a two-slot ring (the floor) to
+// one whose capacity exceeds the drain bound, and requires no sink batch
+// to exceed min(QueueDepth, maxDrain). Run under -race this also
+// exercises the ring's multi-producer publication ordering.
 func TestDifferentialRingVsChannelSubmit(t *testing.T) {
 	const (
 		producers   = 4
@@ -104,70 +108,93 @@ func TestDifferentialRingVsChannelSubmit(t *testing.T) {
 	)
 	set := scratchTestSet(sigs)
 
-	var got sync.Map // packet ID -> []int matched
-	e := New(set, Config{
-		Shards: 4, BatchSize: 8, MinBatch: 1, MaxBatch: 64, QueueDepth: 256,
-		OnVerdict: func(v Verdict) {
-			got.Store(v.Packet.ID, append([]int(nil), v.Matched...))
-		},
-	})
-	ref := newDiffRef(set, 7)
-
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + w)))
-			for i := 0; i < perProducer; i++ {
-				p := diffPacket(int64(w*perProducer+i), rng, sigs)
-				// Randomize which path sees the packet first, so neither
-				// engine's ordering is systematically ahead.
-				if rng.Intn(2) == 0 {
-					if err := e.Submit(p); err != nil {
-						t.Error(err)
-						return
+	for _, depth := range []int{1, 4, 256, 1024} {
+		t.Run(fmt.Sprintf("QueueDepth=%d", depth), func(t *testing.T) {
+			var (
+				got      sync.Map // packet ID -> []int matched
+				verdicts atomic.Uint64
+				largest  atomic.Int64 // largest batch the sink was handed
+			)
+			e := New(set, Config{
+				Shards: 4, QueueDepth: depth,
+				OnVerdict: func(v Verdict) {
+					verdicts.Add(1)
+					got.Store(v.Packet.ID, append([]int(nil), v.Matched...))
+				},
+				Sink: BatchCallbackSink(func(vs []Verdict) {
+					for n := int64(len(vs)); ; {
+						cur := largest.Load()
+						if n <= cur || largest.CompareAndSwap(cur, n) {
+							break
+						}
 					}
-					ref.submit(p)
-				} else {
-					ref.submit(p)
-					if err := e.Submit(p); err != nil {
-						t.Error(err)
-						return
+				}),
+			})
+			ref := newDiffRef(set, 7)
+
+			var wg sync.WaitGroup
+			for w := 0; w < producers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(1000 + w)))
+					for i := 0; i < perProducer; i++ {
+						p := diffPacket(int64(w*perProducer+i), rng, sigs)
+						// Randomize which path sees the packet first, so neither
+						// engine's ordering is systematically ahead.
+						if rng.Intn(2) == 0 {
+							if err := e.Submit(p); err != nil {
+								t.Error(err)
+								return
+							}
+							ref.submit(p)
+						} else {
+							ref.submit(p)
+							if err := e.Submit(p); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			e.Close()
+			ref.close()
+
+			if n := verdicts.Load(); n != producers*perProducer {
+				t.Errorf("ring engine delivered %d verdicts, want exactly %d", n, producers*perProducer)
+			}
+			if bound := int64(min(depth, maxDrain)); largest.Load() > bound {
+				t.Errorf("sink was handed a %d-verdict batch, want <= %d", largest.Load(), bound)
+			}
+			total := 0
+			ref.out.Range(func(id, want any) bool {
+				total++
+				g, ok := got.Load(id)
+				if !ok {
+					t.Errorf("packet %d: ring engine produced no verdict", id)
+					return false
+				}
+				gs, ws := g.([]int), want.([]int)
+				sort.Ints(gs)
+				sort.Ints(ws)
+				if len(gs) != len(ws) {
+					t.Errorf("packet %d: ring matched %v, channel reference matched %v", id, gs, ws)
+					return false
+				}
+				for i := range gs {
+					if gs[i] != ws[i] {
+						t.Errorf("packet %d: ring matched %v, channel reference matched %v", id, gs, ws)
+						return false
 					}
 				}
+				return true
+			})
+			if total != producers*perProducer {
+				t.Errorf("reference decided %d packets, want %d", total, producers*perProducer)
 			}
-		}(w)
-	}
-	wg.Wait()
-	e.Close()
-	ref.close()
-
-	total := 0
-	ref.out.Range(func(id, want any) bool {
-		total++
-		g, ok := got.Load(id)
-		if !ok {
-			t.Errorf("packet %d: ring engine produced no verdict", id)
-			return false
-		}
-		gs, ws := g.([]int), want.([]int)
-		sort.Ints(gs)
-		sort.Ints(ws)
-		if len(gs) != len(ws) {
-			t.Errorf("packet %d: ring matched %v, channel reference matched %v", id, gs, ws)
-			return false
-		}
-		for i := range gs {
-			if gs[i] != ws[i] {
-				t.Errorf("packet %d: ring matched %v, channel reference matched %v", id, gs, ws)
-				return false
-			}
-		}
-		return true
-	})
-	if total != producers*perProducer {
-		t.Errorf("reference decided %d packets, want %d", total, producers*perProducer)
+		})
 	}
 }
 
@@ -203,7 +230,7 @@ func TestDifferentialVerdictsAcrossReload(t *testing.T) {
 	classOf := make([]int, producers*perProducer)
 	var verdicts sync.Map // packet ID -> Verdict
 	e := New(v1, Config{
-		Shards: 2, BatchSize: 8, QueueDepth: 256,
+		Shards: 2, QueueDepth: 256,
 		OnVerdict: func(v Verdict) { verdicts.Store(v.Packet.ID, v) },
 	})
 

@@ -15,9 +15,9 @@
 //     host locality is not wanted).
 //   - Each shard's queue is a bounded lock-free MPSC ring: producers
 //     publish a packet with one CAS and one atomic store — no mutex, no
-//     channel hop, no batch-slice allocation. Workers drain runs of
-//     published items and load the compiled-set pointer once per drain,
-//     amortizing the atomic load across the adaptive batch.
+//     channel hop, no batch-slice allocation. A worker drains whatever
+//     is published, up to min(Config.QueueDepth, 512) packets per pass,
+//     and loads the compiled-set pointer once per drain.
 //   - Reload compiles the new set on the caller's goroutine, off the hot
 //     path, and swaps it in with a single atomic pointer store; it returns
 //     once the new generation is live. Generations apply strictly
@@ -25,10 +25,6 @@
 //   - Submit blocks while a shard's ring is full (bounded backpressure).
 //     A stalled sink slows only its own shard's ring — sibling shards
 //     keep flowing.
-//   - Drain sizes adapt to load: each shard's target doubles toward
-//     Config.MaxBatch while its ring stays occupied and halves toward
-//     Config.MinBatch when partial drains empty it, trading latency for
-//     amortization only when the backlog pays for it.
 //   - Results leave one way: each drain's verdicts are handed to the
 //     shard's bound Sink as one borrowed batch, assembled in a
 //     worker-owned arena (no allocation per packet, valid for the call).
@@ -45,7 +41,7 @@
 // tenant points at that one immutable generation; only pinned tenants
 // compile for themselves.
 //
-// Metrics (packets/s, match rate, ring depth, batch target, reloads,
+// Metrics (packets/s, match rate, ring depth, reloads,
 // reload latency, p50/p99 latency) are exposed through Metrics, reusing
 // internal/stats for the quantiles; Pool.Metrics aggregates across
 // tenants, evicted ones included.
@@ -84,21 +80,10 @@ type Config struct {
 	// Shards is the worker count; 0 means runtime.GOMAXPROCS(0).
 	Shards int
 	// QueueDepth bounds the packets queued per shard — the capacity of
-	// the shard's ring, rounded up to a power of two; 0 means 1024.
+	// the shard's ring, rounded up to a power of two; 0 means 1024. A
+	// worker drains at most min(QueueDepth, 512) packets per pass, so a
+	// small QueueDepth also means small drains.
 	QueueDepth int
-	// BatchSize is the initial drain target: how many packets a worker
-	// takes from its ring per drain; 0 means 64.
-	BatchSize int
-	// MinBatch and MaxBatch bound adaptive drain sizing. Each shard's
-	// target starts at BatchSize, doubles (up to MaxBatch) when a full
-	// drain leaves the ring still occupied — large drains amortize the
-	// generation load under backlog — and halves (down to MinBatch) when
-	// a partial drain empties the ring, so light traffic gets low
-	// latency. Zero values default to BatchSize/8 and BatchSize*8
-	// (clamped to [1, QueueDepth]); setting MinBatch = MaxBatch =
-	// BatchSize pins the drain size.
-	MinBatch int
-	MaxBatch int
 	// Affinity selects the shard-assignment strategy.
 	Affinity Affinity
 	// OnVerdict, when non-nil, receives every verdict, ahead of Sink: it
@@ -110,9 +95,9 @@ type Config struct {
 	// per-shard consumers (see Sink and ShardSink for the borrow rule).
 	Sink Sink
 	// Flight, when non-nil, is the flight recorder the engine feeds:
-	// blocking-submit stalls, reload tickets issued and applied, and
-	// per-shard batch-target changes. Nil disables recording at the cost
-	// of a nil check off the per-packet path.
+	// blocking-submit stalls and reload tickets issued and applied. Nil
+	// disables recording at the cost of a nil check off the per-packet
+	// path.
 	Flight *trace.Flight
 }
 
@@ -127,33 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.BatchSize > c.QueueDepth {
-		c.BatchSize = c.QueueDepth
-	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = c.BatchSize / 8
-	}
-	if c.MinBatch < 1 {
-		c.MinBatch = 1
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.BatchSize * 8
-	}
-	if c.MaxBatch > c.QueueDepth {
-		c.MaxBatch = c.QueueDepth
-	}
-	if c.MinBatch > c.MaxBatch {
-		c.MinBatch = c.MaxBatch
-	}
-	if c.BatchSize < c.MinBatch {
-		c.BatchSize = c.MinBatch
-	}
-	if c.BatchSize > c.MaxBatch {
-		c.BatchSize = c.MaxBatch
 	}
 	return c
 }
@@ -228,7 +186,7 @@ func newEngine(cs *compiledSet, cfg Config) *Engine {
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		s := newShard(cfg.QueueDepth, cfg.BatchSize)
+		s := newShard(cfg.QueueDepth)
 		s.idx = i
 		if sink != nil {
 			s.sink = sink.Bind(i, cfg.Shards)

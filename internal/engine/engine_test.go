@@ -47,7 +47,7 @@ func TestMatchSetParityWithBatch(t *testing.T) {
 	cap := capture.New(packets)
 	want := detect.MatchSetWith(detect.NewEngine(set), cap)
 	for _, shards := range []int{1, 4} {
-		got := matchSet(set, cap, Config{Shards: shards, BatchSize: 8})
+		got := matchSet(set, cap, Config{Shards: shards})
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: %d verdicts, want %d", shards, len(got), len(want))
 		}
@@ -69,8 +69,7 @@ func TestHotReloadNoDropsVerdictsFlip(t *testing.T) {
 	var mu sync.Mutex
 	verdicts := make(map[uint64]Verdict)
 	e := New(v1, Config{
-		Shards:    4,
-		BatchSize: 16,
+		Shards: 4,
 		OnVerdict: func(v Verdict) {
 			mu.Lock()
 			verdicts[v.Seq] = v
@@ -124,7 +123,6 @@ func TestConcurrentReloadRace(t *testing.T) {
 	var count atomic.Uint64
 	e := New(tokenSet(1, "alpha-token"), Config{
 		Shards:    2,
-		BatchSize: 4,
 		OnVerdict: func(Verdict) { count.Add(1) },
 	})
 	const n = 2000
@@ -204,12 +202,12 @@ func TestEmptySetMatchesNothing(t *testing.T) {
 
 // TestLonePacketGetsVerdict checks a lone packet gets a verdict without
 // further traffic and without a flusher: a ring-queued packet is visible
-// to the worker at once, however large the batch target.
+// to the worker at once: a drain takes what is published and never
+// waits to fill its bound.
 func TestLonePacketGetsVerdict(t *testing.T) {
 	got := make(chan Verdict, 1)
 	e := New(tokenSet(1, "x-token"), Config{
 		Shards:    1,
-		BatchSize: 64,
 		OnVerdict: func(v Verdict) { got <- v },
 	})
 	defer e.Close()

@@ -44,7 +44,7 @@ func (s *siblingShardSink) Batch(vs []Verdict) { s.g.sibling.Add(uint64(len(vs))
 func TestStalledSinkIsolatesToOwnShard(t *testing.T) {
 	g := &gateSink{gate: make(chan struct{}), entered: make(chan struct{})}
 	e := New(tokenSet(1, "x-token"), Config{
-		Shards: 2, BatchSize: 4, QueueDepth: 16,
+		Shards: 2, QueueDepth: 16,
 		Sink: g,
 	})
 

@@ -89,9 +89,8 @@ type Snapshot struct {
 	SyncVetted  uint64 // packets vetted inline via MatchPacket (proxy path)
 	SyncMatched uint64 // inline vets that matched >= 1 signature
 
-	QueueDepth  int           // packets accepted but not yet processed
-	BatchTarget int           // mean adaptive batch target across shards
-	Uptime      time.Duration // since construction
+	QueueDepth int           // packets accepted but not yet processed
+	Uptime     time.Duration // since construction
 
 	PacketsPerSec float64 // processed / uptime
 	MatchRate     float64 // matched / processed, in [0, 1]
@@ -115,11 +114,11 @@ func (s *Snapshot) addCounters(m Snapshot) {
 // String renders the snapshot as one log-friendly line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"engine: v%d sigs=%d shards=%d reloads=%d in=%d out=%d matched=%d sync=%d/%d queue=%d batch=%d pps=%.0f matchrate=%.4f p50=%s p99=%s",
+		"engine: v%d sigs=%d shards=%d reloads=%d in=%d out=%d matched=%d sync=%d/%d queue=%d pps=%.0f matchrate=%.4f p50=%s p99=%s",
 		s.Version, s.Signatures, s.Shards, s.Reloads,
 		s.Ingested, s.Processed, s.Matched,
 		s.SyncMatched, s.SyncVetted,
-		s.QueueDepth, s.BatchTarget, s.PacketsPerSec, s.MatchRate, s.P50, s.P99)
+		s.QueueDepth, s.PacketsPerSec, s.MatchRate, s.P50, s.P99)
 }
 
 // ShardStat is one worker shard's share of the engine counters — the
@@ -127,10 +126,9 @@ func (s Snapshot) String() string {
 // load-balance diagnostics (a hot host hashing every packet onto one
 // shard shows up here long before it shows in the aggregate).
 type ShardStat struct {
-	Processed   uint64 // packets this shard matched
-	Matched     uint64 // processed packets that matched >= 1 signature
-	BatchTarget int    // current adaptive drain target
-	RingDepth   int    // packets occupying the shard's MPSC ring
+	Processed uint64 // packets this shard matched
+	Matched   uint64 // processed packets that matched >= 1 signature
+	RingDepth int    // packets occupying the shard's MPSC ring
 }
 
 // ShardStats returns the per-shard counters, indexed by shard. It is
@@ -139,10 +137,9 @@ func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))
 	for i, s := range e.shards {
 		out[i] = ShardStat{
-			Processed:   s.processed.Load(),
-			Matched:     s.matched.Load(),
-			BatchTarget: int(s.target.Load()),
-			RingDepth:   s.ring.len(),
+			Processed: s.processed.Load(),
+			Matched:   s.matched.Load(),
+			RingDepth: s.ring.len(),
 		}
 	}
 	return out
@@ -167,15 +164,10 @@ func (e *Engine) Metrics() Snapshot {
 		Uptime:       time.Since(e.start),
 	}
 	var lat []int
-	var targets int
 	for _, s := range e.shards {
 		snap.Processed += s.processed.Load()
 		snap.Matched += s.matched.Load()
-		targets += int(s.target.Load())
 		lat = append(lat, s.lat.samples()...)
-	}
-	if len(e.shards) > 0 {
-		snap.BatchTarget = targets / len(e.shards)
 	}
 	if pending := snap.Ingested - snap.Processed; pending <= snap.Ingested {
 		snap.QueueDepth = int(pending)

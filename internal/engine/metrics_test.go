@@ -37,7 +37,7 @@ func TestLatencyRingPartial(t *testing.T) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	e := New(tokenSet(3, "x-token"), Config{Shards: 2, BatchSize: 8})
+	e := New(tokenSet(3, "x-token"), Config{Shards: 2})
 	// Enough packets to cross several latency sampling strides.
 	const n = 4 * latencySampleEvery
 	for i := 0; i < n; i++ {

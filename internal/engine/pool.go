@@ -11,8 +11,8 @@ import (
 )
 
 // PoolConfig parameterizes a Pool. The zero value selects sensible
-// defaults: a GOMAXPROCS-sized shard budget, no tenant cap, and no idle
-// eviction.
+// defaults: a GOMAXPROCS-sized shard budget, a cap of 1024 live tenants,
+// and no idle eviction.
 type PoolConfig struct {
 	// Engine is the per-tenant engine template. Its Shards field is a
 	// per-tenant ceiling; the pool grants fewer when the shard budget

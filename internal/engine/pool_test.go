@@ -9,7 +9,7 @@ import (
 )
 
 func TestPoolTenantIsolation(t *testing.T) {
-	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 1, BatchSize: 4}})
+	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 1}})
 	defer p.Close()
 	p.ReloadTenant("app.alpha", tokenSet(1, "alpha-token"))
 	p.ReloadTenant("app.beta", tokenSet(1, "beta-token"))
@@ -66,7 +66,7 @@ func TestPoolLazyCreationAndDefaultReload(t *testing.T) {
 
 func TestPoolShardBudget(t *testing.T) {
 	p := NewPool(nil, PoolConfig{
-		Engine:      Config{Shards: 2, BatchSize: 4},
+		Engine:      Config{Shards: 2},
 		ShardBudget: 4,
 	})
 	defer p.Close()
@@ -101,7 +101,7 @@ func TestPoolShardBudget(t *testing.T) {
 
 func TestPoolIdleEviction(t *testing.T) {
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:    Config{Shards: 1, BatchSize: 4},
+		Engine:    Config{Shards: 1},
 		IdleAfter: 50 * time.Millisecond,
 	})
 	defer p.Close()
@@ -138,7 +138,7 @@ func TestPoolIdleEviction(t *testing.T) {
 // packet — evicted tenants drain, and racing Submits recreate them.
 func TestPoolEvictionRacesIngest(t *testing.T) {
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:    Config{Shards: 1, BatchSize: 2},
+		Engine:    Config{Shards: 1},
 		IdleAfter: time.Millisecond,
 	})
 	const (
@@ -207,7 +207,7 @@ func TestPoolMaxTenantsEvictsLRU(t *testing.T) {
 // totals never regress when the tenant table churns.
 func TestPoolAggregateSurvivesLRUEviction(t *testing.T) {
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:     Config{Shards: 1, BatchSize: 4},
+		Engine:     Config{Shards: 1},
 		MaxTenants: 2,
 	})
 	defer p.Close()
@@ -263,7 +263,7 @@ func TestPoolTenantSink(t *testing.T) {
 	sinks := map[string]*CountSink{}
 	var mu sync.Mutex
 	p := NewPool(tokenSet(1, "x-token"), PoolConfig{
-		Engine:      Config{Shards: 1, BatchSize: 4},
+		Engine:      Config{Shards: 1},
 		ShardBudget: 8,
 		TenantSink: func(key string) Sink {
 			sink := NewCountSink()
@@ -328,7 +328,7 @@ func TestPoolEvictDrainsSinkBeforeRetiring(t *testing.T) {
 		}
 		seen.Add(1)
 	})
-	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 2, BatchSize: 4, Sink: sink}})
+	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 2, Sink: sink}})
 	defer p.Close()
 	for i := 0; i < n; i++ {
 		if err := p.Submit("victim", pkt(int64(i), "host.example.com", "zone=1")); err != nil {
@@ -349,7 +349,7 @@ func TestPoolEvictDrainsSinkBeforeRetiring(t *testing.T) {
 func TestPoolEvictRacesSinkFlush(t *testing.T) {
 	var seen atomic.Uint64
 	sink := CallbackSink(func(Verdict) { seen.Add(1) })
-	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 1, BatchSize: 4, Sink: sink}})
+	p := NewPool(nil, PoolConfig{Engine: Config{Shards: 1, Sink: sink}})
 
 	const (
 		workers    = 4
@@ -398,7 +398,7 @@ func TestPoolEvictRacesSinkFlush(t *testing.T) {
 // tenants run — through exhaustion, eviction and recycling.
 func TestPoolShardsInUseCountsWorkers(t *testing.T) {
 	p := NewPool(nil, PoolConfig{
-		Engine:      Config{Shards: 2, BatchSize: 4},
+		Engine:      Config{Shards: 2},
 		ShardBudget: 4,
 	})
 	defer p.Close()

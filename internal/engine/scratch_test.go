@@ -65,7 +65,7 @@ func TestSteadyStateScanResolveZeroAlloc(t *testing.T) {
 func TestReloadConcurrentScratchSafety(t *testing.T) {
 	small := scratchTestSet(2)
 	large := scratchTestSet(300)
-	e := New(small, Config{Shards: 2, QueueDepth: 256, BatchSize: 8})
+	e := New(small, Config{Shards: 2, QueueDepth: 256})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,7 +134,7 @@ func TestVerdictMatchedStableAcrossPackets(t *testing.T) {
 	} {
 		var mu sync.Mutex
 		var got []Verdict
-		e := New(scratchTestSet(64), c.wire(Config{Shards: 1, BatchSize: 4, MinBatch: 4, MaxBatch: 4}, func(v Verdict) {
+		e := New(scratchTestSet(64), c.wire(Config{Shards: 1, QueueDepth: 4}, func(v Verdict) {
 			mu.Lock()
 			got = append(got, v)
 			mu.Unlock()
@@ -165,7 +165,7 @@ func TestVerdictMatchedStableAcrossPackets(t *testing.T) {
 // detect.Engine unreachable: neither a parked worker's scratch nor a
 // pooled scratch, nor the runtime's list of used sync.Pools, may keep one.
 func TestIdleWorkerReleasesReplacedGeneration(t *testing.T) {
-	cfg := Config{Shards: 2, QueueDepth: 64, BatchSize: 4}
+	cfg := Config{Shards: 2, QueueDepth: 64}
 	e := New(scratchTestSet(8), cfg)
 	defer e.Close()
 	p := NewPool(scratchTestSet(8), PoolConfig{Engine: cfg, ShardBudget: 16})

@@ -17,6 +17,13 @@ type item struct {
 	enq int64 // unix nanos at acceptance; 0 when the packet is unsampled
 }
 
+// maxDrain bounds how many packets a worker takes from its ring per
+// pass: the size of its item buffer, verdict slice and matched-ID arena.
+// A worker never waits to fill a drain — it takes what is published —
+// so the bound caps the batch a sink is handed, not the latency of a
+// lone packet. Below maxDrain the bound is Config.QueueDepth.
+const maxDrain = 512
+
 // shard owns one worker goroutine and the lock-free MPSC ring feeding
 // it. Producers push packets straight into the ring (one CAS + one
 // store, no mutex, no allocation); the worker drains runs of published
@@ -27,77 +34,26 @@ type shard struct {
 	idx  int // position in Engine.shards, for flight-event attribution
 	ring *ring
 
-	// target is the adaptive drain limit: how many packets the worker
-	// takes per drain, which is also the generation-load amortization
-	// unit and the verdict-batch size. The worker doubles it (up to
-	// Config.MaxBatch) on every full drain — backlog pays for
-	// amortization — and halves it (down to Config.MinBatch) after two
-	// consecutive partial drains that empty the ring, so light traffic
-	// keeps small batches and low verdict latency without one burst-end
-	// drain unlearning the batch size.
-	target atomic.Int32
-
 	// sink is this shard's bound consumer; nil when the engine has neither
 	// a Sink nor an OnVerdict.
 	sink ShardSink
-
-	// shrinkStreak counts consecutive drains that qualified for halving
-	// the target. Shrinking waits for two in a row: the single partial
-	// drain that ends every burst would otherwise throw away the batch
-	// size the backlog just paid to learn, oscillating the target on
-	// each producer/worker handoff. Worker-owned, so a plain int.
-	shrinkStreak int
 
 	processed atomic.Uint64
 	matched   atomic.Uint64
 	lat       *latencyRing
 }
 
-func newShard(queueDepth, batchSize int) *shard {
-	s := &shard{
+func newShard(queueDepth int) *shard {
+	return &shard{
 		ring: newRing(queueDepth),
 		lat:  newLatencyRing(),
 	}
-	s.target.Store(int32(batchSize))
-	return s
 }
 
-// adapt retunes the drain limit after a drain of n items that left
-// occupancy claimed slots behind. Running inside the single consumer,
-// updates never race; producers only read target through Metrics.
-func (s *shard) adapt(n, occupancy int, cfg Config) {
-	t := int(s.target.Load())
-	switch {
-	// A full drain is the backlog signal: at least a whole target was
-	// waiting. Unlike producer-side accumulators, a large target adds no
-	// latency — the worker never waits to fill it — so growth does not
-	// also require leftover occupancy.
-	case n >= t:
-		s.shrinkStreak = 0
-		if doubled := t * 2; doubled <= cfg.MaxBatch {
-			s.target.Store(int32(doubled))
-		} else if t < cfg.MaxBatch {
-			s.target.Store(int32(cfg.MaxBatch))
-		}
-	case n <= t/2 && occupancy == 0:
-		s.shrinkStreak++
-		if s.shrinkStreak < 2 {
-			break
-		}
-		s.shrinkStreak = 0
-		if half := t / 2; half >= cfg.MinBatch {
-			s.target.Store(int32(half))
-		} else if t > cfg.MinBatch {
-			s.target.Store(int32(cfg.MinBatch))
-		}
-	default:
-		s.shrinkStreak = 0
-	}
-}
-
-// run is the worker loop: drain the ring until the engine stops, match
-// the drain under one load of the live signature generation, and hand
-// the sink the drain's verdicts as one borrowed batch.
+// run is the worker loop: drain what is published in the ring, up to
+// min(QueueDepth, maxDrain) packets, until the engine stops; match the
+// drain under one load of the live signature generation, and hand the
+// sink the drain's verdicts as one borrowed batch.
 //
 // The worker owns one detect.Scratch, one verdict slice and one
 // matched-ID arena for its whole lifetime, so scan, resolve and verdict
@@ -110,17 +66,14 @@ func (s *shard) adapt(n, occupancy int, cfg Config) {
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
 	var sc detect.Scratch
-	buf := make([]item, e.cfg.MaxBatch)
-	verdicts := make([]Verdict, 0, e.cfg.MaxBatch)
+	bound := min(e.cfg.QueueDepth, maxDrain)
+	buf := make([]item, bound)
+	verdicts := make([]Verdict, 0, bound)
 	// ids is the arena behind every Matched slice of the drain in flight,
 	// sized for one ID per packet and grown by append past that.
-	ids := make([]int, 0, e.cfg.MaxBatch)
+	ids := make([]int, 0, bound)
 	for {
-		limit := int(s.target.Load())
-		if limit > len(buf) {
-			limit = len(buf)
-		}
-		n := s.ring.drain(buf[:limit])
+		n := s.ring.drain(buf)
 		if n == 0 {
 			// Close sets stopped only after every producer has finished
 			// (it holds the write lock first), so stopped + empty ring
@@ -177,13 +130,6 @@ func (e *Engine) run(s *shard) {
 				sp.Stamp(trace.StageSink)
 				sp.Finish()
 			}
-		}
-		t0 := s.target.Load()
-		s.adapt(n, s.ring.len(), e.cfg)
-		if t1 := s.target.Load(); t1 != t0 {
-			e.cfg.Flight.Record(trace.FlightEvent{
-				Kind: trace.KindBatchTarget, Shard: s.idx, Value: int64(t1),
-			})
 		}
 	}
 }

@@ -27,7 +27,7 @@ func sinkWorkload(t *testing.T, n int, cfg Config) *Engine {
 func TestCountSinkTotals(t *testing.T) {
 	const n = 900
 	sink := NewCountSink()
-	e := sinkWorkload(t, n, Config{Shards: 4, BatchSize: 16, Sink: sink})
+	e := sinkWorkload(t, n, Config{Shards: 4, Sink: sink})
 	packets, leaks := sink.Totals()
 	if packets != n {
 		t.Fatalf("count sink saw %d packets, want %d", packets, n)
@@ -47,7 +47,7 @@ func TestCountSinkTotals(t *testing.T) {
 func TestCountSinkSharedAcrossEngines(t *testing.T) {
 	sink := NewCountSink()
 	mk := func(shards, n int) {
-		e := New(tokenSet(1, "udid=f3a9c1d2"), Config{Shards: shards, BatchSize: 4, Sink: sink})
+		e := New(tokenSet(1, "udid=f3a9c1d2"), Config{Shards: shards, Sink: sink})
 		for i := 0; i < n; i++ {
 			if err := e.Submit(pkt(int64(i), "a.example.com", "udid=f3a9c1d2")); err != nil {
 				t.Fatal(err)
@@ -67,7 +67,7 @@ func TestTeeSinkFansOut(t *testing.T) {
 	const n = 600
 	count := NewCountSink()
 	var cb atomic.Uint64
-	sinkWorkload(t, n, Config{Shards: 2, BatchSize: 8,
+	sinkWorkload(t, n, Config{Shards: 2,
 		Sink: TeeSink(count, CallbackSink(func(v Verdict) {
 			if v.Leak() {
 				cb.Add(1)

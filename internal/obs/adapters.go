@@ -35,7 +35,6 @@ func EngineCollector(snap func() engine.Snapshot, shards func() []engine.ShardSt
 			shard := label("shard", strconv.Itoa(i))
 			m.Counter("leaksig_engine_shard_processed_total", "Packets matched, per worker shard.", float64(sh.Processed), shard)
 			m.Counter("leaksig_engine_shard_matched_total", "Leaking packets, per worker shard.", float64(sh.Matched), shard)
-			m.Gauge("leaksig_engine_shard_batch_target", "Adaptive drain target, per worker shard.", float64(sh.BatchTarget), shard)
 			m.Gauge("leaksig_engine_shard_ring_depth", "Packets occupying the shard's MPSC ring.", float64(sh.RingDepth), shard)
 		}
 	})
@@ -58,7 +57,6 @@ func writeEngineSnapshot(m *MetricWriter, s engine.Snapshot, labels []Label) {
 	m.Gauge("leaksig_engine_shards", "Worker shard count.", float64(s.Shards), labels...)
 	m.Gauge("leaksig_engine_signatures", "Signatures in the live set.", float64(s.Signatures), labels...)
 	m.Gauge("leaksig_engine_signature_version", "Live signature-set version.", float64(s.Version), labels...)
-	m.Gauge("leaksig_engine_batch_target", "Mean adaptive batch target across shards.", float64(s.BatchTarget), labels...)
 	m.Gauge("leaksig_engine_packets_per_second", "Lifetime processed packets per second.", s.PacketsPerSec, labels...)
 	m.Gauge("leaksig_engine_match_rate", "Matched / processed, in [0, 1].", s.MatchRate, labels...)
 	m.Gauge("leaksig_engine_latency_seconds", "Sampled queue-to-verdict latency quantiles.", s.P50.Seconds(), append(append([]Label{}, labels...), label("quantile", "0.5"))...)

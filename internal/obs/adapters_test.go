@@ -39,7 +39,6 @@ func TestEngineCollectorPerShardFamilies(t *testing.T) {
 		for _, fam := range []string{
 			"leaksig_engine_shard_processed_total",
 			"leaksig_engine_shard_matched_total",
-			"leaksig_engine_shard_batch_target",
 			"leaksig_engine_shard_ring_depth",
 		} {
 			want := fmt.Sprintf(`%s{shard="%d"}`, fam, shard)
@@ -186,7 +185,7 @@ func TestFlightCollectorFamilies(t *testing.T) {
 	f := trace.NewFlight(2, 8)
 	f.SetTrigger(func(string, trace.FlightEvent) {})
 	f.Record(trace.FlightEvent{Kind: trace.KindReloadIssue, Shard: -1, Value: 1})
-	f.Record(trace.FlightEvent{Kind: trace.KindBatchTarget, Shard: 1, Value: 64})
+	f.Record(trace.FlightEvent{Kind: trace.KindSinkStall, Shard: 1, Value: 64})
 	f.Trigger("test", trace.FlightEvent{Kind: trace.KindSinkStall, Shard: 0})
 
 	out := expose(FlightCollector(f))

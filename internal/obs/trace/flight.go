@@ -15,7 +15,6 @@ const (
 	KindSinkStall   = "sink_stall"   // blocking submit spun past the stall budget
 	KindReloadIssue = "reload_issue" // a reload ticket was issued (possibly coalesced)
 	KindReloadApply = "reload_apply" // a compiled set was installed
-	KindBatchTarget = "batch_target" // a shard's adaptive drain target changed
 	KindP99Breach   = "p99_breach"   // watchdog saw stage p99 over its ceiling
 	KindDegraded    = "degraded"     // daemon fell back to cached signatures (control plane unreachable)
 )

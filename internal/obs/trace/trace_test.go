@@ -185,8 +185,8 @@ func TestTracerConcurrency(t *testing.T) {
 func TestFlightRecordAndDump(t *testing.T) {
 	f := NewFlight(2, 8)
 	f.Record(FlightEvent{Kind: KindReloadIssue, Shard: -1, Value: 3})
-	f.Record(FlightEvent{Kind: KindBatchTarget, Shard: 0, Value: 16})
-	f.Record(FlightEvent{Kind: KindBatchTarget, Shard: 1, Value: 32})
+	f.Record(FlightEvent{Kind: KindSinkStall, Shard: 0, Value: 16})
+	f.Record(FlightEvent{Kind: KindSinkStall, Shard: 1, Value: 32})
 
 	dump := f.Dump()
 	if len(dump) != 3 {
