@@ -32,8 +32,12 @@
 // watcher ever observes a rollback. A publish the journal cannot append
 // is answered 500 and changes nothing. -journal-fsync picks the
 // durability/latency trade (always | interval | never); under always, a
-// failed fsync fails the publish too. SIGTERM drains in-flight requests,
-// syncs the journal, and flushes the event shipper before exiting.
+// failed fsync fails the publish too. Under interval a publish syncs
+// only when the last sync is 100 ms old, so a publish made sooner stays
+// unsynced until a later publish arrives past the interval or the
+// server shuts down: the loss window is bounded only while publishes
+// keep coming. SIGTERM drains in-flight requests, syncs the journal,
+// and flushes the event shipper before exiting.
 //
 // Without -token the publish endpoint is open: bind -addr to loopback
 // (or front it with an authenticating proxy) before exposing the

@@ -36,6 +36,9 @@ const journalMagic = "LSJRNL1\n"
 // journals, and the next compaction rewrites them under journalMagic.
 const legacyMagic = "LSCKPT1\n"
 
+// syncEvery is the FsyncInterval cadence.
+const syncEvery = 100 * time.Millisecond
+
 // MaxRecord bounds a single journal payload. A corrupt length field
 // would otherwise ask recovery to allocate gigabytes; anything above
 // the bound is treated as tail corruption.
@@ -56,9 +59,12 @@ const (
 	// the error returned, so a record that never reached stable storage
 	// is never acknowledged — nor replayed later as if it had been.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs lazily, at most once per SyncEvery, checked
-	// on the append path (no background goroutine). Bounded loss window
-	// for high-rate journals.
+	// FsyncInterval syncs on the append path (no background goroutine):
+	// an append syncs when the last sync is at least syncEvery old. An
+	// append made sooner stays unsynced until a later append arrives past
+	// the interval, or until Sync or Close; if appends stop, that can
+	// take any length of time. The window is bounded only while appends
+	// keep coming.
 	FsyncInterval
 	// FsyncNever leaves syncing to the OS. For tests and throwaway
 	// journals only.
@@ -82,8 +88,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type JournalConfig struct {
 	// Fsync selects the sync policy; default FsyncAlways.
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval cadence; default 100ms.
-	SyncEvery time.Duration
 	// Replay, when non-nil, receives every intact record's payload in
 	// append order during Open. The slice is reused between calls;
 	// callers keep data by copying or decoding it.
@@ -130,19 +134,11 @@ type Journal struct {
 	compactions  uint64
 }
 
-func (c JournalConfig) withDefaults() JournalConfig {
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 100 * time.Millisecond
-	}
-	return c
-}
-
 // Open opens (creating if absent) the journal at path, replaying every
 // intact record through cfg.Replay and truncating any corrupt or torn
 // tail. It fails only on real I/O errors or a Replay callback error —
 // corruption alone never prevents opening.
 func Open(path string, cfg JournalConfig) (*Journal, error) {
-	cfg = cfg.withDefaults()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open journal: %w", err)
@@ -303,13 +299,13 @@ func (j *Journal) undoLocked(err error) error {
 // j.mu. Under FsyncAlways a sync failure is returned, and the append
 // fails with it. Under FsyncInterval it is counted (exported for
 // alerting) but does not fail the append: the policy already accepts a
-// loss window, and the next interval's sync retries.
+// loss window, and the next append past the interval syncs again.
 func (j *Journal) maybeSyncLocked() error {
 	switch j.cfg.Fsync {
 	case FsyncAlways:
 	case FsyncInterval:
 		now := time.Now()
-		if now.Sub(j.lastSync) < j.cfg.SyncEvery {
+		if now.Sub(j.lastSync) < syncEvery {
 			return nil
 		}
 		j.lastSync = now

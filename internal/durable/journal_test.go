@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"leaksig/internal/signature"
 )
@@ -252,6 +253,49 @@ func TestFailedAppendLeavesJournalUnchanged(t *testing.T) {
 				t.Fatalf("reopen truncated %d bytes: the failed append left a torn frame", st.TruncatedBytes)
 			}
 		})
+	}
+}
+
+// TestIntervalSyncWaitsForTheNextAppend pins what FsyncInterval
+// promises and what it does not: the first append syncs, an append
+// within syncEvery of that sync does not, and nothing syncs it when
+// appends stop, however long they stop; the next append past the
+// interval syncs both, and Sync flushes a pending one.
+func TestIntervalSyncWaitsForTheNextAppend(t *testing.T) {
+	j, err := Open(journalPath(t), JournalConfig{Fsync: FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	syncs := 0
+	j.sync = func(*os.File) error { syncs++; return nil } // no disk wait between appends
+	pending := func() bool { j.mu.Lock(); defer j.mu.Unlock(); return j.dirty }
+
+	if err := j.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 || pending() {
+		t.Fatalf("after the first append: %d syncs, pending %v; want 1 sync, nothing pending", syncs, pending())
+	}
+	if err := j.Append([]byte("within the interval")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * syncEvery)
+	if syncs != 1 || !pending() {
+		t.Fatalf("%v after an append inside the interval: %d syncs, pending %v; want it still unsynced",
+			3*syncEvery, syncs, pending())
+	}
+	if err := j.Append([]byte("past the interval")); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 2 || pending() {
+		t.Fatalf("after an append past the interval: %d syncs, pending %v; want 2 syncs, nothing pending", syncs, pending())
+	}
+	if err := j.Append([]byte("within again")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil || pending() {
+		t.Fatalf("Sync = %v, pending %v; want the pending append synced", err, pending())
 	}
 }
 

@@ -117,9 +117,6 @@ type Backend interface {
 	MatchPacket(p *httpmodel.Packet) []int
 }
 
-// backendBox wraps a Backend so it can live in an atomic.Pointer.
-type backendBox struct{ b Backend }
-
 // auditCap bounds the audit log: the proxy keeps the newest auditCap
 // decisions. A long-running proxy serves without end, and every entry
 // holds a request path that may carry a device identifier.
@@ -127,7 +124,7 @@ const auditCap = 1024
 
 // Proxy is the flow-control forward proxy.
 type Proxy struct {
-	backend   atomic.Pointer[backendBox]
+	backend   Backend
 	policy    Policy
 	transport http.RoundTripper
 
@@ -142,46 +139,27 @@ type Proxy struct {
 // NewProxy builds a proxy enforcing the signature set with the policy.
 // transport may be nil for http.DefaultTransport.
 func NewProxy(set *signature.Set, policy Policy, transport http.RoundTripper) *Proxy {
-	p := newProxy(policy, transport)
-	p.setSignatures(set)
-	return p
+	if set == nil {
+		set = &signature.Set{}
+	}
+	return NewProxyWith(detect.NewEngine(set), policy, transport)
 }
 
 // NewProxyWith builds a proxy vetting requests through an arbitrary
 // matcher backend — e.g. a streaming engine.Engine whose signature set a
-// sigserver watch keeps current.
+// sigserver watch keeps current; the backend's own reload is the proxy's
+// only hot-swap path. A nil backend installs an empty signature set.
 func NewProxyWith(backend Backend, policy Policy, transport http.RoundTripper) *Proxy {
-	p := newProxy(policy, transport)
-	p.setBackend(backend)
-	return p
-}
-
-func newProxy(policy Policy, transport http.RoundTripper) *Proxy {
+	if backend == nil {
+		backend = detect.NewEngine(&signature.Set{})
+	}
 	if policy == nil {
 		policy = BlockMatched()
 	}
 	if transport == nil {
 		transport = http.DefaultTransport
 	}
-	return &Proxy{policy: policy, transport: transport}
-}
-
-// setSignatures hot-swaps the signature set, replacing the backend with a
-// freshly compiled conjunction engine.
-func (p *Proxy) setSignatures(set *signature.Set) {
-	if set == nil {
-		set = &signature.Set{}
-	}
-	p.setBackend(detect.NewEngine(set))
-}
-
-// setBackend hot-swaps the matcher backend. A nil backend installs an
-// empty signature set.
-func (p *Proxy) setBackend(b Backend) {
-	if b == nil {
-		b = detect.NewEngine(&signature.Set{})
-	}
-	p.backend.Store(&backendBox{b: b})
+	return &Proxy{backend: backend, policy: policy, transport: transport}
 }
 
 // Stats returns how many requests were allowed and blocked.
@@ -264,7 +242,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	matched := p.backend.Load().b.MatchPacket(pkt)
+	matched := p.backend.MatchPacket(pkt)
 	action := p.policy.Decide(pkt, matched)
 	if action == Prompt {
 		action = Block

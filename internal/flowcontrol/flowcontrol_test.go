@@ -185,26 +185,6 @@ func TestAuditLogIsBounded(t *testing.T) {
 	}
 }
 
-func TestHotSwapSignatures(t *testing.T) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer origin.Close()
-	proxy := NewProxy(&signature.Set{}, BlockMatched(), nil)
-	resp := proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty set should allow: %s", resp.Status)
-	}
-	proxy.setSignatures(leakSet())
-	resp = proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")
-	if resp.StatusCode != http.StatusUnavailableForLegalReasons {
-		t.Fatalf("after hot swap: %s, want 451", resp.Status)
-	}
-	proxy.setSignatures(nil) // nil degrades to empty set
-	resp = proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("after clearing: %s", resp.Status)
-	}
-}
-
 func TestConnectRefused(t *testing.T) {
 	proxy := NewProxy(leakSet(), BlockMatched(), nil)
 	req := httptest.NewRequest(http.MethodConnect, "example.com:443", nil)
@@ -240,7 +220,7 @@ func TestEngineBackend(t *testing.T) {
 	eng := engine.New(&signature.Set{}, engine.Config{Shards: 1})
 	defer eng.Close()
 	proxy := NewProxyWith(eng, BlockMatched(), nil)
-	if proxy.backend.Load().b != Backend(eng) {
+	if proxy.backend != Backend(eng) {
 		t.Fatal("the streaming engine is not the proxy's backend")
 	}
 
@@ -261,7 +241,7 @@ func TestSetBackendNil(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer origin.Close()
 	proxy := NewProxyWith(nil, BlockMatched(), nil)
-	if _, ok := proxy.backend.Load().b.(*detect.Engine); !ok {
+	if _, ok := proxy.backend.(*detect.Engine); !ok {
 		t.Error("nil backend should degrade to an empty conjunction engine")
 	}
 	resp := proxyThrough(t, proxy, "GET", origin.URL+"/x?imei=353918051234563", "")

@@ -31,8 +31,8 @@ type Event struct {
 	Detail  string    `json:"detail,omitempty"`
 }
 
-// ShipperConfig parameterizes a Shipper. Zero values select the noted
-// defaults; exactly one of URL and Sink must be set.
+// ShipperConfig parameterizes a Shipper. Exactly one of URL and Sink
+// must be set.
 type ShipperConfig struct {
 	// URL is the HTTP endpoint batches POST to as
 	// application/x-ndjson. Ignored when Sink is set.
@@ -52,69 +52,48 @@ type ShipperConfig struct {
 	// Node stamps every shipped event's Node field (the emitting daemon).
 	Node string
 
-	// BufferEvents bounds the in-memory ring; producers shipping into a
-	// full ring drop the NEW event and count it — the logtail posture:
-	// never stall the pipeline for the log. Default 4096.
-	BufferEvents int
-
-	// FlushEvents triggers a flush when this many events are buffered;
-	// default 256. FlushInterval flushes partial batches; default 2s.
-	FlushEvents   int
-	FlushInterval time.Duration
-
-	// RetryMin and RetryMax bound the jittered exponential backoff
-	// between failed delivery attempts; defaults 500ms and 30s.
-	// MaxAttempts bounds attempts per batch before the batch is
-	// abandoned and counted as delivery drops; default 5.
-	RetryMin    time.Duration
-	RetryMax    time.Duration
-	MaxAttempts int
-
-	// UploadTimeout bounds one delivery attempt; default 10s.
-	UploadTimeout time.Duration
-
 	// HTTPClient, when non-nil, replaces the URL sink's internal client
 	// — the slot chaos harnesses use to inject faults into the upload
 	// path. Ignored when Sink is set.
 	HTTPClient *http.Client
 }
 
-func (c ShipperConfig) withDefaults() ShipperConfig {
-	if c.BufferEvents <= 0 {
-		c.BufferEvents = 4096
-	}
-	if c.FlushEvents <= 0 {
-		c.FlushEvents = 256
-	}
-	if c.FlushEvents > c.BufferEvents {
-		c.FlushEvents = c.BufferEvents
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Second
-	}
-	if c.RetryMin <= 0 {
-		c.RetryMin = 500 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 30 * time.Second
-	}
-	if c.RetryMax < c.RetryMin {
-		c.RetryMax = c.RetryMin
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.UploadTimeout <= 0 {
-		c.UploadTimeout = 10 * time.Second
-	}
-	return c
+// shipTuning is the shipper's buffer bound and flush and retry
+// schedule. NewShipper uses defaultShipTuning; tests pass a faster one
+// to newShipper.
+type shipTuning struct {
+	// bufferEvents bounds the in-memory ring; producers shipping into a
+	// full ring drop the NEW event and count it — the logtail posture:
+	// never stall the pipeline for the log.
+	bufferEvents int
+	// flushEvents buffered events trigger a flush, and bound a batch;
+	// flushInterval flushes partial batches.
+	flushEvents   int
+	flushInterval time.Duration
+	// retryMin and retryMax bound the jittered exponential backoff
+	// between failed delivery attempts; maxAttempts bounds attempts per
+	// batch before the batch is abandoned and counted as delivery drops.
+	retryMin, retryMax time.Duration
+	maxAttempts        int
+	// uploadTimeout bounds one delivery attempt.
+	uploadTimeout time.Duration
+}
+
+var defaultShipTuning = shipTuning{
+	bufferEvents:  4096,
+	flushEvents:   256,
+	flushInterval: 2 * time.Second,
+	retryMin:      500 * time.Millisecond,
+	retryMax:      30 * time.Second,
+	maxAttempts:   5,
+	uploadTimeout: 10 * time.Second,
 }
 
 // shipperStats is a point-in-time view of the shipper's accounting.
 type shipperStats struct {
 	Shipped        uint64 `json:"shipped"`         // events delivered to the sink
 	DroppedBuffer  uint64 `json:"dropped_buffer"`  // events dropped: ring full
-	DroppedUpload  uint64 `json:"dropped_upload"`  // events dropped: batch abandoned after MaxAttempts
+	DroppedUpload  uint64 `json:"dropped_upload"`  // events dropped: batch abandoned after maxAttempts
 	UploadFailures uint64 `json:"upload_failures"` // failed delivery attempts
 	Batches        uint64 `json:"batches"`         // batches delivered
 	Buffered       int    `json:"buffered"`        // events currently in the ring
@@ -129,7 +108,8 @@ type shipperStats struct {
 // buffered-upload/backpressure idiom of tailscale's logtail. Construct
 // with NewShipper; all methods are safe for concurrent use.
 type Shipper struct {
-	cfg ShipperConfig
+	cfg  ShipperConfig
+	tune shipTuning
 
 	mu     sync.Mutex
 	buf    []Event // bounded ring, FIFO via slice shift at take time
@@ -149,17 +129,22 @@ type Shipper struct {
 }
 
 // NewShipper starts a shipper. The flush goroutine begins immediately.
-func NewShipper(cfg ShipperConfig) *Shipper {
-	cfg = cfg.withDefaults()
+func NewShipper(cfg ShipperConfig) *Shipper { return newShipper(cfg, defaultShipTuning) }
+
+// newShipper is NewShipper with the tuning given. The flush goroutine
+// reads tune as soon as it starts, so a test changes it here, never
+// on the returned shipper.
+func newShipper(cfg ShipperConfig, tune shipTuning) *Shipper {
 	if cfg.Sink == nil {
-		cfg.Sink = httpSink(cfg.URL, cfg.Token, cfg.UploadTimeout, cfg.HTTPClient)
+		cfg.Sink = httpSink(cfg.URL, cfg.Token, tune.uploadTimeout, cfg.HTTPClient)
 	}
 	s := &Shipper{
 		cfg:      cfg,
-		buf:      make([]Event, 0, cfg.BufferEvents),
+		tune:     tune,
+		buf:      make([]Event, 0, tune.bufferEvents),
 		wake:     make(chan struct{}, 1),
 		flushSec: newHistogram(expBuckets(0.001, 4, 8)), // 1ms .. ~16s
-		retry:    resilience.NewBackoff(cfg.RetryMin, cfg.RetryMax, 0),
+		retry:    resilience.NewBackoff(tune.retryMin, tune.retryMax, 0),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -205,7 +190,7 @@ func (s *Shipper) Ship(ev Event) bool {
 		ev.Node = s.cfg.Node
 	}
 	s.mu.Lock()
-	if s.closed || len(s.buf) >= s.cfg.BufferEvents {
+	if s.closed || len(s.buf) >= s.tune.bufferEvents {
 		s.mu.Unlock()
 		s.droppedBuffer.Inc()
 		return false
@@ -213,7 +198,7 @@ func (s *Shipper) Ship(ev Event) bool {
 	s.buf = append(s.buf, ev)
 	n := len(s.buf)
 	s.mu.Unlock()
-	if n >= s.cfg.FlushEvents {
+	if n >= s.tune.flushEvents {
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -222,7 +207,7 @@ func (s *Shipper) Ship(ev Event) bool {
 	return true
 }
 
-// take removes up to FlushEvents events from the head of the ring.
+// take removes up to flushEvents events from the head of the ring.
 func (s *Shipper) take() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,8 +215,8 @@ func (s *Shipper) take() []Event {
 	if n == 0 {
 		return nil
 	}
-	if n > s.cfg.FlushEvents {
-		n = s.cfg.FlushEvents
+	if n > s.tune.flushEvents {
+		n = s.tune.flushEvents
 	}
 	batch := make([]Event, n)
 	copy(batch, s.buf)
@@ -244,7 +229,7 @@ func (s *Shipper) take() []Event {
 // then deliver whatever is buffered, retrying each batch with backoff.
 func (s *Shipper) run() {
 	defer close(s.done)
-	t := time.NewTicker(s.cfg.FlushInterval)
+	t := time.NewTicker(s.tune.flushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -266,7 +251,7 @@ func (s *Shipper) run() {
 			if len(batch) == 0 {
 				break
 			}
-			s.deliver(batch, s.cfg.MaxAttempts)
+			s.deliver(batch, s.tune.maxAttempts)
 		}
 	}
 }
@@ -281,7 +266,7 @@ func (s *Shipper) deliver(batch []Event, attempts int) {
 		enc.Encode(&batch[i])
 	}
 	for attempt := 1; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.UploadTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), s.tune.uploadTimeout)
 		begin := time.Now()
 		err := s.cfg.Sink(ctx, buf.Bytes())
 		s.flushSec.Observe(time.Since(begin).Seconds())

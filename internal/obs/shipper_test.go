@@ -44,12 +44,9 @@ func (c *collectSink) events(t *testing.T) []Event {
 
 func TestShipperDeliversNDJSON(t *testing.T) {
 	var cs collectSink
-	s := NewShipper(ShipperConfig{
-		Sink:          cs.sink,
-		Node:          "testd",
-		FlushEvents:   4,
-		FlushInterval: 10 * time.Millisecond,
-	})
+	tune := defaultShipTuning
+	tune.flushEvents, tune.flushInterval = 4, 10*time.Millisecond
+	s := newShipper(ShipperConfig{Sink: cs.sink, Node: "testd"}, tune)
 	for i := 0; i < 10; i++ {
 		if !s.Ship(Event{Type: "verdict", Tenant: "app.a", Matched: []int{i}}) {
 			t.Fatalf("Ship %d rejected", i)
@@ -83,17 +80,15 @@ func TestShipperNeverBlocksOnStalledSink(t *testing.T) {
 	var delivered sync.WaitGroup
 	delivered.Add(1)
 	var once sync.Once
-	s := NewShipper(ShipperConfig{
+	tune := defaultShipTuning
+	tune.bufferEvents, tune.flushEvents, tune.flushInterval, tune.maxAttempts = 64, 8, time.Millisecond, 1
+	s := newShipper(ShipperConfig{
 		Sink: func(ctx context.Context, _ []byte) error {
 			once.Do(delivered.Done)
 			<-release // wedged until the test releases it
 			return nil
 		},
-		BufferEvents:  64,
-		FlushEvents:   8,
-		FlushInterval: time.Millisecond,
-		MaxAttempts:   1,
-	})
+	}, tune)
 	// LIFO: release the sink first, then Close can drain.
 	defer s.Close()
 	defer close(release)
@@ -120,7 +115,7 @@ func TestShipperNeverBlocksOnStalledSink(t *testing.T) {
 	st := s.stats()
 	total := st.Shipped + st.DroppedBuffer + st.DroppedUpload + uint64(st.Buffered)
 	// The in-flight batch (taken from the ring, not yet counted anywhere)
-	// accounts for at most FlushEvents of slack.
+	// accounts for at most flushEvents of slack.
 	if want := uint64(producers * perProducer); total > want || total+8 < want {
 		t.Fatalf("accounting leak: shipped=%d dropBuf=%d dropUp=%d buffered=%d, want ~%d total",
 			st.Shipped, st.DroppedBuffer, st.DroppedUpload, st.Buffered, want)
@@ -136,19 +131,17 @@ func TestShipperNeverBlocksOnStalledSink(t *testing.T) {
 func TestShipperRetriesThenDrops(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
-	s := NewShipper(ShipperConfig{
+	tune := defaultShipTuning
+	tune.flushEvents, tune.flushInterval = 1, time.Millisecond
+	tune.retryMin, tune.retryMax, tune.maxAttempts = time.Millisecond, 2*time.Millisecond, 3
+	s := newShipper(ShipperConfig{
 		Sink: func(context.Context, []byte) error {
 			mu.Lock()
 			attempts++
 			mu.Unlock()
 			return context.DeadlineExceeded
 		},
-		FlushEvents:   1,
-		FlushInterval: time.Millisecond,
-		RetryMin:      time.Millisecond,
-		RetryMax:      2 * time.Millisecond,
-		MaxAttempts:   3,
-	})
+	}, tune)
 	s.Ship(Event{Type: "publish"})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -165,7 +158,7 @@ func TestShipperRetriesThenDrops(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if attempts < 3 {
-		t.Fatalf("sink saw %d attempts, want >= 3 (MaxAttempts)", attempts)
+		t.Fatalf("sink saw %d attempts, want >= 3 (maxAttempts)", attempts)
 	}
 	if st := s.stats(); st.UploadFailures < 3 {
 		t.Fatalf("upload failures = %d, want >= 3", st.UploadFailures)
@@ -177,11 +170,9 @@ func TestShipperRetriesThenDrops(t *testing.T) {
 // closed — SIGTERM must not silently abandon the tail of the stream.
 func TestShipperFlushesPendingOnClose(t *testing.T) {
 	var cs collectSink
-	s := NewShipper(ShipperConfig{
-		Sink:          cs.sink,
-		FlushEvents:   256,       // never reached
-		FlushInterval: time.Hour, // never fires
-	})
+	tune := defaultShipTuning
+	tune.flushInterval = time.Hour // never fires; 5 events never reach flushEvents
+	s := newShipper(ShipperConfig{Sink: cs.sink}, tune)
 	for i := 0; i < 5; i++ {
 		s.Ship(Event{Type: "verdict", Version: int64(i)})
 	}
@@ -198,13 +189,13 @@ func TestShipperFlushesPendingOnClose(t *testing.T) {
 // shutdown, the final single-attempt flush gives up and the loss is
 // visible in dropped_upload rather than vanishing.
 func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
-	s := NewShipper(ShipperConfig{
+	tune := defaultShipTuning
+	tune.flushInterval = time.Hour
+	s := newShipper(ShipperConfig{
 		Sink: func(context.Context, []byte) error {
 			return context.DeadlineExceeded
 		},
-		FlushEvents:   256,
-		FlushInterval: time.Hour,
-	})
+	}, tune)
 	for i := 0; i < 7; i++ {
 		s.Ship(Event{Type: "verdict", Version: int64(i)})
 	}
@@ -220,7 +211,9 @@ func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
 
 func TestShipperCollectFamilies(t *testing.T) {
 	var cs collectSink
-	s := NewShipper(ShipperConfig{Sink: cs.sink, FlushInterval: time.Millisecond})
+	tune := defaultShipTuning
+	tune.flushInterval = time.Millisecond
+	s := newShipper(ShipperConfig{Sink: cs.sink}, tune)
 	s.Ship(Event{Type: "x"})
 	s.Close()
 	reg := NewRegistry()

@@ -243,7 +243,7 @@ func distill(memo *tokenMemo, groups []group, benignTrain, benignHold []*httpmod
 	for i, g := range groups {
 		packetGroups[i] = g.Packets
 	}
-	tokens := func(i, minLen, maxTokens int) []string { return memo.tokens(&groups[i], minLen, maxTokens) }
+	tokens := func(i int) []string { return memo.tokens(&groups[i]) }
 
 	var cands []candidate
 	byKey := make(map[string]int) // signature key → index in cands
@@ -258,7 +258,7 @@ func distill(memo *tokenMemo, groups []group, benignTrain, benignHold []*httpmod
 
 	var bayes *signature.BayesSignature
 	if len(benignTrain) > 0 && len(groups) > 0 {
-		bayes = signature.GenerateBayesFromTokens(packetGroups, tokens, benignTrain, signature.BayesOptions{})
+		bayes = signature.GenerateBayesFromTokens(packetGroups, tokens, benignTrain)
 	}
 	cands = applyGates(cands, bayes, benignHold, tenantHold, maxHoldFP, &st)
 
@@ -277,7 +277,7 @@ func distill(memo *tokenMemo, groups []group, benignTrain, benignHold []*httpmod
 			uncoveredPackets = append(uncoveredPackets, g.Packets)
 		}
 	}
-	uncoveredTokens := func(i, minLen, maxTokens int) []string { return memo.tokens(uncovered[i], minLen, maxTokens) }
+	uncoveredTokens := func(i int) []string { return memo.tokens(uncovered[i]) }
 	var fallback []candidate
 	fbKey := make(map[string]int)
 	for i, sig := range signature.GenerateFromTokens(signature.KindSubsequence, uncoveredPackets, uncoveredTokens, opts) {
@@ -295,22 +295,16 @@ func distill(memo *tokenMemo, groups []group, benignTrain, benignHold []*httpmod
 }
 
 // tokenMemo keeps each group's extracted tokens from one distill to the
-// next. An extraction is keyed by the group's ID and the token bounds,
-// and it is reused only while the group's member window is the one it
-// was extracted from: the same packets, pointer for pointer, in the same
-// order. Packets are immutable once observed, so an unchanged window
-// yields the same tokens. Each distill keeps only the extractions it
-// asked for, so the memo holds at most one entry per live group and
-// token bounds. It is not checkpointed. The owner goroutine owns it.
+// next. An extraction is keyed by the group's ID, and it is reused only
+// while the group's member window is the one it was extracted from: the
+// same packets, pointer for pointer, in the same order. Packets are
+// immutable once observed, so an unchanged window yields the same
+// tokens. Each distill keeps only the extractions it asked for, so the
+// memo holds at most one entry per live group. It is not checkpointed.
+// The owner goroutine owns it.
 type tokenMemo struct {
-	last, cur map[extractKey]extraction
-	extracted int // windows extracted rather than reused, ever
-}
-
-// extractKey names one extraction: a group and the token bounds.
-type extractKey struct {
-	id                uint64
-	minLen, maxTokens int
+	last, cur map[uint64]extraction // by group ID
+	extracted int                   // windows extracted rather than reused, ever
 }
 
 // extraction is one window's tokens.
@@ -322,28 +316,27 @@ type extraction struct {
 // begin starts a distill: the last distill's extractions stay reusable
 // until end.
 func (m *tokenMemo) begin() {
-	m.last, m.cur = m.cur, make(map[extractKey]extraction)
+	m.last, m.cur = m.cur, make(map[uint64]extraction)
 }
 
 // end drops the extractions this distill did not reuse.
 func (m *tokenMemo) end() { m.last = nil }
 
-// tokens returns a copy of g's tokens at the bounds, extracted now
-// unless this distill or the last one extracted the same window.
-func (m *tokenMemo) tokens(g *group, minLen, maxTokens int) []string {
-	key := extractKey{g.ID, minLen, maxTokens}
-	e, ok := m.cur[key]
+// tokens returns a copy of g's tokens, extracted now unless this
+// distill or the last one extracted the same window.
+func (m *tokenMemo) tokens(g *group) []string {
+	e, ok := m.cur[g.ID]
 	if !ok {
-		e, ok = m.last[key]
+		e, ok = m.last[g.ID]
 		if !ok || !slices.Equal(e.window, g.Packets) {
 			contents := make([][]byte, len(g.Packets))
 			for i, p := range g.Packets {
 				contents[i] = p.Content()
 			}
-			e = extraction{g.Packets, signature.ExtractTokens(contents, minLen, maxTokens)}
+			e = extraction{g.Packets, signature.ExtractTokens(contents)}
 			m.extracted++
 		}
-		m.cur[key] = e
+		m.cur[g.ID] = e
 	}
 	return slices.Clone(e.tokens)
 }

@@ -39,9 +39,6 @@ func memoEpochs(t *testing.T, cfg ClusterConfig, epochs [][]arrival) (carried, f
 	}
 	train, hold := splitBenign(corpus)
 	opts := signature.Options{MinClusterSize: 3}
-	// The bounds opts and the Bayes model both default to, so one
-	// extraction serves every generator.
-	key := func(id uint64) extractKey { return extractKey{id, 6, 12} }
 
 	c := NewClusterer(cfg, 1)
 	memo := new(tokenMemo)
@@ -54,8 +51,8 @@ func memoEpochs(t *testing.T, cfg ClusterConfig, epochs [][]arrival) (carried, f
 		cs := c.Compact()
 		groups := c.taggedGroups(opts.MinClusterSize)
 		before := map[uint64][]string{}
-		for k, e := range memo.cur {
-			before[k.id] = e.tokens
+		for id, e := range memo.cur {
+			before[id] = e.tokens
 		}
 
 		got, gotSt := distill(memo, groups, train, hold, nil, opts, 0.01)
@@ -87,7 +84,7 @@ func memoEpochs(t *testing.T, cfg ClusterConfig, epochs [][]arrival) (carried, f
 				cause = "eviction"
 			}
 			changes = append(changes, windowChange{epoch, g.ID, cause,
-				!slices.Equal(before[g.ID], memo.cur[key(g.ID)].tokens)})
+				!slices.Equal(before[g.ID], memo.cur[g.ID].tokens)})
 		}
 		last = now
 	}

@@ -93,10 +93,6 @@ type Config struct {
 	// an online learner sees volatile singletons constantly).
 	MinClusterSize int
 
-	// Signature configures token extraction and filtering; the zero
-	// value selects the package defaults.
-	Signature signature.Options
-
 	// Benign is the benign corpus, split internally: even indices train
 	// the token-frequency filter and the Bayes gate, odd indices form
 	// the held-out false-positive corpus. Empty disables both gates.
@@ -436,10 +432,9 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 
 	// Stage 3: distill, gate, and fold survivors into the catalog.
 	groups := s.stage.taggedGroups(s.cfg.MinClusterSize)
-	opts := s.cfg.Signature
-	opts.MinClusterSize = s.cfg.MinClusterSize
 	distillStart := time.Now()
-	cands, dst := distill(&s.tokens, groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign, opts, s.cfg.MaxHoldoutFP)
+	cands, dst := distill(&s.tokens, groups, s.benignTrain, s.benignHold, s.cfg.TenantBenign,
+		signature.Options{MinClusterSize: s.cfg.MinClusterSize}, s.cfg.MaxHoldoutFP)
 	s.cfg.Tracer.Observe(trace.StageDistill, time.Since(distillStart))
 	s.lastDistill = dst
 	for _, c := range cands {

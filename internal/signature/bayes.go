@@ -16,41 +16,9 @@ import (
 	"leaksig/internal/httpmodel"
 )
 
-// BayesOptions configures GenerateBayes. The zero value selects the noted
-// defaults.
-type BayesOptions struct {
-	// MinTokenLen and MaxTokensPerCluster bound token extraction
-	// (defaults 6 and 12, matching conjunction generation).
-	MinTokenLen         int
-	MaxTokensPerCluster int
-	// Smoothing is the Laplace pseudo-count for occurrence probabilities
-	// (default 1).
-	Smoothing float64
-	// TargetTrainFP bounds the fraction of the benign sample the calibrated
-	// threshold may match (default 0.005).
-	TargetTrainFP float64
-	// Stoplist overrides defaultStoplist when non-nil.
-	Stoplist []string
-}
-
-func (o BayesOptions) withDefaults() BayesOptions {
-	if o.MinTokenLen == 0 {
-		o.MinTokenLen = 6
-	}
-	if o.MaxTokensPerCluster == 0 {
-		o.MaxTokensPerCluster = 12
-	}
-	if o.Smoothing == 0 {
-		o.Smoothing = 1
-	}
-	if o.TargetTrainFP == 0 {
-		o.TargetTrainFP = 0.005
-	}
-	if o.Stoplist == nil {
-		o.Stoplist = defaultStoplist()
-	}
-	return o
-}
+// BayesOptions configures GenerateBayes. It has no fields: the token
+// rule, the smoothing and the training false-positive bound are fixed.
+type BayesOptions struct{}
 
 // BayesSignature is one trained probabilistic signature: a token vocabulary
 // with per-token scores and a decision threshold.
@@ -69,19 +37,23 @@ type BayesSignature struct {
 // generator uses; scores are smoothed log likelihood ratios of token
 // occurrence in the suspicious sample versus the benign sample; the
 // threshold is the smallest value whose benign false-match rate does not
-// exceed TargetTrainFP.
+// exceed bayesTrainFP.
 func GenerateBayes(clusters [][]*httpmodel.Packet, benign []*httpmodel.Packet, opts BayesOptions) *BayesSignature {
-	return GenerateBayesFromTokens(clusters, extractEach(clusters), benign, opts)
+	return GenerateBayesFromTokens(clusters, extractEach(clusters), benign)
 }
 
 // GenerateBayesFromTokens is GenerateBayes over tokens the caller
-// supplies: tokens(i, minLen, maxTokens) must return ExtractTokens of
-// clusters[i]'s contents at those bounds. It only reads the slices.
+// supplies: tokens(i) must return ExtractTokens of clusters[i]'s
+// contents. It only reads the slices.
 func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
-	tokens func(cluster, minLen, maxTokens int) []string,
-	benign []*httpmodel.Packet, opts BayesOptions) *BayesSignature {
+	tokens func(cluster int) []string, benign []*httpmodel.Packet) *BayesSignature {
+	return generateBayes(clusters, tokens, benign, bayesTrainFP)
+}
 
-	o := opts.withDefaults()
+// generateBayes is GenerateBayesFromTokens with the training
+// false-positive bound as a parameter, for tests.
+func generateBayes(clusters [][]*httpmodel.Packet, tokens func(cluster int) []string,
+	benign []*httpmodel.Packet, trainFP float64) *BayesSignature {
 
 	// Candidate vocabulary: union of every cluster's invariant tokens.
 	seen := make(map[string]bool)
@@ -89,8 +61,8 @@ func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
 	var suspicious []*httpmodel.Packet
 	for i, cl := range clusters {
 		suspicious = append(suspicious, cl...)
-		for _, tok := range tokens(i, o.MinTokenLen, o.MaxTokensPerCluster) {
-			if seen[tok] || informativeLen(tok, o.Stoplist) < o.MinTokenLen {
+		for _, tok := range tokens(i) {
+			if seen[tok] || informativeLen(tok) < minTokenLen {
 				continue
 			}
 			seen[tok] = true
@@ -123,16 +95,16 @@ func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
 	countInto(suspicious, suspCount)
 	countInto(benign, benignCount)
 
-	nS := float64(len(suspicious)) + 2*o.Smoothing
-	nB := float64(len(benign)) + 2*o.Smoothing
+	nS := float64(len(suspicious)) + 2*bayesSmoothing
+	nB := float64(len(benign)) + 2*bayesSmoothing
 	sig.Scores = make([]float64, len(vocab))
 	for i := range vocab {
-		pS := (suspCount[i] + o.Smoothing) / nS
-		pB := (benignCount[i] + o.Smoothing) / nB
+		pS := (suspCount[i] + bayesSmoothing) / nS
+		pB := (benignCount[i] + bayesSmoothing) / nB
 		sig.Scores[i] = math.Log(pS / pB)
 	}
 
-	// Calibrate the threshold on the benign sample: the (1 - TargetTrainFP)
+	// Calibrate the threshold on the benign sample: the (1 - trainFP)
 	// quantile of benign scores, floored at a tiny positive value so empty
 	// content never matches.
 	if len(benign) == 0 {
@@ -144,7 +116,7 @@ func GenerateBayesFromTokens(clusters [][]*httpmodel.Packet,
 		scores[i] = sig.score(p.Content(), occ)
 	}
 	sort.Float64s(scores)
-	idx := int(float64(len(scores)) * (1 - o.TargetTrainFP))
+	idx := int(float64(len(scores)) * (1 - trainFP))
 	if idx >= len(scores) {
 		idx = len(scores) - 1
 	}

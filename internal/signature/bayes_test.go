@@ -79,7 +79,7 @@ func TestBayesScoresSignSensible(t *testing.T) {
 func TestBayesThresholdBoundsTrainingFP(t *testing.T) {
 	clusters := [][]*httpmodel.Packet{leakCluster("ads.x.jp", "udid", "f3a9c1d200b14e67", 8)}
 	benign := benignTraffic(200)
-	sig := GenerateBayes(clusters, benign, BayesOptions{TargetTrainFP: 0.01})
+	sig := generateBayes(clusters, extractEach(clusters), benign, 0.01)
 	fp := 0
 	for _, p := range benign {
 		if sig.Matches(p) {

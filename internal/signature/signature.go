@@ -149,10 +149,29 @@ func ReadFile(path string) (*Set, error) {
 	return set, nil
 }
 
-// defaultStoplist contains HTTP boilerplate that must never count toward a
-// token's informative content: fragments present in nearly every request.
-func defaultStoplist() []string {
-	return []string{
+// The fixed generation rule: token bounds every generator shares, and
+// the Bayes signature's training constants. The paper states none of
+// these values.
+const (
+	// minTokenLen is the shortest token kept: shorter tokens are
+	// dominated by boilerplate.
+	minTokenLen = 6
+	// maxClusterTokens bounds the tokens extracted per cluster.
+	maxClusterTokens = 12
+	// bayesSmoothing is the Laplace pseudo-count for the Bayes
+	// signature's occurrence probabilities.
+	bayesSmoothing = 1
+	// bayesTrainFP bounds the fraction of the benign sample a Bayes
+	// signature's calibrated threshold may match.
+	bayesTrainFP = 0.005
+)
+
+// stoplist holds HTTP boilerplate that must never count toward a token's
+// informative content: fragments present in nearly every request. It is
+// sorted longest first, once, so that informativeLen deletes a longer
+// entry before any entry it contains can shadow it.
+var stoplist = func() []string {
+	s := []string{
 		"GET /", "POST /",
 		" HTTP/1.1", " HTTP/1.0", "HTTP/1.",
 		"http://", "https://",
@@ -160,25 +179,16 @@ func defaultStoplist() []string {
 		"User-Agent", "Mozilla/", "Dalvik/",
 		"&", "=", "?", "; ",
 	}
-}
+	sort.Slice(s, func(i, j int) bool { return len(s[i]) > len(s[j]) })
+	return s
+}()
 
 // Options configures Generate. The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// MinTokenLen is the minimum token length kept (default 6). The paper
-	// does not state a value; shorter tokens are dominated by boilerplate.
-	MinTokenLen int
-
-	// MaxTokensPerSignature bounds the token extraction recursion
-	// (default 12).
-	MaxTokensPerSignature int
-
 	// MinClusterSize skips clusters with fewer members (default 1 — the
 	// paper generates a signature for every cluster).
 	MinClusterSize int
-
-	// Stoplist overrides defaultStoplist when non-nil.
-	Stoplist []string
 
 	// BenignSample, when non-empty, enables the frequency filter: a token
 	// occurring in more than MaxBenignFraction of the sample is dropped.
@@ -186,24 +196,11 @@ type Options struct {
 
 	// MaxBenignFraction defaults to 0.05 when BenignSample is set.
 	MaxBenignFraction float64
-
-	// HostConstraint attaches the common trailing host labels of each
-	// cluster to its signature as a destination constraint.
-	HostConstraint bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinTokenLen == 0 {
-		o.MinTokenLen = 6
-	}
-	if o.MaxTokensPerSignature == 0 {
-		o.MaxTokensPerSignature = 12
-	}
 	if o.MinClusterSize == 0 {
 		o.MinClusterSize = 1
-	}
-	if o.Stoplist == nil {
-		o.Stoplist = defaultStoplist()
 	}
 	if o.MaxBenignFraction == 0 {
 		o.MaxBenignFraction = 0.05
@@ -256,9 +253,8 @@ func generateSet(kind string, clusters [][]*httpmodel.Packet, opts Options) *Set
 
 // GenerateFromTokens builds one signature of the given kind,
 // KindConjunction or KindSubsequence, per cluster, from tokens the
-// caller supplies: tokens(i, minLen, maxTokens) must return
-// ExtractTokens of clusters[i]'s contents at those bounds, in a slice
-// the filters may overwrite. With GenerateBayesFromTokens, it lets a
+// caller supplies: tokens(i) must return ExtractTokens of clusters[i]'s
+// contents, in a slice the filters may overwrite. With GenerateBayesFromTokens, it lets a
 // caller extract each cluster once for every generator.
 //
 // A KindConjunction signature keeps each informative token once and
@@ -269,7 +265,7 @@ func generateSet(kind string, clusters [][]*httpmodel.Packet, opts Options) *Set
 // called for it, or keeps no token. Signatures are not deduplicated and
 // carry ID 0.
 func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
-	tokens func(cluster, minLen, maxTokens int) []string, opts Options) []*Signature {
+	tokens func(cluster int) []string, opts Options) []*Signature {
 
 	o := opts.withDefaults()
 	var benign [][]byte
@@ -281,11 +277,11 @@ func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
 		if len(cl) < o.MinClusterSize {
 			continue
 		}
-		kept := tokens(i, o.MinTokenLen, o.MaxTokensPerSignature)
+		kept := tokens(i)
 		if kind == KindSubsequence {
-			kept = informativeTokens(kept, o)
+			kept = informativeTokens(kept)
 		} else {
-			kept = filterTokens(kept, benign, o)
+			kept = filterTokens(kept, benign, o.MaxBenignFraction)
 		}
 		if len(kept) == 0 {
 			continue
@@ -294,13 +290,6 @@ func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
 		if kind == KindSubsequence {
 			sig.Kind = KindSubsequence
 		}
-		if o.HostConstraint {
-			hosts := make([]string, len(cl))
-			for i, p := range cl {
-				hosts[i] = p.Host
-			}
-			sig.HostSuffix = commonHostSuffix(hosts)
-		}
 		sigs[i] = sig
 	}
 	return sigs
@@ -308,10 +297,8 @@ func GenerateFromTokens(kind string, clusters [][]*httpmodel.Packet,
 
 // extractEach is the token source of Generate, GenerateSubsequence and
 // GenerateBayes: a fresh extraction of the asked cluster.
-func extractEach(clusters [][]*httpmodel.Packet) func(cluster, minLen, maxTokens int) []string {
-	return func(i, minLen, maxTokens int) []string {
-		return ExtractTokens(contents(clusters[i]), minLen, maxTokens)
-	}
+func extractEach(clusters [][]*httpmodel.Packet) func(cluster int) []string {
+	return func(i int) []string { return ExtractTokens(contents(clusters[i])) }
 }
 
 // contents returns the packets' Content.
@@ -325,9 +312,15 @@ func contents(ps []*httpmodel.Packet) [][]byte {
 
 // ExtractTokens returns the ordered invariant tokens of the contents: the
 // longest substring common to every member, recursively applied to the
-// parts left and right of it (in-order), keeping tokens of at least minLen
-// bytes and at most maxTokens tokens.
-func ExtractTokens(contents [][]byte, minLen, maxTokens int) []string {
+// parts left and right of it (in-order), keeping tokens of at least
+// minTokenLen bytes and at most maxClusterTokens tokens.
+func ExtractTokens(contents [][]byte) []string {
+	return extractTokens(contents, minTokenLen, maxClusterTokens)
+}
+
+// extractTokens is ExtractTokens at the given bounds; tests use it to
+// reach bounds the fixed rule never takes.
+func extractTokens(contents [][]byte, minLen, maxTokens int) []string {
 	if len(contents) == 0 || maxTokens <= 0 {
 		return nil
 	}
@@ -400,7 +393,7 @@ func extractRec(contents [][]byte, minLen, maxTokens int, out *[]string) {
 // filterTokens applies the stoplist and, when benign holds the benign
 // sample's contents, the benign-frequency filter, keeping each token
 // once. It filters tokens in place.
-func filterTokens(tokens []string, benign [][]byte, o Options) []string {
+func filterTokens(tokens []string, benign [][]byte, maxBenignFraction float64) []string {
 	out := tokens[:0]
 	seen := make(map[string]bool)
 	for _, t := range tokens {
@@ -408,10 +401,10 @@ func filterTokens(tokens []string, benign [][]byte, o Options) []string {
 			continue
 		}
 		seen[t] = true
-		if informativeLen(t, o.Stoplist) < o.MinTokenLen {
+		if informativeLen(t) < minTokenLen {
 			continue
 		}
-		if benign != nil && benignFraction(t, benign) > o.MaxBenignFraction {
+		if benign != nil && benignFraction(t, benign) > maxBenignFraction {
 			continue
 		}
 		out = append(out, t)
@@ -421,10 +414,10 @@ func filterTokens(tokens []string, benign [][]byte, o Options) []string {
 
 // informativeTokens applies the stoplist alone, keeping order and
 // repeats. It filters tokens in place.
-func informativeTokens(tokens []string, o Options) []string {
+func informativeTokens(tokens []string) []string {
 	out := tokens[:0]
 	for _, t := range tokens {
-		if informativeLen(t, o.Stoplist) >= o.MinTokenLen {
+		if informativeLen(t) >= minTokenLen {
 			out = append(out, t)
 		}
 	}
@@ -434,18 +427,11 @@ func informativeTokens(tokens []string, o Options) []string {
 // informativeLen returns the number of bytes of t remaining after deleting
 // every occurrence of every stoplist entry (longest-match-first, repeated to
 // a fixed point). A token made of pure boilerplate scores near zero.
-func informativeLen(t string, stoplist []string) int {
-	// Delete longer stop entries first so substring-of-stop entries do not
-	// shadow them.
-	sorted := append([]string(nil), stoplist...)
-	sort.Slice(sorted, func(i, j int) bool { return len(sorted[i]) > len(sorted[j]) })
+func informativeLen(t string) int {
 	cur := t
 	for {
 		next := cur
-		for _, s := range sorted {
-			if s == "" {
-				continue
-			}
+		for _, s := range stoplist {
 			next = strings.ReplaceAll(next, s, "")
 		}
 		if next == cur {
@@ -475,37 +461,6 @@ func benignFraction(token string, benign [][]byte) float64 {
 		}
 	}
 	return float64(hits) / float64(len(benign))
-}
-
-// commonHostSuffix returns the longest common label-aligned suffix of the
-// hosts, e.g. ["a.admob.com", "b.admob.com"] -> "admob.com". It returns ""
-// when fewer than two trailing labels are shared (a bare TLD is too generic
-// to constrain anything).
-func commonHostSuffix(hosts []string) string {
-	if len(hosts) == 0 {
-		return ""
-	}
-	split := func(h string) []string { return strings.Split(h, ".") }
-	common := split(hosts[0])
-	for _, h := range hosts[1:] {
-		labels := split(h)
-		n := len(common)
-		if len(labels) < n {
-			n = len(labels)
-		}
-		k := 0
-		for k < n && common[len(common)-1-k] == labels[len(labels)-1-k] {
-			k++
-		}
-		common = common[len(common)-k:]
-		if len(common) < 2 {
-			return ""
-		}
-	}
-	if len(common) < 2 {
-		return ""
-	}
-	return strings.Join(common, ".")
 }
 
 // HostMatchesSuffix reports whether host ends with the label-aligned

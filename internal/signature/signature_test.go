@@ -20,7 +20,7 @@ func TestExtractTokensTemplate(t *testing.T) {
 		[]byte("GET /ad/v2?zone=98&udid=f3a9c1d200b14e67&seq=204 HTTP/1.1\n\n"),
 		[]byte("GET /ad/v2?zone=5&udid=f3a9c1d200b14e67&seq=77 HTTP/1.1\n\n"),
 	}
-	tokens := ExtractTokens(contents, 6, 12)
+	tokens := ExtractTokens(contents)
 	if len(tokens) == 0 {
 		t.Fatal("no tokens extracted")
 	}
@@ -43,7 +43,7 @@ func TestExtractTokensOrderedInOrder(t *testing.T) {
 		[]byte("AAAA-longcommonmiddle-ZZZZ1"),
 		[]byte("AAAA+longcommonmiddle+ZZZZ2"),
 	}
-	tokens := ExtractTokens(contents, 4, 12)
+	tokens := extractTokens(contents, 4, 12)
 	// In-order traversal: AAAA then middle then ZZZZ.
 	if len(tokens) != 3 || tokens[0] != "AAAA" || tokens[1] != "longcommonmiddle" || tokens[2] != "ZZZZ" {
 		t.Errorf("tokens = %v", tokens)
@@ -59,7 +59,7 @@ func TestExtractTokensSplitsFieldSpanningTokens(t *testing.T) {
 		[]byte("aaaa\nbbbb-XXccccXX"),
 		[]byte("aaaa\nbbbb-YYccccYY"),
 	}
-	got := ExtractTokens(contents, 4, 12)
+	got := extractTokens(contents, 4, 12)
 	want := []string{"aaaa", "bbbb-", "cccc"}
 	if len(got) != len(want) {
 		t.Fatalf("tokens = %q, want %q", got, want)
@@ -81,29 +81,28 @@ func TestExtractTokensRespectsBudgetAndMinLen(t *testing.T) {
 		[]byte("aaaaaa-bbbbbb-cccccc-dddddd"),
 		[]byte("aaaaaa+bbbbbb+cccccc+dddddd"),
 	}
-	if got := ExtractTokens(contents, 6, 2); len(got) > 2 {
+	if got := extractTokens(contents, 6, 2); len(got) > 2 {
 		t.Errorf("budget exceeded: %v", got)
 	}
-	if got := ExtractTokens(contents, 30, 12); got != nil {
+	if got := extractTokens(contents, 30, 12); got != nil {
 		t.Errorf("minLen not respected: %v", got)
 	}
-	if got := ExtractTokens(nil, 6, 12); got != nil {
+	if got := ExtractTokens(nil); got != nil {
 		t.Errorf("empty input: %v", got)
 	}
 }
 
 func TestInformativeLen(t *testing.T) {
-	stop := defaultStoplist()
-	if got := informativeLen(" HTTP/1.1", stop); got != 0 {
+	if got := informativeLen(" HTTP/1.1"); got != 0 {
 		t.Errorf("boilerplate scored %d", got)
 	}
-	if got := informativeLen("GET /ad/v2?zone=", stop); got < 6 {
+	if got := informativeLen("GET /ad/v2?zone="); got < 6 {
 		t.Errorf("real prefix scored %d", got)
 	}
-	if got := informativeLen("udid=f3a9c1d200b14e67", stop); got < 16 {
+	if got := informativeLen("udid=f3a9c1d200b14e67"); got < 16 {
 		t.Errorf("udid token scored %d", got)
 	}
-	if got := informativeLen("", stop); got != 0 {
+	if got := informativeLen(""); got != 0 {
 		t.Errorf("empty token scored %d", got)
 	}
 }
@@ -197,27 +196,6 @@ func TestGenerateBenignFilter(t *testing.T) {
 	}
 }
 
-func TestCommonHostSuffix(t *testing.T) {
-	cases := []struct {
-		hosts []string
-		want  string
-	}{
-		{[]string{"a.admob.com", "b.admob.com"}, "admob.com"},
-		{[]string{"admob.com", "admob.com"}, "admob.com"},
-		{[]string{"x.doubleclick.net", "y.doubleclick.net", "z.doubleclick.net"}, "doubleclick.net"},
-		{[]string{"a.example.com", "a.example.org"}, ""},
-		{[]string{"foo.co.jp", "bar.co.jp"}, "co.jp"},
-		{[]string{"onlyone.example"}, "onlyone.example"},
-		{nil, ""},
-		{[]string{"xmob.com", "admob.com"}, ""}, // "mob.com" is not label-aligned
-	}
-	for _, c := range cases {
-		if got := commonHostSuffix(c.hosts); got != c.want {
-			t.Errorf("commonHostSuffix(%v) = %q, want %q", c.hosts, got, c.want)
-		}
-	}
-}
-
 func TestHostMatchesSuffix(t *testing.T) {
 	cases := []struct {
 		host, suffix string
@@ -236,26 +214,13 @@ func TestHostMatchesSuffix(t *testing.T) {
 	}
 }
 
-func TestGenerateHostConstraint(t *testing.T) {
-	cluster := []*httpmodel.Packet{
-		adPacket("/ad/v2?zone=1&imei=353918051234563"),
-		adPacket("/ad/v2?zone=2&imei=353918051234563"),
-	}
-	set := Generate([][]*httpmodel.Packet{cluster}, Options{HostConstraint: true})
-	if set.Len() != 1 {
-		t.Fatal("no signature")
-	}
-	if set.Signatures[0].HostSuffix != "ad-maker.info" {
-		t.Errorf("HostSuffix = %q", set.Signatures[0].HostSuffix)
-	}
-}
-
 func TestSetJSONRoundTrip(t *testing.T) {
 	cluster := []*httpmodel.Packet{
 		adPacket("/ad/v2?zone=1&imei=353918051234563"),
 		adPacket("/ad/v2?zone=2&imei=353918051234563"),
 	}
-	set := Generate([][]*httpmodel.Packet{cluster}, Options{HostConstraint: true})
+	set := Generate([][]*httpmodel.Packet{cluster}, Options{})
+	set.Signatures[0].HostSuffix = "ad-maker.info"
 	set.Version = 42
 	var buf bytes.Buffer
 	if err := set.WriteJSON(&buf); err != nil {
@@ -311,7 +276,7 @@ func TestBoilerplateOnlyClusterProducesNoSignature(t *testing.T) {
 	set := Generate([][]*httpmodel.Packet{cluster}, Options{})
 	for _, sig := range set.Signatures {
 		for _, tok := range sig.Tokens {
-			if informativeLen(tok, defaultStoplist()) < 6 {
+			if informativeLen(tok) < 6 {
 				t.Errorf("boilerplate token survived: %q", tok)
 			}
 		}

@@ -1,7 +1,10 @@
-// Command size prints the two numbers a simplification is judged by:
-// the non-test code lines in internal/, cmd/ and leaksig.go, comments
-// and blank lines excluded, and the number of exported-API entries
-// pinned in testdata/api/ (see TestAPISurface). Run it from the module
+// Command size prints the numbers a simplification is judged by: the
+// non-test code lines in internal/, cmd/ and leaksig.go, comments and
+// blank lines excluded; the number of exported-API entries pinned in
+// testdata/api/ (see TestAPISurface); and the number of independently
+// settable values, counted as the fields of exported *Config and
+// *Options types in testdata/api/ plus the daemon flags pinned in
+// testdata/flags/ (see TestDaemonFlagSurface). Run it from the module
 // root:
 //
 //	go run ./scripts/size
@@ -16,6 +19,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -47,12 +51,22 @@ func main() {
 		}
 		code += n
 	}
-	api, err := apiEntries(filepath.Join("testdata", "api"))
+	api, err := countLines(filepath.Join("testdata", "api"), regexp.MustCompile(`.`))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fields, err := countLines(filepath.Join("testdata", "api"), regexp.MustCompile(`^field [A-Za-z0-9_]*(Config|Options)\.`))
+	if err != nil {
+		log.Fatal(err)
+	}
+	flags, err := countLines(filepath.Join("testdata", "flags"), regexp.MustCompile(`^  -`))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("code lines (internal/, cmd/, leaksig.go; no tests, comments or blanks): %d\n", code)
 	fmt.Printf("exported API entries (testdata/api/): %d\n", api)
+	fmt.Printf("options (*Config/*Options fields in testdata/api/ + daemon flags in testdata/flags/): %d config options + %d flags = %d\n",
+		fields, flags, fields+flags)
 }
 
 // codeLines counts the lines of path that hold part of a token other
@@ -85,8 +99,8 @@ func codeLines(path string) (int, error) {
 	return len(lines), errs.Err()
 }
 
-// apiEntries counts the lines of every golden file in dir.
-func apiEntries(dir string) (int, error) {
+// countLines counts the lines of every golden file in dir that match re.
+func countLines(dir string, re *regexp.Regexp) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
@@ -99,7 +113,7 @@ func apiEntries(dir string) (int, error) {
 		}
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			if sc.Text() != "" {
+			if re.MatchString(sc.Text()) {
 				n++
 			}
 		}
