@@ -614,7 +614,8 @@ func BenchmarkSiggenIntake(b *testing.B) {
 			defer svc.Close()
 			sinks := make([]engine.ShardSink, tenants)
 			for i := range sinks {
-				sinks[i] = svc.MissSinkFor(fmt.Sprintf("tenant-%d", i)).Bind(0, 1)
+				tenant := fmt.Sprintf("tenant-%d", i)
+				sinks[i] = svc.MissSink(func(*httpmodel.Packet) string { return tenant }).Bind(0, 1)
 			}
 			one := make([]engine.Verdict, 1)
 			b.ReportAllocs()

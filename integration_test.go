@@ -254,7 +254,7 @@ func TestClosedLoopOnlineGeneration(t *testing.T) {
 	leaksByVersion := map[int64]int{}
 	eng := engine.New(nil, engine.Config{
 		Shards: 2,
-		Sink:   learner.MissSink(),
+		Sink:   learner.MissSink(nil),
 		OnVerdict: func(v engine.Verdict) {
 			if v.Leak() {
 				mu.Lock()
@@ -409,7 +409,7 @@ func TestPerTenantClosedLoopIsolationAndRetirement(t *testing.T) {
 	pool := engine.NewPool(nil, engine.PoolConfig{
 		Engine: engine.Config{Shards: 1},
 		TenantSink: func(key string) engine.Sink {
-			return learner.MissSinkFor(key)
+			return learner.MissSink(func(*httpmodel.Packet) string { return key })
 		},
 	})
 	defer pool.Close()

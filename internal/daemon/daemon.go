@@ -10,9 +10,10 @@
 //
 // Shutdown runs against the data flow, the same in all four: stop the
 // listeners (in-flight requests get five seconds), stop the signature
-// watch and the tickers, drain what was accepted (engine rings, miss
-// forwarder), run a final learn epoch, then the deferred closes write
-// the learner checkpoint, sync the journal and flush the event shipper.
+// watch and the tickers, drain what was accepted (engine rings,
+// flowproxy's learn shipper), run a final learn epoch, then the deferred
+// closes write the learner checkpoint, sync the journal and flush the
+// event shipper.
 package daemon
 
 import (
@@ -56,7 +57,7 @@ func Main(name string, run func(ctx context.Context, stdin io.Reader, stdout io.
 
 // opsConfig is what one daemon asks of the shared ops plane.
 type opsConfig struct {
-	node        string // the daemon's name: the shipper's node label
+	node        string // the daemon's name: every event's node label
 	eventsURL   string
 	eventsToken string
 	debugAddr   string
@@ -73,9 +74,10 @@ type opsConfig struct {
 // are nil when their flag is unset; tracer and flight are nil off the
 // packet path, which every method of theirs tolerates.
 type opsPlane struct {
+	node    string
 	reg     *obs.Registry
 	inj     *faultinject.Injector
-	shipper *obs.Shipper
+	shipper *obs.Shipper[obs.Event]
 	tracer  *trace.Tracer
 	flight  *trace.Flight
 	debug   *http.Server
@@ -88,7 +90,7 @@ type opsPlane struct {
 
 // newOps brings the ops plane up. The caller defers close.
 func newOps(c opsConfig) (*opsPlane, error) {
-	p := &opsPlane{reg: obs.NewRegistry()}
+	p := &opsPlane{node: c.node, reg: obs.NewRegistry()}
 	p.reg.Register(obs.BuildInfoCollector())
 	if c.packetPath {
 		inj, err := faultinject.FromFlag(c.faults)
@@ -109,16 +111,15 @@ func newOps(c opsConfig) (*opsPlane, error) {
 		p.reg.Register(obs.FlightCollector(p.flight))
 	}
 	if c.eventsURL != "" {
-		p.shipper = obs.NewShipper(obs.ShipperConfig{
-			URL: c.eventsURL, Token: c.eventsToken, Node: c.node,
-			HTTPClient: p.client(),
+		p.shipper = obs.NewShipper[obs.Event](obs.ShipperConfig{
+			URL: c.eventsURL, Token: c.eventsToken, HTTPClient: p.client(),
 		})
 		p.reg.Register(p.shipper)
 		if p.flight != nil {
 			// The flight recorder's trigger conditions ship as events.
 			p.flight.SetTrigger(func(reason string, ev trace.FlightEvent) {
 				st := p.flight.Stats()
-				p.shipper.Ship(obs.Event{
+				p.ship(obs.Event{
 					Type:  "flight",
 					Trace: ev.Trace,
 					Detail: fmt.Sprintf("reason=%s kind=%s shard=%d value=%d held=%d recorded=%d",
@@ -145,11 +146,14 @@ func (p *opsPlane) close() {
 // injector underneath when one is configured (nil: the default client).
 func (p *opsPlane) client() *http.Client { return p.inj.Client(nil) }
 
-// ship sends one event when -events-url is set. It never blocks.
+// ship sends one event when -events-url is set, stamped with the time
+// and the daemon's name. It never blocks.
 func (p *opsPlane) ship(ev obs.Event) {
-	if p.shipper != nil {
-		p.shipper.Ship(ev)
+	if p.shipper == nil {
+		return
 	}
+	ev.Time, ev.Node = time.Now().UTC(), p.node
+	p.shipper.Ship(ev)
 }
 
 // setLabel names a signature set in a log line.

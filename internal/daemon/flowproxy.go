@@ -1,22 +1,17 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"leaksig/internal/engine"
 	"leaksig/internal/flowcontrol"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs"
-	"leaksig/internal/obs/trace"
-	"leaksig/internal/resilience"
 	"leaksig/internal/signature"
 	"leaksig/internal/sigserver"
 )
@@ -44,6 +39,12 @@ type Flowproxy struct {
 // Run is the proxy: it vets every request arriving on Addr until ctx is
 // cancelled, then drains proxied requests and ships the misses still
 // buffered for the learner.
+//
+// With Learn set, every request that matches no signature is shipped to
+// Learn's POST /observe, the siggend intake, as one NDJSON line of a
+// batch: through an obs.Shipper, so the proxied request never waits on
+// the learner, a full buffer drops and counts, and a failed POST retries
+// with backoff.
 func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error {
 	var pol flowcontrol.Policy
 	switch c.Policy {
@@ -90,7 +91,7 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		pol = flowcontrol.PolicyFunc(func(p *httpmodel.Packet, matched []int) flowcontrol.Action {
 			action := inner.Decide(p, matched)
 			if len(matched) > 0 {
-				ops.shipper.Ship(obs.Event{
+				ops.ship(obs.Event{
 					Type:    "decision",
 					App:     p.App,
 					Host:    p.Host,
@@ -108,19 +109,33 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	eng := engine.New(set, engine.Config{Shards: 1, Flight: ops.flight})
 	defer eng.Close()
 	var be flowcontrol.Backend = eng
-	learnStats := func() (sent, dropped int64) { return 0, 0 }
+	learnStats := func() (sent, dropped uint64) { return 0, 0 }
 	if c.Learn != "" {
-		fwd := newMissForwarder(c.Learn, c.LearnToken, ops.client(), ops.tracer, ops.flight)
+		// Not registered as a collector: its leaksig_events_* families
+		// belong to the event shipper.
+		learn := obs.NewShipper[*httpmodel.Packet](obs.ShipperConfig{
+			URL: c.Learn + "/observe", Token: c.LearnToken, HTTPClient: ops.client(),
+		})
 		// Ships whatever misses are still buffered before the learner
 		// loses them; deferred after the engine, so it runs first.
-		defer fwd.close()
-		be = flowcontrol.NewObservedBackend(eng, fwd.offer)
-		learnStats = fwd.stats
-		ops.reg.Register(obs.BreakerCollector("learn_forward", fwd.br))
+		defer learn.Close()
+		be = flowcontrol.NewObservedBackend(eng, func(p *httpmodel.Packet) {
+			// Tag sampled misses with an ID only — the proxy vets inline,
+			// so there are no local stage timestamps worth a span; the
+			// learner adopts the ID and the stages it stamps downstream
+			// carry it through to the published set's provenance.
+			if p.Trace == "" {
+				p.Trace = ops.tracer.StartID()
+			}
+			if !learn.Ship(p) {
+				ops.flight.RecordDrop(-1, p.Trace)
+			}
+		})
+		learnStats = learn.Counts
 		ops.reg.Register(obs.CollectorFunc(func(m *obs.MetricWriter) {
-			sent, dropped := fwd.stats()
+			sent, dropped := learn.Counts()
 			m.Counter("leaksig_proxy_learn_forwarded_total", "Unmatched flows delivered to the siggend intake.", float64(sent))
-			m.Counter("leaksig_proxy_learn_dropped_total", "Unmatched flows dropped before the siggend intake (full buffer or failed POST).", float64(dropped))
+			m.Counter("leaksig_proxy_learn_dropped_total", "Unmatched flows dropped before the siggend intake (full buffer or abandoned POST).", float64(dropped))
 		}))
 	}
 	proxy := flowcontrol.NewProxyWith(be, pol, nil)
@@ -140,8 +155,8 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 			obs.WriteJSON(w, struct {
 				Allowed      int64           `json:"allowed"`
 				Blocked      int64           `json:"blocked"`
-				LearnSent    int64           `json:"learn_sent"`
-				LearnDropped int64           `json:"learn_dropped"`
+				LearnSent    uint64          `json:"learn_sent"`
+				LearnDropped uint64          `json:"learn_dropped"`
 				Engine       engine.Snapshot `json:"engine"`
 			}{allowed, blocked, sent, dropped, eng.Metrics()})
 		})
@@ -178,166 +193,4 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	})
 
 	return ops.serve(ctx, "draining proxied requests", &http.Server{Addr: c.Addr, Handler: proxy}, nil)
-}
-
-// missForwarder batches unmatched packets and ships them to a siggend
-// /observe intake. The offer path is one non-blocking channel send, so a
-// slow or absent learner never adds latency to proxied requests; the
-// shipping side carries its own HTTP timeout so a hung learner costs one
-// failed batch, never a wedged forwarder.
-type missForwarder struct {
-	ch      chan *httpmodel.Packet
-	url     string
-	token   string
-	hc      *http.Client
-	br      *resilience.Breaker
-	tracer  *trace.Tracer
-	flight  *trace.Flight
-	sent    atomic.Int64
-	dropped atomic.Int64
-	shed    atomic.Int64
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// forwarderBatch bounds one POST; forwarderLinger bounds how long a
-// partial batch waits before shipping anyway; forwarderTimeout bounds
-// one POST round trip.
-const (
-	forwarderBatch   = 64
-	forwarderLinger  = 500 * time.Millisecond
-	forwarderTimeout = 10 * time.Second
-)
-
-func newMissForwarder(base, token string, hc *http.Client, tracer *trace.Tracer, flight *trace.Flight) *missForwarder {
-	if hc == nil {
-		hc = &http.Client{Timeout: forwarderTimeout}
-	} else if hc.Timeout == 0 {
-		hc.Timeout = forwarderTimeout
-	}
-	f := &missForwarder{
-		ch:     make(chan *httpmodel.Packet, 1024),
-		url:    base + "/observe",
-		token:  token,
-		hc:     hc,
-		br:     resilience.NewBreaker(resilience.BreakerConfig{}),
-		tracer: tracer,
-		flight: flight,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go f.run()
-	return f
-}
-
-// close drains whatever is already buffered into a final batch, ships it
-// once, and stops the forwarder goroutine. Safe to call once.
-func (f *missForwarder) close() {
-	close(f.stop)
-	<-f.done
-}
-
-func (f *missForwarder) offer(p *httpmodel.Packet) {
-	// Tag sampled misses with an ID only — the proxy vets inline, so
-	// there are no local stage timestamps worth a span; the learner
-	// adopts the ID and the stages it stamps downstream carry it through
-	// to the published set's provenance.
-	if p.Trace == "" {
-		p.Trace = f.tracer.StartID()
-	}
-	select {
-	case f.ch <- p:
-	default:
-		f.dropped.Add(1)
-		f.flight.RecordDrop(-1, p.Trace)
-	}
-}
-
-func (f *missForwarder) stats() (sent, dropped int64) {
-	return f.sent.Load(), f.dropped.Load()
-}
-
-func (f *missForwarder) run() {
-	defer close(f.done)
-	t := time.NewTicker(forwarderLinger)
-	defer t.Stop()
-	batch := make([]*httpmodel.Packet, 0, forwarderBatch)
-	ship := func() {
-		if len(batch) == 0 {
-			return
-		}
-		if !f.br.Allow() {
-			// Learner known-dead: shed the batch without dialing so the
-			// forwarder goroutine never queues behind connect timeouts.
-			f.dropped.Add(int64(len(batch)))
-			f.shed.Add(int64(len(batch)))
-			batch = batch[:0]
-			return
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, p := range batch {
-			enc.Encode(p)
-		}
-		req, err := http.NewRequest(http.MethodPost, f.url, &buf)
-		if err != nil {
-			log.Printf("learn forward: %v", err)
-			f.dropped.Add(int64(len(batch)))
-			batch = batch[:0]
-			return
-		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
-		if f.token != "" {
-			req.Header.Set("Authorization", "Bearer "+f.token)
-		}
-		resp, err := f.hc.Do(req)
-		switch {
-		case err != nil:
-			log.Printf("learn forward: %v", err)
-			f.dropped.Add(int64(len(batch)))
-			f.br.Record(err)
-		default:
-			// Drain before closing so the connection returns to the
-			// keep-alive pool instead of being torn down per batch.
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				log.Printf("learn forward: %s", resp.Status)
-				f.dropped.Add(int64(len(batch)))
-			} else {
-				f.sent.Add(int64(len(batch)))
-			}
-			// Any HTTP status means the learner answered; only transport
-			// failures push the breaker toward open.
-			f.br.Record(nil)
-		}
-		batch = batch[:0]
-	}
-	for {
-		select {
-		case p := <-f.ch:
-			batch = append(batch, p)
-			if len(batch) >= forwarderBatch {
-				ship()
-			}
-		case <-t.C:
-			ship()
-		case <-f.stop:
-			// Final flush: drain what is already buffered, ship, exit.
-			for {
-				select {
-				case p := <-f.ch:
-					batch = append(batch, p)
-					if len(batch) >= forwarderBatch {
-						ship()
-					}
-					continue
-				default:
-				}
-				break
-			}
-			ship()
-			return
-		}
-	}
 }

@@ -171,9 +171,9 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 			MaxTenants:  c.MaxTenants,
 			IdleAfter:   c.Idle,
 			TenantSink: func(key string) engine.Sink {
-				sink := out.sink(key, ops.shipper)
+				sink := out.sink(key, ops)
 				if svc != nil {
-					sink = engine.TeeSink(sink, svc.MissSinkFor(key))
+					sink = engine.TeeSink(sink, svc.MissSink(func(*httpmodel.Packet) string { return key }))
 				}
 				return sink
 			},
@@ -181,15 +181,15 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 		ops.reg.Register(obs.PoolCollector(pb.pool.Metrics))
 		be = pb
 	} else {
-		cfg.Sink = out.sink("", ops.shipper)
+		cfg.Sink = out.sink("", ops)
 		if svc != nil {
-			miss := svc.MissSink()
+			var keyFn func(*httpmodel.Packet) string
 			if c.LearnTenants {
 				// Single-engine learning with tenant labels: tenancy rides
 				// on packet fields, so named sets still form per tenant.
-				miss = svc.MissSinkBy(tenantKeyFn(c.TenantBy))
+				keyFn = tenantKeyFn(c.TenantBy)
 			}
-			cfg.Sink = engine.TeeSink(cfg.Sink, miss)
+			cfg.Sink = engine.TeeSink(cfg.Sink, svc.MissSink(keyFn))
 		}
 		eb := &engineBackend{eng: engine.New(set, cfg)}
 		ops.reg.Register(obs.EngineCollector(eb.eng.Metrics, eb.eng.ShardStats))
@@ -468,19 +468,32 @@ type poolBackend struct {
 	keyFn func(*httpmodel.Packet) string
 }
 
+// tenantKey is packet p's tenant under a -tenant-by value, the one rule
+// leakstream and siggend share: its host for "host", "" (unattributed)
+// for siggend's "none", and otherwise its app — or its host when it
+// names no app, as flowproxy's packets never do. So a miss that
+// leakstream learns from and one that flowproxy forwards to siggend land
+// on the same tenant's set.
+func tenantKey(tenantBy string, p *httpmodel.Packet) string {
+	switch {
+	case tenantBy == "none":
+		return ""
+	case tenantBy == "host" || p.App == "":
+		return p.Host
+	}
+	return p.App
+}
+
 // tenantKeyFn maps packets to tenant keys per the -tenant-by flag — the
 // same keying for pool routing and for learner tenancy, so learned named
-// sets always land on the tenants that produced the misses.
+// sets always land on the tenants that produced the misses. A packet
+// with neither app nor host goes to tenant "default".
 func tenantKeyFn(tenantBy string) func(*httpmodel.Packet) string {
 	return func(p *httpmodel.Packet) string {
-		key := p.App
-		if tenantBy == "host" || key == "" {
-			key = p.Host
+		if key := tenantKey(tenantBy, p); key != "" {
+			return key
 		}
-		if key == "" {
-			key = "default"
-		}
-		return key
+		return "default"
 	}
 }
 
@@ -672,12 +685,12 @@ func newVerdictWriter(w io.Writer) *verdictWriter {
 
 // sink returns the engine sink of one tenant ("" for the single-engine
 // daemon): each drain's verdicts become NDJSON lines and one write under
-// one lock, and its leaks ship as ops-plane events (clean traffic is
-// volume, leaks are signal). The shipper never blocks the verdict path —
-// a wedged event consumer costs dropped events, not matching throughput
-// — but it keeps events past the call, so a shipped event copies the
-// borrowed Matched.
-func (vw *verdictWriter) sink(tenant string, shipper *obs.Shipper) engine.Sink {
+// one lock, and with -events-url its leaks ship as ops-plane events
+// (clean traffic is volume, leaks are signal). The shipper never blocks
+// the verdict path — a wedged event consumer costs dropped events, not
+// matching throughput — but it keeps events past the call, so a shipped
+// event copies the borrowed Matched.
+func (vw *verdictWriter) sink(tenant string, ops *opsPlane) engine.Sink {
 	return engine.BatchCallbackSink(func(vs []engine.Verdict) {
 		vw.mu.Lock()
 		buf := vw.buf[:0]
@@ -688,14 +701,14 @@ func (vw *verdictWriter) sink(tenant string, shipper *obs.Shipper) engine.Sink {
 		vw.bw.Write(buf)
 		vw.buf = buf
 		vw.mu.Unlock()
-		if shipper == nil {
+		if ops.shipper == nil {
 			return
 		}
 		for _, v := range vs {
 			if !v.Leak() {
 				continue
 			}
-			shipper.Ship(obs.Event{
+			ops.ship(obs.Event{
 				Type:    "verdict",
 				Tenant:  tenant,
 				App:     v.Packet.App,

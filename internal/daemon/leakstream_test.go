@@ -32,8 +32,7 @@ func TestVerdictSinkSurvivesArenaReuse(t *testing.T) {
 	vw := newVerdictWriter(&out)
 	var mu sync.Mutex
 	var shipped []obs.Event
-	shipper := obs.NewShipper(obs.ShipperConfig{
-		Node: "leakstream",
+	shipper := obs.NewShipper[obs.Event](obs.ShipperConfig{
 		Sink: func(_ context.Context, batch []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -48,7 +47,7 @@ func TestVerdictSinkSurvivesArenaReuse(t *testing.T) {
 			return nil
 		},
 	})
-	sink := vw.sink("tenant-a", shipper).Bind(0, 1)
+	sink := vw.sink("tenant-a", &opsPlane{node: "leakstream", shipper: shipper}).Bind(0, 1)
 
 	pkt := func(id int64) *httpmodel.Packet {
 		return &httpmodel.Packet{ID: id, App: "com.a", Host: "ads.example", Trace: "t-1"}
@@ -91,7 +90,7 @@ func TestVerdictSinkSurvivesArenaReuse(t *testing.T) {
 	defer mu.Unlock()
 	var gotMatched [][]int
 	for _, ev := range shipped {
-		if ev.Type != "verdict" || ev.Tenant != "tenant-a" || ev.Node != "leakstream" || ev.Trace != "t-1" {
+		if ev.Type != "verdict" || ev.Tenant != "tenant-a" || ev.Node != "leakstream" || ev.Trace != "t-1" || ev.Time.IsZero() {
 			t.Fatalf("unexpected shipped event %+v", ev)
 		}
 		gotMatched = append(gotMatched, ev.Matched)
@@ -221,7 +220,7 @@ func TestAppendVerdictMatchesEncoder(t *testing.T) {
 // reflection.
 func TestVerdictDrainAllocatesNothing(t *testing.T) {
 	vw := newVerdictWriter(io.Discard)
-	sink := vw.sink("tenant-a", nil).Bind(0, 1)
+	sink := vw.sink("tenant-a", &opsPlane{}).Bind(0, 1)
 	vs := make([]engine.Verdict, 64)
 	for i := range vs {
 		vs[i] = engine.Verdict{

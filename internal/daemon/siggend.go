@@ -57,17 +57,12 @@ type Siggend struct {
 // Either way a final epoch runs over what was observed before it
 // returns.
 func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) error {
-	var keyFn func(*httpmodel.Packet) string
 	switch c.TenantBy {
-	case "app":
-		keyFn = func(p *httpmodel.Packet) string { return p.App }
-	case "host":
-		keyFn = func(p *httpmodel.Packet) string { return p.Host }
+	case "app", "host":
 	case "none":
 		if c.TenantSets {
 			return errors.New("-tenant-sets needs a tenant key; use -tenant-by app or host")
 		}
-		keyFn = func(*httpmodel.Packet) string { return "" }
 	default:
 		return fmt.Errorf("unknown -tenant-by %q (want app, host, or none)", c.TenantBy)
 	}
@@ -164,7 +159,7 @@ func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) err
 			// Capture before Observe: once the learner owns the packet it may
 			// end the trace (niling p.Span) on its own goroutine.
 			sp := p.Span
-			if svc.Observe(keyFn(p), p) {
+			if svc.Observe(tenantKey(c.TenantBy, p), p) {
 				observed++
 			} else {
 				dropped++

@@ -256,9 +256,7 @@ func (j *Journal) append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("durable: record of %d bytes exceeds MaxRecord %d", len(payload), MaxRecord)
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	frame := frameOf(payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -281,6 +279,15 @@ func (j *Journal) append(payload []byte) error {
 	j.size += 8 + int64(len(payload))
 	j.appends++
 	return nil
+}
+
+// frameOf is the 8-byte frame header written in front of every record:
+// its length, then its CRC-32C, both little-endian.
+func frameOf(rec []byte) [8]byte {
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(rec, castagnoli))
+	return frame
 }
 
 // undoLocked cuts a failed append back off the file, returning err. If
@@ -312,12 +319,20 @@ func (j *Journal) maybeSyncLocked() error {
 	case FsyncNever:
 		return nil
 	}
+	if err := j.syncLocked(); err != nil && j.cfg.Fsync == FsyncAlways {
+		return err
+	}
+	return nil
+}
+
+// syncLocked forces the file to stable storage through the sync seam,
+// counting a failure in FsyncErrors. Every sync of the live file — on
+// the append path, in Sync, in Close — goes through here. Callers hold
+// j.mu.
+func (j *Journal) syncLocked() error {
 	if err := j.sync(j.f); err != nil {
 		j.fsyncErrors++
-		if j.cfg.Fsync == FsyncAlways {
-			return err
-		}
-		return nil
+		return err
 	}
 	j.dirty = false
 	return nil
@@ -331,11 +346,9 @@ func (j *Journal) Sync() error {
 	if j.closed || !j.dirty {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
-		j.fsyncErrors++
+	if err := j.syncLocked(); err != nil {
 		return fmt.Errorf("durable: sync: %w", err)
 	}
-	j.dirty = false
 	return nil
 }
 
@@ -375,14 +388,12 @@ func (j *Journal) rewrite(records [][]byte) error {
 		return fmt.Errorf("durable: compact header: %w", err)
 	}
 	size := int64(len(journalMagic))
-	var frame [8]byte
 	for _, rec := range records {
 		if len(rec) == 0 || len(rec) > MaxRecord {
 			cleanup()
 			return fmt.Errorf("durable: compact record of %d bytes out of range", len(rec))
 		}
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(rec, castagnoli))
+		frame := frameOf(rec)
 		if _, err := tmp.Write(frame[:]); err != nil {
 			cleanup()
 			return fmt.Errorf("durable: compact write: %w", err)
@@ -449,10 +460,7 @@ func (j *Journal) Close() error {
 	j.closed = true
 	var firstErr error
 	if j.dirty {
-		if err := j.f.Sync(); err != nil {
-			j.fsyncErrors++
-			firstErr = err
-		}
+		firstErr = j.syncLocked()
 	}
 	if err := j.f.Close(); err != nil && firstErr == nil {
 		firstErr = err

@@ -294,8 +294,40 @@ func TestIntervalSyncWaitsForTheNextAppend(t *testing.T) {
 	if err := j.Append([]byte("within again")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Sync(); err != nil || pending() {
-		t.Fatalf("Sync = %v, pending %v; want the pending append synced", err, pending())
+	if err := j.Sync(); err != nil || pending() || syncs != 3 {
+		t.Fatalf("Sync = %v, pending %v, %d syncs; want the pending append synced through the seam", err, pending(), syncs)
+	}
+}
+
+// TestShutdownSyncFailureIsReturnedAndCounted: Sync and Close force the
+// file through the same sync seam as the append path, so an fsync that
+// fails at shutdown is returned and counted in FsyncErrors.
+func TestShutdownSyncFailureIsReturnedAndCounted(t *testing.T) {
+	injected := errors.New("injected")
+	for _, tc := range []struct {
+		name string
+		call func(*Journal) error
+	}{
+		{"Sync", (*Journal).Sync},
+		{"Close", (*Journal).Close},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := Open(journalPath(t), JournalConfig{Fsync: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.Append([]byte("pending")); err != nil {
+				t.Fatal(err)
+			}
+			j.sync = func(*os.File) error { return injected }
+			if err := tc.call(j); !errors.Is(err, injected) {
+				t.Fatalf("%s = %v, want the injected error", tc.name, err)
+			}
+			if st := j.Stats(); st.FsyncErrors != 1 {
+				t.Fatalf("fsync errors = %d after a failed %s, want 1", st.FsyncErrors, tc.name)
+			}
+		})
 	}
 }
 

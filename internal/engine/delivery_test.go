@@ -113,7 +113,7 @@ func TestDeliveryParity(t *testing.T) {
 	}
 	miss := func() probe {
 		svc := siggen.NewService(siggen.Config{IntakeDepth: n})
-		return probe{sink: svc.MissSink(), check: func(t *testing.T) {
+		return probe{sink: svc.MissSink(nil), check: func(t *testing.T) {
 			defer svc.Close()
 			st := svc.Stats()
 			if st.Observed != n-leaks || st.SinkDropped != 0 {

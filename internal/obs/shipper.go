@@ -49,9 +49,6 @@ type ShipperConfig struct {
 	// past the buffer bound, counting drops).
 	Sink func(ctx context.Context, batch []byte) error
 
-	// Node stamps every shipped event's Node field (the emitting daemon).
-	Node string
-
 	// HTTPClient, when non-nil, replaces the URL sink's internal client
 	// — the slot chaos harnesses use to inject faults into the upload
 	// path. Ignored when Sink is set.
@@ -63,10 +60,10 @@ type ShipperConfig struct {
 // to newShipper.
 type shipTuning struct {
 	// bufferEvents bounds the in-memory ring; producers shipping into a
-	// full ring drop the NEW event and count it — the logtail posture:
+	// full ring drop the NEW record and count it — the logtail posture:
 	// never stall the pipeline for the log.
 	bufferEvents int
-	// flushEvents buffered events trigger a flush, and bound a batch;
+	// flushEvents buffered records trigger a flush, and bound a batch;
 	// flushInterval flushes partial batches.
 	flushEvents   int
 	flushInterval time.Duration
@@ -75,7 +72,8 @@ type shipTuning struct {
 	// batch before the batch is abandoned and counted as delivery drops.
 	retryMin, retryMax time.Duration
 	maxAttempts        int
-	// uploadTimeout bounds one delivery attempt.
+	// uploadTimeout bounds one delivery attempt, and Close's final pass
+	// over everything still buffered.
 	uploadTimeout time.Duration
 }
 
@@ -91,28 +89,30 @@ var defaultShipTuning = shipTuning{
 
 // shipperStats is a point-in-time view of the shipper's accounting.
 type shipperStats struct {
-	Shipped        uint64 `json:"shipped"`         // events delivered to the sink
-	DroppedBuffer  uint64 `json:"dropped_buffer"`  // events dropped: ring full
-	DroppedUpload  uint64 `json:"dropped_upload"`  // events dropped: batch abandoned after maxAttempts
+	Shipped        uint64 `json:"shipped"`         // records delivered to the sink
+	DroppedBuffer  uint64 `json:"dropped_buffer"`  // records dropped: ring full
+	DroppedUpload  uint64 `json:"dropped_upload"`  // records dropped: batch abandoned
 	UploadFailures uint64 `json:"upload_failures"` // failed delivery attempts
 	Batches        uint64 `json:"batches"`         // batches delivered
-	Buffered       int    `json:"buffered"`        // events currently in the ring
+	Buffered       int    `json:"buffered"`        // records currently in the ring
 }
 
-// Shipper batches structured events into NDJSON and ships them to a
-// consumer without ever blocking its producers: the buffer is a bounded
-// ring whose overflow increments a drop counter instead of stalling the
-// caller, flushing happens on size or interval off the producing
-// goroutine, and failed uploads retry with exponential backoff while the
-// ring keeps absorbing (and, at the bound, dropping) new events — the
-// buffered-upload/backpressure idiom of tailscale's logtail. Construct
-// with NewShipper; all methods are safe for concurrent use.
-type Shipper struct {
+// Shipper batches records into NDJSON, one JSON line each, and ships
+// them to a consumer without ever blocking its producers: the buffer is
+// a bounded ring whose overflow increments a drop counter instead of
+// stalling the caller, flushing happens on size or interval off the
+// producing goroutine, and failed uploads retry with exponential backoff
+// while the ring keeps absorbing (and, at the bound, dropping) new
+// records — the buffered-upload/backpressure idiom of tailscale's
+// logtail. It is the one way a daemon sends records out: ops-plane
+// Events to -events-url, and flowproxy's unmatched packets to a learner.
+// Construct with NewShipper; all methods are safe for concurrent use.
+type Shipper[T any] struct {
 	cfg  ShipperConfig
 	tune shipTuning
 
 	mu     sync.Mutex
-	buf    []Event // bounded ring, FIFO via slice shift at take time
+	buf    []T // bounded ring, FIFO via slice shift at take time
 	wake   chan struct{}
 	closed bool
 
@@ -128,20 +128,23 @@ type Shipper struct {
 	done     chan struct{}
 }
 
-// NewShipper starts a shipper. The flush goroutine begins immediately.
-func NewShipper(cfg ShipperConfig) *Shipper { return newShipper(cfg, defaultShipTuning) }
+// NewShipper starts a shipper of T records. The flush goroutine begins
+// immediately.
+func NewShipper[T any](cfg ShipperConfig) *Shipper[T] {
+	return newShipper[T](cfg, defaultShipTuning)
+}
 
 // newShipper is NewShipper with the tuning given. The flush goroutine
 // reads tune as soon as it starts, so a test changes it here, never
 // on the returned shipper.
-func newShipper(cfg ShipperConfig, tune shipTuning) *Shipper {
+func newShipper[T any](cfg ShipperConfig, tune shipTuning) *Shipper[T] {
 	if cfg.Sink == nil {
 		cfg.Sink = httpSink(cfg.URL, cfg.Token, tune.uploadTimeout, cfg.HTTPClient)
 	}
-	s := &Shipper{
+	s := &Shipper[T]{
 		cfg:      cfg,
 		tune:     tune,
-		buf:      make([]Event, 0, tune.bufferEvents),
+		buf:      make([]T, 0, tune.bufferEvents),
 		wake:     make(chan struct{}, 1),
 		flushSec: newHistogram(expBuckets(0.001, 4, 8)), // 1ms .. ~16s
 		retry:    resilience.NewBackoff(tune.retryMin, tune.retryMax, 0),
@@ -173,29 +176,24 @@ func httpSink(url, token string, timeout time.Duration, hc *http.Client) func(co
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 		if resp.StatusCode >= 300 {
-			return fmt.Errorf("obs: event upload status %s", resp.Status)
+			return fmt.Errorf("obs: upload status %s", resp.Status)
 		}
 		return nil
 	}
 }
 
-// Ship offers one event. It never blocks: when the ring is full the
-// event is dropped and counted, and Ship reports false. The event's Time
-// is stamped if zero, and Node is stamped from the config.
-func (s *Shipper) Ship(ev Event) bool {
-	if ev.Time.IsZero() {
-		ev.Time = time.Now().UTC()
-	}
-	if ev.Node == "" {
-		ev.Node = s.cfg.Node
-	}
+// Ship offers one record, written as it is. It never blocks: when the
+// ring is full the record is dropped and counted, and Ship reports
+// false. A pointer record is encoded on the flush goroutine, so its
+// producer must not change it afterwards.
+func (s *Shipper[T]) Ship(rec T) bool {
 	s.mu.Lock()
 	if s.closed || len(s.buf) >= s.tune.bufferEvents {
 		s.mu.Unlock()
 		s.droppedBuffer.Inc()
 		return false
 	}
-	s.buf = append(s.buf, ev)
+	s.buf = append(s.buf, rec)
 	n := len(s.buf)
 	s.mu.Unlock()
 	if n >= s.tune.flushEvents {
@@ -207,8 +205,8 @@ func (s *Shipper) Ship(ev Event) bool {
 	return true
 }
 
-// take removes up to flushEvents events from the head of the ring.
-func (s *Shipper) take() []Event {
+// take removes up to flushEvents records from the head of the ring.
+func (s *Shipper[T]) take() []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.buf)
@@ -218,7 +216,7 @@ func (s *Shipper) take() []Event {
 	if n > s.tune.flushEvents {
 		n = s.tune.flushEvents
 	}
-	batch := make([]Event, n)
+	batch := make([]T, n)
 	copy(batch, s.buf)
 	rest := copy(s.buf, s.buf[n:])
 	s.buf = s.buf[:rest]
@@ -227,7 +225,7 @@ func (s *Shipper) take() []Event {
 
 // run is the flush loop: wait for a size trigger, the interval, or Close,
 // then deliver whatever is buffered, retrying each batch with backoff.
-func (s *Shipper) run() {
+func (s *Shipper[T]) run() {
 	defer close(s.done)
 	t := time.NewTicker(s.tune.flushInterval)
 	defer t.Stop()
@@ -235,38 +233,54 @@ func (s *Shipper) run() {
 		select {
 		case <-s.stop:
 			// Final best-effort flush: one attempt per remaining batch, no
-			// retries — Close must not hang on a dead consumer.
-			for {
-				batch := s.take()
-				if len(batch) == 0 {
-					return
-				}
-				s.deliver(batch, 1)
+			// retries, and one uploadTimeout for the whole pass — Close
+			// must not hang on a dead consumer, however much is buffered.
+			ctx, cancel := context.WithTimeout(context.Background(), s.tune.uploadTimeout)
+			for batch := s.take(); len(batch) > 0; batch = s.take() {
+				s.deliver(ctx, batch, 1)
 			}
+			cancel()
+			return
 		case <-s.wake:
 		case <-t.C:
 		}
-		for {
+		// Once Close has begun, what is left is the final pass's.
+		for !s.stopping() {
 			batch := s.take()
 			if len(batch) == 0 {
 				break
 			}
-			s.deliver(batch, s.tune.maxAttempts)
+			s.deliver(context.Background(), batch, s.tune.maxAttempts)
 		}
 	}
 }
 
+// stopping reports whether Close has begun.
+func (s *Shipper[T]) stopping() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // deliver encodes one batch as NDJSON and ships it with up to attempts
-// tries. An abandoned batch is counted as upload drops — explicit loss
-// accounting rather than unbounded buffering.
-func (s *Shipper) deliver(batch []Event, attempts int) {
+// tries, each bounded by uploadTimeout and all by ctx. An abandoned
+// batch is counted as upload drops — explicit loss accounting rather
+// than unbounded buffering.
+func (s *Shipper[T]) deliver(ctx context.Context, batch []T, attempts int) {
+	if ctx.Err() != nil {
+		s.droppedUpload.Add(uint64(len(batch)))
+		return
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := range batch {
 		enc.Encode(&batch[i])
 	}
 	for attempt := 1; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.tune.uploadTimeout)
+		ctx, cancel := context.WithTimeout(ctx, s.tune.uploadTimeout)
 		begin := time.Now()
 		err := s.cfg.Sink(ctx, buf.Bytes())
 		s.flushSec.Observe(time.Since(begin).Seconds())
@@ -291,8 +305,14 @@ func (s *Shipper) deliver(batch []Event, attempts int) {
 	}
 }
 
+// Counts reports the records delivered and the records dropped, for
+// either reason.
+func (s *Shipper[T]) Counts() (shipped, dropped uint64) {
+	return s.shipped.Value(), s.droppedBuffer.Value() + s.droppedUpload.Value()
+}
+
 // stats returns the shipper's accounting counters.
-func (s *Shipper) stats() shipperStats {
+func (s *Shipper[T]) stats() shipperStats {
 	s.mu.Lock()
 	buffered := len(s.buf)
 	s.mu.Unlock()
@@ -307,8 +327,9 @@ func (s *Shipper) stats() shipperStats {
 }
 
 // Collect implements Collector: the shipper's own accounting as metric
-// families, so event loss is as scrapeable as event volume.
-func (s *Shipper) Collect(m *MetricWriter) {
+// families, so event loss is as scrapeable as event volume. Only the
+// ops-plane event shipper registers; the families name events.
+func (s *Shipper[T]) Collect(m *MetricWriter) {
 	st := s.stats()
 	m.Counter("leaksig_events_shipped_total", "Events delivered to the event sink.", float64(st.Shipped))
 	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedBuffer), label("reason", "buffer_full"))
@@ -319,10 +340,11 @@ func (s *Shipper) Collect(m *MetricWriter) {
 	s.flushSec.Write(m, "leaksig_events_flush_seconds", "Event batch delivery attempt duration.")
 }
 
-// Close stops the flush loop after one final best-effort delivery pass.
-// Events shipped after Close are dropped and counted. Close is
-// idempotent.
-func (s *Shipper) Close() {
+// Close stops the flush loop after one final best-effort delivery pass,
+// which takes at most uploadTimeout after any attempt already in flight;
+// what it cannot deliver in that time is counted as dropped. Records
+// shipped after Close are dropped and counted. Close is idempotent.
+func (s *Shipper[T]) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -46,9 +47,10 @@ func TestShipperDeliversNDJSON(t *testing.T) {
 	var cs collectSink
 	tune := defaultShipTuning
 	tune.flushEvents, tune.flushInterval = 4, 10*time.Millisecond
-	s := newShipper(ShipperConfig{Sink: cs.sink, Node: "testd"}, tune)
+	s := newShipper[Event](ShipperConfig{Sink: cs.sink}, tune)
+	ts := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
-		if !s.Ship(Event{Type: "verdict", Tenant: "app.a", Matched: []int{i}}) {
+		if !s.Ship(Event{Time: ts, Type: "verdict", Node: "testd", Tenant: "app.a", Matched: []int{i}}) {
 			t.Fatalf("Ship %d rejected", i)
 		}
 	}
@@ -58,12 +60,9 @@ func TestShipperDeliversNDJSON(t *testing.T) {
 	if len(evs) != 10 {
 		t.Fatalf("delivered %d events, want 10", len(evs))
 	}
-	for _, ev := range evs {
-		if ev.Node != "testd" || ev.Type != "verdict" || ev.Tenant != "app.a" {
-			t.Fatalf("event fields not stamped: %+v", ev)
-		}
-		if ev.Time.IsZero() {
-			t.Fatal("event time not stamped")
+	for i, ev := range evs {
+		if want := (Event{Time: ts, Type: "verdict", Node: "testd", Tenant: "app.a", Matched: []int{i}}); !reflect.DeepEqual(ev, want) {
+			t.Fatalf("event %d = %+v, want it written as shipped: %+v", i, ev, want)
 		}
 	}
 	st := s.stats()
@@ -82,7 +81,7 @@ func TestShipperNeverBlocksOnStalledSink(t *testing.T) {
 	var once sync.Once
 	tune := defaultShipTuning
 	tune.bufferEvents, tune.flushEvents, tune.flushInterval, tune.maxAttempts = 64, 8, time.Millisecond, 1
-	s := newShipper(ShipperConfig{
+	s := newShipper[Event](ShipperConfig{
 		Sink: func(ctx context.Context, _ []byte) error {
 			once.Do(delivered.Done)
 			<-release // wedged until the test releases it
@@ -134,7 +133,7 @@ func TestShipperRetriesThenDrops(t *testing.T) {
 	tune := defaultShipTuning
 	tune.flushEvents, tune.flushInterval = 1, time.Millisecond
 	tune.retryMin, tune.retryMax, tune.maxAttempts = time.Millisecond, 2*time.Millisecond, 3
-	s := newShipper(ShipperConfig{
+	s := newShipper[Event](ShipperConfig{
 		Sink: func(context.Context, []byte) error {
 			mu.Lock()
 			attempts++
@@ -172,7 +171,7 @@ func TestShipperFlushesPendingOnClose(t *testing.T) {
 	var cs collectSink
 	tune := defaultShipTuning
 	tune.flushInterval = time.Hour // never fires; 5 events never reach flushEvents
-	s := newShipper(ShipperConfig{Sink: cs.sink}, tune)
+	s := newShipper[Event](ShipperConfig{Sink: cs.sink}, tune)
 	for i := 0; i < 5; i++ {
 		s.Ship(Event{Type: "verdict", Version: int64(i)})
 	}
@@ -191,7 +190,7 @@ func TestShipperFlushesPendingOnClose(t *testing.T) {
 func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
 	tune := defaultShipTuning
 	tune.flushInterval = time.Hour
-	s := newShipper(ShipperConfig{
+	s := newShipper[Event](ShipperConfig{
 		Sink: func(context.Context, []byte) error {
 			return context.DeadlineExceeded
 		},
@@ -209,11 +208,51 @@ func TestShipperCountsFinalFlushFailureAsDropped(t *testing.T) {
 	}
 }
 
+// TestShipperCloseIsBoundedInTotal: against a sink that answers nothing
+// until its context ends, with a full ring and one batch already in
+// flight, Close waits out that attempt and then gives the whole final
+// pass one uploadTimeout — not one per batch — and every record ends up
+// counted as shipped or dropped.
+func TestShipperCloseIsBoundedInTotal(t *testing.T) {
+	tune := defaultShipTuning
+	tune.flushInterval, tune.uploadTimeout = time.Hour, 300*time.Millisecond
+	entered := make(chan struct{}, 1)
+	s := newShipper[Event](ShipperConfig{
+		Sink: func(ctx context.Context, _ []byte) error {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return ctx.Err()
+		},
+	}, tune)
+	for i := 0; i < tune.bufferEvents; i++ {
+		s.Ship(Event{Type: "verdict", Version: int64(i)})
+	}
+	<-entered
+	start := time.Now()
+	s.Close()
+	// The in-flight attempt, then the final pass: 2 × uploadTimeout, and
+	// half of one more for scheduling. One attempt per buffered batch
+	// would take 16.
+	if elapsed, limit := time.Since(start), 5*tune.uploadTimeout/2; elapsed > limit {
+		t.Fatalf("Close took %v against a silent sink, want under %v", elapsed, limit)
+	}
+	st := s.stats()
+	if total := st.Shipped + st.DroppedBuffer + st.DroppedUpload; total != uint64(tune.bufferEvents) || st.Buffered != 0 {
+		t.Fatalf("stats after Close = %+v: %d of %d records counted", st, total, tune.bufferEvents)
+	}
+	if st.DroppedUpload == 0 {
+		t.Fatalf("stats after Close = %+v, want the abandoned batches in dropped_upload", st)
+	}
+}
+
 func TestShipperCollectFamilies(t *testing.T) {
 	var cs collectSink
 	tune := defaultShipTuning
 	tune.flushInterval = time.Millisecond
-	s := newShipper(ShipperConfig{Sink: cs.sink}, tune)
+	s := newShipper[Event](ShipperConfig{Sink: cs.sink}, tune)
 	s.Ship(Event{Type: "x"})
 	s.Close()
 	reg := NewRegistry()

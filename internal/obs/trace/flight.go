@@ -10,7 +10,7 @@ import (
 // Flight event kinds. Kinds are open-ended strings so daemons can record
 // their own, but the pipeline's core events use these names.
 const (
-	KindDrop        = "drop"         // a daemon shed a packet (intake limiter, full miss forwarder)
+	KindDrop        = "drop"         // a daemon shed a packet (intake limiter, full learn shipper)
 	KindDropBurst   = "drop_burst"   // drop rate crossed the burst threshold
 	KindSinkStall   = "sink_stall"   // blocking submit spun past the stall budget
 	KindReloadIssue = "reload_issue" // a reload ticket was issued (possibly coalesced)

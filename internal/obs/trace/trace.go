@@ -234,8 +234,8 @@ func (t *Tracer) Start() *Span {
 
 // StartID is Start for fire-and-forget propagation: it makes the same
 // sampling decision but returns only a trace ID ("" when unsampled),
-// for emitters that stamp no stages of their own (the flowproxy miss
-// forwarder tags outbound packets and moves on).
+// for emitters that stamp no stages of their own (flowproxy tags the
+// misses it ships to the learner and moves on).
 func (t *Tracer) StartID() string {
 	if t == nil || t.every == 0 {
 		return ""

@@ -1,8 +1,9 @@
 // Package resilience is the control plane's shared failure policy:
-// jittered exponential backoff and a three-state circuit breaker, used by
-// every HTTP client path in the pipeline (the sigserver client's watch
-// and publish, the siggend HTTP publisher, the flowproxy miss forwarder,
-// and the obs event shipper).
+// jittered exponential backoff and a three-state circuit breaker. The
+// breaker gates the sigserver client's publishes, the path every
+// learner's HTTP publisher takes; the backoff spaces the obs shipper's
+// retries, for ops-plane events and for the misses flowproxy ships to
+// the learner. The client's signature watch draws its own jitter.
 //
 // The two pieces answer different questions. Backoff answers "when do I
 // retry?" — and answers it differently for every caller, because a fleet

@@ -20,29 +20,21 @@ type sample struct {
 // costs the matching hot path nothing beyond a dropped-sample counter —
 // detection latency is never held hostage to generation.
 type missSink struct {
-	svc    *Service
-	tenant string
-	keyFn  func(*httpmodel.Packet) string // overrides tenant when set
+	svc   *Service
+	keyFn func(*httpmodel.Packet) string // nil: every miss is tenant ""
 }
 
 // MissSink returns an engine Sink that feeds the service's intake with
-// unmatched flows, labeled with the tenant key ("" for a single-engine
-// deployment). Pass it as engine Config.Sink — alone, or combined with
-// other consumers via engine.TeeSink. One service may back any number of
-// engines and tenants.
-func (s *Service) MissSink() engine.Sink { return missSink{svc: s} }
-
-// MissSinkFor is MissSink with a tenant label — the pool form, returned
-// per tenant from PoolConfig.TenantSink.
-func (s *Service) MissSinkFor(tenant string) engine.Sink {
-	return missSink{svc: s, tenant: tenant}
-}
-
-// MissSinkBy is MissSink with a per-packet tenant key function — the
-// single-engine form of per-tenant learning (one engine serving mixed
-// traffic, tenancy riding on packet fields like App or Host). keyFn runs
-// on engine shard goroutines and must be cheap and concurrency-safe.
-func (s *Service) MissSinkBy(keyFn func(*httpmodel.Packet) string) engine.Sink {
+// unmatched flows, each labeled with the tenant keyFn gives its packet.
+// A nil keyFn labels every miss "" (a single-engine deployment); a pool
+// returns one per tenant from PoolConfig.TenantSink, its keyFn naming
+// that tenant; one engine serving mixed traffic passes a keyFn that
+// reads packet fields like App or Host. keyFn runs on engine shard
+// goroutines and must be cheap and concurrency-safe. Pass the sink as
+// engine Config.Sink — alone, or combined with other consumers via
+// engine.TeeSink. One service may back any number of engines and
+// tenants.
+func (s *Service) MissSink(keyFn func(*httpmodel.Packet) string) engine.Sink {
 	return missSink{svc: s, keyFn: keyFn}
 }
 
@@ -55,7 +47,7 @@ func (m missSink) Batch(vs []engine.Verdict) {
 		if v.Leak() {
 			continue // already explained by a signature; nothing to learn
 		}
-		tenant := m.tenant
+		tenant := ""
 		if m.keyFn != nil {
 			tenant = m.keyFn(v.Packet)
 		}

@@ -219,8 +219,8 @@ type namedPublish struct {
 }
 
 // Service is the online signature generator. Construct with NewService;
-// all methods are safe for concurrent use. Feed it through MissSink /
-// MissSinkFor / MissSinkBy (engine sinks) or Observe (direct), and either
+// all methods are safe for concurrent use. Feed it through MissSink (an
+// engine sink) or Observe (direct), and either
 // let the GenerateInterval loop publish or drive epochs yourself with
 // RunEpoch.
 type Service struct {

@@ -133,7 +133,7 @@ func TestServiceIntakeBoundsUnderBurstAcrossTenants(t *testing.T) {
 func TestMissSinkFeedsOnlyMisses(t *testing.T) {
 	svc := NewService(Config{IntakeDepth: 64})
 	defer svc.Close()
-	sink := svc.MissSink().Bind(0, 1)
+	sink := svc.MissSink(nil).Bind(0, 1)
 	sink.Batch([]engine.Verdict{
 		{Packet: leakPacket("a", 1), Matched: []int{0}}, // a hit: ignored
 		{Packet: leakPacket("a", 2)},                    // a miss: learned

@@ -114,7 +114,7 @@ func TestClosedLoopPublishesSubsequenceKind(t *testing.T) {
 	leaksByVersion := map[int64]int{}
 	eng := engine.New(nil, engine.Config{
 		Shards: 2,
-		Sink:   learner.MissSink(),
+		Sink:   learner.MissSink(nil),
 		OnVerdict: func(v engine.Verdict) {
 			if v.Leak() {
 				mu.Lock()

@@ -50,7 +50,7 @@ func TestTraceIDSpansClosedLoop(t *testing.T) {
 	})
 	defer learner.Close()
 
-	eng := engine.New(nil, engine.Config{Shards: 1, Sink: learner.MissSink()})
+	eng := engine.New(nil, engine.Config{Shards: 1, Sink: learner.MissSink(nil)})
 	defer eng.Close()
 
 	// The watcher applies reloads the way cmd/leakstream does: adopt the
