@@ -16,32 +16,33 @@
 // Verdict lines then carry a "tenant" field and /stats aggregates
 // across tenants.
 //
-// With -learn the daemon closes the generation loop: every packet the
-// live signature set does not match is sampled into an embedded siggen
-// learner, which periodically clusters the misses, distills candidate
-// signatures, and auto-publishes accepted sets back to -server — the
-// very server this daemon watches, so its own engine (and every other
-// watcher) hot-reloads what it just learned. In pipe mode a final learn
-// epoch runs at stdin EOF before exit.
+// With -learn URL the daemon feeds the generation loop: every packet the
+// live signature set does not match is forwarded in batches to the
+// siggend intake at URL (POST /observe, with -learn-token as its bearer
+// token), exactly as flowproxy -learn forwards its unmatched requests.
+// siggend clusters the misses, distills candidate signatures, and
+// auto-publishes accepted sets to the sigserver this daemon watches, so
+// its own engine (and every other watcher) hot-reloads what was
+// learned. siggend's own flags set the epoch cadence, the benign
+// corpus, the cluster size, the checkpoint, and the tenant key.
 //
-// With -learn-tenants the learner additionally distills one named set
-// per tenant (keyed by -tenant-by, or by the pool tenant key with
-// -pool) and publishes each to -server under /sets/{tenant}/ with its
-// own version sequence. In pool mode the daemon watches the server's
-// whole set catalog: the default set reloads unpinned tenants, and each
-// named set pins its tenant via ReloadTenant — so tenant A's learned
-// signatures fire only on tenant A's traffic, the per-population
-// isolation of the paper's per-module signatures. Signatures whose
-// source clusters go stale are dropped from the next published versions
-// (drift retirement), and the watchers converge off them automatically.
+// With siggend -tenant-sets the learner also distills one named set per
+// tenant and publishes each under /sets/{tenant}/ with its own version
+// sequence. In pool mode this daemon watches the server's whole set
+// catalog: the default set reloads unpinned tenants, and each named set
+// pins its tenant via ReloadTenant — so tenant A's learned signatures
+// fire only on tenant A's traffic, the per-population isolation of the
+// paper's per-module signatures. Signatures whose source clusters go
+// stale are dropped from the next published versions (drift
+// retirement), and the watchers converge off them automatically.
 //
 // Usage:
 //
 //	leakstream -server http://127.0.0.1:8700 < capture.jsonl > verdicts.jsonl
 //	leakstream -sigs signatures.json -listen :8900
 //	leakstream -sigs signatures.json -listen :8900 -pool -tenant-by app -idle 5m
-//	leakstream -server http://127.0.0.1:8700 -learn < capture.jsonl > verdicts.jsonl
-//	leakstream -server http://127.0.0.1:8700 -pool -learn -learn-tenants < capture.jsonl
+//	leakstream -server http://127.0.0.1:8700 -learn http://127.0.0.1:8810 < capture.jsonl > verdicts.jsonl
+//	leakstream -server http://127.0.0.1:8700 -pool -learn http://127.0.0.1:8810 < capture.jsonl
 //
 // HTTP endpoints (with -listen):
 //
@@ -57,7 +58,7 @@
 // The ops plane rides along on every posture: -tenant-rate imposes a
 // per-tenant token-bucket intake limit ahead of the engines (policy per
 // -rate-policy, drops surfaced as leaksig_intake_* series), -events-url
-// ships leak verdicts, reloads, and publishes as batched NDJSON events
+// ships leak verdicts and reloads as batched NDJSON events
 // without ever blocking intake, and -debug-addr opens a private
 // listener with /metrics and /debug/pprof for operators.
 //
@@ -65,11 +66,10 @@
 // last-known-good file, and a boot against an unreachable -server
 // serves the cached sets immediately — /readyz answers 200
 // "ready-degraded" and the leaksig_degraded gauge holds 1 until the
-// server answers again. -checkpoint (with -learn) makes the embedded
-// learner crash-safe. -faults (or LEAKSIG_FAULTS) injects deterministic
-// chaos into outbound HTTP. SIGTERM drains the intake listener and
-// engine rings, runs a final learn epoch, checkpoints, and flushes the
-// event shipper before exit.
+// server answers again. -faults (or LEAKSIG_FAULTS) injects
+// deterministic chaos into outbound HTTP. SIGTERM drains the intake
+// listener and engine rings, ships the misses still buffered for
+// -learn, and flushes the event shipper before exit.
 package main
 
 import (
@@ -101,13 +101,8 @@ func main() {
 	// recycled rather than goroutines growing without limit.
 	flag.IntVar(&c.MaxTenants, "max-tenants", 1024, "live tenant cap with -pool, LRU-evicted past it")
 
-	flag.BoolVar(&c.Learn, "learn", false, "sample unmatched flows into an online signature generator publishing back to -server")
-	flag.DurationVar(&c.LearnInterval, "learn-interval", 30*time.Second, "generation epoch cadence with -learn")
-	flag.StringVar(&c.LearnBenign, "learn-benign", "", "benign capture (JSONL) for the -learn Bayes and FP gates")
-	flag.IntVar(&c.LearnMinCluster, "learn-min-cluster", 3, "cluster size a -learn signature needs")
-	flag.StringVar(&c.LearnToken, "learn-token", "", "bearer token for the -learn publish endpoint")
-	flag.BoolVar(&c.LearnTenants, "learn-tenants", false, "with -learn: publish one named set per tenant (keyed by -tenant-by) alongside the global set")
-	flag.StringVar(&c.Checkpoint, "checkpoint", "", "with -learn: learner checkpoint file, restored on start and rewritten each epoch")
+	flag.StringVar(&c.Learn, "learn", "", "siggend base URL; unmatched flows are forwarded to its /observe intake")
+	flag.StringVar(&c.LearnToken, "learn-token", "", "bearer token for the siggend /observe intake")
 	flag.StringVar(&c.Faults, "faults", "", `chaos injection spec for outbound HTTP, e.g. "seed=7,reset=0.1,latency_p=0.1,latency=20ms" (empty: read LEAKSIG_FAULTS)`)
 
 	flag.Float64Var(&c.TenantRate, "tenant-rate", 0, "per-tenant sustained intake limit in packets/sec (0: account only, never limit)")

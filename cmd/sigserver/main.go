@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sigserver -addr :8700 -sigs signatures.json -token S3CRET
-//	sigserver -addr 127.0.0.1:8700          # start empty; siggend/leakstream -learn fill it
+//	sigserver -addr 127.0.0.1:8700          # start empty; siggend fills it
 //	curl -X POST -H 'Authorization: Bearer S3CRET' \
 //	     --data-binary @new.json http://127.0.0.1:8700/publish
 //

@@ -10,10 +10,10 @@
 //
 // Shutdown runs against the data flow, the same in all four: stop the
 // listeners (in-flight requests get five seconds), stop the signature
-// watch and the tickers, drain what was accepted (engine rings,
-// flowproxy's learn shipper), run a final learn epoch, then the deferred
-// closes write the learner checkpoint, sync the journal and flush the
-// event shipper.
+// watch and the tickers, drain what was accepted (engine rings, whose
+// misses reach the learn shipper), run siggend's final epoch, then the
+// deferred closes write siggend's checkpoint, sync the journal and
+// flush the learn and event shippers.
 package daemon
 
 import (
@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"sync"
@@ -30,14 +31,12 @@ import (
 	"syscall"
 	"time"
 
+	"leaksig/internal/engine"
 	"leaksig/internal/faultinject"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs"
 	"leaksig/internal/obs/trace"
-	"leaksig/internal/resilience"
-	"leaksig/internal/siggen"
 	"leaksig/internal/signature"
-	"leaksig/internal/sigserver"
 )
 
 // Main is a daemon's func main after flag.Parse: it prefixes the log
@@ -68,16 +67,22 @@ type opsConfig struct {
 	faults       string
 	traceSample  int
 	flightShards int
+	// learnURL is -learn, siggend's base URL, on the two daemons that
+	// ship their misses to it; learnToken is -learn-token, the bearer
+	// token of its POST /observe.
+	learnURL   string
+	learnToken string
 }
 
-// opsPlane is the operator's side of a daemon. shipper, inj and debug
-// are nil when their flag is unset; tracer and flight are nil off the
-// packet path, which every method of theirs tolerates.
+// opsPlane is the operator's side of a daemon. shipper, learn, inj and
+// debug are nil when their flag is unset; tracer and flight are nil off
+// the packet path, which every method of theirs tolerates.
 type opsPlane struct {
 	node    string
 	reg     *obs.Registry
 	inj     *faultinject.Injector
 	shipper *obs.Shipper[obs.Event]
+	learn   *obs.Shipper[*httpmodel.Packet]
 	tracer  *trace.Tracer
 	flight  *trace.Flight
 	debug   *http.Server
@@ -102,6 +107,11 @@ func newOps(c opsConfig) (*opsPlane, error) {
 			p.reg.Register(obs.FaultCollector(inj))
 		}
 		p.inj = inj
+		if c.learnURL != "" {
+			if err := p.startLearn(c.learnURL, c.learnToken); err != nil {
+				return nil, err
+			}
+		}
 		// The tracer is always constructed — at sample 0 it starts nothing
 		// but still adopts upstream trace IDs — and the flight recorder is
 		// always on.
@@ -134,9 +144,66 @@ func newOps(c opsConfig) (*opsPlane, error) {
 	return p, nil
 }
 
-// close flushes the shipper's pending batches; deferred first, so it
-// runs after everything that ships.
+// startLearn opens the one way from a packet-path daemon to the
+// learner at base, siggend's base URL: every miss shipMiss is given
+// leaves as one NDJSON line of a batch POSTed to base/observe through an
+// obs.Shipper, so the daemon never waits on the learner, a full buffer
+// drops and counts, and a failed POST retries with backoff. leakstream
+// and flowproxy both report it under the leaksig_proxy_learn_* families.
+//
+// base must be an absolute http(s) URL, and nothing starts if it is
+// not: the flag package takes the next argument as a string flag's
+// value, so a script written for a bool -learn ("-learn -pool") would
+// otherwise ship every miss to "-pool/observe".
+func (p *opsPlane) startLearn(base, token string) error {
+	u, err := url.Parse(base)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("-learn %q is not an absolute http(s) URL (want siggend's base URL, e.g. http://127.0.0.1:8810)", base)
+	}
+	p.learn = obs.NewShipper[*httpmodel.Packet](obs.ShipperConfig{
+		URL: u.JoinPath("observe").String(), Token: token, HTTPClient: p.client(),
+	})
+	p.reg.Register(obs.CollectorFunc(func(m *obs.MetricWriter) {
+		sent, dropped, failed := p.learn.Counts()
+		m.Counter("leaksig_proxy_learn_forwarded_total", "Misses delivered to the siggend intake.", float64(sent))
+		m.Counter("leaksig_proxy_learn_dropped_total", "Misses dropped before the siggend intake (full buffer or abandoned POST).", float64(dropped))
+		m.Counter("leaksig_proxy_learn_upload_failures_total", "Failed POSTs to the siggend intake; each attempt of a retried batch counts once.", float64(failed))
+	}))
+	return nil
+}
+
+// shipMiss hands one miss to the learn shipper. It never blocks; a miss
+// the full buffer drops is a drop for the flight recorder too. The
+// shipper encodes the packet later, so nothing may change it after.
+func (p *opsPlane) shipMiss(pkt *httpmodel.Packet) {
+	if !p.learn.Ship(pkt) {
+		p.flight.RecordDrop(-1, pkt.Trace)
+	}
+}
+
+// missSink is the engine sink that ships every verdict matching nothing
+// (exactly the traffic the live set cannot explain) to the learner, or
+// nil without -learn. It keeps the packet, never the borrowed verdict.
+func (p *opsPlane) missSink() engine.Sink {
+	if p.learn == nil {
+		return nil
+	}
+	return engine.BatchCallbackSink(func(vs []engine.Verdict) {
+		for _, v := range vs {
+			if !v.Leak() {
+				p.shipMiss(v.Packet)
+			}
+		}
+	})
+}
+
+// close makes the shippers' final delivery passes, misses first;
+// deferred first, so it runs after everything that ships, the engines'
+// drain included.
 func (p *opsPlane) close() {
+	if p.learn != nil {
+		p.learn.Close()
+	}
 	if p.shipper != nil {
 		p.shipper.Close()
 	}
@@ -162,26 +229,6 @@ func setLabel(name string) string {
 		return "default set"
 	}
 	return fmt.Sprintf("set %q", name)
-}
-
-// shipPublish is the event for one set the embedded learner published.
-func (p *opsPlane) shipPublish(name string, set *signature.Set) {
-	p.ship(obs.Event{
-		Type: "publish", Set: name, Version: set.Version,
-		Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len()),
-	})
-}
-
-// publisher is the learner's way into the sigserver at base: a client
-// on the injected transport, carrying the publish token and a circuit
-// breaker whose state the registry exposes.
-func (p *opsPlane) publisher(base, token string) siggen.Publisher {
-	c := sigserver.NewClient(base, p.client())
-	c.SetToken(token)
-	br := resilience.NewBreaker(resilience.BreakerConfig{})
-	c.SetBreaker(br)
-	p.reg.Register(obs.BreakerCollector("publish", br))
-	return siggen.NewHTTPPublisherFrom(c)
 }
 
 // applyReload rolls one delivered set in under its provenance trace: a

@@ -41,10 +41,8 @@ type Flowproxy struct {
 // buffered for the learner.
 //
 // With Learn set, every request that matches no signature is shipped to
-// Learn's POST /observe, the siggend intake, as one NDJSON line of a
-// batch: through an obs.Shipper, so the proxied request never waits on
-// the learner, a full buffer drops and counts, and a failed POST retries
-// with backoff.
+// Learn's POST /observe, the siggend intake, through the ops plane's
+// learn shipper, so the proxied request never waits on the learner.
 func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error {
 	var pol flowcontrol.Policy
 	switch c.Policy {
@@ -64,6 +62,7 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	ops, err := newOps(opsConfig{
 		node: "flowproxy", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
 		packetPath: true, faults: c.Faults, traceSample: c.TraceSample, flightShards: 1,
+		learnURL: c.Learn, learnToken: c.LearnToken,
 	})
 	if err != nil {
 		return err
@@ -109,16 +108,8 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 	eng := engine.New(set, engine.Config{Shards: 1, Flight: ops.flight})
 	defer eng.Close()
 	var be flowcontrol.Backend = eng
-	learnStats := func() (sent, dropped uint64) { return 0, 0 }
-	if c.Learn != "" {
-		// Not registered as a collector: its leaksig_events_* families
-		// belong to the event shipper.
-		learn := obs.NewShipper[*httpmodel.Packet](obs.ShipperConfig{
-			URL: c.Learn + "/observe", Token: c.LearnToken, HTTPClient: ops.client(),
-		})
-		// Ships whatever misses are still buffered before the learner
-		// loses them; deferred after the engine, so it runs first.
-		defer learn.Close()
+	learnStats := func() (sent, dropped, failed uint64) { return 0, 0, 0 }
+	if ops.learn != nil {
 		be = flowcontrol.NewObservedBackend(eng, func(p *httpmodel.Packet) {
 			// Tag sampled misses with an ID only — the proxy vets inline,
 			// so there are no local stage timestamps worth a span; the
@@ -127,16 +118,9 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 			if p.Trace == "" {
 				p.Trace = ops.tracer.StartID()
 			}
-			if !learn.Ship(p) {
-				ops.flight.RecordDrop(-1, p.Trace)
-			}
+			ops.shipMiss(p)
 		})
-		learnStats = learn.Counts
-		ops.reg.Register(obs.CollectorFunc(func(m *obs.MetricWriter) {
-			sent, dropped := learn.Counts()
-			m.Counter("leaksig_proxy_learn_forwarded_total", "Unmatched flows delivered to the siggend intake.", float64(sent))
-			m.Counter("leaksig_proxy_learn_dropped_total", "Unmatched flows dropped before the siggend intake (full buffer or abandoned POST).", float64(dropped))
-		}))
+		learnStats = ops.learn.Counts
 	}
 	proxy := flowcontrol.NewProxyWith(be, pol, nil)
 	fmt.Fprintf(stdout, "flow control proxy on %s with %d signatures (policy: %s)\n",
@@ -151,7 +135,7 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 			allowed, blocked := proxy.Stats()
-			sent, dropped := learnStats()
+			sent, dropped, _ := learnStats()
 			obs.WriteJSON(w, struct {
 				Allowed      int64           `json:"allowed"`
 				Blocked      int64           `json:"blocked"`
@@ -185,9 +169,9 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		m := eng.Metrics()
 		line := fmt.Sprintf("stats: %d allowed, %d blocked; engine v%d sigs=%d reloads=%d vetted=%d matched=%d",
 			allowed, blocked, m.Version, m.Signatures, m.Reloads, m.SyncVetted, m.SyncMatched)
-		if c.Learn != "" {
-			sent, dropped := learnStats()
-			line += fmt.Sprintf("; learn fwd=%d dropped=%d", sent, dropped)
+		if ops.learn != nil {
+			sent, dropped, failed := learnStats()
+			line += fmt.Sprintf("; learn fwd=%d dropped=%d failed=%d", sent, dropped, failed)
 		}
 		log.Print(line)
 	})

@@ -13,13 +13,11 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"leaksig/internal/capture"
 	"leaksig/internal/durable"
 	"leaksig/internal/engine"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs"
 	"leaksig/internal/obs/trace"
-	"leaksig/internal/siggen"
 	"leaksig/internal/signature"
 	"leaksig/internal/sigserver"
 )
@@ -44,14 +42,9 @@ type Leakstream struct {
 	ShardBudget int           // -shard-budget
 	MaxTenants  int           // -max-tenants
 
-	Learn           bool          // -learn
-	LearnInterval   time.Duration // -learn-interval
-	LearnBenign     string        // -learn-benign
-	LearnMinCluster int           // -learn-min-cluster
-	LearnToken      string        // -learn-token
-	LearnTenants    bool          // -learn-tenants
-	Checkpoint      string        // -checkpoint
-	Faults          string        // -faults
+	Learn      string // -learn
+	LearnToken string // -learn-token
+	Faults     string // -faults
 
 	TenantRate  float64 // -tenant-rate
 	TenantBurst float64 // -tenant-burst
@@ -67,8 +60,13 @@ type Leakstream struct {
 // Run is the daemon: packets in from stdin and, with Listen, over HTTP;
 // verdict lines out on stdout. Without Listen it returns at stdin EOF
 // (pipe mode); with it, when ctx is cancelled. Either way everything
-// accepted is drained into a verdict — and, with Learn, into a final
-// epoch — before it returns.
+// accepted is drained into a verdict before it returns — and, with
+// Learn, every miss among them into the learn shipper's final pass.
+//
+// With Learn set, every packet that matches no signature is shipped to
+// Learn's POST /observe, the siggend intake, exactly as flowproxy ships
+// its unmatched requests; siggend keys them by its own -tenant-by, so a
+// stream-level tenant override does not reach the learner.
 func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) error {
 	var aff engine.Affinity
 	switch c.Affinity {
@@ -85,14 +83,12 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 	if c.RatePolicy != "drop" && c.RatePolicy != "reject" {
 		return fmt.Errorf("unknown -rate-policy %q (want drop or reject)", c.RatePolicy)
 	}
-	if c.Learn && c.Server == "" {
-		return errors.New("-learn requires -server (generated sets publish back to it)")
-	}
 
 	ops, err := newOps(opsConfig{
 		node: "leakstream", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
 		packetPath: true, faults: c.Faults, traceSample: c.TraceSample,
 		flightShards: engine.Config{Shards: c.Shards}.ShardCount(),
+		learnURL:     c.Learn, learnToken: c.LearnToken,
 	})
 	if err != nil {
 		return err
@@ -119,46 +115,14 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 	}
 
 	out := newVerdictWriter(stdout)
+	// The miss sink (nil without -learn) is the engine's own sink, so the
+	// pool tees it under every tenant's verdict sink.
 	cfg := engine.Config{
 		Shards:     c.Shards,
 		QueueDepth: c.Queue,
 		Affinity:   aff,
 		Flight:     ops.flight,
-	}
-
-	// With -learn, an embedded siggen service samples every miss and
-	// auto-publishes generated sets back into the watched server: the
-	// closed detect → cluster → generate → publish → hot-reload loop in
-	// one process.
-	var svc *siggen.Service
-	if c.Learn {
-		var benign []*httpmodel.Packet
-		if c.LearnBenign != "" {
-			bset, err := capture.LoadJSONL(c.LearnBenign)
-			if err != nil {
-				return fmt.Errorf("loading -learn-benign capture: %v", err)
-			}
-			benign = bset.Packets
-		}
-		lcfg := siggen.Config{
-			Publisher:        ops.publisher(c.Server, c.LearnToken),
-			CheckpointPath:   c.Checkpoint,
-			Benign:           benign,
-			MinClusterSize:   c.LearnMinCluster,
-			GenerateInterval: c.LearnInterval,
-			TenantSets:       c.LearnTenants,
-			Tracer:           ops.tracer,
-			OnPublish: func(name string, set *signature.Set) {
-				log.Printf("learn: published %s version %d (%d signatures)", setLabel(name), set.Version, set.Len())
-				ops.shipPublish(name, set)
-			},
-		}
-		svc = siggen.NewService(lcfg)
-		defer svc.Close()
-		ops.reg.Register(obs.SiggenCollector(svc.Stats))
-		if c.Checkpoint != "" && svc.Stats().CheckpointRestored {
-			log.Printf("learn: checkpoint %s restored", c.Checkpoint)
-		}
+		Sink:       ops.missSink(),
 	}
 
 	// The daemon fronts either one engine or a pool of them; backend
@@ -170,27 +134,12 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 			ShardBudget: c.ShardBudget,
 			MaxTenants:  c.MaxTenants,
 			IdleAfter:   c.Idle,
-			TenantSink: func(key string) engine.Sink {
-				sink := out.sink(key, ops)
-				if svc != nil {
-					sink = engine.TeeSink(sink, svc.MissSink(func(*httpmodel.Packet) string { return key }))
-				}
-				return sink
-			},
+			TenantSink:  func(key string) engine.Sink { return out.sink(key, ops) },
 		}, c.TenantBy)
 		ops.reg.Register(obs.PoolCollector(pb.pool.Metrics))
 		be = pb
 	} else {
-		cfg.Sink = out.sink("", ops)
-		if svc != nil {
-			var keyFn func(*httpmodel.Packet) string
-			if c.LearnTenants {
-				// Single-engine learning with tenant labels: tenancy rides
-				// on packet fields, so named sets still form per tenant.
-				keyFn = tenantKeyFn(c.TenantBy)
-			}
-			cfg.Sink = engine.TeeSink(cfg.Sink, svc.MissSink(keyFn))
-		}
+		cfg.Sink = engine.TeeSink(out.sink("", ops), cfg.Sink)
 		eb := &engineBackend{eng: engine.New(set, cfg)}
 		ops.reg.Register(obs.EngineCollector(eb.eng.Metrics, eb.eng.ShardStats))
 		be = eb
@@ -305,20 +254,12 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 	})
 	bg.stop() // end the signature watch, the tickers and the verdict flusher
 	// Closing the backend drains every queued packet through the matcher
-	// — and, with -learn, through the miss sink — so the final learn
-	// epoch below sees the complete stream.
+	// — and, with -learn, through the miss sink — so the learn shipper's
+	// final pass (the deferred ops.close) carries the complete stream.
 	be.close()
 	out.flush()
 	if err != nil {
 		return err
-	}
-	if svc != nil {
-		set, err := svc.RunEpoch(context.Background())
-		if err != nil {
-			log.Printf("learn: final epoch: %v", err)
-		} else if set == nil {
-			log.Printf("learn: final epoch published nothing")
-		}
 	}
 	log.Print(be.statsLine())
 	return nil
@@ -406,7 +347,7 @@ func reloadOutcome(be backend) string {
 // submitter wraps the backend's queueing function with per-tenant intake
 // limiting. tenant is the stream-level override; when empty each packet
 // is keyed individually, so the limiter sees the same tenancy the pool
-// and learner do.
+// does.
 func (s *stream) submitter(tenant string) func(*httpmodel.Packet) error {
 	submit := s.be.submitter(tenant)
 	return func(p *httpmodel.Packet) error {
@@ -471,9 +412,9 @@ type poolBackend struct {
 // tenantKey is packet p's tenant under a -tenant-by value, the one rule
 // leakstream and siggend share: its host for "host", "" (unattributed)
 // for siggend's "none", and otherwise its app — or its host when it
-// names no app, as flowproxy's packets never do. So a miss that
-// leakstream learns from and one that flowproxy forwards to siggend land
-// on the same tenant's set.
+// names no app, as flowproxy's packets never do. So siggend learns a
+// miss under the tenant whose pool engine missed it, and a named set
+// lands on the tenant that produced its misses.
 func tenantKey(tenantBy string, p *httpmodel.Packet) string {
 	switch {
 	case tenantBy == "none":
@@ -484,10 +425,9 @@ func tenantKey(tenantBy string, p *httpmodel.Packet) string {
 	return p.App
 }
 
-// tenantKeyFn maps packets to tenant keys per the -tenant-by flag — the
-// same keying for pool routing and for learner tenancy, so learned named
-// sets always land on the tenants that produced the misses. A packet
-// with neither app nor host goes to tenant "default".
+// tenantKeyFn maps packets to tenant keys per the -tenant-by flag, for
+// pool routing and the intake limiter. A packet with neither app nor
+// host goes to tenant "default".
 func tenantKeyFn(tenantBy string) func(*httpmodel.Packet) string {
 	return func(p *httpmodel.Packet) string {
 		if key := tenantKey(tenantBy, p); key != "" {

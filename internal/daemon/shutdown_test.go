@@ -10,8 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -55,14 +53,15 @@ func awaitBody(t *testing.T, url, want string) {
 }
 
 // TestLeakstreamShutdownMidIngest cancels a listening, learning,
-// checkpointing, event-shipping leakstream while two clients are still
-// posting, and checks the shutdown order's promises: Run returns nil;
-// every packet an /ingest answer acknowledged has its verdict line; the
-// learner checkpoint is on disk; and the shipper's last batch — the leak
-// verdicts of the final drain — reached the event consumer.
+// event-shipping leakstream while two clients are still posting, and
+// checks the shutdown order's promises: Run returns nil; every packet an
+// /ingest answer acknowledged has its verdict line; every miss among
+// them reached the learner's /observe exactly once, whether its batch
+// left before the cancel or in the learn shipper's final pass, and no
+// leak did; and the event shipper's last batch — the leak verdicts of
+// the final drain — reached the event consumer.
 func TestLeakstreamShutdownMidIngest(t *testing.T) {
 	captureLog(t)
-	dir := t.TempDir()
 
 	srv := sigserver.New()
 	srv.Publish("", &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}})
@@ -85,8 +84,26 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 	}))
 	defer consumer.Close()
 
+	observed := map[int64]int{} // packet id -> deliveries to /observe
+	learner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/observe" {
+			t.Errorf("learner got %s %s, want POST /observe", r.Method, r.URL.Path)
+		}
+		_, _, err := httpmodel.ReadNDJSON(r.Body, func(p *httpmodel.Packet) error {
+			mu.Lock()
+			observed[p.ID]++
+			mu.Unlock()
+			return nil
+		}, func(line int, err error) {
+			t.Errorf("learner rejected line %d: %v", line, err)
+		})
+		if err != nil {
+			t.Errorf("reading a shipped batch: %v", err)
+		}
+	}))
+	defer learner.Close()
+
 	addr := freeAddr(t)
-	checkpoint := filepath.Join(dir, "learner.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var stdout bytes.Buffer
@@ -95,8 +112,7 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 		done <- Leakstream{
 			Server: server.URL, Listen: addr, Shards: 2, Poll: time.Second,
 			Affinity: "host", TenantBy: "app", RatePolicy: "drop", MaxTenants: 1024,
-			Learn: true, LearnInterval: time.Hour, LearnMinCluster: 3, Checkpoint: checkpoint,
-			EventsURL: consumer.URL,
+			Learn: learner.URL, EventsURL: consumer.URL,
 		}.Run(ctx, strings.NewReader(""), &stdout)
 	}()
 	base := "http://" + addr
@@ -180,11 +196,19 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 			t.Fatalf("packet %d was accepted by /ingest but has no verdict line (%d accepted, %d verdicts)", id, len(acked), len(verdicts))
 		}
 	}
-	if _, err := os.Stat(checkpoint); err != nil {
-		t.Fatalf("learner checkpoint after shutdown: %v", err)
-	}
 	mu.Lock()
 	defer mu.Unlock()
+	for _, id := range acked {
+		leak := id%perBody%10 == 0
+		if n := observed[id]; leak && n != 0 || !leak && n != 1 {
+			t.Fatalf("packet %d (leak %v) reached the learner %d times (%d accepted, %d observed)", id, leak, n, len(acked), len(observed))
+		}
+	}
+	for id, n := range observed {
+		if n != 1 || id%perBody%10 == 0 {
+			t.Fatalf("packet %d reached the learner %d times; only misses may, and once", id, n)
+		}
+	}
 	shipped := 0
 	for _, ev := range events {
 		if ev.Type == "verdict" {
@@ -198,8 +222,9 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 
 // TestPipeModeReturnsOnCancel holds a pipe-mode daemon's stdin open —
 // a read that never returns — and cancels: Run must come back on its
-// own, having drained what it had read into verdicts and a final epoch,
-// instead of waiting for an EOF that is not coming.
+// own, having drained what it had read into verdicts (leakstream) or a
+// final epoch (siggend), instead of waiting for an EOF that is not
+// coming.
 func TestPipeModeReturnsOnCancel(t *testing.T) {
 	packet, err := json.Marshal(httpmodel.Get("ads.example", "/t?x=1").ID(1).App("com.a").Build())
 	if err != nil {

@@ -13,8 +13,10 @@ import (
 	"leaksig/internal/capture"
 	"leaksig/internal/httpmodel"
 	"leaksig/internal/obs"
+	"leaksig/internal/resilience"
 	"leaksig/internal/siggen"
 	"leaksig/internal/signature"
+	"leaksig/internal/sigserver"
 )
 
 // Siggend configures the online signature-generation daemon; each field
@@ -121,7 +123,10 @@ func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) err
 		OnPublish: func(name string, set *signature.Set) {
 			ops.ready.Store(true)
 			log.Printf("published %s version %d: %d signatures", setLabel(name), set.Version, set.Len())
-			ops.shipPublish(name, set)
+			ops.ship(obs.Event{
+				Type: "publish", Set: name, Version: set.Version,
+				Trace: set.FirstTrace(), Detail: fmt.Sprintf("%d signatures", set.Len()),
+			})
 		},
 		OnRetire: func(n int) {
 			log.Printf("retired %d signatures (source clusters went stale)", n)
@@ -129,7 +134,15 @@ func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) err
 		},
 	}
 	if c.Server != "" {
-		cfg.Publisher = ops.publisher(c.Server, c.Token)
+		// The learner's way into the sigserver: a client on the injected
+		// transport, carrying the publish token and a circuit breaker
+		// whose state the registry exposes.
+		client := sigserver.NewClient(c.Server, ops.client())
+		client.SetToken(c.Token)
+		br := resilience.NewBreaker(resilience.BreakerConfig{})
+		client.SetBreaker(br)
+		ops.reg.Register(obs.BreakerCollector("publish", br))
+		cfg.Publisher = siggen.NewHTTPPublisherFrom(client)
 	}
 	svc := siggen.NewService(cfg)
 	defer svc.Close()

@@ -20,7 +20,7 @@ import (
 // sigserver.ServerStats — into metric families at scrape time. Each
 // takes a snapshot function rather than the object itself, so a daemon
 // can point one at whatever backend posture it runs (single engine,
-// pool, embedded learner) and the subsystems never import obs.
+// pool, learner) and the subsystems never import obs.
 
 // EngineCollector projects one engine's snapshot (and, when shards is
 // non-nil, its per-shard breakdown) into the leaksig_engine_* families.

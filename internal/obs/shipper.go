@@ -305,10 +305,10 @@ func (s *Shipper[T]) deliver(ctx context.Context, batch []T, attempts int) {
 	}
 }
 
-// Counts reports the records delivered and the records dropped, for
-// either reason.
-func (s *Shipper[T]) Counts() (shipped, dropped uint64) {
-	return s.shipped.Value(), s.droppedBuffer.Value() + s.droppedUpload.Value()
+// Counts reports the records delivered, the records dropped for either
+// reason, and the failed delivery attempts.
+func (s *Shipper[T]) Counts() (shipped, dropped, failed uint64) {
+	return s.shipped.Value(), s.droppedBuffer.Value() + s.droppedUpload.Value(), s.uploadFailures.Value()
 }
 
 // stats returns the shipper's accounting counters.

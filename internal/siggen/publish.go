@@ -22,8 +22,8 @@ type Publisher interface {
 	Publish(ctx context.Context, name string, set *signature.Set) (int64, error)
 }
 
-// serverPublisher publishes into an in-process sigserver.Server — the
-// embedded deployment (leakstream -learn against its own server, tests).
+// serverPublisher publishes into a sigserver.Server in the same
+// process, as this package's tests run the learner.
 type serverPublisher struct{ Server *sigserver.Server }
 
 // CurrentVersion implements Publisher.

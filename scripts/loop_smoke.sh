@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Closed-loop smoke: stream a synthetic trace through `leakstream -learn
-# -learn-tenants` against a local sigserver that starts EMPTY, and assert
-# that online generation auto-published (a) at least one global
-# signature-set version and (b) at least one per-tenant NAMED set under
-# /sets/{tenant}/ — the detect → cluster → generate → publish loop, per
-# population, with no manual leakgen step. The leakstream stats line
-# (packets/s) is echoed into the job log.
+# Closed-loop smoke: stream a synthetic trace through `leakstream -learn`,
+# which ships its misses to a local `siggend -tenant-sets` that publishes
+# into a local sigserver that starts EMPTY, and assert that online
+# generation auto-published (a) at least one global signature-set
+# version and (b) at least one per-tenant NAMED set under
+# /sets/{tenant}/ — the detect → ship → cluster → generate → publish
+# loop, per population, with no manual leakgen step. The leakstream
+# stats line (packets/s) and the time from leakstream's start to the
+# first publish are echoed into the job log.
 set -euo pipefail
 
 PORT="${LOOP_SMOKE_PORT:-8701}"
@@ -13,8 +15,11 @@ MPORT="${LOOP_SMOKE_METRICS_PORT:-8702}"
 DPORT="${LOOP_SMOKE_DEBUG_PORT:-8703}"
 CPORT="${LOOP_SMOKE_CHAOS_PORT:-8704}"
 CLPORT="${LOOP_SMOKE_CHAOS_STREAM_PORT:-8705}"
+GPORT="${LOOP_SMOKE_SIGGEND_PORT:-8706}"
 dir="$(mktemp -d)"
 cleanup() {
+  [ -n "${poll_pid:-}" ] && kill "$poll_pid" 2>/dev/null || true
+  [ -n "${siggend_pid:-}" ] && kill "$siggend_pid" 2>/dev/null || true
   [ -n "${server_pid:-}" ] && kill "$server_pid" 2>/dev/null || true
   [ -n "${stream_pid:-}" ] && kill "$stream_pid" 2>/dev/null || true
   [ -n "${chaos_server_pid:-}" ] && kill "$chaos_server_pid" 2>/dev/null || true
@@ -24,7 +29,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building binaries"
-go build -o "$dir/bin/" ./cmd/leakgen ./cmd/sigserver ./cmd/leakstream ./cmd/leakeval
+go build -o "$dir/bin/" ./cmd/leakgen ./cmd/sigserver ./cmd/siggend ./cmd/leakstream ./cmd/leakeval
 
 echo "== adversarial encodings: decode views vs base64/hex/url/gzip leak bodies"
 "$dir/bin/leakeval" -adversarial | tee "$dir/adversarial.log"
@@ -47,13 +52,45 @@ curl -fs "http://127.0.0.1:$PORT/healthz" >/dev/null
 v0="$(curl -fs "http://127.0.0.1:$PORT/version")"
 echo "== sigserver starts at version $v0"
 
-echo "== streaming the trace through leakstream -learn -learn-tenants -trace-sample 1"
-"$dir/bin/leakstream" -server "http://127.0.0.1:$PORT" -learn -learn-tenants \
-  -tenant-by app -learn-min-cluster 2 -trace-sample 1 \
-  <"$dir/trace.jsonl" >"$dir/verdicts.jsonl" 2>"$dir/stream.log"
+echo "== starting siggend -tenant-by app -tenant-sets on :$GPORT, publishing into the sigserver"
+"$dir/bin/siggend" -server "http://127.0.0.1:$PORT" -listen "127.0.0.1:$GPORT" \
+  -tenant-by app -tenant-sets -min-cluster 2 >"$dir/siggend.log" 2>&1 &
+siggend_pid=$!
+for _ in $(seq 1 50); do
+  curl -fs "http://127.0.0.1:$GPORT/healthz" >/dev/null 2>&1 && break
+  sleep 0.2
+done
+curl -fs "http://127.0.0.1:$GPORT/healthz" >/dev/null
+
+# Time to first publish: from leakstream's start until the sigserver
+# version moves past $v0, polled every 50 ms.
+start_ns="$(date +%s%N)"
+(
+  while :; do
+    v="$(curl -fs "http://127.0.0.1:$PORT/version" 2>/dev/null)" || v=""
+    if [ -n "$v" ] && [ "$v" -gt "$v0" ]; then
+      echo $(( ($(date +%s%N) - start_ns) / 1000000 )) >"$dir/first_publish_ms"
+      exit 0
+    fi
+    sleep 0.05
+  done
+) &
+poll_pid=$!
+
+echo "== streaming the trace through leakstream -learn http://127.0.0.1:$GPORT -trace-sample 1"
+"$dir/bin/leakstream" -server "http://127.0.0.1:$PORT" -learn "http://127.0.0.1:$GPORT" \
+  -trace-sample 1 <"$dir/trace.jsonl" >"$dir/verdicts.jsonl" 2>"$dir/stream.log"
 
 echo "== leakstream log (packets/s in the engine stats line):"
 cat "$dir/stream.log"
+
+# leakstream has shipped every miss before it exits; siggend's final
+# epoch, run on SIGTERM, publishes what they taught it.
+kill -TERM "$siggend_pid"
+wait "$siggend_pid" || { echo "FAIL: siggend SIGTERM exit was not clean" >&2; cat "$dir/siggend.log" >&2; exit 1; }
+siggend_pid=""
+echo "== siggend log:"
+cat "$dir/siggend.log"
 
 v1="$(curl -fs "http://127.0.0.1:$PORT/version")"
 echo "== sigserver version: $v0 -> $v1"
@@ -63,6 +100,9 @@ if [ "$v1" -le "$v0" ]; then
   echo "FAIL: no signature set was auto-published" >&2
   exit 1
 fi
+wait "$poll_pid"
+poll_pid=""
+echo "== time to first publish: $(cat "$dir/first_publish_ms") ms from leakstream's start"
 
 sets_json="$(curl -fs "http://127.0.0.1:$PORT/sets")"
 echo "== set catalog: $sets_json"
