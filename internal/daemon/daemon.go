@@ -145,7 +145,7 @@ func newOps(c opsConfig) (*opsPlane, error) {
 }
 
 // startLearn opens the one way from a packet-path daemon to the
-// learner at base, siggend's base URL: every miss shipMiss is given
+// learner at base, siggend's base URL: every miss the daemon ships
 // leaves as one NDJSON line of a batch POSTed to base/observe through an
 // obs.Shipper, so the daemon never waits on the learner, a full buffer
 // drops and counts, and a failed POST retries with backoff. leakstream
@@ -172,18 +172,13 @@ func (p *opsPlane) startLearn(base, token string) error {
 	return nil
 }
 
-// shipMiss hands one miss to the learn shipper. It never blocks; a miss
-// the full buffer drops is a drop for the flight recorder too. The
-// shipper encodes the packet later, so nothing may change it after.
-func (p *opsPlane) shipMiss(pkt *httpmodel.Packet) {
-	if !p.learn.Ship(pkt) {
-		p.flight.RecordDrop(-1, pkt.Trace)
-	}
-}
-
 // missSink is the engine sink that ships every verdict matching nothing
 // (exactly the traffic the live set cannot explain) to the learner, or
-// nil without -learn. It keeps the packet, never the borrowed verdict.
+// nil without -learn. It keeps the packet, never the borrowed verdict;
+// the shipper encodes the packet later, so nothing may change it after.
+// A miss the full buffer drops is counted only by the shipper
+// (leaksig_proxy_learn_dropped_total): it is not an engine drop, so it
+// stays out of the flight recorder's drop-burst detector.
 func (p *opsPlane) missSink() engine.Sink {
 	if p.learn == nil {
 		return nil
@@ -191,7 +186,7 @@ func (p *opsPlane) missSink() engine.Sink {
 	return engine.BatchCallbackSink(func(vs []engine.Verdict) {
 		for _, v := range vs {
 			if !v.Leak() {
-				p.shipMiss(v.Packet)
+				p.learn.Ship(v.Packet)
 			}
 		}
 	})
@@ -203,6 +198,8 @@ func (p *opsPlane) missSink() engine.Sink {
 func (p *opsPlane) close() {
 	if p.learn != nil {
 		p.learn.Close()
+		sent, dropped, failed := p.learn.Counts()
+		log.Printf("learn: %d misses delivered to siggend, %d dropped, %d failed POSTs", sent, dropped, failed)
 	}
 	if p.shipper != nil {
 		p.shipper.Close()

@@ -118,7 +118,7 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 			if p.Trace == "" {
 				p.Trace = ops.tracer.StartID()
 			}
-			ops.shipMiss(p)
+			ops.learn.Ship(p)
 		})
 		learnStats = ops.learn.Counts
 	}

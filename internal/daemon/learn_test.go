@@ -284,7 +284,7 @@ func TestLearnShipperCountsUploadFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops.shipMiss(httpmodel.Get("ads.example", "/t?n=1").ID(1).Build())
+	ops.learn.Ship(httpmodel.Get("ads.example", "/t?n=1").ID(1).Build())
 	ops.close() // the final pass makes one attempt
 
 	rec := httptest.NewRecorder()
@@ -297,5 +297,40 @@ func TestLearnShipperCountsUploadFailures(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/metrics lacks %q after %d failed POST(s):\n%s", want, posts.Load(), rec.Body)
 		}
+	}
+}
+
+// TestLearnBufferDropsStayOutOfTheFlightRecorder overflows the learn
+// shipper's buffer while siggend holds the first POST: the misses it
+// drops must show in the shipper's dropped count and nowhere in the
+// flight recorder, whose drop-burst trigger is for packets the engine
+// sheds, not for a slow learner.
+func TestLearnBufferDropsStayOutOfTheFlightRecorder(t *testing.T) {
+	release := make(chan struct{})
+	intake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		io.Copy(io.Discard, r.Body)
+	}))
+	defer intake.Close()
+	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true, flightShards: 1, learnURL: intake.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const misses = 6000 // past the 4,096-record buffer and one 256-record batch in flight
+	sink := ops.missSink().Bind(0, 1)
+	for i := range misses {
+		sink.Batch([]engine.Verdict{{Packet: httpmodel.Get("ads.example", "/t").ID(int64(i)).Build()}})
+	}
+	_, dropped, _ := ops.learn.Counts()
+	if dropped == 0 {
+		t.Fatalf("shipped %d misses into a held intake and none dropped; the buffer never filled", misses)
+	}
+	if st := ops.flight.Stats(); st.Recorded != 0 || st.Triggers != 0 {
+		t.Errorf("flight recorder saw the learn drops: %d events recorded, %d triggers; want none", st.Recorded, st.Triggers)
+	}
+	close(release)
+	ops.close()
+	if sent, dropped, _ := ops.learn.Counts(); sent+dropped != misses {
+		t.Errorf("forwarded %d + dropped %d = %d, want every one of %d misses accounted for", sent, dropped, sent+dropped, misses)
 	}
 }

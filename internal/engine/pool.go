@@ -43,9 +43,9 @@ type PoolConfig struct {
 	IdleAfter time.Duration
 
 	// TenantSink, when non-nil, returns the sink a new tenant's engine
-	// feeds, teed after the template's: per-tenant verdict streams and
-	// the learner's per-tenant miss sinks. It runs outside the pool lock,
-	// so it may itself use the pool, and it may return nil.
+	// feeds, teed after the template's: the per-tenant verdict streams.
+	// It runs outside the pool lock, so it may itself use the pool, and
+	// it may return nil.
 	TenantSink func(key string) Sink
 }
 
