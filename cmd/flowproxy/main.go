@@ -22,7 +22,7 @@
 //
 // The main address is the proxy itself — every verb and path forwards —
 // so the ops plane lives on -debug-addr: /metrics (engine, proxy
-// decision, and learn-forwarder families), /stats as JSON, and
+// decision, and shipper families), /stats as JSON, /readyz, and
 // /debug/pprof. -events-url ships every policy decision on a matching
 // request as a structured NDJSON event.
 package main
@@ -41,15 +41,7 @@ func main() {
 	flag.StringVar(&c.Server, "server", "", "signature server base URL (dynamic)")
 	flag.DurationVar(&c.Refresh, "refresh", 30*time.Second, "poll interval with -server")
 	flag.StringVar(&c.Policy, "policy", "block", "block | log (log allows but records)")
-	flag.StringVar(&c.Learn, "learn", "", "siggend base URL; unmatched flows are forwarded to its /observe intake")
-	flag.StringVar(&c.LearnToken, "learn-token", "", "bearer token for the siggend /observe intake")
-
-	flag.StringVar(&c.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
-	flag.StringVar(&c.EventsToken, "events-token", "", "bearer token for -events-url uploads")
-	flag.StringVar(&c.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /stats, /healthz, /readyz, /debug/pprof, /debug/flight")
-	flag.StringVar(&c.Faults, "faults", "", `chaos injection spec for outbound HTTP, e.g. "seed=7,reset=0.1,latency_p=0.1,latency=20ms" (empty: read LEAKSIG_FAULTS)`)
-
-	flag.IntVar(&c.TraceSample, "trace-sample", 0, "head-sample 1 in N learn-forwarded misses with a trace ID, so the signature each one seeds can be followed back here (0: off)")
+	c.Ops.RegisterFlags(flag.CommandLine, "flowproxy")
 	flag.Parse()
 	daemon.Main("flowproxy", c.Run)
 }

@@ -101,19 +101,11 @@ func main() {
 	// recycled rather than goroutines growing without limit.
 	flag.IntVar(&c.MaxTenants, "max-tenants", 1024, "live tenant cap with -pool, LRU-evicted past it")
 
-	flag.StringVar(&c.Learn, "learn", "", "siggend base URL; unmatched flows are forwarded to its /observe intake")
-	flag.StringVar(&c.LearnToken, "learn-token", "", "bearer token for the siggend /observe intake")
-	flag.StringVar(&c.Faults, "faults", "", `chaos injection spec for outbound HTTP, e.g. "seed=7,reset=0.1,latency_p=0.1,latency=20ms" (empty: read LEAKSIG_FAULTS)`)
-
 	flag.Float64Var(&c.TenantRate, "tenant-rate", 0, "per-tenant sustained intake limit in packets/sec (0: account only, never limit)")
 	flag.Float64Var(&c.TenantBurst, "tenant-burst", 0, "per-tenant intake burst depth (0: one second of -tenant-rate)")
 	flag.StringVar(&c.RatePolicy, "rate-policy", "drop", "over-limit intake policy: drop (shed silently, counted) | reject (error the line)")
-	flag.StringVar(&c.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
-	flag.StringVar(&c.EventsToken, "events-token", "", "bearer token for -events-url uploads")
-	flag.StringVar(&c.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /healthz, /debug/flight, /debug/pprof")
-
-	flag.IntVar(&c.TraceSample, "trace-sample", 0, "head-sample one packet in N through the pipeline tracer (0: off; incoming trace IDs are always honored)")
 	flag.DurationVar(&c.P99Breach, "p99-breach", 0, "flight-dump trigger when engine p99 latency exceeds this (0: off)")
+	c.Ops.RegisterFlags(flag.CommandLine, "leakstream")
 	flag.Parse()
 	daemon.Main("leakstream", c.Run)
 }

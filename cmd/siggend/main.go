@@ -94,13 +94,7 @@ func main() {
 	flag.Int64Var(&c.Seed, "seed", 1, "sampling seed")
 	flag.DurationVar(&c.Stats, "stats", 0, "stats reporting interval on stderr (0: off)")
 	flag.StringVar(&c.Checkpoint, "checkpoint", "", "learner checkpoint file: restore on start, rewrite each epoch and at shutdown (empty: learner state dies with the process)")
-	flag.StringVar(&c.Faults, "faults", "", `chaos injection spec for outbound HTTP, e.g. "seed=7,reset=0.1,latency_p=0.1,latency=20ms" (empty: read LEAKSIG_FAULTS)`)
-
-	flag.StringVar(&c.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
-	flag.StringVar(&c.EventsToken, "events-token", "", "bearer token for -events-url uploads")
-	flag.StringVar(&c.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /healthz, /debug/pprof, /debug/flight")
-
-	flag.IntVar(&c.TraceSample, "trace-sample", 0, "head-sample 1 in N locally-originated packets for stage tracing; forwarded trace IDs are always adopted (0: adopt only)")
+	c.Ops.RegisterFlags(flag.CommandLine, "siggend")
 	flag.Parse()
 	daemon.Main("siggend", c.Run)
 }

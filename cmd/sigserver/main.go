@@ -59,10 +59,7 @@ func main() {
 
 	flag.StringVar(&c.Journal, "journal", "", "durable publish journal: replay on start, append every accepted publish (empty: publishes live in memory only)")
 	flag.StringVar(&c.JournalFsync, "journal-fsync", "always", "journal fsync policy: always | interval | never")
-
-	flag.StringVar(&c.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
-	flag.StringVar(&c.EventsToken, "events-token", "", "bearer token for -events-url uploads")
-	flag.StringVar(&c.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /healthz, /debug/pprof")
+	c.Ops.RegisterFlags(flag.CommandLine, "sigserver")
 	flag.Parse()
 	daemon.Main("sigserver", c.Run)
 }

@@ -2,11 +2,13 @@
 // sigserver, siggend, leakstream and flowproxy are each one config
 // struct, filled from flags by a cmd/ main, and one Run method here. What
 // every daemon does the same way is written once in this file — the ops
-// plane (metrics registry, chaos injector, event shipper, tracer, flight
-// recorder, debug listener, readiness), the NDJSON packet intake, and
-// the serve-until-cancelled-then-drain loop — so a test, or a simulation
-// of the whole loop, constructs the daemon that ships rather than a
-// transcription of its wiring.
+// plane (metrics registry, chaos injector, event and learn shippers,
+// tracer, flight recorder, debug listener, readiness), the NDJSON packet
+// intake, and the serve-until-cancelled-then-drain loop — so a test, or
+// a simulation of the whole loop, constructs the daemon that ships
+// rather than a transcription of its wiring. The ops plane's settings
+// are one struct, Ops, embedded in every config; Ops.RegisterFlags
+// declares its flags for all four mains.
 //
 // Shutdown runs against the data flow, the same in all four: stop the
 // listeners (in-flight requests get five seconds), stop the signature
@@ -19,6 +21,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -54,24 +57,56 @@ func Main(name string, run func(ctx context.Context, stdin io.Reader, stdout io.
 	}
 }
 
-// opsConfig is what one daemon asks of the shared ops plane.
-type opsConfig struct {
-	node        string // the daemon's name: every event's node label
-	eventsURL   string
-	eventsToken string
-	debugAddr   string
-	// The three daemons on the packet path also get a chaos injector under
-	// every outbound client, a tracer and a flight recorder. sigserver
-	// only answers requests and leaves packetPath false.
-	packetPath   bool
-	faults       string
-	traceSample  int
-	flightShards int
-	// learnURL is -learn, siggend's base URL, on the two daemons that
-	// ship their misses to it; learnToken is -learn-token, the bearer
-	// token of its POST /observe.
-	learnURL   string
-	learnToken string
+// Ops is the operator's side of a daemon's config, embedded in all
+// four: where events ship, the private debug listener, and, on the
+// packet path, the chaos spec, the trace sampling and the learner the
+// misses go to. RegisterFlags registers the fields a daemon takes as its
+// flags; a field its daemon does not take is ignored.
+type Ops struct {
+	EventsURL   string // -events-url
+	EventsToken string // -events-token
+	DebugAddr   string // -debug-addr
+	Faults      string // -faults: siggend, leakstream, flowproxy
+	TraceSample int    // -trace-sample: siggend, leakstream, flowproxy
+	Learn       string // -learn: leakstream, flowproxy
+	LearnToken  string // -learn-token: leakstream, flowproxy
+}
+
+// opsTier is how much of the ops plane a daemon takes. Every daemon
+// ships events and opens a debug listener. The three on the packet path
+// also get a chaos injector under every outbound client, a tracer and a
+// flight recorder; sigserver only answers requests. The two that see
+// misses can ship them to a learner.
+type opsTier int
+
+const (
+	tierEvents     opsTier = iota // sigserver
+	tierPacketPath                // siggend
+	tierLearner                   // leakstream, flowproxy
+)
+
+// opsTiers is the one place that decides which ops flags a daemon takes,
+// read by both RegisterFlags and newOps.
+var opsTiers = map[string]opsTier{
+	"sigserver": tierEvents, "siggend": tierPacketPath, "leakstream": tierLearner, "flowproxy": tierLearner,
+}
+
+// RegisterFlags registers on fs, into o, the ops flags the named daemon
+// takes. Each flag has one usage string, true for every daemon that
+// takes it.
+func (o *Ops) RegisterFlags(fs *flag.FlagSet, daemon string) {
+	fs.StringVar(&o.EventsURL, "events-url", "", "ship structured events as batched NDJSON POSTs to this endpoint")
+	fs.StringVar(&o.EventsToken, "events-token", "", "bearer token for -events-url uploads")
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "private ops listener: /metrics, /healthz, /debug/flight, /debug/pprof")
+	tier := opsTiers[daemon]
+	if tier >= tierPacketPath {
+		fs.StringVar(&o.Faults, "faults", "", `chaos injection spec for outbound HTTP, e.g. "seed=7,reset=0.1,latency_p=0.1,latency=20ms" (empty: read LEAKSIG_FAULTS)`)
+		fs.IntVar(&o.TraceSample, "trace-sample", 0, "start a trace for 1 in N packets that arrive without one (flowproxy: 1 in N misses forwarded to -learn); an arriving trace ID is always adopted (0: adopt only)")
+	}
+	if tier >= tierLearner {
+		fs.StringVar(&o.Learn, "learn", "", "siggend base URL; unmatched flows are forwarded to its /observe intake")
+		fs.StringVar(&o.LearnToken, "learn-token", "", "bearer token for the siggend /observe intake")
+	}
 }
 
 // opsPlane is the operator's side of a daemon. shipper, learn, inj and
@@ -93,12 +128,15 @@ type opsPlane struct {
 	ready, degraded atomic.Bool
 }
 
-// newOps brings the ops plane up. The caller defers close.
-func newOps(c opsConfig) (*opsPlane, error) {
-	p := &opsPlane{node: c.node, reg: obs.NewRegistry()}
+// newOps brings the ops plane up for the named daemon, with the fields
+// of o its tier takes; flightShards sizes the flight recorder. The
+// caller defers close.
+func newOps(node string, o Ops, flightShards int) (*opsPlane, error) {
+	p := &opsPlane{node: node, reg: obs.NewRegistry()}
 	p.reg.Register(obs.BuildInfoCollector())
-	if c.packetPath {
-		inj, err := faultinject.FromFlag(c.faults)
+	tier := opsTiers[node]
+	if tier >= tierPacketPath {
+		inj, err := faultinject.FromFlag(o.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -107,24 +145,24 @@ func newOps(c opsConfig) (*opsPlane, error) {
 			p.reg.Register(obs.FaultCollector(inj))
 		}
 		p.inj = inj
-		if c.learnURL != "" {
-			if err := p.startLearn(c.learnURL, c.learnToken); err != nil {
+		if tier >= tierLearner && o.Learn != "" {
+			if err := p.startLearn(o.Learn, o.LearnToken); err != nil {
 				return nil, err
 			}
 		}
 		// The tracer is always constructed — at sample 0 it starts nothing
 		// but still adopts upstream trace IDs — and the flight recorder is
 		// always on.
-		p.tracer = trace.NewTracer(c.traceSample)
-		p.flight = trace.NewFlight(c.flightShards, 0)
+		p.tracer = trace.NewTracer(o.TraceSample)
+		p.flight = trace.NewFlight(flightShards, 0)
 		p.reg.Register(obs.TracerCollector(p.tracer))
 		p.reg.Register(obs.FlightCollector(p.flight))
 	}
-	if c.eventsURL != "" {
+	if o.EventsURL != "" {
 		p.shipper = obs.NewShipper[obs.Event](obs.ShipperConfig{
-			URL: c.eventsURL, Token: c.eventsToken, HTTPClient: p.client(),
+			URL: o.EventsURL, Token: o.EventsToken, HTTPClient: p.client(),
 		})
-		p.reg.Register(p.shipper)
+		p.reg.Register(obs.ShipperCollector("events", p.shipper))
 		if p.flight != nil {
 			// The flight recorder's trigger conditions ship as events.
 			p.flight.SetTrigger(func(reason string, ev trace.FlightEvent) {
@@ -138,8 +176,8 @@ func newOps(c opsConfig) (*opsPlane, error) {
 			})
 		}
 	}
-	if c.debugAddr != "" {
-		p.debug = &http.Server{Addr: c.debugAddr, Handler: obs.DebugHandler(p.reg, p.flight)}
+	if o.DebugAddr != "" {
+		p.debug = &http.Server{Addr: o.DebugAddr, Handler: obs.DebugHandler(p.reg, p.flight)}
 	}
 	return p, nil
 }
@@ -148,8 +186,8 @@ func newOps(c opsConfig) (*opsPlane, error) {
 // learner at base, siggend's base URL: every miss the daemon ships
 // leaves as one NDJSON line of a batch POSTed to base/observe through an
 // obs.Shipper, so the daemon never waits on the learner, a full buffer
-// drops and counts, and a failed POST retries with backoff. leakstream
-// and flowproxy both report it under the leaksig_proxy_learn_* families.
+// drops and counts, and a failed POST retries with backoff. It reports
+// under the event shipper's leaksig_shipper_* families as stream "learn".
 //
 // base must be an absolute http(s) URL, and nothing starts if it is
 // not: the flag package takes the next argument as a string flag's
@@ -163,12 +201,7 @@ func (p *opsPlane) startLearn(base, token string) error {
 	p.learn = obs.NewShipper[*httpmodel.Packet](obs.ShipperConfig{
 		URL: u.JoinPath("observe").String(), Token: token, HTTPClient: p.client(),
 	})
-	p.reg.Register(obs.CollectorFunc(func(m *obs.MetricWriter) {
-		sent, dropped, failed := p.learn.Counts()
-		m.Counter("leaksig_proxy_learn_forwarded_total", "Misses delivered to the siggend intake.", float64(sent))
-		m.Counter("leaksig_proxy_learn_dropped_total", "Misses dropped before the siggend intake (full buffer or abandoned POST).", float64(dropped))
-		m.Counter("leaksig_proxy_learn_upload_failures_total", "Failed POSTs to the siggend intake; each attempt of a retried batch counts once.", float64(failed))
-	}))
+	p.reg.Register(obs.ShipperCollector("learn", p.learn))
 	return nil
 }
 
@@ -177,7 +210,7 @@ func (p *opsPlane) startLearn(base, token string) error {
 // nil without -learn. It keeps the packet, never the borrowed verdict;
 // the shipper encodes the packet later, so nothing may change it after.
 // A miss the full buffer drops is counted only by the shipper
-// (leaksig_proxy_learn_dropped_total): it is not an engine drop, so it
+// (leaksig_shipper_dropped_total{stream="learn"}): it is not an engine drop, so it
 // stays out of the flight recorder's drop-burst detector.
 func (p *opsPlane) missSink() engine.Sink {
 	if p.learn == nil {

@@ -18,22 +18,15 @@ import (
 
 // Flowproxy configures the on-device flow-control proxy; each field is
 // the cmd/flowproxy flag its comment names, where the defaults and the
-// help text live.
+// help text live. It takes every field of Ops.
 type Flowproxy struct {
-	Addr       string        // -addr
-	Sigs       string        // -sigs
-	Server     string        // -server
-	Refresh    time.Duration // -refresh
-	Policy     string        // -policy
-	Learn      string        // -learn
-	LearnToken string        // -learn-token
+	Addr    string        // -addr
+	Sigs    string        // -sigs
+	Server  string        // -server
+	Refresh time.Duration // -refresh
+	Policy  string        // -policy
 
-	EventsURL   string // -events-url
-	EventsToken string // -events-token
-	DebugAddr   string // -debug-addr
-	Faults      string // -faults
-
-	TraceSample int // -trace-sample
+	Ops
 }
 
 // Run is the proxy: it vets every request arriving on Addr until ctx is
@@ -59,11 +52,7 @@ func (c Flowproxy) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error
 		return fmt.Errorf("unknown policy %q", c.Policy)
 	}
 
-	ops, err := newOps(opsConfig{
-		node: "flowproxy", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
-		packetPath: true, faults: c.Faults, traceSample: c.TraceSample, flightShards: 1,
-		learnURL: c.Learn, learnToken: c.LearnToken,
-	})
+	ops, err := newOps("flowproxy", c.Ops, 1)
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -32,16 +30,7 @@ func TestFlowproxyShipsEveryMissToTheLearner(t *testing.T) {
 	captureLog(t)
 	const token = "s3cret"
 
-	sigs := filepath.Join(t.TempDir(), "sigs.json")
-	f, err := os.Create(sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}}
-	if err := set.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	sigs := writeSet(t, &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}})
 
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
@@ -89,8 +78,8 @@ func TestFlowproxyShipsEveryMissToTheLearner(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Flowproxy{
-			Addr: addr, Sigs: sigs, Policy: "block", Learn: learner.URL, LearnToken: token,
-			DebugAddr: debug, TraceSample: 1,
+			Addr: addr, Sigs: sigs, Policy: "block",
+			Ops: Ops{Learn: learner.URL, LearnToken: token, DebugAddr: debug, TraceSample: 1},
 		}.Run(ctx, nil, io.Discard)
 	}()
 	proxyURL, _ := url.Parse("http://" + addr)
@@ -142,7 +131,7 @@ func TestFlowproxyShipsEveryMissToTheLearner(t *testing.T) {
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
-			if v, ok := strings.CutPrefix(sc.Text(), "leaksig_proxy_learn_forwarded_total "); ok {
+			if v, ok := strings.CutPrefix(sc.Text(), `leaksig_shipper_shipped_total{stream="learn"} `); ok {
 				return v
 			}
 		}
@@ -152,11 +141,11 @@ func TestFlowproxyShipsEveryMissToTheLearner(t *testing.T) {
 	proxyRound(0, first)
 	for deadline := time.Now().Add(10 * time.Second); scrapeForwarded() != fmt.Sprint(first); time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("leaksig_proxy_learn_forwarded_total = %q, want %d; the learner received %d", scrapeForwarded(), first, delivered())
+			t.Fatalf(`leaksig_shipper_shipped_total{stream="learn"} = %q, want %d; the learner received %d`, scrapeForwarded(), first, delivered())
 		}
 	}
 	if n := delivered(); n != first {
-		t.Fatalf("leaksig_proxy_learn_forwarded_total = %d, but the learner received %d", first, n)
+		t.Fatalf(`leaksig_shipper_shipped_total{stream="learn"} = %d, but the learner received %d`, first, n)
 	}
 	var stats struct {
 		LearnSent    uint64 `json:"learn_sent"`

@@ -60,7 +60,7 @@ func captureLog(t *testing.T) *lockedBuffer {
 // registered for /metrics as Run registers it.
 func newTestStream(t *testing.T) *stream {
 	t.Helper()
-	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true})
+	ops, err := newOps("leakstream", Ops{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

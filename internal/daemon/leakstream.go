@@ -24,7 +24,7 @@ import (
 
 // Leakstream configures the streaming detection daemon; each field is
 // the cmd/leakstream flag its comment names, where the defaults and the
-// help text live.
+// help text live. It takes every field of Ops.
 type Leakstream struct {
 	Server   string        // -server
 	Sigs     string        // -sigs
@@ -42,19 +42,12 @@ type Leakstream struct {
 	ShardBudget int           // -shard-budget
 	MaxTenants  int           // -max-tenants
 
-	Learn      string // -learn
-	LearnToken string // -learn-token
-	Faults     string // -faults
-
-	TenantRate  float64 // -tenant-rate
-	TenantBurst float64 // -tenant-burst
-	RatePolicy  string  // -rate-policy
-	EventsURL   string  // -events-url
-	EventsToken string  // -events-token
-	DebugAddr   string  // -debug-addr
-
-	TraceSample int           // -trace-sample
+	TenantRate  float64       // -tenant-rate
+	TenantBurst float64       // -tenant-burst
+	RatePolicy  string        // -rate-policy
 	P99Breach   time.Duration // -p99-breach
+
+	Ops
 }
 
 // Run is the daemon: packets in from stdin and, with Listen, over HTTP;
@@ -84,12 +77,7 @@ func (c Leakstream) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) 
 		return fmt.Errorf("unknown -rate-policy %q (want drop or reject)", c.RatePolicy)
 	}
 
-	ops, err := newOps(opsConfig{
-		node: "leakstream", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
-		packetPath: true, faults: c.Faults, traceSample: c.TraceSample,
-		flightShards: engine.Config{Shards: c.Shards}.ShardCount(),
-		learnURL:     c.Learn, learnToken: c.LearnToken,
-	})
+	ops, err := newOps("leakstream", c.Ops, engine.Config{Shards: c.Shards}.ShardCount())
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -118,23 +116,15 @@ func TestLeakstreamShipsMissesLikeInProcessLearner(t *testing.T) {
 			t.Fatal("no query pair in the stream to build a signature on")
 		}
 		set := &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{token}}}}
-		sigs := filepath.Join(t.TempDir(), "sigs.json")
-		f, err := os.Create(sigs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := set.WriteJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		sigs := writeSet(t, set)
 
 		d := siggendDefaults()
 		d.TenantBy, d.Interval = "none", time.Hour
 		shippedSrv, shippedURL := newSigserver(t)
 		d.Server = shippedURL
 		learnURL, stop := runSiggend(t, d)
-		err = Leakstream{
-			Sigs: sigs, Shards: 1, Affinity: "host", TenantBy: "app", RatePolicy: "drop", Learn: learnURL,
+		err := Leakstream{
+			Sigs: sigs, Shards: 1, Affinity: "host", TenantBy: "app", RatePolicy: "drop", Ops: Ops{Learn: learnURL},
 		}.Run(context.Background(), bytes.NewReader(input), io.Discard)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +205,7 @@ func TestLeakstreamShipsMissesLikeInProcessLearner(t *testing.T) {
 		learnURL, stop := runSiggend(t, d)
 		err := Leakstream{
 			Pool: true, TenantBy: "app", Shards: 1, MaxTenants: 1024, Affinity: "host", RatePolicy: "drop",
-			Learn: learnURL,
+			Ops: Ops{Learn: learnURL},
 		}.Run(context.Background(), bytes.NewReader(ndjson(t, stream)), io.Discard)
 		if err != nil {
 			t.Fatal(err)
@@ -239,11 +229,11 @@ func TestLearnMustBeAnHTTPURL(t *testing.T) {
 	daemons := map[string]func(ctx context.Context, learn string) error{
 		"leakstream": func(ctx context.Context, learn string) error {
 			return Leakstream{
-				Listen: freeAddr(t), Affinity: "host", TenantBy: "app", RatePolicy: "drop", Learn: learn,
+				Listen: freeAddr(t), Affinity: "host", TenantBy: "app", RatePolicy: "drop", Ops: Ops{Learn: learn},
 			}.Run(ctx, strings.NewReader(""), io.Discard)
 		},
 		"flowproxy": func(ctx context.Context, learn string) error {
-			return Flowproxy{Addr: freeAddr(t), Policy: "block", Learn: learn}.Run(ctx, nil, io.Discard)
+			return Flowproxy{Addr: freeAddr(t), Policy: "block", Ops: Ops{Learn: learn}}.Run(ctx, nil, io.Discard)
 		},
 	}
 	for name, run := range daemons {
@@ -271,8 +261,8 @@ func TestLearnMustBeAnHTTPURL(t *testing.T) {
 
 // TestLearnShipperCountsUploadFailures points the learn shipper at an
 // intake that answers 500: the failed POST must show in
-// leaksig_proxy_learn_upload_failures_total, and the abandoned miss in
-// the dropped counter, not the forwarded one.
+// leaksig_shipper_upload_failures_total{stream="learn"}, and the
+// abandoned miss in the dropped counter, not the shipped one.
 func TestLearnShipperCountsUploadFailures(t *testing.T) {
 	var posts atomic.Int32
 	intake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +270,7 @@ func TestLearnShipperCountsUploadFailures(t *testing.T) {
 		http.Error(w, "learner down", http.StatusInternalServerError)
 	}))
 	defer intake.Close()
-	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true, learnURL: intake.URL})
+	ops, err := newOps("leakstream", Ops{Learn: intake.URL}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +280,9 @@ func TestLearnShipperCountsUploadFailures(t *testing.T) {
 	rec := httptest.NewRecorder()
 	ops.reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	for _, want := range []string{
-		"leaksig_proxy_learn_upload_failures_total 1\n",
-		"leaksig_proxy_learn_dropped_total 1\n",
-		"leaksig_proxy_learn_forwarded_total 0\n",
+		`leaksig_shipper_upload_failures_total{stream="learn"} 1` + "\n",
+		`leaksig_shipper_dropped_total{stream="learn",reason="upload_abandoned"} 1` + "\n",
+		`leaksig_shipper_shipped_total{stream="learn"} 0` + "\n",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/metrics lacks %q after %d failed POST(s):\n%s", want, posts.Load(), rec.Body)
@@ -312,7 +302,7 @@ func TestLearnBufferDropsStayOutOfTheFlightRecorder(t *testing.T) {
 		io.Copy(io.Discard, r.Body)
 	}))
 	defer intake.Close()
-	ops, err := newOps(opsConfig{node: "leakstream", packetPath: true, flightShards: 1, learnURL: intake.URL})
+	ops, err := newOps("leakstream", Ops{Learn: intake.URL}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +33,21 @@ func freeAddr(t *testing.T) string {
 	}
 	defer l.Close()
 	return l.Addr().String()
+}
+
+// writeSet writes set as a signature file for -sigs and returns its path.
+func writeSet(t *testing.T, set *signature.Set) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sigs.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := set.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // awaitBody polls url until it answers 200 with want.
@@ -112,7 +129,7 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 		done <- Leakstream{
 			Server: server.URL, Listen: addr, Shards: 2, Poll: time.Second,
 			Affinity: "host", TenantBy: "app", RatePolicy: "drop", MaxTenants: 1024,
-			Learn: learner.URL, EventsURL: consumer.URL,
+			Ops: Ops{Learn: learner.URL, EventsURL: consumer.URL},
 		}.Run(ctx, strings.NewReader(""), &stdout)
 	}()
 	base := "http://" + addr
@@ -217,6 +234,132 @@ func TestLeakstreamShutdownMidIngest(t *testing.T) {
 	}
 	if leaks == 0 || shipped != leaks {
 		t.Fatalf("%d leak verdicts written, %d verdict events reached the consumer: the final batch was lost", leaks, shipped)
+	}
+}
+
+// stallWriter is a stdout that blocks every write until release is
+// closed, and then takes 2 ms per write: a verdict consumer that stalls
+// the engine's shards in their sink, then drains them slowly.
+type stallWriter struct {
+	entered chan struct{} // closed by the first write
+	release chan struct{}
+	once    sync.Once
+	mu      sync.Mutex
+	buf     bytes.Buffer
+}
+
+func (w *stallWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	time.Sleep(2 * time.Millisecond)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(b)
+}
+
+// TestLeakstreamDrainsRingsBeforeTheLearnShipperCloses cancels a
+// learning leakstream whose shards are stalled on a blocked stdout, so
+// its ring still holds every packet acknowledged after the stall; stdout
+// unblocks only once the listener is gone. Every miss among the
+// acknowledged packets must still reach the learner's /observe exactly
+// once: the engine's drain has to run before the learn shipper's final
+// pass, not after it.
+func TestLeakstreamDrainsRingsBeforeTheLearnShipperCloses(t *testing.T) {
+	captureLog(t)
+	sigs := writeSet(t, &signature.Set{Signatures: []*signature.Signature{{ID: 1, Tokens: []string{"udid=f3a9c1d2"}}}})
+	var mu sync.Mutex
+	observed := map[int64]int{} // packet id -> deliveries to /observe
+	learner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		httpmodel.ReadNDJSON(r.Body, func(p *httpmodel.Packet) error {
+			mu.Lock()
+			observed[p.ID]++
+			mu.Unlock()
+			return nil
+		}, func(line int, err error) {
+			t.Errorf("learner rejected line %d: %v", line, err)
+		})
+	}))
+	defer learner.Close()
+
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stdout := &stallWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		done <- Leakstream{
+			Sigs: sigs, Listen: addr, Shards: 1, Queue: 4096,
+			Affinity: "host", TenantBy: "app", RatePolicy: "drop", MaxTenants: 1024,
+			Ops: Ops{Learn: learner.URL},
+		}.Run(ctx, strings.NewReader(""), stdout)
+	}()
+	base := "http://" + addr
+	awaitBody(t, base+"/readyz", "ready")
+
+	// One packet in ten leaks.
+	const perBody = 100
+	var acked []int64
+	post := func(b int) {
+		t.Helper()
+		var body bytes.Buffer
+		enc := json.NewEncoder(&body)
+		for i := range int64(perBody) {
+			id := int64(b)*perBody + i
+			path := fmt.Sprintf("/t?n=%d", id)
+			if i%10 == 0 {
+				path += "&udid=f3a9c1d2"
+			}
+			enc.Encode(httpmodel.Get("ads.example", path).ID(id).App("com.a").Build())
+		}
+		resp, err := http.Post(base+"/ingest", "application/x-ndjson", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		for i := range int64(perBody) {
+			acked = append(acked, int64(b)*perBody+i)
+		}
+	}
+	post(0)
+	<-stdout.entered // the verdict flusher holds the writer: the shard stalls at its next drain
+	for b := 1; b <= 8; b++ {
+		post(b)
+	}
+	var stats struct{ QueueDepth int }
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if stats.QueueDepth < perBody {
+		t.Fatalf("only %d packets queued at cancel; the check needs the ring full", stats.QueueDepth)
+	}
+
+	cancel()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := http.Get(base + "/healthz"); err != nil {
+			break // the listener is down: Run is past serve
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the listener outlived the cancel")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // ample time for any close that comes before the drain
+	close(stdout.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Run returned %v, want nil", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range acked {
+		leak := id%10 == 0
+		if n := observed[id]; leak && n != 0 || !leak && n != 1 {
+			t.Fatalf("packet %d (leak %v) reached the learner %d times; a miss must once, a leak never (%d acknowledged, %d observed)",
+				id, leak, n, len(acked), len(observed))
+		}
 	}
 }
 

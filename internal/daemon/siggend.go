@@ -21,7 +21,7 @@ import (
 
 // Siggend configures the online signature-generation daemon; each field
 // is the cmd/siggend flag its comment names, where the defaults and the
-// help text live.
+// help text live. Of Ops it takes all but the learn fields.
 type Siggend struct {
 	Server       string            // -server
 	Token        string            // -token
@@ -44,13 +44,8 @@ type Siggend struct {
 	Seed        int64         // -seed
 	Stats       time.Duration // -stats
 	Checkpoint  string        // -checkpoint
-	Faults      string        // -faults
 
-	EventsURL   string // -events-url
-	EventsToken string // -events-token
-	DebugAddr   string // -debug-addr
-
-	TraceSample int // -trace-sample
+	Ops
 }
 
 // Run is the daemon: suspect flows in from stdin and, with Listen, over
@@ -69,10 +64,7 @@ func (c Siggend) Run(ctx context.Context, stdin io.Reader, stdout io.Writer) err
 		return fmt.Errorf("unknown -tenant-by %q (want app, host, or none)", c.TenantBy)
 	}
 
-	ops, err := newOps(opsConfig{
-		node: "siggend", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
-		packetPath: true, faults: c.Faults, traceSample: c.TraceSample,
-	})
+	ops, err := newOps("siggend", c.Ops, 0)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 
 // Sigserver configures the signature distribution server; each field is
 // the cmd/sigserver flag its comment names, where the defaults and the
-// help text live.
+// help text live. Of Ops it takes the events and debug fields.
 type Sigserver struct {
 	Addr  string // -addr
 	Sigs  string // -sigs
@@ -24,18 +24,14 @@ type Sigserver struct {
 	Journal      string // -journal
 	JournalFsync string // -journal-fsync
 
-	EventsURL   string // -events-url
-	EventsToken string // -events-token
-	DebugAddr   string // -debug-addr
+	Ops
 }
 
 // Run is the server: it replays the journal, publishes the seed set, and
 // serves on Addr until ctx is cancelled, then drains in-flight requests
 // and syncs the journal.
 func (c Sigserver) Run(ctx context.Context, _ io.Reader, stdout io.Writer) error {
-	ops, err := newOps(opsConfig{
-		node: "sigserver", eventsURL: c.EventsURL, eventsToken: c.EventsToken, debugAddr: c.DebugAddr,
-	})
+	ops, err := newOps("sigserver", c.Ops, 0)
 	if err != nil {
 		return err
 	}

@@ -105,7 +105,8 @@ type shipperStats struct {
 // while the ring keeps absorbing (and, at the bound, dropping) new
 // records — the buffered-upload/backpressure idiom of tailscale's
 // logtail. It is the one way a daemon sends records out: ops-plane
-// Events to -events-url, and flowproxy's unmatched packets to a learner.
+// Events to -events-url, and the misses leakstream and flowproxy ship to
+// a learner.
 // Construct with NewShipper; all methods are safe for concurrent use.
 type Shipper[T any] struct {
 	cfg  ShipperConfig
@@ -326,18 +327,22 @@ func (s *Shipper[T]) stats() shipperStats {
 	}
 }
 
-// Collect implements Collector: the shipper's own accounting as metric
-// families, so event loss is as scrapeable as event volume. Only the
-// ops-plane event shipper registers; the families name events.
-func (s *Shipper[T]) Collect(m *MetricWriter) {
-	st := s.stats()
-	m.Counter("leaksig_events_shipped_total", "Events delivered to the event sink.", float64(st.Shipped))
-	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedBuffer), label("reason", "buffer_full"))
-	m.Counter("leaksig_events_dropped_total", "Events dropped, by reason (buffer overflow vs abandoned upload).", float64(st.DroppedUpload), label("reason", "upload_abandoned"))
-	m.Counter("leaksig_events_upload_failures_total", "Failed event upload attempts (each retried batch attempt counts once).", float64(st.UploadFailures))
-	m.Counter("leaksig_events_batches_total", "Event batches delivered.", float64(st.Batches))
-	m.Gauge("leaksig_events_buffered", "Events currently waiting in the ship buffer.", float64(st.Buffered))
-	s.flushSec.Write(m, "leaksig_events_flush_seconds", "Event batch delivery attempt duration.")
+// ShipperCollector reports one shipper's accounting under the
+// leaksig_shipper_* families, its samples labelled stream, so loss is as
+// scrapeable as volume and every shipper of a daemon (the ops-plane
+// events, the misses shipped to the learner) shares one family set.
+func ShipperCollector[T any](stream string, s *Shipper[T]) Collector {
+	sl := label("stream", stream)
+	return CollectorFunc(func(m *MetricWriter) {
+		st := s.stats()
+		m.Counter("leaksig_shipper_shipped_total", "Records delivered, by stream.", float64(st.Shipped), sl)
+		m.Counter("leaksig_shipper_dropped_total", "Records dropped, by stream and reason (buffer overflow vs abandoned upload).", float64(st.DroppedBuffer), sl, label("reason", "buffer_full"))
+		m.Counter("leaksig_shipper_dropped_total", "Records dropped, by stream and reason (buffer overflow vs abandoned upload).", float64(st.DroppedUpload), sl, label("reason", "upload_abandoned"))
+		m.Counter("leaksig_shipper_upload_failures_total", "Failed upload attempts, by stream (each retried batch attempt counts once).", float64(st.UploadFailures), sl)
+		m.Counter("leaksig_shipper_batches_total", "Batches delivered, by stream.", float64(st.Batches), sl)
+		m.Gauge("leaksig_shipper_buffered", "Records currently waiting in the ship buffer, by stream.", float64(st.Buffered), sl)
+		s.flushSec.Write(m, "leaksig_shipper_flush_seconds", "Batch delivery attempt duration, by stream.", sl)
+	})
 }
 
 // Close stops the flush loop after one final best-effort delivery pass,

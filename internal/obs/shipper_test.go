@@ -256,14 +256,14 @@ func TestShipperCollectFamilies(t *testing.T) {
 	s.Ship(Event{Type: "x"})
 	s.Close()
 	reg := NewRegistry()
-	reg.Register(s)
+	reg.Register(ShipperCollector("events", s))
 	out := reg.expose()
 	for _, fam := range []string{
-		"leaksig_events_shipped_total",
-		`leaksig_events_dropped_total{reason="buffer_full"}`,
-		`leaksig_events_dropped_total{reason="upload_abandoned"}`,
-		"leaksig_events_buffered",
-		"leaksig_events_flush_seconds_count",
+		`leaksig_shipper_shipped_total{stream="events"}`,
+		`leaksig_shipper_dropped_total{stream="events",reason="buffer_full"}`,
+		`leaksig_shipper_dropped_total{stream="events",reason="upload_abandoned"}`,
+		`leaksig_shipper_buffered{stream="events"}`,
+		`leaksig_shipper_flush_seconds_count{stream="events"}`,
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("scrape missing %s:\n%s", fam, out)

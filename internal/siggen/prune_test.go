@@ -309,40 +309,9 @@ func TestProfilePacketIsMetricPacket(t *testing.T) {
 // the same fingerprint.
 func TestServiceMatchesExhaustive(t *testing.T) {
 	stream := familyStream(23, 24, 24)
-	run := func(reference bool) []string {
-		var published []string
-		svc := NewService(Config{
-			Cluster:    ClusterConfig{MaxClusters: 16, MaxMembers: 16, ElectSample: 6, StaleEpochs: 2},
-			TenantSets: true,
-			// One private reservoir, the rest overflow: both services
-			// then cluster in arrival order, which iterating a map of
-			// per-tenant reservoirs would not guarantee.
-			MaxTenantReservoirs: 1,
-			OnPublish: func(name string, set *signature.Set) {
-				published = append(published, name+"="+setFingerprint(set))
-			},
-		})
-		defer svc.Close()
-		if reference {
-			svc.mu.Lock()
-			svc.stage = newExhaustive(svc.cfg.Cluster, svc.cfg.Seed)
-			svc.mu.Unlock()
-		}
-		per := len(stream) / 8
-		for epoch := 0; epoch < 8; epoch++ {
-			for _, a := range stream[epoch*per : (epoch+1)*per] {
-				if !svc.Observe(a.tenant, a.p) {
-					t.Fatal("intake dropped a miss")
-				}
-			}
-			if _, err := svc.RunEpoch(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			published = append(published, fmt.Sprintf("-- epoch %d", epoch))
-		}
-		return published
-	}
-	got, want := run(false), run(true)
+	// One private reservoir, the rest overflow: both services then
+	// cluster in arrival order.
+	got, want := publishedOver(t, stream, 1, false), publishedOver(t, stream, 1, true)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("published sets differ from the reference:\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
 	}
@@ -355,6 +324,58 @@ func TestServiceMatchesExhaustive(t *testing.T) {
 	if nonEmpty < 8 {
 		t.Fatalf("only %d non-empty publishes in eight epochs; the check compares too little:\n%s", nonEmpty, strings.Join(got, "\n"))
 	}
+}
+
+// TestTenantReservoirsDrainInKeyOrder keys the paper-shaped suspicious
+// traffic by app, so every epoch feeds the order-sensitive clusterer
+// eight private tenant reservoirs and the overflow in turn: fresh
+// services on the same misses must still publish the same sets, however
+// the map holding the reservoirs iterates. Drained in map order, ten of
+// ten runs published other sets than the first.
+func TestTenantReservoirsDrainInKeyOrder(t *testing.T) {
+	stream := suspiciousStream(480)
+	want := publishedOver(t, stream, 8, false)
+	for run := 1; run <= 4; run++ {
+		if got := publishedOver(t, stream, 8, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d published other sets than run 0:\n got %s\nwant %s", run, strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+		}
+	}
+}
+
+// publishedOver runs one fresh tenant-sets service, with reservoirs
+// private tenant reservoirs (the pruned clusterer, or the exhaustive
+// reference), over stream in eight epochs and returns every set it
+// publishes as name=fingerprint, each epoch closed by a marker line.
+func publishedOver(t *testing.T, stream []arrival, reservoirs int, reference bool) []string {
+	t.Helper()
+	var published []string
+	svc := NewService(Config{
+		Cluster:             ClusterConfig{MaxClusters: 16, MaxMembers: 16, ElectSample: 6, StaleEpochs: 2},
+		TenantSets:          true,
+		MaxTenantReservoirs: reservoirs,
+		OnPublish: func(name string, set *signature.Set) {
+			published = append(published, name+"="+setFingerprint(set))
+		},
+	})
+	defer svc.Close()
+	if reference {
+		svc.mu.Lock()
+		svc.stage = newExhaustive(svc.cfg.Cluster, svc.cfg.Seed)
+		svc.mu.Unlock()
+	}
+	per := len(stream) / 8
+	for epoch := 0; epoch < 8; epoch++ {
+		for _, a := range stream[epoch*per : (epoch+1)*per] {
+			if !svc.Observe(a.tenant, a.p) {
+				t.Fatal("intake dropped a miss")
+			}
+		}
+		if _, err := svc.RunEpoch(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		published = append(published, fmt.Sprintf("-- epoch %d", epoch))
+	}
+	return published
 }
 
 // TestLearnerMemoryBounded streams 5×10⁴ misses, every one with its own

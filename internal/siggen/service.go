@@ -51,7 +51,9 @@ package siggen
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -406,8 +408,10 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 	// compact. Taking a reservoir empties it, and the slot itself is
 	// released: the tenant table only ever holds tenants seen since the
 	// last epoch, so transient tenant keys can never exhaust the
-	// MaxTenantReservoirs slots for everyone who comes later.
-	for key, r := range s.reservoirs {
+	// MaxTenantReservoirs slots for everyone who comes later. The
+	// clusterer is order-sensitive, so the reservoirs drain in tenant-key
+	// order, the overflow last: the same misses publish the same sets.
+	feed := func(r *reservoir) {
 		for _, smp := range r.take() {
 			// The cluster feed is a sampled packet's last per-packet
 			// station: stamp it and end the span here, so packets the
@@ -416,13 +420,12 @@ func (s *Service) epochLocked(ctx context.Context) (*signature.Set, error) {
 			smp.p.EndTrace()
 			s.stage.ObserveTenant(smp.p, smp.tenant)
 		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(s.reservoirs)) {
+		feed(s.reservoirs[key])
 		delete(s.reservoirs, key)
 	}
-	for _, smp := range s.overflow.take() {
-		smp.p.Span.Stamp(trace.StageCluster)
-		smp.p.EndTrace()
-		s.stage.ObserveTenant(smp.p, smp.tenant)
-	}
+	feed(s.overflow)
 	s.lastCompact = s.stage.Compact()
 
 	// Drift retirement: follow this compaction's merge renames, drop its

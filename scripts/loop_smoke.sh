@@ -260,24 +260,46 @@ start_chaos_stream() {
   curl -fs "http://127.0.0.1:$CLPORT/healthz" >/dev/null
 }
 
+# await_chaos_version V: the engine must reach version V despite resets
+# and latency on the watch path.
+await_chaos_version() {
+  for _ in $(seq 1 100); do
+    got="$(curl -fs "http://127.0.0.1:$CLPORT/metrics" 2>/dev/null \
+      | awk '$1 == "leaksig_engine_signature_version" {print int($2)}')" || true
+    if [ "${got:-0}" -ge "$1" ]; then return 0; fi
+    sleep 0.2
+  done
+  echo "FAIL: engine never converged to version $1 under faults" >&2
+  exit 1
+}
+
 start_chaos_server
 curl -fs -X POST --data-binary "@$dir/learned.json" "http://127.0.0.1:$CPORT/publish" >/dev/null
-chaos_v="$(curl -fs "http://127.0.0.1:$CPORT/version")"
 start_chaos_stream
+await_chaos_version "$(curl -fs "http://127.0.0.1:$CPORT/version")"
 
-# Version convergence through the faults: the engine must reach the
-# server's version despite resets and latency on the watch path.
-converged=""
-for _ in $(seq 1 100); do
-  got="$(curl -fs "http://127.0.0.1:$CLPORT/metrics" 2>/dev/null \
-    | awk '$1 == "leaksig_engine_signature_version" {print int($2)}')" || true
-  if [ "${got:-0}" -ge "$chaos_v" ]; then converged=1; break; fi
-  sleep 0.2
+# A boot alone is one fetch and one long poll, too few calls to draw a
+# fault at these rates: roll 12 more versions through the
+# watch, each a wake-up and a fetch, and require that faults fired.
+python3 - "$dir/learned.json" "$dir/republish.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+d["version"] = 0  # auto-bump on every publish
+json.dump(d, open(sys.argv[2], "w"))
+PY
+for _ in $(seq 1 12); do
+  curl -fs -X POST --data-binary "@$dir/republish.json" "http://127.0.0.1:$CPORT/publish" >/dev/null
+  await_chaos_version "$(curl -fs "http://127.0.0.1:$CPORT/version")"
 done
-[ -n "$converged" ] || { echo "FAIL: engine never converged to version $chaos_v under faults" >&2; exit 1; }
+chaos_v="$(curl -fs "http://127.0.0.1:$CPORT/version")"
 curl -fs "http://127.0.0.1:$CLPORT/metrics" >"$dir/chaos.metrics"
 metric leaksig_degraded '0' "$dir/chaos.metrics"
 faults_hit="$(awk '/^leaksig_faults_injected_total/ {s+=$2} END {print s+0}' "$dir/chaos.metrics")"
+if [ "$faults_hit" -eq 0 ]; then
+  echo "FAIL: no fault fired during the chaos phase (seed $FAULT_SEED); convergence was tested on a clean wire" >&2
+  grep -E '^leaksig_faults' "$dir/chaos.metrics" >&2 || true
+  exit 1
+fi
 echo "PASS: version $chaos_v converged under chaos (seed $FAULT_SEED, $faults_hit faults injected)"
 
 # SIGKILL the server mid-flight, then boot a FRESH leakstream against the
