@@ -23,10 +23,7 @@ package signature
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -116,37 +113,6 @@ func (s *Set) FirstTrace() string {
 		return s.Traces[0]
 	}
 	return ""
-}
-
-// WriteJSON serializes the set.
-func (s *Set) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadJSON deserializes a set written by WriteJSON.
-func ReadJSON(r io.Reader) (*Set, error) {
-	var s Set
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("signature: decoding set: %w", err)
-	}
-	return &s, nil
-}
-
-// ReadFile reads the set stored at path — what a daemon's or tool's
-// -sigs flag names.
-func ReadFile(path string) (*Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("opening signatures: %w", err)
-	}
-	defer f.Close()
-	set, err := ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("reading signatures: %w", err)
-	}
-	return set, nil
 }
 
 // The fixed generation rule: token bounds every generator shares, and

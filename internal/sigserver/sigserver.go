@@ -65,6 +65,38 @@ const maxNamedSets = 4096
 // the journal could hold is refused before it is decoded.
 const maxPublishBytes = durable.MaxRecord
 
+// maxFetchBytes bounds a GET /signatures body a Client reads. A server
+// serves the indented form of a set whose compact form — the journal
+// record — fits maxPublishBytes, and indentation adds at most 9 bytes
+// (a newline and 8 spaces) to each value, the smallest of which, a
+// one-byte token and its comma, takes 4: at most 3.25 times the compact
+// form. A larger body — possible only from a server without a journal —
+// is refused rather than buffered, and the watcher keeps its last set.
+const maxFetchBytes = 4 * maxPublishBytes
+
+// errBodyTooLarge refuses a body over its bound: 413 for a publish.
+var errBodyTooLarge = errors.New("body too large")
+
+// readBody reads all of r into one buffer: exactly size bytes when the
+// sender declared the size (a Content-Length), else growing as the body
+// arrives. A body over limit bytes — declared or read — is refused with
+// errBodyTooLarge before more than limit+1 bytes are buffered.
+func readBody(r io.Reader, size, limit int64) ([]byte, error) {
+	if size > limit {
+		return nil, errBodyTooLarge
+	}
+	if size < 0 {
+		b, err := io.ReadAll(io.LimitReader(r, limit+1))
+		if err == nil && int64(len(b)) > limit {
+			err = errBodyTooLarge
+		}
+		return b, err
+	}
+	b := make([]byte, size)
+	_, err := io.ReadFull(r, b)
+	return b, err
+}
+
 // compactEvery is how many journal appends accumulate before the journal
 // is compacted down to the latest record per name. Publishes supersede
 // each other per name, so a long-lived journal would otherwise replay
@@ -584,6 +616,7 @@ func writeSetJSON(w http.ResponseWriter, r *http.Request, set *signature.Set, ve
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.Header().Set("ETag", etag)
 	w.Write(buf.Bytes())
 }
@@ -666,14 +699,17 @@ func (s *Server) servePublish(w http.ResponseWriter, r *http.Request, token stri
 			return
 		}
 	}
-	set, err := signature.ReadJSON(http.MaxBytesReader(w, r.Body, maxPublishBytes))
+	body, err := readBody(r.Body, r.ContentLength, maxPublishBytes)
+	if errors.Is(err, errBodyTooLarge) {
+		http.Error(w, fmt.Sprintf("bad signature set: over %d bytes", maxPublishBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
+	var set *signature.Set
+	if err == nil {
+		set, err = signature.DecodeJSON(body)
+	}
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, fmt.Sprintf("bad signature set: %v", err), status)
+		http.Error(w, fmt.Sprintf("bad signature set: %v", err), http.StatusBadRequest)
 		return
 	}
 	// Reject unknown kinds and views here, at the wire boundary: a
@@ -892,9 +928,18 @@ func (c *Client) fetch(ctx context.Context, name string) (*signature.Set, bool, 
 		}
 		return cached, false, nil
 	case http.StatusOK:
-		set, err := signature.ReadJSON(resp.Body)
+		body, err := readBody(resp.Body, resp.ContentLength, maxFetchBytes)
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("sigserver: reading signatures: %w", err)
+		}
+		set, err := signature.DecodeJSON(body)
+		if err == nil {
+			// A watcher keeps its last good set rather than install one
+			// no engine can compile.
+			err = set.Validate()
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("sigserver: fetched set: %w", err)
 		}
 		c.mu.Lock()
 		sc := c.cache(name)
